@@ -7,6 +7,7 @@ Usage: python scripts/demo_pipeline.py [seed]
 import json
 import sys
 
+from medcover.cli import _pad_blocks
 from medcover.covers import soundness_assemble
 from medcover.decomposition import certify_lower_bound
 from medcover.graphs import bridge_structure, format_edge_list
@@ -35,10 +36,7 @@ def main() -> int:
     verdict = "yes" if rep.optimal_cost <= pred.yes_cost + 1e-6 else "no"
     print(f"optimal {k}-median cost = {rep.optimal_cost:.9f}  -> {verdict} side")
 
-    blocks = [sorted(b) for b in rep.partition]
-    while len(blocks) < k:  # splitting a block never raises the cost
-        blocks.sort(key=len, reverse=True)
-        blocks.append([blocks[0].pop()])
+    blocks = _pad_blocks([list(b) for b in rep.partition], k)
     cover_rep = soundness_assemble(g, blocks, k=k, objective="median")
     print(f"\nextracted cover: {sorted(cover_rep.cover)} "
           f"(size {cover_rep.total_cover_size}, path {cover_rep.procedures_path})")

@@ -31,7 +31,14 @@ from .decomposition import (
     trace_to_dict,
 )
 from .errors import MedcoverError
-from .graphs import Graph, bridge_structure, classify, is_star, parse_edge_list
+from .graphs import (
+    Graph,
+    bridge_structure,
+    classify,
+    is_star,
+    is_vertex_cover,
+    parse_edge_list,
+)
 from .oracle import (
     min_vertex_cover,
     opt_continuous,
@@ -323,7 +330,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 objective=args.objective, delta=args.delta,
             )
             row["cover_size"] = rep.total_cover_size
-            row["cover_valid"] = "true"
+            row["cover_valid"] = str(is_vertex_cover(g, rep.cover)).lower()
             row["cover_le_2k"] = str(
                 rep.total_cover_size <= 2 * k - 2 * args.delta * k + 1e-9
             ).lower()
@@ -334,6 +341,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 row[field] = ""
         rows.append(row)
         produced += 1
+    if produced < args.trials:
+        raise MedcoverError(
+            f"sweep produced {produced} of {args.trials} requested rows in {attempt} "
+            f"attempts (graphs need 2 to {args.max_edges} edges)"
+        )
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=_SWEEP_FIELDS, lineterminator="\n")
     writer.writeheader()

@@ -25,7 +25,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, NotConverged
 from .graphs import ClassTag, Graph, GraphClass, classify
 
 Number = Union[float, Fraction]
@@ -192,6 +192,97 @@ def weiszfeld(
             break
         prev_cost = cost
     return MedianSolution(tuple(float(v) for v in y), total_cost(y), iterations, converged)
+
+
+def weiszfeld_subsets(
+    points: Sequence[Sequence[float]],
+    tolerance: float = 1e-12,
+    max_iter: int = 100_000,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Geometric median of every non-empty subset of ``points`` at once.
+
+    Returns ``(costs, centers)`` indexed by bitmask: row ``mask`` solves the
+    points whose indices are the set bits of ``mask`` (row 0 is unused).
+    Subsets of one size are solved together as a batch, each row following
+    ``weiszfeld``'s rules exactly: same start, on-point test, step and stop
+    rule, with converged rows leaving the batch and the final cost recomputed
+    from the points. Same-size batches keep every reduction in the order the
+    single-subset solver uses, so results agree with it to the last bit away
+    from the on-point branch. Raises ``NotConverged`` if any subset reaches
+    ``max_iter``.
+    """
+    if tolerance <= 0:
+        raise ValueError("tolerance must be positive")
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[0] < 1:
+        raise ValueError("need a non-empty sequence of equal-length vectors")
+    n, dim = pts.shape
+    bits = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
+    size = bits.sum(axis=1)
+    costs = np.zeros(1 << n)
+    centers = np.zeros((1 << n, dim))
+    for k in range(1, n + 1):
+        rows = np.flatnonzero(size == k)
+        members = np.nonzero(bits[rows])[1].reshape(len(rows), k)
+        costs[rows], centers[rows] = _weiszfeld_batch(pts[members], tolerance, max_iter)
+    return costs, centers
+
+
+def _weiszfeld_batch(
+    blocks: np.ndarray, tolerance: float, max_iter: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``weiszfeld`` on each row of a (batch, points, dim) array of equal-size blocks."""
+
+    def total_cost(pts: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return np.linalg.norm(pts - y[:, None, :], axis=2).sum(axis=1)
+
+    y = blocks.mean(axis=1)
+    if blocks.shape[1] == 1:
+        return np.zeros(len(blocks)), y
+    prev_cost = total_cost(blocks, y)
+    active = np.arange(len(blocks))
+    for _ in range(max_iter):
+        pts, ya = blocks[active], y[active]
+        diff = pts - ya[:, None, :]
+        dist = np.linalg.norm(diff, axis=2)
+        on_point = dist < _SNAP
+        hit = on_point.any(axis=1)
+        y_next = np.empty_like(ya)
+        stopped = np.zeros(len(active), dtype=bool)
+        free = ~hit
+        if free.any():
+            w = 1.0 / dist[free]
+            y_next[free] = (pts[free] * w[:, :, None]).sum(axis=1) / w.sum(axis=1)[:, None]
+        if hit.any():
+            h = np.flatnonzero(hit)
+            away = ~on_point[h]
+            d_away = np.where(away, dist[h], 1.0)
+            r_vec = np.where(away[:, :, None], diff[h] / d_away[:, :, None], 0.0).sum(axis=1)
+            r_norm = np.linalg.norm(r_vec, axis=1)
+            multiplicity = on_point[h].sum(axis=1)
+            # all points coincide, or the subgradient contains 0: optimal here
+            optimal = ~away.any(axis=1) | (r_norm <= multiplicity)
+            stopped[h[optimal]] = True
+            y_next[h[optimal]] = ya[h[optimal]]
+            move = ~optimal
+            if move.any():
+                lipschitz = np.where(away[move], 1.0 / d_away[move], 0.0).sum(axis=1)
+                r_m = r_norm[move]
+                length = (r_m - multiplicity[move]) / lipschitz
+                y_next[h[move]] = ya[h[move]] + length[:, None] * (r_vec[move] / r_m[:, None])
+        cost = total_cost(pts, y_next)
+        step = np.linalg.norm(y_next - ya, axis=1)
+        done = stopped | (np.abs(prev_cost[active] - cost) <= tolerance * np.maximum(1.0, cost))
+        done |= step <= tolerance
+        y[active] = y_next
+        prev_cost[active] = cost
+        active = active[~done]
+        if not active.size:
+            return total_cost(blocks, y), y
+    raise NotConverged(
+        f"{active.size} of {len(blocks)} {blocks.shape[1]}-point subsets did not "
+        f"converge in {max_iter} iterations"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,10 @@ class InstanceTooLarge(MedcoverError):
     """Raised when an exhaustive oracle is asked to exceed its configured ceiling."""
 
 
+class NotConverged(MedcoverError):
+    """Raised when an iterative solver hits its iteration cap before its stopping rule holds."""
+
+
 class NotBipartite(MedcoverError):
     """Raised by the Koenig cover when the input graph has an odd cycle."""
 

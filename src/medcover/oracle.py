@@ -6,6 +6,13 @@ branch and bound, and a canonical-form enumerator for small connected
 triangle-free graphs. These are the independent referees the constructive
 machinery is tested against, so they share no code with it beyond the basic
 Graph container and the 1-median solver.
+
+The continuous oracle builds its block-cost tables in one pass before the
+DP: the 1-median of all 2^n - 1 point subsets by a batched Weiszfeld
+(``costs.weiszfeld_subsets``, which follows ``weiszfeld``'s rules row by row
+and raises ``NotConverged`` rather than return an unconverged cost), and the
+centroid cost of every subset from exact integer subset sums. The DP then
+reads costs from a plain list.
 """
 
 from __future__ import annotations
@@ -15,10 +22,11 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterator, Optional, Sequence
 
-from .costs import weiszfeld
+import numpy as np
+
+from .costs import weiszfeld_subsets
 from .errors import InstanceTooLarge, PreconditionViolated
 from .graphs import Graph, is_triangle_free, is_vertex_cover
 from .reduction import ClusteringInstance
@@ -57,32 +65,65 @@ def _centroid_cost_exact(points: Sequence[Sequence[float]]) -> tuple[float, tupl
     return sse, tuple(mean)
 
 
+def _centroid_table(points: Sequence[Sequence[float]]) -> tuple[np.ndarray, np.ndarray]:
+    """``_centroid_cost_exact`` for every non-empty subset of ``points``,
+    indexed by bitmask (row 0 is unused).
+
+    For integer points the coordinate sums S, squared-norm sums Q and sizes
+    r are extended subset by subset (each subset from the one without its
+    highest point), and the cost (r*Q - |S|^2) / r and center S / r are each
+    one exact-integer division rounded once, so both equal the rational
+    values bit for bit. Other points, or integers too large for exact
+    float64 division, go through ``_centroid_cost_exact`` one subset at a time.
+    """
+    pts = np.asarray(points, dtype=float)
+    n, dim = pts.shape
+    biggest = float(np.abs(pts).max()) if np.isfinite(pts).all() else math.inf
+    if (pts == np.floor(pts)).all() and n * n * dim * biggest * biggest < 2.0**53:
+        ints = pts.astype(np.int64)
+        sums = np.zeros((1 << n, dim), dtype=np.int64)
+        squares = np.zeros(1 << n, dtype=np.int64)
+        sizes = np.zeros(1 << n, dtype=np.int64)
+        for i in range(n):
+            low, high = 1 << i, 1 << (i + 1)
+            sums[low:high] = sums[:low] + ints[i]
+            squares[low:high] = squares[:low] + int((ints[i] * ints[i]).sum())
+            sizes[low:high] = sizes[:low] + 1
+        sizes[0] = 1  # row 0 is unused; keeps its division defined
+        numerators = sizes * squares - (sums * sums).sum(axis=1)
+        return numerators / sizes, sums / sizes[:, None]
+    costs = np.zeros(1 << n)
+    centers = np.zeros((1 << n, dim))
+    for mask in range(1, 1 << n):
+        costs[mask], centers[mask] = _centroid_cost_exact(
+            [points[i] for i in range(n) if mask >> i & 1]
+        )
+    return costs, centers
+
+
 def opt_continuous(inst: ClusteringInstance, tolerance: float = 1e-12) -> OracleReport:
     """Exact optimum of the instance over all partitions into at most k
     blocks, each block served by its own optimal center.
 
     Optimal k-clusterings are partition-induced, and splitting a block never
     raises cost, so searching partitions into <= k blocks is exhaustive. The
-    search runs as a subset DP (best cost of covering a point subset with j
-    blocks); per-subset block costs come from the 1-median solver (median)
-    or the exact centroid formula (means).
+    cost and center of every one of the 2^n - 1 point subsets are tabulated
+    up front (batched Weiszfeld for median, exact centroid sums for means);
+    the search then runs as a subset DP over those tables (best cost of
+    covering a point subset with j blocks).
     """
     n = len(inst.points)
     if n > MAX_CONTINUOUS_POINTS:
         raise InstanceTooLarge(f"{n} points exceeds the {MAX_CONTINUOUS_POINTS}-point oracle limit")
     if inst.k > n:
         raise PreconditionViolated("k exceeds the number of points")
-    points = inst.points
     k = inst.k
     median = inst.objective == "median"
-
-    @lru_cache(maxsize=None)
-    def block_cost(mask: int) -> tuple[float, tuple[float, ...]]:
-        block = [points[i] for i in range(n) if mask >> i & 1]
-        if median:
-            sol = weiszfeld(block, tolerance=tolerance)
-            return sol.cost, sol.center
-        return _centroid_cost_exact(block)
+    if median:
+        cost_table, center_table = weiszfeld_subsets(inst.points, tolerance=tolerance)
+    else:
+        cost_table, center_table = _centroid_table(inst.points)
+    block_cost = cost_table.tolist()
 
     full = (1 << n) - 1
     kmax = min(k, n)
@@ -102,7 +143,7 @@ def opt_continuous(inst: ClusteringInstance, tolerance: float = 1e-12) -> Oracle
             sub = rest
             while sub:
                 if sub & low:
-                    cost = base + block_cost(sub)[0]
+                    cost = base + block_cost[sub]
                     nxt = mask | sub
                     if cost < cur.get(nxt, inf) - 1e-15:
                         cur[nxt] = cost
@@ -119,7 +160,7 @@ def opt_continuous(inst: ClusteringInstance, tolerance: float = 1e-12) -> Oracle
         blocks.append(tuple(i for i in range(n) if sub >> i & 1))
         mask &= ~sub
     blocks.sort()
-    centers = tuple(tuple(map(float, block_cost(sum(1 << i for i in b))[1])) for b in blocks)
+    centers = tuple(tuple(center_table[sum(1 << i for i in b)].tolist()) for b in blocks)
     method = "partition_enum_weiszfeld" if median else "partition_enum_centroid"
     return OracleReport(
         optimal_cost=best[best_j][full],

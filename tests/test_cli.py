@@ -161,3 +161,13 @@ def test_sweep_is_deterministic_and_verdicts_hold(tmp_path, capsys):
         if row["cover_valid"]:
             assert row["cover_valid"] == "true"
             assert row["beta_monotone"] == "true"
+
+
+def test_sweep_that_falls_short_of_its_trials_is_an_error(tmp_path, capsys):
+    # 3 vertices at max degree 1 give single edges, which the sweep skips
+    out = tmp_path / "short.csv"
+    code, _, stderr = run(capsys, "sweep", "--n", "3", "--d", "1", "--trials", "2",
+                          "--out", str(out))
+    assert code == 1
+    assert "produced 0 of 2" in stderr
+    assert not out.exists()

@@ -4,11 +4,13 @@ import itertools
 import math
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from medcover.errors import InstanceTooLarge
+from medcover.costs import weiszfeld, weiszfeld_subsets
+from medcover.errors import InstanceTooLarge, NotConverged
 from medcover.graphs import (
     graph_from_edges,
     is_triangle_free,
@@ -16,6 +18,8 @@ from medcover.graphs import (
     max_degree,
 )
 from medcover.oracle import (
+    _centroid_cost_exact,
+    _centroid_table,
     canonical_form,
     enumerate_triangle_free,
     min_vertex_cover,
@@ -87,6 +91,73 @@ def test_discrete_requires_candidates():
     inst = reduce_graph(graph_from_edges(P4), k=1, objective="median")
     with pytest.raises(Exception):
         opt_discrete(inst)
+
+
+# ---------------------------------------------------------------------------
+# Block-cost tables against the one-subset-at-a-time solvers
+# ---------------------------------------------------------------------------
+
+# (vertices, max degree, seed) of seeded graphs whose reductions have 9, 10
+# and 11 points
+TABLE_GRAPHS = [(6, 3, 3), (7, 3, 0), (8, 3, 1)]
+
+
+def _reduced_points(n, d, seed):
+    g = random_triangle_free(n, d, seed=seed)
+    return reduce_graph(g, k=1, objective="median").points
+
+
+def _subsets(points):
+    n = len(points)
+    for mask in range(1, 1 << n):
+        yield mask, [points[i] for i in range(n) if mask >> i & 1]
+
+
+def _assert_median_table_matches(points):
+    costs, centers = weiszfeld_subsets(points)
+    for mask, block in _subsets(points):
+        sol = weiszfeld(block)
+        assert sol.converged
+        assert abs(costs[mask] - sol.cost) <= 1e-12, mask
+        assert np.allclose(centers[mask], sol.center, rtol=0, atol=1e-9), mask
+    return costs
+
+
+@pytest.mark.parametrize("n,d,seed", TABLE_GRAPHS)
+def test_median_table_matches_weiszfeld_on_every_subset(n, d, seed):
+    points = _reduced_points(n, d, seed)
+    assert 9 <= len(points) <= 11
+    _assert_median_table_matches(points)
+
+
+def test_median_table_on_point_branch():
+    # the centroid of the cross is its middle point, which is optimal; on
+    # the line the centroid is the data point 0, which is not, so the
+    # solver has to step off it toward the median at x = 1
+    cross = [(0.0, 0.0), (1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)]
+    assert _assert_median_table_matches(cross)[31] == 4.0
+    line = [(-6.0, 0.0), (0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (3.0, 0.0)]
+    assert _assert_median_table_matches(line)[31] == pytest.approx(11.0, abs=1e-6)
+
+
+def test_median_table_raises_when_a_subset_does_not_converge():
+    points = _reduced_points(6, 3, 3)
+    with pytest.raises(NotConverged):
+        weiszfeld_subsets(points, max_iter=1)
+
+
+@pytest.mark.parametrize("points", [
+    *(_reduced_points(*g) for g in TABLE_GRAPHS),
+    [(0.5, 1.0), (2.0, -1.25), (3.0, 3.0), (-1.0, 0.0)],  # not integers
+    [(2**40, 1), (0, 2**40 + 1), (3, -(2**40))],  # too large for exact floats
+    [(-3, 7, 0), (4, -2, 5), (0, 0, 1), (9, 9, -9)],  # small signed integers
+])
+def test_means_table_equals_exact_centroid_on_every_subset(points):
+    costs, centers = _centroid_table(points)
+    for mask, block in _subsets(points):
+        cost, center = _centroid_cost_exact(block)
+        assert costs[mask] == cost, mask
+        assert tuple(centers[mask].tolist()) == center, mask
 
 
 # ---------------------------------------------------------------------------
