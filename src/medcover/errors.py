@@ -26,10 +26,12 @@ class PreconditionViolated(MedcoverError):
 
 
 class Stuck(MedcoverError):
-    """A decomposition loop found no qualifying pair on a non-terminal graph.
+    """A state the proofs rule out was reached: a decomposition loop found no
+    qualifying pair on a non-terminal graph, a construction produced a
+    non-cover, or an oracle broke its own invariant.
 
     The underlying lemmas prove this unreachable for valid inputs, so seeing it
-    means either the precondition was violated silently or the classifier has a
+    means either the precondition was violated silently or the code has a
     bug; it should never be caught and ignored.
     """
 

@@ -1,18 +1,27 @@
 """Exhaustive desk-scale oracles.
 
 Everything here is deliberately brute force: exact optimal clusterings by
-dynamic programming over point subsets, exact minimum vertex covers by
-branch and bound, and a canonical-form enumerator for small connected
-triangle-free graphs. These are the independent referees the constructive
-machinery is tested against, so they share no code with it beyond the basic
-Graph container and the 1-median solver.
+dynamic programming over point subsets or by scanning center subsets, exact
+minimum vertex covers by branch and bound, and a canonical-form enumerator
+for small triangle-free graphs. These are the independent referees the
+constructive machinery is tested against, so they share no code with it
+beyond the basic Graph container and the 1-median solver.
 
 The continuous oracle builds its block-cost tables in one pass before the
 DP: the 1-median of all 2^n - 1 point subsets by a batched Weiszfeld
 (``costs.weiszfeld_subsets``, which follows ``weiszfeld``'s rules row by row
 and raises ``NotConverged`` rather than return an unconverged cost), and the
 centroid cost of every subset from exact integer subset sums. The DP then
-reads costs from a plain list.
+reads costs from a plain list. The discrete oracle scores its center
+subsets in numpy batches with the same float additions, in the same order,
+as a per-subset sum.
+
+``canonical_form`` finds the least adjacency bitstring one row at a time,
+branching only on vertices that tie for the least row (in the spirit of
+individualization-refinement, McKay & Piperno 2014), and raises
+``InstanceTooLarge`` when the tie frontier passes ``MAX_CANON_STATES``.
+Every exhaustive routine has an explicit ceiling, and a broken internal
+invariant raises ``Stuck`` rather than asserting.
 """
 
 from __future__ import annotations
@@ -27,14 +36,16 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .costs import weiszfeld_subsets
-from .errors import InstanceTooLarge, PreconditionViolated
+from .errors import InstanceTooLarge, PreconditionViolated, Stuck
 from .graphs import Graph, is_triangle_free, is_vertex_cover
 from .reduction import ClusteringInstance
 
 MAX_CONTINUOUS_POINTS = 12
 MAX_DISCRETE_SUBSETS = 10**6
+DISCRETE_CHUNK = 1024  # center subsets scored per numpy batch
 MAX_VC_EDGES = 24
 MAX_ENUM_EDGES = 8
+MAX_CANON_STATES = 50_000
 
 
 @dataclass(frozen=True)
@@ -172,10 +183,19 @@ def opt_continuous(inst: ClusteringInstance, tolerance: float = 1e-12) -> Oracle
 
 def opt_discrete(inst: ClusteringInstance) -> OracleReport:
     """Exact optimum when centers must come from the candidate list: try
-    every k-subset, assign each point to its nearest chosen center."""
+    every k-subset, assign each point to its nearest chosen center.
+
+    Subsets are scanned in ``itertools.combinations`` order, in chunks of
+    ``DISCRETE_CHUNK`` index rows. A subset's cost adds each point's nearest
+    chosen distance in point order, the same float additions as a plain
+    ``sum``, and the first subset cheaper than the best so far by more than
+    1e-15 wins, so ties resolve to the earliest subset.
+    """
     if inst.candidate_centers is None:
         raise PreconditionViolated("instance has no candidate centers")
     centers = inst.candidate_centers
+    if inst.k > len(centers):
+        raise PreconditionViolated(f"k={inst.k} exceeds the {len(centers)} candidate centers")
     if math.comb(len(centers), inst.k) > MAX_DISCRETE_SUBSETS:
         raise InstanceTooLarge(
             f"C({len(centers)}, {inst.k}) subsets exceed the {MAX_DISCRETE_SUBSETS} limit"
@@ -187,14 +207,22 @@ def opt_discrete(inst: ClusteringInstance) -> OracleReport:
         return s if squared else math.sqrt(s)
 
     d = [[dist(p, c) for c in centers] for p in inst.points]
+    table = np.array(d, dtype=float)
     best_cost = math.inf
     best_subset: Optional[tuple[int, ...]] = None
-    for subset in itertools.combinations(range(len(centers)), inst.k):
-        cost = sum(min(row[c] for c in subset) for row in d)
-        if cost < best_cost - 1e-15:
-            best_cost = cost
-            best_subset = subset
-    assert best_subset is not None
+    subsets = itertools.combinations(range(len(centers)), inst.k)
+    while chunk := list(itertools.islice(subsets, DISCRETE_CHUNK)):
+        slots = np.array(chunk, dtype=np.intp).T.copy()  # row j: each subset's j-th center
+        costs = np.zeros(len(chunk))
+        for row in table:
+            costs += row[slots].min(axis=0)
+        # only subsets below the chunk's starting bar can win the scan
+        for i in np.flatnonzero(costs < best_cost - 1e-15).tolist():
+            cost = float(costs[i])
+            if cost < best_cost - 1e-15:
+                best_cost, best_subset = cost, chunk[i]
+    if best_subset is None:
+        raise PreconditionViolated("no center subset has a finite cost")
     assignment: dict[int, list[int]] = {c: [] for c in best_subset}
     for i, row in enumerate(d):
         home = min(best_subset, key=lambda c: (row[c], c))
@@ -231,7 +259,8 @@ def min_vertex_cover(g: Graph, ceiling: int = MAX_VC_EDGES) -> set[int]:
             best[0] = cand
 
     search(set(), 0)
-    assert is_vertex_cover(g, best[0])
+    if not is_vertex_cover(g, best[0]):
+        raise Stuck(f"branch and bound returned a non-cover {best[0]}")
     return set(best[0])
 
 
@@ -258,40 +287,59 @@ def _refine_classes(g: Graph) -> list[list[int]]:
 
 
 def canonical_form(g: Graph) -> str:
-    """Canonical certificate: minimum adjacency bitstring over all vertex
-    orders consistent with the equitable partition. Isomorphic graphs get
-    equal strings; feasible because cells stay small at enumeration scale.
-    Cells of pairwise twins (identical neighbourhoods — star leaves and the
-    like) are order-insensitive, so only one order is tried for them."""
-    cells = _refine_classes(g)
-    adj = [set(nb) for nb in g.adjacency()]
-    edge_set = set(g.edges)
+    """Canonical certificate ``"n:bits"``: the least row-major upper-triangle
+    adjacency bitstring over all vertex orders that list the cells of
+    ``_refine_classes`` in their order. Isomorphic graphs get equal strings.
 
-    def cell_orders(cell: list[int]):
-        if len(cell) == 1 or all(adj[v] == adj[cell[0]] for v in cell[1:]):
-            return (tuple(cell),)
-        return itertools.permutations(cell)
-
-    best: Optional[str] = None
-    for perms in itertools.product(*(cell_orders(c) for c in cells)):
-        order = [v for cell in perms for v in cell]
-        pos = {v: i for i, v in enumerate(order)}
-        bits = []
-        for i in range(g.num_vertices):
-            for j in range(i + 1, g.num_vertices):
-                a, b = order[i], order[j]
-                bits.append("1" if (min(a, b), max(a, b)) in edge_set else "0")
-        s = "".join(bits)
-        if best is None or s < best:
-            best = s
-    assert best is not None
-    return f"{g.num_vertices}:{best}"
-
-
-def _strip_isolated(g: Graph) -> Graph:
-    used = sorted({v for e in g.edges for v in e})
-    relabel = {v: i for i, v in enumerate(used)}
-    return Graph(len(used), tuple(sorted((relabel[u], relabel[v]) for u, v in g.edges)))
+    The least string is found one row at a time. A search state is an
+    ordered list of vertex blocks holding the positions still to fill; the
+    next position takes a vertex u from the first block. Row p is least when
+    every later block lists u's non-neighbours before its neighbours, so its
+    value depends only on u's neighbour count per block, and splitting each
+    block that way keeps exactly the orders that attain it. Only candidates
+    whose row is least survive, so the search branches on ties alone. A
+    candidate with the same neighbourhood as one already tried from its
+    state is a twin (swapping the two is an automorphism) and is skipped,
+    and identical states are merged. A tie frontier larger than
+    ``MAX_CANON_STATES`` raises ``InstanceTooLarge``.
+    """
+    n = g.num_vertices
+    nbrs = [0] * n
+    for u, v in g.edges:
+        nbrs[u] |= 1 << v
+        nbrs[v] |= 1 << u
+    frontier = {tuple(sum(1 << v for v in cell) for cell in _refine_classes(g))}
+    rows: list[str] = []
+    for _ in range(n):
+        best: Optional[str] = None
+        nxt: set[tuple[int, ...]] = set()
+        for first, *rest in frontier:
+            tried = set()
+            todo = first
+            while todo:
+                bit = todo & -todo
+                todo ^= bit
+                hood = nbrs[bit.bit_length() - 1]
+                if hood in tried:
+                    continue
+                tried.add(hood)
+                bits, state = [], []
+                for block in (first ^ bit, *rest):
+                    far, near = block & ~hood, block & hood
+                    bits.append("0" * far.bit_count() + "1" * near.bit_count())
+                    state += [b for b in (far, near) if b]
+                row = "".join(bits)
+                if best is None or row < best:
+                    best, nxt = row, set()
+                if row == best:
+                    nxt.add(tuple(state))
+                    if len(nxt) > MAX_CANON_STATES:
+                        raise InstanceTooLarge(
+                            f"canonical form search exceeds {MAX_CANON_STATES} tied states"
+                        )
+        rows.append(best)
+        frontier = nxt
+    return f"{n}:{''.join(rows)}"
 
 
 def _single_edge_extensions(g: Graph) -> Iterator[Graph]:
@@ -391,7 +439,8 @@ def random_triangle_free(n: int, target_degree: int, seed: int) -> Graph:
         adj[v].add(u)
         edges.append((u, v))
     g = Graph(n, tuple(sorted(edges)))
-    assert is_triangle_free(g)
+    if not is_triangle_free(g):
+        raise Stuck(f"rejection sampler kept a triangle (seed {seed})")
     return g
 
 

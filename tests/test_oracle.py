@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 from collections import Counter
 
 import numpy as np
@@ -9,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from medcover import oracle
 from medcover.costs import weiszfeld, weiszfeld_subsets
-from medcover.errors import InstanceTooLarge, NotConverged
+from medcover.errors import InstanceTooLarge, NotConverged, PreconditionViolated
 from medcover.graphs import (
     graph_from_edges,
     is_triangle_free,
@@ -27,7 +29,12 @@ from medcover.oracle import (
     opt_discrete,
     random_triangle_free,
 )
-from medcover.reduction import HypergraphInstance, reduce_graph, reduce_hypergraph
+from medcover.reduction import (
+    ClusteringInstance,
+    HypergraphInstance,
+    reduce_graph,
+    reduce_hypergraph,
+)
 
 C5 = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]
 P4 = [(0, 1), (1, 2), (2, 3)]
@@ -89,8 +96,70 @@ def test_discrete_hypergraph_cover_geometry():
 
 def test_discrete_requires_candidates():
     inst = reduce_graph(graph_from_edges(P4), k=1, objective="median")
-    with pytest.raises(Exception):
+    with pytest.raises(PreconditionViolated):
         opt_discrete(inst)
+
+
+def test_discrete_rejects_k_above_candidate_count():
+    inst = ClusteringInstance(1, ((0.0,), (1.0,)), 3, "median", ((0.0,), (1.0,)))
+    with pytest.raises(PreconditionViolated):
+        opt_discrete(inst)
+
+
+def _discrete_by_subset_loop(inst):
+    """Reference: score one center subset at a time with a plain sum."""
+    centers = inst.candidate_centers
+    squared = inst.objective == "means"
+
+    def dist(p, c):
+        s = sum((a - b) ** 2 for a, b in zip(p, c))
+        return s if squared else math.sqrt(s)
+
+    d = [[dist(p, c) for c in centers] for p in inst.points]
+    best_cost = math.inf
+    best_subset = None
+    for subset in itertools.combinations(range(len(centers)), inst.k):
+        cost = sum(min(row[c] for c in subset) for row in d)
+        if cost < best_cost - 1e-15:
+            best_cost = cost
+            best_subset = subset
+    assignment = {c: [] for c in best_subset}
+    for i, row in enumerate(d):
+        assignment[min(best_subset, key=lambda c: (row[c], c))].append(i)
+    pairs = sorted((tuple(pts), centers[c]) for c, pts in assignment.items() if pts)
+    return best_cost, tuple(p for p, _ in pairs), tuple(tuple(map(float, c)) for _, c in pairs)
+
+
+def _tie_prone_instances(seed, count):
+    """Small-integer points and candidate centers, so many subsets tie."""
+    rng = random.Random(seed)
+
+    def grid_points(size, dim):
+        return tuple(tuple(float(rng.randint(-2, 2)) for _ in range(dim)) for _ in range(size))
+
+    for _ in range(count):
+        dim = rng.randint(1, 3)
+        centers = grid_points(rng.randint(1, 9), dim)
+        points = grid_points(rng.randint(1, 10), dim)
+        k = rng.randint(1, len(centers))
+        yield ClusteringInstance(dim, points, k, rng.choice(["median", "means"]), centers)
+
+
+@pytest.mark.parametrize("chunk", [3, oracle.DISCRETE_CHUNK])
+def test_discrete_matches_subset_loop_bit_for_bit(monkeypatch, chunk):
+    # a 3-subset chunk makes the first-wins rule span many batches
+    monkeypatch.setattr(oracle, "DISCRETE_CHUNK", chunk)
+    hyper = [
+        HypergraphInstance(3, 7, ((0, 1, 2), (2, 3, 4), (4, 5, 6), (0, 3, 6), (1, 4, 6)), k)
+        for k in (1, 2, 3)
+    ]
+    cases = [*_tie_prone_instances(11, 40), *(reduce_hypergraph(h) for h in hyper)]
+    for inst in cases:
+        rep = opt_discrete(inst)
+        cost, partition, centers = _discrete_by_subset_loop(inst)
+        assert (rep.optimal_cost.hex(), rep.partition, rep.centers) == (
+            cost.hex(), partition, centers
+        ), inst
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +282,88 @@ def test_catalogue_with_disconnected_graphs():
     assert len(cat) == 7
 
 
+def test_eight_edge_catalogue_keeps_the_search_small(monkeypatch):
+    # a ceiling 500 times below the real one still admits every graph
+    monkeypatch.setattr(oracle, "MAX_CANON_STATES", oracle.MAX_CANON_STATES // 500)
+    assert sum(1 for _ in enumerate_triangle_free(8)) == 186
+
+
+def _matching(k):
+    return graph_from_edges([(2 * i, 2 * i + 1) for i in range(k)])
+
+
+def test_canonical_form_ceiling():
+    with pytest.raises(InstanceTooLarge):
+        canonical_form(_matching(7))
+    with pytest.raises(InstanceTooLarge):
+        list(enumerate_triangle_free(7, include_disconnected=True))
+
+
+def _canonical_form_by_permutation(g):
+    """Reference: the least bitstring over every order of every cell (one
+    order for a cell of twins), tried one full order at a time."""
+    cells = oracle._refine_classes(g)
+    adj = [set(nb) for nb in g.adjacency()]
+    edge_set = set(g.edges)
+
+    def cell_orders(cell):
+        if len(cell) == 1 or all(adj[v] == adj[cell[0]] for v in cell[1:]):
+            return (tuple(cell),)
+        return itertools.permutations(cell)
+
+    best = None
+    for perms in itertools.product(*(cell_orders(c) for c in cells)):
+        order = [v for cell in perms for v in cell]
+        bits = []
+        for i in range(g.num_vertices):
+            for j in range(i + 1, g.num_vertices):
+                a, b = order[i], order[j]
+                bits.append("1" if (min(a, b), max(a, b)) in edge_set else "0")
+        s = "".join(bits)
+        if best is None or s < best:
+            best = s
+    return f"{g.num_vertices}:{best}"
+
+
+def _reference_orders(g):
+    adj = [set(nb) for nb in g.adjacency()]
+    return math.prod(
+        math.factorial(len(c)) for c in oracle._refine_classes(g)
+        if any(adj[v] != adj[c[0]] for v in c[1:])
+    )
+
+
+C8 = [(i, (i + 1) % 8) for i in range(8)]
+Q3 = [(u, u | 1 << b) for u in range(8) for b in range(3) if not u >> b & 1]
+
+
+def test_canonical_form_matches_permutation_reference(monkeypatch):
+    seen = []
+
+    def recording(g):
+        seen.append(g)
+        return canonical_form(g)
+
+    monkeypatch.setattr(oracle, "canonical_form", recording)
+    list(enumerate_triangle_free(6))
+    list(enumerate_triangle_free(5, include_disconnected=True))
+    monkeypatch.undo()
+    graphs = {(g.num_vertices, g.edges): g for g in seen}
+    # 5K2 is left out: its 10! orders take the reference about 100 s
+    too_slow = [key for key, g in graphs.items() if _reference_orders(g) > math.factorial(8)]
+    assert too_slow == [(10, _matching(5).edges)]
+    del graphs[too_slow[0]]
+    for g in (
+        graph_from_edges(C8),
+        _matching(4),
+        graph_from_edges([(0, 1), (2, 3), (4, 5), (6, 7), (7, 8)]),  # 3K2 + P3
+        graph_from_edges(Q3),
+    ):
+        graphs[g.num_vertices, g.edges] = g
+    for g in graphs.values():
+        assert canonical_form(g) == _canonical_form_by_permutation(g), g
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.permutations(list(range(6))))
 def test_canonical_form_is_relabel_invariant(perm):
@@ -220,6 +371,14 @@ def test_canonical_form_is_relabel_invariant(perm):
     g = graph_from_edges(edges)
     h = graph_from_edges([tuple(sorted((perm[u], perm[v]))) for u, v in edges])
     assert canonical_form(g) == canonical_form(h)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.permutations(list(range(8))))
+def test_canonical_form_is_relabel_invariant_on_cycle_and_cube(perm):
+    for edges in (C8, Q3):
+        h = graph_from_edges([tuple(sorted((perm[u], perm[v]))) for u, v in edges])
+        assert canonical_form(h) == canonical_form(graph_from_edges(edges))
 
 
 def test_canonical_form_separates_same_degree_trees():
