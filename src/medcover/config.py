@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -13,25 +13,18 @@ class RunConfig:
     orders of magnitude of margin from the solver side.
     """
 
-    tolerance: float = 1e-6
     weiszfeld_tol: float = 1e-12
-    max_iter: int = 100_000
     delta: float = 0.01
     beta: float = 1.0
     seed: int = 0
-    brute_force_ceiling: int = 24
 
     def __post_init__(self) -> None:
-        if self.tolerance <= 0 or self.weiszfeld_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
+        if self.weiszfeld_tol <= 0:
+            raise ValueError("weiszfeld_tol must be positive")
         if self.delta < 0:
             raise ValueError("delta must be non-negative")
         if self.beta < 1:
             raise ValueError("beta must be at least 1")
-        if self.brute_force_ceiling < 1:
-            raise ValueError("brute_force_ceiling must be at least 1")
 
 
 DEFAULT_CONFIG = RunConfig()

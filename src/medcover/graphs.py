@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .errors import EmptyGraph, InstanceTooLarge, NotBipartite, PreconditionViolated
+from .errors import EmptyGraph, InstanceTooLarge, NotBipartite, PreconditionViolated, Stuck
 
 Edge = tuple[int, int]
 
@@ -503,6 +503,8 @@ def konig_cover(g: Graph) -> set[int]:
                 frontier.append(p)
     cover = {u for u in left if u not in z}
     cover |= {v for v in range(g.num_vertices) if color[v] == 1 and v in z}
-    assert is_vertex_cover(g, cover)
-    assert 2 * len(cover) == len(match), "Koenig size != matching size"
+    if not is_vertex_cover(g, cover):
+        raise Stuck(f"Koenig construction returned a non-cover {sorted(cover)}")
+    if 2 * len(cover) != len(match):  # match holds each matched pair twice
+        raise Stuck(f"Koenig cover of {len(cover)} != matching of {len(match) // 2}")
     return cover

@@ -12,9 +12,13 @@ DP: the 1-median of all 2^n - 1 point subsets by a batched Weiszfeld
 (``costs.weiszfeld_subsets``, which follows ``weiszfeld``'s rules row by row
 and raises ``NotConverged`` rather than return an unconverged cost), and the
 centroid cost of every subset from exact integer subset sums. The DP then
-reads costs from a plain list. The discrete oracle scores its center
-subsets in numpy batches with the same float additions, in the same order,
-as a per-subset sum.
+reads costs from a plain list. One module-level slot holds the last
+instance's cost list, center table and DP layers, keyed on (objective, exact
+point tuples, tolerance): asking for the same points at another k reuses the
+tables and extends the layers, a new key drops the slot before its own
+tables are built, and a build that raises leaves the slot empty. The
+discrete oracle scores its center subsets in numpy batches with the same
+float additions, in the same order, as a per-subset sum.
 
 ``canonical_form`` finds the least adjacency bitstring one row at a time,
 branching only on vertices that tie for the least row (in the spirit of
@@ -29,6 +33,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
@@ -112,6 +117,64 @@ def _centroid_table(points: Sequence[Sequence[float]]) -> tuple[np.ndarray, np.n
     return costs, centers
 
 
+@dataclass
+class _Solved:
+    """One instance's tables and the DP layers built on them so far."""
+
+    key: tuple
+    block_cost: list[float]
+    center_table: np.ndarray
+    best: list[dict[int, float]]  # best[j][mask]: cheapest way to serve mask with j blocks
+    choice: dict[tuple[int, int], int]  # (j, mask) -> the block that attains best[j][mask]
+
+
+_last: Optional[_Solved] = None  # the slot ``opt_continuous`` reuses
+_last_lock = threading.Lock()
+
+
+def _solved_up_to(inst: ClusteringInstance, tolerance: float, kmax: int) -> _Solved:
+    """The slot for ``inst``, built if its key is new, with DP layers 0..kmax.
+
+    Layers are only appended, each one whole, so the layers and choices a
+    caller reads after the lock is released never change under it.
+    """
+    global _last
+    n = len(inst.points)
+    # -0.0 == 0.0 in the key; weiszfeld_subsets and _centroid_table give the same rows for either
+    key = (inst.objective, tolerance, tuple(map(tuple, inst.points)))
+    with _last_lock:
+        solved = _last
+        if solved is None or solved.key != key:
+            _last = solved = None  # free the old tables before building new ones
+            if inst.objective == "median":
+                cost_table, center_table = weiszfeld_subsets(inst.points, tolerance=tolerance)
+            else:
+                cost_table, center_table = _centroid_table(inst.points)
+            solved = _last = _Solved(key, cost_table.tolist(), center_table, [{0: 0.0}], {})
+        block_cost, best, choice = solved.block_cost, solved.best, solved.choice
+        full = (1 << n) - 1
+        inf = math.inf
+        for j in range(len(best), kmax + 1):
+            prev = best[j - 1]
+            cur: dict[int, float] = {}
+            for mask, base in prev.items():
+                rest = full & ~mask
+                if rest == 0:
+                    continue
+                low = rest & -rest
+                sub = rest
+                while sub:
+                    if sub & low:
+                        cost = base + block_cost[sub]
+                        nxt = mask | sub
+                        if cost < cur.get(nxt, inf) - 1e-15:
+                            cur[nxt] = cost
+                            choice[(j, nxt)] = sub
+                    sub = (sub - 1) & rest
+            best.append(cur)
+        return solved
+
+
 def opt_continuous(inst: ClusteringInstance, tolerance: float = 1e-12) -> OracleReport:
     """Exact optimum of the instance over all partitions into at most k
     blocks, each block served by its own optimal center.
@@ -122,44 +185,25 @@ def opt_continuous(inst: ClusteringInstance, tolerance: float = 1e-12) -> Oracle
     up front (batched Weiszfeld for median, exact centroid sums for means);
     the search then runs as a subset DP over those tables (best cost of
     covering a point subset with j blocks).
+
+    One slot keeps the last instance's tables and DP layers, keyed on the
+    objective, the exact points and ``tolerance`` (k is not in the key). A
+    call with the same key reuses the tables and builds only the layers it
+    still lacks; layer j depends only on layer j - 1 and the tables, so the
+    result is the same, bit for bit, as a cold call. A call with another key
+    drops the slot before it builds new tables, and a build that raises
+    leaves the slot empty. A lock makes concurrent calls take the slot in
+    turn.
     """
     n = len(inst.points)
     if n > MAX_CONTINUOUS_POINTS:
         raise InstanceTooLarge(f"{n} points exceeds the {MAX_CONTINUOUS_POINTS}-point oracle limit")
     if inst.k > n:
         raise PreconditionViolated("k exceeds the number of points")
-    k = inst.k
-    median = inst.objective == "median"
-    if median:
-        cost_table, center_table = weiszfeld_subsets(inst.points, tolerance=tolerance)
-    else:
-        cost_table, center_table = _centroid_table(inst.points)
-    block_cost = cost_table.tolist()
-
+    kmax = min(inst.k, n)
+    solved = _solved_up_to(inst, tolerance, kmax)
+    best, choice = solved.best, solved.choice
     full = (1 << n) - 1
-    kmax = min(k, n)
-    inf = math.inf
-    # best[j][mask]: cheapest way to serve `mask` with exactly j blocks
-    best = [dict() for _ in range(kmax + 1)]
-    best[0][0] = 0.0
-    choice: dict[tuple[int, int], int] = {}
-    for j in range(1, kmax + 1):
-        prev = best[j - 1]
-        cur = best[j]
-        for mask, base in prev.items():
-            rest = full & ~mask
-            if rest == 0:
-                continue
-            low = rest & -rest
-            sub = rest
-            while sub:
-                if sub & low:
-                    cost = base + block_cost[sub]
-                    nxt = mask | sub
-                    if cost < cur.get(nxt, inf) - 1e-15:
-                        cur[nxt] = cost
-                        choice[(j, nxt)] = sub
-                sub = (sub - 1) & rest
     best_j = min(
         (j for j in range(1, kmax + 1) if full in best[j]),
         key=lambda j: best[j][full],
@@ -171,8 +215,10 @@ def opt_continuous(inst: ClusteringInstance, tolerance: float = 1e-12) -> Oracle
         blocks.append(tuple(i for i in range(n) if sub >> i & 1))
         mask &= ~sub
     blocks.sort()
-    centers = tuple(tuple(center_table[sum(1 << i for i in b)].tolist()) for b in blocks)
-    method = "partition_enum_weiszfeld" if median else "partition_enum_centroid"
+    centers = tuple(
+        tuple(solved.center_table[sum(1 << i for i in b)].tolist()) for b in blocks
+    )
+    method = "partition_enum_weiszfeld" if inst.objective == "median" else "partition_enum_centroid"
     return OracleReport(
         optimal_cost=best[best_j][full],
         partition=tuple(blocks),

@@ -32,7 +32,7 @@ from .covers import (
     cover_nonstar_means,
 )
 from .decomposition import certify_lower_bound
-from .errors import MedcoverError
+from .errors import MedcoverError, PreconditionViolated
 from .graphs import (
     ClassTag,
     Graph,
@@ -295,7 +295,8 @@ def suite_hypergraph(seed: int = 0) -> dict:
     for h in _hypergraph_cases(seed):
         inst = reduce_hypergraph(h)
         d = h.d
-        assert inst.candidate_centers is not None
+        if inst.candidate_centers is None:
+            raise PreconditionViolated(f"hypergraph reduction gave no candidate centers for {h}")
         for ei, e in enumerate(h.hyperedges):
             for v in range(h.num_vertices):
                 sq = sum(

@@ -143,6 +143,13 @@ def test_verify_lemmas_passes_and_is_deterministic(tmp_path, capsys):
     assert report["all_passed"] is True
 
 
+def test_verify_lemmas_has_no_tolerance_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-lemmas", "--tol", "1e-3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
+
+
 def test_sweep_is_deterministic_and_verdicts_hold(tmp_path, capsys):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     args = ["sweep", "--n", "7", "--d", "3", "--trials", "4", "--seed", "2"]

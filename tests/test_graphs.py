@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from medcover.errors import EmptyGraph, NotBipartite
+from medcover import graphs
+from medcover.errors import EmptyGraph, NotBipartite, Stuck
 from medcover.graphs import (
     ClassTag,
     bridge_structure,
@@ -223,3 +224,9 @@ def test_konig_cover_matches_matching_number():
 def test_konig_rejects_odd_cycles():
     with pytest.raises(NotBipartite):
         konig_cover(graph_from_edges(C5))
+
+
+def test_konig_raises_stuck_on_a_non_cover(monkeypatch):
+    monkeypatch.setattr(graphs, "is_vertex_cover", lambda g, s: False)
+    with pytest.raises(Stuck):
+        konig_cover(graph_from_edges(P4))

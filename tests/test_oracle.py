@@ -3,6 +3,8 @@
 import itertools
 import math
 import random
+import sys
+import threading
 from collections import Counter
 
 import numpy as np
@@ -78,6 +80,106 @@ def test_continuous_point_cap():
     g = graph_from_edges([(0, i) for i in range(1, 14)])  # 13 edges
     with pytest.raises(InstanceTooLarge):
         opt_continuous(reduce_graph(g, k=2, objective="median"))
+
+
+def _fingerprint(rep):
+    return (
+        rep.optimal_cost.hex(),
+        rep.partition,
+        tuple(tuple(c.hex() for c in center) for center in rep.centers),
+        rep.method,
+    )
+
+
+def _count_table_builds(monkeypatch):
+    builds = []
+    for name in ("weiszfeld_subsets", "_centroid_table"):
+        build = getattr(oracle, name)
+
+        def counted(*args, _build=build, _name=name, **kwargs):
+            builds.append(_name)
+            return _build(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, name, counted)
+    return builds
+
+
+def test_continuous_reuse_matches_cold_calls(monkeypatch):
+    a = random_triangle_free(7, 3, seed=3)
+    b = random_triangle_free(7, 3, seed=4)
+    # -0.0 == 0.0 in the key; both cost tables give 0.0 for either
+    zero = ClusteringInstance(2, ((0.0, 1.0), (10.0, 1.0), (11.0, 1.0)), 2, "median")
+    signed = ClusteringInstance(2, ((-0.0, 1.0), (10.0, 1.0), (11.0, 1.0)), 2, "median")
+    calls = (
+        [(a, "median", k, 1e-12) for k in (1, 2, 3, 4, 5, 6)]  # k rising
+        + [(a, "median", k, 1e-12) for k in (5, 3, 3, 1)]  # falling, then repeated
+        + [(a, "means", k, 1e-12) for k in (4, 6, 2)]  # another objective
+        + [(b, "median", k, 1e-12) for k in (2, 5)]  # another graph
+        + [(b, "median", k, 1e-10) for k in (5, 6)]  # another tolerance
+        + [(zero, None, 2, 1e-12), (signed, None, 2, 1e-12)]
+    )
+
+    def solve(g, objective, k, tol):
+        inst = g if objective is None else reduce_graph(g, k=k, objective=objective)
+        return _fingerprint(opt_continuous(inst, tolerance=tol))
+
+    monkeypatch.setattr(oracle, "_last", None)
+    builds = _count_table_builds(monkeypatch)
+    warm = [solve(*call) for call in calls]
+    assert len(builds) == 5  # one per key: a median, a means, b, b at 1e-10, zero
+    for call, got in zip(calls, warm):
+        oracle._last = None
+        assert solve(*call) == got, call
+
+
+def test_continuous_reuse_is_safe_across_threads():
+    instances = [
+        reduce_graph(random_triangle_free(6, 3, seed=s), k=k, objective=objective)
+        for s in (3, 4) for objective in ("median", "means") for k in (1, 3, 2)
+    ]
+    cold = []
+    for inst in instances:
+        oracle._last = None
+        cold.append(_fingerprint(opt_continuous(inst)))
+    results: dict[int, list] = {}
+
+    def worker(t):
+        order = instances[t:] + instances[:t]
+        results[t] = [_fingerprint(opt_continuous(inst)) for inst in order * 3]
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(t,)) for t in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(th.is_alive() for th in threads)
+    for t in range(4):
+        assert results[t] == (cold[t:] + cold[:t]) * 3, t
+
+
+def test_continuous_failed_table_build_leaves_no_slot(monkeypatch):
+    g = random_triangle_free(6, 3, seed=3)
+    median = reduce_graph(g, k=2, objective="median")
+    opt_continuous(reduce_graph(g, k=2, objective="means"))
+    assert oracle._last is not None
+    build = oracle.weiszfeld_subsets
+    monkeypatch.setattr(
+        oracle, "weiszfeld_subsets", lambda *args, **kw: build(*args, **kw, max_iter=1)
+    )
+    with pytest.raises(NotConverged):
+        opt_continuous(median)
+    assert oracle._last is None
+    monkeypatch.setattr(oracle, "weiszfeld_subsets", build)
+    builds = _count_table_builds(monkeypatch)
+    got = _fingerprint(opt_continuous(median))
+    assert builds == ["weiszfeld_subsets"]
+    oracle._last = None
+    assert _fingerprint(opt_continuous(median)) == got
 
 
 def test_discrete_hypergraph_cover_geometry():

@@ -1,7 +1,12 @@
 """The named property suites behind verify-lemmas."""
 
+import dataclasses
+
 import pytest
 
+from medcover import suites
+from medcover.errors import PreconditionViolated
+from medcover.reduction import reduce_hypergraph
 from medcover.suites import (
     SUITES,
     completeness_instances,
@@ -50,6 +55,15 @@ def test_extra_cost_suite_small():
 
 def test_cover_suite_small():
     assert_clean(suite_covers(max_edges=5), "cover_extraction")
+
+
+def test_hypergraph_suite_needs_candidate_centers(monkeypatch):
+    def without_centers(h):
+        return dataclasses.replace(reduce_hypergraph(h), candidate_centers=None)
+
+    monkeypatch.setattr(suites, "reduce_hypergraph", without_centers)
+    with pytest.raises(PreconditionViolated):
+        suite_hypergraph(seed=0)
 
 
 def test_hypergraph_suite():
