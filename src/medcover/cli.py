@@ -230,9 +230,7 @@ def cmd_cover(args: argparse.Namespace) -> int:
     )
     payload = _report_payload(rep)
     payload["oracle_cost"] = oracle.optimal_cost
-    payload["min_vertex_cover"] = (
-        len(min_vertex_cover(g)) if g.num_edges <= 24 else None
-    )
+    payload["min_vertex_cover"] = len(min_vertex_cover(g))
     _emit(_json(payload), args.out)
     return 0
 

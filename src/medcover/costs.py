@@ -153,18 +153,15 @@ def weiszfeld(
     if pts.ndim != 2 or pts.shape[0] < 1:
         raise ValueError("need a non-empty sequence of equal-length vectors")
 
-    def total_cost(y: np.ndarray) -> float:
-        return float(np.linalg.norm(pts - y, axis=1).sum())
-
     y = pts.mean(axis=0)
     if pts.shape[0] == 1:
         return MedianSolution(tuple(float(v) for v in y), 0.0, 0, True)
 
-    prev_cost = total_cost(y)
+    dist = np.linalg.norm(pts - y, axis=1)  # distances to y, carried between iterations
+    prev_cost = float(dist.sum())
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        dist = np.linalg.norm(pts - y, axis=1)
         on_point = dist < _SNAP
         if on_point.any():
             away = pts[~on_point]
@@ -183,15 +180,15 @@ def weiszfeld(
         else:
             w = 1.0 / dist
             y_next = (pts * w[:, None]).sum(axis=0) / w.sum()
-        cost = total_cost(y_next)
+        dist = np.linalg.norm(pts - y_next, axis=1)
+        cost = float(dist.sum())
         step = float(np.linalg.norm(y_next - y))
         y = y_next
         if abs(prev_cost - cost) <= tolerance * max(1.0, cost) or step <= tolerance:
-            prev_cost = cost
             converged = True
             break
         prev_cost = cost
-    return MedianSolution(tuple(float(v) for v in y), total_cost(y), iterations, converged)
+    return MedianSolution(tuple(float(v) for v in y), float(dist.sum()), iterations, converged)
 
 
 def weiszfeld_subsets(
@@ -231,33 +228,39 @@ def weiszfeld_subsets(
 def _weiszfeld_batch(
     blocks: np.ndarray, tolerance: float, max_iter: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``weiszfeld`` on each row of a (batch, points, dim) array of equal-size blocks."""
+    """``weiszfeld`` on each row of a (batch, points, dim) array of equal-size blocks.
 
-    def total_cost(pts: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return np.linalg.norm(pts - y[:, None, :], axis=2).sum(axis=1)
-
+    The working arrays hold the unfinished rows only and shrink when rows
+    finish. Each iteration computes distances once, to the new iterate; they
+    give that iterate's cost and the next iteration's weights, and a row's
+    last cost is its result.
+    """
     y = blocks.mean(axis=1)
     if blocks.shape[1] == 1:
         return np.zeros(len(blocks)), y
-    prev_cost = total_cost(blocks, y)
+    costs = np.empty(len(blocks))
     active = np.arange(len(blocks))
+    pts, ya = blocks, y
+    dist = np.linalg.norm(pts - ya[:, None, :], axis=2)
+    prev_cost = dist.sum(axis=1)
     for _ in range(max_iter):
-        pts, ya = blocks[active], y[active]
-        diff = pts - ya[:, None, :]
-        dist = np.linalg.norm(diff, axis=2)
         on_point = dist < _SNAP
         hit = on_point.any(axis=1)
-        y_next = np.empty_like(ya)
         stopped = np.zeros(len(active), dtype=bool)
-        free = ~hit
-        if free.any():
-            w = 1.0 / dist[free]
-            y_next[free] = (pts[free] * w[:, :, None]).sum(axis=1) / w.sum(axis=1)[:, None]
-        if hit.any():
+        if not hit.any():
+            w = 1.0 / dist
+            y_next = (pts * w[:, :, None]).sum(axis=1) / w.sum(axis=1)[:, None]
+        else:
+            y_next = np.empty_like(ya)
+            free = ~hit
+            if free.any():
+                w = 1.0 / dist[free]
+                y_next[free] = (pts[free] * w[:, :, None]).sum(axis=1) / w.sum(axis=1)[:, None]
             h = np.flatnonzero(hit)
+            diff = pts[h] - ya[h][:, None, :]
             away = ~on_point[h]
             d_away = np.where(away, dist[h], 1.0)
-            r_vec = np.where(away[:, :, None], diff[h] / d_away[:, :, None], 0.0).sum(axis=1)
+            r_vec = np.where(away[:, :, None], diff / d_away[:, :, None], 0.0).sum(axis=1)
             r_norm = np.linalg.norm(r_vec, axis=1)
             multiplicity = on_point[h].sum(axis=1)
             # all points coincide, or the subgradient contains 0: optimal here
@@ -270,15 +273,20 @@ def _weiszfeld_batch(
                 r_m = r_norm[move]
                 length = (r_m - multiplicity[move]) / lipschitz
                 y_next[h[move]] = ya[h[move]] + length[:, None] * (r_vec[move] / r_m[:, None])
-        cost = total_cost(pts, y_next)
+        dist = np.linalg.norm(pts - y_next[:, None, :], axis=2)
+        cost = dist.sum(axis=1)
         step = np.linalg.norm(y_next - ya, axis=1)
-        done = stopped | (np.abs(prev_cost[active] - cost) <= tolerance * np.maximum(1.0, cost))
+        done = stopped | (np.abs(prev_cost - cost) <= tolerance * np.maximum(1.0, cost))
         done |= step <= tolerance
-        y[active] = y_next
-        prev_cost[active] = cost
-        active = active[~done]
-        if not active.size:
-            return total_cost(blocks, y), y
+        if done.any():
+            costs[active[done]], y[active[done]] = cost[done], y_next[done]
+            keep = ~done
+            active = active[keep]
+            if not active.size:
+                return costs, y
+            pts, ya, dist, prev_cost = pts[keep], y_next[keep], dist[keep], cost[keep]
+        else:
+            ya, prev_cost = y_next, cost
     raise NotConverged(
         f"{active.size} of {len(blocks)} {blocks.shape[1]}-point subsets did not "
         f"converge in {max_iter} iterations"

@@ -18,6 +18,7 @@ cover size, and the predicted ceiling for the supplied (beta, delta).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -110,7 +111,16 @@ def _require_triangle_free(g: Graph) -> None:
         raise PreconditionViolated("cover constructions assume a triangle-free graph")
 
 
+@functools.lru_cache(maxsize=1)
 def _numeric_delta(g: Graph) -> float:
+    """Median extra cost of ``g`` as a float.
+
+    The constructions for one cluster (``cover_matching_two``,
+    ``cover_general``, ``cover_case_dispatch`` and the ``cover_general``
+    call inside the dispatch) all charge the same graph, so the last answer
+    is kept: a one-entry memo keyed on the frozen ``Graph``. The value is a
+    pure function of the graph.
+    """
     return float(extra_cost(g, "median").value)
 
 
@@ -143,7 +153,8 @@ def cover_matching_two(g: Graph) -> CoverResult:
     if cls.tag is ClassTag.C5:
         cyc = cls.witness["cycle"]
         cover3 = frozenset((cyc[0], cyc[2], cyc[4]))
-        assert is_vertex_cover(g, cover3)
+        if not is_vertex_cover(g, cover3):
+            raise Stuck(f"alternate vertices {sorted(cover3)} of the 5-cycle are not a cover")
         return _matching_two_result(g, cover3)
     raise Stuck("triangle-free matching-2 graph with no 2-cover that is not a 5-cycle")
 
@@ -220,7 +231,8 @@ def cover_general(g: Graph, m: Matching, l: Matching) -> CoverResult:
         )
     if not is_vertex_cover(g, cover):
         raise Stuck("general construction produced a non-cover")
-    assert len(cover) <= len(m) + len(l) - 1
+    if len(cover) > len(m) + len(l) - 1:
+        raise Stuck(f"general construction used {len(cover)} > |M| + |L| - 1 vertices")
     delta = _numeric_delta(g)
     return CoverResult(
         cover=frozenset(cover),
@@ -253,7 +265,8 @@ def _cover_via_bridge_residual(g: Graph, m: Matching, f_prime: Graph) -> set[int
     the general construction finishes with |M| - 1 more vertices.
     """
     bridge = bridge_structure(f_prime)
-    assert bridge is not None
+    if bridge is None:
+        raise Stuck("M-deleted graph is not a bridge graph")
     b, _p, _q = bridge
     e_star = None
     u = None
@@ -312,7 +325,8 @@ def cover_case_dispatch(g: Graph) -> CoverResult:
     def result(cover: set[int], kind: str, const: float, ceiling: int) -> CoverResult:
         if not is_vertex_cover(g, cover):
             raise Stuck(f"case {kind} produced a non-cover")
-        assert len(cover) <= ceiling, (kind, len(cover), ceiling)
+        if len(cover) > ceiling:
+            raise Stuck(f"case {kind} used {len(cover)} > {ceiling} vertices")
         return CoverResult(
             cover=frozenset(cover),
             size=len(cover),
@@ -339,7 +353,8 @@ def cover_case_dispatch(g: Graph) -> CoverResult:
         return result(konig_cover(g), "1.6", 1.6, len(m))
     if is_star(f_pp):
         c = common_vertex(f_pp.edges)
-        assert c is not None
+        if c is None:
+            raise Stuck("star residue has no common vertex")
         survivors = [e for e in ml_edges if c not in e]
         return result({c} | _konig_on(g, survivors), "1.68", 1.68, len(m) + 1)
     bridge = bridge_structure(f_pp)
@@ -402,7 +417,8 @@ def cover_single_edge_clusters(
     if len(mp) <= t1p / 3 + 4 * delta * k:
         cover = frozenset(v for i in mp for v in edges[i])
         target = Graph(g.num_vertices, tuple(edges[i] for i in sorted(single_set)))
-        assert is_vertex_cover(target, cover)
+        if not is_vertex_cover(target, cover):
+            raise Stuck("endpoints of the maximal singles matching miss a single edge")
         return SingleEdgeCoverOutcome(
             scope="singles_only",
             cover=cover,
@@ -443,7 +459,8 @@ def cover_single_edge_clusters(
     sub = Graph(g.num_vertices, tuple(edges[i] for i in g_prime_idx))
     for j in maximal_matching_greedy(sub).indices:
         claim(g_prime_idx[j])
-    assert mp_live == mp, "far matching must not touch the singles matching"
+    if mp_live != mp:
+        raise Stuck("far matching touched the singles matching")
 
     # Procedure 2: matched single edges leaning on two unmatched ones.
     while True:
@@ -496,7 +513,8 @@ def cover_single_edge_clusters(
         if plank is None:
             break
         i, eu, ev = plank
-        assert not (set(edges[eu]) & set(edges[ev])), "triangle-free guarantee broken"
+        if set(edges[eu]) & set(edges[ev]):
+            raise Stuck("plank neighbours share a vertex: triangle-free guarantee broken")
         m_y.append(i)
         m_n.remove(i)
         for j in (eu, ev):
@@ -511,7 +529,8 @@ def cover_single_edge_clusters(
         for i in list(m_y) + m_n:
             cover.update(edges[i])
         subcase = "many_planks"
-        assert len(cover) == 2 * len(m_g) - len(t_edges)
+        if len(cover) != 2 * len(m_g) - len(t_edges):
+            raise Stuck(f"many-planks cover has {len(cover)} != 2|M_G| - |T| vertices")
     else:
         cover = set(vc_g)
         for j in t_edges:
@@ -532,7 +551,8 @@ def cover_single_edge_clusters(
                 raise Stuck("plank edge escaped Procedure 4")
             cover.add(a if leaning_a else (b if leaning_b else min(a, b)))
         subcase = "few_planks"
-        assert len(cover) == 2 * len(m_g) - len(m_n)
+        if len(cover) != 2 * len(m_g) - len(m_n):
+            raise Stuck(f"few-planks cover has {len(cover)} != 2|M_G| - |M_N| vertices")
 
     if not is_vertex_cover(g, cover):
         raise Stuck("procedures produced a non-cover of the full graph")
@@ -569,10 +589,13 @@ def cover_nonstar_means(g: Graph) -> CoverResult:
     for e in g.edges:
         if e[0] not in cover and e[1] not in cover:
             cover.add(min(e))
-    assert is_vertex_cover(g, cover)
-    assert Fraction(len(cover)) <= 2 + delta, (len(cover), delta)
+    if not is_vertex_cover(g, cover):
+        raise Stuck("means construction produced a non-cover")
+    if len(cover) > 2 + delta:
+        raise Stuck(f"means cover of {len(cover)} exceeds 2 + delta = {2 + delta}")
     bound = 1 + Fraction(5, 2) * delta
-    assert Fraction(len(cover)) <= bound
+    if len(cover) > bound:
+        raise Stuck(f"means cover of {len(cover)} exceeds 1 + (5/2) delta = {bound}")
     return CoverResult(
         cover=frozenset(cover),
         size=len(cover),
@@ -664,7 +687,8 @@ def soundness_assemble(
         if is_star(sub):
             t2 += 1
             center = common_vertex(sub.edges)
-            assert center is not None
+            if center is None:
+                raise Stuck(f"star cluster {block} has no common vertex")
             vc_prime.add(center)
             per_cluster.append(
                 CoverResult(frozenset({center}), 1, "star_center", 1.0, 0.0)

@@ -145,10 +145,12 @@ def residual_class_bound(cls: GraphClass) -> tuple[str, float]:
     if cls.tag is ClassTag.THREE_P2:
         return ("ThreeP2", disjoint_edges_median_cost(3))
     if cls.tag is ClassTag.A_N:
-        assert cls.n is not None
+        if cls.n is None:
+            raise Stuck(f"{cls.tag.value} class without its parameter n")
         return (f"A_{cls.n}", a_n_median_cost(cls.n))
     if cls.tag is ClassTag.L_N:
-        assert cls.n is not None
+        if cls.n is None:
+            raise Stuck(f"{cls.tag.value} class without its parameter n")
         if cls.n == 1:
             return ("L_1", l1_median_cost())
         if cls.n == 2:

@@ -348,6 +348,12 @@ def canonical_form(g: Graph) -> str:
     state is a twin (swapping the two is an automorphism) and is skipped,
     and identical states are merged. A tie frontier larger than
     ``MAX_CANON_STATES`` raises ``InstanceTooLarge``.
+
+    Row p is held as an int of fixed width n-1-p, built block by block as
+    ``(row << size) | ((1 << near) - 1)``; for equal widths int order is
+    bitstring order. A candidate's split state is built only when its row is
+    at most the least so far, and the rows are formatted as bitstrings once,
+    at the end.
     """
     n = g.num_vertices
     nbrs = [0] * n
@@ -356,10 +362,11 @@ def canonical_form(g: Graph) -> str:
         nbrs[v] |= 1 << u
     frontier = {tuple(sum(1 << v for v in cell) for cell in _refine_classes(g))}
     rows: list[str] = []
-    for _ in range(n):
-        best: Optional[str] = None
+    for width in range(n - 1, -1, -1):
+        best = 1 << width  # above every row of this width
         nxt: set[tuple[int, ...]] = set()
         for first, *rest in frontier:
+            sizes = [block.bit_count() for block in rest]
             tried = set()
             todo = first
             while todo:
@@ -369,34 +376,54 @@ def canonical_form(g: Graph) -> str:
                 if hood in tried:
                     continue
                 tried.add(hood)
-                bits, state = [], []
-                for block in (first ^ bit, *rest):
-                    far, near = block & ~hood, block & hood
-                    bits.append("0" * far.bit_count() + "1" * near.bit_count())
-                    state += [b for b in (far, near) if b]
-                row = "".join(bits)
-                if best is None or row < best:
+                head = first ^ bit
+                row = (1 << (head & hood).bit_count()) - 1
+                for block, size in zip(rest, sizes):
+                    row = (row << size) | ((1 << (block & hood).bit_count()) - 1)
+                if row > best:
+                    continue
+                if row < best:
                     best, nxt = row, set()
-                if row == best:
-                    nxt.add(tuple(state))
-                    if len(nxt) > MAX_CANON_STATES:
-                        raise InstanceTooLarge(
-                            f"canonical form search exceeds {MAX_CANON_STATES} tied states"
-                        )
-        rows.append(best)
+                state = []  # each block split into non-neighbours, then neighbours
+                for block in (head, *rest):
+                    near = block & hood
+                    if near != block:
+                        state.append(block ^ near)
+                    if near:
+                        state.append(near)
+                nxt.add(tuple(state))
+                if len(nxt) > MAX_CANON_STATES:
+                    raise InstanceTooLarge(
+                        f"canonical form search exceeds {MAX_CANON_STATES} tied states"
+                    )
+        if width:
+            rows.append(format(best, f"0{width}b"))
         frontier = nxt
     return f"{n}:{''.join(rows)}"
 
 
 def _single_edge_extensions(g: Graph) -> Iterator[Graph]:
-    adj = [set(nb) for nb in g.adjacency()]
+    """Graphs one edge larger than ``g`` that stay triangle-free: an edge
+    between two non-adjacent vertices with no common neighbour, then a fresh
+    leaf on each vertex, in vertex order.
+
+    Twins (vertices with equal neighbourhoods) are extended from only the
+    lowest-indexed vertex of each class, at both ends of an inner edge and at
+    the attaching end of a leaf. Swapping two twins is an automorphism of
+    ``g``, so a skipped extension is isomorphic to one that comes earlier in
+    this order, and the first extension seen of each isomorphism class is
+    the same as without the pruning.
+    """
+    adj = [frozenset(nb) for nb in g.adjacency()]
     n = g.num_vertices
-    for u in range(n):
-        for v in range(u + 1, n):
+    lowest: dict[frozenset[int], int] = {}
+    reps = [v for v in range(n) if lowest.setdefault(adj[v], v) == v]
+    for i, u in enumerate(reps):
+        for v in reps[i + 1:]:
             if v in adj[u] or (adj[u] & adj[v]):
                 continue
             yield Graph(n, tuple(sorted(g.edges + ((u, v),))))
-    for u in range(n):
+    for u in reps:
         yield Graph(n + 1, tuple(sorted(g.edges + ((u, n),))))
 
 

@@ -219,7 +219,8 @@ def suite_covers(max_edges: int = 7) -> dict:
     for g in _enumerated(max_edges):
         if is_star(g):
             continue
-        nu = len(maximum_matching(g))
+        m = maximum_matching(g)
+        nu = len(m)
         if nu == 2:
             res = cover_matching_two(g)
             want = len(min_vertex_cover(g))
@@ -231,7 +232,6 @@ def suite_covers(max_edges: int = 7) -> dict:
                 failures.append(
                     f"matching-2 size on {g.edges}: got {res.size}, construction {expected}, minimum {want}"
                 )
-        m = maximum_matching(g)
         l = second_maximum_matching(g, m)
         if len(l) >= 1:
             try:

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from medcover import costs
 from medcover.costs import (
     a_n_median_cost,
     closed_form_median_cost,
@@ -26,9 +27,12 @@ from medcover.costs import (
     sqrt_bound,
     star_median_cost,
     weiszfeld,
+    weiszfeld_subsets,
 )
-from medcover.errors import DomainError
+from medcover.errors import DomainError, NotConverged
 from medcover.graphs import graph_from_edges
+from medcover.oracle import enumerate_triangle_free, random_triangle_free
+from medcover.reduction import reduce_graph
 
 C5 = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]
 
@@ -205,3 +209,165 @@ def test_sqrt_bound_domain():
         sqrt_bound(2.0, 1.0)
     with pytest.raises(DomainError):
         sqrt_bound(1.5, 2.0)
+
+
+# ---------------------------------------------------------------------------
+# Differential references for the Weiszfeld loops
+# ---------------------------------------------------------------------------
+
+def _weiszfeld_two_norm(points, tolerance=1e-12, max_iter=100_000):
+    """Reference: ``weiszfeld`` measuring the distances to each new iterate
+    twice, once for its cost and again as the next iteration's weights."""
+    pts = np.asarray(points, dtype=float)
+
+    def total_cost(y):
+        return float(np.linalg.norm(pts - y, axis=1).sum())
+
+    y = pts.mean(axis=0)
+    if pts.shape[0] == 1:
+        return tuple(float(v) for v in y), 0.0, 0, True
+    prev_cost = total_cost(y)
+    converged = False
+    iterations = 0
+    for iterations in range(1, max_iter + 1):
+        dist = np.linalg.norm(pts - y, axis=1)
+        on_point = dist < costs._SNAP
+        if on_point.any():
+            away = pts[~on_point]
+            if away.shape[0] == 0:
+                converged = True
+                break
+            d_away = np.linalg.norm(away - y, axis=1)
+            r_vec = ((away - y) / d_away[:, None]).sum(axis=0)
+            r_norm = float(np.linalg.norm(r_vec))
+            multiplicity = int(on_point.sum())
+            if r_norm <= multiplicity:
+                converged = True
+                break
+            lipschitz = float((1.0 / d_away).sum())
+            y_next = y + (r_norm - multiplicity) / lipschitz * (r_vec / r_norm)
+        else:
+            w = 1.0 / dist
+            y_next = (pts * w[:, None]).sum(axis=0) / w.sum()
+        cost = total_cost(y_next)
+        step = float(np.linalg.norm(y_next - y))
+        y = y_next
+        if abs(prev_cost - cost) <= tolerance * max(1.0, cost) or step <= tolerance:
+            converged = True
+            break
+        prev_cost = cost
+    return tuple(float(v) for v in y), total_cost(y), iterations, converged
+
+
+def _weiszfeld_batch_reference(blocks, tolerance, max_iter):
+    """Reference: ``_weiszfeld_batch`` gathering the active rows and
+    measuring their distances afresh on every iteration."""
+
+    def total_cost(pts, y):
+        return np.linalg.norm(pts - y[:, None, :], axis=2).sum(axis=1)
+
+    y = blocks.mean(axis=1)
+    if blocks.shape[1] == 1:
+        return np.zeros(len(blocks)), y
+    prev_cost = total_cost(blocks, y)
+    active = np.arange(len(blocks))
+    for _ in range(max_iter):
+        pts, ya = blocks[active], y[active]
+        diff = pts - ya[:, None, :]
+        dist = np.linalg.norm(diff, axis=2)
+        on_point = dist < costs._SNAP
+        hit = on_point.any(axis=1)
+        y_next = np.empty_like(ya)
+        stopped = np.zeros(len(active), dtype=bool)
+        free = ~hit
+        if free.any():
+            w = 1.0 / dist[free]
+            y_next[free] = (pts[free] * w[:, :, None]).sum(axis=1) / w.sum(axis=1)[:, None]
+        if hit.any():
+            h = np.flatnonzero(hit)
+            away = ~on_point[h]
+            d_away = np.where(away, dist[h], 1.0)
+            r_vec = np.where(away[:, :, None], diff[h] / d_away[:, :, None], 0.0).sum(axis=1)
+            r_norm = np.linalg.norm(r_vec, axis=1)
+            multiplicity = on_point[h].sum(axis=1)
+            optimal = ~away.any(axis=1) | (r_norm <= multiplicity)
+            stopped[h[optimal]] = True
+            y_next[h[optimal]] = ya[h[optimal]]
+            move = ~optimal
+            if move.any():
+                lipschitz = np.where(away[move], 1.0 / d_away[move], 0.0).sum(axis=1)
+                r_m = r_norm[move]
+                length = (r_m - multiplicity[move]) / lipschitz
+                y_next[h[move]] = ya[h[move]] + length[:, None] * (r_vec[move] / r_m[:, None])
+        cost = total_cost(pts, y_next)
+        step = np.linalg.norm(y_next - ya, axis=1)
+        done = stopped | (np.abs(prev_cost[active] - cost) <= tolerance * np.maximum(1.0, cost))
+        done |= step <= tolerance
+        y[active] = y_next
+        prev_cost[active] = cost
+        active = active[~done]
+        if not active.size:
+            return total_cost(blocks, y), y
+    raise NotConverged(f"{active.size} subsets did not converge in {max_iter} iterations")
+
+
+def _centroid_on_a_point(seed, count):
+    """Small integer point sets whose centroid is one of their points; the
+    median sits there in most of them, and the solver steps off in the rest."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        dim = rng.randint(1, 3)
+        c = [rng.randint(-3, 3) for _ in range(dim)]
+        pts = [c] * rng.randint(1, 2)
+        for _ in range(rng.randint(1, 4)):
+            pts.append([rng.randint(-3, 3) for _ in range(dim)])
+        pts.append([(len(pts) + 1) * a - sum(p[d] for p in pts) for d, a in enumerate(c)])
+        rng.shuffle(pts)
+        out.append([tuple(map(float, p)) for p in pts])
+    return out
+
+
+CROSS = [(0.0, 0.0), (1.0, 0.0), (-1.0, 0.0), (0.0, 1.0)]
+
+
+def _hex_solution(center, cost, iterations, converged):
+    return tuple(float(v).hex() for v in center), float(cost).hex(), iterations, converged
+
+
+def test_weiszfeld_matches_the_two_norm_loop_bit_for_bit():
+    sets = [cluster_points(g) for g in enumerate_triangle_free(8)]
+    sets += _centroid_on_a_point(5, 60)
+    on_point = 0
+    for pts in sets:
+        sol = weiszfeld(pts)
+        got = _hex_solution(sol.center, sol.cost, sol.iterations, sol.converged)
+        assert got == _hex_solution(*_weiszfeld_two_norm(pts)), pts
+        on_point += any(tuple(map(float, p)) == sol.center for p in pts)
+    assert on_point >= 40  # the on-point branch decided most of the seeded sets
+
+
+def test_weiszfeld_keeps_the_cross_stall():
+    # the optimum (0, 0) has a subgradient of norm exactly 1 there; the
+    # iteration crawls toward it without snapping, as it did before
+    sol = weiszfeld(CROSS)
+    assert sol.iterations == 5506 and sol.converged
+    assert sol.cost > 3.0 + 1e-9
+    assert _hex_solution(sol.center, sol.cost, sol.iterations, sol.converged) == (
+        _hex_solution(*_weiszfeld_two_norm(CROSS))
+    )
+
+
+@pytest.mark.parametrize("points", [
+    *(reduce_graph(random_triangle_free(*g, seed=s), k=1, objective="median").points
+      for g, s in (((6, 3), 3), ((7, 3), 0))),
+    CROSS + [(0.0, -1.0)],
+    [(-6.0, 0.0), (0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (3.0, 0.0)],
+    *_centroid_on_a_point(6, 8),
+])
+def test_weiszfeld_subsets_equal_the_reference_batch(monkeypatch, points):
+    got = weiszfeld_subsets(points)
+    monkeypatch.setattr(costs, "_weiszfeld_batch", _weiszfeld_batch_reference)
+    want = weiszfeld_subsets(points)
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1], want[1])

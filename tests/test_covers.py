@@ -8,11 +8,14 @@ the case constants in bound_kind name which construction fired.
 import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
+from medcover import covers
 from medcover.covers import (
     SQRT2P1,
+    CoverResult,
     cover_case_dispatch,
     cover_general,
     cover_matching_two,
@@ -20,8 +23,9 @@ from medcover.covers import (
     cover_single_edge_clusters,
     soundness_assemble,
 )
-from medcover.errors import InvalidPartition, PreconditionViolated
+from medcover.errors import InvalidPartition, PreconditionViolated, Stuck
 from medcover.graphs import (
+    Matching,
     graph_from_edges,
     is_vertex_cover,
     maximum_matching,
@@ -335,3 +339,101 @@ def test_assemble_random_battery():
         assert is_vertex_cover(g, rep.cover)
         assert rep.total_cover_size == len(rep.cover)
         assert rep.t1 + rep.t2 + rep.t3 + rep.t4 == k
+
+
+# ---------------------------------------------------------------------------
+# Proof obligations raise Stuck (they survive python -O)
+#
+# Two obligations cannot be reached even with a helper patched, so they have
+# no test here: cover_general's |M| + |L| - 1 size check (it follows from
+# counting once the matchings are consistent) and Procedure 1's "far matching
+# leaves the singles matching alone" (the far graph has no edge on a vertex
+# of the singles matching).
+# ---------------------------------------------------------------------------
+
+def _always(value):
+    return lambda *args, **kwargs: value
+
+
+def test_stuck_when_the_c5_alternate_vertices_are_not_a_cover(monkeypatch):
+    monkeypatch.setattr(covers, "is_vertex_cover", _always(False))
+    with pytest.raises(Stuck, match="5-cycle"):
+        cover_matching_two(graph_from_edges(C5))
+
+
+def test_stuck_when_bridge_residual_is_given_a_non_bridge():
+    g = graph_from_edges([(0, 1), (2, 3), (4, 5)])
+    with pytest.raises(Stuck, match="not a bridge graph"):
+        covers._cover_via_bridge_residual(g, maximum_matching(g), g)
+
+
+def test_stuck_when_a_dispatch_case_exceeds_its_ceiling(monkeypatch):
+    g = graph_from_edges([(0, 1), (0, 2), (0, 3), (1, 4), (2, 5)])  # |M| = 3, |L| = 1
+    everything = frozenset(range(g.num_vertices))
+    monkeypatch.setattr(
+        covers, "cover_general", _always(CoverResult(everything, 6, "M+L-1", 3.0, 0.0))
+    )
+    with pytest.raises(Stuck, match="case 1.8 used 6 > 3"):
+        cover_case_dispatch(g)
+
+
+def test_stuck_when_the_star_residue_has_no_center(monkeypatch):
+    # |L| = 3 and the residue after both matchings is a star
+    g = graph_from_edges([(0, 1), (0, 2), (0, 5), (1, 3), (1, 6), (2, 4), (3, 4)])
+    assert cover_case_dispatch(g).bound_kind == "1.68+(sqrt2+1)delta"
+    monkeypatch.setattr(covers, "common_vertex", _always(None))
+    with pytest.raises(Stuck, match="star residue"):
+        cover_case_dispatch(g)
+
+
+def test_stuck_when_the_singles_matching_misses_a_single(monkeypatch):
+    g = graph_from_edges([(0, 1)])
+    monkeypatch.setattr(covers, "maximal_matching_greedy", _always(Matching((), ())))
+    with pytest.raises(Stuck, match="miss a single edge"):
+        cover_single_edge_clusters(g, [0], [], k=1, delta=1.0)
+
+
+def test_stuck_when_plank_neighbours_share_a_vertex(monkeypatch):
+    # only a triangle lets the two fresh neighbours of a plank meet
+    monkeypatch.setattr(covers, "is_triangle_free", _always(True))
+    g = graph_from_edges([(0, 1), (0, 2), (1, 2)])
+    with pytest.raises(Stuck, match="plank neighbours"):
+        cover_single_edge_clusters(g, [0], [2], k=1, delta=0.0)
+
+
+@pytest.mark.parametrize("delta,subcase", [(0.0, "many-planks"), (1e-9, "few-planks")])
+def test_stuck_when_the_procedures_ledger_breaks(monkeypatch, delta, subcase):
+    # a far "matching" whose two edges share vertex 3 breaks 2|M_G| - savings
+    g = graph_from_edges([(0, 1), (2, 3), (3, 4)])
+    real = covers.maximal_matching_greedy
+    calls = []
+
+    def greedy(h):
+        calls.append(h)
+        return real(h) if len(calls) == 1 else SimpleNamespace(indices=(0, 1))
+
+    monkeypatch.setattr(covers, "maximal_matching_greedy", greedy)
+    with pytest.raises(Stuck, match=subcase):
+        cover_single_edge_clusters(g, [0], [3], k=1, delta=delta)
+
+
+def test_stuck_when_the_means_cover_is_not_a_cover(monkeypatch):
+    monkeypatch.setattr(covers, "is_vertex_cover", _always(False))
+    with pytest.raises(Stuck, match="non-cover"):
+        cover_nonstar_means(graph_from_edges(P4))
+
+
+@pytest.mark.parametrize("edges,bound", [
+    ([(0, 1), (2, 3), (4, 5)], r"2 \+ delta"),  # a 3-vertex cover against delta = 0
+    (P4, r"1 \+ \(5/2\) delta"),  # a 2-vertex cover against delta = 0
+])
+def test_stuck_when_the_means_cover_exceeds_its_bound(monkeypatch, edges, bound):
+    monkeypatch.setattr(covers, "one_means_cost", lambda g: Fraction(g.num_edges - 1))
+    with pytest.raises(Stuck, match=bound):
+        cover_nonstar_means(graph_from_edges(edges))
+
+
+def test_stuck_when_a_star_cluster_has_no_center(monkeypatch):
+    monkeypatch.setattr(covers, "common_vertex", _always(None))
+    with pytest.raises(Stuck, match="no common vertex"):
+        soundness_assemble(graph_from_edges([(0, 1), (0, 2)]), [[0, 1]], k=1)

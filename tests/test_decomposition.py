@@ -13,8 +13,15 @@ from medcover.decomposition import (
     residual_class_bound,
     trace_to_dict,
 )
-from medcover.errors import PreconditionViolated
-from medcover.graphs import ClassTag, bridge_structure, classify, graph_from_edges, is_star
+from medcover.errors import PreconditionViolated, Stuck
+from medcover.graphs import (
+    ClassTag,
+    GraphClass,
+    bridge_structure,
+    classify,
+    graph_from_edges,
+    is_star,
+)
 from medcover.oracle import enumerate_triangle_free
 
 C5 = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]
@@ -99,6 +106,12 @@ def test_residual_class_bound_values():
     label, value = residual_class_bound(classify(g))
     assert value == pytest.approx(math.sqrt(12), abs=1e-12)
     assert label == "ThreeP2"
+
+
+@pytest.mark.parametrize("tag", [ClassTag.A_N, ClassTag.L_N])
+def test_residual_class_bound_needs_the_class_parameter(tag):
+    with pytest.raises(Stuck, match="without its parameter"):
+        residual_class_bound(GraphClass(tag))
 
 
 # ---------------------------------------------------------------------------

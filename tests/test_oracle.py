@@ -16,6 +16,7 @@ from medcover import oracle
 from medcover.costs import weiszfeld, weiszfeld_subsets
 from medcover.errors import InstanceTooLarge, NotConverged, PreconditionViolated
 from medcover.graphs import (
+    Graph,
     graph_from_edges,
     is_triangle_free,
     is_vertex_cover,
@@ -388,6 +389,43 @@ def test_eight_edge_catalogue_keeps_the_search_small(monkeypatch):
     # a ceiling 500 times below the real one still admits every graph
     monkeypatch.setattr(oracle, "MAX_CANON_STATES", oracle.MAX_CANON_STATES // 500)
     assert sum(1 for _ in enumerate_triangle_free(8)) == 186
+
+
+def _single_edge_extensions_unpruned(g):
+    """Reference: every triangle-free one-edge extension, twins included."""
+    adj = [set(nb) for nb in g.adjacency()]
+    n = g.num_vertices
+    for u in range(n):
+        for v in range(u + 1, n):
+            if v in adj[u] or (adj[u] & adj[v]):
+                continue
+            yield Graph(n, tuple(sorted(g.edges + ((u, v),))))
+    for u in range(n):
+        yield Graph(n + 1, tuple(sorted(g.edges + ((u, n),))))
+
+
+def _catalogue_and_canonical_calls(monkeypatch):
+    calls = []
+
+    def counting(g):
+        calls.append(g)
+        return canonical_form(g)
+
+    monkeypatch.setattr(oracle, "canonical_form", counting)
+    graphs = [
+        (g.num_vertices, g.edges)
+        for args in ((8,), (5, True))
+        for g in enumerate_triangle_free(*args)
+    ]
+    return graphs, len(calls)
+
+
+def test_twin_pruned_extensions_keep_the_catalogue_and_its_order(monkeypatch):
+    pruned, pruned_calls = _catalogue_and_canonical_calls(monkeypatch)
+    monkeypatch.setattr(oracle, "_single_edge_extensions", _single_edge_extensions_unpruned)
+    full, full_calls = _catalogue_and_canonical_calls(monkeypatch)
+    assert pruned == full
+    assert pruned_calls < full_calls
 
 
 def _matching(k):

@@ -1,11 +1,14 @@
 """The named property suites behind verify-lemmas."""
 
 import dataclasses
+from collections import Counter
 
 import pytest
 
-from medcover import suites
+from medcover import covers, suites
 from medcover.errors import PreconditionViolated
+from medcover.graphs import is_star
+from medcover.oracle import enumerate_triangle_free
 from medcover.reduction import reduce_hypergraph
 from medcover.suites import (
     SUITES,
@@ -55,6 +58,26 @@ def test_extra_cost_suite_small():
 
 def test_cover_suite_small():
     assert_clean(suite_covers(max_edges=5), "cover_extraction")
+
+
+def test_cover_suite_solves_each_median_once(monkeypatch):
+    # cover_matching_two, cover_general and cover_case_dispatch (and the
+    # cover_general call inside it) all charge the same graph's median
+    # extra cost; the bridge case also charges its residual graph
+    solves = Counter()
+    real = covers.extra_cost
+
+    def counting(g, objective, *args, **kwargs):
+        if objective == "median":
+            solves[g] += 1
+        return real(g, objective, *args, **kwargs)
+
+    covers._numeric_delta.cache_clear()
+    monkeypatch.setattr(covers, "extra_cost", counting)
+    assert_clean(suite_covers(max_edges=6), "cover_extraction")
+    nonstars = {g for g in enumerate_triangle_free(6) if not is_star(g)}
+    assert nonstars <= set(solves)
+    assert set(solves.values()) == {1}
 
 
 def test_hypergraph_suite_needs_candidate_centers(monkeypatch):
