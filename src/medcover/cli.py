@@ -55,7 +55,7 @@ from .reduction import (
     reduce_graph,
     reduce_hypergraph,
 )
-from .suites import run_all
+from .suites import means_complete, median_complete, run_all
 
 
 def _read_text(path: str) -> str:
@@ -310,10 +310,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             "blocks": blocks_needed,
             "median_yes": repr(m - k / 2),
             "median_opt": repr(med.optimal_cost),
-            "median_complete": str(med.optimal_cost <= m - k / 2 + 1e-6).lower(),
+            "median_complete": str(median_complete(med.optimal_cost, m, k)).lower(),
             "means_yes": repr(float(m - k)),
             "means_opt": repr(mea.optimal_cost),
-            "means_complete": str(mea.optimal_cost <= m - k + 1e-9).lower(),
+            "means_complete": str(means_complete(mea.optimal_cost, m, k)).lower(),
         }
         if blocks_needed <= m:
             base = opt[args.objective]

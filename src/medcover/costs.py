@@ -25,7 +25,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import DomainError, NotConverged
+from .errors import DomainError, InstanceTooLarge, NotConverged
 from .graphs import ClassTag, Graph, GraphClass, classify
 
 Number = Union[float, Fraction]
@@ -35,6 +35,7 @@ BASIS_UPPER = "numerical_upper"
 BASIS_LOWER = "certified_lower"
 
 _SNAP = 1e-12  # distance under which an iterate is treated as sitting on a data point
+MAX_CONTINUOUS_POINTS = 12  # largest point set whose 2^n subsets are tabulated
 
 
 @dataclass(frozen=True)
@@ -206,10 +207,15 @@ def weiszfeld_subsets(
     from the points. Same-size batches keep every reduction in the order the
     single-subset solver uses, so results agree with it to the last bit away
     from the on-point branch. Raises ``NotConverged`` if any subset reaches
-    ``max_iter``.
+    ``max_iter``. More than ``MAX_CONTINUOUS_POINTS`` points raise
+    ``InstanceTooLarge`` before any table is allocated.
     """
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
+    if len(points) > MAX_CONTINUOUS_POINTS:
+        raise InstanceTooLarge(
+            f"{len(points)} points exceeds the {MAX_CONTINUOUS_POINTS}-point subset table limit"
+        )
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] < 1:
         raise ValueError("need a non-empty sequence of equal-length vectors")

@@ -11,14 +11,19 @@ The continuous oracle builds its block-cost tables in one pass before the
 DP: the 1-median of all 2^n - 1 point subsets by a batched Weiszfeld
 (``costs.weiszfeld_subsets``, which follows ``weiszfeld``'s rules row by row
 and raises ``NotConverged`` rather than return an unconverged cost), and the
-centroid cost of every subset from exact integer subset sums. The DP then
-reads costs from a plain list. One module-level slot holds the last
-instance's cost list, center table and DP layers, keyed on (objective, exact
-point tuples, tolerance): asking for the same points at another k reuses the
-tables and extends the layers, a new key drops the slot before its own
-tables are built, and a build that raises leaves the slot empty. The
-discrete oracle scores its center subsets in numpy batches with the same
-float additions, in the same order, as a per-subset sum.
+centroid cost of every subset from exact integer subset sums. The subset DP
+then keeps each layer as a float64 array over all 2^n masks and builds it in
+numpy from the previous one. Its result is the same, bit for bit, as a
+Python loop over dicts that resolves ties first-wins within 1e-15: every
+mask takes the first candidate, in that loop's order, of its cheapest ones,
+and the few masks with two candidates closer than a 1e-14 window replay the
+loop exactly. One module-level slot holds the last instance's tables and DP
+layers, keyed on (objective, exact point tuples, tolerance): asking for the
+same points at another k reuses the tables and extends the layers, a new key
+drops the slot before its own tables are built, and a build that raises
+leaves the slot empty. The discrete oracle scores its center subsets in
+numpy batches with the same float additions, in the same order, as a
+per-subset sum.
 
 ``canonical_form`` finds the least adjacency bitstring one row at a time,
 branching only on vertices that tie for the least row (in the spirit of
@@ -40,12 +45,11 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .costs import weiszfeld_subsets
-from .errors import InstanceTooLarge, PreconditionViolated, Stuck
+from .costs import MAX_CONTINUOUS_POINTS, weiszfeld_subsets
+from .errors import DomainError, InstanceTooLarge, PreconditionViolated, Stuck
 from .graphs import Graph, is_triangle_free, is_vertex_cover
 from .reduction import ClusteringInstance
 
-MAX_CONTINUOUS_POINTS = 12
 MAX_DISCRETE_SUBSETS = 10**6
 DISCRETE_CHUNK = 1024  # center subsets scored per numpy batch
 MAX_VC_EDGES = 24
@@ -117,15 +121,105 @@ def _centroid_table(points: Sequence[Sequence[float]]) -> tuple[np.ndarray, np.n
     return costs, centers
 
 
+def _candidates(n: int, j: int) -> tuple[np.ndarray, np.ndarray]:
+    """DP layer j's candidates as (target, block) arrays: grouped by target
+    in increasing order, each group in the order the submask loop meets it.
+
+    That loop extends the masks of layer j - 1 in the order it first reached
+    them, each by every block that holds the mask's lowest missing point, in
+    decreasing order, and sets target = mask | block. With finite block
+    costs a target's first candidate always lands, so layer j - 1 holds
+    every mask that contains points 0..j-2 (only the empty mask when
+    j = 1), first reached in decreasing order: mask T of layer j first comes
+    from T minus point j - 1, and a larger T from a larger mask. A mask
+    offers a target at most one block, so each target meets its candidates
+    in decreasing mask order, which is increasing block order.
+
+    A candidate is a word over the points: each point lies in the previous
+    mask, in the block, or in neither. Points 0..j-2 lie in the mask, and
+    the first point outside the mask lies in the block. The words are built
+    one point at a time, upward from point j - 1, as [those with the new
+    point in neither, in the mask, then the one word with only the new point
+    in the block, then those with it in the block]. That order keeps every
+    target's blocks increasing, so a stable sort by target groups them.
+    """
+    full = (1 << n) - 1
+    small = np.min_scalar_type(full)  # uint8 or uint16, which numpy sorts by radix
+    if j == 1:
+        blocks = np.arange(1, full + 1, 2, dtype=small)
+        return blocks, blocks
+    total = (3 ** (n - j + 1) - 1) // 2
+    target = np.empty(total, dtype=small)
+    block = np.empty(total, dtype=small)
+    c = 0  # words so far that hold a block
+    for i in range(j - 1, n):
+        bit = 1 << i
+        np.bitwise_or(target[:c], bit, out=target[c:2 * c])
+        target[2 * c] = 2 * bit - 1
+        np.bitwise_or(target[:c], bit, out=target[2 * c + 1:3 * c + 1])
+        block[c:2 * c] = block[:c]
+        block[2 * c] = bit
+        np.bitwise_or(block[:c], bit, out=block[2 * c + 1:3 * c + 1])
+        c = 3 * c + 1
+    order = np.argsort(target, kind="stable")
+    return target[order], block[order]
+
+
+def _extend(
+    n: int, j: int, prev: np.ndarray, block_cost: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """DP layer j's values and choices from layer j - 1's values ``prev``.
+
+    Equal, bit for bit, to the submask loop, which walks the candidates in
+    ``_candidates``' order and moves a target to a candidate only when it is
+    cheaper than the target's current value by more than 1e-15: the first
+    candidate always lands and, within 1e-15, the earlier one wins. When no
+    candidate of a target lies above its minimum by at most
+    1e-14 * max(1, |minimum|) (ten times 1e-15 plus any rounding of the
+    comparison), that chain ends on the first candidate equal to the
+    minimum. Any other target replays the chain in Python.
+    """
+    target, blocks = _candidates(n, j)
+    cost = prev[target ^ blocks]
+    cost += block_cost[blocks]
+    starts = np.flatnonzero(np.concatenate(([True], target[1:] != target[:-1])))
+    sizes = np.diff(starts, append=len(target))
+    low = np.minimum.reduceat(cost, starts)
+    above = cost > np.repeat(low, sizes)
+    second = np.minimum.reduceat(np.where(above, cost, math.inf), starts)
+    first = np.arange(len(cost))
+    first[above] = len(cost)
+    first = np.minimum.reduceat(first, starts)  # each target's first candidate at its minimum
+    for g in np.flatnonzero(second <= low + 1e-14 * np.maximum(1.0, np.abs(low))).tolist():
+        start = int(starts[g])
+        value = math.inf
+        for i, c in enumerate(cost[start:start + sizes[g]].tolist(), start):
+            if c < value - 1e-15:
+                value, first[g] = c, i
+        low[g] = value
+    reached = target[starts]
+    best = np.full(1 << n, math.inf)
+    best[reached] = low
+    choice = np.zeros(1 << n, dtype=blocks.dtype)
+    choice[reached] = blocks[first]
+    return best, choice
+
+
 @dataclass
 class _Solved:
-    """One instance's tables and the DP layers built on them so far."""
+    """One instance's tables and the DP layers built on them so far.
+
+    ``best[j][mask]`` is the cheapest way to serve the points of ``mask``
+    with j blocks (``inf`` where the DP does not reach ``mask`` with j
+    blocks) and ``choice[j][mask]`` the last of those blocks, the one that
+    attains it.
+    """
 
     key: tuple
-    block_cost: list[float]
+    block_cost: np.ndarray
     center_table: np.ndarray
-    best: list[dict[int, float]]  # best[j][mask]: cheapest way to serve mask with j blocks
-    choice: dict[tuple[int, int], int]  # (j, mask) -> the block that attains best[j][mask]
+    best: list[np.ndarray]
+    choice: list[np.ndarray]
 
 
 _last: Optional[_Solved] = None  # the slot ``opt_continuous`` reuses
@@ -150,28 +244,17 @@ def _solved_up_to(inst: ClusteringInstance, tolerance: float, kmax: int) -> _Sol
                 cost_table, center_table = weiszfeld_subsets(inst.points, tolerance=tolerance)
             else:
                 cost_table, center_table = _centroid_table(inst.points)
-            solved = _last = _Solved(key, cost_table.tolist(), center_table, [{0: 0.0}], {})
-        block_cost, best, choice = solved.block_cost, solved.best, solved.choice
-        full = (1 << n) - 1
-        inf = math.inf
-        for j in range(len(best), kmax + 1):
-            prev = best[j - 1]
-            cur: dict[int, float] = {}
-            for mask, base in prev.items():
-                rest = full & ~mask
-                if rest == 0:
-                    continue
-                low = rest & -rest
-                sub = rest
-                while sub:
-                    if sub & low:
-                        cost = base + block_cost[sub]
-                        nxt = mask | sub
-                        if cost < cur.get(nxt, inf) - 1e-15:
-                            cur[nxt] = cost
-                            choice[(j, nxt)] = sub
-                    sub = (sub - 1) & rest
-            best.append(cur)
+            if not np.isfinite(cost_table[1:]).all():
+                raise DomainError("a block cost is not finite")
+            empty = np.full(1 << n, math.inf)  # layer 0: only the empty mask, with no block
+            empty[0] = 0.0
+            solved = _last = _Solved(
+                key, cost_table, center_table, [empty], [np.zeros(1 << n, dtype=np.uint8)]
+            )
+        for j in range(len(solved.best), kmax + 1):
+            best, choice = _extend(n, j, solved.best[-1], solved.block_cost)
+            solved.choice.append(choice)
+            solved.best.append(best)
         return solved
 
 
@@ -183,17 +266,24 @@ def opt_continuous(inst: ClusteringInstance, tolerance: float = 1e-12) -> Oracle
     raises cost, so searching partitions into <= k blocks is exhaustive. The
     cost and center of every one of the 2^n - 1 point subsets are tabulated
     up front (batched Weiszfeld for median, exact centroid sums for means);
-    the search then runs as a subset DP over those tables (best cost of
-    covering a point subset with j blocks).
+    the search then runs as a subset DP over those tables: layer j holds the
+    best cost of serving each point subset with j blocks, one float64 array
+    over all 2^n masks. Each new block holds the lowest point not yet
+    served, and among candidates within 1e-15 of each other the first in the
+    submask loop's order wins (see ``_extend``), so partitions and costs are
+    the same, bit for bit, as that loop's. A block cost that is not finite
+    raises ``DomainError``; more than ``MAX_CONTINUOUS_POINTS`` points raise
+    ``InstanceTooLarge`` before anything is built.
 
     One slot keeps the last instance's tables and DP layers, keyed on the
-    objective, the exact points and ``tolerance`` (k is not in the key). A
-    call with the same key reuses the tables and builds only the layers it
-    still lacks; layer j depends only on layer j - 1 and the tables, so the
-    result is the same, bit for bit, as a cold call. A call with another key
-    drops the slot before it builds new tables, and a build that raises
-    leaves the slot empty. A lock makes concurrent calls take the slot in
-    turn.
+    objective, the exact points and ``tolerance`` (k is not in the key): at
+    12 points, the two 4096-row tables and one 4096-entry value array and
+    one 4096-entry uint16 choice array per layer built. A call with the same
+    key reuses the tables and builds only the layers it still lacks; layer j
+    depends only on layer j - 1 and the tables, so the result is the same,
+    bit for bit, as a cold call. A call with another key drops the slot
+    before it builds new tables, and a build that raises leaves the slot
+    empty. A lock makes concurrent calls take the slot in turn.
     """
     n = len(inst.points)
     if n > MAX_CONTINUOUS_POINTS:
@@ -204,14 +294,11 @@ def opt_continuous(inst: ClusteringInstance, tolerance: float = 1e-12) -> Oracle
     solved = _solved_up_to(inst, tolerance, kmax)
     best, choice = solved.best, solved.choice
     full = (1 << n) - 1
-    best_j = min(
-        (j for j in range(1, kmax + 1) if full in best[j]),
-        key=lambda j: best[j][full],
-    )
+    best_j = min(range(1, kmax + 1), key=lambda j: best[j][full])
     blocks: list[tuple[int, ...]] = []
     mask = full
     for j in range(best_j, 0, -1):
-        sub = choice[(j, mask)]
+        sub = int(choice[j][mask])
         blocks.append(tuple(i for i in range(n) if sub >> i & 1))
         mask &= ~sub
     blocks.sort()
@@ -220,7 +307,7 @@ def opt_continuous(inst: ClusteringInstance, tolerance: float = 1e-12) -> Oracle
     )
     method = "partition_enum_weiszfeld" if inst.objective == "median" else "partition_enum_centroid"
     return OracleReport(
-        optimal_cost=best[best_j][full],
+        optimal_cost=float(best[best_j][full]),
         partition=tuple(blocks),
         centers=centers,
         method=method,
@@ -451,8 +538,6 @@ def enumerate_triangle_free(
         seen: dict[str, Graph] = {}
         for g in levels[-1]:
             for h in _single_edge_extensions(g):
-                if not is_triangle_free(h):
-                    continue
                 cert = canonical_form(h)
                 if cert not in seen:
                     seen[cert] = h

@@ -185,6 +185,18 @@ def completeness_instances(trials: int, seed: int) -> list[Graph]:
     return out
 
 
+def median_complete(cost: float, m: int, k: int) -> bool:
+    """Median completeness: a graph with m edges and a vertex cover of size k
+    clusters at cost <= m - k/2 (up to Weiszfeld's tolerance)."""
+    return cost <= m - k / 2 + 1e-6
+
+
+def means_complete(cost: float, m: int, k: int) -> bool:
+    """Means completeness: a graph with m edges and a vertex cover of size k
+    clusters at cost <= m - k (the oracle's means costs are exact)."""
+    return cost <= m - k + 1e-9
+
+
 def suite_completeness(trials: int = 50, seed: int = 0) -> dict:
     """Completeness direction of the reductions: a graph with a vertex cover
     of size k clusters at cost <= m - k/2 (median) and <= m - k (means); the
@@ -196,13 +208,13 @@ def suite_completeness(trials: int = 50, seed: int = 0) -> dict:
         m = g.num_edges
         med = opt_continuous(reduce_graph(g, k=k, objective="median"))
         checks += 1
-        if med.optimal_cost > m - k / 2 + 1e-6:
+        if not median_complete(med.optimal_cost, m, k):
             failures.append(
                 f"median completeness fails on {g.edges}: {med.optimal_cost!r} > {m - k / 2!r}"
             )
         mean = opt_continuous(reduce_graph(g, k=k, objective="means"))
         checks += 1
-        if mean.optimal_cost > m - k + 1e-9:
+        if not means_complete(mean.optimal_cost, m, k):
             failures.append(
                 f"means completeness fails on {g.edges}: {mean.optimal_cost!r} > {m - k!r}"
             )

@@ -16,10 +16,12 @@ These are the checks the package must pass before any release:
    and the restricted-center optimum equals the cover-count formula;
 7. the predicted cost gaps are monotone in the center budget and match
    ten frozen spot values;
-8. reports are byte-identical across repeated runs with the same seed.
+8. reports are byte-identical across repeated runs with the same seed, and
+   the two committed sweep reports regenerate byte for byte.
 """
 
 import math
+import pathlib
 from fractions import Fraction
 
 import pytest
@@ -179,3 +181,14 @@ def test_criterion_8_reports_are_byte_identical(tmp_path, capsys):
         pairs.append((tag, outs))
     for tag, (first, second) in pairs:
         assert first == second, f"{tag} report changed between identical runs"
+
+
+def test_criterion_8_sweeps_reproduce_the_committed_reports(tmp_path, capsys):
+    reports = pathlib.Path(__file__).resolve().parent.parent / "reports"
+    for name, n, d in (("sweep_n10_d2.csv", "10", "2"), ("sweep_n8_d3.csv", "8", "3")):
+        out = tmp_path / name
+        code = main(["sweep", "--n", n, "--d", d, "--trials", "20", "--seed", "0",
+                     "--out", str(out)])
+        capsys.readouterr()
+        assert code == 0
+        assert out.read_bytes() == (reports / name).read_bytes(), name

@@ -1,5 +1,6 @@
 """Exhaustive reference solvers and the triangle-free graph catalogue."""
 
+import dataclasses
 import itertools
 import math
 import random
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 from medcover import oracle
 from medcover.costs import weiszfeld, weiszfeld_subsets
-from medcover.errors import InstanceTooLarge, NotConverged, PreconditionViolated
+from medcover.errors import DomainError, InstanceTooLarge, NotConverged, PreconditionViolated
 from medcover.graphs import (
     Graph,
     graph_from_edges,
@@ -38,6 +39,7 @@ from medcover.reduction import (
     reduce_graph,
     reduce_hypergraph,
 )
+from medcover.suites import completeness_instances
 
 C5 = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]
 P4 = [(0, 1), (1, 2), (2, 3)]
@@ -183,6 +185,124 @@ def test_continuous_failed_table_build_leaves_no_slot(monkeypatch):
     assert _fingerprint(opt_continuous(median)) == got
 
 
+def _dict_layers(block_cost, n, kmax):
+    """Reference: the subset DP over dicts that the array layers replace.
+
+    ``best[j]`` maps each mask that j blocks reach to its cheapest cost, in
+    the order the loop first reaches it, and ``choice[(j, mask)]`` is the
+    block that attains it. Masks are extended in that order, each by every
+    block holding its lowest missing point, in decreasing order; a candidate
+    replaces the current value only when cheaper by more than 1e-15, so
+    within 1e-15 the earlier candidate wins.
+    """
+    full = (1 << n) - 1
+    best = [{0: 0.0}]
+    choice = {}
+    for j in range(1, kmax + 1):
+        cur = {}
+        for mask, base in best[j - 1].items():
+            rest = full & ~mask
+            if rest == 0:
+                continue
+            low = rest & -rest
+            sub = rest
+            while sub:
+                if sub & low:
+                    cost = base + block_cost[sub]
+                    nxt = mask | sub
+                    if cost < cur.get(nxt, math.inf) - 1e-15:
+                        cur[nxt] = cost
+                        choice[(j, nxt)] = sub
+                sub = (sub - 1) & rest
+        best.append(cur)
+    return best, choice
+
+
+def _dict_report(inst, best, choice, center_table):
+    """Reference: the report read off the dict layers."""
+    n = len(inst.points)
+    full = (1 << n) - 1
+    kmax = min(inst.k, n)
+    best_j = min((j for j in range(1, kmax + 1) if full in best[j]), key=lambda j: best[j][full])
+    blocks = []
+    mask = full
+    for j in range(best_j, 0, -1):
+        sub = choice[(j, mask)]
+        blocks.append(tuple(i for i in range(n) if sub >> i & 1))
+        mask &= ~sub
+    blocks.sort()
+    centers = tuple(tuple(center_table[sum(1 << i for i in b)].tolist()) for b in blocks)
+    method = "partition_enum_weiszfeld" if inst.objective == "median" else "partition_enum_centroid"
+    return oracle.OracleReport(best[best_j][full], tuple(blocks), centers, method)
+
+
+def _assert_matches_dict_loop(inst, ks):
+    """Solve ``inst`` at each k of ``ks`` in turn, on one slot, and compare
+    every report and then every DP layer with the dict loop's."""
+    n = len(inst.points)
+    reports = [opt_continuous(dataclasses.replace(inst, k=k)) for k in ks]
+    solved = oracle._last
+    best, choice = _dict_layers(solved.block_cost.tolist(), n, max(ks))
+    for k, rep in zip(ks, reports):
+        want = _dict_report(dataclasses.replace(inst, k=k), best, choice, solved.center_table)
+        assert _fingerprint(rep) == _fingerprint(want), k
+    for j in range(1, max(ks) + 1):
+        reached = np.flatnonzero(np.isfinite(solved.best[j])).tolist()
+        assert reached == sorted(best[j]), j
+        assert list(best[j]) == reached[::-1], j  # the loop reaches masks in decreasing order
+        got = [float(solved.best[j][m]).hex() for m in reached]
+        assert got == [best[j][m].hex() for m in reached], j
+        assert [int(solved.choice[j][m]) for m in reached] == [choice[(j, m)] for m in reached], j
+
+
+def _tie_prone_sets():
+    doubled = reduce_graph(random_triangle_free(6, 3, seed=3), k=1, objective="means").points
+    return [
+        [(1.0, 2.0)] * 7,  # all points equal
+        [(0.0, 0.0), (1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)],  # the cross
+        [(float(i), 0.0) for i in range(9)],  # collinear integer points
+        [p for p in doubled[:5] for _ in range(2)],  # each point twice
+    ]
+
+
+def _differential_calls(family):
+    """(instance, the k values it is solved at in turn) for each family."""
+    if family == "completeness":
+        for g in completeness_instances(16, 0):
+            k = len(min_vertex_cover(g))
+            for objective in ("median", "means"):
+                yield reduce_graph(g, k=k, objective=objective), [k]
+    elif family == "ladder":  # k rising on one slot, as the benchmark's ladder does
+        for seed in (0, 1):
+            g = random_triangle_free(7, 3, seed=seed)
+            for objective in ("median", "means"):
+                yield reduce_graph(g, k=1, objective=objective), range(1, 7)
+    elif family == "ties":
+        for points in _tie_prone_sets():
+            for objective in ("median", "means"):
+                inst = ClusteringInstance(len(points[0]), tuple(points), 1, objective)
+                yield inst, range(1, len(points) + 1)
+    else:  # k = n on the largest instances the oracle takes
+        g = next(g for g in completeness_instances(40, 0) if g.num_edges == 12)
+        for objective in ("median", "means"):
+            yield reduce_graph(g, k=12, objective=objective), [12]
+
+
+@pytest.mark.parametrize("family", ["completeness", "ladder", "ties", "k_equals_n"])
+def test_array_dp_matches_the_dict_loop_bit_for_bit(family):
+    oracle._last = None
+    for inst, ks in _differential_calls(family):
+        _assert_matches_dict_loop(inst, list(ks))
+
+
+def test_continuous_rejects_non_finite_block_costs():
+    # the centroid of any block holding the infinite point costs nan
+    inst = ClusteringInstance(2, ((0.5, 0.0), (math.inf, 0.0), (1.5, 0.0)), 2, "means")
+    with pytest.raises(DomainError):
+        opt_continuous(inst)
+    assert oracle._last is None
+
+
 def test_discrete_hypergraph_cover_geometry():
     h = HypergraphInstance(
         d=3, num_vertices=5,
@@ -312,6 +432,12 @@ def test_median_table_on_point_branch():
     assert _assert_median_table_matches(line)[31] == pytest.approx(11.0, abs=1e-6)
 
 
+def test_median_table_ceiling_comes_before_any_table():
+    points = [(float(i), 0.0) for i in range(oracle.MAX_CONTINUOUS_POINTS + 1)]
+    with pytest.raises(InstanceTooLarge):
+        weiszfeld_subsets(points)
+
+
 def test_median_table_raises_when_a_subset_does_not_converge():
     points = _reduced_points(6, 3, 3)
     with pytest.raises(NotConverged):
@@ -426,6 +552,23 @@ def test_twin_pruned_extensions_keep_the_catalogue_and_its_order(monkeypatch):
     full, full_calls = _catalogue_and_canonical_calls(monkeypatch)
     assert pruned == full
     assert pruned_calls < full_calls
+
+
+def test_single_edge_extensions_are_triangle_free(monkeypatch):
+    extend = oracle._single_edge_extensions
+    seen = []
+
+    def recorded(g):
+        for h in extend(g):
+            seen.append(h)
+            yield h
+
+    monkeypatch.setattr(oracle, "_single_edge_extensions", recorded)
+    for args in ((8,), (5, True)):
+        for _ in enumerate_triangle_free(*args):
+            pass
+    assert len(seen) > 700
+    assert all(is_triangle_free(h) for h in seen)
 
 
 def _matching(k):
