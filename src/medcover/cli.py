@@ -2,7 +2,7 @@
 extract covers, and sweep the whole chain against the oracles.
 
 Outputs are JSON for single runs and CSV for sweeps; both are deterministic
-for a fixed seed and config (dict keys sorted, floats via repr, fixed row
+for a fixed seed and options (dict keys sorted, floats via repr, fixed row
 order), so repeated runs are byte-identical and diffable.
 """
 
@@ -17,7 +17,6 @@ import sys
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .config import DEFAULT_CONFIG
 from .costs import (
     closed_form_median_cost,
     cluster_points,
@@ -26,7 +25,7 @@ from .costs import (
 )
 from .covers import SoundnessReport, soundness_assemble
 from .decomposition import (
-    certify_lower_bound,
+    certificate_from_trace,
     decompose,
     trace_to_dict,
 )
@@ -154,15 +153,15 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         payload["ultra_safe"] = None
     else:
         trace = decompose(g, "safe")
-        cert = certify_lower_bound(g, "safe")
+        cert = certificate_from_trace(g, trace)
         payload["safe"] = {
             "trace": trace_to_dict(trace),
             "bound": cert.bound,
             "derivation": [[label, v] for label, v in cert.derivation],
         }
         if bridge_structure(g) is None:
-            ucert = certify_lower_bound(g, "ultra_safe")
             utrace = decompose(g, "ultra_safe")
+            ucert = certificate_from_trace(g, utrace)
             payload["ultra_safe"] = {
                 "trace": trace_to_dict(utrace),
                 "bound": ucert.bound,
@@ -366,13 +365,12 @@ def build_parser() -> argparse.ArgumentParser:
         "bounds, constructive cover extraction, and exhaustive oracles.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    cfg = DEFAULT_CONFIG
 
     p = sub.add_parser("reduce", help="embed an edge list as a clustering instance")
     p.add_argument("--graph", required=True, help="edge-list file (one 'u v' per line)")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--objective", choices=("median", "means"), default="median")
-    p.add_argument("--delta", type=float, default=cfg.delta)
+    p.add_argument("--delta", type=float, default=0.01)
     p.add_argument("--out", help="write the instance JSON here")
     p.set_defaults(func=cmd_reduce)
 
@@ -385,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("median", help="1-median of a graph's embedded points")
     p.add_argument("--graph", required=True)
-    p.add_argument("--tol", type=float, default=cfg.weiszfeld_tol)
+    p.add_argument("--tol", type=float, default=1e-12)
     p.add_argument("--out")
     p.set_defaults(func=cmd_median)
 
@@ -398,8 +396,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--objective", choices=("median", "means"), default="median")
-    p.add_argument("--beta", type=float, default=cfg.beta)
-    p.add_argument("--delta", type=float, default=cfg.delta)
+    p.add_argument("--beta", type=float, default=1.0)
+    p.add_argument("--delta", type=float, default=0.01)
     p.add_argument("--out")
     p.set_defaults(func=cmd_cover)
 
@@ -412,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-lemmas", help="run every property suite")
     p.add_argument("--max-edges", type=int, default=5)
-    p.add_argument("--seed", type=int, default=cfg.seed)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=12)
     p.add_argument("--out")
     p.set_defaults(func=cmd_verify_lemmas)
@@ -421,10 +419,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=8, help="vertices per sampled graph")
     p.add_argument("--d", type=int, default=3, help="max degree of sampled graphs")
     p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--beta", type=float, default=cfg.beta)
-    p.add_argument("--delta", type=float, default=cfg.delta)
+    p.add_argument("--beta", type=float, default=1.0)
+    p.add_argument("--delta", type=float, default=0.01)
     p.add_argument("--objective", choices=("median", "means"), default="median")
-    p.add_argument("--seed", type=int, default=cfg.seed)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-edges", type=int, default=12,
                    help="skip sampled graphs with more edges (oracle limit)")
     p.add_argument("--out")

@@ -5,7 +5,10 @@ reduction) the 1-median cost of several special shapes has an exact closed
 form: regular simplices (stars and disjoint-edge packings are both simplices
 after the reduction), the star-plus-lone-edge family A_n, and the 3-edge path.
 Everything else is solved numerically with Weiszfeld's fixed-point iteration,
-hardened at data points via the standard subgradient test.
+hardened at data points via the standard subgradient test. One batched loop,
+``_weiszfeld_batch``, does every such solve: ``weiszfeld`` runs it on one
+point set, ``weiszfeld_subsets`` on every subset of one, and ``median_costs``
+on many graphs' clusters at once.
 
 1-means costs need no solver at all: the optimal center is the centroid and
 the cost collapses to sum_v deg(v) * (1 - deg(v)/r), evaluated here in exact
@@ -40,8 +43,9 @@ MAX_CONTINUOUS_POINTS = 12  # largest point set whose 2^n subsets are tabulated
 
 @dataclass(frozen=True)
 class MedianSolution:
-    """Result of a 1-median solve. ``cost`` is recomputed from (points, center)
-    at construction time by the solver, never trusted from the iteration."""
+    """Result of a 1-median solve. ``cost`` is the sum of distances from the
+    points to ``center``, measured at that center. ``converged`` is always
+    True: a solve that reaches its iteration cap raises ``NotConverged``."""
 
     center: tuple[float, ...]
     cost: float
@@ -136,60 +140,16 @@ def weiszfeld(
     tolerance: float = 1e-12,
     max_iter: int = 100_000,
 ) -> MedianSolution:
-    """Geometric median by Weiszfeld iteration from the centroid.
-
-    When an iterate lands on (within 1e-12 of) a data point, the classical
-    update is undefined; we apply the subgradient optimality test there —
-    the point is optimal iff the summed unit vectors toward the other points
-    have norm <= 1 — and otherwise step away along the descent direction with
-    the (||R|| - 1)/L step that guarantees progress.
-
-    Stops when the relative cost change or the center displacement drops
-    below ``tolerance``. On hitting ``max_iter`` the best iterate is returned
-    with converged=False rather than raising.
+    """Geometric median by Weiszfeld iteration from the centroid: one row of
+    ``_weiszfeld_batch``, which holds the on-point test, escape step and stop
+    rule. Raises ``NotConverged`` on reaching ``max_iter``, so ``converged``
+    is always True.
     """
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] < 1:
         raise ValueError("need a non-empty sequence of equal-length vectors")
-
-    y = pts.mean(axis=0)
-    if pts.shape[0] == 1:
-        return MedianSolution(tuple(float(v) for v in y), 0.0, 0, True)
-
-    dist = np.linalg.norm(pts - y, axis=1)  # distances to y, carried between iterations
-    prev_cost = float(dist.sum())
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        on_point = dist < _SNAP
-        if on_point.any():
-            away = pts[~on_point]
-            if away.shape[0] == 0:  # all points coincide
-                converged = True
-                break
-            d_away = np.linalg.norm(away - y, axis=1)
-            r_vec = ((away - y) / d_away[:, None]).sum(axis=0)
-            r_norm = float(np.linalg.norm(r_vec))
-            multiplicity = int(on_point.sum())
-            if r_norm <= multiplicity:  # subgradient contains 0: optimal here
-                converged = True
-                break
-            lipschitz = float((1.0 / d_away).sum())
-            y_next = y + (r_norm - multiplicity) / lipschitz * (r_vec / r_norm)
-        else:
-            w = 1.0 / dist
-            y_next = (pts * w[:, None]).sum(axis=0) / w.sum()
-        dist = np.linalg.norm(pts - y_next, axis=1)
-        cost = float(dist.sum())
-        step = float(np.linalg.norm(y_next - y))
-        y = y_next
-        if abs(prev_cost - cost) <= tolerance * max(1.0, cost) or step <= tolerance:
-            converged = True
-            break
-        prev_cost = cost
-    return MedianSolution(tuple(float(v) for v in y), float(dist.sum()), iterations, converged)
+    costs, centers, iterations = _weiszfeld_batch(pts[None], tolerance, max_iter)
+    return MedianSolution(tuple(centers[0].tolist()), float(costs[0]), int(iterations[0]), True)
 
 
 def weiszfeld_subsets(
@@ -201,17 +161,11 @@ def weiszfeld_subsets(
 
     Returns ``(costs, centers)`` indexed by bitmask: row ``mask`` solves the
     points whose indices are the set bits of ``mask`` (row 0 is unused).
-    Subsets of one size are solved together as a batch, each row following
-    ``weiszfeld``'s rules exactly: same start, on-point test, step and stop
-    rule, with converged rows leaving the batch and the final cost recomputed
-    from the points. Same-size batches keep every reduction in the order the
-    single-subset solver uses, so results agree with it to the last bit away
-    from the on-point branch. Raises ``NotConverged`` if any subset reaches
-    ``max_iter``. More than ``MAX_CONTINUOUS_POINTS`` points raise
-    ``InstanceTooLarge`` before any table is allocated.
+    Subsets of one size are solved together as one ``_weiszfeld_batch``.
+    Raises ``NotConverged`` if any subset reaches ``max_iter``. More than
+    ``MAX_CONTINUOUS_POINTS`` points raise ``InstanceTooLarge`` before any
+    table is allocated.
     """
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
     if len(points) > MAX_CONTINUOUS_POINTS:
         raise InstanceTooLarge(
             f"{len(points)} points exceeds the {MAX_CONTINUOUS_POINTS}-point subset table limit"
@@ -227,29 +181,49 @@ def weiszfeld_subsets(
     for k in range(1, n + 1):
         rows = np.flatnonzero(size == k)
         members = np.nonzero(bits[rows])[1].reshape(len(rows), k)
-        costs[rows], centers[rows] = _weiszfeld_batch(pts[members], tolerance, max_iter)
+        costs[rows], centers[rows], _ = _weiszfeld_batch(pts[members], tolerance, max_iter)
     return costs, centers
 
 
 def _weiszfeld_batch(
     blocks: np.ndarray, tolerance: float, max_iter: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """``weiszfeld`` on each row of a (batch, points, dim) array of equal-size blocks.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Geometric median of each row of a (batch, points, dim) array of
+    equal-size blocks, by Weiszfeld iteration from the centroid. This is the
+    package's one Weiszfeld loop. Returns ``(costs, centers, iterations)``.
 
-    The working arrays hold the unfinished rows only and shrink when rows
-    finish. Each iteration computes distances once, to the new iterate; they
-    give that iterate's cost and the next iteration's weights, and a row's
-    last cost is its result.
+    When an iterate lands within ``_SNAP`` of data points, the classical
+    update is undefined; the subgradient test applies there instead: the
+    point is optimal iff the summed unit vectors R toward the other points
+    have norm at most the multiplicity m of the points it sits on, and
+    otherwise the row steps away along R by (||R|| - m)/L, the step that
+    guarantees progress (L is the summed inverse distance to the others).
+    A row stops when its relative cost change or its center displacement
+    drops below ``tolerance``. Raises ``NotConverged`` if any row reaches
+    ``max_iter``, and ``DomainError`` if a starting cost overflows float.
+
+    Rows never mix: every reduction runs along one row's own points in the
+    same order whatever the batch holds, so a row's result does not depend
+    on the other rows. The working arrays hold the unfinished rows only and
+    shrink when rows finish. Each iteration computes distances once, to the
+    new iterate; they give that iterate's cost and the next iteration's
+    weights, and a row's last cost is its result.
     """
+    if tolerance <= 0:
+        raise ValueError("tolerance must be positive")
     y = blocks.mean(axis=1)
+    iterations = np.zeros(len(blocks), dtype=np.int64)
     if blocks.shape[1] == 1:
-        return np.zeros(len(blocks)), y
+        return np.zeros(len(blocks)), y, iterations
     costs = np.empty(len(blocks))
     active = np.arange(len(blocks))
     pts, ya = blocks, y
-    dist = np.linalg.norm(pts - ya[:, None, :], axis=2)
-    prev_cost = dist.sum(axis=1)
-    for _ in range(max_iter):
+    with np.errstate(over="ignore"):
+        dist = np.linalg.norm(pts - ya[:, None, :], axis=2)
+        prev_cost = dist.sum(axis=1)
+    if not np.isfinite(prev_cost).all():
+        raise DomainError("a distance to the centroid overflows float")
+    for it in range(1, max_iter + 1):
         on_point = dist < _SNAP
         hit = on_point.any(axis=1)
         stopped = np.zeros(len(active), dtype=bool)
@@ -285,16 +259,17 @@ def _weiszfeld_batch(
         done = stopped | (np.abs(prev_cost - cost) <= tolerance * np.maximum(1.0, cost))
         done |= step <= tolerance
         if done.any():
-            costs[active[done]], y[active[done]] = cost[done], y_next[done]
+            finished = active[done]
+            costs[finished], y[finished], iterations[finished] = cost[done], y_next[done], it
             keep = ~done
             active = active[keep]
             if not active.size:
-                return costs, y
+                return costs, y, iterations
             pts, ya, dist, prev_cost = pts[keep], y_next[keep], dist[keep], cost[keep]
         else:
             ya, prev_cost = y_next, cost
     raise NotConverged(
-        f"{active.size} of {len(blocks)} {blocks.shape[1]}-point subsets did not "
+        f"{active.size} of {len(blocks)} {blocks.shape[1]}-point blocks did not "
         f"converge in {max_iter} iterations"
     )
 
@@ -330,16 +305,38 @@ def closed_form_median_cost(g: Graph, cls: Optional[GraphClass] = None) -> Optio
     return None
 
 
-def median_cost(g: Graph, tolerance: float = 1e-12, max_iter: int = 100_000) -> tuple[float, str]:
-    """1-median cost of a cluster: closed form if recognized, else Weiszfeld.
+def median_costs(
+    graphs: Sequence[Graph], tolerance: float = 1e-12, max_iter: int = 100_000
+) -> list[tuple[float, str]]:
+    """``median_cost`` of every graph, in input order.
 
-    Returns (cost, basis).
+    A graph whose class has a closed form gets it. The rest are grouped by
+    (edges, vertices) shape, and each shape's embedded clusters are solved
+    as one ``_weiszfeld_batch``; a row's result does not depend on its batch,
+    so each cost is the one ``weiszfeld`` gives for that graph alone.
     """
-    exact = closed_form_median_cost(g)
-    if exact is not None:
-        return exact, BASIS_CLOSED
-    sol = weiszfeld(cluster_points(g), tolerance=tolerance, max_iter=max_iter)
-    return sol.cost, BASIS_UPPER
+    out: list = [None] * len(graphs)
+    shapes: dict[tuple[int, int], list[int]] = {}
+    for i, g in enumerate(graphs):
+        exact = closed_form_median_cost(g)
+        if exact is None:
+            shapes.setdefault((g.num_edges, g.num_vertices), []).append(i)
+        else:
+            out[i] = (exact, BASIS_CLOSED)
+    for rows in shapes.values():
+        blocks = np.stack([cluster_points(graphs[i]) for i in rows])
+        costs, _, _ = _weiszfeld_batch(blocks, tolerance, max_iter)
+        for i, cost in zip(rows, costs.tolist()):
+            out[i] = (cost, BASIS_UPPER)
+    return out
+
+
+def median_cost(g: Graph, tolerance: float = 1e-12, max_iter: int = 100_000) -> tuple[float, str]:
+    """1-median cost of a cluster: the closed form if its class has one,
+    else Weiszfeld's numerical upper estimate. Returns (cost, basis), and
+    raises ``NotConverged`` if the solve reaches ``max_iter``.
+    """
+    return median_costs([g], tolerance=tolerance, max_iter=max_iter)[0]
 
 
 def one_means_cost(g: Graph) -> Fraction:

@@ -662,11 +662,15 @@ def soundness_assemble(
     cover_single_edge_clusters; if its full-graph fallback fires, that cover
     replaces the union. Finally redundant vertices are pruned in ascending
     order and the (delta, beta)-ceiling is reported next to the realized
-    size.
+    size. beta below 1 or a negative delta raises ``ValueError``.
     """
     _require_triangle_free(g)
     if objective not in ("median", "means"):
         raise ValueError("objective must be 'median' or 'means'")
+    if not beta >= 1:
+        raise ValueError(f"beta must be at least 1, got {beta!r}")
+    if not delta >= 0:
+        raise ValueError(f"delta must be non-negative, got {delta!r}")
     blocks = _normalize_clustering(g, clustering)
     expected = math.ceil(beta * k)
     if len(blocks) != expected:

@@ -40,13 +40,9 @@ from .graphs import (
 
 MODES = ("safe", "ultra_safe")
 
-# The 5-cycle is the one non-bridge graph with no ultra-safe pair (every
-# disjoint-pair removal leaves the 3-edge path, a bridge graph), so ultra
-# mode must accept it as a terminal; its certificate comes from the
-# dedicated two-step argument in certify_c5.
 _TERMINAL = {
     "safe": frozenset({ClassTag.THREE_P2, ClassTag.A_N, ClassTag.L_N}),
-    "ultra_safe": frozenset({ClassTag.THREE_P2, ClassTag.A_N, ClassTag.C5}),
+    "ultra_safe": frozenset({ClassTag.THREE_P2, ClassTag.A_N}),
 }
 
 
@@ -111,11 +107,9 @@ def decompose(g: Graph, mode: str) -> DecompositionTrace:
     """Strip safe pairs until the residual is fundamental.
 
     safe mode ends in {3-P2, A_n, L_n}; ultra_safe never passes through a
-    bridge graph, so it ends in {3-P2, A_n} — or in the 5-cycle, the single
-    shape that is neither a bridge graph nor ultra-decomposable. A
-    non-terminal graph with no qualifying pair contradicts the existence
-    lemmas and raises Stuck (which would indicate a recognizer bug, not an
-    input problem).
+    bridge graph, so it ends in {3-P2, A_n}. A non-terminal graph with no
+    qualifying pair contradicts the existence lemmas and raises Stuck (which
+    would indicate a recognizer bug, not an input problem).
     """
     _check_mode(mode)
     if not is_triangle_free(g):
@@ -161,11 +155,7 @@ def residual_class_bound(cls: GraphClass) -> tuple[str, float]:
 
 def certificate_from_trace(g: Graph, trace: DecompositionTrace) -> LowerBoundCertificate:
     pairs = tuple(("disjoint_pair", 2.0) for _ in trace.removed_pairs)
-    if trace.residual.tag is ClassTag.C5:
-        tail = certify_c5().derivation
-    else:
-        tail = (residual_class_bound(trace.residual),)
-    derivation = pairs + tail
+    derivation = pairs + (residual_class_bound(trace.residual),)
     return LowerBoundCertificate(
         graph_edges=g.num_edges,
         bound=sum(v for _, v in derivation),
@@ -180,19 +170,6 @@ def certify_lower_bound(g: Graph, mode: str) -> LowerBoundCertificate:
     input) guarantees bound >= |g|.
     """
     return certificate_from_trace(g, decompose(g, mode))
-
-
-def certify_c5() -> LowerBoundCertificate:
-    """Lower bound for the 5-cycle: splitting off one disjoint edge pair (a
-    2-P2, cost 2) leaves an A_2, whose proven floor is 3.095. The sum 5.095
-    implies the often-quoted form sqrt(20) + 0.622 ~ 5.0941: the 5-cycle
-    costs measurably more than the 5-edge star's sqrt(20)."""
-    derivation = (("disjoint_pair", 2.0), ("A_2", 3.095))
-    return LowerBoundCertificate(
-        graph_edges=5,
-        bound=sum(v for _, v in derivation),
-        derivation=derivation,
-    )
 
 
 def trace_to_dict(trace: DecompositionTrace) -> dict:

@@ -294,9 +294,6 @@ class ClassTag(str, Enum):
     OTHER_NON_STAR = "OtherNonStar"
 
 
-FUNDAMENTAL_TAGS = frozenset({ClassTag.THREE_P2, ClassTag.A_N, ClassTag.L_N})
-
-
 @dataclass(frozen=True)
 class GraphClass:
     """Recognized structural class with a witness that lets callers re-verify it.
@@ -311,10 +308,6 @@ class GraphClass:
     p: Optional[int] = None
     q: Optional[int] = None
     witness: dict = field(default_factory=dict)
-
-    @property
-    def is_fundamental(self) -> bool:
-        return self.tag in FUNDAMENTAL_TAGS
 
     def describe(self) -> str:
         if self.tag is ClassTag.A_N:

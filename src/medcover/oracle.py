@@ -8,12 +8,13 @@ constructive machinery is tested against, so they share no code with it
 beyond the basic Graph container and the 1-median solver.
 
 The continuous oracle builds its block-cost tables in one pass before the
-DP: the 1-median of all 2^n - 1 point subsets by a batched Weiszfeld
-(``costs.weiszfeld_subsets``, which follows ``weiszfeld``'s rules row by row
-and raises ``NotConverged`` rather than return an unconverged cost), and the
-centroid cost of every subset from exact integer subset sums. The subset DP
-then keeps each layer as a float64 array over all 2^n masks and builds it in
-numpy from the previous one. Its result is the same, bit for bit, as a
+DP: the 1-median of all 2^n - 1 point subsets by the batched Weiszfeld
+loop (``costs.weiszfeld_subsets``, which runs one batch per subset size and
+raises ``NotConverged`` rather than return an unconverged cost), and the
+centroid cost of every subset from exact integer subset sums; a cost that
+overflows float raises ``DomainError``. The subset DP then keeps each layer
+as a float64 array over all 2^n masks and builds it in numpy from the
+previous one. Its result is the same, bit for bit, as a
 Python loop over dicts that resolves ties first-wins within 1e-15: every
 mask takes the first candidate, in that loop's order, of its cheapest ones,
 and the few masks with two candidates closer than a 1e-14 window replay the
@@ -240,10 +241,13 @@ def _solved_up_to(inst: ClusteringInstance, tolerance: float, kmax: int) -> _Sol
         solved = _last
         if solved is None or solved.key != key:
             _last = solved = None  # free the old tables before building new ones
-            if inst.objective == "median":
-                cost_table, center_table = weiszfeld_subsets(inst.points, tolerance=tolerance)
-            else:
-                cost_table, center_table = _centroid_table(inst.points)
+            try:
+                if inst.objective == "median":
+                    cost_table, center_table = weiszfeld_subsets(inst.points, tolerance=tolerance)
+                else:
+                    cost_table, center_table = _centroid_table(inst.points)
+            except OverflowError:  # an exact cost too large for a float
+                raise DomainError("a block cost overflows float") from None
             if not np.isfinite(cost_table[1:]).all():
                 raise DomainError("a block cost is not finite")
             empty = np.full(1 << n, math.inf)  # layer 0: only the empty mask, with no block

@@ -14,6 +14,7 @@ the hyperedge) or d+1 (not).
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -45,10 +46,14 @@ class ClusteringInstance:
         for x in self.points:
             if len(x) != self.dimension:
                 raise ValueError("point dimension mismatch")
+            if not all(math.isfinite(v) for v in x):
+                raise ValueError(f"point {x} has a non-finite coordinate")
         if self.candidate_centers is not None:
             for c in self.candidate_centers:
                 if len(c) != self.dimension:
                     raise ValueError("center dimension mismatch")
+                if not all(math.isfinite(v) for v in c):
+                    raise ValueError(f"center {c} has a non-finite coordinate")
 
 
 @dataclass(frozen=True)
@@ -70,10 +75,6 @@ class HypergraphInstance:
                 raise ValueError(f"hyperedge {f} does not have {self.d} distinct vertices")
             if any(not 0 <= u < self.num_vertices for u in f):
                 raise ValueError(f"hyperedge {f} out of range")
-
-    @property
-    def num_hyperedges(self) -> int:
-        return len(self.hyperedges)
 
 
 @dataclass(frozen=True)

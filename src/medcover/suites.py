@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Iterable, Optional
+from typing import Callable
 
 from .costs import (
     a_n_median_cost,
@@ -19,7 +19,7 @@ from .costs import (
     disjoint_edges_median_cost,
     extra_cost,
     l1_median_cost,
-    one_means_cost,
+    median_costs,
     simplex_median_cost,
     star_median_cost,
     weiszfeld,
@@ -115,22 +115,21 @@ def suite_closed_forms() -> dict:
     return _suite("closed_forms", checks, failures)
 
 
-def _enumerated(max_edges: int, include_disconnected: bool = False) -> Iterable[Graph]:
-    return enumerate_triangle_free(max_edges, include_disconnected=include_disconnected)
+def _nonstars(max_edges: int) -> list[Graph]:
+    """The connected triangle-free non-star graphs up to ``max_edges`` edges."""
+    return [g for g in enumerate_triangle_free(max_edges) if not is_star(g)]
 
 
 def suite_decomposition(max_edges: int = 7) -> dict:
     """Certified lower bounds bracket the true cost on every connected
     triangle-free non-star graph up to max_edges edges: safe certificates
     sit in [|F|-0.342, true cost]; ultra certificates (non-bridge graphs)
-    reach |F|."""
+    reach |F|. The true cost is ``median_cost``'s, solved as one batch."""
     failures: list[str] = []
     checks = 0
-    for g in _enumerated(max_edges):
-        if is_star(g):
-            continue
+    graphs = _nonstars(max_edges)
+    for g, (true_cost, _) in zip(graphs, median_costs(graphs)):
         m = g.num_edges
-        true_cost = _embedded_median_cost(g)
         cert = certify_lower_bound(g, "safe")
         checks += 1
         if cert.bound > true_cost + 1e-6:
@@ -153,16 +152,16 @@ def suite_decomposition(max_edges: int = 7) -> dict:
 
 def suite_extra_cost(max_edges: int = 7) -> dict:
     """Extra-cost floors for every enumerated connected non-star graph:
-    the numerical median floor 0.158 and the exact rational means floor 2/3."""
+    the numerical median floor 0.158 and the exact rational means floor 2/3.
+    The median costs are ``median_cost``'s, solved as one batch."""
     failures: list[str] = []
     checks = 0
-    for g in _enumerated(max_edges):
-        if is_star(g):
-            continue
-        med = extra_cost(g, "median")
+    graphs = _nonstars(max_edges)
+    for g, (cost, _) in zip(graphs, median_costs(graphs)):
+        med = cost - star_median_cost(g.num_edges)
         checks += 1
-        if float(med.value) < 0.158 - 1e-6:
-            failures.append(f"median extra cost below floor on {g.edges}: {med.value!r}")
+        if med < 0.158 - 1e-6:
+            failures.append(f"median extra cost below floor on {g.edges}: {med!r}")
         mean = extra_cost(g, "means")
         checks += 1
         if not (isinstance(mean.value, Fraction) and mean.value >= Fraction(2, 3)):
@@ -228,9 +227,7 @@ def suite_covers(max_edges: int = 7) -> dict:
     1.8+(sqrt2+1)*delta, and means covers within 1+(5/2)*delta exactly."""
     failures: list[str] = []
     checks = 0
-    for g in _enumerated(max_edges):
-        if is_star(g):
-            continue
+    for g in _nonstars(max_edges):
         m = maximum_matching(g)
         nu = len(m)
         if nu == 2:

@@ -60,7 +60,9 @@ def test_decompose_reports_both_modes_for_c5(capsys, c5_file):
     payload = json.loads(stdout)
     assert payload["class"] == "C5"
     assert payload["safe"]["bound"] == pytest.approx(5.0955735647785594, abs=1e-9)
-    assert payload["ultra_safe"]["bound"] == pytest.approx(5.095, abs=1e-9)
+    # ultra mode strips the same pair and certifies the same 2 + A_2
+    assert payload["ultra_safe"]["bound"] == payload["safe"]["bound"]
+    assert payload["ultra_safe"]["trace"]["residual"] == {"n": 2, "tag": "A_n"}
 
 
 def test_decompose_skips_ultra_for_bridge_graphs(capsys, p4_file):
@@ -123,6 +125,34 @@ def test_malformed_instance_json_is_a_clean_error(tmp_path, capsys):
     assert code == 1
     assert stderr.startswith("error:")
     assert "missing fields" in stderr
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["cover", "--k", "3", "--beta", "0.5"], "beta must be at least 1"),
+    (["cover", "--k", "3", "--delta", "-1"], "delta must be non-negative"),
+    (["sweep", "--n", "7", "--trials", "1", "--beta", "0.5"], "beta must be at least 1"),
+    (["sweep", "--n", "7", "--trials", "1", "--delta", "-1"], "delta must be non-negative"),
+])
+def test_out_of_range_beta_and_delta_are_clean_errors(tmp_path, capsys, c5_file, argv, message):
+    out = tmp_path / "out"
+    graph = ["--graph", c5_file] if argv[0] == "cover" else []
+    code, _, stderr = run(capsys, *argv, *graph, "--out", str(out))
+    assert code == 1
+    assert stderr.startswith("error:") and message in stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("points", [
+    "[[0.0, 0.0], [Infinity, 1.0]]",  # json reads Infinity
+    "[[1e200, 0.0], [0.5, 0.0], [-1e200, 0.0]]",  # finite, but the costs overflow
+])
+@pytest.mark.parametrize("objective", ["median", "means"])
+def test_non_finite_instances_are_clean_errors(tmp_path, capsys, points, objective):
+    inst = tmp_path / "inst.json"
+    inst.write_text(f'{{"dimension": 2, "k": 1, "objective": "{objective}", "points": {points}}}')
+    code, _, stderr = run(capsys, "oracle", "--graph", str(inst))
+    assert code == 1
+    assert stderr.startswith("error:")
 
 
 def test_unknown_command_exits_two(capsys):

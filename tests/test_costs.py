@@ -22,6 +22,7 @@ from medcover.costs import (
     extra_cost,
     l1_median_cost,
     median_cost,
+    median_costs,
     one_means_cost,
     simplex_median_cost,
     sqrt_bound,
@@ -267,11 +268,12 @@ def _weiszfeld_batch_reference(blocks, tolerance, max_iter):
         return np.linalg.norm(pts - y[:, None, :], axis=2).sum(axis=1)
 
     y = blocks.mean(axis=1)
+    iterations = np.zeros(len(blocks), dtype=np.int64)
     if blocks.shape[1] == 1:
-        return np.zeros(len(blocks)), y
+        return np.zeros(len(blocks)), y, iterations
     prev_cost = total_cost(blocks, y)
     active = np.arange(len(blocks))
-    for _ in range(max_iter):
+    for it in range(1, max_iter + 1):
         pts, ya = blocks[active], y[active]
         diff = pts - ya[:, None, :]
         dist = np.linalg.norm(diff, axis=2)
@@ -305,9 +307,10 @@ def _weiszfeld_batch_reference(blocks, tolerance, max_iter):
         done |= step <= tolerance
         y[active] = y_next
         prev_cost[active] = cost
+        iterations[active[done]] = it
         active = active[~done]
         if not active.size:
-            return total_cost(blocks, y), y
+            return total_cost(blocks, y), y, iterations
     raise NotConverged(f"{active.size} subsets did not converge in {max_iter} iterations")
 
 
@@ -356,6 +359,30 @@ def test_weiszfeld_keeps_the_cross_stall():
     assert _hex_solution(sol.center, sol.cost, sol.iterations, sol.converged) == (
         _hex_solution(*_weiszfeld_two_norm(CROSS))
     )
+
+
+def test_weiszfeld_raises_at_max_iter():
+    with pytest.raises(NotConverged):
+        weiszfeld(CROSS, max_iter=100)
+
+
+def test_median_costs_equal_the_closed_form_or_the_two_norm_loop():
+    graphs = list(enumerate_triangle_free(8))
+    graphs += enumerate_triangle_free(6, include_disconnected=True)
+    random.Random(11).shuffle(graphs)  # a wrong row-to-graph mapping shows
+    batched = median_costs(graphs)
+    numeric = 0
+    for g, (cost, basis) in zip(graphs, batched):
+        exact = closed_form_median_cost(g)
+        if exact is None:
+            _, want, _, _ = _weiszfeld_two_norm(cluster_points(g))
+            assert basis == "numerical_upper", g.edges
+            numeric += 1
+        else:
+            want = exact
+            assert basis == "exact_closed_form", g.edges
+        assert float(cost).hex() == float(want).hex(), g.edges
+    assert numeric > 200  # 244 of the 266 graphs have no closed form
 
 
 @pytest.mark.parametrize("points", [

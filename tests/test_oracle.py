@@ -296,11 +296,13 @@ def test_array_dp_matches_the_dict_loop_bit_for_bit(family):
 
 
 def test_continuous_rejects_non_finite_block_costs():
-    # the centroid of any block holding the infinite point costs nan
-    inst = ClusteringInstance(2, ((0.5, 0.0), (math.inf, 0.0), (1.5, 0.0)), 2, "means")
-    with pytest.raises(DomainError):
-        opt_continuous(inst)
-    assert oracle._last is None
+    # finite points whose costs overflow float: the exact means cost of the
+    # pair is 2e400, and the median's distances square past the float range
+    for objective in ("median", "means"):
+        inst = ClusteringInstance(2, ((1e200, 0.0), (0.5, 0.0), (-1e200, 0.0)), 2, objective)
+        with pytest.raises(DomainError):
+            opt_continuous(inst)
+        assert oracle._last is None
 
 
 def test_discrete_hypergraph_cover_geometry():

@@ -7,6 +7,7 @@ import pytest
 
 from medcover.graphs import graph_from_edges
 from medcover.reduction import (
+    ClusteringInstance,
     HypergraphInstance,
     auto_no_regime,
     instance_from_json,
@@ -69,6 +70,18 @@ def test_instance_json_round_trip():
     assert there_and_back == inst
     # serialization is canonical: a second pass is byte-identical
     assert instance_to_json(there_and_back) == instance_to_json(inst)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_non_finite_coordinates_are_rejected(bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        ClusteringInstance(2, ((0.0, 0.0), (bad, 1.0)), 1, "median")
+    with pytest.raises(ValueError, match="non-finite"):
+        ClusteringInstance(1, ((0.0,),), 1, "median", ((bad,),))
+    text = json.dumps({"dimension": 1, "k": 1, "objective": "means", "points": [[0.0], [bad]]})
+    assert "Infinity" in text or "NaN" in text  # json writes and reads these
+    with pytest.raises(ValueError, match="non-finite"):
+        instance_from_json(text)
 
 
 # ---------------------------------------------------------------------------
