@@ -18,9 +18,10 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .costs import (
+    BASIS_CLOSED,
+    BASIS_UPPER,
     closed_form_median_cost,
     cluster_points,
-    extra_cost,
     weiszfeld,
 )
 from .covers import SoundnessReport, soundness_assemble
@@ -137,8 +138,11 @@ def cmd_median(args: argparse.Namespace) -> int:
         "closed_form": closed,
     }
     if not is_star(g):
-        extra = extra_cost(g, "median", tolerance=args.tol)
-        payload["extra_cost"] = {"value": _num(extra.value), "basis": extra.basis}
+        # extra_cost(g, "median") without solving again: the closed form if
+        # there is one, else the cost of the solve above
+        r = g.num_edges
+        cost, basis = (sol.cost, BASIS_UPPER) if closed is None else (closed, BASIS_CLOSED)
+        payload["extra_cost"] = {"value": cost - math.sqrt(r * (r - 1)), "basis": basis}
     _emit(_json(payload), args.out)
     return 0
 
@@ -213,9 +217,16 @@ def _report_payload(rep: SoundnessReport) -> dict:
     }
 
 
+def _blocks_needed(beta: float, k: int) -> int:
+    """ceil(beta * k), the number of blocks cover extraction runs at."""
+    if not math.isfinite(beta * k):  # inf, nan, or a product past the float range
+        raise MedcoverError(f"beta * k must be finite, got beta = {beta!r}, k = {k}")
+    return math.ceil(beta * k)
+
+
 def cmd_cover(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
-    blocks_needed = math.ceil(args.beta * args.k)
+    blocks_needed = _blocks_needed(args.beta, args.k)
     if blocks_needed > g.num_edges:
         raise MedcoverError(
             f"ceil(beta*k) = {blocks_needed} blocks exceed the {g.num_edges} edges"
@@ -238,7 +249,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     text = _read_text(args.graph)
     if text.lstrip().startswith("{"):
         inst = instance_from_json(text)
-        rep = opt_discrete(inst) if inst.candidate_centers else opt_continuous(inst)
+        rep = opt_discrete(inst) if inst.candidate_centers is not None else opt_continuous(inst)
     else:
         if args.k is None:
             raise MedcoverError("--k is required when the input is an edge list")
@@ -293,7 +304,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             continue
         m = g.num_edges
         k = len(min_vertex_cover(g))
-        blocks_needed = math.ceil(args.beta * k)
+        blocks_needed = _blocks_needed(args.beta, k)
         # the other objective first, so the two args.objective solves (at k,
         # then at blocks_needed) run back to back and share the oracle's tables
         other = "means" if args.objective == "median" else "median"

@@ -22,8 +22,10 @@ loop exactly. One module-level slot holds the last instance's tables and DP
 layers, keyed on (objective, exact point tuples, tolerance): asking for the
 same points at another k reuses the tables and extends the layers, a new key
 drops the slot before its own tables are built, and a build that raises
-leaves the slot empty. The discrete oracle scores its center subsets in
-numpy batches with the same float additions, in the same order, as a
+leaves the slot empty. The discrete oracle walks its center subsets as a
+combination tree in slices of at most ``DISCRETE_CHUNK``: a child extends
+its prefix's nearest-center distances by one ``np.minimum``, and each
+subset's cost takes the same float additions, in the same order, as a
 per-subset sum.
 
 ``canonical_form`` finds the least adjacency bitstring one row at a time,
@@ -52,7 +54,7 @@ from .graphs import Graph, is_triangle_free, is_vertex_cover
 from .reduction import ClusteringInstance
 
 MAX_DISCRETE_SUBSETS = 10**6
-DISCRETE_CHUNK = 1024  # center subsets scored per numpy batch
+DISCRETE_CHUNK = 1024  # prefixes or center subsets per slice of the discrete walk
 MAX_VC_EDGES = 24
 MAX_ENUM_EDGES = 8
 MAX_CANON_STATES = 50_000
@@ -318,18 +320,147 @@ def opt_continuous(inst: ClusteringInstance, tolerance: float = 1e-12) -> Oracle
     )
 
 
+def _distance_table(inst: ClusteringInstance) -> np.ndarray:
+    """Row c holds each point's distance to candidate center c (squared for
+    means), with the float operations of
+    ``sum((a - b) ** 2 for a, b in zip(p, c))`` and, for median,
+    ``math.sqrt``: coordinate differences, squares by ``np.float_power``,
+    which calls libm's ``pow`` as Python's ``**`` does (``np.square`` and an
+    array's ``** 2`` multiply instead, which rounds the last bit differently
+    for about one double in a thousand), added in coordinate order onto 0.0.
+    Coordinates are squared a block at a time, at most ``DISCRETE_CHUNK`` x
+    points squares, so the dimension adds no memory beyond the inputs. A
+    finite difference whose square overflows raises ``DomainError``.
+    """
+    m, n = len(inst.points), len(inst.candidate_centers)
+    points = np.array(inst.points, dtype=float).reshape(m, inst.dimension)
+    centers = np.array(inst.candidate_centers, dtype=float).reshape(n, inst.dimension)
+    table = np.zeros((n, m))
+    step = max(1, DISCRETE_CHUNK // n)  # coordinates per block
+    for lo in range(0, inst.dimension, step):
+        # [coordinate, center, point]
+        diff = points.T[lo:lo + step, None, :] - centers.T[lo:lo + step, :, None]
+        squares = np.float_power(diff, 2.0)
+        if (np.isinf(squares) & np.isfinite(diff)).any():
+            raise DomainError("a squared distance overflows float")
+        for layer in squares:
+            table += layer
+    return table if inst.objective == "means" else np.sqrt(table)
+
+
+@dataclass
+class _TreeLevel:
+    """The children of one slice of prefixes in ``_cheapest_subset``'s walk."""
+
+    near: np.ndarray  # each prefix's distance from every point to its nearest center
+    parent: np.ndarray  # each child's prefix, as a row of ``near``
+    last: np.ndarray  # each child's newest center
+    start: int = 0  # the children in [start, stop) are being walked
+    stop: int = 0
+
+
+def _cheapest_subset(table: np.ndarray, k: int) -> tuple[float, Optional[tuple[int, ...]]]:
+    """The k-subset of the table's rows, and its cost, that a scan in
+    ``itertools.combinations`` order keeps when it replaces its best only
+    with a subset cheaper by more than 1e-15; ``(inf, None)`` when no cost
+    is finite.
+
+    The subsets are walked depth first as a combination tree. A prefix is
+    kept as each point's distance to its nearest chosen center, and a child
+    adds one center with one ``np.minimum``. Each level is walked in slices
+    of at most ``DISCRETE_CHUNK`` prefixes or subsets, and a slice of
+    prefixes is cut short where their children would pass ``DISCRETE_CHUNK``
+    x points (one prefix is always taken). A level thus holds at most
+    ``DISCRETE_CHUNK`` x points distances and max(``DISCRETE_CHUNK`` x
+    points, n - k + 1) child indices, whatever C(n, k) is. A subset's cost
+    adds its points' distances in point order onto 0.0, as a ``sum`` over
+    the points does.
+
+    Within a slice, only subsets cheaper than the best so far by more than
+    1e-15 can take its place, and the chain of such replacements ends near
+    the slice's least cost ``low`` (the argument of ``_extend``). When no
+    other cost lies in (low, low + width], width = 1e-14 * max(1, low),
+    the chain ends on the first subset at ``low``. Otherwise it is replayed
+    in Python: over the subsets up to low + width when no cost lies in
+    (low + width, low + 2 width], since costlier subsets can then neither
+    win nor block those, and over the whole slice when one does.
+    """
+    n, m = table.shape
+    best_cost: float = math.inf
+    best_subset: Optional[tuple[int, ...]] = None
+
+    def level(depth: int, near: np.ndarray, last: np.ndarray) -> _TreeLevel:
+        """The children of the prefixes that end at ``last``; the center at
+        ``depth`` (counting from 0) is at most n - k + depth."""
+        count = n - k + depth - last
+        parent = np.repeat(np.arange(len(last)), count)
+        first = last + 1 - (np.cumsum(count) - count)
+        return _TreeLevel(near, parent, np.arange(len(parent)) + first.take(parent))
+
+    stack = [level(0, np.full((1, m), math.inf), np.array([-1]))]
+    while stack:
+        top = stack[-1]
+        if top.stop >= len(top.parent):
+            stack.pop()
+            continue
+        top.start = top.stop
+        last = top.last[top.start:top.start + DISCRETE_CHUNK]
+        if len(stack) < k and len(last) * (n - k + 1) > DISCRETE_CHUNK * m:
+            children = np.cumsum(n - k + len(stack) - last)
+            last = last[:max(1, int(np.searchsorted(children, DISCRETE_CHUNK * m, side="right")))]
+        top.stop = top.start + len(last)
+        near = top.near.take(top.parent[top.start:top.stop], 0)
+        np.minimum(near, table.take(last, 0), out=near)
+        if len(stack) < k:
+            stack.append(level(len(stack), near, last))
+            continue
+        costs = np.zeros(len(near))
+        for column in near.T:
+            costs += column
+        i = int(costs.argmin())  # the first subset at the slice's least cost
+        low = float(costs[i])
+        if not low < best_cost - 1e-15:
+            continue
+        width = 1e-14 * max(1.0, low)
+        close = np.flatnonzero(costs <= low + 2 * width)
+        band = costs[close]
+        inner = band <= low + width
+        if not (band[inner] == low).all():
+            value = best_cost
+            order = close if inner.all() else np.flatnonzero(costs < best_cost - 1e-15)
+            for j, cost in zip(order.tolist(), costs[order].tolist()):
+                if cost < value - 1e-15:
+                    value, i = cost, j
+            low = value
+        best_cost = low
+        subset = []
+        for frame in reversed(stack):  # follow the winner's prefixes up to the root
+            i += frame.start
+            subset.append(int(frame.last[i]))
+            i = int(frame.parent[i])
+        best_subset = tuple(reversed(subset))
+    return best_cost, best_subset
+
+
 def opt_discrete(inst: ClusteringInstance) -> OracleReport:
     """Exact optimum when centers must come from the candidate list: try
     every k-subset, assign each point to its nearest chosen center.
 
-    Subsets are scanned in ``itertools.combinations`` order, in chunks of
-    ``DISCRETE_CHUNK`` index rows. A subset's cost adds each point's nearest
-    chosen distance in point order, the same float additions as a plain
-    ``sum``, and the first subset cheaper than the best so far by more than
-    1e-15 wins, so ties resolve to the earliest subset.
+    A subset's cost adds each point's nearest chosen distance in point
+    order, and the first subset, in ``itertools.combinations`` order,
+    cheaper than the best before it by more than 1e-15 wins, so ties
+    resolve to the earliest subset. The distances are tabulated in numpy
+    (``_distance_table``) and the subsets walked as a combination tree in
+    slices of at most ``DISCRETE_CHUNK`` (``_cheapest_subset``); costs,
+    partition and centers equal a one-subset-at-a-time scan bit for bit.
+    No points, no candidate centers, or k above their count raise
+    ``PreconditionViolated``, and more than ``MAX_DISCRETE_SUBSETS``
+    subsets raise ``InstanceTooLarge``, before anything is built.
     """
     if inst.candidate_centers is None:
         raise PreconditionViolated("instance has no candidate centers")
+    if not inst.points:
+        raise PreconditionViolated("instance has no points")
     centers = inst.candidate_centers
     if inst.k > len(centers):
         raise PreconditionViolated(f"k={inst.k} exceeds the {len(centers)} candidate centers")
@@ -337,33 +468,16 @@ def opt_discrete(inst: ClusteringInstance) -> OracleReport:
         raise InstanceTooLarge(
             f"C({len(centers)}, {inst.k}) subsets exceed the {MAX_DISCRETE_SUBSETS} limit"
         )
-    squared = inst.objective == "means"
-
-    def dist(p: Sequence[float], c: Sequence[float]) -> float:
-        s = sum((a - b) ** 2 for a, b in zip(p, c))
-        return s if squared else math.sqrt(s)
-
-    d = [[dist(p, c) for c in centers] for p in inst.points]
-    table = np.array(d, dtype=float)
-    best_cost = math.inf
-    best_subset: Optional[tuple[int, ...]] = None
-    subsets = itertools.combinations(range(len(centers)), inst.k)
-    while chunk := list(itertools.islice(subsets, DISCRETE_CHUNK)):
-        slots = np.array(chunk, dtype=np.intp).T.copy()  # row j: each subset's j-th center
-        costs = np.zeros(len(chunk))
-        for row in table:
-            costs += row[slots].min(axis=0)
-        # only subsets below the chunk's starting bar can win the scan
-        for i in np.flatnonzero(costs < best_cost - 1e-15).tolist():
-            cost = float(costs[i])
-            if cost < best_cost - 1e-15:
-                best_cost, best_subset = cost, chunk[i]
+    with np.errstate(over="ignore"):  # a float sum that overflows is inf, as in Python
+        table = _distance_table(inst)
+        best_cost, best_subset = _cheapest_subset(table, inst.k)
     if best_subset is None:
         raise PreconditionViolated("no center subset has a finite cost")
+    # argmin takes the first of equal distances: the lowest center index
+    homes = table[list(best_subset)].argmin(axis=0).tolist()
     assignment: dict[int, list[int]] = {c: [] for c in best_subset}
-    for i, row in enumerate(d):
-        home = min(best_subset, key=lambda c: (row[c], c))
-        assignment[home].append(i)
+    for i, h in enumerate(homes):
+        assignment[best_subset[h]].append(i)
     pairs = [(tuple(pts), centers[c]) for c, pts in assignment.items() if pts]
     pairs.sort()
     return OracleReport(

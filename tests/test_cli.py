@@ -4,7 +4,10 @@ import json
 
 import pytest
 
+from medcover import costs
 from medcover.cli import main
+from medcover.costs import closed_form_median_cost, cluster_points, extra_cost, weiszfeld
+from medcover.graphs import parse_edge_list
 from medcover.reduction import instance_from_json
 
 C5_TEXT = "0 1\n1 2\n2 3\n3 4\n0 4\n"
@@ -52,6 +55,30 @@ def test_median_reports_closed_form_when_it_exists(capsys, p4_file):
     assert payload["converged"] is True
     assert payload["closed_form"] == pytest.approx(payload["cost"], abs=1e-6)
     assert payload["extra_cost"]["value"] > 0.158
+
+
+@pytest.mark.parametrize("text", [C5_TEXT, P4_TEXT], ids=["c5-no-closed-form", "p4-closed-form"])
+def test_median_solves_once_and_reports_what_extra_cost_reports(monkeypatch, tmp_path, capsys, text):
+    graph = tmp_path / "g.txt"
+    graph.write_text(text)
+    g = parse_edge_list(text)
+    sol = weiszfeld(cluster_points(g))
+    extra = extra_cost(g, "median")
+    expected = {
+        "cost": sol.cost,
+        "center": list(sol.center),
+        "iterations": sol.iterations,
+        "converged": sol.converged,
+        "closed_form": closed_form_median_cost(g),
+        "extra_cost": {"value": extra.value, "basis": extra.basis},
+    }
+    batch = costs._weiszfeld_batch
+    calls = []
+    monkeypatch.setattr(costs, "_weiszfeld_batch", lambda *a: calls.append(1) or batch(*a))
+    code, stdout, _ = run(capsys, "median", "--graph", str(graph))
+    assert code == 0
+    assert stdout == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+    assert len(calls) == 1
 
 
 def test_decompose_reports_both_modes_for_c5(capsys, c5_file):
@@ -103,6 +130,19 @@ def test_oracle_on_instance_json(tmp_path, capsys):
     assert payload["method"] == "center_subset_enum"
 
 
+def test_oracle_with_an_empty_candidate_list_is_a_clean_error(tmp_path, capsys):
+    # an empty list restricts the centers to nothing; it is not the continuous case
+    inst = tmp_path / "inst.json"
+    inst.write_text(
+        '{"dimension": 1, "k": 1, "objective": "median", '
+        '"points": [[0.0], [1.0], [5.0]], "candidate_centers": []}'
+    )
+    code, stdout, stderr = run(capsys, "oracle", "--graph", str(inst))
+    assert code == 1
+    assert stdout == ""
+    assert stderr.startswith("error:") and "candidate centers" in stderr
+
+
 def test_missing_file_is_a_clean_error(capsys):
     code, _, stderr = run(capsys, "median", "--graph", "/nonexistent/x.txt")
     assert code == 1
@@ -139,6 +179,22 @@ def test_out_of_range_beta_and_delta_are_clean_errors(tmp_path, capsys, c5_file,
     code, _, stderr = run(capsys, *argv, *graph, "--out", str(out))
     assert code == 1
     assert stderr.startswith("error:") and message in stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, beta", [
+    ("cover", "inf"),
+    ("cover", "nan"),
+    ("cover", "1e308"),  # finite, but beta * 3 is not
+    ("sweep", "inf"),
+    ("sweep", "nan"),
+])
+def test_non_finite_beta_is_a_clean_error(tmp_path, capsys, c5_file, command, beta):
+    out = tmp_path / "out"
+    args = ["--graph", c5_file, "--k", "3"] if command == "cover" else ["--n", "7", "--trials", "1"]
+    code, _, stderr = run(capsys, command, *args, "--beta", beta, "--out", str(out))
+    assert code == 1
+    assert stderr.startswith(f"error: beta * k must be finite, got beta = {float(beta)!r}")
     assert not out.exists()
 
 

@@ -325,6 +325,13 @@ def test_assemble_rejects_bad_partitions(blocks):
         soundness_assemble(g, blocks, k=2, objective="median")
 
 
+@pytest.mark.parametrize("beta", [0.5, math.nan, math.inf])
+def test_assemble_rejects_beta_below_one_or_not_finite(beta):
+    # ceil(inf * k) would raise OverflowError past the beta check
+    with pytest.raises(ValueError, match="beta must be"):
+        soundness_assemble(graph_from_edges(C5), [[0, 1, 2], [3, 4]], k=2, beta=beta)
+
+
 def test_assemble_random_battery():
     for seed in range(25):
         rng = random.Random(seed)

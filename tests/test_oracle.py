@@ -6,6 +6,7 @@ import math
 import random
 import sys
 import threading
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -370,21 +371,181 @@ def _tie_prone_instances(seed, count):
         yield ClusteringInstance(dim, points, k, rng.choice(["median", "means"]), centers)
 
 
+def _assert_matches_subset_loop(inst):
+    rep = opt_discrete(inst)
+    cost, partition, centers = _discrete_by_subset_loop(inst)
+    assert (rep.optimal_cost.hex(), rep.partition, rep.centers) == (
+        cost.hex(), partition, centers
+    ), inst
+
+
+def _extreme_k_instances(seed):
+    """k = 1, 2, n - 1 and n over n candidate centers, on both objectives."""
+    rng = random.Random(seed)
+    for n in range(1, 10):
+        dim = rng.randint(1, 3)
+        centers = tuple(tuple(rng.uniform(-2, 2) for _ in range(dim)) for _ in range(n))
+        points = tuple(tuple(rng.uniform(-2, 2) for _ in range(dim)) for _ in range(rng.randint(1, 9)))
+        for k in sorted({1, 2, n - 1, n} & set(range(1, n + 1))):
+            for objective in ("median", "means"):
+                yield ClusteringInstance(dim, points, k, objective, centers)
+
+
+def _large_cost_instances(seed, count):
+    """Every point at least 3,000 from every center, so every cost is above
+    1e3 and 1e-15 is below one ulp of it."""
+    for inst in _tie_prone_instances(seed, count):
+        scale = 1e4 if inst.objective == "median" else 200.0
+
+        def grow(vectors, shift):  # integer grid offsets, so points sit 0.3 * scale off the grid
+            return tuple((x[0] * scale + shift, *(v * scale for v in x[1:])) for x in vectors)
+
+        yield dataclasses.replace(
+            inst,
+            points=grow(inst.points, 0.3 * scale),
+            candidate_centers=grow(inst.candidate_centers, 0.0),
+        )
+
+
+def _near_tie_instances(seed, count):
+    """Each center next to a copy nudged by 1 to 200 ulps per coordinate, so
+    subsets that swap a center for its copy cost a few ulps more or less:
+    inside the 1e-15 rule, inside the 1e-14 replay band, and just above it."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        dim = rng.randint(1, 2)
+        scale = rng.choice([1.0, 1.0, 1e3])
+        base = [tuple(rng.uniform(-3, 3) * scale for _ in range(dim)) for _ in range(rng.randint(2, 4))]
+        centers = []
+        for b in base:
+            centers.append(b)
+            centers.append(tuple(v + rng.randint(-200, 200) * math.ulp(v) for v in b))
+        points = tuple(
+            tuple(v + rng.uniform(-1, 1) * scale for v in rng.choice(base))
+            for _ in range(rng.randint(2, 8))
+        )
+        k = rng.randint(1, len(centers))
+        yield ClusteringInstance(dim, points, k, rng.choice(["median", "means"]), tuple(centers))
+
+
+def _pow_rounding_instances(seed):
+    """One point and one center at 0, so the cost is the point's square. The
+    points come from a seeded stream where libm's pow(x, 2.0), which ``**``
+    calls, rounds differently from x * x (if it ever does)."""
+    rng = random.Random(seed)
+    xs = [x for x in (rng.uniform(-1e3, 1e3) for _ in range(50_000)) if x ** 2 != x * x]
+    for x in xs[:8] or [rng.uniform(-1e3, 1e3)]:
+        for objective in ("median", "means"):
+            yield ClusteringInstance(1, ((x,),), 1, objective, ((0.0,),))
+
+
 @pytest.mark.parametrize("chunk", [3, oracle.DISCRETE_CHUNK])
 def test_discrete_matches_subset_loop_bit_for_bit(monkeypatch, chunk):
-    # a 3-subset chunk makes the first-wins rule span many batches
+    # a 3-subset chunk makes the first-wins rule span many batches, and
+    # divides few prefixes' child counts, so slices split sibling runs
     monkeypatch.setattr(oracle, "DISCRETE_CHUNK", chunk)
     hyper = [
         HypergraphInstance(3, 7, ((0, 1, 2), (2, 3, 4), (4, 5, 6), (0, 3, 6), (1, 4, 6)), k)
         for k in (1, 2, 3)
     ]
-    cases = [*_tie_prone_instances(11, 40), *(reduce_hypergraph(h) for h in hyper)]
+    cases = [
+        *_tie_prone_instances(11, 40),
+        *(reduce_hypergraph(h) for h in hyper),
+        *_extreme_k_instances(5),
+        *_large_cost_instances(12, 30),
+        *_near_tie_instances(13, 60),
+        *_pow_rounding_instances(3),
+    ]
     for inst in cases:
+        _assert_matches_subset_loop(inst)
+
+
+def test_discrete_replays_the_whole_slice_when_no_gap_closes_the_band():
+    # k = 1 and one point at the origin, so each subset costs its center's
+    # coordinate. The least cost is 0.5, and the replay band (1e-14, 90 ulps
+    # above it) holds costs 88, 79, ..., 7 and 0 ulps up: 9 ulps apart, where
+    # the 1e-15 rule needs 10. The cost 95 ulps up comes first and blocks the
+    # one 88 up, so the scan ends 7 ulps up; replayed over the band alone,
+    # the chain would take 88 and end on 0.5.
+    ulp = math.ulp(0.5)
+    centers = tuple((0.5 + m * ulp,) for m in (95, 88, 79, 70, 61, 52, 43, 34, 25, 16, 7, 0))
+    inst = ClusteringInstance(1, ((0.0,),), 1, "median", centers)
+    assert _discrete_by_subset_loop(inst)[2] == (centers[10],)
+    _assert_matches_subset_loop(inst)
+
+
+def test_discrete_refuses_an_instance_without_points():
+    inst = ClusteringInstance(1, (), 1, "median", ((0.0,), (1.0,)))
+    with pytest.raises(PreconditionViolated, match="no points"):
+        opt_discrete(inst)
+
+
+def test_discrete_checks_its_ceiling_before_building_anything(monkeypatch):
+    def refuse(*_):
+        raise AssertionError("distance table built past the ceiling")
+
+    monkeypatch.setattr(oracle, "_distance_table", refuse)
+    centers = tuple((float(i),) for i in range(30))
+    inst = ClusteringInstance(1, ((0.0,),), 10, "median", centers)  # C(30, 10) = 30,045,015
+    with pytest.raises(InstanceTooLarge):
+        opt_discrete(inst)
+
+
+def test_discrete_overflowing_distance_is_a_domain_error():
+    inst = ClusteringInstance(1, ((1e200,),), 1, "means", ((-1e200,), (1e200,)))
+    with pytest.raises(DomainError):
+        opt_discrete(inst)
+
+
+def _planted_hypergraph_instance():
+    """12 hyperedges through 6 planted vertices of 24: the planted vertices
+    cover them all, so the optimum is (d - 1) * 12 = 24, over C(24, 6) =
+    134,596 subsets of depth 6."""
+    rng = random.Random(5)
+    planted = rng.sample(range(24), 6)
+    edges = set()
+    while len(edges) < 12:
+        s = rng.choice(planted)
+        edges.add(tuple(sorted([s, *rng.sample([u for u in range(24) if u != s], 2)])))
+    return reduce_hypergraph(HypergraphInstance(3, 24, tuple(sorted(edges)), 6)), 24.0
+
+
+def _planted_line_instance():
+    """450 centers on a line and 12 points on two of them, so the optimum is
+    0 over C(450, 2) = 101,025 subsets, each prefix with up to 449 children."""
+    points = ((137.0,),) * 6 + ((311.0,),) * 6
+    return ClusteringInstance(1, points, 2, "median", tuple((float(i),) for i in range(450))), 0.0
+
+
+@pytest.mark.parametrize("make", [_planted_hypergraph_instance, _planted_line_instance])
+def test_discrete_memory_does_not_grow_with_the_subset_count(make):
+    # one float per point and subset would take 12.9 MB and 9.7 MB; the walk
+    # keeps one slice of distances and child indices per level
+    inst, optimum = make()
+    tracemalloc.start()
+    try:
         rep = opt_discrete(inst)
-        cost, partition, centers = _discrete_by_subset_loop(inst)
-        assert (rep.optimal_cost.hex(), rep.partition, rep.centers) == (
-            cost.hex(), partition, centers
-        ), inst
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.optimal_cost == optimum
+    assert peak < 1_500_000, peak
+
+
+def test_discrete_distance_table_memory_does_not_grow_with_the_dimension():
+    # 64 centers in 2,000 dimensions: squaring every coordinate difference
+    # at once would take 12.3 MB; the table is built a block of coordinates
+    # at a time (the centers themselves take 1 MB)
+    centers = tuple(tuple(float(i == c) for i in range(2000)) for c in range(64))
+    inst = ClusteringInstance(2000, (centers[5],) * 12, 1, "means", centers)
+    tracemalloc.start()
+    try:
+        rep = opt_discrete(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (rep.optimal_cost, rep.centers) == (0.0, (centers[5],))
+    assert peak < 2_000_000, peak
 
 
 # ---------------------------------------------------------------------------
