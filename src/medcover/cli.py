@@ -12,7 +12,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -22,9 +21,10 @@ from .costs import (
     BASIS_UPPER,
     closed_form_median_cost,
     cluster_points,
+    median_extra_cost,
     weiszfeld,
 )
-from .covers import SoundnessReport, soundness_assemble
+from .covers import SoundnessReport, block_count, soundness_assemble
 from .decomposition import (
     certificate_from_trace,
     decompose,
@@ -140,9 +140,9 @@ def cmd_median(args: argparse.Namespace) -> int:
     if not is_star(g):
         # extra_cost(g, "median") without solving again: the closed form if
         # there is one, else the cost of the solve above
-        r = g.num_edges
         cost, basis = (sol.cost, BASIS_UPPER) if closed is None else (closed, BASIS_CLOSED)
-        payload["extra_cost"] = {"value": cost - math.sqrt(r * (r - 1)), "basis": basis}
+        extra = median_extra_cost(g, cost, basis)
+        payload["extra_cost"] = {"value": extra.value, "basis": extra.basis}
     _emit(_json(payload), args.out)
     return 0
 
@@ -217,16 +217,9 @@ def _report_payload(rep: SoundnessReport) -> dict:
     }
 
 
-def _blocks_needed(beta: float, k: int) -> int:
-    """ceil(beta * k), the number of blocks cover extraction runs at."""
-    if not math.isfinite(beta * k):  # inf, nan, or a product past the float range
-        raise MedcoverError(f"beta * k must be finite, got beta = {beta!r}, k = {k}")
-    return math.ceil(beta * k)
-
-
 def cmd_cover(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
-    blocks_needed = _blocks_needed(args.beta, args.k)
+    blocks_needed = block_count(args.beta, args.k)
     if blocks_needed > g.num_edges:
         raise MedcoverError(
             f"ceil(beta*k) = {blocks_needed} blocks exceed the {g.num_edges} edges"
@@ -304,7 +297,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             continue
         m = g.num_edges
         k = len(min_vertex_cover(g))
-        blocks_needed = _blocks_needed(args.beta, k)
+        blocks_needed = block_count(args.beta, k)
         # the other objective first, so the two args.objective solves (at k,
         # then at blocks_needed) run back to back and share the oracle's tables
         other = "means" if args.objective == "median" else "median"

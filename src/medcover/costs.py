@@ -374,5 +374,11 @@ def extra_cost(
         return ExtraCost(one_means_cost(g) - (r - 1), BASIS_CLOSED)
     if objective != "median":
         raise ValueError("objective must be 'median' or 'means'")
-    cost, basis = median_cost(g, tolerance=tolerance, max_iter=max_iter)
+    return median_extra_cost(g, *median_cost(g, tolerance=tolerance, max_iter=max_iter))
+
+
+def median_extra_cost(g: Graph, cost: float, basis: str) -> ExtraCost:
+    """A 1-median cost of g, with its basis, above the same-size star
+    baseline sqrt(r(r-1))."""
+    r = g.num_edges
     return ExtraCost(cost - math.sqrt(r * (r - 1)), basis)

@@ -643,6 +643,15 @@ def _prune_cover(g: Graph, cover: set[int]) -> set[int]:
     return pruned
 
 
+def block_count(beta: float, k: int) -> int:
+    """ceil(beta * k), the number of blocks cover extraction runs at. A
+    product that is not finite (beta infinite or NaN, or past the float
+    range) raises ``ValueError``."""
+    if not math.isfinite(beta * k):
+        raise ValueError(f"beta * k must be finite, got beta = {beta!r}, k = {k}")
+    return math.ceil(beta * k)
+
+
 def soundness_assemble(
     g: Graph,
     clustering: Union[Mapping[object, Sequence[int]], Sequence[Sequence[int]]],
@@ -662,19 +671,18 @@ def soundness_assemble(
     cover_single_edge_clusters; if its full-graph fallback fires, that cover
     replaces the union. Finally redundant vertices are pruned in ascending
     order and the (delta, beta)-ceiling is reported next to the realized
-    size. beta below 1 or infinite, or a negative delta, raises ``ValueError``.
+    size. beta below 1, a beta * k that is not finite, or a negative delta
+    raises ``ValueError``.
     """
     _require_triangle_free(g)
     if objective not in ("median", "means"):
         raise ValueError("objective must be 'median' or 'means'")
     if not beta >= 1:
         raise ValueError(f"beta must be at least 1, got {beta!r}")
-    if beta == math.inf:
-        raise ValueError("beta must be finite, got inf")
     if not delta >= 0:
         raise ValueError(f"delta must be non-negative, got {delta!r}")
     blocks = _normalize_clustering(g, clustering)
-    expected = math.ceil(beta * k)
+    expected = block_count(beta, k)
     if len(blocks) != expected:
         raise InvalidPartition(f"expected {expected} clusters, got {len(blocks)}")
 

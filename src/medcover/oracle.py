@@ -322,12 +322,12 @@ def opt_continuous(inst: ClusteringInstance, tolerance: float = 1e-12) -> Oracle
 
 def _distance_table(inst: ClusteringInstance) -> np.ndarray:
     """Row c holds each point's distance to candidate center c (squared for
-    means), with the float operations of
-    ``sum((a - b) ** 2 for a, b in zip(p, c))`` and, for median,
-    ``math.sqrt``: coordinate differences, squares by ``np.float_power``,
-    which calls libm's ``pow`` as Python's ``**`` does (``np.square`` and an
+    means): coordinate differences, squares by ``np.float_power``, which
+    calls libm's ``pow`` as Python's ``**`` does (``np.square`` and an
     array's ``** 2`` multiply instead, which rounds the last bit differently
-    for about one double in a thousand), added in coordinate order onto 0.0.
+    for about one double in a thousand), added one at a time in coordinate
+    order onto 0.0, then ``sqrt`` for median. (Python's ``sum`` of floats
+    does the same additions up to 3.11; from 3.12 it compensates them.)
     Coordinates are squared a block at a time, at most ``DISCRETE_CHUNK`` x
     points squares, so the dimension adds no memory beyond the inputs. A
     finite difference whose square overflows raises ``DomainError``.
@@ -373,17 +373,14 @@ def _cheapest_subset(table: np.ndarray, k: int) -> tuple[float, Optional[tuple[i
     x points (one prefix is always taken). A level thus holds at most
     ``DISCRETE_CHUNK`` x points distances and max(``DISCRETE_CHUNK`` x
     points, n - k + 1) child indices, whatever C(n, k) is. A subset's cost
-    adds its points' distances in point order onto 0.0, as a ``sum`` over
-    the points does.
+    adds its points' distances one at a time in point order onto 0.0.
 
     Within a slice, only subsets cheaper than the best so far by more than
     1e-15 can take its place, and the chain of such replacements ends near
     the slice's least cost ``low`` (the argument of ``_extend``). When no
-    other cost lies in (low, low + width], width = 1e-14 * max(1, low),
-    the chain ends on the first subset at ``low``. Otherwise it is replayed
-    in Python: over the subsets up to low + width when no cost lies in
-    (low + width, low + 2 width], since costlier subsets can then neither
-    win nor block those, and over the whole slice when one does.
+    other cost lies in (low, low + 1e-14 * max(1, low)], the chain ends on
+    the first subset at ``low``. Otherwise it is replayed in Python over
+    the slice's subsets that beat the best so far by more than 1e-15.
     """
     n, m = table.shape
     best_cost: float = math.inf
@@ -421,13 +418,9 @@ def _cheapest_subset(table: np.ndarray, k: int) -> tuple[float, Optional[tuple[i
         low = float(costs[i])
         if not low < best_cost - 1e-15:
             continue
-        width = 1e-14 * max(1.0, low)
-        close = np.flatnonzero(costs <= low + 2 * width)
-        band = costs[close]
-        inner = band <= low + width
-        if not (band[inner] == low).all():
+        if ((costs > low) & (costs <= low + 1e-14 * max(1.0, low))).any():
             value = best_cost
-            order = close if inner.all() else np.flatnonzero(costs < best_cost - 1e-15)
+            order = np.flatnonzero(costs < best_cost - 1e-15)
             for j, cost in zip(order.tolist(), costs[order].tolist()):
                 if cost < value - 1e-15:
                     value, i = cost, j

@@ -325,10 +325,15 @@ def test_assemble_rejects_bad_partitions(blocks):
         soundness_assemble(g, blocks, k=2, objective="median")
 
 
-@pytest.mark.parametrize("beta", [0.5, math.nan, math.inf])
-def test_assemble_rejects_beta_below_one_or_not_finite(beta):
-    # ceil(inf * k) would raise OverflowError past the beta check
-    with pytest.raises(ValueError, match="beta must be"):
+@pytest.mark.parametrize("beta, message", [
+    (0.5, "beta must be at least 1"),
+    (math.nan, "beta must be at least 1"),
+    (math.inf, "beta \\* k must be finite"),
+    (1e308, "beta \\* k must be finite"),  # finite, but beta * 2 is not
+])
+def test_assemble_rejects_beta_below_one_or_not_finite(beta, message):
+    # ceil(beta * k) would raise OverflowError on an infinite product
+    with pytest.raises(ValueError, match=message):
         soundness_assemble(graph_from_edges(C5), [[0, 1, 2], [3, 4]], k=2, beta=beta)
 
 

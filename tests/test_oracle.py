@@ -333,19 +333,25 @@ def test_discrete_rejects_k_above_candidate_count():
 
 
 def _discrete_by_subset_loop(inst):
-    """Reference: score one center subset at a time with a plain sum."""
+    """Reference: score one center subset at a time, adding floats one at a
+    time left to right onto 0.0 (spelled out, since ``sum`` compensates its
+    additions from Python 3.12 on)."""
     centers = inst.candidate_centers
     squared = inst.objective == "means"
 
     def dist(p, c):
-        s = sum((a - b) ** 2 for a, b in zip(p, c))
+        s = 0.0
+        for a, b in zip(p, c):
+            s += (a - b) ** 2
         return s if squared else math.sqrt(s)
 
     d = [[dist(p, c) for c in centers] for p in inst.points]
     best_cost = math.inf
     best_subset = None
     for subset in itertools.combinations(range(len(centers)), inst.k):
-        cost = sum(min(row[c] for c in subset) for row in d)
+        cost = 0.0
+        for row in d:
+            cost += min(row[c] for c in subset)
         if cost < best_cost - 1e-15:
             best_cost = cost
             best_subset = subset
@@ -410,7 +416,8 @@ def _large_cost_instances(seed, count):
 def _near_tie_instances(seed, count):
     """Each center next to a copy nudged by 1 to 200 ulps per coordinate, so
     subsets that swap a center for its copy cost a few ulps more or less:
-    inside the 1e-15 rule, inside the 1e-14 replay band, and just above it."""
+    inside the 1e-15 rule, inside the 1e-14 band that starts a replay, and
+    just above it."""
     rng = random.Random(seed)
     for _ in range(count):
         dim = rng.randint(1, 2)
@@ -460,13 +467,13 @@ def test_discrete_matches_subset_loop_bit_for_bit(monkeypatch, chunk):
         _assert_matches_subset_loop(inst)
 
 
-def test_discrete_replays_the_whole_slice_when_no_gap_closes_the_band():
+def test_discrete_replay_reaches_past_the_band():
     # k = 1 and one point at the origin, so each subset costs its center's
-    # coordinate. The least cost is 0.5, and the replay band (1e-14, 90 ulps
-    # above it) holds costs 88, 79, ..., 7 and 0 ulps up: 9 ulps apart, where
-    # the 1e-15 rule needs 10. The cost 95 ulps up comes first and blocks the
-    # one 88 up, so the scan ends 7 ulps up; replayed over the band alone,
-    # the chain would take 88 and end on 0.5.
+    # coordinate. The least cost is 0.5, and 1e-14 above it (90 ulps) lie
+    # costs 88, 79, ..., 7 and 0 ulps up: 9 ulps apart, where the 1e-15 rule
+    # needs 10. The cost 95 ulps up comes first and blocks the one 88 up, so
+    # the scan ends 7 ulps up; replayed over the 90-ulp band alone, the
+    # chain would take 88 and end on 0.5.
     ulp = math.ulp(0.5)
     centers = tuple((0.5 + m * ulp,) for m in (95, 88, 79, 70, 61, 52, 43, 34, 25, 16, 7, 0))
     inst = ClusteringInstance(1, ((0.0,),), 1, "median", centers)
