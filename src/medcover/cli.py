@@ -253,6 +253,10 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def cmd_verify_lemmas(args: argparse.Namespace) -> int:
+    if args.max_edges < 3:  # smaller connected graphs are all stars: no checks
+        raise MedcoverError(f"--max-edges must be at least 3, got {args.max_edges}")
+    if args.trials < 1:
+        raise MedcoverError(f"--trials must be at least 1, got {args.trials}")
     report = run_all(max_edges=args.max_edges, seed=args.seed, trials=args.trials)
     _emit(_json(report), args.out)
     if not report["all_passed"]:
@@ -286,6 +290,8 @@ _SWEEP_FIELDS = (
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    if args.trials < 1:
+        raise MedcoverError(f"--trials must be at least 1, got {args.trials}")
     rows = []
     produced = 0
     attempt = 0

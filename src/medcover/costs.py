@@ -199,7 +199,8 @@ def _weiszfeld_batch(
     otherwise the row steps away along R by (||R|| - m)/L, the step that
     guarantees progress (L is the summed inverse distance to the others).
     A row stops when its relative cost change or its center displacement
-    drops below ``tolerance``. Raises ``NotConverged`` if any row reaches
+    drops below ``tolerance``, which must be finite and positive (else
+    ``ValueError``). Raises ``NotConverged`` if any row reaches
     ``max_iter``, and ``DomainError`` if a starting cost overflows float.
 
     Rows never mix: every reduction runs along one row's own points in the
@@ -209,8 +210,8 @@ def _weiszfeld_batch(
     new iterate; they give that iterate's cost and the next iteration's
     weights, and a row's last cost is its result.
     """
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
+    if not (math.isfinite(tolerance) and tolerance > 0):
+        raise ValueError(f"tolerance must be finite and positive, got {tolerance!r}")
     y = blocks.mean(axis=1)
     iterations = np.zeros(len(blocks), dtype=np.int64)
     if blocks.shape[1] == 1:

@@ -1,7 +1,8 @@
 """Constructive vertex-cover extraction from clusterings.
 
 Each cluster of edges gets a cover whose size is charged against the
-cluster's extra cost over the star baseline: a star cluster costs one vertex
+cluster's extra cost over the star baseline, which the median constructions
+take from their caller as ``extra``: a star cluster costs one vertex
 (its center), a non-star cluster with matching number two costs two vertices
 (three for the 5-cycle), and larger non-star clusters go through a case
 analysis on the second maximum matching L (the maximum matching of the graph
@@ -18,7 +19,6 @@ cover size, and the predicted ceiling for the supplied (beta, delta).
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -111,19 +111,6 @@ def _require_triangle_free(g: Graph) -> None:
         raise PreconditionViolated("cover constructions assume a triangle-free graph")
 
 
-@functools.lru_cache(maxsize=1)
-def _numeric_delta(g: Graph) -> float:
-    """Median extra cost of ``g`` as a float.
-
-    The constructions for one cluster (``cover_matching_two``,
-    ``cover_general``, ``cover_case_dispatch`` and the ``cover_general``
-    call inside the dispatch) all charge the same graph, so the last answer
-    is kept: a one-entry memo keyed on the frozen ``Graph``. The value is a
-    pure function of the graph.
-    """
-    return float(extra_cost(g, "median").value)
-
-
 def _touches(e: Edge, f: Edge) -> bool:
     return bool(set(e) & set(f))
 
@@ -132,9 +119,10 @@ def _touches(e: Edge, f: Edge) -> bool:
 # Matching-number-two clusters
 # ---------------------------------------------------------------------------
 
-def cover_matching_two(g: Graph) -> CoverResult:
+def cover_matching_two(g: Graph, extra: float) -> CoverResult:
     """Cover of size two for any triangle-free cluster with matching number
-    exactly two, except the 5-cycle which genuinely needs three.
+    exactly two, except the 5-cycle which genuinely needs three, charged to
+    ``extra``, the cluster's median extra cost.
 
     A two-vertex cover must take one endpoint from each matching edge, so the
     case analysis reduces to scanning those four candidate pairs; when none
@@ -146,27 +134,22 @@ def cover_matching_two(g: Graph) -> CoverResult:
     if len(m) != 2:
         raise PreconditionViolated(f"matching number is {len(m)}, need exactly 2")
     (a1, b1), (a2, b2) = m.edges
-    for cover in ((a1, a2), (a1, b2), (b1, a2), (b1, b2)):
-        if is_vertex_cover(g, cover):
-            return _matching_two_result(g, frozenset(cover))
-    cls = classify(g)
-    if cls.tag is ClassTag.C5:
+    pairs = ((a1, a2), (a1, b2), (b1, a2), (b1, b2))
+    cover = next((frozenset(c) for c in pairs if is_vertex_cover(g, c)), None)
+    if cover is None:
+        cls = classify(g)
+        if cls.tag is not ClassTag.C5:
+            raise Stuck("triangle-free matching-2 graph with no 2-cover that is not a 5-cycle")
         cyc = cls.witness["cycle"]
-        cover3 = frozenset((cyc[0], cyc[2], cyc[4]))
-        if not is_vertex_cover(g, cover3):
-            raise Stuck(f"alternate vertices {sorted(cover3)} of the 5-cycle are not a cover")
-        return _matching_two_result(g, cover3)
-    raise Stuck("triangle-free matching-2 graph with no 2-cover that is not a 5-cycle")
-
-
-def _matching_two_result(g: Graph, cover: frozenset[int]) -> CoverResult:
-    delta = _numeric_delta(g)
+        cover = frozenset((cyc[0], cyc[2], cyc[4]))
+        if not is_vertex_cover(g, cover):
+            raise Stuck(f"alternate vertices {sorted(cover)} of the 5-cycle are not a cover")
     return CoverResult(
         cover=cover,
         size=len(cover),
         bound_kind="1.62+(sqrt2+1)delta",
-        bound_value=1.62 + SQRT2P1 * delta,
-        delta_used=delta,
+        bound_value=1.62 + SQRT2P1 * extra,
+        delta_used=extra,
     )
 
 
@@ -189,7 +172,20 @@ def _validate_matchings(g: Graph, m: Matching, l: Matching) -> None:
         raise PreconditionViolated("l is not a second maximum matching")
 
 
-def cover_general(g: Graph, m: Matching, l: Matching) -> CoverResult:
+def cover_general(g: Graph, m: Matching, l: Matching, extra: float) -> CoverResult:
+    """Cover of size at most |M| + |L| - 1, recorded against ``extra``, the
+    cluster's median extra cost; the construction is ``_general_cover``'s."""
+    cover = _general_cover(g, m, l)
+    return CoverResult(
+        cover=frozenset(cover),
+        size=len(cover),
+        bound_kind="M+L-1",
+        bound_value=float(len(m) + len(l) - 1),
+        delta_used=extra,
+    )
+
+
+def _general_cover(g: Graph, m: Matching, l: Matching) -> set[int]:
     """Cover of size at most |M| + |L| - 1.
 
     Take both endpoints of every L-edge but the last, delete what they cover,
@@ -233,14 +229,7 @@ def cover_general(g: Graph, m: Matching, l: Matching) -> CoverResult:
         raise Stuck("general construction produced a non-cover")
     if len(cover) > len(m) + len(l) - 1:
         raise Stuck(f"general construction used {len(cover)} > |M| + |L| - 1 vertices")
-    delta = _numeric_delta(g)
-    return CoverResult(
-        cover=frozenset(cover),
-        size=len(cover),
-        bound_kind="M+L-1",
-        bound_value=float(len(m) + len(l) - 1),
-        delta_used=delta,
-    )
+    return cover
 
 
 # ---------------------------------------------------------------------------
@@ -287,12 +276,11 @@ def _cover_via_bridge_residual(g: Graph, m: Matching, f_prime: Graph) -> set[int
     else:
         if len(l_rest) != 1:
             raise Stuck("bridge-case residue should have second matching of size one")
-        sub = cover_general(g_rest, m_rest, l_rest)
-        sub_cover = set(sub.cover)
+        sub_cover = _general_cover(g_rest, m_rest, l_rest)
     return {u} | sub_cover
 
 
-def cover_case_dispatch(g: Graph) -> CoverResult:
+def cover_case_dispatch(g: Graph, extra: float) -> CoverResult:
     """Constructive cover for a non-star triangle-free cluster with matching
     number at least three, with the ledger constant recording which case
     fired. Writing F' for the graph minus the maximum matching's edges and
@@ -311,7 +299,8 @@ def cover_case_dispatch(g: Graph) -> CoverResult:
       |L| >= 3, F'' non-star,
                 non-bridge         -> general construction, <= |M| + |L| - 1 (1.6)
 
-    Every path stays within 1.8 + (sqrt(2)+1) * delta(F).
+    Every path stays within 1.8 + (sqrt(2)+1) * delta(F), where delta(F) is
+    ``extra``, the cluster's median extra cost.
     """
     _require_triangle_free(g)
     if is_star(g) or g.num_edges < 2:
@@ -320,7 +309,6 @@ def cover_case_dispatch(g: Graph) -> CoverResult:
     if len(m) < 3:
         raise PreconditionViolated(f"matching number is {len(m)}, need >= 3")
     l = second_maximum_matching(g, m)
-    delta = _numeric_delta(g)
 
     def result(cover: set[int], kind: str, const: float, ceiling: int) -> CoverResult:
         if not is_vertex_cover(g, cover):
@@ -331,21 +319,19 @@ def cover_case_dispatch(g: Graph) -> CoverResult:
             cover=frozenset(cover),
             size=len(cover),
             bound_kind=f"{kind}+(sqrt2+1)delta",
-            bound_value=const + SQRT2P1 * delta,
-            delta_used=delta,
+            bound_value=const + SQRT2P1 * extra,
+            delta_used=extra,
         )
 
     if len(l) == 0:
         return result({min(e) for e in m.edges}, "0.551", 0.551, len(m))
     if len(l) == 1:
-        general = cover_general(g, m, l)
-        return result(set(general.cover), "1.8", 1.8, len(m))
+        return result(_general_cover(g, m, l), "1.8", 1.8, len(m))
     if len(l) == 2:
         f_prime = _edges_minus(g, m.edges)
         if bridge_structure(f_prime) is not None:
             return result(_cover_via_bridge_residual(g, m, f_prime), "1.53", 1.53, len(m))
-        general = cover_general(g, m, l)
-        return result(set(general.cover), "1.68", 1.68, len(m) + 1)
+        return result(_general_cover(g, m, l), "1.68", 1.68, len(m) + 1)
 
     f_pp = _edges_minus(g, tuple(m.edges) + tuple(l.edges))
     ml_edges = tuple(m.edges) + tuple(l.edges)
@@ -362,8 +348,7 @@ def cover_case_dispatch(g: Graph) -> CoverResult:
         (u, v), _p, _q = bridge
         survivors = [e for e in ml_edges if u not in e and v not in e]
         return result({u, v} | _konig_on(g, survivors), "1.4", 1.4, len(m) + 1)
-    general = cover_general(g, m, l)
-    return result(set(general.cover), "1.6", 1.6, len(m) + len(l) - 1)
+    return result(_general_cover(g, m, l), "1.6", 1.6, len(m) + len(l) - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -665,7 +650,8 @@ def soundness_assemble(
 
     Blocks are classified as single edges (t1), stars (t2), and non-star
     clusters with matching number two (t3) or more (t4). Stars contribute
-    their center; non-star blocks run the per-cluster constructions (the
+    their center; non-star blocks run the per-cluster constructions, each
+    charged to the block's median extra cost, solved once per block (the
     means objective charges everything to exact rational extra costs
     instead). Single-edge blocks the union misses go through
     cover_single_edge_clusters; if its full-graph fallback fires, that cover
@@ -715,10 +701,9 @@ def soundness_assemble(
             t4 += 1
         if objective == "means":
             res = cover_nonstar_means(sub)
-        elif nu == 2:
-            res = cover_matching_two(sub)
         else:
-            res = cover_case_dispatch(sub)
+            extra = float(extra_cost(sub, "median").value)
+            res = cover_matching_two(sub, extra) if nu == 2 else cover_case_dispatch(sub, extra)
         vc_prime |= res.cover
         per_cluster.append(res)
         delta_sum += res.delta_used

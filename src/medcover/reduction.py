@@ -41,6 +41,10 @@ class ClusteringInstance:
     def __post_init__(self) -> None:
         if self.objective not in OBJECTIVES:
             raise ValueError(f"objective must be one of {OBJECTIVES}")
+        for name in ("dimension", "k"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.k < 1:
             raise ValueError("k must be >= 1")
         for x in self.points:

@@ -115,20 +115,21 @@ def suite_closed_forms() -> dict:
     return _suite("closed_forms", checks, failures)
 
 
-def _nonstars(max_edges: int) -> list[Graph]:
-    """The connected triangle-free non-star graphs up to ``max_edges`` edges."""
-    return [g for g in enumerate_triangle_free(max_edges) if not is_star(g)]
+def _nonstars(max_edges: int) -> list[tuple[Graph, float]]:
+    """The connected triangle-free non-star graphs up to ``max_edges`` edges,
+    each with its ``median_cost``, solved as one ``median_costs`` batch."""
+    graphs = [g for g in enumerate_triangle_free(max_edges) if not is_star(g)]
+    return [(g, cost) for g, (cost, _) in zip(graphs, median_costs(graphs))]
 
 
 def suite_decomposition(max_edges: int = 7) -> dict:
     """Certified lower bounds bracket the true cost on every connected
     triangle-free non-star graph up to max_edges edges: safe certificates
     sit in [|F|-0.342, true cost]; ultra certificates (non-bridge graphs)
-    reach |F|. The true cost is ``median_cost``'s, solved as one batch."""
+    reach |F|. The true cost is ``median_cost``'s, from ``_nonstars``."""
     failures: list[str] = []
     checks = 0
-    graphs = _nonstars(max_edges)
-    for g, (true_cost, _) in zip(graphs, median_costs(graphs)):
+    for g, true_cost in _nonstars(max_edges):
         m = g.num_edges
         cert = certify_lower_bound(g, "safe")
         checks += 1
@@ -153,11 +154,10 @@ def suite_decomposition(max_edges: int = 7) -> dict:
 def suite_extra_cost(max_edges: int = 7) -> dict:
     """Extra-cost floors for every enumerated connected non-star graph:
     the numerical median floor 0.158 and the exact rational means floor 2/3.
-    The median costs are ``median_cost``'s, solved as one batch."""
+    The median costs are ``median_cost``'s, from ``_nonstars``."""
     failures: list[str] = []
     checks = 0
-    graphs = _nonstars(max_edges)
-    for g, (cost, _) in zip(graphs, median_costs(graphs)):
+    for g, cost in _nonstars(max_edges):
         med = cost - star_median_cost(g.num_edges)
         checks += 1
         if med < 0.158 - 1e-6:
@@ -224,14 +224,16 @@ def suite_covers(max_edges: int = 7) -> dict:
     """Constructive covers across the enumeration: always valid vertex
     covers, matching-2 covers as small as the true minimum (2, or 3 on the
     5-cycle), general covers within |M|+|L|-1, case dispatch within
-    1.8+(sqrt2+1)*delta, and means covers within 1+(5/2)*delta exactly."""
+    1.8+(sqrt2+1)*delta, and means covers within 1+(5/2)*delta exactly;
+    the median delta is the cost from ``_nonstars`` minus sqrt(r(r-1))."""
     failures: list[str] = []
     checks = 0
-    for g in _nonstars(max_edges):
+    for g, cost in _nonstars(max_edges):
+        extra = cost - star_median_cost(g.num_edges)
         m = maximum_matching(g)
         nu = len(m)
         if nu == 2:
-            res = cover_matching_two(g)
+            res = cover_matching_two(g, extra)
             want = len(min_vertex_cover(g))
             checks += 2
             if not is_vertex_cover(g, res.cover):
@@ -244,7 +246,7 @@ def suite_covers(max_edges: int = 7) -> dict:
         l = second_maximum_matching(g, m)
         if len(l) >= 1:
             try:
-                res = cover_general(g, m, l)
+                res = cover_general(g, m, l, extra)
                 checks += 2
                 if not is_vertex_cover(g, res.cover):
                     failures.append(f"general non-cover on {g.edges}")
@@ -255,7 +257,7 @@ def suite_covers(max_edges: int = 7) -> dict:
                 failures.append(f"general construction failed on {g.edges}: {ex}")
         if nu >= 3:
             try:
-                res = cover_case_dispatch(g)
+                res = cover_case_dispatch(g, extra)
                 checks += 2
                 if not is_vertex_cover(g, res.cover):
                     failures.append(f"dispatch non-cover on {g.edges}")

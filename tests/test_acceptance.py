@@ -192,3 +192,12 @@ def test_criterion_8_sweeps_reproduce_the_committed_reports(tmp_path, capsys):
         capsys.readouterr()
         assert code == 0
         assert out.read_bytes() == (reports / name).read_bytes(), name
+
+
+def test_criterion_8_lemmas_reproduce_the_committed_report(tmp_path, capsys):
+    reports = pathlib.Path(__file__).resolve().parent.parent / "reports"
+    out = tmp_path / "lemmas.json"
+    code = main(["verify-lemmas", "--max-edges", "7", "--trials", "50", "--out", str(out)])
+    capsys.readouterr()
+    assert code == 0
+    assert out.read_bytes() == (reports / "lemmas.json").read_bytes()

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from medcover import costs
+from medcover import cli, costs
 from medcover.cli import main
 from medcover.costs import closed_form_median_cost, cluster_points, extra_cost, weiszfeld
 from medcover.graphs import parse_edge_list
@@ -165,6 +165,53 @@ def test_malformed_instance_json_is_a_clean_error(tmp_path, capsys):
     assert code == 1
     assert stderr.startswith("error:")
     assert "missing fields" in stderr
+
+
+@pytest.mark.parametrize("field, value", [("k", '"2"'), ("k", "2.5"), ("k", "true"),
+                                          ("dimension", '"1"')])
+def test_instance_json_with_a_non_integer_field_is_a_clean_error(tmp_path, capsys, field, value):
+    fields = {"dimension": "1", "k": "1", field: value}
+    inst = tmp_path / "inst.json"
+    inst.write_text(
+        f'{{"dimension": {fields["dimension"]}, "k": {fields["k"]}, "objective": "median", '
+        '"points": [[0.0], [1.0], [5.0]]}'
+    )
+    code, stdout, stderr = run(capsys, "oracle", "--graph", str(inst))
+    assert code == 1
+    assert stdout == ""
+    assert stderr.startswith(f"error: {field} must be an integer")
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0"])
+def test_median_with_a_tolerance_that_is_not_finite_and_positive_is_a_clean_error(
+    capsys, c5_file, tol
+):
+    code, stdout, stderr = run(capsys, "median", "--graph", c5_file, "--tol", tol)
+    assert code == 1
+    assert stdout == ""
+    assert stderr.startswith("error: tolerance must be finite and positive")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify-lemmas", "--max-edges", "0"], "--max-edges must be at least 3"),
+    # below 3 edges every connected graph is a star: no catalogue checks
+    (["verify-lemmas", "--max-edges", "2"], "--max-edges must be at least 3"),
+    (["verify-lemmas", "--trials", "0"], "--trials must be at least 1"),
+    (["sweep", "--trials", "0"], "--trials must be at least 1"),
+    (["sweep", "--trials", "-3"], "--trials must be at least 1"),
+])
+def test_vacuous_runs_are_clean_errors(monkeypatch, tmp_path, capsys, argv, message):
+    def no_work(*args, **kwargs):
+        raise AssertionError("started work on a vacuous run")
+
+    monkeypatch.setattr(cli, "run_all", no_work)
+    monkeypatch.setattr(cli, "random_triangle_free", no_work)
+    out = tmp_path / "out"
+    code, stdout, stderr = run(capsys, *argv, "--out", str(out))
+    assert code == 1
+    assert stdout == ""
+    assert stderr.startswith("error:") and message in stderr
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv, message", [

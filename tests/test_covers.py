@@ -7,15 +7,16 @@ the case constants in bound_kind name which construction fired.
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
 
 from medcover import covers
+from medcover.costs import extra_cost
 from medcover.covers import (
     SQRT2P1,
-    CoverResult,
     cover_case_dispatch,
     cover_general,
     cover_matching_two,
@@ -37,6 +38,11 @@ C5 = [(0, 1), (0, 4), (1, 2), (2, 3), (3, 4)]
 P4 = [(0, 1), (1, 2), (2, 3)]
 
 
+def median_extra(g):
+    """The cluster's median extra cost, which the constructions are charged."""
+    return float(extra_cost(g, "median").value)
+
+
 # ---------------------------------------------------------------------------
 # Matching number two
 # ---------------------------------------------------------------------------
@@ -52,7 +58,7 @@ P4 = [(0, 1), (1, 2), (2, 3)]
 )
 def test_matching_two_frozen_covers(edges, expected):
     g = graph_from_edges(edges)
-    r = cover_matching_two(g)
+    r = cover_matching_two(g, median_extra(g))
     assert sorted(r.cover) == expected
     assert is_vertex_cover(g, r.cover)
     assert r.bound_kind == "1.62+(sqrt2+1)delta"
@@ -62,15 +68,16 @@ def test_matching_two_is_minimum():
     # for matching number 2 the construction is not just valid but optimal
     for edges in (P4, [(0, 1), (2, 3)], C5, [(0, 1), (1, 2), (2, 3), (3, 4)]):
         g = graph_from_edges(edges)
-        assert cover_matching_two(g).size == len(min_vertex_cover(g))
+        assert cover_matching_two(g, median_extra(g)).size == len(min_vertex_cover(g))
 
 
 def test_matching_two_rejects_wrong_matching_number():
+    star = graph_from_edges([(0, 1), (0, 2)])  # nu = 1
     with pytest.raises(PreconditionViolated):
-        cover_matching_two(graph_from_edges([(0, 1), (0, 2)]))  # nu = 1
+        cover_matching_two(star, median_extra(star))
     big = graph_from_edges([(0, 1), (2, 3), (4, 5)])  # nu = 3
     with pytest.raises(PreconditionViolated):
-        cover_matching_two(big)
+        cover_matching_two(big, median_extra(big))
 
 
 # ---------------------------------------------------------------------------
@@ -81,9 +88,23 @@ def test_general_construction_bound_and_validity():
     g = graph_from_edges([(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 4)])
     m = maximum_matching(g)
     l = second_maximum_matching(g, m)
-    r = cover_general(g, m, l)
+    r = cover_general(g, m, l, median_extra(g))
     assert is_vertex_cover(g, r.cover)
     assert r.size <= len(m) + len(l) - 1
+
+
+def test_constructions_charge_the_extra_cost_they_are_given():
+    # the ledger entry is computed from the caller's extra cost as given
+    extra = 0.25
+    r = cover_matching_two(graph_from_edges(P4), extra)
+    assert (r.delta_used, r.bound_value) == (extra, 1.62 + SQRT2P1 * extra)
+    g = graph_from_edges([(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 4)])
+    m = maximum_matching(g)
+    l = second_maximum_matching(g, m)
+    r = cover_general(g, m, l, extra)
+    assert (r.delta_used, r.bound_value) == (extra, float(len(m) + len(l) - 1))
+    r = cover_case_dispatch(graph_from_edges([(0, 1), (2, 3), (4, 5)]), extra)
+    assert (r.delta_used, r.bound_value) == (extra, 0.551 + SQRT2P1 * extra)
 
 
 DISPATCH_CASES = [
@@ -115,7 +136,7 @@ DISPATCH_CASES = [
 @pytest.mark.parametrize("edges,kind,cover", DISPATCH_CASES)
 def test_dispatch_frozen_cases(edges, kind, cover):
     g = graph_from_edges(edges)
-    r = cover_case_dispatch(g)
+    r = cover_case_dispatch(g, median_extra(g))
     assert r.bound_kind == kind
     assert sorted(r.cover) == cover
     assert is_vertex_cover(g, r.cover)
@@ -123,20 +144,20 @@ def test_dispatch_frozen_cases(edges, kind, cover):
 
 def test_dispatch_bound_value_composition():
     g = graph_from_edges([(0, 1), (2, 3), (4, 5)])
-    r = cover_case_dispatch(g)
+    r = cover_case_dispatch(g, median_extra(g))
     assert r.bound_value == pytest.approx(0.551 + SQRT2P1 * r.delta_used)
 
 
 def test_dispatch_requires_matching_three():
+    c5 = graph_from_edges(C5)  # nu = 2
     with pytest.raises(PreconditionViolated):
-        cover_case_dispatch(graph_from_edges(C5))  # nu = 2
+        cover_case_dispatch(c5, median_extra(c5))
 
 
 def test_dispatch_requires_triangle_free():
+    g = graph_from_edges([(0, 1), (1, 2), (0, 2), (3, 4), (5, 6), (7, 8)])
     with pytest.raises(PreconditionViolated):
-        cover_case_dispatch(
-            graph_from_edges([(0, 1), (1, 2), (0, 2), (3, 4), (5, 6), (7, 8)])
-        )
+        cover_case_dispatch(g, median_extra(g))
 
 
 def test_dispatch_random_battery():
@@ -154,7 +175,7 @@ def test_dispatch_random_battery():
         m = maximum_matching(g)
         if len(m) < 3:
             continue
-        r = cover_case_dispatch(g)
+        r = cover_case_dispatch(g, median_extra(g))
         kinds.add(r.bound_kind)
         hit += 1
         assert is_vertex_cover(g, r.cover)
@@ -337,6 +358,27 @@ def test_assemble_rejects_beta_below_one_or_not_finite(beta, message):
         soundness_assemble(graph_from_edges(C5), [[0, 1, 2], [3, 4]], k=2, beta=beta)
 
 
+@pytest.mark.parametrize("objective, solves", [("median", 2), ("means", 0)])
+def test_assemble_solves_one_median_per_nonstar_block(monkeypatch, objective, solves):
+    # a 5-cycle (matching number 2), a 7-vertex path (3), a star and a lone
+    # edge: only the two non-star blocks are charged a median extra cost
+    g = graph_from_edges(C5 + [(5, 6), (6, 7), (7, 8), (8, 9), (9, 10), (10, 11),
+                               (12, 13), (12, 14), (15, 16)])
+    blocks = [[0, 1, 2, 3, 4], [5, 6, 7, 8, 9, 10], [11, 12], [13]]
+    counted = Counter()
+
+    def counting(h, obj, *args, **kwargs):
+        counted[h, obj] += 1
+        return extra_cost(h, obj, *args, **kwargs)
+
+    monkeypatch.setattr(covers, "extra_cost", counting)
+    rep = soundness_assemble(g, blocks, k=4, objective=objective)
+    assert (rep.t1, rep.t2, rep.t3, rep.t4) == (1, 1, 1, 1)
+    assert sum(counted.values()) == solves
+    assert set(counted.values()) <= {1}
+    assert all(obj == "median" for _, obj in counted)
+
+
 def test_assemble_random_battery():
     for seed in range(25):
         rng = random.Random(seed)
@@ -368,9 +410,10 @@ def _always(value):
 
 
 def test_stuck_when_the_c5_alternate_vertices_are_not_a_cover(monkeypatch):
+    c5 = graph_from_edges(C5)
     monkeypatch.setattr(covers, "is_vertex_cover", _always(False))
     with pytest.raises(Stuck, match="5-cycle"):
-        cover_matching_two(graph_from_edges(C5))
+        cover_matching_two(c5, median_extra(c5))
 
 
 def test_stuck_when_bridge_residual_is_given_a_non_bridge():
@@ -381,21 +424,19 @@ def test_stuck_when_bridge_residual_is_given_a_non_bridge():
 
 def test_stuck_when_a_dispatch_case_exceeds_its_ceiling(monkeypatch):
     g = graph_from_edges([(0, 1), (0, 2), (0, 3), (1, 4), (2, 5)])  # |M| = 3, |L| = 1
-    everything = frozenset(range(g.num_vertices))
-    monkeypatch.setattr(
-        covers, "cover_general", _always(CoverResult(everything, 6, "M+L-1", 3.0, 0.0))
-    )
+    monkeypatch.setattr(covers, "_general_cover", _always(set(range(g.num_vertices))))
     with pytest.raises(Stuck, match="case 1.8 used 6 > 3"):
-        cover_case_dispatch(g)
+        cover_case_dispatch(g, median_extra(g))
 
 
 def test_stuck_when_the_star_residue_has_no_center(monkeypatch):
     # |L| = 3 and the residue after both matchings is a star
     g = graph_from_edges([(0, 1), (0, 2), (0, 5), (1, 3), (1, 6), (2, 4), (3, 4)])
-    assert cover_case_dispatch(g).bound_kind == "1.68+(sqrt2+1)delta"
+    extra = median_extra(g)
+    assert cover_case_dispatch(g, extra).bound_kind == "1.68+(sqrt2+1)delta"
     monkeypatch.setattr(covers, "common_vertex", _always(None))
     with pytest.raises(Stuck, match="star residue"):
-        cover_case_dispatch(g)
+        cover_case_dispatch(g, extra)
 
 
 def test_stuck_when_the_singles_matching_misses_a_single(monkeypatch):

@@ -10,6 +10,7 @@ from medcover.reduction import (
     ClusteringInstance,
     HypergraphInstance,
     auto_no_regime,
+    instance_from_dict,
     instance_from_json,
     instance_to_json,
     pairwise_squared_distance_check,
@@ -82,6 +83,16 @@ def test_non_finite_coordinates_are_rejected(bad):
     assert "Infinity" in text or "NaN" in text  # json writes and reads these
     with pytest.raises(ValueError, match="non-finite"):
         instance_from_json(text)
+
+
+@pytest.mark.parametrize("field", ["dimension", "k"])
+@pytest.mark.parametrize("bad", ["1", 1.5, 1.0, True])
+def test_instance_integer_fields_must_be_integers(field, bad):
+    # True is an int to Python, but a JSON true is not a count
+    obj = {"dimension": 1, "k": 1, "objective": "median", "points": [[0.0], [1.0]]}
+    obj[field] = bad
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        instance_from_dict(obj)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,10 @@
 """The named property suites behind verify-lemmas."""
 
 import dataclasses
-from collections import Counter
 
 import pytest
 
-from medcover import covers, suites
+from medcover import costs, covers, suites
 from medcover.errors import PreconditionViolated
 from medcover.graphs import is_star
 from medcover.oracle import enumerate_triangle_free
@@ -61,23 +60,34 @@ def test_cover_suite_small():
 
 
 def test_cover_suite_solves_each_median_once(monkeypatch):
-    # cover_matching_two, cover_general and cover_case_dispatch (and the
-    # cover_general call inside it) all charge the same graph's median
-    # extra cost; the bridge case also charges its residual graph
-    solves = Counter()
-    real = covers.extra_cost
+    # one median_costs call holds every non-star graph; the constructions
+    # are handed each graph's extra cost and solve no median themselves
+    batches = []
+    inside = []
+    real_batch = costs._weiszfeld_batch
+    real_costs = suites.median_costs
 
-    def counting(g, objective, *args, **kwargs):
-        if objective == "median":
-            solves[g] += 1
-        return real(g, objective, *args, **kwargs)
+    def counting(graphs, *args, **kwargs):
+        batches.append(list(graphs))
+        inside.append(True)
+        try:
+            return real_costs(graphs, *args, **kwargs)
+        finally:
+            inside.pop()
 
-    covers._numeric_delta.cache_clear()
-    monkeypatch.setattr(covers, "extra_cost", counting)
+    def only_inside_median_costs(*args):
+        if not inside:
+            raise AssertionError("a median was solved outside the suite's batch")
+        return real_batch(*args)
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a cover construction solved a median")
+
+    monkeypatch.setattr(suites, "median_costs", counting)
+    monkeypatch.setattr(costs, "_weiszfeld_batch", only_inside_median_costs)
+    monkeypatch.setattr(covers, "extra_cost", no_solve)
     assert_clean(suite_covers(max_edges=6), "cover_extraction")
-    nonstars = {g for g in enumerate_triangle_free(6) if not is_star(g)}
-    assert nonstars <= set(solves)
-    assert set(solves.values()) == {1}
+    assert batches == [[g for g in enumerate_triangle_free(6) if not is_star(g)]]
 
 
 def test_hypergraph_suite_needs_candidate_centers(monkeypatch):
