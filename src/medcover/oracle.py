@@ -28,10 +28,15 @@ its prefix's nearest-center distances by one ``np.minimum``, and each
 subset's cost takes the same float additions, in the same order, as a
 per-subset sum.
 
-``canonical_form`` finds the least adjacency bitstring one row at a time,
-branching only on vertices that tie for the least row (in the spirit of
-individualization-refinement, McKay & Piperno 2014), and raises
-``InstanceTooLarge`` when the tie frontier passes ``MAX_CANON_STATES``.
+``canonical_form`` works components first: a bitmask flood fill splits the
+graph, and a graph with two or more components gets the sorted certificates
+of its components, so vertices of different components never tie in one
+search. For each connected graph it finds the least adjacency bitstring one
+row at a time, branching only on vertices that tie for the least row (in
+the spirit of individualization-refinement, McKay & Piperno 2014), and
+raises ``InstanceTooLarge`` when one search's tie frontier passes
+``MAX_CANON_STATES``. The enumerator composes a disjoint union's
+certificate from its parts' certificates the same way, without a search.
 Every exhaustive routine has an explicit ceiling, and a broken internal
 invariant raises ``Stuck`` rather than asserting.
 """
@@ -530,10 +535,61 @@ def _refine_classes(g: Graph) -> list[list[int]]:
     return [cells[key] for key in sorted(cells)]
 
 
+def _components(nbrs: list[int]) -> list[int]:
+    """Vertex masks of the connected components, by least vertex: a bitmask
+    flood fill that reads each vertex's neighbour mask once."""
+    comps = []
+    left = (1 << len(nbrs)) - 1
+    while left:
+        comp = todo = left & -left
+        while todo:
+            bit = todo & -todo
+            todo ^= bit
+            grow = nbrs[bit.bit_length() - 1] & ~comp
+            comp |= grow
+            todo |= grow
+        comps.append(comp)
+        left ^= comp
+    return comps
+
+
+def _neighbour_masks(g: Graph) -> list[int]:
+    nbrs = [0] * g.num_vertices
+    for u, v in g.edges:
+        nbrs[u] |= 1 << v
+        nbrs[v] |= 1 << u
+    return nbrs
+
+
 def canonical_form(g: Graph) -> str:
-    """Canonical certificate ``"n:bits"``: the least row-major upper-triangle
-    adjacency bitstring over all vertex orders that list the cells of
-    ``_refine_classes`` in their order. Isomorphic graphs get equal strings.
+    """Canonical certificate: isomorphic graphs get equal strings.
+
+    A graph with at most one connected component gets ``"n:bits"``, the
+    least row-major upper-triangle adjacency bitstring over all vertex
+    orders that list the cells of ``_refine_classes`` in their order. A
+    graph with two or more components gets its components' certificates,
+    sorted and joined by ``"+"``; each component (an isolated vertex is one,
+    ``"1:"``) is relabelled in increasing vertex order first. So a union of
+    k disjoint edges costs k one-edge searches, not a search through the
+    2^k·k! orders in which vertices of different components tie, and
+    ``MAX_CANON_STATES`` bounds each component's search on its own.
+    """
+    nbrs = _neighbour_masks(g)
+    comps = _components(nbrs)
+    if len(comps) <= 1:
+        return _connected_form(g, nbrs)
+    forms = []
+    for comp in comps:
+        members = [v for v in range(g.num_vertices) if comp >> v & 1]
+        label = {v: i for i, v in enumerate(members)}
+        part = Graph(len(label), tuple((label[u], label[v]) for u, v in g.edges if u in label))
+        forms.append(_connected_form(part, _neighbour_masks(part)))
+    return "+".join(sorted(forms))
+
+
+def _connected_form(g: Graph, nbrs: list[int]) -> str:
+    """``"n:bits"`` for a graph with at most one component, whose neighbour
+    masks are ``nbrs``.
 
     The least string is found one row at a time. A search state is an
     ordered list of vertex blocks holding the positions still to fill; the
@@ -554,10 +610,6 @@ def canonical_form(g: Graph) -> str:
     at the end.
     """
     n = g.num_vertices
-    nbrs = [0] * n
-    for u, v in g.edges:
-        nbrs[u] |= 1 << v
-        nbrs[v] |= 1 << u
     frontier = {tuple(sum(1 << v for v in cell) for cell in _refine_classes(g))}
     rows: list[str] = []
     for width in range(n - 1, -1, -1):
@@ -632,58 +684,58 @@ def enumerate_triangle_free(
     vertices, up to isomorphism — connected by default, optionally also the
     disconnected ones (disjoint unions of the connected catalogue).
 
-    Built level by level: every connected graph with m edges arises from one
-    with m-1 edges by adding an edge (between existing vertices or to a
-    fresh leaf), so extending and deduplicating by canonical form is
-    exhaustive. Deterministic output order: edge count, then vertex count,
-    then certificate.
+    Built level by level from the one-vertex graph: every connected graph
+    with m edges arises from one with m-1 edges by adding an edge (between
+    existing vertices or to a fresh leaf), so extending and deduplicating by
+    canonical form is exhaustive. A disjoint union's certificate is composed
+    from its parts' certificates, which the levels already computed, exactly
+    as ``canonical_form`` composes it, so unions cost no search; the
+    disconnected catalogue therefore reaches ``MAX_ENUM_EDGES`` too.
+    Deterministic output order: edge count, then vertex count, then
+    certificate.
     """
     if max_edges > MAX_ENUM_EDGES:
         raise InstanceTooLarge(f"enumeration capped at {MAX_ENUM_EDGES} edges")
-    if max_edges < 1:
-        return
-    levels: list[list[Graph]] = [[Graph(2, ((0, 1),))]]
-    yield levels[0][0]
-    by_edges: dict[int, list[Graph]] = {1: list(levels[0])}
-    for m in range(2, max_edges + 1):
+    # (edge count, certificate, graph) of every connected graph, level by level
+    catalogue: list[tuple[int, str, Graph]] = []
+    level = [Graph(1, ())]
+    for m in range(1, max_edges + 1):
         seen: dict[str, Graph] = {}
-        for g in levels[-1]:
+        for g in level:
             for h in _single_edge_extensions(g):
                 cert = canonical_form(h)
                 if cert not in seen:
                     seen[cert] = h
-        level = [seen[c] for c in sorted(seen, key=lambda c: (int(c.split(":")[0]), c))]
-        levels.append(level)
-        by_edges[m] = level
-        for g in level:
-            yield g
+        certs = sorted(seen, key=lambda c: (int(c.split(":")[0]), c))
+        level = [seen[c] for c in certs]
+        catalogue.extend((m, c, seen[c]) for c in certs)
+        yield from level
     if not include_disconnected:
         return
     # Disjoint unions: multisets of >= 2 connected pieces, non-decreasing by
-    # (edge count, certificate) so each multiset appears once.
-    catalogue = [
-        (m, canonical_form(g), g) for m in sorted(by_edges) for g in by_edges[m]
-    ]
+    # catalogue index so each multiset appears once.
 
-    def unions(start: int, budget: int, parts: list[Graph]) -> Iterator[tuple[Graph, ...]]:
+    def unions(
+        start: int, budget: int, parts: list[tuple[int, str, Graph]]
+    ) -> Iterator[list[tuple[int, str, Graph]]]:
         if len(parts) >= 2:
-            yield tuple(parts)
+            yield parts
         for idx in range(start, len(catalogue)):
-            m, _cert, g = catalogue[idx]
-            if m > budget:
-                continue
-            yield from unions(idx, budget - m, parts + [g])
+            m, _cert, _g = catalogue[idx]
+            if m <= budget:
+                yield from unions(idx, budget - m, parts + [catalogue[idx]])
 
     combos = []
     for parts in unions(0, max_edges, []):
         offset = 0
         edges: list[tuple[int, int]] = []
-        for part in parts:
+        for _m, _cert, part in parts:
             edges.extend((u + offset, v + offset) for u, v in part.edges)
             offset += part.num_vertices
-        combos.append(Graph(offset, tuple(sorted(edges))))
-    combos.sort(key=lambda g: (g.num_edges, g.num_vertices, canonical_form(g)))
-    for g in combos:
+        cert = "+".join(sorted(c for _m, c, _g in parts))
+        combos.append(((len(edges), offset, cert), Graph(offset, tuple(sorted(edges)))))
+    combos.sort(key=lambda combo: combo[0])
+    for _key, g in combos:
         yield g
 
 

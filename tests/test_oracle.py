@@ -19,9 +19,11 @@ from medcover.costs import weiszfeld, weiszfeld_subsets
 from medcover.errors import DomainError, InstanceTooLarge, NotConverged, PreconditionViolated
 from medcover.graphs import (
     Graph,
+    edge_components,
     graph_from_edges,
     is_triangle_free,
     is_vertex_cover,
+    make_graph,
     max_degree,
 )
 from medcover.oracle import (
@@ -745,11 +747,112 @@ def _matching(k):
     return graph_from_edges([(2 * i, 2 * i + 1) for i in range(k)])
 
 
+def _spider(legs):
+    """A center with ``legs`` two-edge legs."""
+    return graph_from_edges(
+        [e for i in range(legs) for e in ((0, 2 * i + 1), (2 * i + 1, 2 * i + 2))]
+    )
+
+
 def test_canonical_form_ceiling():
+    # the nine middle vertices tie but are not twins: the frontier passes
+    # 50,000 tied states, alone or as one component of a union
+    spider = _spider(9)
     with pytest.raises(InstanceTooLarge):
-        canonical_form(_matching(7))
+        canonical_form(spider)
+    n = spider.num_vertices
     with pytest.raises(InstanceTooLarge):
-        list(enumerate_triangle_free(7, include_disconnected=True))
+        canonical_form(Graph(n + 2, spider.edges + ((n, n + 1),)))
+    # a union of disjoint edges is searched one edge at a time
+    assert canonical_form(_matching(7)) == "+".join(["2:1"] * 7)
+    assert sum(1 for _ in enumerate_triangle_free(8, include_disconnected=True)) == 452
+
+
+def test_disconnected_catalogue_searches_no_union(monkeypatch):
+    calls = []
+
+    def counting(g):
+        calls.append(g)
+        return canonical_form(g)
+
+    monkeypatch.setattr(oracle, "canonical_form", counting)
+    list(enumerate_triangle_free(8))
+    connected = len(calls)
+    list(enumerate_triangle_free(8, include_disconnected=True))
+    assert len(calls) == 2 * connected
+
+
+def test_canonical_form_of_empty_and_isolated_vertices():
+    assert canonical_form(Graph(0, ())) == "0:"
+    assert canonical_form(Graph(1, ())) == "1:"
+    assert canonical_form(Graph(2, ())) == "1:+1:"
+    # each isolated vertex is a component of its own
+    for g in (Graph(5, ((1, 3),)), Graph(5, ((0, 4),))):
+        assert canonical_form(g) == "1:+1:+1:+2:1"
+    g = Graph(7, ((0, 2), (2, 5)))
+    assert canonical_form(g).split("+").count("1:") == 4
+    assert canonical_form(g) == "+".join(["1:"] * 4 + [canonical_form(graph_from_edges(P4[:2]))])
+
+
+# connected triangle-free graphs without isolated vertices, by edge count 1..8
+CONNECTED_CENSUS = (1, 1, 2, 4, 8, 18, 42, 110)
+
+
+def _euler_transform(a):
+    """b[m]: multisets of connected pieces (a[d] kinds with d edges) whose
+    edge counts sum to m, by the recurrence m·b[m] = sum c[k]·b[m-k] with
+    c[k] = sum over d dividing k of d·a[d]."""
+    c = [0] + [sum(d * a[d - 1] for d in range(1, k + 1) if k % d == 0) for k in range(1, len(a) + 1)]
+    b = [1]
+    for m in range(1, len(a) + 1):
+        b.append(sum(c[k] * b[m - k] for k in range(1, m + 1)) // m)
+    return b[1:]
+
+
+def _components_of(g):
+    """Each component (isolated vertices included) relabelled in increasing
+    vertex order, found through ``graphs.edge_components``."""
+    parts = []
+    for idxs in edge_components(g):
+        verts = sorted({v for i in idxs for v in g.edges[i]})
+        label = {v: i for i, v in enumerate(verts)}
+        edges = (g.edges[i] for i in idxs)
+        parts.append(Graph(len(verts), tuple((label[u], label[v]) for u, v in edges)))
+    parts += [Graph(1, ())] * (g.num_vertices - len(g.used_vertices()))
+    return parts
+
+
+def _laid_out(parts):
+    edges, offset = [], 0
+    for part in parts:
+        edges += [(u + offset, v + offset) for u, v in part.edges]
+        offset += part.num_vertices
+    return Graph(offset, tuple(edges))
+
+
+def test_disconnected_catalogue_census_and_certificates():
+    cat = list(enumerate_triangle_free(8, include_disconnected=True))
+    by_edges = Counter(g.num_edges for g in cat)
+    assert list(itertools.accumulate(by_edges[m] for m in range(1, 9))) == [1, 3, 7, 16, 35, 80, 185, 452]
+    assert [by_edges[m] for m in range(1, 9)] == _euler_transform(CONNECTED_CENSUS)
+    connected = Counter(g.num_edges for g in cat if len(_components_of(g)) == 1)
+    assert tuple(connected[m] for m in range(1, 9)) == CONNECTED_CENSUS
+    assert all(is_triangle_free(g) and not set(range(g.num_vertices)) - set(g.used_vertices()) for g in cat)
+    certs = [canonical_form(g) for g in cat]
+    assert len(set(certs)) == len(cat)
+    # the connected catalogue comes first; the union builder's composed
+    # certificates order the unions that follow it
+    keys = [(g.num_edges, g.num_vertices, c) for g, c in zip(cat, certs) if "+" in c]
+    assert len(keys) == len(cat) - sum(CONNECTED_CENSUS)
+    assert cat[: sum(CONNECTED_CENSUS)] == list(enumerate_triangle_free(8))
+    assert keys == sorted(keys)
+    rng = random.Random(5)
+    for g, cert in zip(cat, certs):
+        perm = list(range(g.num_vertices))
+        rng.shuffle(perm)
+        relabelled = make_graph(g.num_vertices, [(perm[u], perm[v]) for u, v in g.edges])
+        assert canonical_form(relabelled) == cert, g.edges
+        assert canonical_form(_laid_out(_components_of(g)[::-1])) == cert, g.edges
 
 
 def _canonical_form_by_permutation(g):
@@ -799,13 +902,9 @@ def test_canonical_form_matches_permutation_reference(monkeypatch):
 
     monkeypatch.setattr(oracle, "canonical_form", recording)
     list(enumerate_triangle_free(6))
-    list(enumerate_triangle_free(5, include_disconnected=True))
+    yielded = list(enumerate_triangle_free(5, include_disconnected=True))
     monkeypatch.undo()
-    graphs = {(g.num_vertices, g.edges): g for g in seen}
-    # 5K2 is left out: its 10! orders take the reference about 100 s
-    too_slow = [key for key, g in graphs.items() if _reference_orders(g) > math.factorial(8)]
-    assert too_slow == [(10, _matching(5).edges)]
-    del graphs[too_slow[0]]
+    graphs = {(g.num_vertices, g.edges): g for g in seen + yielded}
     for g in (
         graph_from_edges(C8),
         _matching(4),
@@ -813,8 +912,40 @@ def test_canonical_form_matches_permutation_reference(monkeypatch):
         graph_from_edges(Q3),
     ):
         graphs[g.num_vertices, g.edges] = g
+    disconnected = 0
     for g in graphs.values():
-        assert canonical_form(g) == _canonical_form_by_permutation(g), g
+        parts = _components_of(g)
+        if len(parts) == 1:
+            assert canonical_form(g) == _canonical_form_by_permutation(g), g
+        else:
+            disconnected += 1
+            for part in parts:
+                assert canonical_form(part) == _canonical_form_by_permutation(part), part
+            want = "+".join(sorted(_canonical_form_by_permutation(p) for p in parts))
+            assert canonical_form(g) == want, g
+    # the 19 unions up to 5 edges (4K2 among them, in the same labelling)
+    # and another labelling of 3K2 + P3
+    assert disconnected == 20
+
+
+def test_certificates_agree_with_the_reference_on_isomorphism():
+    graphs = list(enumerate_triangle_free(5, include_disconnected=True))
+    graphs += [_matching(4), graph_from_edges([(0, 1), (2, 3), (4, 5), (6, 7), (7, 8)])]
+    # 5K2 is left out of the reference (its 10! orders take about 100 s);
+    # it is the only graph here on 10 vertices, so its reference certificate
+    # ("10:...") equals no other
+    by_ref = [g for g in graphs if _reference_orders(g) <= math.factorial(8)]
+    (five_k2,) = [g for g in graphs if g not in by_ref]
+    assert five_k2.edges == _matching(5).edges
+    assert [g.num_vertices for g in graphs].count(10) == 1
+    refs = [_canonical_form_by_permutation(g) for g in by_ref]
+    certs = [canonical_form(g) for g in by_ref]
+    for (ra, ca), (rb, cb) in itertools.combinations(zip(refs, certs), 2):
+        assert (ra == rb) == (ca == cb)
+    # the only isomorphic pairs: the added 4K2 and 3K2 + P3 with their
+    # catalogue copies
+    assert sum(ra == rb for ra, rb in itertools.combinations(refs, 2)) == 2
+    assert canonical_form(five_k2) not in certs
 
 
 @settings(max_examples=40, deadline=None)
