@@ -19,6 +19,7 @@ from typing import Optional, Sequence
 from .costs import (
     BASIS_CLOSED,
     BASIS_UPPER,
+    WEISZFELD_TOLERANCE,
     closed_form_median_cost,
     cluster_points,
     median_extra_cost,
@@ -150,30 +151,22 @@ def cmd_median(args: argparse.Namespace) -> int:
 def cmd_decompose(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
     cls = classify(g)
-    payload: dict = {"class": cls.describe(), "edges": g.num_edges}
+    payload: dict = {"class": cls.describe(), "edges": g.num_edges, "safe": None, "ultra_safe": None}
+    modes: tuple[str, ...] = ("safe", "ultra_safe")
     if is_star(g):
         payload["note"] = "stars need no decomposition; their cost is the closed form"
-        payload["safe"] = None
-        payload["ultra_safe"] = None
-    else:
-        trace = decompose(g, "safe")
+        modes = ()
+    elif bridge_structure(g) is not None:
+        payload["note"] = "bridge graph: ultra-safe mode not applicable"
+        modes = ("safe",)
+    for mode in modes:
+        trace = decompose(g, mode)
         cert = certificate_from_trace(g, trace)
-        payload["safe"] = {
+        payload[mode] = {
             "trace": trace_to_dict(trace),
             "bound": cert.bound,
             "derivation": [[label, v] for label, v in cert.derivation],
         }
-        if bridge_structure(g) is None:
-            utrace = decompose(g, "ultra_safe")
-            ucert = certificate_from_trace(g, utrace)
-            payload["ultra_safe"] = {
-                "trace": trace_to_dict(utrace),
-                "bound": ucert.bound,
-                "derivation": [[label, v] for label, v in ucert.derivation],
-            }
-        else:
-            payload["ultra_safe"] = None
-            payload["note"] = "bridge graph: ultra-safe mode not applicable"
     _emit(_json(payload), args.out)
     return 0
 
@@ -393,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("median", help="1-median of a graph's embedded points")
     p.add_argument("--graph", required=True)
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--tol", type=float, default=WEISZFELD_TOLERANCE)
     p.add_argument("--out")
     p.set_defaults(func=cmd_median)
 

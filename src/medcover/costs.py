@@ -39,6 +39,10 @@ BASIS_LOWER = "certified_lower"
 
 _SNAP = 1e-12  # distance under which an iterate is treated as sitting on a data point
 MAX_CONTINUOUS_POINTS = 12  # largest point set whose 2^n subsets are tabulated
+# Weiszfeld's stop rule, and the iterations a row may take before it raises
+# ``NotConverged``; only ``weiszfeld`` takes another tolerance
+WEISZFELD_TOLERANCE = 1e-12
+WEISZFELD_MAX_ITER = 100_000
 
 
 @dataclass(frozen=True)
@@ -68,18 +72,6 @@ class ExtraCost:
 # ---------------------------------------------------------------------------
 # Closed forms
 # ---------------------------------------------------------------------------
-
-def sqrt_bound(m: float, t: float) -> tuple[float, float]:
-    """Two-sided bracket for sqrt(m(m-1)) valid for m >= t > 1:
-
-        m - (t - sqrt(t(t-1)))  <=  sqrt(m(m-1))  <=  m - 1/2
-
-    The lower bound tightens as t grows and is exact at m = t.
-    """
-    if t <= 1 or m < t:
-        raise DomainError(f"need m >= t > 1, got m={m}, t={t}")
-    return m - (t - math.sqrt(t * (t - 1))), m - 0.5
-
 
 def simplex_median_cost(r: int, s: float) -> float:
     """1-median cost of r vertices of a regular simplex with side s: the
@@ -136,35 +128,29 @@ def l1_median_cost() -> float:
 # ---------------------------------------------------------------------------
 
 def weiszfeld(
-    points: Sequence[Sequence[float]],
-    tolerance: float = 1e-12,
-    max_iter: int = 100_000,
+    points: Sequence[Sequence[float]], tolerance: float = WEISZFELD_TOLERANCE
 ) -> MedianSolution:
     """Geometric median by Weiszfeld iteration from the centroid: one row of
     ``_weiszfeld_batch``, which holds the on-point test, escape step and stop
-    rule. Raises ``NotConverged`` on reaching ``max_iter``, so ``converged``
-    is always True.
+    rule. Raises ``NotConverged`` on reaching ``WEISZFELD_MAX_ITER``, so
+    ``converged`` is always True.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] < 1:
         raise ValueError("need a non-empty sequence of equal-length vectors")
-    costs, centers, iterations = _weiszfeld_batch(pts[None], tolerance, max_iter)
+    costs, centers, iterations = _weiszfeld_batch(pts[None], tolerance)
     return MedianSolution(tuple(centers[0].tolist()), float(costs[0]), int(iterations[0]), True)
 
 
-def weiszfeld_subsets(
-    points: Sequence[Sequence[float]],
-    tolerance: float = 1e-12,
-    max_iter: int = 100_000,
-) -> tuple[np.ndarray, np.ndarray]:
+def weiszfeld_subsets(points: Sequence[Sequence[float]]) -> tuple[np.ndarray, np.ndarray]:
     """Geometric median of every non-empty subset of ``points`` at once.
 
     Returns ``(costs, centers)`` indexed by bitmask: row ``mask`` solves the
     points whose indices are the set bits of ``mask`` (row 0 is unused).
-    Subsets of one size are solved together as one ``_weiszfeld_batch``.
-    Raises ``NotConverged`` if any subset reaches ``max_iter``. More than
-    ``MAX_CONTINUOUS_POINTS`` points raise ``InstanceTooLarge`` before any
-    table is allocated.
+    Subsets of one size are solved together as one ``_weiszfeld_batch`` at
+    ``WEISZFELD_TOLERANCE``. Raises ``NotConverged`` if any subset reaches
+    ``WEISZFELD_MAX_ITER``. More than ``MAX_CONTINUOUS_POINTS`` points raise
+    ``InstanceTooLarge`` before any table is allocated.
     """
     if len(points) > MAX_CONTINUOUS_POINTS:
         raise InstanceTooLarge(
@@ -181,12 +167,12 @@ def weiszfeld_subsets(
     for k in range(1, n + 1):
         rows = np.flatnonzero(size == k)
         members = np.nonzero(bits[rows])[1].reshape(len(rows), k)
-        costs[rows], centers[rows], _ = _weiszfeld_batch(pts[members], tolerance, max_iter)
+        costs[rows], centers[rows], _ = _weiszfeld_batch(pts[members], WEISZFELD_TOLERANCE)
     return costs, centers
 
 
 def _weiszfeld_batch(
-    blocks: np.ndarray, tolerance: float, max_iter: int
+    blocks: np.ndarray, tolerance: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Geometric median of each row of a (batch, points, dim) array of
     equal-size blocks, by Weiszfeld iteration from the centroid. This is the
@@ -201,7 +187,8 @@ def _weiszfeld_batch(
     A row stops when its relative cost change or its center displacement
     drops below ``tolerance``, which must be finite and positive (else
     ``ValueError``). Raises ``NotConverged`` if any row reaches
-    ``max_iter``, and ``DomainError`` if a starting cost overflows float.
+    ``WEISZFELD_MAX_ITER`` iterations, and ``DomainError`` if a starting
+    cost overflows float.
 
     Rows never mix: every reduction runs along one row's own points in the
     same order whatever the batch holds, so a row's result does not depend
@@ -212,6 +199,7 @@ def _weiszfeld_batch(
     """
     if not (math.isfinite(tolerance) and tolerance > 0):
         raise ValueError(f"tolerance must be finite and positive, got {tolerance!r}")
+    max_iter = WEISZFELD_MAX_ITER
     y = blocks.mean(axis=1)
     iterations = np.zeros(len(blocks), dtype=np.int64)
     if blocks.shape[1] == 1:
@@ -306,9 +294,7 @@ def closed_form_median_cost(g: Graph, cls: Optional[GraphClass] = None) -> Optio
     return None
 
 
-def median_costs(
-    graphs: Sequence[Graph], tolerance: float = 1e-12, max_iter: int = 100_000
-) -> list[tuple[float, str]]:
+def median_costs(graphs: Sequence[Graph]) -> list[tuple[float, str]]:
     """``median_cost`` of every graph, in input order.
 
     A graph whose class has a closed form gets it. The rest are grouped by
@@ -326,18 +312,18 @@ def median_costs(
             out[i] = (exact, BASIS_CLOSED)
     for rows in shapes.values():
         blocks = np.stack([cluster_points(graphs[i]) for i in rows])
-        costs, _, _ = _weiszfeld_batch(blocks, tolerance, max_iter)
+        costs, _, _ = _weiszfeld_batch(blocks, WEISZFELD_TOLERANCE)
         for i, cost in zip(rows, costs.tolist()):
             out[i] = (cost, BASIS_UPPER)
     return out
 
 
-def median_cost(g: Graph, tolerance: float = 1e-12, max_iter: int = 100_000) -> tuple[float, str]:
+def median_cost(g: Graph) -> tuple[float, str]:
     """1-median cost of a cluster: the closed form if its class has one,
     else Weiszfeld's numerical upper estimate. Returns (cost, basis), and
-    raises ``NotConverged`` if the solve reaches ``max_iter``.
+    raises ``NotConverged`` if the solve reaches ``WEISZFELD_MAX_ITER``.
     """
-    return median_costs([g], tolerance=tolerance, max_iter=max_iter)[0]
+    return median_costs([g])[0]
 
 
 def one_means_cost(g: Graph) -> Fraction:
@@ -358,12 +344,7 @@ def one_means_cost(g: Graph) -> Fraction:
     )
 
 
-def extra_cost(
-    g: Graph,
-    objective: str,
-    tolerance: float = 1e-12,
-    max_iter: int = 100_000,
-) -> ExtraCost:
+def extra_cost(g: Graph, objective: str) -> ExtraCost:
     """Cluster cost above the same-size star baseline.
 
     median: 1-median cost minus sqrt(r(r-1)); exact when the class has a
@@ -375,7 +356,7 @@ def extra_cost(
         return ExtraCost(one_means_cost(g) - (r - 1), BASIS_CLOSED)
     if objective != "median":
         raise ValueError("objective must be 'median' or 'means'")
-    return median_extra_cost(g, *median_cost(g, tolerance=tolerance, max_iter=max_iter))
+    return median_extra_cost(g, *median_cost(g))
 
 
 def median_extra_cost(g: Graph, cost: float, basis: str) -> ExtraCost:

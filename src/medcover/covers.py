@@ -45,6 +45,7 @@ from .graphs import (
     konig_cover,
     maximal_matching_greedy,
     maximum_matching,
+    remove_edges,
     second_maximum_matching,
     subgraph,
 )
@@ -174,7 +175,10 @@ def _validate_matchings(g: Graph, m: Matching, l: Matching) -> None:
 
 def cover_general(g: Graph, m: Matching, l: Matching, extra: float) -> CoverResult:
     """Cover of size at most |M| + |L| - 1, recorded against ``extra``, the
-    cluster's median extra cost; the construction is ``_general_cover``'s."""
+    cluster's median extra cost; the construction is ``_general_cover``'s.
+    M must be a maximum matching of g and L a maximum matching of g minus
+    M's edges, else ``PreconditionViolated``."""
+    _validate_matchings(g, m, l)
     cover = _general_cover(g, m, l)
     return CoverResult(
         cover=frozenset(cover),
@@ -186,7 +190,8 @@ def cover_general(g: Graph, m: Matching, l: Matching, extra: float) -> CoverResu
 
 
 def _general_cover(g: Graph, m: Matching, l: Matching) -> set[int]:
-    """Cover of size at most |M| + |L| - 1.
+    """Cover of size at most |M| + |L| - 1, for a maximum matching M and a
+    second maximum matching L that the caller has computed or validated.
 
     Take both endpoints of every L-edge but the last, delete what they cover,
     and look at the residue: its non-M edges must form a star (else L was not
@@ -201,7 +206,6 @@ def _general_cover(g: Graph, m: Matching, l: Matching) -> set[int]:
         raise PreconditionViolated("general cover construction needs a non-star graph")
     if len(l) < 1:
         raise PreconditionViolated("needs a second matching with at least one edge")
-    _validate_matchings(g, m, l)
 
     s: set[int] = {v for e in l.edges[:-1] for v in e}
     live = [e for e in g.edges if e[0] not in s and e[1] not in s]
@@ -236,16 +240,6 @@ def _general_cover(g: Graph, m: Matching, l: Matching) -> set[int]:
 # Case dispatch for matching number >= 3
 # ---------------------------------------------------------------------------
 
-def _edges_minus(g: Graph, drop: Iterable[Edge]) -> Graph:
-    gone = set(drop)
-    return Graph(g.num_vertices, tuple(e for e in g.edges if e not in gone))
-
-
-def _konig_on(g: Graph, edges: Sequence[Edge]) -> set[int]:
-    sub = Graph(g.num_vertices, tuple(edges))
-    return konig_cover(sub)
-
-
 def _cover_via_bridge_residual(g: Graph, m: Matching, f_prime: Graph) -> set[int]:
     """|L| = 2 with the M-deleted graph a bridge: cover of size |M|.
 
@@ -276,6 +270,7 @@ def _cover_via_bridge_residual(g: Graph, m: Matching, f_prime: Graph) -> set[int
     else:
         if len(l_rest) != 1:
             raise Stuck("bridge-case residue should have second matching of size one")
+        _validate_matchings(g_rest, m_rest, l_rest)  # m_rest is built by hand above
         sub_cover = _general_cover(g_rest, m_rest, l_rest)
     return {u} | sub_cover
 
@@ -328,26 +323,26 @@ def cover_case_dispatch(g: Graph, extra: float) -> CoverResult:
     if len(l) == 1:
         return result(_general_cover(g, m, l), "1.8", 1.8, len(m))
     if len(l) == 2:
-        f_prime = _edges_minus(g, m.edges)
+        f_prime = remove_edges(g, m.edges)
         if bridge_structure(f_prime) is not None:
             return result(_cover_via_bridge_residual(g, m, f_prime), "1.53", 1.53, len(m))
         return result(_general_cover(g, m, l), "1.68", 1.68, len(m) + 1)
 
-    f_pp = _edges_minus(g, tuple(m.edges) + tuple(l.edges))
-    ml_edges = tuple(m.edges) + tuple(l.edges)
+    ml_edges = m.edges + l.edges
+    f_pp = remove_edges(g, ml_edges)
     if f_pp.num_edges == 0:
         return result(konig_cover(g), "1.6", 1.6, len(m))
     if is_star(f_pp):
         c = common_vertex(f_pp.edges)
         if c is None:
             raise Stuck("star residue has no common vertex")
-        survivors = [e for e in ml_edges if c not in e]
-        return result({c} | _konig_on(g, survivors), "1.68", 1.68, len(m) + 1)
+        survivors = Graph(g.num_vertices, tuple(e for e in ml_edges if c not in e))
+        return result({c} | konig_cover(survivors), "1.68", 1.68, len(m) + 1)
     bridge = bridge_structure(f_pp)
     if bridge is not None:
         (u, v), _p, _q = bridge
-        survivors = [e for e in ml_edges if u not in e and v not in e]
-        return result({u, v} | _konig_on(g, survivors), "1.4", 1.4, len(m) + 1)
+        survivors = Graph(g.num_vertices, tuple(e for e in ml_edges if u not in e and v not in e))
+        return result({u, v} | konig_cover(survivors), "1.4", 1.4, len(m) + 1)
     return result(_general_cover(g, m, l), "1.6", 1.6, len(m) + len(l) - 1)
 
 

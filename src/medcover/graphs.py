@@ -11,11 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import EmptyGraph, InstanceTooLarge, NotBipartite, PreconditionViolated, Stuck
 
 Edge = tuple[int, int]
+
+MAX_MATCHING_EDGES = 24  # largest graph the exhaustive maximum matching takes
 
 
 def _normalize_edge(u: int, v: int) -> Edge:
@@ -187,10 +189,6 @@ def edge_components(g: Graph) -> list[list[int]]:
     return sorted(groups.values(), key=lambda idxs: idxs[0])
 
 
-def is_connected_by_edges(g: Graph) -> bool:
-    return len(edge_components(g)) <= 1
-
-
 # ---------------------------------------------------------------------------
 # Matchings
 # ---------------------------------------------------------------------------
@@ -212,39 +210,35 @@ class Matching:
     def __len__(self) -> int:
         return len(self.indices)
 
-    def vertices(self) -> set[int]:
-        return {v for e in self.edges for v in e}
-
 
 def _matching_from_indices(g: Graph, indices: Iterable[int]) -> Matching:
     idx = tuple(sorted(indices))
     return Matching(idx, tuple(g.edges[i] for i in idx))
 
 
-def maximal_matching_greedy(g: Graph, order: Optional[Sequence[int]] = None) -> Matching:
-    """Greedy maximal matching scanning edges in the given index order."""
-    if order is None:
-        order = range(g.num_edges)
+def maximal_matching_greedy(g: Graph) -> Matching:
+    """Greedy maximal matching scanning edges in index order."""
     used: set[int] = set()
     picked: list[int] = []
-    for i in order:
-        u, v = g.edges[i]
+    for i, (u, v) in enumerate(g.edges):
         if u not in used and v not in used:
             picked.append(i)
             used.update((u, v))
     return _matching_from_indices(g, picked)
 
 
-def maximum_matching(g: Graph, ceiling: int = 24) -> Matching:
+def maximum_matching(g: Graph) -> Matching:
     """Exhaustive maximum matching with include/exclude branch and bound.
 
     Edges are branched in ascending index order with the include branch first,
     so the first matching of maximum cardinality encountered is the
     lexicographically smallest sorted index tuple — the documented tie-break.
+    More than ``MAX_MATCHING_EDGES`` edges raise ``InstanceTooLarge`` before
+    the search.
     """
     m = g.num_edges
-    if m > ceiling:
-        raise InstanceTooLarge(f"{m} edges exceeds matching ceiling {ceiling}")
+    if m > MAX_MATCHING_EDGES:
+        raise InstanceTooLarge(f"{m} edges exceeds matching ceiling {MAX_MATCHING_EDGES}")
     best: list[int] = []
 
     def search(i: int, used: set[int], current: list[int]) -> None:
@@ -268,14 +262,14 @@ def maximum_matching(g: Graph, ceiling: int = 24) -> Matching:
     return _matching_from_indices(g, best)
 
 
-def second_maximum_matching(g: Graph, m: Matching, ceiling: int = 24) -> Matching:
+def second_maximum_matching(g: Graph, m: Matching) -> Matching:
     """Maximum matching of g minus the edges of m (the host indices are kept)."""
     for i, e in zip(m.indices, m.edges):
         if g.edges[i] != e:
             raise PreconditionViolated("matching does not belong to this graph")
     remaining = [i for i in range(g.num_edges) if i not in set(m.indices)]
     sub = Graph(g.num_vertices, tuple(g.edges[i] for i in remaining))
-    inner = maximum_matching(sub, ceiling=ceiling)
+    inner = maximum_matching(sub)
     return _matching_from_indices(g, (remaining[i] for i in inner.indices))
 
 
@@ -358,7 +352,7 @@ def _cycle_order(g: Graph) -> Optional[list[int]]:
     deg = g.degrees()
     if any(deg[v] != 2 for v in verts) or len(verts) != g.num_edges:
         return None
-    if not is_connected_by_edges(g):
+    if len(edge_components(g)) > 1:
         return None
     adj = g.adjacency()
     start = verts[0]

@@ -19,8 +19,8 @@ Python loop over dicts that resolves ties first-wins within 1e-15: every
 mask takes the first candidate, in that loop's order, of its cheapest ones,
 and the few masks with two candidates closer than a 1e-14 window replay the
 loop exactly. One module-level slot holds the last instance's tables and DP
-layers, keyed on (objective, exact point tuples, tolerance): asking for the
-same points at another k reuses the tables and extends the layers, a new key
+layers, keyed on (objective, exact point tuples): asking for the same
+points at another k reuses the tables and extends the layers, a new key
 drops the slot before its own tables are built, and a build that raises
 leaves the slot empty. The discrete oracle walks its center subsets as a
 combination tree in slices of at most ``DISCRETE_CHUNK``: a child extends
@@ -234,7 +234,7 @@ _last: Optional[_Solved] = None  # the slot ``opt_continuous`` reuses
 _last_lock = threading.Lock()
 
 
-def _solved_up_to(inst: ClusteringInstance, tolerance: float, kmax: int) -> _Solved:
+def _solved_up_to(inst: ClusteringInstance, kmax: int) -> _Solved:
     """The slot for ``inst``, built if its key is new, with DP layers 0..kmax.
 
     Layers are only appended, each one whole, so the layers and choices a
@@ -243,14 +243,14 @@ def _solved_up_to(inst: ClusteringInstance, tolerance: float, kmax: int) -> _Sol
     global _last
     n = len(inst.points)
     # -0.0 == 0.0 in the key; weiszfeld_subsets and _centroid_table give the same rows for either
-    key = (inst.objective, tolerance, tuple(map(tuple, inst.points)))
+    key = (inst.objective, tuple(map(tuple, inst.points)))
     with _last_lock:
         solved = _last
         if solved is None or solved.key != key:
             _last = solved = None  # free the old tables before building new ones
             try:
                 if inst.objective == "median":
-                    cost_table, center_table = weiszfeld_subsets(inst.points, tolerance=tolerance)
+                    cost_table, center_table = weiszfeld_subsets(inst.points)
                 else:
                     cost_table, center_table = _centroid_table(inst.points)
             except OverflowError:  # an exact cost too large for a float
@@ -269,30 +269,31 @@ def _solved_up_to(inst: ClusteringInstance, tolerance: float, kmax: int) -> _Sol
         return solved
 
 
-def opt_continuous(inst: ClusteringInstance, tolerance: float = 1e-12) -> OracleReport:
+def opt_continuous(inst: ClusteringInstance) -> OracleReport:
     """Exact optimum of the instance over all partitions into at most k
     blocks, each block served by its own optimal center.
 
     Optimal k-clusterings are partition-induced, and splitting a block never
     raises cost, so searching partitions into <= k blocks is exhaustive. The
     cost and center of every one of the 2^n - 1 point subsets are tabulated
-    up front (batched Weiszfeld for median, exact centroid sums for means);
-    the search then runs as a subset DP over those tables: layer j holds the
-    best cost of serving each point subset with j blocks, one float64 array
-    over all 2^n masks. Each new block holds the lowest point not yet
-    served, and among candidates within 1e-15 of each other the first in the
-    submask loop's order wins (see ``_extend``), so partitions and costs are
-    the same, bit for bit, as that loop's. A block cost that is not finite
-    raises ``DomainError``; more than ``MAX_CONTINUOUS_POINTS`` points raise
-    ``InstanceTooLarge`` before anything is built.
+    up front (batched Weiszfeld at ``costs.WEISZFELD_TOLERANCE`` for median,
+    exact centroid sums for means); the search then runs as a subset DP over
+    those tables: layer j holds the best cost of serving each point subset
+    with j blocks, one float64 array over all 2^n masks. Each new block
+    holds the lowest point not yet served, and among candidates within 1e-15
+    of each other the first in the submask loop's order wins (see
+    ``_extend``), so partitions and costs are the same, bit for bit, as that
+    loop's. A block cost that is not finite raises ``DomainError``; more
+    than ``MAX_CONTINUOUS_POINTS`` points raise ``InstanceTooLarge`` before
+    anything is built.
 
     One slot keeps the last instance's tables and DP layers, keyed on the
-    objective, the exact points and ``tolerance`` (k is not in the key): at
-    12 points, the two 4096-row tables and one 4096-entry value array and
-    one 4096-entry uint16 choice array per layer built. A call with the same
-    key reuses the tables and builds only the layers it still lacks; layer j
-    depends only on layer j - 1 and the tables, so the result is the same,
-    bit for bit, as a cold call. A call with another key drops the slot
+    objective and the exact points (k is not in the key): at 12 points, the
+    two 4096-row tables and one 4096-entry value array and one 4096-entry
+    uint16 choice array per layer built. A call with the same key reuses
+    the tables and builds only the layers it still lacks; layer j depends
+    only on layer j - 1 and the tables, so the result is the same, bit for
+    bit, as a cold call. A call with another key drops the slot
     before it builds new tables, and a build that raises leaves the slot
     empty. A lock makes concurrent calls take the slot in turn.
     """
@@ -302,7 +303,7 @@ def opt_continuous(inst: ClusteringInstance, tolerance: float = 1e-12) -> Oracle
     if inst.k > n:
         raise PreconditionViolated("k exceeds the number of points")
     kmax = min(inst.k, n)
-    solved = _solved_up_to(inst, tolerance, kmax)
+    solved = _solved_up_to(inst, kmax)
     best, choice = solved.best, solved.choice
     full = (1 << n) - 1
     best_j = min(range(1, kmax + 1), key=lambda j: best[j][full])
@@ -486,12 +487,13 @@ def opt_discrete(inst: ClusteringInstance) -> OracleReport:
     )
 
 
-def min_vertex_cover(g: Graph, ceiling: int = MAX_VC_EDGES) -> set[int]:
+def min_vertex_cover(g: Graph) -> set[int]:
     """Exact minimum vertex cover by branch and bound on an uncovered edge
     (take one endpoint or the other). Deterministic: among minimum covers
-    the lexicographically smallest is returned."""
-    if g.num_edges > ceiling:
-        raise InstanceTooLarge(f"{g.num_edges} edges exceeds the {ceiling}-edge limit")
+    the lexicographically smallest is returned. More than ``MAX_VC_EDGES``
+    edges raise ``InstanceTooLarge`` before the search."""
+    if g.num_edges > MAX_VC_EDGES:
+        raise InstanceTooLarge(f"{g.num_edges} edges exceeds the {MAX_VC_EDGES}-edge limit")
     best: list[tuple[int, ...]] = [tuple(sorted(v for e in g.edges for v in e))]
 
     def search(cover: set[int], start: int) -> None:

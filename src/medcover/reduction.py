@@ -122,20 +122,6 @@ def auto_no_regime(g: Graph, k: int) -> bool:
     return delta > 0 and k < g.num_edges / (2 * delta)
 
 
-def pairwise_squared_distance_check(inst: ClusteringInstance, g: Graph) -> bool:
-    """Verify the {2, 4} squared-distance pattern of a graph reduction:
-    2 exactly when the two underlying edges share an endpoint, else 4."""
-    if len(inst.points) != g.num_edges:
-        return False
-    for a in range(len(inst.points)):
-        for b in range(a + 1, len(inst.points)):
-            sq = sum((xa - xb) ** 2 for xa, xb in zip(inst.points[a], inst.points[b]))
-            shares = bool(set(g.edges[a]) & set(g.edges[b]))
-            if sq != (2.0 if shares else 4.0):
-                return False
-    return True
-
-
 def reduce_hypergraph(h: HypergraphInstance) -> ClusteringInstance:
     """Discrete k-means instance: one point per hyperedge (sum of vertex
     indicators), candidate centers = all vertex indicators."""
@@ -217,6 +203,22 @@ def instance_to_dict(inst: ClusteringInstance) -> dict:
     }
 
 
+def _vectors(rows: object, name: str) -> tuple[Vector, ...]:
+    """A JSON list of lists of numbers as float tuples; any other shape, or
+    a number too large for a float, raises ``ValueError``."""
+    if not isinstance(rows, list):
+        raise ValueError(f"{name} must be a list of vectors, got {rows!r}")
+    for x in rows:
+        if not isinstance(x, list) or not all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) for v in x
+        ):
+            raise ValueError(f"{name} must hold lists of numbers, got {x!r}")
+    try:
+        return tuple(tuple(float(v) for v in x) for x in rows)
+    except OverflowError:
+        raise ValueError(f"{name} has a coordinate too large for a float") from None
+
+
 def instance_from_dict(obj: dict) -> ClusteringInstance:
     missing = {"dimension", "points", "k", "objective"} - obj.keys()
     if missing:
@@ -224,12 +226,10 @@ def instance_from_dict(obj: dict) -> ClusteringInstance:
     centers = obj.get("candidate_centers")
     return ClusteringInstance(
         dimension=obj["dimension"],
-        points=tuple(tuple(float(v) for v in x) for x in obj["points"]),
+        points=_vectors(obj["points"], "points"),
         k=obj["k"],
         objective=obj["objective"],
-        candidate_centers=(
-            None if centers is None else tuple(tuple(float(v) for v in c) for c in centers)
-        ),
+        candidate_centers=None if centers is None else _vectors(centers, "candidate_centers"),
     )
 
 

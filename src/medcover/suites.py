@@ -72,10 +72,6 @@ def _star(r: int) -> Graph:
     return Graph(r + 1, tuple((0, i) for i in range(1, r + 1)))
 
 
-def _embedded_median_cost(g: Graph, tolerance: float = 1e-12) -> float:
-    return weiszfeld(cluster_points(g), tolerance=tolerance).cost
-
-
 def suite_closed_forms() -> dict:
     """Numerical 1-median solver versus every closed form and proven floor:
     stars, regular simplices, lone-edge-plus-star A_n, the shortest two-star
@@ -96,22 +92,22 @@ def suite_closed_forms() -> dict:
             failures.append(f"{label}: got {got!r}, floor {floor!r}")
 
     for r in range(2, 9):
-        expect(f"star r={r}", _embedded_median_cost(_star(r)), star_median_cost(r))
+        expect(f"star r={r}", weiszfeld(cluster_points(_star(r))).cost, star_median_cost(r))
     for r in range(2, 9):
         pts = [[2.0 / math.sqrt(2.0) if j == i else 0.0 for j in range(r)] for i in range(r)]
         expect(f"simplex side 2 r={r}", weiszfeld(pts).cost, simplex_median_cost(r, 2.0))
     for n in range(1, 7):
         lone = Graph(n + 3, ((0, 1),) + tuple((2, 3 + i) for i in range(n)))
-        expect(f"A_{n}", _embedded_median_cost(lone), a_n_median_cost(n))
+        expect(f"A_{n}", weiszfeld(cluster_points(lone)).cost, a_n_median_cost(n))
     expect_at_least("A_2 floor", a_n_median_cost(2), 3.095)
     l1 = Graph(4, ((0, 1), (1, 2), (2, 3)))
-    expect("L_1", _embedded_median_cost(l1), l1_median_cost())
+    expect("L_1", weiszfeld(cluster_points(l1)).cost, l1_median_cost())
     expect("L_1 value", l1_median_cost(), 1 + math.sqrt(3.0))
     p3 = Graph(6, ((0, 1), (2, 3), (4, 5)))
-    expect("3 disjoint edges", _embedded_median_cost(p3), disjoint_edges_median_cost(3))
+    expect("3 disjoint edges", weiszfeld(cluster_points(p3)).cost, disjoint_edges_median_cost(3))
     expect("3-P2 value", disjoint_edges_median_cost(3), 2 * math.sqrt(3.0))
     c5 = Graph(5, ((0, 1), (0, 4), (1, 2), (2, 3), (3, 4)))
-    expect_at_least("C5 floor", _embedded_median_cost(c5), math.sqrt(20.0) + 0.622)
+    expect_at_least("C5 floor", weiszfeld(cluster_points(c5)).cost, math.sqrt(20.0) + 0.622)
     return _suite("closed_forms", checks, failures)
 
 

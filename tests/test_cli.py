@@ -182,6 +182,25 @@ def test_instance_json_with_a_non_integer_field_is_a_clean_error(tmp_path, capsy
     assert stderr.startswith(f"error: {field} must be an integer")
 
 
+@pytest.mark.parametrize("fields, message", [
+    ('"points": 5', "points must be a list of vectors"),
+    ('"points": [[0.0], [null]]', "points must hold lists of numbers"),
+    ('"points": [[0.0], 1.0]', "points must hold lists of numbers"),
+    ('"points": [[0.0], [true]]', "points must hold lists of numbers"),
+    ('"points": [[0.0], [1' + "0" * 400 + ']]', "points has a coordinate too large"),
+    ('"points": [[0.0], [1.0]], "candidate_centers": 7',
+     "candidate_centers must be a list of vectors"),
+])
+def test_instance_json_of_the_wrong_shape_is_a_clean_error(tmp_path, capsys, fields, message):
+    inst = tmp_path / "inst.json"
+    inst.write_text(f'{{"dimension": 1, "k": 1, "objective": "median", {fields}}}')
+    code, stdout, stderr = run(capsys, "oracle", "--graph", str(inst))
+    assert code == 1
+    assert stdout == ""
+    assert stderr.startswith(f"error: {message}")
+    assert stderr.count("\n") == 1
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "0"])
 def test_median_with_a_tolerance_that_is_not_finite_and_positive_is_a_clean_error(
     capsys, c5_file, tol

@@ -25,12 +25,11 @@ from medcover.costs import (
     median_costs,
     one_means_cost,
     simplex_median_cost,
-    sqrt_bound,
     star_median_cost,
     weiszfeld,
     weiszfeld_subsets,
 )
-from medcover.errors import DomainError, NotConverged
+from medcover.errors import NotConverged
 from medcover.graphs import graph_from_edges
 from medcover.oracle import enumerate_triangle_free, random_triangle_free
 from medcover.reduction import reduce_graph
@@ -183,36 +182,6 @@ def test_extra_cost_means_is_exact():
 
 
 # ---------------------------------------------------------------------------
-# sqrt bracket
-# ---------------------------------------------------------------------------
-
-def test_sqrt_bound_literals():
-    lo, hi = sqrt_bound(5.0, 2.0)
-    assert lo == pytest.approx(5 - (2 - math.sqrt(2)))
-    assert hi == 4.5
-
-
-@settings(max_examples=80, deadline=None)
-@given(
-    st.floats(1.001, 50.0, allow_nan=False),
-    st.floats(1.001, 50.0, allow_nan=False),
-)
-def test_sqrt_bound_brackets_the_true_value(a, b):
-    m, t = max(a, b), min(a, b)
-    lo, hi = sqrt_bound(m, t)
-    true = math.sqrt(m * (m - 1))
-    assert lo <= true + 1e-9
-    assert true <= hi + 1e-12
-
-
-def test_sqrt_bound_domain():
-    with pytest.raises(DomainError):
-        sqrt_bound(2.0, 1.0)
-    with pytest.raises(DomainError):
-        sqrt_bound(1.5, 2.0)
-
-
-# ---------------------------------------------------------------------------
 # Differential references for the Weiszfeld loops
 # ---------------------------------------------------------------------------
 
@@ -260,9 +229,10 @@ def _weiszfeld_two_norm(points, tolerance=1e-12, max_iter=100_000):
     return tuple(float(v) for v in y), total_cost(y), iterations, converged
 
 
-def _weiszfeld_batch_reference(blocks, tolerance, max_iter):
+def _weiszfeld_batch_reference(blocks, tolerance):
     """Reference: ``_weiszfeld_batch`` gathering the active rows and
     measuring their distances afresh on every iteration."""
+    max_iter = costs.WEISZFELD_MAX_ITER
 
     def total_cost(pts, y):
         return np.linalg.norm(pts - y[:, None, :], axis=2).sum(axis=1)
@@ -361,9 +331,10 @@ def test_weiszfeld_keeps_the_cross_stall():
     )
 
 
-def test_weiszfeld_raises_at_max_iter():
+def test_weiszfeld_raises_at_max_iter(monkeypatch):
+    monkeypatch.setattr(costs, "WEISZFELD_MAX_ITER", 100)
     with pytest.raises(NotConverged):
-        weiszfeld(CROSS, max_iter=100)
+        weiszfeld(CROSS)
 
 
 @pytest.mark.parametrize("tolerance", [math.nan, math.inf, 0.0, -1e-12])

@@ -13,7 +13,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from medcover import covers
+from medcover import covers, graphs
 from medcover.costs import extra_cost
 from medcover.covers import (
     SQRT2P1,
@@ -91,6 +91,41 @@ def test_general_construction_bound_and_validity():
     r = cover_general(g, m, l, median_extra(g))
     assert is_vertex_cover(g, r.cover)
     assert r.size <= len(m) + len(l) - 1
+
+
+GENERAL = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 4)]  # M 0,2,4; L 1,3,5
+
+
+@pytest.mark.parametrize("m_idx, l_idx, message", [
+    ((0, 2), (1, 3, 5), "m is not a maximum matching"),
+    ((0, 2, 4), (1, 3), "l is not a second maximum matching"),
+    ((0, 2, 4), (0, 3, 5), "m and l share edges"),
+])
+def test_general_construction_rejects_matchings_it_is_not_given_right(m_idx, l_idx, message):
+    g = graph_from_edges(GENERAL)
+    m, l = (Matching(idx, tuple(g.edges[i] for i in idx)) for idx in (m_idx, l_idx))
+    with pytest.raises(PreconditionViolated, match=message):
+        cover_general(g, m, l, median_extra(g))
+
+
+@pytest.mark.parametrize("edges, kind", [
+    ([(0, 1), (1, 2), (2, 3), (4, 5)], "1.8"),  # |L| = 1
+    ([(0, 1), (0, 2), (1, 3), (2, 4), (3, 5)], "1.68"),  # |L| = 2, F' not a bridge
+])
+def test_dispatch_computes_each_matching_once(monkeypatch, edges, kind):
+    g = graph_from_edges(edges)
+    calls = []
+    real = graphs.maximum_matching
+
+    def counted(h):
+        calls.append(h)
+        return real(h)
+
+    monkeypatch.setattr(graphs, "maximum_matching", counted)  # inside second_maximum_matching
+    monkeypatch.setattr(covers, "maximum_matching", counted)
+    r = cover_case_dispatch(g, 0.25)
+    assert r.bound_kind == f"{kind}+(sqrt2+1)delta"
+    assert len(calls) == 2  # M on g, then L on g minus M's edges
 
 
 def test_constructions_charge_the_extra_cost_they_are_given():

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from medcover import oracle
+from medcover import costs, oracle
 from medcover.costs import weiszfeld, weiszfeld_subsets
 from medcover.errors import DomainError, InstanceTooLarge, NotConverged, PreconditionViolated
 from medcover.graphs import (
@@ -117,22 +117,21 @@ def test_continuous_reuse_matches_cold_calls(monkeypatch):
     zero = ClusteringInstance(2, ((0.0, 1.0), (10.0, 1.0), (11.0, 1.0)), 2, "median")
     signed = ClusteringInstance(2, ((-0.0, 1.0), (10.0, 1.0), (11.0, 1.0)), 2, "median")
     calls = (
-        [(a, "median", k, 1e-12) for k in (1, 2, 3, 4, 5, 6)]  # k rising
-        + [(a, "median", k, 1e-12) for k in (5, 3, 3, 1)]  # falling, then repeated
-        + [(a, "means", k, 1e-12) for k in (4, 6, 2)]  # another objective
-        + [(b, "median", k, 1e-12) for k in (2, 5)]  # another graph
-        + [(b, "median", k, 1e-10) for k in (5, 6)]  # another tolerance
-        + [(zero, None, 2, 1e-12), (signed, None, 2, 1e-12)]
+        [(a, "median", k) for k in (1, 2, 3, 4, 5, 6)]  # k rising
+        + [(a, "median", k) for k in (5, 3, 3, 1)]  # falling, then repeated
+        + [(a, "means", k) for k in (4, 6, 2)]  # another objective
+        + [(b, "median", k) for k in (2, 5)]  # another graph
+        + [(zero, None, 2), (signed, None, 2)]
     )
 
-    def solve(g, objective, k, tol):
+    def solve(g, objective, k):
         inst = g if objective is None else reduce_graph(g, k=k, objective=objective)
-        return _fingerprint(opt_continuous(inst, tolerance=tol))
+        return _fingerprint(opt_continuous(inst))
 
     monkeypatch.setattr(oracle, "_last", None)
     builds = _count_table_builds(monkeypatch)
     warm = [solve(*call) for call in calls]
-    assert len(builds) == 5  # one per key: a median, a means, b, b at 1e-10, zero
+    assert len(builds) == 4  # one per key: a median, a means, b, zero
     for call, got in zip(calls, warm):
         oracle._last = None
         assert solve(*call) == got, call
@@ -173,14 +172,11 @@ def test_continuous_failed_table_build_leaves_no_slot(monkeypatch):
     median = reduce_graph(g, k=2, objective="median")
     opt_continuous(reduce_graph(g, k=2, objective="means"))
     assert oracle._last is not None
-    build = oracle.weiszfeld_subsets
-    monkeypatch.setattr(
-        oracle, "weiszfeld_subsets", lambda *args, **kw: build(*args, **kw, max_iter=1)
-    )
-    with pytest.raises(NotConverged):
-        opt_continuous(median)
+    with monkeypatch.context() as patch:
+        patch.setattr(costs, "WEISZFELD_MAX_ITER", 1)
+        with pytest.raises(NotConverged):
+            opt_continuous(median)
     assert oracle._last is None
-    monkeypatch.setattr(oracle, "weiszfeld_subsets", build)
     builds = _count_table_builds(monkeypatch)
     got = _fingerprint(opt_continuous(median))
     assert builds == ["weiszfeld_subsets"]
@@ -610,10 +606,11 @@ def test_median_table_ceiling_comes_before_any_table():
         weiszfeld_subsets(points)
 
 
-def test_median_table_raises_when_a_subset_does_not_converge():
+def test_median_table_raises_when_a_subset_does_not_converge(monkeypatch):
     points = _reduced_points(6, 3, 3)
+    monkeypatch.setattr(costs, "WEISZFELD_MAX_ITER", 1)
     with pytest.raises(NotConverged):
-        weiszfeld_subsets(points, max_iter=1)
+        weiszfeld_subsets(points)
 
 
 @pytest.mark.parametrize("points", [

@@ -1,5 +1,6 @@
 """Graph and hypergraph embeddings plus the predicted cost gaps."""
 
+import itertools
 import json
 import math
 
@@ -13,7 +14,6 @@ from medcover.reduction import (
     instance_from_dict,
     instance_from_json,
     instance_to_json,
-    pairwise_squared_distance_check,
     parse_hyperedges,
     predict_gap_graph,
     predict_gap_hypergraph,
@@ -39,11 +39,14 @@ def test_points_are_edge_indicator_sums():
 def test_squared_distances_are_two_or_four():
     g = graph_from_edges(C5)
     inst = reduce_graph(g, k=2, objective="median")
-    assert pairwise_squared_distance_check(inst, g)
-    # directly: adjacent edges at 2, disjoint edges at 4
     pts = inst.points
-    assert sq(pts[0], pts[1]) == 2.0  # (0,1) vs (0,4)
-    assert sq(pts[0], pts[3]) == 4.0  # (0,1) vs (2,3)
+    assert len(pts) == g.num_edges
+    # every pair: 2 when the two edges share an endpoint, else 4
+    for a, b in itertools.combinations(range(len(pts)), 2):
+        shares = bool(set(g.edges[a]) & set(g.edges[b]))
+        assert sq(pts[a], pts[b]) == (2.0 if shares else 4.0), (g.edges[a], g.edges[b])
+    assert sq(pts[0], pts[1]) == 2.0  # (0,1) vs (1,2)
+    assert sq(pts[0], pts[2]) == 4.0  # (0,1) vs (2,3)
 
 
 @pytest.mark.parametrize(
