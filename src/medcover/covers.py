@@ -158,17 +158,21 @@ def cover_matching_two(g: Graph, extra: float) -> CoverResult:
 # General |M| + |L| - 1 construction
 # ---------------------------------------------------------------------------
 
-def _validate_matchings(g: Graph, m: Matching, l: Matching) -> None:
+def _require_maximum(g: Graph, m: Matching) -> None:
     for idx, e in zip(m.indices, m.edges):
         if g.edges[idx] != e:
             raise PreconditionViolated("matching m does not belong to the graph")
+    if len(maximum_matching(g)) != len(m):
+        raise PreconditionViolated("m is not a maximum matching")
+
+
+def _validate_matchings(g: Graph, m: Matching, l: Matching) -> None:
+    _require_maximum(g, m)
     for idx, e in zip(l.indices, l.edges):
         if g.edges[idx] != e:
             raise PreconditionViolated("matching l does not belong to the graph")
     if set(m.indices) & set(l.indices):
         raise PreconditionViolated("m and l share edges")
-    if len(maximum_matching(g)) != len(m):
-        raise PreconditionViolated("m is not a maximum matching")
     if len(second_maximum_matching(g, m)) != len(l):
         raise PreconditionViolated("l is not a second maximum matching")
 
@@ -270,7 +274,7 @@ def _cover_via_bridge_residual(g: Graph, m: Matching, f_prime: Graph) -> set[int
     else:
         if len(l_rest) != 1:
             raise Stuck("bridge-case residue should have second matching of size one")
-        _validate_matchings(g_rest, m_rest, l_rest)  # m_rest is built by hand above
+        _require_maximum(g_rest, m_rest)  # built by hand above; l_rest was just computed from it
         sub_cover = _general_cover(g_rest, m_rest, l_rest)
     return {u} | sub_cover
 

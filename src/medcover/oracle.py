@@ -26,7 +26,10 @@ leaves the slot empty. The discrete oracle walks its center subsets as a
 combination tree in slices of at most ``DISCRETE_CHUNK``: a child extends
 its prefix's nearest-center distances by one ``np.minimum``, and each
 subset's cost takes the same float additions, in the same order, as a
-per-subset sum.
+per-subset sum. The walk is a branch and bound: it skips the children of
+every prefix whose cost with all later centers added is not below the
+current best by more than the 1e-15 the scan needs to replace its best,
+so no skipped subset could have won.
 
 ``canonical_form`` works components first: a bitmask flood fill splits the
 graph, and a graph with two or more components gets the sorted certificates
@@ -359,10 +362,20 @@ class _TreeLevel:
     """The children of one slice of prefixes in ``_cheapest_subset``'s walk."""
 
     near: np.ndarray  # each prefix's distance from every point to its nearest center
+    ends: np.ndarray  # each prefix's newest center
     parent: np.ndarray  # each child's prefix, as a row of ``near``
     last: np.ndarray  # each child's newest center
-    start: int = 0  # the children in [start, stop) are being walked
-    stop: int = 0
+    bound: Optional[np.ndarray] = None  # each prefix's bound, built once the best is finite
+    taken: Optional[np.ndarray] = None  # the children of the slice being walked
+    stop: int = 0  # the children before ``stop`` have been sliced
+
+
+def _point_sums(rows: np.ndarray) -> np.ndarray:
+    """Each row's entries added one at a time in column order onto 0.0."""
+    sums = np.zeros(len(rows))
+    for column in rows.T:
+        sums += column
+    return sums
 
 
 def _cheapest_subset(table: np.ndarray, k: int) -> tuple[float, Optional[tuple[int, ...]]]:
@@ -371,15 +384,29 @@ def _cheapest_subset(table: np.ndarray, k: int) -> tuple[float, Optional[tuple[i
     with a subset cheaper by more than 1e-15; ``(inf, None)`` when no cost
     is finite.
 
-    The subsets are walked depth first as a combination tree. A prefix is
-    kept as each point's distance to its nearest chosen center, and a child
-    adds one center with one ``np.minimum``. Each level is walked in slices
-    of at most ``DISCRETE_CHUNK`` prefixes or subsets, and a slice of
-    prefixes is cut short where their children would pass ``DISCRETE_CHUNK``
-    x points (one prefix is always taken). A level thus holds at most
-    ``DISCRETE_CHUNK`` x points distances and max(``DISCRETE_CHUNK`` x
-    points, n - k + 1) child indices, whatever C(n, k) is. A subset's cost
-    adds its points' distances one at a time in point order onto 0.0.
+    The subsets are walked depth first as a combination tree, by branch and
+    bound. A prefix is kept as each point's distance to its nearest chosen
+    center, and a child adds one center with one ``np.minimum``. Each level
+    is walked in slices of at most ``DISCRETE_CHUNK`` prefixes or subsets,
+    and a slice of prefixes is cut short where their children would pass
+    ``DISCRETE_CHUNK`` x points (one prefix is always taken). A level thus
+    holds at most ``DISCRETE_CHUNK`` x points distances and
+    max(``DISCRETE_CHUNK`` x points, n - k + 1) child indices, whatever
+    C(n, k) is; the suffix-minimum table below is as large as ``table``. A
+    subset's cost adds its points' distances one at a time in point order
+    onto 0.0 (``_point_sums``).
+
+    A prefix's bound is its cost with every later center added: the same
+    additions over the elementwise minimum of its distances and row
+    ``last + 1`` of a suffix-minimum table (row i is the least distance to
+    centers i..n-1, row n is inf). Minima are exact and rounded addition is
+    monotone, so the bound is at most the cost of each of the prefix's
+    completions. Once the best is finite, a slice skips every child whose
+    prefix's bound is not below the current best by more than 1e-15. The
+    scan replaces its best only with a subset cheaper by more than 1e-15,
+    and the best never rises, so no skipped subset could have replaced it:
+    the chain of replacements, and so the result, is the unpruned scan's.
+    A level's bounds are built at its first slice with a finite best.
 
     Within a slice, only subsets cheaper than the best so far by more than
     1e-15 can take its place, and the chain of such replacements ends near
@@ -391,6 +418,8 @@ def _cheapest_subset(table: np.ndarray, k: int) -> tuple[float, Optional[tuple[i
     n, m = table.shape
     best_cost: float = math.inf
     best_subset: Optional[tuple[int, ...]] = None
+    suffix = np.full((n + 1, m), math.inf)
+    np.minimum.accumulate(table[::-1], axis=0, out=suffix[n - 1::-1])
 
     def level(depth: int, near: np.ndarray, last: np.ndarray) -> _TreeLevel:
         """The children of the prefixes that end at ``last``; the center at
@@ -398,7 +427,7 @@ def _cheapest_subset(table: np.ndarray, k: int) -> tuple[float, Optional[tuple[i
         count = n - k + depth - last
         parent = np.repeat(np.arange(len(last)), count)
         first = last + 1 - (np.cumsum(count) - count)
-        return _TreeLevel(near, parent, np.arange(len(parent)) + first.take(parent))
+        return _TreeLevel(near, last, parent, np.arange(len(parent)) + first.take(parent))
 
     stack = [level(0, np.full((1, m), math.inf), np.array([-1]))]
     while stack:
@@ -406,20 +435,27 @@ def _cheapest_subset(table: np.ndarray, k: int) -> tuple[float, Optional[tuple[i
         if top.stop >= len(top.parent):
             stack.pop()
             continue
-        top.start = top.stop
-        last = top.last[top.start:top.start + DISCRETE_CHUNK]
+        start = top.stop
+        last = top.last[start:start + DISCRETE_CHUNK]
         if len(stack) < k and len(last) * (n - k + 1) > DISCRETE_CHUNK * m:
             children = np.cumsum(n - k + len(stack) - last)
             last = last[:max(1, int(np.searchsorted(children, DISCRETE_CHUNK * m, side="right")))]
-        top.stop = top.start + len(last)
-        near = top.near.take(top.parent[top.start:top.stop], 0)
+        top.stop = start + len(last)
+        top.taken = np.arange(start, top.stop)
+        if best_cost < math.inf:
+            if top.bound is None:
+                later = suffix.take(top.ends + 1, 0)
+                top.bound = _point_sums(np.minimum(later, top.near, out=later))
+            top.taken = top.taken[top.bound.take(top.parent[top.taken]) < best_cost - 1e-15]
+            if not len(top.taken):
+                continue
+        near = top.near.take(top.parent.take(top.taken), 0)
+        last = top.last.take(top.taken)
         np.minimum(near, table.take(last, 0), out=near)
         if len(stack) < k:
             stack.append(level(len(stack), near, last))
             continue
-        costs = np.zeros(len(near))
-        for column in near.T:
-            costs += column
+        costs = _point_sums(near)
         i = int(costs.argmin())  # the first subset at the slice's least cost
         low = float(costs[i])
         if not low < best_cost - 1e-15:
@@ -434,9 +470,9 @@ def _cheapest_subset(table: np.ndarray, k: int) -> tuple[float, Optional[tuple[i
         best_cost = low
         subset = []
         for frame in reversed(stack):  # follow the winner's prefixes up to the root
-            i += frame.start
-            subset.append(int(frame.last[i]))
-            i = int(frame.parent[i])
+            j = int(frame.taken[i])
+            subset.append(int(frame.last[j]))
+            i = int(frame.parent[j])
         best_subset = tuple(reversed(subset))
     return best_cost, best_subset
 
@@ -450,8 +486,11 @@ def opt_discrete(inst: ClusteringInstance) -> OracleReport:
     cheaper than the best before it by more than 1e-15 wins, so ties
     resolve to the earliest subset. The distances are tabulated in numpy
     (``_distance_table``) and the subsets walked as a combination tree in
-    slices of at most ``DISCRETE_CHUNK`` (``_cheapest_subset``); costs,
-    partition and centers equal a one-subset-at-a-time scan bit for bit.
+    slices of at most ``DISCRETE_CHUNK``, by branch and bound
+    (``_cheapest_subset``): a subtree is skipped only where a lower bound
+    on all its costs shows none could replace the best. Costs, partition
+    and centers equal a one-subset-at-a-time scan of every subset bit for
+    bit.
     No points, no candidate centers, or k above their count raise
     ``PreconditionViolated``, and more than ``MAX_DISCRETE_SUBSETS``
     subsets raise ``InstanceTooLarge``, before anything is built.

@@ -45,6 +45,8 @@ class ClusteringInstance:
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+        if self.dimension < 1:
+            raise ValueError(f"dimension must be >= 1, got {self.dimension}")
         if self.k < 1:
             raise ValueError("k must be >= 1")
         for x in self.points:

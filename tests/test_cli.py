@@ -201,6 +201,24 @@ def test_instance_json_of_the_wrong_shape_is_a_clean_error(tmp_path, capsys, fie
     assert stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("dimension, objective, points", [
+    (0, "median", "[[], []]"),
+    (0, "means", "[[], []]"),
+    (-1, "median", "[]"),
+])
+def test_instance_json_with_a_dimension_below_one_is_a_clean_error(
+    tmp_path, capsys, dimension, objective, points
+):
+    inst = tmp_path / "inst.json"
+    inst.write_text(
+        f'{{"dimension": {dimension}, "points": {points}, "k": 1, "objective": "{objective}"}}'
+    )
+    code, stdout, stderr = run(capsys, "oracle", "--graph", str(inst))
+    assert code == 1
+    assert stdout == ""
+    assert stderr == f"error: dimension must be >= 1, got {dimension}\n"
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "0"])
 def test_median_with_a_tolerance_that_is_not_finite_and_positive_is_a_clean_error(
     capsys, c5_file, tol

@@ -128,6 +128,41 @@ def test_dispatch_computes_each_matching_once(monkeypatch, edges, kind):
     assert len(calls) == 2  # M on g, then L on g minus M's edges
 
 
+# the first 6-edge catalogue graph whose dispatch takes the bridge case with
+# a one-edge second matching in the residue
+BRIDGE_RESIDUE = [(0, 1), (0, 2), (0, 4), (1, 3), (1, 5), (2, 3)]
+
+
+def test_bridge_residual_computes_the_residue_matchings_once(monkeypatch):
+    g = graph_from_edges(BRIDGE_RESIDUE)
+    calls = Counter()
+    real_max, real_second = graphs.maximum_matching, graphs.second_maximum_matching
+
+    def counted_max(h):
+        calls["maximum"] += 1
+        return real_max(h)
+
+    def counted_second(h, m):
+        calls["second"] += 1
+        return real_second(h, m)
+
+    monkeypatch.setattr(graphs, "maximum_matching", counted_max)  # inside second_maximum_matching
+    monkeypatch.setattr(covers, "maximum_matching", counted_max)
+    monkeypatch.setattr(covers, "second_maximum_matching", counted_second)
+    r = cover_case_dispatch(g, 0.25)
+    assert (r.bound_kind, sorted(r.cover)) == ("1.53+(sqrt2+1)delta", [0, 1, 3])
+    # M and L on g; L on the residue; M checked maximum on the residue
+    assert calls == {"maximum": 4, "second": 2}
+
+
+def test_bridge_residual_still_rejects_a_residue_matching_that_is_not_maximum(monkeypatch):
+    g = graph_from_edges(BRIDGE_RESIDUE)
+    m = maximum_matching(g)
+    monkeypatch.setattr(covers, "maximum_matching", lambda h: m)  # |M| on the residue too
+    with pytest.raises(PreconditionViolated, match="m is not a maximum matching"):
+        cover_case_dispatch(g, 0.25)
+
+
 def test_constructions_charge_the_extra_cost_they_are_given():
     # the ledger entry is computed from the caller's extra cost as given
     extra = 0.25

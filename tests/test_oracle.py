@@ -444,6 +444,43 @@ def _pow_rounding_instances(seed):
             yield ClusteringInstance(1, ((x,),), 1, objective, ((0.0,),))
 
 
+def _benchmark_like_instances(seed):
+    """The catalogue benchmark's kind of hypergraph on 16 vertices, for d =
+    2, 3, 4: 12 hyperedges that each meet a planted 6-set (k = 6), and
+    pairwise disjoint hyperedges with k one below their count."""
+    rng = random.Random(seed)
+    for d in (2, 3, 4):
+        planted = rng.sample(range(16), 6)
+        edges = set()
+        while len(edges) < 12:
+            s = rng.choice(planted)
+            edges.add(tuple(sorted([s, *rng.sample([u for u in range(16) if u != s], d - 1)])))
+        yield reduce_hypergraph(HypergraphInstance(d, 16, tuple(sorted(edges)), 6))
+        order = rng.sample(range(16), 16)
+        count = min(7, 16 // d)
+        disjoint = tuple(sorted(tuple(sorted(order[i * d:(i + 1) * d])) for i in range(count)))
+        yield reduce_hypergraph(HypergraphInstance(d, 16, disjoint, count - 1))
+
+
+def _tie_at_the_bound_instances(seed, count):
+    """Centers repeated from a few sites and points that all coincide, so
+    every subset that holds a copy of the nearest site costs the same, bit
+    for bit, and so does the bound of every prefix that can still reach one.
+    At the larger scale a cost that is not 0 is at least 1000, where 1e-15
+    is below half an ulp, so such a bound equals the best less 1e-15 too."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        dim = rng.randint(1, 2)
+        scale = rng.choice([1.0, 1e3])
+        sites = [tuple(rng.randint(-3, 3) * scale for _ in range(dim)) for _ in range(rng.randint(1, 4))]
+        centers = tuple(rng.choice(sites) for _ in range(rng.randint(2, 12)))
+        point = rng.choice([rng.choice(sites), tuple(rng.randint(-3, 3) * scale for _ in range(dim))])
+        k = rng.randint(1, len(centers))
+        yield ClusteringInstance(
+            dim, (point,) * rng.randint(1, 6), k, rng.choice(["median", "means"]), centers
+        )
+
+
 @pytest.mark.parametrize("chunk", [3, oracle.DISCRETE_CHUNK])
 def test_discrete_matches_subset_loop_bit_for_bit(monkeypatch, chunk):
     # a 3-subset chunk makes the first-wins rule span many batches, and
@@ -460,6 +497,8 @@ def test_discrete_matches_subset_loop_bit_for_bit(monkeypatch, chunk):
         *_large_cost_instances(12, 30),
         *_near_tie_instances(13, 60),
         *_pow_rounding_instances(3),
+        *(inst for seed in (1, 2) for inst in _benchmark_like_instances(seed)),
+        *_tie_at_the_bound_instances(14, 60),
     ]
     for inst in cases:
         _assert_matches_subset_loop(inst)
@@ -477,6 +516,42 @@ def test_discrete_replay_reaches_past_the_band():
     inst = ClusteringInstance(1, ((0.0,),), 1, "median", centers)
     assert _discrete_by_subset_loop(inst)[2] == (centers[10],)
     _assert_matches_subset_loop(inst)
+
+
+def _scored_rows(monkeypatch):
+    """Patch the walk's cost helper to count the rows it adds up: subset
+    costs and prefix bounds."""
+    rows = []
+    real = oracle._point_sums
+
+    def counted(near):
+        rows.append(len(near))
+        return real(near)
+
+    monkeypatch.setattr(oracle, "_point_sums", counted)
+    return rows
+
+
+def test_discrete_walk_skips_subtrees_that_cannot_win(monkeypatch):
+    # every point costs at least d - 1 = 2, so every bound is at least the
+    # optimum 24: once the scan reaches a subset at 24, nothing is left to walk
+    rows = _scored_rows(monkeypatch)
+    inst, optimum = _planted_hypergraph_instance()
+    assert opt_discrete(inst).optimal_cost == optimum
+    assert 0 < sum(rows) < 10_000  # of C(24, 6) = 134,596 subsets
+
+
+def test_discrete_walk_stops_once_the_best_reaches_the_bound(monkeypatch):
+    # k = 1 in slices of 4: the root's bound is the cost with every center,
+    # 1000, and the second slice finds it. The slices after that are skipped,
+    # as they must be against the current best; 1000 - 1e-15 rounds to 1000,
+    # so a bound equal to the best is skipped as well.
+    monkeypatch.setattr(oracle, "DISCRETE_CHUNK", 4)
+    rows = _scored_rows(monkeypatch)
+    centers = tuple((1000.0 + abs(i - 5),) for i in range(40))
+    inst = ClusteringInstance(1, ((0.0,),), 1, "median", centers)
+    assert opt_discrete(inst).centers == ((1000.0,),)
+    assert rows == [4, 1, 4]  # the first slice, the root's bound, the second slice
 
 
 def test_discrete_refuses_an_instance_without_points():

@@ -1,14 +1,17 @@
 """Checks on the source tree itself: the names the benchmark reaches into,
-and the rule that proof obligations raise typed errors instead of asserting."""
+the rule that proof obligations raise typed errors instead of asserting, and
+the limits the README states."""
 
 import ast
 import dataclasses
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 import medcover
-from medcover.costs import MedianSolution
+from medcover.costs import MAX_CONTINUOUS_POINTS, MedianSolution
+from medcover.oracle import MAX_DISCRETE_SUBSETS, MAX_ENUM_EDGES, MAX_VC_EDGES
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = Path(medcover.__file__).resolve().parent
@@ -50,3 +53,18 @@ def test_no_assert_statements_in_the_package():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_readme_scale_limits_match_the_constants():
+    section = (ROOT / "README.md").read_text(encoding="utf-8").split("## Scale limits", 1)[1]
+    opening = " ".join(section.split(".", 1)[0].split())  # the first sentence, on one line
+    stated = [
+        (int(base) ** int(power or 1), unit)
+        for base, power, unit in re.findall(r"up to (\d+)(?:\^(\d+))? (points|center subsets|edges)", opening)
+    ]
+    assert stated == [
+        (MAX_CONTINUOUS_POINTS, "points"),
+        (MAX_DISCRETE_SUBSETS, "center subsets"),
+        (MAX_VC_EDGES, "edges"),
+        (MAX_ENUM_EDGES, "edges"),
+    ], opening
