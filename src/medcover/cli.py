@@ -19,6 +19,7 @@ from typing import Optional, Sequence
 from .costs import (
     BASIS_CLOSED,
     BASIS_UPPER,
+    MAX_CONTINUOUS_POINTS,
     WEISZFELD_TOLERANCE,
     closed_form_median_cost,
     cluster_points,
@@ -41,6 +42,7 @@ from .graphs import (
     parse_edge_list,
 )
 from .oracle import (
+    OracleReport,
     min_vertex_cover,
     opt_continuous,
     opt_discrete,
@@ -49,6 +51,7 @@ from .oracle import (
 )
 from .reduction import (
     auto_no_regime,
+    check_delta,
     instance_from_json,
     instance_to_json,
     parse_hyperedges,
@@ -210,6 +213,21 @@ def _report_payload(rep: SoundnessReport) -> dict:
     }
 
 
+def _round_trip(
+    g: Graph, k: int, blocks_needed: int, args: argparse.Namespace
+) -> tuple[OracleReport, SoundnessReport]:
+    """The soundness round trip of ``cover`` and ``sweep``: the oracle's
+    optimal clustering at ``blocks_needed`` = ceil(beta*k) blocks, padded by
+    ``_pad_blocks`` to exactly that many, then cover extraction at budget k
+    with the command's objective, beta and delta."""
+    oracle = opt_continuous(reduce_graph(g, k=blocks_needed, objective=args.objective))
+    blocks = _pad_blocks([list(b) for b in oracle.partition], blocks_needed)
+    rep = soundness_assemble(
+        g, blocks, k=k, beta=args.beta, objective=args.objective, delta=args.delta
+    )
+    return oracle, rep
+
+
 def cmd_cover(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
     blocks_needed = block_count(args.beta, args.k)
@@ -217,13 +235,7 @@ def cmd_cover(args: argparse.Namespace) -> int:
         raise MedcoverError(
             f"ceil(beta*k) = {blocks_needed} blocks exceed the {g.num_edges} edges"
         )
-    oracle = opt_continuous(
-        reduce_graph(g, k=blocks_needed, objective=args.objective)
-    )
-    blocks = _pad_blocks([list(b) for b in oracle.partition], blocks_needed)
-    rep = soundness_assemble(
-        g, blocks, k=args.k, beta=args.beta, objective=args.objective, delta=args.delta
-    )
+    oracle, rep = _round_trip(g, args.k, blocks_needed, args)
     payload = _report_payload(rep)
     payload["oracle_cost"] = oracle.optimal_cost
     payload["min_vertex_cover"] = len(min_vertex_cover(g))
@@ -285,6 +297,7 @@ _SWEEP_FIELDS = (
 def cmd_sweep(args: argparse.Namespace) -> int:
     if args.trials < 1:
         raise MedcoverError(f"--trials must be at least 1, got {args.trials}")
+    check_delta(args.delta)  # rows whose blocks exceed their edges never assemble
     rows = []
     produced = 0
     attempt = 0
@@ -292,7 +305,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         seed_i = args.seed * 10_000 + attempt
         attempt += 1
         g = random_triangle_free(args.n, args.d, seed=seed_i)
-        if not 2 <= g.num_edges <= args.max_edges:
+        if not 2 <= g.num_edges <= MAX_CONTINUOUS_POINTS:
             continue
         m = g.num_edges
         k = len(min_vertex_cover(g))
@@ -317,39 +330,27 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             "means_opt": repr(mea.optimal_cost),
             "means_complete": str(means_complete(mea.optimal_cost, m, k)).lower(),
         }
-        if blocks_needed <= m:
-            base = opt[args.objective]
-            ob = opt_continuous(
-                reduce_graph(g, k=blocks_needed, objective=args.objective)
-            )
+        if blocks_needed <= m:  # else the oracle and cover columns stay blank
+            ob, rep = _round_trip(g, k, blocks_needed, args)
             row["opt_at_blocks"] = repr(ob.optimal_cost)
             row["beta_monotone"] = str(
-                ob.optimal_cost <= base.optimal_cost + 1e-9
+                ob.optimal_cost <= opt[args.objective].optimal_cost + 1e-9
             ).lower()
-            blocks = _pad_blocks([list(b) for b in ob.partition], blocks_needed)
-            rep = soundness_assemble(
-                g, blocks, k=k, beta=args.beta,
-                objective=args.objective, delta=args.delta,
-            )
             row["cover_size"] = rep.total_cover_size
             row["cover_valid"] = str(is_vertex_cover(g, rep.cover)).lower()
             row["cover_le_2k"] = str(
                 rep.total_cover_size <= 2 * k - 2 * args.delta * k + 1e-9
             ).lower()
             row["procedures_path"] = rep.procedures_path
-        else:
-            for field in ("opt_at_blocks", "beta_monotone", "cover_size",
-                          "cover_valid", "cover_le_2k", "procedures_path"):
-                row[field] = ""
         rows.append(row)
         produced += 1
     if produced < args.trials:
         raise MedcoverError(
             f"sweep produced {produced} of {args.trials} requested rows in {attempt} "
-            f"attempts (graphs need 2 to {args.max_edges} edges)"
+            f"attempts (graphs need 2 to {MAX_CONTINUOUS_POINTS} edges)"
         )
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=_SWEEP_FIELDS, lineterminator="\n")
+    writer = csv.DictWriter(buf, fieldnames=_SWEEP_FIELDS, restval="", lineterminator="\n")
     writer.writeheader()
     for row in rows:
         writer.writerow(row)
@@ -426,8 +427,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, default=0.01)
     p.add_argument("--objective", choices=("median", "means"), default="median")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-edges", type=int, default=12,
-                   help="skip sampled graphs with more edges (oracle limit)")
     p.add_argument("--out")
     p.set_defaults(func=cmd_sweep)
 

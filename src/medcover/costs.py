@@ -85,10 +85,8 @@ def simplex_median_cost(r: int, s: float) -> float:
 
 def star_median_cost(r: int) -> float:
     """Star with r edges: its edge-points form a simplex of side sqrt(2),
-    giving cost sqrt(r(r-1)) — the minimum over all r-edge clusters.
-
-    Written directly (not via simplex_median_cost) so it is bit-identical to
-    the sqrt(r(r-1)) baseline used by extra_cost.
+    giving cost sqrt(r(r-1)) — the minimum over all r-edge clusters, and so
+    the baseline ``median_extra_cost`` subtracts.
     """
     if r < 1:
         raise ValueError("r must be >= 1")
@@ -115,7 +113,7 @@ def a_n_median_cost(n: int) -> float:
     if n < 1:
         raise ValueError("n must be >= 1")
     r = n + 1
-    return math.sqrt(r * (r - 1)) + math.sqrt(3 + 1 / (r - 1)) - math.sqrt(r / (r - 1))
+    return star_median_cost(r) + math.sqrt(3 + 1 / (r - 1)) - math.sqrt(r / (r - 1))
 
 
 def l1_median_cost() -> float:
@@ -276,15 +274,10 @@ def cluster_points(g: Graph) -> np.ndarray:
     return pts
 
 
-def closed_form_median_cost(g: Graph, cls: Optional[GraphClass] = None) -> Optional[float]:
-    """Exact 1-median cost of the embedded cluster when its class has one."""
-    if cls is None:
-        cls = classify(g)
-    r = g.num_edges
-    if cls.tag is ClassTag.SINGLE_EDGE:
-        return 0.0
-    if cls.tag is ClassTag.STAR:
-        return star_median_cost(r)
+def fundamental_median_cost(cls: GraphClass) -> Optional[float]:
+    """Exact 1-median cost of a fundamental class that has a closed form:
+    3-P2, A_n and L_1. Every other class gives None; L_n for n >= 2 has only
+    the proven floors of ``decomposition.residual_class_bound``."""
     if cls.tag is ClassTag.THREE_P2:
         return disjoint_edges_median_cost(3)
     if cls.tag is ClassTag.A_N:
@@ -292,6 +285,16 @@ def closed_form_median_cost(g: Graph, cls: Optional[GraphClass] = None) -> Optio
     if cls.tag is ClassTag.L_N and cls.n == 1:
         return l1_median_cost()
     return None
+
+
+def closed_form_median_cost(g: Graph) -> Optional[float]:
+    """Exact 1-median cost of the embedded cluster when its class has one:
+    ``star_median_cost`` for a star (a single edge is the star with r = 1),
+    else ``fundamental_median_cost`` of its class (None when there is none)."""
+    cls = classify(g)
+    if cls.tag in (ClassTag.SINGLE_EDGE, ClassTag.STAR):
+        return star_median_cost(g.num_edges)
+    return fundamental_median_cost(cls)
 
 
 def median_costs(graphs: Sequence[Graph]) -> list[tuple[float, str]]:
@@ -361,6 +364,5 @@ def extra_cost(g: Graph, objective: str) -> ExtraCost:
 
 def median_extra_cost(g: Graph, cost: float, basis: str) -> ExtraCost:
     """A 1-median cost of g, with its basis, above the same-size star
-    baseline sqrt(r(r-1))."""
-    r = g.num_edges
-    return ExtraCost(cost - math.sqrt(r * (r - 1)), basis)
+    baseline ``star_median_cost``."""
+    return ExtraCost(cost - star_median_cost(g.num_edges), basis)

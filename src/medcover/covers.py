@@ -25,12 +25,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .costs import extra_cost, one_means_cost
-from .errors import (
-    Case2Reached,
-    InvalidPartition,
-    PreconditionViolated,
-    Stuck,
-)
+from .errors import InvalidPartition, PreconditionViolated, Stuck
 from .graphs import (
     ClassTag,
     Edge,
@@ -46,9 +41,11 @@ from .graphs import (
     maximal_matching_greedy,
     maximum_matching,
     remove_edges,
+    require_matching_of,
     second_maximum_matching,
     subgraph,
 )
+from .reduction import check_delta
 
 SQRT2P1 = math.sqrt(2.0) + 1.0
 
@@ -159,18 +156,14 @@ def cover_matching_two(g: Graph, extra: float) -> CoverResult:
 # ---------------------------------------------------------------------------
 
 def _require_maximum(g: Graph, m: Matching) -> None:
-    for idx, e in zip(m.indices, m.edges):
-        if g.edges[idx] != e:
-            raise PreconditionViolated("matching m does not belong to the graph")
+    require_matching_of(g, m)
     if len(maximum_matching(g)) != len(m):
         raise PreconditionViolated("m is not a maximum matching")
 
 
 def _validate_matchings(g: Graph, m: Matching, l: Matching) -> None:
     _require_maximum(g, m)
-    for idx, e in zip(l.indices, l.edges):
-        if g.edges[idx] != e:
-            raise PreconditionViolated("matching l does not belong to the graph")
+    require_matching_of(g, l)
     if set(m.indices) & set(l.indices):
         raise PreconditionViolated("m and l share edges")
     if len(second_maximum_matching(g, m)) != len(l):
@@ -229,7 +222,7 @@ def _general_cover(g: Graph, m: Matching, l: Matching) -> set[int]:
             shared = [v for v in e if any(v in f for f in non_red)]
             cover.add(shared[0] if shared else min(e))
     else:
-        raise Case2Reached(
+        raise Stuck(
             f"{len(red)} surviving matching edges alongside {len(l) - 1} removed "
             "second-matching edges would exceed the maximum matching"
         )
@@ -309,7 +302,8 @@ def cover_case_dispatch(g: Graph, extra: float) -> CoverResult:
         raise PreconditionViolated(f"matching number is {len(m)}, need >= 3")
     l = second_maximum_matching(g, m)
 
-    def result(cover: set[int], kind: str, const: float, ceiling: int) -> CoverResult:
+    def result(cover: set[int], const: float, ceiling: int) -> CoverResult:
+        kind = f"{const}"
         if not is_vertex_cover(g, cover):
             raise Stuck(f"case {kind} produced a non-cover")
         if len(cover) > ceiling:
@@ -323,31 +317,31 @@ def cover_case_dispatch(g: Graph, extra: float) -> CoverResult:
         )
 
     if len(l) == 0:
-        return result({min(e) for e in m.edges}, "0.551", 0.551, len(m))
+        return result({min(e) for e in m.edges}, 0.551, len(m))
     if len(l) == 1:
-        return result(_general_cover(g, m, l), "1.8", 1.8, len(m))
+        return result(_general_cover(g, m, l), 1.8, len(m))
     if len(l) == 2:
         f_prime = remove_edges(g, m.edges)
         if bridge_structure(f_prime) is not None:
-            return result(_cover_via_bridge_residual(g, m, f_prime), "1.53", 1.53, len(m))
-        return result(_general_cover(g, m, l), "1.68", 1.68, len(m) + 1)
+            return result(_cover_via_bridge_residual(g, m, f_prime), 1.53, len(m))
+        return result(_general_cover(g, m, l), 1.68, len(m) + 1)
 
     ml_edges = m.edges + l.edges
     f_pp = remove_edges(g, ml_edges)
     if f_pp.num_edges == 0:
-        return result(konig_cover(g), "1.6", 1.6, len(m))
+        return result(konig_cover(g), 1.6, len(m))
     if is_star(f_pp):
         c = common_vertex(f_pp.edges)
         if c is None:
             raise Stuck("star residue has no common vertex")
         survivors = Graph(g.num_vertices, tuple(e for e in ml_edges if c not in e))
-        return result({c} | konig_cover(survivors), "1.68", 1.68, len(m) + 1)
+        return result({c} | konig_cover(survivors), 1.68, len(m) + 1)
     bridge = bridge_structure(f_pp)
     if bridge is not None:
         (u, v), _p, _q = bridge
         survivors = Graph(g.num_vertices, tuple(e for e in ml_edges if u not in e and v not in e))
-        return result({u, v} | konig_cover(survivors), "1.4", 1.4, len(m) + 1)
-    return result(_general_cover(g, m, l), "1.6", 1.6, len(m) + len(l) - 1)
+        return result({u, v} | konig_cover(survivors), 1.4, len(m) + 1)
+    return result(_general_cover(g, m, l), 1.6, len(m) + len(l) - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -656,16 +650,15 @@ def soundness_assemble(
     cover_single_edge_clusters; if its full-graph fallback fires, that cover
     replaces the union. Finally redundant vertices are pruned in ascending
     order and the (delta, beta)-ceiling is reported next to the realized
-    size. beta below 1, a beta * k that is not finite, or a negative delta
-    raises ``ValueError``.
+    size. beta below 1, a beta * k that is not finite, or a delta that is
+    negative or not finite raises ``ValueError``.
     """
     _require_triangle_free(g)
     if objective not in ("median", "means"):
         raise ValueError("objective must be 'median' or 'means'")
     if not beta >= 1:
         raise ValueError(f"beta must be at least 1, got {beta!r}")
-    if not delta >= 0:
-        raise ValueError(f"delta must be non-negative, got {delta!r}")
+    check_delta(delta)
     blocks = _normalize_clustering(g, clustering)
     expected = block_count(beta, k)
     if len(blocks) != expected:

@@ -20,11 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .costs import (
-    a_n_median_cost,
-    disjoint_edges_median_cost,
-    l1_median_cost,
-)
+from .costs import fundamental_median_cost
 from .errors import PreconditionViolated, Stuck
 from .graphs import (
     ClassTag,
@@ -130,27 +126,22 @@ def decompose(g: Graph, mode: str) -> DecompositionTrace:
 
 
 def residual_class_bound(cls: GraphClass) -> tuple[str, float]:
-    """Certified 1-median cost floor of a fundamental residual class.
+    """Certified 1-median cost floor of a fundamental residual class, labelled
+    by ``cls.describe()``.
 
-    3-P2 and A_n use their exact closed forms; the L_n family has a closed
-    form only at n=1, then the proven constants 11/3 (n=2) and |edges|-0.342
-    (n>=3), where L_n has n+2 edges.
+    3-P2, A_n and L_1 take ``fundamental_median_cost``, their exact closed
+    forms; the rest of the L_n family takes the proven constants 11/3 (n=2)
+    and |edges|-0.342 (n>=3), where L_n has n+2 edges. A class that is not
+    fundamental, or an A_n or L_n without its n, raises ``Stuck``.
     """
-    if cls.tag is ClassTag.THREE_P2:
-        return ("ThreeP2", disjoint_edges_median_cost(3))
-    if cls.tag is ClassTag.A_N:
-        if cls.n is None:
-            raise Stuck(f"{cls.tag.value} class without its parameter n")
-        return (f"A_{cls.n}", a_n_median_cost(cls.n))
-    if cls.tag is ClassTag.L_N:
-        if cls.n is None:
-            raise Stuck(f"{cls.tag.value} class without its parameter n")
-        if cls.n == 1:
-            return ("L_1", l1_median_cost())
-        if cls.n == 2:
-            return ("L_2", 11 / 3)
-        return (f"L_{cls.n}", (cls.n + 2) - 0.342)
-    raise Stuck(f"residual class {cls.describe()} is not fundamental")
+    if cls.tag not in _TERMINAL["safe"]:
+        raise Stuck(f"residual class {cls.describe()} is not fundamental")
+    if cls.tag is not ClassTag.THREE_P2 and cls.n is None:
+        raise Stuck(f"{cls.tag.value} class without its parameter n")
+    exact = fundamental_median_cost(cls)
+    if exact is not None:
+        return (cls.describe(), exact)
+    return (cls.describe(), 11 / 3 if cls.n == 2 else (cls.n + 2) - 0.342)
 
 
 def certificate_from_trace(g: Graph, trace: DecompositionTrace) -> LowerBoundCertificate:

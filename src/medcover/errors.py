@@ -27,17 +27,15 @@ class PreconditionViolated(MedcoverError):
 
 class Stuck(MedcoverError):
     """A state the proofs rule out was reached: a decomposition loop found no
-    qualifying pair on a non-terminal graph, a construction produced a
-    non-cover, or an oracle broke its own invariant.
+    qualifying pair on a non-terminal graph, a residual class is not
+    fundamental, a construction produced a non-cover or left more matching
+    edges than the maximum matching allows (the residual-matching case of the
+    general cover), or an oracle broke its own invariant.
 
     The underlying lemmas prove this unreachable for valid inputs, so seeing it
     means either the precondition was violated silently or the code has a
     bug; it should never be caught and ignored.
     """
-
-
-class Case2Reached(MedcoverError):
-    """The residual-matching case the cover-construction proof rules out fired anyway."""
 
 
 class InvalidPartition(MedcoverError):

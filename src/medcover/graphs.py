@@ -262,11 +262,19 @@ def maximum_matching(g: Graph) -> Matching:
     return _matching_from_indices(g, best)
 
 
+def require_matching_of(g: Graph, m: Matching) -> None:
+    """Raise ``PreconditionViolated`` unless every edge of m is g's edge at
+    the index m gives for it, an index in range(g.num_edges)."""
+    for i, e in zip(m.indices, m.edges):
+        if not (0 <= i < g.num_edges and g.edges[i] == e):
+            raise PreconditionViolated(
+                f"matching edge {e} at index {i} does not belong to this graph"
+            )
+
+
 def second_maximum_matching(g: Graph, m: Matching) -> Matching:
     """Maximum matching of g minus the edges of m (the host indices are kept)."""
-    for i, e in zip(m.indices, m.edges):
-        if g.edges[i] != e:
-            raise PreconditionViolated("matching does not belong to this graph")
+    require_matching_of(g, m)
     remaining = [i for i in range(g.num_edges) if i not in set(m.indices)]
     sub = Graph(g.num_vertices, tuple(g.edges[i] for i in remaining))
     inner = maximum_matching(sub)

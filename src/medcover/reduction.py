@@ -132,6 +132,13 @@ def reduce_hypergraph(h: HypergraphInstance) -> ClusteringInstance:
     return ClusteringInstance(h.num_vertices, points, h.k, "means", centers)
 
 
+def check_delta(delta: float) -> None:
+    """Raise ``ValueError`` unless the gap parameter delta is finite and
+    non-negative."""
+    if not (math.isfinite(delta) and delta >= 0):
+        raise ValueError(f"delta must be non-negative and finite, got {delta!r}")
+
+
 def predict_gap_graph(m: int, k: int, objective: str, delta: float) -> GapPrediction:
     """Cost thresholds of the graph reduction.
 
@@ -142,8 +149,7 @@ def predict_gap_graph(m: int, k: int, objective: str, delta: float) -> GapPredic
         raise ValueError(f"objective must be one of {OBJECTIVES}")
     if m < 1 or k < 1:
         raise ValueError("m and k must be >= 1")
-    if delta < 0:
-        raise ValueError("delta must be >= 0")
+    check_delta(delta)
     yes = m - k / 2 if objective == "median" else m - float(k)
     return GapPrediction(
         yes_cost=yes,

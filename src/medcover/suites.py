@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable
 
 from .costs import (
     a_n_median_cost,
@@ -20,6 +19,7 @@ from .costs import (
     extra_cost,
     l1_median_cost,
     median_costs,
+    median_extra_cost,
     simplex_median_cost,
     star_median_cost,
     weiszfeld,
@@ -111,11 +111,15 @@ def suite_closed_forms() -> dict:
     return _suite("closed_forms", checks, failures)
 
 
-def _nonstars(max_edges: int) -> list[tuple[Graph, float]]:
+def _nonstars(max_edges: int) -> list[tuple[Graph, float, float]]:
     """The connected triangle-free non-star graphs up to ``max_edges`` edges,
-    each with its ``median_cost``, solved as one ``median_costs`` batch."""
+    each with its ``median_cost``, solved as one ``median_costs`` batch, and
+    that cost's ``median_extra_cost``."""
     graphs = [g for g in enumerate_triangle_free(max_edges) if not is_star(g)]
-    return [(g, cost) for g, (cost, _) in zip(graphs, median_costs(graphs))]
+    return [
+        (g, cost, median_extra_cost(g, cost, basis).value)
+        for g, (cost, basis) in zip(graphs, median_costs(graphs))
+    ]
 
 
 def suite_decomposition(max_edges: int = 7) -> dict:
@@ -125,7 +129,7 @@ def suite_decomposition(max_edges: int = 7) -> dict:
     reach |F|. The true cost is ``median_cost``'s, from ``_nonstars``."""
     failures: list[str] = []
     checks = 0
-    for g, true_cost in _nonstars(max_edges):
+    for g, true_cost, _ in _nonstars(max_edges):
         m = g.num_edges
         cert = certify_lower_bound(g, "safe")
         checks += 1
@@ -150,11 +154,10 @@ def suite_decomposition(max_edges: int = 7) -> dict:
 def suite_extra_cost(max_edges: int = 7) -> dict:
     """Extra-cost floors for every enumerated connected non-star graph:
     the numerical median floor 0.158 and the exact rational means floor 2/3.
-    The median costs are ``median_cost``'s, from ``_nonstars``."""
+    The median extra costs are ``_nonstars``'."""
     failures: list[str] = []
     checks = 0
-    for g, cost in _nonstars(max_edges):
-        med = cost - star_median_cost(g.num_edges)
+    for g, _, med in _nonstars(max_edges):
         checks += 1
         if med < 0.158 - 1e-6:
             failures.append(f"median extra cost below floor on {g.edges}: {med!r}")
@@ -221,11 +224,10 @@ def suite_covers(max_edges: int = 7) -> dict:
     covers, matching-2 covers as small as the true minimum (2, or 3 on the
     5-cycle), general covers within |M|+|L|-1, case dispatch within
     1.8+(sqrt2+1)*delta, and means covers within 1+(5/2)*delta exactly;
-    the median delta is the cost from ``_nonstars`` minus sqrt(r(r-1))."""
+    the median delta is the extra cost from ``_nonstars``."""
     failures: list[str] = []
     checks = 0
-    for g, cost in _nonstars(max_edges):
-        extra = cost - star_median_cost(g.num_edges)
+    for g, _, extra in _nonstars(max_edges):
         m = maximum_matching(g)
         nu = len(m)
         if nu == 2:
@@ -375,17 +377,6 @@ def suite_gap_arithmetic() -> dict:
                     )
                 prev = rep.optimal_cost
     return _suite("gap_arithmetic_and_monotonicity", checks, failures)
-
-
-SUITES: dict[str, Callable[..., dict]] = {
-    "closed_forms": suite_closed_forms,
-    "decomposition_soundness": suite_decomposition,
-    "extra_cost_floor": suite_extra_cost,
-    "completeness": suite_completeness,
-    "cover_extraction": suite_covers,
-    "hypergraph_reduction": suite_hypergraph,
-    "gap_arithmetic_and_monotonicity": suite_gap_arithmetic,
-}
 
 
 def run_all(max_edges: int = 5, seed: int = 0, trials: int = 12) -> dict:

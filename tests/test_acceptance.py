@@ -22,7 +22,6 @@ These are the checks the package must pass before any release:
 
 import math
 import pathlib
-from fractions import Fraction
 
 import pytest
 
@@ -31,30 +30,26 @@ from medcover.costs import (
     a_n_median_cost,
     cluster_points,
     disjoint_edges_median_cost,
-    extra_cost,
     l1_median_cost,
-    median_cost,
     star_median_cost,
     weiszfeld,
 )
-from medcover.decomposition import certify_lower_bound
-from medcover.graphs import bridge_structure, graph_from_edges, is_star
+from medcover.graphs import graph_from_edges, is_star
 from medcover.oracle import enumerate_triangle_free, min_vertex_cover, opt_continuous
 from medcover.reduction import reduce_graph
 from medcover.suites import (
     completeness_instances,
     suite_completeness,
     suite_covers,
+    suite_decomposition,
+    suite_extra_cost,
     suite_gap_arithmetic,
     suite_hypergraph,
 )
 
 TOL_CLOSED_FORM = 1e-6
-TOL_LOWER = 1e-12
-TOL_UPPER = 1e-6
-FLOOR_MEDIAN = 0.158
-FLOOR_MEANS = Fraction(2, 3)
 CATALOGUE_EDGES = 7
+NONSTAR_GRAPHS = 69  # the 76-graph catalogue minus one star per size
 COMPLETENESS_TRIALS = 50
 
 
@@ -90,36 +85,22 @@ def test_criterion_1_closed_forms_match_the_solver():
 # -- 2 ----------------------------------------------------------------------
 
 def test_criterion_2_decomposition_brackets_every_catalogue_graph():
-    checked = 0
-    for g in catalogue():
-        if is_star(g):
-            continue
-        cost, _ = median_cost(g)
-        safe = certify_lower_bound(g, "safe")
-        assert safe.bound >= g.num_edges - 0.342 - TOL_LOWER, g.edges
-        assert safe.bound <= cost + TOL_UPPER, g.edges
-        if bridge_structure(g) is None:
-            ultra = certify_lower_bound(g, "ultra_safe")
-            assert ultra.bound >= g.num_edges - TOL_LOWER, g.edges
-            assert ultra.bound <= cost + TOL_UPPER, g.edges
-        checked += 1
-    assert checked == 69  # the 76-graph catalogue minus one star per size
+    # the suite's tolerances are the gate's: 1e-6 above the true cost, and
+    # 1e-12 below |F| - 0.342 (safe) and |F| (ultra, non-bridge graphs)
+    result = suite_decomposition(CATALOGUE_EDGES)
+    assert result["passed"], result["failures"]
+    assert result["checks"] == 327  # frozen in reports/lemmas.json
+    assert sum(not is_star(g) for g in catalogue()) == NONSTAR_GRAPHS
 
 
 # -- 3 ----------------------------------------------------------------------
 
 def test_criterion_3_extra_cost_floors():
-    checked = 0
-    for g in catalogue():
-        if is_star(g):
-            continue
-        med = extra_cost(g, "median")
-        assert med.value >= FLOOR_MEDIAN - TOL_UPPER, g.edges
-        mea = extra_cost(g, "means")
-        assert isinstance(mea.value, Fraction)
-        assert mea.value >= FLOOR_MEANS, g.edges  # exact, no tolerance
-        checked += 1
-    assert checked == 69
+    # the suite's floors are the gate's: 0.158 - 1e-6 (median), and exactly
+    # 2/3 in Fractions (means)
+    result = suite_extra_cost(CATALOGUE_EDGES)
+    assert result["passed"], result["failures"]
+    assert result["checks"] == 2 * NONSTAR_GRAPHS == 138  # frozen in reports/lemmas.json
 
 
 # -- 4 ----------------------------------------------------------------------

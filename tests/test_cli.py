@@ -282,6 +282,24 @@ def test_non_finite_beta_is_a_clean_error(tmp_path, capsys, c5_file, command, be
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["reduce", "cover", "sweep", "sweep-blank"])
+@pytest.mark.parametrize("delta", ["inf", "nan"])
+def test_non_finite_delta_is_a_clean_error(tmp_path, capsys, c5_file, command, delta):
+    out = tmp_path / "out"
+    args = {
+        "reduce": ["reduce", "--graph", c5_file, "--k", "2"],
+        "cover": ["cover", "--graph", c5_file, "--k", "3"],
+        "sweep": ["sweep", "--n", "7", "--trials", "1"],
+        # ceil(10k) blocks exceed every row's edges, so no row extracts a cover
+        "sweep-blank": ["sweep", "--n", "7", "--trials", "1", "--beta", "10"],
+    }[command]
+    code, stdout, stderr = run(capsys, *args, "--delta", delta, "--out", str(out))
+    assert code == 1
+    assert stdout == ""
+    assert stderr == f"error: delta must be non-negative and finite, got {float(delta)!r}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("points", [
     "[[0.0, 0.0], [Infinity, 1.0]]",  # json reads Infinity
     "[[1e200, 0.0], [0.5, 0.0], [-1e200, 0.0]]",  # finite, but the costs overflow
@@ -318,6 +336,57 @@ def test_verify_lemmas_has_no_tolerance_flag(capsys):
         main(["verify-lemmas", "--tol", "1e-3"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --tol" in capsys.readouterr().err
+
+
+def test_sweep_has_no_max_edges_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--max-edges", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --max-edges" in capsys.readouterr().err
+
+
+def test_cover_at_beta_above_one_is_frozen(capsys, c5_file):
+    # five blocks for k = 3: the oracle's clustering is all single edges, so
+    # the procedures fallback covers the whole graph
+    code, stdout, _ = run(capsys, "cover", "--graph", c5_file, "--k", "3", "--beta", "1.5")
+    assert code == 0
+    assert json.loads(stdout) == {
+        "beta": 1.5,
+        "cover": [0, 1, 3],
+        "delta": 0.01,
+        "epsilon": 0.8033333333333335,
+        "min_vertex_cover": 3,
+        "oracle_cost": 0.0,
+        "per_cluster": [
+            {
+                "bound_kind": "single_edge_full_graph",
+                "bound_value": 5.94,
+                "cover": [0, 1, 3],
+                "delta_used": 0.01,
+                "size": 3,
+            }
+        ],
+        "predicted_ceiling": 3.59,
+        "procedures_path": "procedures_fallback",
+        "t1": 5,
+        "t2": 0,
+        "t3": 0,
+        "t4": 0,
+        "total_cover_size": 3,
+    }
+
+
+def test_sweep_leaves_the_cover_columns_blank_when_the_blocks_exceed_the_edges(capsys):
+    # ceil(3k) blocks exceed m on three of the four graphs
+    code, stdout, _ = run(capsys, "sweep", "--n", "7", "--trials", "4", "--beta", "3")
+    assert code == 0
+    assert stdout.split("\n")[1:] == [
+        "0,0,7,10,4,12,8.0,7.348469228349534,true,6.0,6.0,true,,,,,,",
+        "1,1,7,10,4,12,8.0,7.348469228349534,true,6.0,6.0,true,,,,,,",
+        "2,2,7,9,3,9,7.5,7.348469228349534,true,6.0,6.0,true,0.0,true,3,true,true,direct",
+        "3,3,7,10,4,12,8.0,7.348469228349534,true,6.0,6.0,true,,,,,,",
+        "",
+    ]
 
 
 def test_sweep_is_deterministic_and_verdicts_hold(tmp_path, capsys):

@@ -108,6 +108,20 @@ def test_general_construction_rejects_matchings_it_is_not_given_right(m_idx, l_i
         cover_general(g, m, l, median_extra(g))
 
 
+@pytest.mark.parametrize("m_idx, l_idx", [
+    ((0, 2, 11), (1, 3, 5)),  # past the end
+    ((0, 2, -3), (1, 3, 5)),  # g.edges[-3] is M's edge 4
+    ((0, 2, 4), (1, 3, 12)),
+    ((0, 2, 4), (1, 3, -2)),  # g.edges[-2] is L's edge 5
+], ids=["m-past-the-end", "m-negative", "l-past-the-end", "l-negative"])
+def test_general_construction_rejects_an_index_outside_the_graph(m_idx, l_idx):
+    g = graph_from_edges(GENERAL)
+    m = Matching(m_idx, ((0, 1), (2, 3), (4, 5)))
+    l = Matching(l_idx, ((1, 2), (3, 4), (5, 6)))
+    with pytest.raises(PreconditionViolated, match="does not belong to this graph"):
+        cover_general(g, m, l, median_extra(g))
+
+
 @pytest.mark.parametrize("edges, kind", [
     ([(0, 1), (1, 2), (2, 3), (4, 5)], "1.8"),  # |L| = 1
     ([(0, 1), (0, 2), (1, 3), (2, 4), (3, 5)], "1.68"),  # |L| = 2, F' not a bridge

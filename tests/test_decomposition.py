@@ -102,6 +102,46 @@ def test_residual_class_bound_values():
     assert label == "ThreeP2"
 
 
+# (label, float.hex of the floor) of every residual class that decompose
+# reaches, in either mode, on the connected 8-edge catalogue
+CATALOGUE_RESIDUAL_BOUNDS = {
+    ("A_1", "0x1.fffffffffffffp+0"),
+    ("A_2", "0x1.8c3bc12b8b03bp+1"),
+    ("A_3", "0x1.08a62e8da50bep+2"),
+    ("A_4", "0x1.4a0a485ca4dfbp+2"),
+    ("A_5", "0x1.8aebae6687fe8p+2"),
+    ("L_1", "0x1.5db3d742c2655p+1"),
+    ("L_2", "0x1.d555555555555p+1"),
+    ("L_3", "0x1.2a1cac083126fp+2"),
+    ("L_4", "0x1.6a1cac083126fp+2"),
+    ("L_5", "0x1.aa1cac083126fp+2"),
+    ("L_6", "0x1.ea1cac083126fp+2"),
+    ("ThreeP2", "0x1.bb67ae8584caap+1"),
+}
+
+
+def test_residual_class_bounds_on_the_catalogue_are_frozen():
+    seen = set()
+    for g in enumerate_triangle_free(8):
+        if is_star(g):
+            continue
+        for mode in ("safe", "ultra_safe"):
+            if mode == "ultra_safe" and bridge_structure(g) is not None:
+                continue
+            residual = decompose(g, mode).residual
+            label, value = residual_class_bound(residual)
+            assert label == residual.describe()
+            seen.add((label, value.hex()))
+    assert seen == CATALOGUE_RESIDUAL_BOUNDS
+
+
+@pytest.mark.parametrize("cls", [GraphClass(ClassTag.STAR), GraphClass(ClassTag.C5),
+                                 GraphClass(ClassTag.BRIDGE, p=2, q=2)])
+def test_residual_class_bound_refuses_a_class_that_is_not_fundamental(cls):
+    with pytest.raises(Stuck, match="is not fundamental"):
+        residual_class_bound(cls)
+
+
 @pytest.mark.parametrize("tag", [ClassTag.A_N, ClassTag.L_N])
 def test_residual_class_bound_needs_the_class_parameter(tag):
     with pytest.raises(Stuck, match="without its parameter"):

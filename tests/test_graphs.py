@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from medcover import graphs
-from medcover.errors import EmptyGraph, NotBipartite, Stuck
+from medcover.errors import EmptyGraph, NotBipartite, PreconditionViolated, Stuck
 from medcover.graphs import (
     ClassTag,
+    Matching,
     bridge_structure,
     classify,
     common_vertex,
@@ -201,6 +202,15 @@ def test_second_matching_avoids_the_first():
     assert not set(l.edges) & set(m.edges)
     used = [v for e in l.edges for v in e]
     assert len(used) == len(set(used))
+
+
+@pytest.mark.parametrize("indices", [(0, 2, 9), (0, 2, -2)], ids=["past-the-end", "negative"])
+def test_second_matching_rejects_an_index_outside_the_graph(indices):
+    g = graph_from_edges([(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)])
+    # edge (4, 5) is g.edges[4], so index -2 names a real edge by aliasing
+    m = Matching(indices, ((0, 1), (2, 3), (4, 5)))
+    with pytest.raises(PreconditionViolated, match="does not belong to this graph"):
+        second_maximum_matching(g, m)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ from medcover.graphs import is_star
 from medcover.oracle import enumerate_triangle_free
 from medcover.reduction import reduce_hypergraph
 from medcover.suites import (
-    SUITES,
     completeness_instances,
     run_all,
     suite_closed_forms,
@@ -30,10 +29,6 @@ EXPECTED_NAMES = [
     "hypergraph_reduction",
     "gap_arithmetic_and_monotonicity",
 ]
-
-
-def test_registry_names_and_order():
-    assert list(SUITES) == EXPECTED_NAMES
 
 
 def assert_clean(result, name):
