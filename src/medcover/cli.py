@@ -59,7 +59,7 @@ from .reduction import (
     reduce_graph,
     reduce_hypergraph,
 )
-from .suites import means_complete, median_complete, run_all
+from .suites import means_complete, median_complete, monotone_in_centers, run_all
 
 
 def _read_text(path: str) -> str:
@@ -334,7 +334,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             ob, rep = _round_trip(g, k, blocks_needed, args)
             row["opt_at_blocks"] = repr(ob.optimal_cost)
             row["beta_monotone"] = str(
-                ob.optimal_cost <= opt[args.objective].optimal_cost + 1e-9
+                monotone_in_centers(ob.optimal_cost, opt[args.objective].optimal_cost)
             ).lower()
             row["cover_size"] = rep.total_cover_size
             row["cover_valid"] = str(is_vertex_cover(g, rep.cover)).lower()

@@ -169,6 +169,10 @@ def weiszfeld_subsets(points: Sequence[Sequence[float]]) -> tuple[np.ndarray, np
     return costs, centers
 
 
+# Every row takes the classical step, which divides by zero on a row that sits
+# on a data point; the subgradient branch then redoes those rows. A starting
+# cost that overflows raises DomainError.
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def _weiszfeld_batch(
     blocks: np.ndarray, tolerance: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -205,24 +209,17 @@ def _weiszfeld_batch(
     costs = np.empty(len(blocks))
     active = np.arange(len(blocks))
     pts, ya = blocks, y
-    with np.errstate(over="ignore"):
-        dist = np.linalg.norm(pts - ya[:, None, :], axis=2)
-        prev_cost = dist.sum(axis=1)
+    dist = np.linalg.norm(pts - ya[:, None, :], axis=2)
+    prev_cost = dist.sum(axis=1)
     if not np.isfinite(prev_cost).all():
         raise DomainError("a distance to the centroid overflows float")
     for it in range(1, max_iter + 1):
         on_point = dist < _SNAP
         hit = on_point.any(axis=1)
         stopped = np.zeros(len(active), dtype=bool)
-        if not hit.any():
-            w = 1.0 / dist
-            y_next = (pts * w[:, :, None]).sum(axis=1) / w.sum(axis=1)[:, None]
-        else:
-            y_next = np.empty_like(ya)
-            free = ~hit
-            if free.any():
-                w = 1.0 / dist[free]
-                y_next[free] = (pts[free] * w[:, :, None]).sum(axis=1) / w.sum(axis=1)[:, None]
+        w = 1.0 / dist
+        y_next = (pts * w[:, :, None]).sum(axis=1) / w.sum(axis=1)[:, None]
+        if hit.any():
             h = np.flatnonzero(hit)
             diff = pts[h] - ya[h][:, None, :]
             away = ~on_point[h]

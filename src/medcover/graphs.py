@@ -166,27 +166,43 @@ def is_star(g: Graph) -> bool:
     return bool(g.edges) and common_vertex(g.edges) is not None
 
 
+def neighbour_masks(g: Graph) -> list[int]:
+    """Each vertex's neighbours as a bitmask."""
+    nbrs = [0] * g.num_vertices
+    for u, v in g.edges:
+        nbrs[u] |= 1 << v
+        nbrs[v] |= 1 << u
+    return nbrs
+
+
+def component_masks(nbrs: list[int]) -> list[int]:
+    """Vertex masks of the connected components, by least vertex: a bitmask
+    flood fill over ``neighbour_masks`` that reads each vertex's mask once."""
+    comps = []
+    left = (1 << len(nbrs)) - 1
+    while left:
+        comp = todo = left & -left
+        while todo:
+            bit = todo & -todo
+            todo ^= bit
+            grow = nbrs[bit.bit_length() - 1] & ~comp
+            comp |= grow
+            todo |= grow
+        comps.append(comp)
+        left ^= comp
+    return comps
+
+
 def edge_components(g: Graph) -> list[list[int]]:
     """Connected components as lists of edge indices (isolated vertices ignored).
 
     Components are ordered by their smallest edge index; indices ascend within.
     """
-    parent = list(range(g.num_vertices))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in g.edges:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-    groups: dict[int, list[int]] = {}
-    for i, (u, _v) in enumerate(g.edges):
-        groups.setdefault(find(u), []).append(i)
-    return sorted(groups.values(), key=lambda idxs: idxs[0])
+    parts = [
+        [i for i, (u, _v) in enumerate(g.edges) if comp >> u & 1]
+        for comp in component_masks(neighbour_masks(g))
+    ]
+    return sorted((part for part in parts if part), key=lambda part: part[0])
 
 
 # ---------------------------------------------------------------------------

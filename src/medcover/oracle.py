@@ -5,7 +5,7 @@ dynamic programming over point subsets or by scanning center subsets, exact
 minimum vertex covers by branch and bound, and a canonical-form enumerator
 for small triangle-free graphs. These are the independent referees the
 constructive machinery is tested against, so they share no code with it
-beyond the basic Graph container and the 1-median solver.
+beyond the graph substrate (``graphs``) and the 1-median solver.
 
 The continuous oracle builds its block-cost tables in one pass before the
 DP: the 1-median of all 2^n - 1 point subsets by the batched Weiszfeld
@@ -58,7 +58,13 @@ import numpy as np
 
 from .costs import MAX_CONTINUOUS_POINTS, weiszfeld_subsets
 from .errors import DomainError, InstanceTooLarge, PreconditionViolated, Stuck
-from .graphs import Graph, is_triangle_free, is_vertex_cover
+from .graphs import (
+    Graph,
+    component_masks,
+    is_triangle_free,
+    is_vertex_cover,
+    neighbour_masks,
+)
 from .reduction import ClusteringInstance
 
 MAX_DISCRETE_SUBSETS = 10**6
@@ -66,6 +72,11 @@ DISCRETE_CHUNK = 1024  # prefixes or center subsets per slice of the discrete wa
 MAX_VC_EDGES = 24
 MAX_ENUM_EDGES = 8
 MAX_CANON_STATES = 50_000
+# The first-wins tie rule of both oracles (``_first_wins``): the margin a
+# cost must beat, and the window (relative, at least 1) above the least cost
+# inside which another cost makes the scan replay in Python.
+_TIE_MARGIN = 1e-15
+_TIE_WINDOW = 1e-14
 
 
 @dataclass(frozen=True)
@@ -176,6 +187,19 @@ def _candidates(n: int, j: int) -> tuple[np.ndarray, np.ndarray]:
     return target[order], block[order]
 
 
+def _first_wins(
+    value: float, index: int, positions: np.ndarray, costs: np.ndarray
+) -> tuple[float, int]:
+    """The first-wins scan over ``costs`` at ``positions``, in order, from
+    ``value`` set by ``index``: it moves to a cost only when it is below the
+    current value by more than ``_TIE_MARGIN``, so within that margin the
+    earlier cost wins. Returns the value and index the scan ends on."""
+    for i, c in zip(positions.tolist(), costs[positions].tolist()):
+        if c < value - _TIE_MARGIN:
+            value, index = c, i
+    return value, index
+
+
 def _extend(
     n: int, j: int, prev: np.ndarray, block_cost: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -201,13 +225,9 @@ def _extend(
     first = np.arange(len(cost))
     first[above] = len(cost)
     first = np.minimum.reduceat(first, starts)  # each target's first candidate at its minimum
-    for g in np.flatnonzero(second <= low + 1e-14 * np.maximum(1.0, np.abs(low))).tolist():
-        start = int(starts[g])
-        value = math.inf
-        for i, c in enumerate(cost[start:start + sizes[g]].tolist(), start):
-            if c < value - 1e-15:
-                value, first[g] = c, i
-        low[g] = value
+    for g in np.flatnonzero(second <= low + _TIE_WINDOW * np.maximum(1.0, np.abs(low))).tolist():
+        group = np.arange(starts[g], starts[g] + sizes[g])
+        low[g], first[g] = _first_wins(math.inf, first[g], group, cost)
     reached = target[starts]
     best = np.full(1 << n, math.inf)
     best[reached] = low
@@ -446,7 +466,7 @@ def _cheapest_subset(table: np.ndarray, k: int) -> tuple[float, Optional[tuple[i
             if top.bound is None:
                 later = suffix.take(top.ends + 1, 0)
                 top.bound = _point_sums(np.minimum(later, top.near, out=later))
-            top.taken = top.taken[top.bound.take(top.parent[top.taken]) < best_cost - 1e-15]
+            top.taken = top.taken[top.bound.take(top.parent[top.taken]) < best_cost - _TIE_MARGIN]
             if not len(top.taken):
                 continue
         near = top.near.take(top.parent.take(top.taken), 0)
@@ -458,15 +478,11 @@ def _cheapest_subset(table: np.ndarray, k: int) -> tuple[float, Optional[tuple[i
         costs = _point_sums(near)
         i = int(costs.argmin())  # the first subset at the slice's least cost
         low = float(costs[i])
-        if not low < best_cost - 1e-15:
+        if not low < best_cost - _TIE_MARGIN:
             continue
-        if ((costs > low) & (costs <= low + 1e-14 * max(1.0, low))).any():
-            value = best_cost
-            order = np.flatnonzero(costs < best_cost - 1e-15)
-            for j, cost in zip(order.tolist(), costs[order].tolist()):
-                if cost < value - 1e-15:
-                    value, i = cost, j
-            low = value
+        if ((costs > low) & (costs <= low + _TIE_WINDOW * max(1.0, low))).any():
+            beat = np.flatnonzero(costs < best_cost - _TIE_MARGIN)
+            low, i = _first_wins(best_cost, i, beat, costs)
         best_cost = low
         subset = []
         for frame in reversed(stack):  # follow the winner's prefixes up to the root
@@ -576,32 +592,6 @@ def _refine_classes(g: Graph) -> list[list[int]]:
     return [cells[key] for key in sorted(cells)]
 
 
-def _components(nbrs: list[int]) -> list[int]:
-    """Vertex masks of the connected components, by least vertex: a bitmask
-    flood fill that reads each vertex's neighbour mask once."""
-    comps = []
-    left = (1 << len(nbrs)) - 1
-    while left:
-        comp = todo = left & -left
-        while todo:
-            bit = todo & -todo
-            todo ^= bit
-            grow = nbrs[bit.bit_length() - 1] & ~comp
-            comp |= grow
-            todo |= grow
-        comps.append(comp)
-        left ^= comp
-    return comps
-
-
-def _neighbour_masks(g: Graph) -> list[int]:
-    nbrs = [0] * g.num_vertices
-    for u, v in g.edges:
-        nbrs[u] |= 1 << v
-        nbrs[v] |= 1 << u
-    return nbrs
-
-
 def canonical_form(g: Graph) -> str:
     """Canonical certificate: isomorphic graphs get equal strings.
 
@@ -615,8 +605,8 @@ def canonical_form(g: Graph) -> str:
     2^k·k! orders in which vertices of different components tie, and
     ``MAX_CANON_STATES`` bounds each component's search on its own.
     """
-    nbrs = _neighbour_masks(g)
-    comps = _components(nbrs)
+    nbrs = neighbour_masks(g)
+    comps = component_masks(nbrs)
     if len(comps) <= 1:
         return _connected_form(g, nbrs)
     forms = []
@@ -624,7 +614,7 @@ def canonical_form(g: Graph) -> str:
         members = [v for v in range(g.num_vertices) if comp >> v & 1]
         label = {v: i for i, v in enumerate(members)}
         part = Graph(len(label), tuple((label[u], label[v]) for u, v in g.edges if u in label))
-        forms.append(_connected_form(part, _neighbour_masks(part)))
+        forms.append(_connected_form(part, neighbour_masks(part)))
     return "+".join(sorted(forms))
 
 

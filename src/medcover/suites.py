@@ -2,7 +2,9 @@
 
 Each suite runs a family of checks against the independent oracles and
 returns a plain dict (suitable for JSON) with the number of checks run and
-a list of human-readable failure strings — empty on success. The CLI's
+a list of human-readable failure strings — empty on success. Every check
+goes through one ``_Ledger``: its predicate states what must hold (so a NaN
+fails it) and its failure text is formatted only when it fails. The CLI's
 verify-lemmas command and the acceptance tests both call these, so there is
 exactly one definition of every claim.
 """
@@ -59,13 +61,27 @@ from .reduction import (
 )
 
 
-def _suite(name: str, checks: int, failures: list[str]) -> dict:
-    return {
-        "name": name,
-        "passed": not failures,
-        "checks": checks,
-        "failures": failures,
-    }
+class _Ledger:
+    """One suite's checks: how many ran, and the text of each that failed."""
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+        self.checks = 0
+        self.failures: list[str] = []
+
+    def check(self, ok: bool, template: str, *args: object) -> None:
+        """Count one check; if ``ok`` is false, record ``template.format(*args)``."""
+        self.checks += 1
+        if not ok:
+            self.failures.append(template.format(*args))
+
+    def result(self) -> dict:
+        return {
+            "name": self.name,
+            "passed": not self.failures,
+            "checks": self.checks,
+            "failures": self.failures,
+        }
 
 
 def _star(r: int) -> Graph:
@@ -76,39 +92,32 @@ def suite_closed_forms() -> dict:
     """Numerical 1-median solver versus every closed form and proven floor:
     stars, regular simplices, lone-edge-plus-star A_n, the shortest two-star
     path L_1, three disjoint edges, and the 5-cycle."""
-    failures: list[str] = []
-    checks = 0
+    ledger = _Ledger("closed_forms")
 
-    def expect(label: str, got: float, want: float, tol: float = 1e-6) -> None:
-        nonlocal checks
-        checks += 1
-        if abs(got - want) > tol:
-            failures.append(f"{label}: got {got!r}, want {want!r}")
+    def expect(got: float, want: float, label: str, *args: object) -> None:
+        ledger.check(abs(got - want) <= 1e-6, label + ": got {!r}, want {!r}", *args, got, want)
 
-    def expect_at_least(label: str, got: float, floor: float) -> None:
-        nonlocal checks
-        checks += 1
-        if got < floor - 1e-6:
-            failures.append(f"{label}: got {got!r}, floor {floor!r}")
+    def expect_at_least(got: float, floor: float, label: str) -> None:
+        ledger.check(got >= floor - 1e-6, label + ": got {!r}, floor {!r}", got, floor)
 
     for r in range(2, 9):
-        expect(f"star r={r}", weiszfeld(cluster_points(_star(r))).cost, star_median_cost(r))
+        expect(weiszfeld(cluster_points(_star(r))).cost, star_median_cost(r), "star r={}", r)
     for r in range(2, 9):
         pts = [[2.0 / math.sqrt(2.0) if j == i else 0.0 for j in range(r)] for i in range(r)]
-        expect(f"simplex side 2 r={r}", weiszfeld(pts).cost, simplex_median_cost(r, 2.0))
+        expect(weiszfeld(pts).cost, simplex_median_cost(r, 2.0), "simplex side 2 r={}", r)
     for n in range(1, 7):
         lone = Graph(n + 3, ((0, 1),) + tuple((2, 3 + i) for i in range(n)))
-        expect(f"A_{n}", weiszfeld(cluster_points(lone)).cost, a_n_median_cost(n))
-    expect_at_least("A_2 floor", a_n_median_cost(2), 3.095)
+        expect(weiszfeld(cluster_points(lone)).cost, a_n_median_cost(n), "A_{}", n)
+    expect_at_least(a_n_median_cost(2), 3.095, "A_2 floor")
     l1 = Graph(4, ((0, 1), (1, 2), (2, 3)))
-    expect("L_1", weiszfeld(cluster_points(l1)).cost, l1_median_cost())
-    expect("L_1 value", l1_median_cost(), 1 + math.sqrt(3.0))
+    expect(weiszfeld(cluster_points(l1)).cost, l1_median_cost(), "L_1")
+    expect(l1_median_cost(), 1 + math.sqrt(3.0), "L_1 value")
     p3 = Graph(6, ((0, 1), (2, 3), (4, 5)))
-    expect("3 disjoint edges", weiszfeld(cluster_points(p3)).cost, disjoint_edges_median_cost(3))
-    expect("3-P2 value", disjoint_edges_median_cost(3), 2 * math.sqrt(3.0))
+    expect(weiszfeld(cluster_points(p3)).cost, disjoint_edges_median_cost(3), "3 disjoint edges")
+    expect(disjoint_edges_median_cost(3), 2 * math.sqrt(3.0), "3-P2 value")
     c5 = Graph(5, ((0, 1), (0, 4), (1, 2), (2, 3), (3, 4)))
-    expect_at_least("C5 floor", weiszfeld(cluster_points(c5)).cost, math.sqrt(20.0) + 0.622)
-    return _suite("closed_forms", checks, failures)
+    expect_at_least(weiszfeld(cluster_points(c5)).cost, math.sqrt(20.0) + 0.622, "C5 floor")
+    return ledger.result()
 
 
 def _nonstars(max_edges: int) -> list[tuple[Graph, float, float]]:
@@ -122,50 +131,43 @@ def _nonstars(max_edges: int) -> list[tuple[Graph, float, float]]:
     ]
 
 
-def suite_decomposition(max_edges: int = 7) -> dict:
+def suite_decomposition(max_edges: int) -> dict:
     """Certified lower bounds bracket the true cost on every connected
     triangle-free non-star graph up to max_edges edges: safe certificates
     sit in [|F|-0.342, true cost]; ultra certificates (non-bridge graphs)
     reach |F|. The true cost is ``median_cost``'s, from ``_nonstars``."""
-    failures: list[str] = []
-    checks = 0
+    ledger = _Ledger("decomposition_soundness")
+    check = ledger.check
     for g, true_cost, _ in _nonstars(max_edges):
         m = g.num_edges
         cert = certify_lower_bound(g, "safe")
-        checks += 1
-        if cert.bound > true_cost + 1e-6:
-            failures.append(f"safe bound exceeds cost on {g.edges}: {cert.bound!r} > {true_cost!r}")
-        checks += 1
-        if cert.bound < m - 0.342 - 1e-12:
-            failures.append(f"safe bound below floor on {g.edges}: {cert.bound!r}")
-        checks += 1
-        if abs(cert.bound - sum(v for _, v in cert.derivation)) > 1e-12:
-            failures.append(f"certificate sum mismatch on {g.edges}")
+        check(cert.bound <= true_cost + 1e-6,
+              "safe bound exceeds cost on {}: {!r} > {!r}", g.edges, cert.bound, true_cost)
+        check(cert.bound >= m - 0.342 - 1e-12,
+              "safe bound below floor on {}: {!r}", g.edges, cert.bound)
+        check(abs(cert.bound - sum(v for _, v in cert.derivation)) <= 1e-12,
+              "certificate sum mismatch on {}", g.edges)
         if bridge_structure(g) is None:
             ultra = certify_lower_bound(g, "ultra_safe")
-            checks += 2
-            if ultra.bound < m - 1e-12:
-                failures.append(f"ultra bound below |F| on {g.edges}: {ultra.bound!r}")
-            if ultra.bound > true_cost + 1e-6:
-                failures.append(f"ultra bound exceeds cost on {g.edges}: {ultra.bound!r}")
-    return _suite("decomposition_soundness", checks, failures)
+            check(ultra.bound >= m - 1e-12,
+                  "ultra bound below |F| on {}: {!r}", g.edges, ultra.bound)
+            check(ultra.bound <= true_cost + 1e-6,
+                  "ultra bound exceeds cost on {}: {!r}", g.edges, ultra.bound)
+    return ledger.result()
 
 
-def suite_extra_cost(max_edges: int = 7) -> dict:
+def suite_extra_cost(max_edges: int) -> dict:
     """Extra-cost floors for every enumerated connected non-star graph:
     the numerical median floor 0.158 and the exact rational means floor 2/3.
     The median extra costs are ``_nonstars``'."""
-    failures: list[str] = []
-    checks = 0
+    ledger = _Ledger("extra_cost_floor")
     for g, _, med in _nonstars(max_edges):
-        checks += 1
-        if med < 0.158 - 1e-6:
-            failures.append(f"median extra cost below floor on {g.edges}: {med!r}")
-        mean = extra_cost(g, "means")
-        checks += 1
-        if not (isinstance(mean.value, Fraction) and mean.value >= Fraction(2, 3)):
-            failures.append(f"means extra cost below 2/3 on {g.edges}: {mean.value!r}")
-    return _suite("extra_cost_floor", checks, failures)
+        ledger.check(med >= 0.158 - 1e-6,
+                     "median extra cost below floor on {}: {!r}", g.edges, med)
+        mean = extra_cost(g, "means").value
+        ledger.check(isinstance(mean, Fraction) and mean >= Fraction(2, 3),
+                     "means extra cost below 2/3 on {}: {!r}", g.edges, mean)
+    return ledger.result()
 
 
 def completeness_instances(trials: int, seed: int) -> list[Graph]:
@@ -195,86 +197,74 @@ def means_complete(cost: float, m: int, k: int) -> bool:
     return cost <= m - k + 1e-9
 
 
-def suite_completeness(trials: int = 50, seed: int = 0) -> dict:
+def monotone_in_centers(more: float, fewer: float) -> bool:
+    """More centers never cost more: ``more``, an optimal cost with more
+    centers, is at most ``fewer``, one with fewer (up to 1e-9)."""
+    return more <= fewer + 1e-9
+
+
+def suite_completeness(trials: int, seed: int) -> dict:
     """Completeness direction of the reductions: a graph with a vertex cover
     of size k clusters at cost <= m - k/2 (median) and <= m - k (means); the
     exhaustive oracle must confirm this with k = the true minimum cover."""
-    failures: list[str] = []
-    checks = 0
+    ledger = _Ledger("completeness")
     for g in completeness_instances(trials, seed):
         k = len(min_vertex_cover(g))
         m = g.num_edges
-        med = opt_continuous(reduce_graph(g, k=k, objective="median"))
-        checks += 1
-        if not median_complete(med.optimal_cost, m, k):
-            failures.append(
-                f"median completeness fails on {g.edges}: {med.optimal_cost!r} > {m - k / 2!r}"
-            )
-        mean = opt_continuous(reduce_graph(g, k=k, objective="means"))
-        checks += 1
-        if not means_complete(mean.optimal_cost, m, k):
-            failures.append(
-                f"means completeness fails on {g.edges}: {mean.optimal_cost!r} > {m - k!r}"
-            )
-    return _suite("completeness", checks, failures)
+        med = opt_continuous(reduce_graph(g, k=k, objective="median")).optimal_cost
+        ledger.check(median_complete(med, m, k),
+                     "median completeness fails on {}: {!r} > {!r}", g.edges, med, m - k / 2)
+        mean = opt_continuous(reduce_graph(g, k=k, objective="means")).optimal_cost
+        ledger.check(means_complete(mean, m, k),
+                     "means completeness fails on {}: {!r} > {!r}", g.edges, mean, m - k)
+    return ledger.result()
 
 
-def suite_covers(max_edges: int = 7) -> dict:
+def suite_covers(max_edges: int) -> dict:
     """Constructive covers across the enumeration: always valid vertex
     covers, matching-2 covers as small as the true minimum (2, or 3 on the
     5-cycle), general covers within |M|+|L|-1, case dispatch within
     1.8+(sqrt2+1)*delta, and means covers within 1+(5/2)*delta exactly;
     the median delta is the extra cost from ``_nonstars``."""
-    failures: list[str] = []
-    checks = 0
+    ledger = _Ledger("cover_extraction")
+    check = ledger.check
     for g, _, extra in _nonstars(max_edges):
         m = maximum_matching(g)
         nu = len(m)
         if nu == 2:
             res = cover_matching_two(g, extra)
             want = len(min_vertex_cover(g))
-            checks += 2
-            if not is_vertex_cover(g, res.cover):
-                failures.append(f"matching-2 non-cover on {g.edges}")
+            check(is_vertex_cover(g, res.cover), "matching-2 non-cover on {}", g.edges)
             expected = 3 if classify(g).tag is ClassTag.C5 else 2
-            if res.size != expected or res.size != want:
-                failures.append(
-                    f"matching-2 size on {g.edges}: got {res.size}, construction {expected}, minimum {want}"
-                )
+            check(res.size == expected == want,
+                  "matching-2 size on {}: got {}, construction {}, minimum {}",
+                  g.edges, res.size, expected, want)
         l = second_maximum_matching(g, m)
         if len(l) >= 1:
             try:
                 res = cover_general(g, m, l, extra)
-                checks += 2
-                if not is_vertex_cover(g, res.cover):
-                    failures.append(f"general non-cover on {g.edges}")
-                if res.size > len(m) + len(l) - 1:
-                    failures.append(f"general size bound fails on {g.edges}: {res.size}")
+                check(is_vertex_cover(g, res.cover), "general non-cover on {}", g.edges)
+                check(res.size <= len(m) + len(l) - 1,
+                      "general size bound fails on {}: {}", g.edges, res.size)
             except MedcoverError as ex:
-                checks += 1
-                failures.append(f"general construction failed on {g.edges}: {ex}")
+                check(False, "general construction failed on {}: {}", g.edges, ex)
         if nu >= 3:
             try:
                 res = cover_case_dispatch(g, extra)
-                checks += 2
-                if not is_vertex_cover(g, res.cover):
-                    failures.append(f"dispatch non-cover on {g.edges}")
+                check(is_vertex_cover(g, res.cover), "dispatch non-cover on {}", g.edges)
                 lim = 1.8 + SQRT2P1 * res.delta_used
-                if res.size > lim + 1e-6:
-                    failures.append(f"dispatch bound fails on {g.edges}: {res.size} > {lim!r}")
+                check(res.size <= lim + 1e-6,
+                      "dispatch bound fails on {}: {} > {!r}", g.edges, res.size, lim)
             except MedcoverError as ex:
-                checks += 1
-                failures.append(f"dispatch failed on {g.edges}: {ex}")
+                check(False, "dispatch failed on {}: {}", g.edges, ex)
         res = cover_nonstar_means(g)
-        checks += 2
-        if not is_vertex_cover(g, res.cover):
-            failures.append(f"means non-cover on {g.edges}")
-        if Fraction(res.size) > res.bound_value:
-            failures.append(f"means bound fails on {g.edges}: {res.size} > {res.bound_value}")
-    return _suite("cover_extraction", checks, failures)
+        check(is_vertex_cover(g, res.cover), "means non-cover on {}", g.edges)
+        check(Fraction(res.size) <= res.bound_value,
+              "means bound fails on {}: {} > {}", g.edges, res.size, res.bound_value)
+    return ledger.result()
 
 
-def _hypergraph_cases(seed: int = 0) -> list[HypergraphInstance]:
+def _hypergraph_cases(seed: int) -> list[HypergraphInstance]:
     import random as _random
 
     rng = _random.Random(seed)
@@ -292,15 +282,14 @@ def _hypergraph_cases(seed: int = 0) -> list[HypergraphInstance]:
     return cases
 
 
-def suite_hypergraph(seed: int = 0) -> dict:
+def suite_hypergraph(seed: int) -> dict:
     """Hypergraph reduction geometry and optimum: every point-center pair
     sits at squared distance d-1 (vertex on the hyperedge) or d+1 (off it),
     and the discrete oracle equals (d-1)(N-q) + (d+1)q with q from
     exhaustive cover search."""
     import itertools as _it
 
-    failures: list[str] = []
-    checks = 0
+    ledger = _Ledger("hypergraph_reduction")
     for h in _hypergraph_cases(seed):
         inst = reduce_hypergraph(h)
         d = h.d
@@ -313,24 +302,18 @@ def suite_hypergraph(seed: int = 0) -> dict:
                     for a, b in zip(inst.points[ei], inst.candidate_centers[v])
                 )
                 want = d - 1 if v in e else d + 1
-                checks += 1
-                if sq != want:
-                    failures.append(
-                        f"distance wrong (d={d}, edge {e}, vertex {v}): {sq} != {want}"
-                    )
+                ledger.check(sq == want, "distance wrong (d={}, edge {}, vertex {}): {} != {}",
+                             d, e, v, sq, want)
         q = min(
             sum(1 for e in h.hyperedges if not (set(s) & set(e)))
             for s in _it.combinations(range(h.num_vertices), h.k)
         )
         want_cost = (d - 1) * (len(h.hyperedges) - q) + (d + 1) * q
-        rep = opt_discrete(inst)
-        checks += 1
-        if abs(rep.optimal_cost - want_cost) > 1e-9:
-            failures.append(
-                f"discrete optimum (d={d}, N={len(h.hyperedges)}, k={h.k}): "
-                f"{rep.optimal_cost!r} != {want_cost}"
-            )
-    return _suite("hypergraph_reduction", checks, failures)
+        cost = opt_discrete(inst).optimal_cost
+        ledger.check(abs(cost - want_cost) <= 1e-9,
+                     "discrete optimum (d={}, N={}, k={}): {!r} != {}",
+                     d, len(h.hyperedges), h.k, cost, want_cost)
+    return ledger.result()
 
 
 _GAP_SPOT_CASES = (
@@ -351,16 +334,14 @@ _GAP_SPOT_CASES = (
 def suite_gap_arithmetic() -> dict:
     """Gap predictions against hand arithmetic, and oracle-cost monotonicity
     in the number of allowed centers (the bi-criteria direction)."""
-    failures: list[str] = []
-    checks = 0
+    ledger = _Ledger("gap_arithmetic_and_monotonicity")
     for kind, args, want_yes, want_no in _GAP_SPOT_CASES:
         pred = predict_gap_graph(**args) if kind == "graph" else predict_gap_hypergraph(**args)
-        checks += 1
-        if abs(pred.yes_cost - want_yes) > 1e-12 or abs(pred.no_cost_lower - want_no) > 1e-9:
-            failures.append(
-                f"gap {kind} {sorted(args.items())}: got ({pred.yes_cost!r}, "
-                f"{pred.no_cost_lower!r}), want ({want_yes!r}, {want_no!r})"
-            )
+        ledger.check(
+            abs(pred.yes_cost - want_yes) <= 1e-12 and abs(pred.no_cost_lower - want_no) <= 1e-9,
+            "gap {} {}: got ({!r}, {!r}), want ({!r}, {!r})", kind, sorted(args.items()),
+            pred.yes_cost, pred.no_cost_lower, want_yes, want_no,
+        )
     for seed in (3, 4):
         g = random_triangle_free(7, 3, seed=seed)
         if not 2 <= g.num_edges <= 10:
@@ -368,18 +349,15 @@ def suite_gap_arithmetic() -> dict:
         for objective in ("median", "means"):
             prev = math.inf
             for j in range(1, min(g.num_edges, 6) + 1):
-                rep = opt_continuous(reduce_graph(g, k=j, objective=objective))
-                checks += 1
-                if rep.optimal_cost > prev + 1e-9:
-                    failures.append(
-                        f"cost not monotone in k on {g.edges} ({objective}, k={j}): "
-                        f"{rep.optimal_cost!r} > {prev!r}"
-                    )
-                prev = rep.optimal_cost
-    return _suite("gap_arithmetic_and_monotonicity", checks, failures)
+                cost = opt_continuous(reduce_graph(g, k=j, objective=objective)).optimal_cost
+                ledger.check(monotone_in_centers(cost, prev),
+                             "cost not monotone in k on {} ({}, k={}): {!r} > {!r}",
+                             g.edges, objective, j, cost, prev)
+                prev = cost
+    return ledger.result()
 
 
-def run_all(max_edges: int = 5, seed: int = 0, trials: int = 12) -> dict:
+def run_all(max_edges: int, seed: int, trials: int) -> dict:
     """Run every suite at the given scale and aggregate the verdicts."""
     results = [
         suite_closed_forms(),

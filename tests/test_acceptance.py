@@ -39,6 +39,8 @@ from medcover.oracle import enumerate_triangle_free, min_vertex_cover, opt_conti
 from medcover.reduction import reduce_graph
 from medcover.suites import (
     completeness_instances,
+    means_complete,
+    median_complete,
     suite_completeness,
     suite_covers,
     suite_decomposition,
@@ -115,9 +117,9 @@ def test_criterion_4_spot_instance():
     g = completeness_instances(1, seed=0)[0]
     m, k = g.num_edges, len(min_vertex_cover(g))
     med = opt_continuous(reduce_graph(g, k=k, objective="median"))
-    assert med.optimal_cost <= m - k / 2 + 1e-6
+    assert median_complete(med.optimal_cost, m, k)
     mea = opt_continuous(reduce_graph(g, k=k, objective="means"))
-    assert mea.optimal_cost <= m - k + 1e-9
+    assert means_complete(mea.optimal_cost, m, k)
 
 
 # -- 5 ----------------------------------------------------------------------

@@ -14,6 +14,7 @@ from medcover.graphs import (
     bridge_structure,
     classify,
     common_vertex,
+    edge_components,
     format_edge_list,
     graph_from_edges,
     is_triangle_free,
@@ -107,6 +108,46 @@ def test_subgraph_keeps_host_vertex_ids():
 def test_triangle_detection():
     assert is_triangle_free(graph_from_edges(C5))
     assert not is_triangle_free(graph_from_edges([(0, 1), (1, 2), (0, 2)]))
+
+
+def union_find_components(g):
+    """Edge components by union-find, as ``edge_components`` once computed
+    them: ordered by smallest edge index, indices ascending within."""
+    parent = list(range(g.num_vertices))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for u, v in g.edges:
+        parent[find(u)] = find(v)
+    groups = {}
+    for i, (u, _v) in enumerate(g.edges):
+        groups.setdefault(find(u), []).append(i)
+    return sorted(groups.values(), key=lambda idxs: idxs[0])
+
+
+def test_edge_components_are_ordered_by_first_edge():
+    # the component of vertices 3..5 holds edge 0, so it comes first although
+    # vertex 0 is the least vertex; the isolated vertex 6 is left out
+    g = graphs.Graph(7, ((3, 4), (0, 1), (4, 5), (1, 2)))
+    assert edge_components(g) == [[0, 2], [1, 3]]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000))
+def test_edge_components_match_union_find(seed):
+    import random
+
+    rng = random.Random(seed)
+    g = random_graph(rng, 10, 0.15)
+    if g is None:
+        return
+    edges = list(g.edges)
+    rng.shuffle(edges)
+    g = graphs.Graph(g.num_vertices, tuple(edges))
+    assert edge_components(g) == union_find_components(g)
 
 
 def test_common_vertex():

@@ -1,18 +1,29 @@
 """The named property suites behind verify-lemmas."""
 
 import dataclasses
+import math
+from fractions import Fraction
 
 import pytest
 
 from medcover import costs, covers, suites
-from medcover.errors import PreconditionViolated
-from medcover.graphs import is_star
-from medcover.oracle import enumerate_triangle_free
-from medcover.reduction import reduce_hypergraph
+from medcover.costs import weiszfeld
+from medcover.decomposition import certify_lower_bound
+from medcover.errors import PreconditionViolated, Stuck
+from medcover.graphs import Graph, is_star
+from medcover.oracle import (
+    enumerate_triangle_free,
+    min_vertex_cover,
+    opt_continuous,
+    opt_discrete,
+    random_triangle_free,
+)
+from medcover.reduction import reduce_graph, reduce_hypergraph
 from medcover.suites import (
     completeness_instances,
     run_all,
     suite_closed_forms,
+    suite_completeness,
     suite_covers,
     suite_decomposition,
     suite_extra_cost,
@@ -119,3 +130,177 @@ def test_run_all_shape():
     assert [s["name"] for s in report["suites"]] == EXPECTED_NAMES
     for s in report["suites"]:
         assert s["passed"], (s["name"], s["failures"])
+
+
+# -- each suite reports a false predicate -----------------------------------
+#
+# One input is patched so that exactly one predicate of the suite is false:
+# the suite fails with that check's text and still counts every check.
+
+C4 = ((0, 1), (0, 2), (1, 3), (2, 3))
+C5 = ((0, 1), (0, 2), (1, 3), (2, 4), (3, 4))  # the 5-cycle, not a bridge graph
+
+
+def assert_one_failure(result, clean, failure):
+    assert clean["passed"], clean["failures"]
+    assert result["name"] == clean["name"]
+    assert result["passed"] is False
+    assert result["checks"] == clean["checks"]
+    assert result["failures"] == [failure]
+
+
+def test_closed_forms_suite_reports_a_wrong_closed_form(monkeypatch):
+    clean = suite_closed_forms()
+    real = suites.simplex_median_cost
+    monkeypatch.setattr(suites, "simplex_median_cost", lambda r, s: real(r, s) + (r == 5))
+    pts = [[2.0 / math.sqrt(2.0) if j == i else 0.0 for j in range(5)] for i in range(5)]
+    got, want = weiszfeld(pts).cost, real(5, 2.0) + 1
+    assert_one_failure(
+        suite_closed_forms(), clean, f"simplex side 2 r=5: got {got!r}, want {want!r}"
+    )
+
+
+def test_decomposition_suite_reports_a_certificate_that_does_not_add_up(monkeypatch):
+    clean = suite_decomposition(5)
+
+    def off_on_c4(g, mode):
+        cert = certify_lower_bound(g, mode)
+        if g.edges == C4 and mode == "safe":
+            return dataclasses.replace(cert, bound=cert.bound - 1e-9)
+        return cert
+
+    monkeypatch.setattr(suites, "certify_lower_bound", off_on_c4)
+    assert_one_failure(suite_decomposition(5), clean, f"certificate sum mismatch on {C4}")
+
+
+def test_extra_cost_suite_reports_a_means_floor_below_two_thirds(monkeypatch):
+    clean = suite_extra_cost(5)
+
+    def low_on_c5(g, objective):
+        got = costs.extra_cost(g, objective)
+        return dataclasses.replace(got, value=Fraction(1, 2)) if g.edges == C5 else got
+
+    monkeypatch.setattr(suites, "extra_cost", low_on_c5)
+    assert_one_failure(
+        suite_extra_cost(5), clean, f"means extra cost below 2/3 on {C5}: Fraction(1, 2)"
+    )
+
+
+def test_completeness_suite_reports_a_means_cost_above_the_threshold(monkeypatch):
+    clean = suite_completeness(2, 0)
+    g = completeness_instances(2, 0)[1]
+    k = len(min_vertex_cover(g))
+    raised = []
+
+    def dearer_means(inst):
+        rep = opt_continuous(inst)
+        if inst.objective == "means" and inst == reduce_graph(g, k=k, objective="means"):
+            rep = dataclasses.replace(rep, optimal_cost=rep.optimal_cost + 1.0)
+            raised.append(rep.optimal_cost)
+        return rep
+
+    monkeypatch.setattr(suites, "opt_continuous", dearer_means)
+    result = suite_completeness(2, 0)
+    m = g.num_edges
+    assert_one_failure(
+        result, clean, f"means completeness fails on {g.edges}: {raised[0]!r} > {m - k!r}"
+    )
+
+
+def test_cover_suite_reports_a_means_cover_over_its_bound(monkeypatch):
+    clean = suite_covers(5)
+
+    def over_on_c5(g):
+        res = covers.cover_nonstar_means(g)
+        return dataclasses.replace(res, size=res.size + 10) if g.edges == C5 else res
+
+    monkeypatch.setattr(suites, "cover_nonstar_means", over_on_c5)
+    res = covers.cover_nonstar_means(Graph(5, C5))
+    assert_one_failure(
+        suite_covers(5), clean, f"means bound fails on {C5}: {res.size + 10} > {res.bound_value}"
+    )
+
+
+def test_cover_suite_counts_a_construction_that_raises_as_one_failed_check(monkeypatch):
+    # the two checks on a construction's result become one: that it ran
+    clean = suite_covers(6)
+    real = suites.cover_case_dispatch
+    raised = []
+
+    def stuck_once(g, extra):
+        if not raised:
+            raised.append(g.edges)
+            raise Stuck("no case applies")
+        return real(g, extra)
+
+    monkeypatch.setattr(suites, "cover_case_dispatch", stuck_once)
+    result = suite_covers(6)
+    assert result["passed"] is False
+    assert result["checks"] == clean["checks"] - 1
+    assert result["failures"] == [f"dispatch failed on {raised[0]}: no case applies"]
+
+
+def test_hypergraph_suite_reports_a_wrong_discrete_optimum(monkeypatch):
+    clean = suite_hypergraph(0)
+    first = suites._hypergraph_cases(0)[0]
+    seen = []
+
+    def off_on_first(inst):
+        rep = opt_discrete(inst)
+        seen.append(rep.optimal_cost)
+        if len(seen) == 1:
+            rep = dataclasses.replace(rep, optimal_cost=rep.optimal_cost + 1)
+        return rep
+
+    monkeypatch.setattr(suites, "opt_discrete", off_on_first)
+    result = suite_hypergraph(0)
+    want = seen[0]  # the true optimum equals the cover-count formula
+    label = f"d={first.d}, N={len(first.hyperedges)}, k={first.k}"
+    assert_one_failure(result, clean, f"discrete optimum ({label}): {want + 1!r} != {int(want)}")
+
+
+def test_gap_suite_reports_a_cost_that_rises_with_k(monkeypatch):
+    clean = suite_gap_arithmetic()
+    g = random_triangle_free(7, 3, seed=3)
+    dear = {}
+
+    def dearer_at_three(inst):
+        rep = opt_continuous(inst)
+        if inst == reduce_graph(g, k=2, objective="median"):
+            dear[2] = rep.optimal_cost
+        elif inst == reduce_graph(g, k=3, objective="median"):
+            dear[3] = dear[2] + 1.0  # above k = 2; k = 4 compares to this and passes
+            rep = dataclasses.replace(rep, optimal_cost=dear[3])
+        return rep
+
+    monkeypatch.setattr(suites, "opt_continuous", dearer_at_three)
+    result = suite_gap_arithmetic()
+    assert_one_failure(
+        result,
+        clean,
+        f"cost not monotone in k on {g.edges} (median, k=3): {dear[3]!r} > {dear[2]!r}",
+    )
+
+
+def test_a_nan_median_cost_fails_the_decomposition_and_extra_cost_checks(monkeypatch):
+    # a failure test (bound > cost) would let NaN through; every predicate
+    # states what must hold, so a NaN fails it
+    real = suites.median_costs
+
+    def nan_on_c5(graphs):
+        return [(math.nan, basis) if g.edges == C5 else (cost, basis)
+                for g, (cost, basis) in zip(graphs, real(graphs))]
+
+    clean = suite_decomposition(5), suite_extra_cost(5)
+    monkeypatch.setattr(suites, "median_costs", nan_on_c5)
+    decomposition, extra = suite_decomposition(5), suite_extra_cost(5)
+    safe = certify_lower_bound(Graph(5, C5), "safe").bound
+    ultra = certify_lower_bound(Graph(5, C5), "ultra_safe").bound
+    for result, before in zip((decomposition, extra), clean):
+        assert result["passed"] is False
+        assert result["checks"] == before["checks"]
+    assert decomposition["failures"] == [
+        f"safe bound exceeds cost on {C5}: {safe!r} > nan",
+        f"ultra bound exceeds cost on {C5}: {ultra!r}",
+    ]
+    assert extra["failures"] == [f"median extra cost below floor on {C5}: nan"]

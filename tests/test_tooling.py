@@ -1,6 +1,6 @@
 """Checks on the source tree itself: the names the benchmark reaches into,
-the rule that proof obligations raise typed errors instead of asserting, and
-the limits the README states."""
+the rule that proof obligations raise typed errors instead of asserting,
+the one check ledger of the suites, and the limits the README states."""
 
 import ast
 import dataclasses
@@ -51,6 +51,33 @@ def test_no_assert_statements_in_the_package():
         for path in sorted(PACKAGE.glob("*.py"))
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
+def test_suites_count_and_record_checks_only_through_the_ledger():
+    # a suite that kept its own counter or failure list could drift from
+    # the ledger's count, or format failure text eagerly
+    tree = ast.parse((PACKAGE / "suites.py").read_text(encoding="utf-8"))
+    ledger = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "_Ledger")
+    inside = {id(node) for node in ast.walk(ledger)}
+
+    def name(node):
+        return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+    found = [
+        node.lineno
+        for node in ast.walk(tree)
+        if id(node) not in inside
+        and (
+            (isinstance(node, ast.AugAssign) and name(node.target) == "checks")
+            or (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "append"
+                and name(node.func.value) == "failures"
+            )
+        )
     ]
     assert found == []
 
