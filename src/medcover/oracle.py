@@ -34,12 +34,18 @@ so no skipped subset could have won.
 ``canonical_form`` works components first: a bitmask flood fill splits the
 graph, and a graph with two or more components gets the sorted certificates
 of its components, so vertices of different components never tie in one
-search. For each connected graph it finds the least adjacency bitstring one
-row at a time, branching only on vertices that tie for the least row (in
-the spirit of individualization-refinement, McKay & Piperno 2014), and
-raises ``InstanceTooLarge`` when one search's tie frontier passes
-``MAX_CANON_STATES``. The enumerator composes a disjoint union's
-certificate from its parts' certificates the same way, without a search.
+search. For each connected graph it refines the vertices into ordered
+cells by iterated degree refinement, relabelling each round's keys to their
+ranks in tuple order as equitable refinement does (McKay & Piperno 2014,
+"Practical graph isomorphism, II"), so a round sorts tuples of small ints
+and touches only vertices in cells of two or more. It then finds the least
+adjacency bitstring one row at a time, branching only on vertices that tie
+for the least row (in the spirit of individualization-refinement); a state
+whose first block is one vertex takes that vertex's row directly, with no
+tie or twin test. A search raises ``InstanceTooLarge`` when its tie
+frontier passes ``MAX_CANON_STATES``. The enumerator composes a disjoint
+union's certificate from its parts' certificates the same way, without a
+search.
 Every exhaustive routine has an explicit ceiling, and a broken internal
 invariant raises ``Stuck`` rather than asserting.
 """
@@ -574,22 +580,77 @@ def min_vertex_cover(g: Graph) -> set[int]:
 # Triangle-free graph generation
 # ---------------------------------------------------------------------------
 
-def _refine_classes(g: Graph) -> list[list[int]]:
-    """Stable equitable partition of the vertices (iterated degree
-    refinement). Distinct cells always end up with distinct keys because
-    the full refinement history is folded into each key."""
-    n = g.num_vertices
-    adj = g.adjacency()
-    keys: list[object] = [len(adj[v]) for v in range(n)]
-    while True:
-        new = [(keys[v], tuple(sorted(keys[u] for u in adj[v]))) for v in range(n)]
-        if len(set(new)) == len(set(keys)):
+def _positions(keys: list) -> list[int]:
+    """Each key's position in the sorted order of ``keys`` (all distinct)."""
+    positions = [0] * len(keys)
+    for p, i in enumerate(sorted(range(len(keys)), key=keys.__getitem__)):
+        positions[i] = p
+    return positions
+
+
+def _refine_classes(nbrs: list[int]) -> list[list[int]]:
+    """Stable equitable partition of the vertices whose neighbour masks are
+    ``nbrs`` (iterated degree refinement), each cell in increasing vertex
+    order.
+
+    The partition is the one nested keys give: a vertex's key starts as its
+    degree, and each round replaces it with (own key, sorted neighbour
+    keys) until a round splits no cell. The cells come in the order of
+    their keys' ``repr`` strings.
+
+    Neither the keys nor their strings are built. A key is held as its
+    cell's rank in the keys' tuple order, which the ranks reproduce: a round
+    compares its cells' old ranks first, then the sorted old ranks of their
+    neighbours, so a cell splits only where the nested keys differ, and its
+    parts keep their place among the other cells, in the order of those
+    neighbour ranks. A vertex in a cell of one never splits again, so a
+    round computes nothing for it, and refinement stops once every cell is
+    one vertex.
+
+    The ``repr`` order is kept as each cell's position beside its rank. A
+    key's string is ``"(own, (n1, n2, ...))"`` (``"(n1,)"`` for one
+    neighbour), and a round's strings are never proper prefixes of each
+    other, except degrees, where the shorter is followed by ``","`` or
+    ``")"``, both below every digit. So two keys' strings compare as the
+    strings of their own keys, then of their neighbours' keys one by one in
+    tuple order: as the sequences of those positions. Degrees below 10 sort
+    the same either way, and then the two orders stay equal.
+    """
+    n = len(nbrs)
+    hoods = []
+    for mask in nbrs:
+        hood = []
+        while mask:
+            bit = mask & -mask
+            hood.append(bit.bit_length() - 1)
+            mask ^= bit
+        hoods.append(hood)
+    by_degree: dict[int, list[int]] = {}
+    for v, hood in enumerate(hoods):
+        by_degree.setdefault(len(hood), []).append(v)
+    degrees = sorted(by_degree)
+    cells = [by_degree[d] for d in degrees]  # in tuple order
+    spelt = _positions([repr(d) for d in degrees])  # each cell's place in repr order
+    while len(cells) < n:
+        rank = [0] * n
+        for i, cell in enumerate(cells):
+            for v in cell:
+                rank[v] = i
+        parts = []  # (the new key's repr order as positions, cell), in tuple order
+        for i, cell in enumerate(cells):
+            if len(cell) == 1:
+                parts.append(((spelt[i],), cell))
+                continue
+            split: dict[tuple[int, ...], list[int]] = {}
+            for v in cell:
+                split.setdefault(tuple(sorted([rank[u] for u in hoods[v]])), []).append(v)
+            for near in sorted(split):
+                parts.append(((spelt[i], *[spelt[r] for r in near]), split[near]))
+        if len(parts) == len(cells):
             break
-        keys = new  # type: ignore[assignment]
-    cells: dict[object, list[int]] = {}
-    for v in range(n):
-        cells.setdefault(repr(keys[v]), []).append(v)
-    return [cells[key] for key in sorted(cells)]
+        cells = [cell for _, cell in parts]
+        spelt = _positions([key for key, _ in parts])
+    return [cells[i] for i in sorted(range(len(cells)), key=spelt.__getitem__)]
 
 
 def canonical_form(g: Graph) -> str:
@@ -608,17 +669,17 @@ def canonical_form(g: Graph) -> str:
     nbrs = neighbour_masks(g)
     comps = component_masks(nbrs)
     if len(comps) <= 1:
-        return _connected_form(g, nbrs)
+        return _connected_form(nbrs)
     forms = []
     for comp in comps:
         members = [v for v in range(g.num_vertices) if comp >> v & 1]
         label = {v: i for i, v in enumerate(members)}
         part = Graph(len(label), tuple((label[u], label[v]) for u, v in g.edges if u in label))
-        forms.append(_connected_form(part, neighbour_masks(part)))
+        forms.append(_connected_form(neighbour_masks(part)))
     return "+".join(sorted(forms))
 
 
-def _connected_form(g: Graph, nbrs: list[int]) -> str:
+def _connected_form(nbrs: list[int]) -> str:
     """``"n:bits"`` for a graph with at most one component, whose neighbour
     masks are ``nbrs``.
 
@@ -634,19 +695,47 @@ def _connected_form(g: Graph, nbrs: list[int]) -> str:
     and identical states are merged. A tie frontier larger than
     ``MAX_CANON_STATES`` raises ``InstanceTooLarge``.
 
+    A state whose first block is one vertex has that vertex as its only
+    candidate, so its row and split state are built in one pass, with no
+    twin set. A frontier of one such state forces its row, and once every
+    block of a lone state is a single vertex (as when refinement leaves
+    every cell one vertex), every further row is forced.
+
     Row p is held as an int of fixed width n-1-p, built block by block as
     ``(row << size) | ((1 << near) - 1)``; for equal widths int order is
-    bitstring order. A candidate's split state is built only when its row is
-    at most the least so far, and the rows are formatted as bitstrings once,
-    at the end.
+    bitstring order. A tied candidate's split state is built only when its
+    row is at most the least so far. The rows are appended to one int,
+    formatted as a bitstring once, at the end.
     """
-    n = g.num_vertices
-    frontier = {tuple(sum(1 << v for v in cell) for cell in _refine_classes(g))}
-    rows: list[str] = []
+    n = len(nbrs)
+    frontier = {tuple([sum([1 << v for v in cell]) for cell in _refine_classes(nbrs)])}
+    bits = 0
     for width in range(n - 1, -1, -1):
         best = 1 << width  # above every row of this width
         nxt: set[tuple[int, ...]] = set()
-        for first, *rest in frontier:
+        for state in frontier:
+            first, rest = state[0], state[1:]
+            if not first & (first - 1):  # one candidate: its row and split, in one pass
+                hood = nbrs[first.bit_length() - 1]
+                row = 0
+                split = []
+                for block in rest:
+                    near = block & hood
+                    row = (row << block.bit_count()) | ((1 << near.bit_count()) - 1)
+                    if near != block:
+                        split.append(block ^ near)
+                    if near:
+                        split.append(near)
+                if row > best:
+                    continue
+                if row < best:
+                    best, nxt = row, set()
+                nxt.add(tuple(split))
+                if len(nxt) > MAX_CANON_STATES:
+                    raise InstanceTooLarge(
+                        f"canonical form search exceeds {MAX_CANON_STATES} tied states"
+                    )
+                continue
             sizes = [block.bit_count() for block in rest]
             tried = set()
             todo = first
@@ -665,22 +754,22 @@ def _connected_form(g: Graph, nbrs: list[int]) -> str:
                     continue
                 if row < best:
                     best, nxt = row, set()
-                state = []  # each block split into non-neighbours, then neighbours
+                split = []  # each block split into non-neighbours, then neighbours
                 for block in (head, *rest):
                     near = block & hood
                     if near != block:
-                        state.append(block ^ near)
+                        split.append(block ^ near)
                     if near:
-                        state.append(near)
-                nxt.add(tuple(state))
+                        split.append(near)
+                nxt.add(tuple(split))
                 if len(nxt) > MAX_CANON_STATES:
                     raise InstanceTooLarge(
                         f"canonical form search exceeds {MAX_CANON_STATES} tied states"
                     )
-        if width:
-            rows.append(format(best, f"0{width}b"))
+        bits = (bits << width) | best
         frontier = nxt
-    return f"{n}:{''.join(rows)}"
+    total = n * (n - 1) // 2
+    return f"{n}:{format(bits, f'0{total}b') if total else ''}"
 
 
 def _single_edge_extensions(g: Graph) -> Iterator[Graph]:
@@ -695,13 +784,13 @@ def _single_edge_extensions(g: Graph) -> Iterator[Graph]:
     this order, and the first extension seen of each isomorphism class is
     the same as without the pruning.
     """
-    adj = [frozenset(nb) for nb in g.adjacency()]
+    nbrs = neighbour_masks(g)
     n = g.num_vertices
-    lowest: dict[frozenset[int], int] = {}
-    reps = [v for v in range(n) if lowest.setdefault(adj[v], v) == v]
+    lowest: dict[int, int] = {}
+    reps = [v for v in range(n) if lowest.setdefault(nbrs[v], v) == v]
     for i, u in enumerate(reps):
         for v in reps[i + 1:]:
-            if v in adj[u] or (adj[u] & adj[v]):
+            if nbrs[u] >> v & 1 or nbrs[u] & nbrs[v]:
                 continue
             yield Graph(n, tuple(sorted(g.edges + ((u, v),))))
     for u in reps:

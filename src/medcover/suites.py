@@ -246,8 +246,9 @@ def suite_covers(max_edges: int) -> dict:
                 check(is_vertex_cover(g, res.cover), "general non-cover on {}", g.edges)
                 check(res.size <= len(m) + len(l) - 1,
                       "general size bound fails on {}: {}", g.edges, res.size)
-            except MedcoverError as ex:
-                check(False, "general construction failed on {}: {}", g.edges, ex)
+            except MedcoverError as ex:  # neither claim holds: both fail
+                for claim in ("cover", "size bound"):
+                    check(False, "general construction failed on {} ({}): {}", g.edges, claim, ex)
         if nu >= 3:
             try:
                 res = cover_case_dispatch(g, extra)
@@ -255,8 +256,9 @@ def suite_covers(max_edges: int) -> dict:
                 lim = 1.8 + SQRT2P1 * res.delta_used
                 check(res.size <= lim + 1e-6,
                       "dispatch bound fails on {}: {} > {!r}", g.edges, res.size, lim)
-            except MedcoverError as ex:
-                check(False, "dispatch failed on {}: {}", g.edges, ex)
+            except MedcoverError as ex:  # neither claim holds: both fail
+                for claim in ("cover", "size bound"):
+                    check(False, "dispatch failed on {} ({}): {}", g.edges, claim, ex)
         res = cover_nonstar_means(g)
         check(is_vertex_cover(g, res.cover), "means non-cover on {}", g.edges)
         check(Fraction(res.size) <= res.bound_value,

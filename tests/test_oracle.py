@@ -1,6 +1,7 @@
 """Exhaustive reference solvers and the triangle-free graph catalogue."""
 
 import dataclasses
+import hashlib
 import itertools
 import math
 import random
@@ -25,6 +26,7 @@ from medcover.graphs import (
     is_vertex_cover,
     make_graph,
     max_degree,
+    neighbour_masks,
 )
 from medcover.oracle import (
     _centroid_cost_exact,
@@ -866,8 +868,11 @@ def test_canonical_form_of_empty_and_isolated_vertices():
     assert canonical_form(g) == "+".join(["1:"] * 4 + [canonical_form(graph_from_edges(P4[:2]))])
 
 
-# connected triangle-free graphs without isolated vertices, by edge count 1..8
-CONNECTED_CENSUS = (1, 1, 2, 4, 8, 18, 42, 110)
+C8 = [(i, (i + 1) % 8) for i in range(8)]
+Q3 = [(u, u | 1 << b) for u in range(8) for b in range(3) if not u >> b & 1]
+
+# connected triangle-free graphs without isolated vertices, by edge count 1..9
+CONNECTED_CENSUS = (1, 1, 2, 4, 8, 18, 42, 110, 303)
 
 
 def _euler_transform(a):
@@ -906,17 +911,17 @@ def test_disconnected_catalogue_census_and_certificates():
     cat = list(enumerate_triangle_free(8, include_disconnected=True))
     by_edges = Counter(g.num_edges for g in cat)
     assert list(itertools.accumulate(by_edges[m] for m in range(1, 9))) == [1, 3, 7, 16, 35, 80, 185, 452]
-    assert [by_edges[m] for m in range(1, 9)] == _euler_transform(CONNECTED_CENSUS)
+    assert [by_edges[m] for m in range(1, 9)] == _euler_transform(CONNECTED_CENSUS[:8])
     connected = Counter(g.num_edges for g in cat if len(_components_of(g)) == 1)
-    assert tuple(connected[m] for m in range(1, 9)) == CONNECTED_CENSUS
+    assert tuple(connected[m] for m in range(1, 9)) == CONNECTED_CENSUS[:8]
     assert all(is_triangle_free(g) and not set(range(g.num_vertices)) - set(g.used_vertices()) for g in cat)
     certs = [canonical_form(g) for g in cat]
     assert len(set(certs)) == len(cat)
     # the connected catalogue comes first; the union builder's composed
     # certificates order the unions that follow it
     keys = [(g.num_edges, g.num_vertices, c) for g, c in zip(cat, certs) if "+" in c]
-    assert len(keys) == len(cat) - sum(CONNECTED_CENSUS)
-    assert cat[: sum(CONNECTED_CENSUS)] == list(enumerate_triangle_free(8))
+    assert len(keys) == len(cat) - sum(CONNECTED_CENSUS[:8])
+    assert cat[: sum(CONNECTED_CENSUS[:8])] == list(enumerate_triangle_free(8))
     assert keys == sorted(keys)
     rng = random.Random(5)
     for g, cert in zip(cat, certs):
@@ -927,10 +932,128 @@ def test_disconnected_catalogue_census_and_certificates():
         assert canonical_form(_laid_out(_components_of(g)[::-1])) == cert, g.edges
 
 
+def test_nine_edge_catalogue_census(monkeypatch):
+    monkeypatch.setattr(oracle, "MAX_ENUM_EDGES", 9)
+    cat = list(enumerate_triangle_free(9))
+    by_edges = Counter(g.num_edges for g in cat)
+    assert tuple(by_edges[m] for m in range(1, 10)) == CONNECTED_CENSUS
+    assert cat[: sum(CONNECTED_CENSUS[:8])] == list(enumerate_triangle_free(8))
+    assert len({canonical_form(g) for g in cat}) == len(cat)
+
+
+def test_certificates_of_the_eight_edge_catalogue_are_pinned():
+    certs = [canonical_form(g) for g in enumerate_triangle_free(8, include_disconnected=True)]
+    assert len(certs) == 452
+    digest = hashlib.sha256("\n".join(certs).encode()).hexdigest()
+    assert digest == "62f310c1a3d604ebf428c4dd58837886f9a563461261583eabd18342017e4a83"
+
+
+def _nested_refine_classes(g):
+    """Frozen reference: refinement with the whole refinement history nested
+    in each key, the cells sorted by their keys' ``repr`` strings."""
+    n = g.num_vertices
+    adj = g.adjacency()
+    keys = [len(adj[v]) for v in range(n)]
+    while True:
+        new = [(keys[v], tuple(sorted(keys[u] for u in adj[v]))) for v in range(n)]
+        if len(set(new)) == len(set(keys)):
+            break
+        keys = new
+    cells = {}
+    for v in range(n):
+        cells.setdefault(repr(keys[v]), []).append(v)
+    return [cells[key] for key in sorted(cells)]
+
+
+def _frozen_connected_form(g):
+    """Frozen reference: the row search over the nested-key cells, every
+    state through the twin set and the comparison, each row formatted on
+    its own."""
+    nbrs = neighbour_masks(g)
+    n = g.num_vertices
+    frontier = {tuple(sum(1 << v for v in cell) for cell in _nested_refine_classes(g))}
+    rows = []
+    for width in range(n - 1, -1, -1):
+        best = 1 << width
+        nxt = set()
+        for first, *rest in frontier:
+            sizes = [block.bit_count() for block in rest]
+            tried = set()
+            todo = first
+            while todo:
+                bit = todo & -todo
+                todo ^= bit
+                hood = nbrs[bit.bit_length() - 1]
+                if hood in tried:
+                    continue
+                tried.add(hood)
+                head = first ^ bit
+                row = (1 << (head & hood).bit_count()) - 1
+                for block, size in zip(rest, sizes):
+                    row = (row << size) | ((1 << (block & hood).bit_count()) - 1)
+                if row > best:
+                    continue
+                if row < best:
+                    best, nxt = row, set()
+                state = []
+                for block in (head, *rest):
+                    near = block & hood
+                    if near != block:
+                        state.append(block ^ near)
+                    if near:
+                        state.append(near)
+                nxt.add(tuple(state))
+        if width:
+            rows.append(format(best, f"0{width}b"))
+        frontier = nxt
+    return f"{n}:{''.join(rows)}"
+
+
+def _frozen_canonical_form(g):
+    """Frozen reference: components first, each searched on its own."""
+    parts = _components_of(g)
+    if len(parts) <= 1:
+        return _frozen_connected_form(g)
+    return "+".join(sorted(_frozen_connected_form(part) for part in parts))
+
+
+# a ten-leaf star with a two-edge tail: its keys' ``repr`` order is not
+# their tuple order, as "1" < "10" < "2" and "(1, (10,))" < "(1, (2,))"
+HUB = [(0, i) for i in range(1, 11)] + [(10, 11), (11, 12)]
+
+
+def test_cells_come_in_repr_order_not_tuple_order():
+    g = graph_from_edges(HUB)
+    cells = [list(range(1, 10)), [12], [0], [11], [10]]  # tuple order: [12], leaves, [11], [10], [0]
+    assert oracle._refine_classes(neighbour_masks(g)) == cells == _nested_refine_classes(g)
+
+
+def test_refinement_and_search_match_the_frozen_nested_key_search(monkeypatch):
+    extensions = []
+    extend = oracle._single_edge_extensions
+
+    def recorded(g):
+        for h in extend(g):
+            extensions.append(h)
+            yield h
+
+    monkeypatch.setattr(oracle, "_single_edge_extensions", recorded)
+    list(enumerate_triangle_free(8))
+    monkeypatch.undo()
+    assert len(extensions) == 741
+    graphs = extensions + list(enumerate_triangle_free(6, include_disconnected=True))
+    graphs += [graph_from_edges(C8), graph_from_edges(Q3)]
+    graphs += [_spider(legs) for legs in range(2, 9)] + [graph_from_edges(HUB)]
+    graphs += [random_triangle_free(seed % 10 + 1, seed // 10 % 9 + 1, seed) for seed in range(300)]
+    for g in graphs:
+        assert oracle._refine_classes(neighbour_masks(g)) == _nested_refine_classes(g), g.edges
+        assert canonical_form(g) == _frozen_canonical_form(g), g.edges
+
+
 def _canonical_form_by_permutation(g):
     """Reference: the least bitstring over every order of every cell (one
     order for a cell of twins), tried one full order at a time."""
-    cells = oracle._refine_classes(g)
+    cells = _nested_refine_classes(g)
     adj = [set(nb) for nb in g.adjacency()]
     edge_set = set(g.edges)
 
@@ -956,13 +1079,9 @@ def _canonical_form_by_permutation(g):
 def _reference_orders(g):
     adj = [set(nb) for nb in g.adjacency()]
     return math.prod(
-        math.factorial(len(c)) for c in oracle._refine_classes(g)
+        math.factorial(len(c)) for c in _nested_refine_classes(g)
         if any(adj[v] != adj[c[0]] for v in c[1:])
     )
-
-
-C8 = [(i, (i + 1) % 8) for i in range(8)]
-Q3 = [(u, u | 1 << b) for u in range(8) for b in range(3) if not u >> b & 1]
 
 
 def test_canonical_form_matches_permutation_reference(monkeypatch):

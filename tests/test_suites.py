@@ -221,23 +221,33 @@ def test_cover_suite_reports_a_means_cover_over_its_bound(monkeypatch):
     )
 
 
-def test_cover_suite_counts_a_construction_that_raises_as_one_failed_check(monkeypatch):
-    # the two checks on a construction's result become one: that it ran
+@pytest.mark.parametrize(
+    "name, label",
+    [("cover_general", "general construction failed"), ("cover_case_dispatch", "dispatch failed")],
+    ids=["general", "dispatch"],
+)
+def test_cover_suite_counts_a_construction_that_raises_as_both_its_checks_failing(
+    monkeypatch, name, label
+):
+    # a construction that raises fails both claims on its result, so the
+    # suite counts as many checks as a clean run
     clean = suite_covers(6)
-    real = suites.cover_case_dispatch
+    real = getattr(suites, name)
     raised = []
 
-    def stuck_once(g, extra):
+    def stuck_once(g, *args):
         if not raised:
             raised.append(g.edges)
             raise Stuck("no case applies")
-        return real(g, extra)
+        return real(g, *args)
 
-    monkeypatch.setattr(suites, "cover_case_dispatch", stuck_once)
+    monkeypatch.setattr(suites, name, stuck_once)
     result = suite_covers(6)
     assert result["passed"] is False
-    assert result["checks"] == clean["checks"] - 1
-    assert result["failures"] == [f"dispatch failed on {raised[0]}: no case applies"]
+    assert result["checks"] == clean["checks"]
+    assert result["failures"] == [
+        f"{label} on {raised[0]} ({claim}): no case applies" for claim in ("cover", "size bound")
+    ]
 
 
 def test_hypergraph_suite_reports_a_wrong_discrete_optimum(monkeypatch):
