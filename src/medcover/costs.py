@@ -129,8 +129,8 @@ def weiszfeld(
     points: Sequence[Sequence[float]], tolerance: float = WEISZFELD_TOLERANCE
 ) -> MedianSolution:
     """Geometric median by Weiszfeld iteration from the centroid: one row of
-    ``_weiszfeld_batch``, which holds the on-point test, escape step and stop
-    rule. Raises ``NotConverged`` on reaching ``WEISZFELD_MAX_ITER``, so
+    ``_weiszfeld_batch``, which holds the on-point test, escape step, stop
+    rule and final snap to an optimal data point. Raises ``NotConverged`` on reaching ``WEISZFELD_MAX_ITER``, so
     ``converged`` is always True.
     """
     pts = np.asarray(points, dtype=float)
@@ -192,6 +192,13 @@ def _weiszfeld_batch(
     ``WEISZFELD_MAX_ITER`` iterations, and ``DomainError`` if a starting
     cost overflows float.
 
+    A row that stops beside a data point passing the test strictly
+    (||R|| < m) returns that point when it costs less: there the median is
+    the point itself, and the iteration's linear crawl toward it (at rate
+    about ||R||/m) can meet the stop rule while still measurably above it.
+    At ||R|| = m the test is decided by rounding, so the row keeps its
+    iterate.
+
     Rows never mix: every reduction runs along one row's own points in the
     same order whatever the batch holds, so a row's result does not depend
     on the other rows. The working arrays hold the unfinished rows only and
@@ -248,6 +255,7 @@ def _weiszfeld_batch(
             keep = ~done
             active = active[keep]
             if not active.size:
+                y, costs = _snap_to_optimal_point(blocks, y, costs)
                 return costs, y, iterations
             pts, ya, dist, prev_cost = pts[keep], y_next[keep], dist[keep], cost[keep]
         else:
@@ -256,6 +264,25 @@ def _weiszfeld_batch(
         f"{active.size} of {len(blocks)} {blocks.shape[1]}-point blocks did not "
         f"converge in {max_iter} iterations"
     )
+
+
+def _snap_to_optimal_point(
+    pts: np.ndarray, y: np.ndarray, cost: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Final ``(centers, costs)`` of the rows of ``_weiszfeld_batch``: each
+    row's iterate ``y`` with its ``cost``, or the data point nearest to
+    it where that point passes the subgradient test strictly and costs less.
+    """
+    rows = np.arange(len(pts))
+    nearest = pts[rows, np.linalg.norm(pts - y[:, None, :], axis=2).argmin(axis=1)]
+    diff = pts - nearest[:, None, :]
+    dist = np.linalg.norm(diff, axis=2)
+    away = dist >= _SNAP
+    d_away = np.where(away, dist, 1.0)
+    r_vec = np.where(away[:, :, None], diff / d_away[:, :, None], 0.0).sum(axis=1)
+    at_point = dist.sum(axis=1)
+    snap = (np.linalg.norm(r_vec, axis=1) < (~away).sum(axis=1)) & (at_point < cost)
+    return np.where(snap[:, None], nearest, y), np.where(snap, at_point, cost)
 
 
 # ---------------------------------------------------------------------------

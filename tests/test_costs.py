@@ -226,7 +226,22 @@ def _weiszfeld_two_norm(points, tolerance=1e-12, max_iter=100_000):
             converged = True
             break
         prev_cost = cost
-    return tuple(float(v) for v in y), total_cost(y), iterations, converged
+    y, cost = _snap_reference(pts, y, total_cost(y))
+    return tuple(float(v) for v in y), cost, iterations, converged
+
+
+def _snap_reference(pts, y, cost):
+    """Reference: the data point nearest to ``y`` in place of ``(y, cost)``
+    when its summed unit vectors to the other points have norm strictly
+    below the number of points on it, and it costs less."""
+    p = pts[np.linalg.norm(pts - y, axis=1).argmin()]
+    dist = np.linalg.norm(pts - p, axis=1)
+    others = dist >= costs._SNAP
+    r_norm = np.linalg.norm(((pts[others] - p) / dist[others][:, None]).sum(axis=0))
+    at_point = dist.sum()
+    if r_norm < np.count_nonzero(~others) and at_point < cost:
+        return p, at_point
+    return y, cost
 
 
 def _weiszfeld_batch_reference(blocks, tolerance):
@@ -280,7 +295,10 @@ def _weiszfeld_batch_reference(blocks, tolerance):
         iterations[active[done]] = it
         active = active[~done]
         if not active.size:
-            return total_cost(blocks, y), y, iterations
+            final = total_cost(blocks, y)
+            for row, pts in enumerate(blocks):
+                y[row], final[row] = _snap_reference(pts, y[row], final[row])
+            return final, y, iterations
     raise NotConverged(f"{active.size} subsets did not converge in {max_iter} iterations")
 
 
