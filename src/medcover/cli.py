@@ -20,7 +20,6 @@ from .costs import (
     BASIS_CLOSED,
     BASIS_UPPER,
     MAX_CONTINUOUS_POINTS,
-    WEISZFELD_TOLERANCE,
     closed_form_median_cost,
     cluster_points,
     median_extra_cost,
@@ -132,7 +131,7 @@ def cmd_hyper_reduce(args: argparse.Namespace) -> int:
 
 def cmd_median(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
-    sol = weiszfeld(cluster_points(g), tolerance=args.tol)
+    sol = weiszfeld(cluster_points(g))
     closed = closed_form_median_cost(g)
     payload = {
         "cost": sol.cost,
@@ -164,7 +163,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         modes = ("safe",)
     for mode in modes:
         trace = decompose(g, mode)
-        cert = certificate_from_trace(g, trace)
+        cert = certificate_from_trace(trace)
         payload[mode] = {
             "trace": trace_to_dict(trace),
             "bound": cert.bound,
@@ -229,6 +228,7 @@ def _round_trip(
 
 
 def cmd_cover(args: argparse.Namespace) -> int:
+    check_delta(args.delta)
     g = _load_graph(args.graph)
     blocks_needed = block_count(args.beta, args.k)
     if blocks_needed > g.num_edges:
@@ -387,7 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("median", help="1-median of a graph's embedded points")
     p.add_argument("--graph", required=True)
-    p.add_argument("--tol", type=float, default=WEISZFELD_TOLERANCE)
     p.add_argument("--out")
     p.set_defaults(func=cmd_median)
 

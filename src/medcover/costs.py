@@ -40,7 +40,7 @@ BASIS_LOWER = "certified_lower"
 _SNAP = 1e-12  # distance under which an iterate is treated as sitting on a data point
 MAX_CONTINUOUS_POINTS = 12  # largest point set whose 2^n subsets are tabulated
 # Weiszfeld's stop rule, and the iterations a row may take before it raises
-# ``NotConverged``; only ``weiszfeld`` takes another tolerance
+# ``NotConverged``
 WEISZFELD_TOLERANCE = 1e-12
 WEISZFELD_MAX_ITER = 100_000
 
@@ -125,18 +125,17 @@ def l1_median_cost() -> float:
 # Numerical 1-median (Weiszfeld with subgradient handling at data points)
 # ---------------------------------------------------------------------------
 
-def weiszfeld(
-    points: Sequence[Sequence[float]], tolerance: float = WEISZFELD_TOLERANCE
-) -> MedianSolution:
+def weiszfeld(points: Sequence[Sequence[float]]) -> MedianSolution:
     """Geometric median by Weiszfeld iteration from the centroid: one row of
     ``_weiszfeld_batch``, which holds the on-point test, escape step, stop
-    rule and final snap to an optimal data point. Raises ``NotConverged`` on reaching ``WEISZFELD_MAX_ITER``, so
+    rule at ``WEISZFELD_TOLERANCE`` and final snap to an optimal data point.
+    Raises ``NotConverged`` on reaching ``WEISZFELD_MAX_ITER``, so
     ``converged`` is always True.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] < 1:
         raise ValueError("need a non-empty sequence of equal-length vectors")
-    costs, centers, iterations = _weiszfeld_batch(pts[None], tolerance)
+    costs, centers, iterations = _weiszfeld_batch(pts[None])
     return MedianSolution(tuple(centers[0].tolist()), float(costs[0]), int(iterations[0]), True)
 
 
@@ -145,8 +144,8 @@ def weiszfeld_subsets(points: Sequence[Sequence[float]]) -> tuple[np.ndarray, np
 
     Returns ``(costs, centers)`` indexed by bitmask: row ``mask`` solves the
     points whose indices are the set bits of ``mask`` (row 0 is unused).
-    Subsets of one size are solved together as one ``_weiszfeld_batch`` at
-    ``WEISZFELD_TOLERANCE``. Raises ``NotConverged`` if any subset reaches
+    Subsets of one size are solved together as one ``_weiszfeld_batch``.
+    Raises ``NotConverged`` if any subset reaches
     ``WEISZFELD_MAX_ITER``. More than ``MAX_CONTINUOUS_POINTS`` points raise
     ``InstanceTooLarge`` before any table is allocated.
     """
@@ -165,7 +164,7 @@ def weiszfeld_subsets(points: Sequence[Sequence[float]]) -> tuple[np.ndarray, np
     for k in range(1, n + 1):
         rows = np.flatnonzero(size == k)
         members = np.nonzero(bits[rows])[1].reshape(len(rows), k)
-        costs[rows], centers[rows], _ = _weiszfeld_batch(pts[members], WEISZFELD_TOLERANCE)
+        costs[rows], centers[rows], _ = _weiszfeld_batch(pts[members])
     return costs, centers
 
 
@@ -173,22 +172,18 @@ def weiszfeld_subsets(points: Sequence[Sequence[float]]) -> tuple[np.ndarray, np
 # on a data point; the subgradient branch then redoes those rows. A starting
 # cost that overflows raises DomainError.
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
-def _weiszfeld_batch(
-    blocks: np.ndarray, tolerance: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _weiszfeld_batch(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Geometric median of each row of a (batch, points, dim) array of
     equal-size blocks, by Weiszfeld iteration from the centroid. This is the
     package's one Weiszfeld loop. Returns ``(costs, centers, iterations)``.
 
     When an iterate lands within ``_SNAP`` of data points, the classical
-    update is undefined; the subgradient test applies there instead: the
-    point is optimal iff the summed unit vectors R toward the other points
-    have norm at most the multiplicity m of the points it sits on, and
-    otherwise the row steps away along R by (||R|| - m)/L, the step that
-    guarantees progress (L is the summed inverse distance to the others).
-    A row stops when its relative cost change or its center displacement
-    drops below ``tolerance``, which must be finite and positive (else
-    ``ValueError``). Raises ``NotConverged`` if any row reaches
+    update is undefined; ``_data_point_test`` applies there instead: the
+    point is optimal iff ||R|| <= m, and otherwise the row steps away along
+    R by (||R|| - m)/L, the step that guarantees progress (L is the summed
+    inverse distance to the others). A row stops when its relative cost
+    change or its center displacement drops below ``WEISZFELD_TOLERANCE``;
+    no caller sets another. Raises ``NotConverged`` if any row reaches
     ``WEISZFELD_MAX_ITER`` iterations, and ``DomainError`` if a starting
     cost overflows float.
 
@@ -204,16 +199,16 @@ def _weiszfeld_batch(
     on the other rows. The working arrays hold the unfinished rows only and
     shrink when rows finish. Each iteration computes distances once, to the
     new iterate; they give that iterate's cost and the next iteration's
-    weights, and a row's last cost is its result.
+    weights, and a row's last distances give its cost and its nearest data
+    point.
     """
-    if not (math.isfinite(tolerance) and tolerance > 0):
-        raise ValueError(f"tolerance must be finite and positive, got {tolerance!r}")
-    max_iter = WEISZFELD_MAX_ITER
+    max_iter, tolerance = WEISZFELD_MAX_ITER, WEISZFELD_TOLERANCE
     y = blocks.mean(axis=1)
     iterations = np.zeros(len(blocks), dtype=np.int64)
     if blocks.shape[1] == 1:
         return np.zeros(len(blocks)), y, iterations
     costs = np.empty(len(blocks))
+    nearest = np.empty(len(blocks), dtype=np.intp)
     active = np.arange(len(blocks))
     pts, ya = blocks, y
     dist = np.linalg.norm(pts - ya[:, None, :], axis=2)
@@ -221,26 +216,19 @@ def _weiszfeld_batch(
     if not np.isfinite(prev_cost).all():
         raise DomainError("a distance to the centroid overflows float")
     for it in range(1, max_iter + 1):
-        on_point = dist < _SNAP
-        hit = on_point.any(axis=1)
+        hit = (dist < _SNAP).any(axis=1)
         stopped = np.zeros(len(active), dtype=bool)
         w = 1.0 / dist
         y_next = (pts * w[:, :, None]).sum(axis=1) / w.sum(axis=1)[:, None]
         if hit.any():
             h = np.flatnonzero(hit)
-            diff = pts[h] - ya[h][:, None, :]
-            away = ~on_point[h]
-            d_away = np.where(away, dist[h], 1.0)
-            r_vec = np.where(away[:, :, None], diff / d_away[:, :, None], 0.0).sum(axis=1)
-            r_norm = np.linalg.norm(r_vec, axis=1)
-            multiplicity = on_point[h].sum(axis=1)
-            # all points coincide, or the subgradient contains 0: optimal here
-            optimal = ~away.any(axis=1) | (r_norm <= multiplicity)
+            r_vec, r_norm, multiplicity, away = _data_point_test(pts[h], ya[h], dist[h])
+            optimal = r_norm <= multiplicity
             stopped[h[optimal]] = True
             y_next[h[optimal]] = ya[h[optimal]]
             move = ~optimal
             if move.any():
-                lipschitz = np.where(away[move], 1.0 / d_away[move], 0.0).sum(axis=1)
+                lipschitz = np.where(away[move], 1.0 / dist[h[move]], 0.0).sum(axis=1)
                 r_m = r_norm[move]
                 length = (r_m - multiplicity[move]) / lipschitz
                 y_next[h[move]] = ya[h[move]] + length[:, None] * (r_vec[move] / r_m[:, None])
@@ -252,10 +240,11 @@ def _weiszfeld_batch(
         if done.any():
             finished = active[done]
             costs[finished], y[finished], iterations[finished] = cost[done], y_next[done], it
+            nearest[finished] = dist[done].argmin(axis=1)
             keep = ~done
             active = active[keep]
             if not active.size:
-                y, costs = _snap_to_optimal_point(blocks, y, costs)
+                y, costs = _snap_to_optimal_point(blocks, y, costs, nearest)
                 return costs, y, iterations
             pts, ya, dist, prev_cost = pts[keep], y_next[keep], dist[keep], cost[keep]
         else:
@@ -266,23 +255,35 @@ def _weiszfeld_batch(
     )
 
 
-def _snap_to_optimal_point(
-    pts: np.ndarray, y: np.ndarray, cost: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Final ``(centers, costs)`` of the rows of ``_weiszfeld_batch``: each
-    row's iterate ``y`` with its ``cost``, or the data point nearest to
-    it where that point passes the subgradient test strictly and costs less.
+def _data_point_test(
+    pts: np.ndarray, at: np.ndarray, dist: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The subgradient test of each row's 1-median at its point ``at``, from
+    the row's distances ``dist`` to it. Returns the summed unit vectors R
+    toward the points at least ``_SNAP`` away, ||R||, the multiplicity m of
+    the points within ``_SNAP``, and the mask of the points away. ``at`` is
+    optimal for its row iff ||R|| <= m.
     """
-    rows = np.arange(len(pts))
-    nearest = pts[rows, np.linalg.norm(pts - y[:, None, :], axis=2).argmin(axis=1)]
-    diff = pts - nearest[:, None, :]
-    dist = np.linalg.norm(diff, axis=2)
     away = dist >= _SNAP
     d_away = np.where(away, dist, 1.0)
-    r_vec = np.where(away[:, :, None], diff / d_away[:, :, None], 0.0).sum(axis=1)
+    r_vec = np.where(away[:, :, None], (pts - at[:, None, :]) / d_away[:, :, None], 0.0).sum(axis=1)
+    return r_vec, np.linalg.norm(r_vec, axis=1), (~away).sum(axis=1), away
+
+
+def _snap_to_optimal_point(
+    pts: np.ndarray, y: np.ndarray, cost: np.ndarray, nearest: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Final ``(centers, costs)`` of the rows of ``_weiszfeld_batch``: each
+    row's iterate ``y`` with its ``cost``, or its data point of index
+    ``nearest`` (the one nearest to ``y``) where that point passes
+    ``_data_point_test`` strictly (||R|| < m) and costs less.
+    """
+    point = pts[np.arange(len(pts)), nearest]
+    dist = np.linalg.norm(pts - point[:, None, :], axis=2)
+    _, r_norm, multiplicity, _ = _data_point_test(pts, point, dist)
     at_point = dist.sum(axis=1)
-    snap = (np.linalg.norm(r_vec, axis=1) < (~away).sum(axis=1)) & (at_point < cost)
-    return np.where(snap[:, None], nearest, y), np.where(snap, at_point, cost)
+    snap = (r_norm < multiplicity) & (at_point < cost)
+    return np.where(snap[:, None], point, y), np.where(snap, at_point, cost)
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +340,7 @@ def median_costs(graphs: Sequence[Graph]) -> list[tuple[float, str]]:
             out[i] = (exact, BASIS_CLOSED)
     for rows in shapes.values():
         blocks = np.stack([cluster_points(graphs[i]) for i in rows])
-        costs, _, _ = _weiszfeld_batch(blocks, WEISZFELD_TOLERANCE)
+        costs, _, _ = _weiszfeld_batch(blocks)
         for i, cost in zip(rows, costs.tolist()):
             out[i] = (cost, BASIS_UPPER)
     return out

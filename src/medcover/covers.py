@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .costs import extra_cost, one_means_cost
 from .errors import InvalidPartition, PreconditionViolated, Stuck
@@ -242,7 +242,10 @@ def _cover_via_bridge_residual(g: Graph, m: Matching, f_prime: Graph) -> set[int
 
     One bridge endpoint u must meet a matching edge; taking u, the rest of
     the graph has maximum matching M minus that edge and a star residue, so
-    the general construction finishes with |M| - 1 more vertices.
+    the general construction finishes with |M| - 1 more vertices. The
+    residue's second matching has exactly one edge: it is a maximum matching
+    of F' minus the edges at u, and that is exactly the far star of the
+    bridge graph F' (p, q >= 1), which has at least one edge.
     """
     bridge = bridge_structure(f_prime)
     if bridge is None:
@@ -262,14 +265,10 @@ def _cover_via_bridge_residual(g: Graph, m: Matching, f_prime: Graph) -> set[int
     idx = {e: i for i, e in enumerate(g_rest.edges)}
     m_rest = Matching(tuple(sorted(idx[e] for e in rest_m_edges)), tuple(sorted(rest_m_edges, key=lambda e: idx[e])))
     l_rest = second_maximum_matching(g_rest, m_rest)
-    if len(l_rest) == 0:
-        sub_cover = {min(e) for e in rest_m_edges}
-    else:
-        if len(l_rest) != 1:
-            raise Stuck("bridge-case residue should have second matching of size one")
-        _require_maximum(g_rest, m_rest)  # built by hand above; l_rest was just computed from it
-        sub_cover = _general_cover(g_rest, m_rest, l_rest)
-    return {u} | sub_cover
+    if len(l_rest) != 1:
+        raise Stuck("bridge-case residue should have second matching of size one")
+    _require_maximum(g_rest, m_rest)  # built by hand above; l_rest was just computed from it
+    return {u} | _general_cover(g_rest, m_rest, l_rest)
 
 
 def cover_case_dispatch(g: Graph, extra: float) -> CoverResult:
@@ -587,15 +586,8 @@ def cover_nonstar_means(g: Graph) -> CoverResult:
 # Whole-graph assembly
 # ---------------------------------------------------------------------------
 
-def _normalize_clustering(
-    g: Graph, clustering: Union[Mapping[object, Sequence[int]], Sequence[Sequence[int]]]
-) -> list[tuple[int, ...]]:
-    if isinstance(clustering, Mapping):
-        keys = sorted(clustering.keys(), key=str)
-        raw = [clustering[key] for key in keys]
-    else:
-        raw = list(clustering)
-    blocks = [tuple(sorted(int(i) for i in block)) for block in raw]
+def _normalize_clustering(g: Graph, clustering: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+    blocks = [tuple(sorted(int(i) for i in block)) for block in clustering]
     seen: set[int] = set()
     for block in blocks:
         if not block:
@@ -624,15 +616,17 @@ def _prune_cover(g: Graph, cover: set[int]) -> set[int]:
 def block_count(beta: float, k: int) -> int:
     """ceil(beta * k), the number of blocks cover extraction runs at. A
     product that is not finite (beta infinite or NaN, or past the float
-    range) raises ``ValueError``."""
+    range), or else a beta below 1, raises ``ValueError``."""
     if not math.isfinite(beta * k):
         raise ValueError(f"beta * k must be finite, got beta = {beta!r}, k = {k}")
+    if beta < 1:
+        raise ValueError(f"beta must be at least 1, got {beta!r}")
     return math.ceil(beta * k)
 
 
 def soundness_assemble(
     g: Graph,
-    clustering: Union[Mapping[object, Sequence[int]], Sequence[Sequence[int]]],
+    clustering: Sequence[Sequence[int]],
     k: int,
     beta: float = 1.0,
     objective: str = "median",

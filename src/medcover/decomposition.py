@@ -58,7 +58,6 @@ class LowerBoundCertificate:
     """A 1-median lower bound as an auditable sum: one term of exactly 2 per
     removed disjoint pair plus the residual class's certified cost."""
 
-    graph_edges: int
     bound: float
     derivation: tuple[tuple[str, float], ...]
 
@@ -144,11 +143,10 @@ def residual_class_bound(cls: GraphClass) -> tuple[str, float]:
     return (cls.describe(), 11 / 3 if cls.n == 2 else (cls.n + 2) - 0.342)
 
 
-def certificate_from_trace(g: Graph, trace: DecompositionTrace) -> LowerBoundCertificate:
+def certificate_from_trace(trace: DecompositionTrace) -> LowerBoundCertificate:
     pairs = tuple(("disjoint_pair", 2.0) for _ in trace.removed_pairs)
     derivation = pairs + (residual_class_bound(trace.residual),)
     return LowerBoundCertificate(
-        graph_edges=g.num_edges,
         bound=sum(v for _, v in derivation),
         derivation=derivation,
     )
@@ -160,7 +158,7 @@ def certify_lower_bound(g: Graph, mode: str) -> LowerBoundCertificate:
     safe mode guarantees bound >= |g| - 0.342; ultra_safe (on non-bridge
     input) guarantees bound >= |g|.
     """
-    return certificate_from_trace(g, decompose(g, mode))
+    return certificate_from_trace(decompose(g, mode))
 
 
 def trace_to_dict(trace: DecompositionTrace) -> dict:

@@ -219,16 +219,6 @@ def test_instance_json_with_a_dimension_below_one_is_a_clean_error(
     assert stderr == f"error: dimension must be >= 1, got {dimension}\n"
 
 
-@pytest.mark.parametrize("tol", ["nan", "inf", "0"])
-def test_median_with_a_tolerance_that_is_not_finite_and_positive_is_a_clean_error(
-    capsys, c5_file, tol
-):
-    code, stdout, stderr = run(capsys, "median", "--graph", c5_file, "--tol", tol)
-    assert code == 1
-    assert stdout == ""
-    assert stderr.startswith("error: tolerance must be finite and positive")
-
-
 @pytest.mark.parametrize("argv, message", [
     (["verify-lemmas", "--max-edges", "0"], "--max-edges must be at least 3"),
     # below 3 edges every connected graph is a star: no catalogue checks
@@ -256,14 +246,24 @@ def test_vacuous_runs_are_clean_errors(monkeypatch, tmp_path, capsys, argv, mess
     (["cover", "--k", "3", "--delta", "-1"], "delta must be non-negative"),
     (["sweep", "--n", "7", "--trials", "1", "--beta", "0.5"], "beta must be at least 1"),
     (["sweep", "--n", "7", "--trials", "1", "--delta", "-1"], "delta must be non-negative"),
+    (["cover", "--k", "4", "--beta", "0.5"], "beta must be at least 1"),
+    (["cover", "--k", "3", "--delta", "nan"], "delta must be non-negative"),
+    (["sweep", "--n", "7", "--trials", "2", "--beta", "0.5"], "beta must be at least 1"),
 ])
-def test_out_of_range_beta_and_delta_are_clean_errors(tmp_path, capsys, c5_file, argv, message):
+def test_out_of_range_beta_and_delta_are_clean_errors(
+    monkeypatch, tmp_path, capsys, c5_file, argv, message
+):
+    # rejected before the oracle solves anything
+    calls = []
+    real = cli.opt_continuous
+    monkeypatch.setattr(cli, "opt_continuous", lambda *a, **kw: calls.append(1) or real(*a, **kw))
     out = tmp_path / "out"
     graph = ["--graph", c5_file] if argv[0] == "cover" else []
     code, _, stderr = run(capsys, *argv, *graph, "--out", str(out))
     assert code == 1
     assert stderr.startswith("error:") and message in stderr
     assert not out.exists()
+    assert calls == []
 
 
 @pytest.mark.parametrize("command, beta", [
@@ -334,6 +334,13 @@ def test_verify_lemmas_passes_and_is_deterministic(tmp_path, capsys):
 def test_verify_lemmas_has_no_tolerance_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify-lemmas", "--tol", "1e-3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
+
+
+def test_median_has_no_tolerance_flag(capsys, c5_file):
+    with pytest.raises(SystemExit) as exc:
+        main(["median", "--graph", c5_file, "--tol", "1e-3"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --tol" in capsys.readouterr().err
 

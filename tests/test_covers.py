@@ -26,6 +26,7 @@ from medcover.covers import (
 )
 from medcover.errors import InvalidPartition, PreconditionViolated, Stuck
 from medcover.graphs import (
+    Graph,
     Matching,
     graph_from_edges,
     is_vertex_cover,
@@ -294,6 +295,22 @@ def test_single_edges_case_two_on_three_disjoint_edges():
     assert len(out.cover) <= 2 * 3 - 2 * 0.01 * 3
 
 
+def test_single_edges_few_planks_with_a_plank():
+    # ten disjoint singles, and the covered edges (0, 20) and (1, 21): the
+    # single (0, 1) is the one plank (1 < delta * k = 1.5), so the
+    # few-planks cover takes both endpoints of its two neighbours, and the
+    # nine other singles, which lean on nothing uncovered, one endpoint each
+    edges = [(2 * i, 2 * i + 1) for i in range(10)] + [(0, 20), (1, 21)]
+    g = Graph(22, tuple(edges))
+    out = cover_single_edge_clusters(g, singles=range(10), vc_prime=[20, 21], k=150, delta=0.01)
+    assert out.scope == "full_graph"
+    assert out.subcase == "few_planks"
+    assert out.matching_size == 11
+    assert len(out.cover) == 13  # 2|M_G| - |M_N| = 2 * 11 - 9
+    assert {0, 1, 20, 21} <= out.cover
+    assert is_vertex_cover(g, out.cover)
+
+
 def test_single_edges_many_planks():
     # three disjoint singles; the edge (4,5) gets claimed for touching two
     # live edges, the leftover singles become planks, and the cover takes
@@ -405,13 +422,6 @@ def test_assemble_means_objective():
     rep = soundness_assemble(g, [[0], [1]], k=2, objective="means")
     assert sorted(rep.cover) == [0, 2]
     assert rep.predicted_ceiling == pytest.approx(2.0)
-
-
-def test_assemble_accepts_mapping_clusterings():
-    g = graph_from_edges(C5)
-    by_name = {"b": [3, 4], "a": [0, 1, 2]}
-    rep = soundness_assemble(g, by_name, k=2, objective="median")
-    assert rep.total_cover_size == 3
 
 
 @pytest.mark.parametrize(

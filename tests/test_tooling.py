@@ -1,12 +1,17 @@
 """Checks on the source tree itself: the names the benchmark reaches into,
 the rule that proof obligations raise typed errors instead of asserting,
-the one check ledger of the suites, and the limits the README states."""
+the one check ledger of the suites, the limits the README states, and the
+demo script running end to end."""
 
 import ast
 import dataclasses
 import importlib
 import importlib.util
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import medcover
@@ -95,3 +100,15 @@ def test_readme_scale_limits_match_the_constants():
         (MAX_VC_EDGES, "edges"),
         (MAX_ENUM_EDGES, "edges"),
     ], opening
+
+
+def test_demo_pipeline_runs_and_ends_with_its_json_report():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "demo_pipeline.py")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout.split("full report as JSON:", 1)[1])
+    assert report["cover"] and report["k"] >= 1
