@@ -292,6 +292,10 @@ _SWEEP_FIELDS = (
     "cover_le_2k",
     "procedures_path",
 )
+# the columns that hold a verdict: a "false" in any of them fails the sweep
+_SWEEP_VERDICTS = (
+    "median_complete", "means_complete", "beta_monotone", "cover_valid", "cover_le_2k"
+)
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -355,7 +359,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     for row in rows:
         writer.writerow(row)
     _emit(buf.getvalue(), args.out)
-    return 0
+    false = [
+        f"sweep: trial {row['trial']} (seed {row['seed']}): {column} is false\n"
+        for row in rows for column in _SWEEP_VERDICTS if row.get(column) == "false"
+    ]
+    sys.stderr.writelines(false)
+    return 1 if false else 0
 
 
 # ---------------------------------------------------------------------------

@@ -650,11 +650,9 @@ def soundness_assemble(
     _require_triangle_free(g)
     if objective not in ("median", "means"):
         raise ValueError("objective must be 'median' or 'means'")
-    if not beta >= 1:
-        raise ValueError(f"beta must be at least 1, got {beta!r}")
+    expected = block_count(beta, k)
     check_delta(delta)
     blocks = _normalize_clustering(g, clustering)
-    expected = block_count(beta, k)
     if len(blocks) != expected:
         raise InvalidPartition(f"expected {expected} clusters, got {len(blocks)}")
 

@@ -416,6 +416,21 @@ def test_sweep_is_deterministic_and_verdicts_hold(tmp_path, capsys):
             assert row["beta_monotone"] == "true"
 
 
+def test_sweep_with_a_false_verdict_writes_its_rows_and_fails(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "median_complete", lambda cost, m, k: False)
+    out = tmp_path / "sweep.csv"
+    code, _, stderr = run(capsys, "sweep", "--n", "7", "--trials", "2", "--out", str(out))
+    assert code == 1
+    lines = out.read_text().strip().split("\n")
+    header = lines[0].split(",")
+    rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+    assert [row["median_complete"] for row in rows] == ["false", "false"]
+    assert stderr.splitlines() == [
+        f"sweep: trial {row['trial']} (seed {row['seed']}): median_complete is false"
+        for row in rows
+    ]
+
+
 def test_sweep_that_falls_short_of_its_trials_is_an_error(tmp_path, capsys):
     # 3 vertices at max degree 1 give single edges, which the sweep skips
     out = tmp_path / "short.csv"

@@ -442,7 +442,7 @@ def test_assemble_rejects_bad_partitions(blocks):
 
 @pytest.mark.parametrize("beta, message", [
     (0.5, "beta must be at least 1"),
-    (math.nan, "beta must be at least 1"),
+    (math.nan, "beta \\* k must be finite"),
     (math.inf, "beta \\* k must be finite"),
     (1e308, "beta \\* k must be finite"),  # finite, but beta * 2 is not
 ])

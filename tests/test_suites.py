@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import threading
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from medcover import costs, covers, suites
 from medcover.costs import weiszfeld
 from medcover.decomposition import certify_lower_bound
-from medcover.errors import PreconditionViolated, Stuck
+from medcover.errors import NotConverged, PreconditionViolated, Stuck
 from medcover.graphs import Graph, is_star
 from medcover.oracle import (
     enumerate_triangle_free,
@@ -40,6 +41,28 @@ EXPECTED_NAMES = [
     "hypergraph_reduction",
     "gap_arithmetic_and_monotonicity",
 ]
+
+
+@pytest.fixture(autouse=True)
+def empty_records_slot():
+    # tests here patch what the catalogue records are built from (median_costs,
+    # extra_cost, ...); records left warm by another test would hide the patch
+    suites._records = None
+    yield
+    suites._records = None
+
+
+def counting(monkeypatch, name):
+    """Patch ``suites.<name>`` to record the arguments of every call."""
+    calls = []
+    real = getattr(suites, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(suites, name, counted)
+    return calls
 
 
 def assert_clean(result, name):
@@ -94,6 +117,81 @@ def test_cover_suite_solves_each_median_once(monkeypatch):
     monkeypatch.setattr(covers, "extra_cost", no_solve)
     assert_clean(suite_covers(max_edges=6), "cover_extraction")
     assert batches == [[g for g in enumerate_triangle_free(6) if not is_star(g)]]
+
+
+CATALOGUE_SUITES = (suite_decomposition, suite_extra_cost, suite_covers)
+
+
+def test_the_catalogue_suites_build_their_records_once(monkeypatch):
+    enumerations = counting(monkeypatch, "enumerate_triangle_free")
+    batches = counting(monkeypatch, "median_costs")
+    shared = [suite(6) for suite in CATALOGUE_SUITES]
+    assert enumerations == [(6,)]
+    assert len(batches) == 1
+    cold = []
+    for suite in CATALOGUE_SUITES:
+        suites._records = None
+        cold.append(suite(6))
+    assert cold == shared
+    assert len(enumerations) == len(batches) == 4
+
+
+def test_records_of_another_max_edges_replace_the_slot(monkeypatch):
+    slot_at_build = []
+    real = suites.enumerate_triangle_free
+
+    def enumerate_seeing_the_slot(max_edges):
+        slot_at_build.append((max_edges, suites._records))
+        return real(max_edges)
+
+    monkeypatch.setattr(suites, "enumerate_triangle_free", enumerate_seeing_the_slot)
+    six = suites._nonstars(6)
+    five = suites._nonstars(5)
+    assert suites._nonstars(5) is five
+    assert suites._nonstars(6) == six
+    # the old records are dropped before the new ones are built
+    assert slot_at_build == [(6, None), (5, None), (6, None)]
+    assert isinstance(six, tuple) and len(five) < len(six)
+
+
+def test_a_build_that_raises_leaves_the_slot_empty(monkeypatch):
+    clean = suite_decomposition(6)
+
+    def not_converged(graphs):
+        raise NotConverged("iteration cap reached")
+
+    suites._nonstars(5)
+    monkeypatch.setattr(suites, "median_costs", not_converged)
+    with pytest.raises(NotConverged):
+        suite_decomposition(6)
+    assert suites._records is None
+    monkeypatch.undo()
+    assert suite_decomposition(6) == clean
+    assert suites._records[0] == 6
+
+
+def test_concurrent_callers_build_the_records_once(monkeypatch):
+    enumerations = counting(monkeypatch, "enumerate_triangle_free")
+    start = threading.Barrier(4)
+    got = []
+
+    def call():
+        start.wait()
+        got.append(suites._nonstars(6))
+
+    threads = [threading.Thread(target=call) for _ in range(4)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert enumerations == [(6,)]
+    assert len(got) == 4 and all(r is got[0] for r in got)
+
+
+def test_run_all_enumerates_the_catalogue_once(monkeypatch):
+    enumerations = counting(monkeypatch, "enumerate_triangle_free")
+    assert run_all(max_edges=4, seed=0, trials=4)["all_passed"] is True
+    assert enumerations == [(4,)]
 
 
 def test_hypergraph_suite_needs_candidate_centers(monkeypatch):
@@ -303,6 +401,7 @@ def test_a_nan_median_cost_fails_the_decomposition_and_extra_cost_checks(monkeyp
 
     clean = suite_decomposition(5), suite_extra_cost(5)
     monkeypatch.setattr(suites, "median_costs", nan_on_c5)
+    suites._records = None  # the clean runs' records hold the unpatched costs
     decomposition, extra = suite_decomposition(5), suite_extra_cost(5)
     safe = certify_lower_bound(Graph(5, C5), "safe").bound
     ultra = certify_lower_bound(Graph(5, C5), "ultra_safe").bound
