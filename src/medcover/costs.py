@@ -11,8 +11,7 @@ point set, ``weiszfeld_subsets`` on every subset of one, and ``median_costs``
 on many graphs' clusters at once.
 
 1-means costs need no solver at all: the optimal center is the centroid and
-the cost collapses to sum_v deg(v) * (1 - deg(v)/r), evaluated here in exact
-rational arithmetic.
+the cost collapses to (2r^2 - sum_v deg(v)^2) / r, one exact rational.
 
 ``extra_cost`` measures how far a cluster's 1-center cost sits above the best
 possible (star) cost of the same size — the quantity the soundness bounds
@@ -357,19 +356,19 @@ def median_cost(g: Graph) -> tuple[float, str]:
 def one_means_cost(g: Graph) -> Fraction:
     """Optimal 1-means cost of a cluster with r edges, exactly:
 
-        sum_v deg(v) * (1 - deg(v)/r)
+        sum_v deg(v) * (1 - deg(v)/r) = (2r^2 - sum_v deg(v)^2) / r
 
     The optimal center is the centroid, and for indicator points the sum of
-    squared distances to it reduces to this degree expression. A star with r
-    edges gives r - 1, the minimum over all r-edge clusters.
+    squared distances to it reduces to the degree sum on the left. Every
+    edge adds 1 to two degrees, so sum_v deg(v) = 2r on any graph, triangles
+    included, and the left side equals the right: one ``Fraction`` of two
+    integers instead of a rational sum. A star with r edges gives r - 1, the
+    minimum over all r-edge clusters.
     """
     r = g.num_edges
     if r < 1:
         raise ValueError("cluster must have at least one edge")
-    return sum(
-        (Fraction(d) * (1 - Fraction(d, r)) for d in g.degrees() if d),
-        start=Fraction(0),
-    )
+    return Fraction(2 * r * r - sum(d * d for d in g.degrees()), r)
 
 
 def extra_cost(g: Graph, objective: str) -> ExtraCost:

@@ -9,6 +9,7 @@ lexicographically so outputs are reproducible.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Optional, Sequence
@@ -38,10 +39,18 @@ class Graph:
     edges: tuple[Edge, ...]
 
     def __post_init__(self) -> None:
+        n, edges = self.num_vertices, self.edges
+        if len(set(edges)) == len(edges):
+            for u, v in edges:
+                if not 0 <= u < v < n:
+                    break
+            else:
+                return  # distinct edges, each in range: valid
+        # invalid: report the first offending edge
         seen: set[Edge] = set()
-        for u, v in self.edges:
-            if not (0 <= u < v < self.num_vertices):
-                raise ValueError(f"edge ({u},{v}) out of range for n={self.num_vertices}")
+        for u, v in edges:
+            if not (0 <= u < v < n):
+                raise ValueError(f"edge ({u},{v}) out of range for n={n}")
             if (u, v) in seen:
                 raise ValueError(f"duplicate edge ({u},{v})")
             seen.add((u, v))
@@ -137,9 +146,9 @@ def format_edge_list(g: Graph) -> str:
 
 def is_triangle_free(g: Graph) -> bool:
     """True iff no three vertices are pairwise adjacent."""
-    adj = [set(nb) for nb in g.adjacency()]
+    nbrs = neighbour_masks(g)
     # A common neighbour of an edge's endpoints closes a triangle.
-    return not any(adj[u] & adj[v] for u, v in g.edges)
+    return not any(nbrs[u] & nbrs[v] for u, v in g.edges)
 
 
 def max_degree(g: Graph) -> int:
@@ -150,15 +159,16 @@ def common_vertex(edges: Sequence[Edge]) -> Optional[int]:
     """The vertex shared by *all* given edges, or None.
 
     For a single edge both endpoints qualify; the smaller one is returned.
+    The shared vertices are kept as a bitmask, so that is its lowest set bit.
     """
     if not edges:
         return None
-    shared = set(edges[0])
-    for e in edges[1:]:
-        shared &= set(e)
+    shared = -1
+    for u, v in edges:
+        shared &= (1 << u) | (1 << v)
         if not shared:
             return None
-    return min(shared)
+    return (shared & -shared).bit_length() - 1
 
 
 def is_star(g: Graph) -> bool:
@@ -198,11 +208,12 @@ def edge_components(g: Graph) -> list[list[int]]:
 
     Components are ordered by their smallest edge index; indices ascend within.
     """
-    parts = [
-        [i for i, (u, _v) in enumerate(g.edges) if comp >> u & 1]
-        for comp in component_masks(neighbour_masks(g))
-    ]
-    return sorted((part for part in parts if part), key=lambda part: part[0])
+    # a component of one vertex holds no edge
+    comps = [comp for comp in component_masks(neighbour_masks(g)) if comp & (comp - 1)]
+    if len(comps) == 1:
+        return [list(range(g.num_edges))]
+    parts = [[i for i, (u, _v) in enumerate(g.edges) if comp >> u & 1] for comp in comps]
+    return sorted(parts, key=lambda part: part[0])
 
 
 # ---------------------------------------------------------------------------
@@ -243,38 +254,41 @@ def maximal_matching_greedy(g: Graph) -> Matching:
     return _matching_from_indices(g, picked)
 
 
+@functools.lru_cache(maxsize=4)
 def maximum_matching(g: Graph) -> Matching:
     """Exhaustive maximum matching with include/exclude branch and bound.
 
     Edges are branched in ascending index order with the include branch first,
     so the first matching of maximum cardinality encountered is the
     lexicographically smallest sorted index tuple — the documented tie-break.
-    More than ``MAX_MATCHING_EDGES`` edges raise ``InstanceTooLarge`` before
-    the search.
+    The matched vertices are a bitmask. More than ``MAX_MATCHING_EDGES``
+    edges raise ``InstanceTooLarge`` before the search.
+
+    The last four answers are kept, keyed on the frozen graph: a cover
+    construction asks again about the graph, g minus M and the bridge residue
+    its caller just matched (``suite_covers(8)`` asks 1,060 times about 377
+    distinct graphs).
     """
     m = g.num_edges
     if m > MAX_MATCHING_EDGES:
         raise InstanceTooLarge(f"{m} edges exceeds matching ceiling {MAX_MATCHING_EDGES}")
+    masks = [(1 << u) | (1 << v) for u, v in g.edges]
     best: list[int] = []
 
-    def search(i: int, used: set[int], current: list[int]) -> None:
+    def search(i: int, used: int, current: list[int]) -> None:
         nonlocal best
         if len(current) + (m - i) <= len(best):
             return
         if i == m:
-            if len(current) > len(best):
-                best = list(current)
+            best = list(current)  # the bound above leaves only longer ones
             return
-        u, v = g.edges[i]
-        if u not in used and v not in used:
-            used.update((u, v))
+        if not used & masks[i]:
             current.append(i)
-            search(i + 1, used, current)
+            search(i + 1, used | masks[i], current)
             current.pop()
-            used.difference_update((u, v))
         search(i + 1, used, current)
 
-    search(0, set(), [])
+    search(0, 0, [])
     return _matching_from_indices(g, best)
 
 
@@ -291,7 +305,8 @@ def require_matching_of(g: Graph, m: Matching) -> None:
 def second_maximum_matching(g: Graph, m: Matching) -> Matching:
     """Maximum matching of g minus the edges of m (the host indices are kept)."""
     require_matching_of(g, m)
-    remaining = [i for i in range(g.num_edges) if i not in set(m.indices)]
+    taken = set(m.indices)
+    remaining = [i for i in range(g.num_edges) if i not in taken]
     sub = Graph(g.num_vertices, tuple(g.edges[i] for i in remaining))
     inner = maximum_matching(sub)
     return _matching_from_indices(g, (remaining[i] for i in inner.indices))
@@ -343,30 +358,26 @@ def bridge_structure(g: Graph) -> Optional[tuple[Edge, int, int]]:
     Returns (bridge_edge, p, q) where p / q count the star edges on the two
     sides (both >= 1), or None. Candidate bridge edges are tried in index
     order, so the witness is deterministic.
+
+    b = (s, t) is the bridge iff every other edge touches s or t, the leaves
+    left = N(s) - {t} and right = N(t) - {s} are both non-empty, and they are
+    disjoint (a shared leaf closes a triangle with b). No edge but b touches
+    both s and t, so s and t carry |left| + |right| + 1 edges, and every edge
+    touches one of them iff that count is m. On ``neighbour_masks`` each
+    candidate is a few integer operations: O(m) in all, not O(m^2).
     """
-    if g.num_edges < 3:
+    m = g.num_edges
+    if m < 3:
         return None
+    nbrs = neighbour_masks(g)
     for b in g.edges:
         s, t = b
-        left: set[int] = set()
-        right: set[int] = set()
-        ok = True
-        for e in g.edges:
-            if e == b:
-                continue
-            u, v = e
-            on_s = s in e
-            on_t = t in e
-            if on_s == on_t:  # touches both (triangle) or neither
-                ok = False
-                break
-            leaf = v if (u == s or u == t) else u
-            (left if on_s else right).add(leaf)
-        if not ok or not left or not right:
-            continue
-        if left & right:
-            continue  # a shared leaf would merge the stars into a path
-        return b, len(left), len(right)
+        left = nbrs[s] & ~(1 << t)
+        right = nbrs[t] & ~(1 << s)
+        if left and right and not left & right:
+            p, q = left.bit_count(), right.bit_count()
+            if p + q + 1 == m:
+                return b, p, q
     return None
 
 
@@ -425,9 +436,10 @@ def classify(g: Graph) -> GraphClass:
                     )
         return GraphClass(ClassTag.OTHER_NON_STAR)
 
-    cycle = _cycle_order(g)
-    if cycle is not None and len(cycle) == 5:
-        return GraphClass(ClassTag.C5, witness={"cycle": cycle})
+    if g.num_edges == 5:  # a 5-cycle has five edges
+        cycle = _cycle_order(g)
+        if cycle is not None and len(cycle) == 5:
+            return GraphClass(ClassTag.C5, witness={"cycle": cycle})
 
     bridge = bridge_structure(g)
     if bridge is not None:

@@ -160,6 +160,22 @@ def test_one_means_matches_numpy_centroid(seed):
     assert float(one_means_cost(g)) == pytest.approx(sse, abs=1e-9)
 
 
+def test_one_means_is_the_exact_squared_distance_to_the_centroid():
+    # Fraction arithmetic on the embedded points, triangles included
+    rng = random.Random(11)
+    for _ in range(120):
+        n = rng.randint(2, 8)
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5]
+        if not edges:
+            continue
+        rng.shuffle(edges)
+        g = graph_from_edges(edges)
+        pts = [[Fraction(int(x)) for x in row] for row in cluster_points(g)]
+        centroid = [sum(col) / len(pts) for col in zip(*pts)]
+        sse = sum((x - c) ** 2 for row in pts for x, c in zip(row, centroid))
+        assert one_means_cost(g) == sse and isinstance(one_means_cost(g), Fraction), edges
+
+
 # ---------------------------------------------------------------------------
 # Extra cost above the star baseline
 # ---------------------------------------------------------------------------

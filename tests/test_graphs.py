@@ -48,6 +48,14 @@ def brute_max_matching_size(g):
     return best
 
 
+def has_triangle(g):
+    edges = set(g.edges)
+    return any(
+        {(a, b), (a, c), (b, c)} <= edges
+        for a, b, c in itertools.combinations(range(g.num_vertices), 3)
+    )
+
+
 def random_graph(rng, n, p):
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
     return graph_from_edges(edges) if edges else None
@@ -254,6 +262,109 @@ def test_second_matching_rejects_an_index_outside_the_graph(indices):
         second_maximum_matching(g, m)
 
 
+def lex_least_maximum_matching(g):
+    """Brute force: the first matching of the largest size among all edge
+    index subsets, listed in lexicographic order."""
+    for r in range(g.num_edges, -1, -1):
+        for combo in itertools.combinations(range(g.num_edges), r):
+            ends = [v for i in combo for v in g.edges[i]]
+            if len(ends) == len(set(ends)):
+                return combo
+
+
+def test_maximum_matching_is_the_lexicographically_least_maximum_one():
+    import random
+
+    rng = random.Random(3)
+    for _ in range(150):
+        n = rng.randint(2, 8)
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4]
+        rng.shuffle(edges)
+        g = make_graph(n, edges[:12])
+        assert maximum_matching(g).indices == lex_least_maximum_matching(g), g.edges
+
+
+def two_stars(g):
+    """Definition: the first edge (s, t) in index order such that g is the
+    star of s and the star of t, with distinct non-empty leaf sets, joined
+    by (s, t); returned as bridge_structure reports it."""
+    for s, t in g.edges:
+        left = {v for e in g.edges if s in e and t not in e for v in e if v != s}
+        right = {v for e in g.edges if t in e and s not in e for v in e if v != t}
+        star_edges = {tuple(sorted((s, x))) for x in left} | {tuple(sorted((t, y))) for y in right}
+        if left and right and not left & right and set(g.edges) == {(s, t)} | star_edges:
+            return (s, t), len(left), len(right)
+    return None
+
+
+def test_bridge_structure_matches_the_two_stars_definition():
+    import random
+
+    rng = random.Random(4)
+    found = 0
+    for trial in range(300):
+        n = rng.randint(4, 9)
+        if trial % 2:  # two planted stars, maybe spoiled by one extra edge
+            p = rng.randint(1, n - 3)
+            edges = [(0, 1)] + [(0, 2 + i) for i in range(p)]
+            edges += [(1, v) for v in range(2 + p, n)]
+            if rng.random() < 0.5:
+                edges.append(tuple(rng.sample(range(n), 2)))
+        else:
+            edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.35]
+        perm = rng.sample(range(n), n)
+        edges = list(dict.fromkeys(tuple(sorted((perm[u], perm[v]))) for u, v in edges))
+        rng.shuffle(edges)
+        g = make_graph(n, edges)
+        want = two_stars(g)
+        assert bridge_structure(g) == want, g.edges
+        found += want is not None
+    assert found > 50
+
+
+def test_bitmask_primitives_take_vertex_ids_past_64():
+    # the double star of (2, 3) moved to ids 64..199 in the same order, so
+    # every answer is the small graph's, relabelled; then a triangle
+    small = [(2, 3), (0, 2), (1, 2), (3, 4), (3, 5)]
+    ids = [64, 65, 70, 127, 128, 199]
+    big = graphs.Graph(200, tuple(tuple(sorted((ids[u], ids[v]))) for u, v in small))
+    g = graph_from_edges(small)
+    bridge, p, q = bridge_structure(big)
+    assert (bridge, p, q) == ((70, 127), 2, 2) and bridge_structure(g) == ((2, 3), 2, 2)
+    assert classify(big).tag is classify(g).tag is ClassTag.BRIDGE
+    assert is_triangle_free(big)
+    assert common_vertex(big.edges[1:3]) == 70
+    assert common_vertex([(150, 190), (64, 190)]) == 190
+    assert common_vertex([(128, 199), (64, 65)]) is None
+    assert common_vertex([(128, 199)]) == 128
+    m = maximum_matching(big)
+    assert m.indices == maximum_matching(g).indices == lex_least_maximum_matching(big)
+    assert (second_maximum_matching(big, m).indices
+            == second_maximum_matching(g, maximum_matching(g)).indices)
+    tri = graphs.Graph(200, ((64, 150), (64, 199), (150, 199), (70, 128)))
+    assert not is_triangle_free(tri)
+    assert bridge_structure(tri) is None
+    assert len(maximum_matching(tri)) == 2
+
+
+@pytest.mark.parametrize(
+    "n,edges,message",
+    [
+        (3, ((0, 1), (1, 2), (0, 1)), "duplicate edge (0,1)"),
+        (3, ((0, 1), (0, 1), (2, 5)), "duplicate edge (0,1)"),
+        (3, ((2, 5), (0, 1), (0, 1)), "edge (2,5) out of range for n=3"),
+        (3, ((0, 1), (1, 0)), "edge (1,0) out of range for n=3"),
+        (3, ((1, 1),), "edge (1,1) out of range for n=3"),
+        (3, ((-1, 2),), "edge (-1,2) out of range for n=3"),
+        (3, ((0, 2), (0, 3), (0, 2)), "edge (0,3) out of range for n=3"),
+    ],
+)
+def test_invalid_graphs_name_their_first_bad_edge(n, edges, message):
+    with pytest.raises(ValueError) as info:
+        graphs.Graph(n, edges)
+    assert str(info.value) == message
+
+
 # ---------------------------------------------------------------------------
 # Covers
 # ---------------------------------------------------------------------------
@@ -281,3 +392,55 @@ def test_konig_raises_stuck_on_a_non_cover(monkeypatch):
     monkeypatch.setattr(graphs, "is_vertex_cover", lambda g, s: False)
     with pytest.raises(Stuck):
         konig_cover(graph_from_edges(P4))
+
+
+# ---------------------------------------------------------------------------
+# Pinned outputs
+# ---------------------------------------------------------------------------
+
+def _pinned_inputs():
+    """The disconnected 8-edge catalogue, then seeded random graphs (most
+    with triangles), each with its edges sorted and then shuffled."""
+    import random
+
+    from medcover.oracle import enumerate_triangle_free
+
+    out = list(enumerate_triangle_free(8, include_disconnected=True))
+    rng = random.Random(2020)
+    while len(out) < 452 + 2 * 150:
+        n = rng.randint(3, 9)
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.45]
+        if not 1 <= len(edges) <= 14:
+            continue
+        out.append(make_graph(n, edges))
+        rng.shuffle(edges)
+        out.append(make_graph(n, [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges]))
+    return out
+
+
+def _pinned_record(g):
+    from medcover.costs import one_means_cost
+
+    cls = classify(g)
+    m = maximum_matching(g)
+    return repr((
+        g.num_vertices, g.edges,
+        cls.tag.value, cls.n, cls.p, cls.q, cls.witness,
+        m.indices, second_maximum_matching(g, m).indices,
+        bridge_structure(g), common_vertex(g.edges), is_triangle_free(g),
+        str(one_means_cost(g)),
+    ))
+
+
+def test_graph_primitive_outputs_are_pinned():
+    # classify, both matchings, the bridge witness, the common vertex, the
+    # triangle test and the exact 1-means cost of 752 graphs, hashed; the
+    # digest was recorded before the primitives moved to bitmasks
+    import hashlib
+
+    inputs = _pinned_inputs()
+    assert len(inputs) == 752
+    assert sum(map(has_triangle, inputs)) == 194
+    records = [_pinned_record(g) for g in inputs]
+    digest = hashlib.sha256("\n".join(records).encode()).hexdigest()
+    assert digest == "baa3d710aa6698544d68bce5209d26b745015b9b036aa66ce23287a8285acc51"

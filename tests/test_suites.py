@@ -88,6 +88,15 @@ def test_cover_suite_small():
     assert_clean(suite_covers(max_edges=5), "cover_extraction")
 
 
+def test_catalogue_suites_at_eight_edges():
+    # the catalogue benchmark's scale; fewer checks would mean graphs went missing
+    want = {"decomposition_soundness": 866, "extra_cost_floor": 356, "cover_extraction": 1068}
+    for suite in (suite_decomposition, suite_extra_cost, suite_covers):
+        result = suite(8)
+        assert_clean(result, result["name"])
+        assert result["checks"] == want[result["name"]]
+
+
 def test_cover_suite_solves_each_median_once(monkeypatch):
     # one median_costs call holds every non-star graph; the constructions
     # are handed each graph's extra cost and solve no median themselves
