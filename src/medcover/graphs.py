@@ -39,18 +39,10 @@ class Graph:
     edges: tuple[Edge, ...]
 
     def __post_init__(self) -> None:
-        n, edges = self.num_vertices, self.edges
-        if len(set(edges)) == len(edges):
-            for u, v in edges:
-                if not 0 <= u < v < n:
-                    break
-            else:
-                return  # distinct edges, each in range: valid
-        # invalid: report the first offending edge
         seen: set[Edge] = set()
-        for u, v in edges:
-            if not (0 <= u < v < n):
-                raise ValueError(f"edge ({u},{v}) out of range for n={n}")
+        for u, v in self.edges:
+            if not (0 <= u < v < self.num_vertices):
+                raise ValueError(f"edge ({u},{v}) out of range for n={self.num_vertices}")
             if (u, v) in seen:
                 raise ValueError(f"duplicate edge ({u},{v})")
             seen.add((u, v))
@@ -208,12 +200,11 @@ def edge_components(g: Graph) -> list[list[int]]:
 
     Components are ordered by their smallest edge index; indices ascend within.
     """
-    # a component of one vertex holds no edge
-    comps = [comp for comp in component_masks(neighbour_masks(g)) if comp & (comp - 1)]
-    if len(comps) == 1:
-        return [list(range(g.num_edges))]
-    parts = [[i for i, (u, _v) in enumerate(g.edges) if comp >> u & 1] for comp in comps]
-    return sorted(parts, key=lambda part: part[0])
+    parts = [
+        [i for i, (u, _v) in enumerate(g.edges) if comp >> u & 1]
+        for comp in component_masks(neighbour_masks(g))
+    ]
+    return sorted((part for part in parts if part), key=lambda part: part[0])
 
 
 # ---------------------------------------------------------------------------
@@ -436,10 +427,9 @@ def classify(g: Graph) -> GraphClass:
                     )
         return GraphClass(ClassTag.OTHER_NON_STAR)
 
-    if g.num_edges == 5:  # a 5-cycle has five edges
-        cycle = _cycle_order(g)
-        if cycle is not None and len(cycle) == 5:
-            return GraphClass(ClassTag.C5, witness={"cycle": cycle})
+    cycle = _cycle_order(g)
+    if cycle is not None and len(cycle) == 5:
+        return GraphClass(ClassTag.C5, witness={"cycle": cycle})
 
     bridge = bridge_structure(g)
     if bridge is not None:
