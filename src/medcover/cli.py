@@ -58,7 +58,7 @@ from .reduction import (
     reduce_graph,
     reduce_hypergraph,
 )
-from .suites import means_complete, median_complete, monotone_in_centers, run_all
+from .suites import cover_le_2k, means_complete, median_complete, monotone_in_centers, run_all
 
 
 def _read_text(path: str) -> str:
@@ -342,9 +342,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             ).lower()
             row["cover_size"] = rep.total_cover_size
             row["cover_valid"] = str(is_vertex_cover(g, rep.cover)).lower()
-            row["cover_le_2k"] = str(
-                rep.total_cover_size <= 2 * k - 2 * args.delta * k + 1e-9
-            ).lower()
+            row["cover_le_2k"] = str(cover_le_2k(rep.total_cover_size, k, args.delta)).lower()
             row["procedures_path"] = rep.procedures_path
         rows.append(row)
         produced += 1

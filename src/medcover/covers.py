@@ -385,16 +385,13 @@ def cover_single_edge_clusters(
 
     edges = g.edges
     t1p = len(single_set)
-    mp_matching = maximal_matching_greedy(
-        Graph(g.num_vertices, tuple(edges[i] for i in sorted(single_set)))
-    )
     order = sorted(single_set)
-    mp = {order[j] for j in mp_matching.indices}
+    g_p = Graph(g.num_vertices, tuple(edges[i] for i in order))
+    mp = {order[j] for j in maximal_matching_greedy(g_p).indices}
 
     if len(mp) <= t1p / 3 + 4 * delta * k:
         cover = frozenset(v for i in mp for v in edges[i])
-        target = Graph(g.num_vertices, tuple(edges[i] for i in sorted(single_set)))
-        if not is_vertex_cover(target, cover):
+        if not is_vertex_cover(g_p, cover):
             raise Stuck("endpoints of the maximal singles matching miss a single edge")
         return SingleEdgeCoverOutcome(
             scope="singles_only",

@@ -99,29 +99,30 @@ def find_safe_pair(g: Graph, mode: str) -> tuple[Edge, Edge] | None:
 
 
 def decompose(g: Graph, mode: str) -> DecompositionTrace:
-    """Strip safe pairs until the residual is fundamental.
+    """Strip safe pairs until ``find_safe_pair`` finds none, then classify
+    the residual once.
 
     safe mode ends in {3-P2, A_n, L_n}; ultra_safe never passes through a
-    bridge graph, so it ends in {3-P2, A_n}. A non-terminal graph with no
-    qualifying pair contradicts the existence lemmas and raises Stuck (which
-    would indicate a recognizer bug, not an input problem).
+    bridge graph, so it ends in {3-P2, A_n}. No terminal class has a
+    qualifying pair (3-P2 keeps one edge, and every disjoint pair of A_n or
+    L_n leaves a star), so the loop stops at the first terminal graph. A
+    residual that is not terminal contradicts the existence lemmas and
+    raises Stuck (which would indicate a recognizer bug, not an input
+    problem). A star, a graph with no edges, or (ultra mode) a bridge graph
+    raises ``PreconditionViolated``.
     """
     _check_mode(mode)
     if not is_triangle_free(g):
         raise PreconditionViolated("decomposition assumes a triangle-free graph")
     current = g
     pairs: list[tuple[Edge, Edge]] = []
-    while True:
-        cls = classify(current)
-        if cls.tag in _TERMINAL[mode]:
-            return DecompositionTrace(tuple(pairs), cls, mode)
-        pair = find_safe_pair(current, mode)
-        if pair is None:
-            raise Stuck(
-                f"no {mode} pair in non-terminal graph with edges {current.edges}"
-            )
+    while (pair := find_safe_pair(current, mode)) is not None:
         pairs.append(pair)
         current = remove_edges(current, pair)
+    cls = classify(current)
+    if cls.tag not in _TERMINAL[mode]:
+        raise Stuck(f"no {mode} pair in non-terminal graph with edges {current.edges}")
+    return DecompositionTrace(tuple(pairs), cls, mode)
 
 
 def residual_class_bound(cls: GraphClass) -> tuple[str, float]:

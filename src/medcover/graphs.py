@@ -165,7 +165,7 @@ def common_vertex(edges: Sequence[Edge]) -> Optional[int]:
 
 def is_star(g: Graph) -> bool:
     """True iff the graph has >= 1 edge and all edges share a common vertex."""
-    return bool(g.edges) and common_vertex(g.edges) is not None
+    return common_vertex(g.edges) is not None
 
 
 def neighbour_masks(g: Graph) -> list[int]:
@@ -358,8 +358,6 @@ def bridge_structure(g: Graph) -> Optional[tuple[Edge, int, int]]:
     candidate is a few integer operations: O(m) in all, not O(m^2).
     """
     m = g.num_edges
-    if m < 3:
-        return None
     nbrs = neighbour_masks(g)
     for b in g.edges:
         s, t = b
@@ -373,12 +371,12 @@ def bridge_structure(g: Graph) -> Optional[tuple[Edge, int, int]]:
 
 
 def _cycle_order(g: Graph) -> Optional[list[int]]:
-    """Vertex order of a single cycle covering all edges, or None."""
+    """Vertex order of a single cycle covering all edges, or None. The edges
+    must form one component: two disjoint cycles would pass the degree
+    test."""
     verts = g.used_vertices()
     deg = g.degrees()
     if any(deg[v] != 2 for v in verts) or len(verts) != g.num_edges:
-        return None
-    if len(edge_components(g)) > 1:
         return None
     adj = g.adjacency()
     start = verts[0]

@@ -40,12 +40,12 @@ ranks in tuple order as equitable refinement does (McKay & Piperno 2014,
 "Practical graph isomorphism, II"), so a round sorts tuples of small ints
 and touches only vertices in cells of two or more. It then finds the least
 adjacency bitstring one row at a time, branching only on vertices that tie
-for the least row (in the spirit of individualization-refinement); a state
-whose first block is one vertex takes that vertex's row directly, with no
-tie or twin test. A search raises ``InstanceTooLarge`` when its tie
-frontier passes ``MAX_CANON_STATES``. The enumerator composes a disjoint
-union's certificate from its parts' certificates the same way, without a
-search.
+for the least row (in the spirit of individualization-refinement): one
+loop over each state's candidates builds a candidate's row and its split
+state in one pass over the blocks. A search raises ``InstanceTooLarge``
+when its tie frontier passes ``MAX_CANON_STATES``. The enumerator composes
+a disjoint union's certificate from its parts' certificates the same way,
+without a search.
 Every exhaustive routine has an explicit ceiling, and a broken internal
 invariant raises ``Stuck`` rather than asserting.
 """
@@ -331,11 +331,10 @@ def opt_continuous(inst: ClusteringInstance) -> OracleReport:
         raise InstanceTooLarge(f"{n} points exceeds the {MAX_CONTINUOUS_POINTS}-point oracle limit")
     if inst.k > n:
         raise PreconditionViolated("k exceeds the number of points")
-    kmax = min(inst.k, n)
-    solved = _solved_up_to(inst, kmax)
+    solved = _solved_up_to(inst, inst.k)
     best, choice = solved.best, solved.choice
     full = (1 << n) - 1
-    best_j = min(range(1, kmax + 1), key=lambda j: best[j][full])
+    best_j = min(range(1, inst.k + 1), key=lambda j: best[j][full])
     blocks: list[tuple[int, ...]] = []
     mask = full
     for j in range(best_j, 0, -1):
@@ -695,17 +694,13 @@ def _connected_form(nbrs: list[int]) -> str:
     and identical states are merged. A tie frontier larger than
     ``MAX_CANON_STATES`` raises ``InstanceTooLarge``.
 
-    A state whose first block is one vertex has that vertex as its only
-    candidate, so its row and split state are built in one pass, with no
-    twin set. A frontier of one such state forces its row, and once every
-    block of a lone state is a single vertex (as when refinement leaves
-    every cell one vertex), every further row is forced.
-
-    Row p is held as an int of fixed width n-1-p, built block by block as
-    ``(row << size) | ((1 << near) - 1)``; for equal widths int order is
-    bitstring order. A tied candidate's split state is built only when its
-    row is at most the least so far. The rows are appended to one int,
-    formatted as a bitstring once, at the end.
+    Each candidate's row and split state are built in one pass over its
+    state's blocks, led by the first block less the candidate (empty when
+    the first block is one vertex, and then it adds no row bits and no
+    split block). Row p is held as an int of fixed width n-1-p, built block
+    by block as ``(row << size) | ((1 << near) - 1)``; for equal widths int
+    order is bitstring order. The rows are appended to one int, formatted
+    as a bitstring once, at the end.
     """
     n = len(nbrs)
     frontier = {tuple([sum([1 << v for v in cell]) for cell in _refine_classes(nbrs)])}
@@ -715,11 +710,18 @@ def _connected_form(nbrs: list[int]) -> str:
         nxt: set[tuple[int, ...]] = set()
         for state in frontier:
             first, rest = state[0], state[1:]
-            if not first & (first - 1):  # one candidate: its row and split, in one pass
-                hood = nbrs[first.bit_length() - 1]
+            tried = set()
+            todo = first
+            while todo:
+                bit = todo & -todo
+                todo ^= bit
+                hood = nbrs[bit.bit_length() - 1]
+                if hood in tried:
+                    continue
+                tried.add(hood)
                 row = 0
-                split = []
-                for block in rest:
+                split = []  # each block split into non-neighbours, then neighbours
+                for block in (first ^ bit, *rest):
                     near = block & hood
                     row = (row << block.bit_count()) | ((1 << near.bit_count()) - 1)
                     if near != block:
@@ -730,37 +732,6 @@ def _connected_form(nbrs: list[int]) -> str:
                     continue
                 if row < best:
                     best, nxt = row, set()
-                nxt.add(tuple(split))
-                if len(nxt) > MAX_CANON_STATES:
-                    raise InstanceTooLarge(
-                        f"canonical form search exceeds {MAX_CANON_STATES} tied states"
-                    )
-                continue
-            sizes = [block.bit_count() for block in rest]
-            tried = set()
-            todo = first
-            while todo:
-                bit = todo & -todo
-                todo ^= bit
-                hood = nbrs[bit.bit_length() - 1]
-                if hood in tried:
-                    continue
-                tried.add(hood)
-                head = first ^ bit
-                row = (1 << (head & hood).bit_count()) - 1
-                for block, size in zip(rest, sizes):
-                    row = (row << size) | ((1 << (block & hood).bit_count()) - 1)
-                if row > best:
-                    continue
-                if row < best:
-                    best, nxt = row, set()
-                split = []  # each block split into non-neighbours, then neighbours
-                for block in (head, *rest):
-                    near = block & hood
-                    if near != block:
-                        split.append(block ^ near)
-                    if near:
-                        split.append(near)
                 nxt.add(tuple(split))
                 if len(nxt) > MAX_CANON_STATES:
                     raise InstanceTooLarge(

@@ -20,27 +20,17 @@ These are the checks the package must pass before any release:
    the two committed sweep reports regenerate byte for byte.
 """
 
-import math
 import pathlib
 
-import pytest
-
 from medcover.cli import main
-from medcover.costs import (
-    a_n_median_cost,
-    cluster_points,
-    disjoint_edges_median_cost,
-    l1_median_cost,
-    star_median_cost,
-    weiszfeld,
-)
-from medcover.graphs import graph_from_edges, is_star
+from medcover.graphs import is_star
 from medcover.oracle import enumerate_triangle_free, min_vertex_cover, opt_continuous
 from medcover.reduction import reduce_graph
 from medcover.suites import (
     completeness_instances,
     means_complete,
     median_complete,
+    suite_closed_forms,
     suite_completeness,
     suite_covers,
     suite_decomposition,
@@ -49,7 +39,6 @@ from medcover.suites import (
     suite_hypergraph,
 )
 
-TOL_CLOSED_FORM = 1e-6
 CATALOGUE_EDGES = 7
 NONSTAR_GRAPHS = 69  # the 76-graph catalogue minus one star per size
 COMPLETENESS_TRIALS = 50
@@ -61,27 +50,12 @@ def catalogue():
 
 # -- 1 ----------------------------------------------------------------------
 
-def closed_form_cases():
-    for r in range(2, 9):
-        yield graph_from_edges([(0, i) for i in range(1, r + 1)]), star_median_cost(r)
-    for r in (2, 3, 4):
-        yield (
-            graph_from_edges([(2 * i, 2 * i + 1) for i in range(r)]),
-            disjoint_edges_median_cost(r),
-        )
-    for n in (1, 2, 3, 4):
-        yield (
-            graph_from_edges([(0, 1)] + [(2, 3 + i) for i in range(n)]),
-            a_n_median_cost(n),
-        )
-    yield graph_from_edges([(0, 1), (1, 2), (2, 3)]), l1_median_cost()
-
-
 def test_criterion_1_closed_forms_match_the_solver():
-    for g, predicted in closed_form_cases():
-        sol = weiszfeld(cluster_points(g))
-        assert sol.converged
-        assert abs(sol.cost - predicted) <= TOL_CLOSED_FORM, g.edges
+    # the suite's tolerance is the gate's: 1e-6 between the solver and each
+    # closed form (disjoint edges beyond three: tests/test_costs.py)
+    result = suite_closed_forms()
+    assert result["passed"], result["failures"]
+    assert result["checks"] == 26  # frozen in reports/lemmas.json
 
 
 # -- 2 ----------------------------------------------------------------------

@@ -1,11 +1,14 @@
 """Safe-pair decomposition and the lower-bound certificates it emits."""
 
+import hashlib
 import math
 
 import pytest
 
+from medcover import decomposition
 from medcover.costs import a_n_median_cost, median_cost
 from medcover.decomposition import (
+    MODES,
     certify_lower_bound,
     decompose,
     find_safe_pair,
@@ -37,11 +40,66 @@ def test_stars_are_rejected():
         decompose(graph_from_edges([(0, 1), (0, 2)]), "safe")
 
 
-def test_terminal_classes_stop_immediately():
-    g = graph_from_edges([(0, 1), (2, 3), (4, 5)])
-    trace = decompose(g, "safe")
+THREE_P2 = [(0, 1), (2, 3), (4, 5)]
+A_3 = [(0, 1), (2, 3), (2, 4), (2, 5)]
+L_2 = [(0, 1), (0, 2), (0, 3), (3, 4)]
+
+
+@pytest.mark.parametrize("edges,mode,tag", [
+    (THREE_P2, "safe", ClassTag.THREE_P2),
+    (A_3, "safe", ClassTag.A_N),
+    (L_2, "safe", ClassTag.L_N),
+    (A_3, "ultra_safe", ClassTag.A_N),
+], ids=["3-P2-safe", "A_3-safe", "L_2-safe", "A_3-ultra"])
+def test_terminal_classes_stop_immediately(edges, mode, tag):
+    trace = decompose(graph_from_edges(edges), mode)
     assert trace.removed_pairs == ()
-    assert trace.residual.tag is ClassTag.THREE_P2
+    assert trace.residual.tag is tag
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("edges", [C5, P7, A_3], ids=["C5", "P7", "A_3"])
+def test_decompose_classifies_once(monkeypatch, edges, mode):
+    # the search loop stops on find_safe_pair alone; only the residual is
+    # classified
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return classify(g)
+
+    monkeypatch.setattr(decomposition, "classify", counted)
+    g = graph_from_edges(edges)
+    trace = decompose(g, mode)
+    assert len(calls) == 1
+    assert calls[0].num_edges == g.num_edges - 2 * len(trace.removed_pairs)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_a_residual_that_is_not_terminal_is_stuck(monkeypatch, mode):
+    # the existence lemmas rule this out, so only a broken pair search
+    # reaches it: C5 is not a terminal class
+    monkeypatch.setattr(decomposition, "find_safe_pair", lambda g, mode: None)
+    with pytest.raises(Stuck, match="non-terminal"):
+        decompose(graph_from_edges(C5), mode)
+
+
+def test_traces_are_pinned_on_the_disconnected_catalogue():
+    # both modes on the 452 triangle-free graphs up to 8 edges, connected or
+    # not: each trace's repr, or the type of what decompose raised (stars,
+    # and bridge graphs in ultra mode); the digest was recorded before the
+    # search loop stopped classifying every intermediate graph
+    records = []
+    graphs = list(enumerate_triangle_free(8, include_disconnected=True))
+    assert len(graphs) == 452
+    for g in graphs:
+        for mode in MODES:
+            try:
+                records.append(repr(decompose(g, mode)))
+            except PreconditionViolated as ex:
+                records.append(type(ex).__name__)
+    digest = hashlib.sha256("\n".join(records).encode()).hexdigest()
+    assert digest == "008bdb15574f32236fe38e4081bd39192de6e32ecc0d89f8f12099964e7a355f"
 
 
 def test_safe_pair_edges_are_disjoint_and_in_the_graph():

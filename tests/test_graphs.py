@@ -173,6 +173,8 @@ def test_common_vertex():
         (P4, ClassTag.L_N),
         (C5, ClassTag.C5),
         ([(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)], ClassTag.OTHER_NON_STAR),
+        # two disjoint 5-cycles pass the cycle test's degree check
+        (C5 + [(u + 5, v + 5) for u, v in C5], ClassTag.OTHER_NON_STAR),
     ],
 )
 def test_classify_tags(edges, tag):

@@ -222,6 +222,13 @@ def test_gap_suite():
     assert_clean(suite_gap_arithmetic(), "gap_arithmetic_and_monotonicity")
 
 
+def test_the_sweep_cover_budget_charges_two_delta_k():
+    # k = 2, delta = 0.1: the budget is 2k - 2*delta*k = 3.6
+    assert suites.cover_le_2k(3, 2, 0.1)
+    assert not suites.cover_le_2k(4, 2, 0.1)
+    assert suites.cover_le_2k(4, 2, 0.0)
+
+
 def test_completeness_instances_are_reproducible_and_small():
     a = completeness_instances(10, seed=0)
     b = completeness_instances(10, seed=0)

@@ -40,7 +40,29 @@ def test_every_traced_layer_exists():
 
 
 def test_the_other_names_the_benchmark_reads_exist():
-    assert callable(getattr(importlib.import_module("medcover.cli"), "_pad_blocks", None))
+    # every medcover name bench/workloads.py reaches: each ``from medcover.x
+    # import name``, and each ``x.name`` on a medcover module it imports
+    tree = ast.parse((ROOT / "bench" / "workloads.py").read_text(encoding="utf-8"))
+    modules = {}
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "medcover":
+            for alias in node.names:
+                if node.module == "medcover":
+                    modules[alias.asname or alias.name] = f"medcover.{alias.name}"
+                else:
+                    names.add((node.module, alias.name))
+    names |= {
+        (modules[node.value.id], node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id in modules
+    }
+    assert {("medcover.cli", "_pad_blocks"), ("medcover.graphs", "make_graph"),
+            ("medcover.reduction", "HypergraphInstance")} <= names
+    missing = [f"{home}.{name}" for home, name in sorted(names)
+               if not hasattr(importlib.import_module(home), name)]
+    assert missing == []
     fields = {f.name for f in dataclasses.fields(MedianSolution)}
     assert {"iterations", "converged"} <= fields
 
