@@ -20,6 +20,7 @@ charge per non-star cluster.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -143,10 +144,11 @@ def weiszfeld_subsets(points: Sequence[Sequence[float]]) -> tuple[np.ndarray, np
 
     Returns ``(costs, centers)`` indexed by bitmask: row ``mask`` solves the
     points whose indices are the set bits of ``mask`` (row 0 is unused).
-    Subsets of one size are solved together as one ``_weiszfeld_batch``.
-    Raises ``NotConverged`` if any subset reaches
-    ``WEISZFELD_MAX_ITER``. More than ``MAX_CONTINUOUS_POINTS`` points raise
-    ``InstanceTooLarge`` before any table is allocated.
+    Subsets of one size are solved together as one ``_weiszfeld_batch``,
+    gathered through the index arrays of ``_subsets_by_size``. Raises
+    ``NotConverged`` if any subset reaches ``WEISZFELD_MAX_ITER``. More
+    than ``MAX_CONTINUOUS_POINTS`` points raise ``InstanceTooLarge`` before
+    any table is allocated.
     """
     if len(points) > MAX_CONTINUOUS_POINTS:
         raise InstanceTooLarge(
@@ -156,20 +158,34 @@ def weiszfeld_subsets(points: Sequence[Sequence[float]]) -> tuple[np.ndarray, np
     if pts.ndim != 2 or pts.shape[0] < 1:
         raise ValueError("need a non-empty sequence of equal-length vectors")
     n, dim = pts.shape
-    bits = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
-    size = bits.sum(axis=1)
     costs = np.zeros(1 << n)
     centers = np.zeros((1 << n, dim))
-    for k in range(1, n + 1):
-        rows = np.flatnonzero(size == k)
-        members = np.nonzero(bits[rows])[1].reshape(len(rows), k)
+    for rows, members in _subsets_by_size(n):
         costs[rows], centers[rows], _ = _weiszfeld_batch(pts[members])
     return costs, centers
 
 
+@functools.lru_cache(maxsize=None)
+def _subsets_by_size(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """For each size k = 1..n, the bitmasks of the k-subsets of n points in
+    increasing order and, one row per subset, their members' indices in
+    increasing order. They depend only on n, so each n is built once per
+    process and kept, read-only."""
+    bits = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
+    size = bits.sum(axis=1)
+    out = []
+    for k in range(1, n + 1):
+        rows = np.flatnonzero(size == k)
+        members = np.nonzero(bits[rows])[1].reshape(len(rows), k)
+        rows.flags.writeable = members.flags.writeable = False
+        out.append((rows, members))
+    return tuple(out)
+
+
 # Every row takes the classical step, which divides by zero on a row that sits
 # on a data point; the subgradient branch then redoes those rows. A starting
-# cost that overflows raises DomainError.
+# cost that is not finite (an overflow, or a NaN or infinite coordinate)
+# raises DomainError.
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def _weiszfeld_batch(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Geometric median of each row of a (batch, points, dim) array of
@@ -184,7 +200,7 @@ def _weiszfeld_batch(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
     change or its center displacement drops below ``WEISZFELD_TOLERANCE``;
     no caller sets another. Raises ``NotConverged`` if any row reaches
     ``WEISZFELD_MAX_ITER`` iterations, and ``DomainError`` if a starting
-    cost overflows float.
+    cost is not finite.
 
     A row that stops beside a data point passing the test strictly
     (||R|| < m) returns that point when it costs less: there the median is
@@ -199,7 +215,10 @@ def _weiszfeld_batch(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
     shrink when rows finish. Each iteration computes distances once, to the
     new iterate; they give that iterate's cost and the next iteration's
     weights, and a row's last distances give its cost and its nearest data
-    point.
+    point. Norms are ``_norms`` and sums ``np.add.reduce``, the reductions
+    ``np.linalg.norm`` and ``ndarray.sum`` run, over the same axes of the
+    same arrays, so every float is the one those calls give. An iteration
+    whose distances are all at least ``_SNAP`` skips the on-point test.
     """
     max_iter, tolerance = WEISZFELD_MAX_ITER, WEISZFELD_TOLERANCE
     y = blocks.mean(axis=1)
@@ -210,32 +229,33 @@ def _weiszfeld_batch(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
     nearest = np.empty(len(blocks), dtype=np.intp)
     active = np.arange(len(blocks))
     pts, ya = blocks, y
-    dist = np.linalg.norm(pts - ya[:, None, :], axis=2)
-    prev_cost = dist.sum(axis=1)
+    dist = _norms(pts - ya[:, None, :])
+    prev_cost = np.add.reduce(dist, axis=1)
     if not np.isfinite(prev_cost).all():
-        raise DomainError("a distance to the centroid overflows float")
+        raise DomainError("a distance to the centroid is not finite")
     for it in range(1, max_iter + 1):
-        hit = (dist < _SNAP).any(axis=1)
-        stopped = np.zeros(len(active), dtype=bool)
         w = 1.0 / dist
-        y_next = (pts * w[:, :, None]).sum(axis=1) / w.sum(axis=1)[:, None]
-        if hit.any():
-            h = np.flatnonzero(hit)
+        y_next = np.add.reduce(pts * w[:, :, None], axis=1) / np.add.reduce(w, axis=1)[:, None]
+        stopped = None
+        if dist.min() < _SNAP:
+            h = np.flatnonzero((dist < _SNAP).any(axis=1))
             r_vec, r_norm, multiplicity, away = _data_point_test(pts[h], ya[h], dist[h])
             optimal = r_norm <= multiplicity
+            stopped = np.zeros(len(active), dtype=bool)
             stopped[h[optimal]] = True
             y_next[h[optimal]] = ya[h[optimal]]
             move = ~optimal
             if move.any():
-                lipschitz = np.where(away[move], 1.0 / dist[h[move]], 0.0).sum(axis=1)
+                lipschitz = np.add.reduce(np.where(away[move], 1.0 / dist[h[move]], 0.0), axis=1)
                 r_m = r_norm[move]
                 length = (r_m - multiplicity[move]) / lipschitz
                 y_next[h[move]] = ya[h[move]] + length[:, None] * (r_vec[move] / r_m[:, None])
-        dist = np.linalg.norm(pts - y_next[:, None, :], axis=2)
-        cost = dist.sum(axis=1)
-        step = np.linalg.norm(y_next - ya, axis=1)
-        done = stopped | (np.abs(prev_cost - cost) <= tolerance * np.maximum(1.0, cost))
-        done |= step <= tolerance
+        dist = _norms(pts - y_next[:, None, :])
+        cost = np.add.reduce(dist, axis=1)
+        done = np.abs(prev_cost - cost) <= tolerance * np.maximum(1.0, cost)
+        done |= _norms(y_next - ya) <= tolerance
+        if stopped is not None:
+            done |= stopped
         if done.any():
             finished = active[done]
             costs[finished], y[finished], iterations[finished] = cost[done], y_next[done], it
@@ -243,7 +263,7 @@ def _weiszfeld_batch(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
             keep = ~done
             active = active[keep]
             if not active.size:
-                y, costs = _snap_to_optimal_point(blocks, y, costs, nearest)
+                _snap_to_optimal_point(blocks, y, costs, nearest)
                 return costs, y, iterations
             pts, ya, dist, prev_cost = pts[keep], y_next[keep], dist[keep], cost[keep]
         else:
@@ -252,6 +272,13 @@ def _weiszfeld_batch(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
         f"{active.size} of {len(blocks)} {blocks.shape[1]}-point blocks did not "
         f"converge in {max_iter} iterations"
     )
+
+
+def _norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norms along the last axis: what ``np.linalg.norm(x,
+    axis=-1)`` returns for real ``x``, the same ``np.add.reduce`` of the
+    squares, without its conjugate copy and dispatch."""
+    return np.sqrt(np.add.reduce(x * x, axis=-1))
 
 
 def _data_point_test(
@@ -265,24 +292,29 @@ def _data_point_test(
     """
     away = dist >= _SNAP
     d_away = np.where(away, dist, 1.0)
-    r_vec = np.where(away[:, :, None], (pts - at[:, None, :]) / d_away[:, :, None], 0.0).sum(axis=1)
-    return r_vec, np.linalg.norm(r_vec, axis=1), (~away).sum(axis=1), away
+    r_vec = np.add.reduce(
+        np.where(away[:, :, None], (pts - at[:, None, :]) / d_away[:, :, None], 0.0), axis=1
+    )
+    return r_vec, _norms(r_vec), np.add.reduce(~away, axis=1), away
 
 
 def _snap_to_optimal_point(
     pts: np.ndarray, y: np.ndarray, cost: np.ndarray, nearest: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Final ``(centers, costs)`` of the rows of ``_weiszfeld_batch``: each
-    row's iterate ``y`` with its ``cost``, or its data point of index
-    ``nearest`` (the one nearest to ``y``) where that point passes
-    ``_data_point_test`` strictly (||R|| < m) and costs less.
+) -> None:
+    """Move each row of ``_weiszfeld_batch``'s final centers ``y`` and
+    ``cost``, in place, to its data point of index ``nearest`` (the one
+    nearest to ``y``) where that point costs less and passes
+    ``_data_point_test`` strictly (||R|| < m). The point's cost is measured
+    first, and only the rows where it is lower take the test.
     """
     point = pts[np.arange(len(pts)), nearest]
-    dist = np.linalg.norm(pts - point[:, None, :], axis=2)
-    _, r_norm, multiplicity, _ = _data_point_test(pts, point, dist)
-    at_point = dist.sum(axis=1)
-    snap = (r_norm < multiplicity) & (at_point < cost)
-    return np.where(snap[:, None], point, y), np.where(snap, at_point, cost)
+    dist = _norms(pts - point[:, None, :])
+    at_point = np.add.reduce(dist, axis=1)
+    cheaper = np.flatnonzero(at_point < cost)
+    if cheaper.size:
+        _, r_norm, multiplicity, _ = _data_point_test(pts[cheaper], point[cheaper], dist[cheaper])
+        snap = cheaper[r_norm < multiplicity]
+        y[snap], cost[snap] = point[snap], at_point[snap]
 
 
 # ---------------------------------------------------------------------------

@@ -29,10 +29,11 @@ from medcover.costs import (
     weiszfeld,
     weiszfeld_subsets,
 )
-from medcover.errors import NotConverged
+from medcover.errors import DomainError, NotConverged
 from medcover.graphs import graph_from_edges
 from medcover.oracle import enumerate_triangle_free, random_triangle_free
 from medcover.reduction import reduce_graph
+from medcover.suites import completeness_instances
 
 C5 = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]
 
@@ -396,6 +397,8 @@ def test_median_costs_equal_the_closed_form_or_the_two_norm_loop():
     CROSS + [(0.0, -1.0)],
     [(-6.0, 0.0), (0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (3.0, 0.0)],
     *_centroid_on_a_point(6, 8),
+    # 6-10 coordinates: from 8 on, numpy sums the last axis pairwise
+    *(reduce_graph(g, k=1, objective="median").points for g in completeness_instances(8, 0)),
 ])
 def test_weiszfeld_subsets_equal_the_reference_batch(monkeypatch, points):
     got = weiszfeld_subsets(points)
@@ -404,3 +407,27 @@ def test_weiszfeld_subsets_equal_the_reference_batch(monkeypatch, points):
     want = weiszfeld_subsets(points)
     assert np.array_equal(got[0], want[0])
     assert np.array_equal(got[1], want[1])
+
+
+def test_subset_index_arrays_are_kept_read_only():
+    for n in range(1, costs.MAX_CONTINUOUS_POINTS + 1):
+        kept = costs._subsets_by_size(n)
+        assert costs._subsets_by_size(n) is kept
+        fresh = costs._subsets_by_size.__wrapped__(n)
+        assert len(kept) == len(fresh) == n
+        for k, ((rows, members), (want_rows, want_members)) in enumerate(zip(kept, fresh), 1):
+            assert np.array_equal(rows, want_rows) and np.array_equal(members, want_members)
+            assert members.shape == (math.comb(n, k), k)
+            assert [sum(1 << i for i in m) for m in members.tolist()] == rows.tolist()
+            for a in (rows, members):
+                with pytest.raises(ValueError):
+                    a[0] = 0
+
+
+@pytest.mark.parametrize("points", [
+    [(math.nan, 0.0), (1.0, 0.0)],  # nothing overflows
+    [(1e308, 0.0), (-1e308, 0.0)],  # the squared distances overflow
+])
+def test_weiszfeld_rejects_a_start_that_is_not_finite(points):
+    with pytest.raises(DomainError, match="is not finite"):
+        weiszfeld(points)

@@ -296,6 +296,25 @@ def test_array_dp_matches_the_dict_loop_bit_for_bit(family):
         _assert_matches_dict_loop(inst, list(ks))
 
 
+def test_memoised_candidates_equal_a_fresh_build():
+    # earlier tests have filled the memo; none of them may have changed it
+    for n in range(1, oracle.MAX_CONTINUOUS_POINTS + 1):
+        for j in range(1, n + 1):
+            kept = oracle._candidates(n, j)
+            assert oracle._candidates(n, j) is kept
+            fresh = oracle._candidates.__wrapped__(n, j)
+            assert len(kept) == len(fresh) == 2
+            for a, b in zip(kept, fresh):
+                assert a.dtype == b.dtype and np.array_equal(a, b), (n, j)
+
+
+@pytest.mark.parametrize("n,j", [(1, 1), (4, 1), (6, 3), (12, 2)])
+def test_memoised_candidates_are_read_only(n, j):
+    for a in oracle._candidates(n, j):
+        with pytest.raises(ValueError):
+            a[0] = 0
+
+
 def test_continuous_rejects_non_finite_block_costs():
     # finite points whose costs overflow float: the exact means cost of the
     # pair is 2e400, and the median's distances square past the float range
@@ -688,6 +707,26 @@ def test_median_table_raises_when_a_subset_does_not_converge(monkeypatch):
     monkeypatch.setattr(costs, "WEISZFELD_MAX_ITER", 1)
     with pytest.raises(NotConverged):
         weiszfeld_subsets(points)
+
+
+def test_continuous_tables_and_optima_of_the_completeness_graphs_are_pinned():
+    # the first 8 gate-4 graphs (6-10 vertices, 7-11 edges): float.hex of
+    # the median cost and center tables, and the cost and partition of every
+    # optimum, both objectives, k = 1 up to the cover size; the digest was
+    # generated by the untrimmed Weiszfeld loop and unmemoised DP candidates
+    records = []
+    for g in completeness_instances(8, 0):
+        points = reduce_graph(g, k=1, objective="median").points
+        table_costs, table_centers = weiszfeld_subsets(points)
+        records.append(" ".join(float(v).hex() for v in table_costs.tolist()))
+        records.append(" ".join(float(v).hex() for v in table_centers.ravel().tolist()))
+        for objective in ("median", "means"):
+            for k in range(1, len(min_vertex_cover(g)) + 1):
+                rep = opt_continuous(reduce_graph(g, k=k, objective=objective))
+                records.append(f"{objective} {k} {float(rep.optimal_cost).hex()} {rep.partition}")
+    assert len(records) == 78
+    digest = hashlib.sha256("\n".join(records).encode()).hexdigest()
+    assert digest == "db57074e80a59773ae893e55fa5af40b2a6791e630495a12f07f75efc2871cb0"
 
 
 @pytest.mark.parametrize("points", [
