@@ -611,9 +611,11 @@ def _prune_cover(g: Graph, cover: set[int]) -> set[int]:
 
 
 def block_count(beta: float, k: int) -> int:
-    """ceil(beta * k), the number of blocks cover extraction runs at. A
-    product that is not finite (beta infinite or NaN, or past the float
-    range), or else a beta below 1, raises ``ValueError``."""
+    """ceil(beta * k), the number of blocks cover extraction runs at. A k
+    below 1, or else a product that is not finite (beta infinite or NaN, or
+    past the float range), or else a beta below 1, raises ``ValueError``."""
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
     if not math.isfinite(beta * k):
         raise ValueError(f"beta * k must be finite, got beta = {beta!r}, k = {k}")
     if beta < 1:
@@ -641,8 +643,8 @@ def soundness_assemble(
     cover_single_edge_clusters; if its full-graph fallback fires, that cover
     replaces the union. Finally redundant vertices are pruned in ascending
     order and the (delta, beta)-ceiling is reported next to the realized
-    size. beta below 1, a beta * k that is not finite, or a delta that is
-    negative or not finite raises ``ValueError``.
+    size. k below 1, beta below 1, a beta * k that is not finite, or a delta
+    that is negative or not finite raises ``ValueError``.
     """
     _require_triangle_free(g)
     if objective not in ("median", "means"):

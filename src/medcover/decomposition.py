@@ -71,30 +71,38 @@ def _is_nonstar(g: Graph) -> bool:
     return g.num_edges >= 2 and common_vertex(g.edges) is None
 
 
-def _pair_qualifies(remainder: Graph, mode: str) -> bool:
-    if not _is_nonstar(remainder):
-        return False
-    return mode == "safe" or bridge_structure(remainder) is None
-
-
 def find_safe_pair(g: Graph, mode: str) -> tuple[Edge, Edge] | None:
     """Lexicographically first vertex-disjoint edge pair whose removal leaves
     a non-star graph (mode "safe") or a non-star non-bridge graph
     ("ultra_safe"). Returns None when no pair qualifies — exactly the
     fundamental graphs in safe mode, and {3-P2, A_n} in ultra mode.
+
+    A pair is tested on degrees: with m edges, the remainder is a non-star
+    iff m >= 4 and no vertex keeps all m - 2 remaining edges, and only a
+    vertex of degree m - 2 or more can. The remainder is built only for the
+    ultra mode's bridge test.
     """
     _check_mode(mode)
     if not _is_nonstar(g):
         raise PreconditionViolated("safe pairs are defined on non-star graphs")
     if mode == "ultra_safe" and bridge_structure(g) is not None:
         raise PreconditionViolated("ultra_safe mode requires a non-bridge graph")
-    for i in range(g.num_edges):
-        for j in range(i + 1, g.num_edges):
-            e, f = g.edges[i], g.edges[j]
-            if set(e) & set(f):
+    m = g.num_edges
+    if m < 4:
+        return None
+    deg = g.degrees()
+    hubs = [v for v, d in enumerate(deg) if d >= m - 2]
+    for i in range(m):
+        e = g.edges[i]
+        for j in range(i + 1, m):
+            f = g.edges[j]
+            if e[0] in f or e[1] in f:
                 continue
-            if _pair_qualifies(remove_edges(g, (e, f)), mode):
-                return (e, f)
+            if any(deg[v] - (v in e) - (v in f) == m - 2 for v in hubs):
+                continue
+            if mode == "ultra_safe" and bridge_structure(remove_edges(g, (e, f))) is not None:
+                continue
+            return (e, f)
     return None
 
 

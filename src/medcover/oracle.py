@@ -588,14 +588,6 @@ def min_vertex_cover(g: Graph) -> set[int]:
 # Triangle-free graph generation
 # ---------------------------------------------------------------------------
 
-def _positions(keys: list) -> list[int]:
-    """Each key's position in the sorted order of ``keys`` (all distinct)."""
-    positions = [0] * len(keys)
-    for p, i in enumerate(sorted(range(len(keys)), key=keys.__getitem__)):
-        positions[i] = p
-    return positions
-
-
 def _refine_classes(nbrs: list[int]) -> list[list[int]]:
     """Stable equitable partition of the vertices whose neighbour masks are
     ``nbrs`` (iterated degree refinement), each cell in increasing vertex
@@ -603,26 +595,17 @@ def _refine_classes(nbrs: list[int]) -> list[list[int]]:
 
     The partition is the one nested keys give: a vertex's key starts as its
     degree, and each round replaces it with (own key, sorted neighbour
-    keys) until a round splits no cell. The cells come in the order of
-    their keys' ``repr`` strings.
+    keys) until a round splits no cell. The cells come in the tuple order
+    of their keys.
 
-    Neither the keys nor their strings are built. A key is held as its
-    cell's rank in the keys' tuple order, which the ranks reproduce: a round
-    compares its cells' old ranks first, then the sorted old ranks of their
+    Neither the keys nor their tuples are built. A key is held as its
+    cell's rank in that order, which the ranks reproduce: a round compares
+    its cells' old ranks first, then the sorted old ranks of their
     neighbours, so a cell splits only where the nested keys differ, and its
     parts keep their place among the other cells, in the order of those
     neighbour ranks. A vertex in a cell of one never splits again, so a
     round computes nothing for it, and refinement stops once every cell is
     one vertex.
-
-    The ``repr`` order is kept as each cell's position beside its rank. A
-    key's string is ``"(own, (n1, n2, ...))"`` (``"(n1,)"`` for one
-    neighbour), and a round's strings are never proper prefixes of each
-    other, except degrees, where the shorter is followed by ``","`` or
-    ``")"``, both below every digit. So two keys' strings compare as the
-    strings of their own keys, then of their neighbours' keys one by one in
-    tuple order: as the sequences of those positions. Degrees below 10 sort
-    the same either way, and then the two orders stay equal.
     """
     n = len(nbrs)
     hoods = []
@@ -636,29 +619,25 @@ def _refine_classes(nbrs: list[int]) -> list[list[int]]:
     by_degree: dict[int, list[int]] = {}
     for v, hood in enumerate(hoods):
         by_degree.setdefault(len(hood), []).append(v)
-    degrees = sorted(by_degree)
-    cells = [by_degree[d] for d in degrees]  # in tuple order
-    spelt = _positions([repr(d) for d in degrees])  # each cell's place in repr order
+    cells = [by_degree[d] for d in sorted(by_degree)]
     while len(cells) < n:
         rank = [0] * n
         for i, cell in enumerate(cells):
             for v in cell:
                 rank[v] = i
-        parts = []  # (the new key's repr order as positions, cell), in tuple order
-        for i, cell in enumerate(cells):
+        parts = []
+        for cell in cells:
             if len(cell) == 1:
-                parts.append(((spelt[i],), cell))
+                parts.append(cell)
                 continue
             split: dict[tuple[int, ...], list[int]] = {}
             for v in cell:
                 split.setdefault(tuple(sorted([rank[u] for u in hoods[v]])), []).append(v)
-            for near in sorted(split):
-                parts.append(((spelt[i], *[spelt[r] for r in near]), split[near]))
+            parts += [split[near] for near in sorted(split)]
         if len(parts) == len(cells):
             break
-        cells = [cell for _, cell in parts]
-        spelt = _positions([key for key, _ in parts])
-    return [cells[i] for i in sorted(range(len(cells)), key=spelt.__getitem__)]
+        cells = parts
+    return cells
 
 
 def canonical_form(g: Graph) -> str:

@@ -249,6 +249,7 @@ def test_vacuous_runs_are_clean_errors(monkeypatch, tmp_path, capsys, argv, mess
     (["cover", "--k", "4", "--beta", "0.5"], "beta must be at least 1"),
     (["cover", "--k", "3", "--delta", "nan"], "delta must be non-negative"),
     (["sweep", "--n", "7", "--trials", "2", "--beta", "0.5"], "beta must be at least 1"),
+    (["cover", "--k", "0"], "k must be at least 1, got 0"),
 ])
 def test_out_of_range_beta_and_delta_are_clean_errors(
     monkeypatch, tmp_path, capsys, c5_file, argv, message

@@ -452,6 +452,15 @@ def test_assemble_rejects_beta_below_one_or_not_finite(beta, message):
         soundness_assemble(graph_from_edges(C5), [[0, 1, 2], [3, 4]], k=2, beta=beta)
 
 
+@pytest.mark.parametrize("k", [0, -1])
+def test_assemble_rejects_k_below_one(k):
+    with pytest.raises(ValueError, match=f"^k must be at least 1, got {k}$"):
+        soundness_assemble(Graph(0, ()), [], k=k)
+    # k is checked first, so a bad beta does not hide it
+    with pytest.raises(ValueError, match="k must be at least 1"):
+        soundness_assemble(graph_from_edges(C5), [[0, 1, 2], [3, 4]], k=k, beta=math.nan)
+
+
 @pytest.mark.parametrize("objective, solves", [("median", 2), ("means", 0)])
 def test_assemble_solves_one_median_per_nonstar_block(monkeypatch, objective, solves):
     # a 5-cycle (matching number 2), a 7-vertex path (3), a star and a lone

@@ -102,6 +102,22 @@ def test_traces_are_pinned_on_the_disconnected_catalogue():
     assert digest == "008bdb15574f32236fe38e4081bd39192de6e32ecc0d89f8f12099964e7a355f"
 
 
+def test_safe_mode_builds_one_remainder_per_removed_pair(monkeypatch):
+    # the pair search tests candidates on degrees; only decompose's own
+    # removal builds a graph
+    calls = []
+    real = decomposition.remove_edges
+    monkeypatch.setattr(
+        decomposition, "remove_edges", lambda g, drop: calls.append(1) or real(g, drop)
+    )
+    for g in enumerate_triangle_free(7):
+        if is_star(g):
+            continue
+        calls.clear()
+        trace = decompose(g, "safe")
+        assert len(calls) == len(trace.removed_pairs), g.edges
+
+
 def test_safe_pair_edges_are_disjoint_and_in_the_graph():
     g = graph_from_edges(P7)
     pair = find_safe_pair(g, "safe")

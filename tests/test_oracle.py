@@ -989,7 +989,7 @@ def test_certificates_of_the_eight_edge_catalogue_are_pinned():
 
 def _nested_refine_classes(g):
     """Frozen reference: refinement with the whole refinement history nested
-    in each key, the cells sorted by their keys' ``repr`` strings."""
+    in each key, the cells sorted by their keys' tuples."""
     n = g.num_vertices
     adj = g.adjacency()
     keys = [len(adj[v]) for v in range(n)]
@@ -1000,7 +1000,7 @@ def _nested_refine_classes(g):
         keys = new
     cells = {}
     for v in range(n):
-        cells.setdefault(repr(keys[v]), []).append(v)
+        cells.setdefault(keys[v], []).append(v)
     return [cells[key] for key in sorted(cells)]
 
 
@@ -1056,15 +1056,48 @@ def _frozen_canonical_form(g):
     return "+".join(sorted(_frozen_connected_form(part) for part in parts))
 
 
-# a ten-leaf star with a two-edge tail: its keys' ``repr`` order is not
-# their tuple order, as "1" < "10" < "2" and "(1, (10,))" < "(1, (2,))"
+# a ten-leaf star with a two-edge tail, whose cells would come in another
+# order if its keys were compared as strings, as "1" < "10" < "2"
 HUB = [(0, i) for i in range(1, 11)] + [(10, 11), (11, 12)]
 
 
-def test_cells_come_in_repr_order_not_tuple_order():
+def test_cells_come_in_tuple_order():
     g = graph_from_edges(HUB)
-    cells = [list(range(1, 10)), [12], [0], [11], [10]]  # tuple order: [12], leaves, [11], [10], [0]
+    cells = [[12], list(range(1, 10)), [11], [10], [0]]
     assert oracle._refine_classes(neighbour_masks(g)) == cells == _nested_refine_classes(g)
+
+
+def _hub_graph(seed):
+    """A seeded bipartite graph on 12-16 vertices: vertex 0 joined to all of
+    10-12 leaves, and 1-3 more vertices each joined to about half of them."""
+    rng = random.Random(seed)
+    leaves, others = rng.randint(10, 12), rng.randint(2, 4)
+    edges = [(0, others + i) for i in range(leaves)]
+    edges += [(a, others + i) for a in range(1, others) for i in range(leaves) if rng.random() < 0.5]
+    return graph_from_edges(edges)
+
+
+# graphs with a vertex of degree 10-12, whose cells string-compared keys
+# would order differently; the sampler's graphs on 12-16 vertices at target
+# degree 10-12 stay below degree 10, so they add size, not degree
+DEGREE_TEN_UP = [
+    graph_from_edges([(0, i) for i in range(1, leaves + 1)]
+                     + [(leaves + j, leaves + j + 1) for j in range(tail)])
+    for leaves in range(10, 13) for tail in range(1, 4)
+] + [_hub_graph(seed) for seed in range(20)]
+DENSE = [random_triangle_free(n, d, seed) for n in range(12, 17) for d in range(10, 13) for seed in range(2)]
+
+
+def test_certificates_at_degree_ten_and_up_are_relabel_invariant():
+    assert all(max(g.degrees()) >= 10 for g in DEGREE_TEN_UP)
+    rng = random.Random(21)
+    for g in DEGREE_TEN_UP + DENSE:
+        cert = canonical_form(g)
+        for _ in range(20):
+            perm = list(range(g.num_vertices))
+            rng.shuffle(perm)
+            relabelled = make_graph(g.num_vertices, [(perm[u], perm[v]) for u, v in g.edges])
+            assert canonical_form(relabelled) == cert, g.edges
 
 
 def test_refinement_and_search_match_the_frozen_nested_key_search(monkeypatch):
@@ -1084,6 +1117,7 @@ def test_refinement_and_search_match_the_frozen_nested_key_search(monkeypatch):
     graphs += [graph_from_edges(C8), graph_from_edges(Q3)]
     graphs += [_spider(legs) for legs in range(2, 9)] + [graph_from_edges(HUB)]
     graphs += [random_triangle_free(seed % 10 + 1, seed // 10 % 9 + 1, seed) for seed in range(300)]
+    graphs += DEGREE_TEN_UP + DENSE
     for g in graphs:
         assert oracle._refine_classes(neighbour_masks(g)) == _nested_refine_classes(g), g.edges
         assert canonical_form(g) == _frozen_canonical_form(g), g.edges
