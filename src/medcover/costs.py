@@ -215,27 +215,33 @@ def _weiszfeld_batch(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
     shrink when rows finish. Each iteration computes distances once, to the
     new iterate; they give that iterate's cost and the next iteration's
     weights, and a row's last distances give its cost and its nearest data
-    point. Norms are ``_norms`` and sums ``np.add.reduce``, the reductions
-    ``np.linalg.norm`` and ``ndarray.sum`` run, over the same axes of the
-    same arrays, so every float is the one those calls give. An iteration
-    whose distances are all at least ``_SNAP`` skips the on-point test.
+    point. Norms are ``_norms`` and ``_distances`` and sums
+    ``np.add.reduce``, the reductions ``np.linalg.norm`` and ``ndarray.sum``
+    run, over the same axes of the same arrays. The step's weighted point
+    sum is ``np.einsum`` from two coordinates on (``_weighted_sum_for``): it
+    adds each row's weighted points in point order, as the reduce of their
+    products over the points axis does, without building those products.
+    So every float is the one those calls give. The weighted sum is chosen
+    once per batch, from the number of coordinates. An iteration whose
+    distances are all at least ``_SNAP`` skips the on-point test.
     """
     max_iter, tolerance = WEISZFELD_MAX_ITER, WEISZFELD_TOLERANCE
     y = blocks.mean(axis=1)
     iterations = np.zeros(len(blocks), dtype=np.int64)
     if blocks.shape[1] == 1:
         return np.zeros(len(blocks)), y, iterations
+    weighted_sum = _weighted_sum_for(blocks.shape[2])
     costs = np.empty(len(blocks))
     nearest = np.empty(len(blocks), dtype=np.intp)
     active = np.arange(len(blocks))
     pts, ya = blocks, y
-    dist = _norms(pts - ya[:, None, :])
+    dist = _distances(pts, ya)
     prev_cost = np.add.reduce(dist, axis=1)
     if not np.isfinite(prev_cost).all():
         raise DomainError("a distance to the centroid is not finite")
     for it in range(1, max_iter + 1):
         w = 1.0 / dist
-        y_next = np.add.reduce(pts * w[:, :, None], axis=1) / np.add.reduce(w, axis=1)[:, None]
+        y_next = weighted_sum(pts, w) / np.add.reduce(w, axis=1)[:, None]
         stopped = None
         if dist.min() < _SNAP:
             h = np.flatnonzero((dist < _SNAP).any(axis=1))
@@ -250,7 +256,7 @@ def _weiszfeld_batch(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
                 r_m = r_norm[move]
                 length = (r_m - multiplicity[move]) / lipschitz
                 y_next[h[move]] = ya[h[move]] + length[:, None] * (r_vec[move] / r_m[:, None])
-        dist = _norms(pts - y_next[:, None, :])
+        dist = _distances(pts, y_next)
         cost = np.add.reduce(dist, axis=1)
         done = np.abs(prev_cost - cost) <= tolerance * np.maximum(1.0, cost)
         done |= _norms(y_next - ya) <= tolerance
@@ -272,6 +278,30 @@ def _weiszfeld_batch(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
         f"{active.size} of {len(blocks)} {blocks.shape[1]}-point blocks did not "
         f"converge in {max_iter} iterations"
     )
+
+
+def _weighted_sum_for(dim: int):
+    """The weighted point sum of ``_weiszfeld_batch``'s step, sum_p w[b, p]
+    * pts[b, p, :], for blocks of ``dim`` coordinates, with the floats of
+    ``np.add.reduce(pts * w[:, :, None], axis=1)``. From two coordinates on,
+    that reduce adds each row's products in point order, one coordinate
+    vector at a time. ``np.einsum`` (unoptimized, so no BLAS) runs its
+    inner loop along the coordinates too and adds the points in the same
+    order, without building the (batch, points, dim) products; the tests
+    check this on the installed numpy. With one coordinate numpy drops the
+    length-1 axis and sums the points pairwise, which the einsum does not
+    reproduce from 3 points on, so that case keeps the reduce."""
+    if dim == 1:
+        return lambda pts, w: np.add.reduce(pts * w[:, :, None], axis=1)
+    return lambda pts, w: np.einsum("bpd,bp->bd", pts, w)
+
+
+def _distances(pts: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Distances from each row's points ``pts[b]`` to its point ``y[b]``:
+    ``_norms(pts - y[:, None, :])``, squaring the differences in place."""
+    diff = pts - y[:, None, :]
+    np.multiply(diff, diff, out=diff)
+    return np.sqrt(np.add.reduce(diff, axis=-1))
 
 
 def _norms(x: np.ndarray) -> np.ndarray:
@@ -308,7 +338,7 @@ def _snap_to_optimal_point(
     first, and only the rows where it is lower take the test.
     """
     point = pts[np.arange(len(pts)), nearest]
-    dist = _norms(pts - point[:, None, :])
+    dist = _distances(pts, point)
     at_point = np.add.reduce(dist, axis=1)
     cheaper = np.flatnonzero(at_point < cost)
     if cheaper.size:

@@ -31,6 +31,7 @@ from .graphs import (
     classify,
     common_vertex,
     is_triangle_free,
+    neighbour_masks,
     remove_edges,
 )
 
@@ -77,10 +78,11 @@ def find_safe_pair(g: Graph, mode: str) -> tuple[Edge, Edge] | None:
     ("ultra_safe"). Returns None when no pair qualifies — exactly the
     fundamental graphs in safe mode, and {3-P2, A_n} in ultra mode.
 
-    A pair is tested on degrees: with m edges, the remainder is a non-star
-    iff m >= 4 and no vertex keeps all m - 2 remaining edges, and only a
-    vertex of degree m - 2 or more can. The remainder is built only for the
-    ultra mode's bridge test.
+    A pair is tested on degrees, without building the remainder: with m
+    edges, the remainder is a non-star iff m >= 4 and no vertex keeps all
+    m - 2 remaining edges, and only a vertex of degree m - 2 or more can.
+    The ultra mode's bridge test is ``bridge_structure``'s, run on the
+    degrees and neighbour masks less e and f (``_leaves_bridge``).
     """
     _check_mode(mode)
     if not _is_nonstar(g):
@@ -92,6 +94,11 @@ def find_safe_pair(g: Graph, mode: str) -> tuple[Edge, Edge] | None:
         return None
     deg = g.degrees()
     hubs = [v for v, d in enumerate(deg) if d >= m - 2]
+    if mode == "ultra_safe":
+        # a bridge (s, t) of the remainder has deg'(s) + deg'(t) - 1 = m - 2,
+        # and removing edges lowers degrees
+        bridges = [b for b in g.edges if deg[b[0]] + deg[b[1]] >= m - 1]
+        nbrs = neighbour_masks(g)
     for i in range(m):
         e = g.edges[i]
         for j in range(i + 1, m):
@@ -100,10 +107,33 @@ def find_safe_pair(g: Graph, mode: str) -> tuple[Edge, Edge] | None:
                 continue
             if any(deg[v] - (v in e) - (v in f) == m - 2 for v in hubs):
                 continue
-            if mode == "ultra_safe" and bridge_structure(remove_edges(g, (e, f))) is not None:
+            if mode == "ultra_safe" and _leaves_bridge(deg, nbrs, bridges, m - 2, e, f):
                 continue
             return (e, f)
     return None
+
+
+def _leaves_bridge(
+    deg: list[int], nbrs: list[int], bridges: list[Edge], rest: int, e: Edge, f: Edge
+) -> bool:
+    """Whether removing the disjoint edges e and f leaves a bridge graph of
+    ``rest`` edges: ``bridge_structure`` of the remainder is not None. A
+    candidate bridge (s, t) from ``bridges`` other than e and f must carry
+    every remaining edge, deg'(s) + deg'(t) - 1 = rest, and its leaf sets,
+    the neighbour masks of s and t less e's and f's other ends and less each
+    other, must both be non-empty and disjoint."""
+    cut = {e[0]: 1 << e[1], e[1]: 1 << e[0], f[0]: 1 << f[1], f[1]: 1 << f[0]}
+    for b in bridges:
+        if b == e or b == f:
+            continue
+        s, t = b
+        if deg[s] - (s in cut) + deg[t] - (t in cut) - 1 != rest:
+            continue
+        left = nbrs[s] & ~cut.get(s, 0) & ~(1 << t)
+        right = nbrs[t] & ~cut.get(t, 0) & ~(1 << s)
+        if left and right and not left & right:
+            return True
+    return False
 
 
 def decompose(g: Graph, mode: str) -> DecompositionTrace:

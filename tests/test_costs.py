@@ -399,6 +399,11 @@ def test_median_costs_equal_the_closed_form_or_the_two_norm_loop():
     *_centroid_on_a_point(6, 8),
     # 6-10 coordinates: from 8 on, numpy sums the last axis pairwise
     *(reduce_graph(g, k=1, objective="median").points for g in completeness_instances(8, 0)),
+    # one coordinate, 8-12 points: numpy sums the weighted points pairwise
+    [(v,) for v in (-5.0, -3.0, -2.0, 0.0, 1.0, 4.0, 6.0, 9.0)],
+    [(v,) for v in (0.0, 0.0, 1.0, 1.0, 1.0, 3.0, 3.0, 7.0, 7.0, 7.0, 10.0, 12.0)],
+    *([(v,) for v in np.random.default_rng(n).normal(size=n).tolist()] for n in (9, 10, 11)),
+    [(v,) for v in np.random.default_rng(12).integers(-2, 3, size=12).astype(float).tolist()],
 ])
 def test_weiszfeld_subsets_equal_the_reference_batch(monkeypatch, points):
     got = weiszfeld_subsets(points)
@@ -407,6 +412,25 @@ def test_weiszfeld_subsets_equal_the_reference_batch(monkeypatch, points):
     want = weiszfeld_subsets(points)
     assert np.array_equal(got[0], want[0])
     assert np.array_equal(got[1], want[1])
+
+
+@pytest.mark.parametrize("batch", [1, 7, 100, 462])
+def test_weighted_sum_adds_in_the_order_of_the_reduce(batch):
+    # checked on the installed numpy, not against stored floats: a numpy that
+    # orders einsum's sum differently fails here
+    rng = np.random.default_rng(batch)
+    for points in range(2, 13):
+        for dim in range(1, 14):
+            pts = rng.normal(size=(batch, points, dim))
+            pts[rng.random(pts.shape) < 0.3] = 0.0
+            w = 1.0 / rng.random((batch, points))
+            if batch > 1:  # rows on a data point, beside finite rows
+                w[0, points // 2] = np.inf
+                w[-1, :2] = np.inf  # a point that is there twice
+            with np.errstate(invalid="ignore"):  # 0 * inf
+                got = costs._weighted_sum_for(dim)(pts, w)
+                want = np.add.reduce(pts * w[:, :, None], axis=1)
+            assert got.tobytes() == want.tobytes(), (points, dim)
 
 
 def test_subset_index_arrays_are_kept_read_only():

@@ -1,7 +1,9 @@
 """Safe-pair decomposition and the lower-bound certificates it emits."""
 
 import hashlib
+import itertools
 import math
+import random
 
 import pytest
 
@@ -23,6 +25,8 @@ from medcover.graphs import (
     classify,
     graph_from_edges,
     is_star,
+    neighbour_masks,
+    remove_edges,
 )
 from medcover.oracle import enumerate_triangle_free
 
@@ -116,6 +120,46 @@ def test_safe_mode_builds_one_remainder_per_removed_pair(monkeypatch):
         calls.clear()
         trace = decompose(g, "safe")
         assert len(calls) == len(trace.removed_pairs), g.edges
+
+
+def test_ultra_mode_builds_one_remainder_per_removed_pair(monkeypatch):
+    # the bridge test of a candidate's remainder reads the degrees and masks
+    calls = []
+    real = decomposition.remove_edges
+    monkeypatch.setattr(
+        decomposition, "remove_edges", lambda g, drop: calls.append(1) or real(g, drop)
+    )
+    seen = 0
+    for g in enumerate_triangle_free(7):
+        if is_star(g) or bridge_structure(g) is not None:
+            continue
+        calls.clear()
+        trace = decompose(g, "ultra_safe")
+        assert len(calls) == len(trace.removed_pairs), g.edges
+        seen += len(calls)
+    assert seen > 50
+
+
+def test_leaves_bridge_agrees_with_the_built_remainder():
+    # the catalogue, and seeded graphs with triangles, where a leaf can be
+    # shared by both ends of a candidate bridge
+    rng = random.Random(3)
+    pairs = list(itertools.combinations(range(6), 2))
+    graphs = list(enumerate_triangle_free(8, include_disconnected=True))
+    graphs += [graph_from_edges(rng.sample(pairs, rng.randint(4, 9))) for _ in range(300)]
+    checked = bridges = 0
+    for g in graphs:
+        m = g.num_edges
+        deg, nbrs = g.degrees(), neighbour_masks(g)
+        for e, f in itertools.combinations(g.edges, 2):
+            if set(e) & set(f):
+                continue
+            want = bridge_structure(remove_edges(g, (e, f))) is not None
+            for candidates in (list(g.edges), [b for b in g.edges if deg[b[0]] + deg[b[1]] >= m - 1]):
+                assert decomposition._leaves_bridge(deg, nbrs, candidates, m - 2, e, f) == want
+            checked += 1
+            bridges += want
+    assert checked > 8000 and bridges > 300
 
 
 def test_safe_pair_edges_are_disjoint_and_in_the_graph():
