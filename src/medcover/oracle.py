@@ -14,9 +14,11 @@ raises ``NotConverged`` rather than return an unconverged cost), and the
 centroid cost of every subset from exact integer subset sums; a cost that
 overflows float raises ``DomainError``. The subset DP then keeps each layer
 as a float64 array over all 2^n masks and builds it in numpy from the
-previous one, through that layer's candidates (``_candidates``), which
-depend only on n and the layer, so each process builds them once and keeps
-them read-only. Its result is the same, bit for bit, as a
+previous one, through that layer's layout (``_layout``): the candidates'
+int32 gather indices and their target groups. A layout depends only on n
+and the layer, so each process builds it once and keeps it read-only, and
+a layer costs two gathers, the group reductions and one scatter. Its
+result is the same, bit for bit, as a
 Python loop over dicts that resolves ties first-wins within 1e-15: every
 mask takes the first candidate, in that loop's order, of its cheapest ones,
 and the few masks with two candidates closer than a 1e-14 window replay the
@@ -61,7 +63,7 @@ import random
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -152,12 +154,25 @@ def _centroid_table(points: Sequence[Sequence[float]]) -> tuple[np.ndarray, np.n
     return costs, centers
 
 
+class _Layout(NamedTuple):
+    """DP layer j's candidates at n points, grouped by target (``_layout``)."""
+
+    source: np.ndarray  # int32: each candidate's mask of layer j - 1, target ^ block
+    block: np.ndarray  # int32: each candidate's block
+    starts: np.ndarray  # each target group's first candidate
+    sizes: np.ndarray  # each group's number of candidates
+
+
 @functools.lru_cache(maxsize=None)
-def _candidates(n: int, j: int) -> tuple[np.ndarray, np.ndarray]:
-    """DP layer j's candidates as (target, block) arrays: grouped by target
-    in increasing order, each group in the order the submask loop meets it.
-    They depend only on (n, j), so each process builds each pair once and
-    keeps it, read-only: at most 78 pairs for n <= 12, about 0.8 MB.
+def _layout(n: int, j: int) -> _Layout:
+    """Everything ``_extend`` derives from (n, j) alone: DP layer j's
+    candidates, grouped by target in increasing order, each group in the
+    order the submask loop meets it. Each process builds each pair once and
+    keeps it, read-only: 78 pairs and about 1.8 MB for every n <= 12. The
+    gather indices are int32 and ``_extend`` reads them with
+    ``ndarray.take``, about twice as fast as fancy indexing through uint16
+    ones. The targets are not kept: they are the masks that hold points
+    0..j-1, every (1 << j)-th mask from (1 << j) - 1.
 
     That loop extends the masks of layer j - 1 in the order it first reached
     them, each by every block that holds the mask's lowest missing point, in
@@ -180,26 +195,33 @@ def _candidates(n: int, j: int) -> tuple[np.ndarray, np.ndarray]:
     full = (1 << n) - 1
     small = np.min_scalar_type(full)  # uint8 or uint16, which numpy sorts by radix
     if j == 1:
-        blocks = np.arange(1, full + 1, 2, dtype=small)
-        blocks.flags.writeable = False
-        return blocks, blocks
-    total = (3 ** (n - j + 1) - 1) // 2
-    target = np.empty(total, dtype=small)
-    block = np.empty(total, dtype=small)
-    c = 0  # words so far that hold a block
-    for i in range(j - 1, n):
-        bit = 1 << i
-        np.bitwise_or(target[:c], bit, out=target[c:2 * c])
-        target[2 * c] = 2 * bit - 1
-        np.bitwise_or(target[:c], bit, out=target[2 * c + 1:3 * c + 1])
-        block[c:2 * c] = block[:c]
-        block[2 * c] = bit
-        np.bitwise_or(block[:c], bit, out=block[2 * c + 1:3 * c + 1])
-        c = 3 * c + 1
-    order = np.argsort(target, kind="stable")
-    target, block = target[order], block[order]
-    target.flags.writeable = block.flags.writeable = False
-    return target, block
+        target = block = np.arange(1, full + 1, 2, dtype=small)
+    else:
+        total = (3 ** (n - j + 1) - 1) // 2
+        target = np.empty(total, dtype=small)
+        block = np.empty(total, dtype=small)
+        c = 0  # words so far that hold a block
+        for i in range(j - 1, n):
+            bit = 1 << i
+            np.bitwise_or(target[:c], bit, out=target[c:2 * c])
+            target[2 * c] = 2 * bit - 1
+            np.bitwise_or(target[:c], bit, out=target[2 * c + 1:3 * c + 1])
+            block[c:2 * c] = block[:c]
+            block[2 * c] = bit
+            np.bitwise_or(block[:c], bit, out=block[2 * c + 1:3 * c + 1])
+            c = 3 * c + 1
+        order = np.argsort(target, kind="stable")
+        target, block = target[order], block[order]
+    starts = np.flatnonzero(np.concatenate(([True], target[1:] != target[:-1])))
+    layout = _Layout(
+        source=(target ^ block).astype(np.int32),
+        block=block.astype(np.int32),
+        starts=starts,
+        sizes=np.diff(starts, append=len(target)),
+    )
+    for a in layout:
+        a.flags.writeable = False
+    return layout
 
 
 def _first_wins(
@@ -221,33 +243,33 @@ def _extend(
     """DP layer j's values and choices from layer j - 1's values ``prev``.
 
     Equal, bit for bit, to the submask loop, which walks the candidates in
-    ``_candidates``' order and moves a target to a candidate only when it is
+    ``_layout``'s order and moves a target to a candidate only when it is
     cheaper than the target's current value by more than 1e-15: the first
     candidate always lands and, within 1e-15, the earlier one wins. When no
     candidate of a target lies above its minimum by at most
     1e-14 * max(1, |minimum|) (ten times 1e-15 plus any rounding of the
     comparison), that chain ends on the first candidate equal to the
-    minimum. Any other target replays the chain in Python.
+    minimum. Any other target replays the chain in Python. Everything that
+    depends only on (n, j) comes from ``_layout``, so a call is two gathers
+    and an add, the group reductions, the replays and one strided scatter.
     """
-    target, blocks = _candidates(n, j)
-    cost = prev[target ^ blocks]
-    cost += block_cost[blocks]
-    starts = np.flatnonzero(np.concatenate(([True], target[1:] != target[:-1])))
-    sizes = np.diff(starts, append=len(target))
+    layout = _layout(n, j)
+    starts, sizes = layout.starts, layout.sizes
+    cost = prev.take(layout.source)
+    cost += block_cost.take(layout.block)
     low = np.minimum.reduceat(cost, starts)
-    above = cost > np.repeat(low, sizes)
-    second = np.minimum.reduceat(np.where(above, cost, math.inf), starts)
-    first = np.arange(len(cost))
-    first[above] = len(cost)
-    first = np.minimum.reduceat(first, starts)  # each target's first candidate at its minimum
-    for g in np.flatnonzero(second <= low + _TIE_WINDOW * np.maximum(1.0, np.abs(low))).tolist():
+    at = np.flatnonzero(cost <= np.repeat(low, sizes))  # the candidates at their minimum
+    first = at.take(np.searchsorted(at, starts))  # each target's first one
+    near = cost <= np.repeat(low + _TIE_WINDOW * np.maximum(1.0, np.abs(low)), sizes)
+    near[at] = False  # above the minimum, inside the window
+    for g in np.flatnonzero(np.logical_or.reduceat(near, starts)).tolist():
         group = np.arange(starts[g], starts[g] + sizes[g])
         low[g], first[g] = _first_wins(math.inf, first[g], group, cost)
-    reached = target[starts]
+    reached = slice((1 << j) - 1, None, 1 << j)  # the targets, in increasing order
     best = np.full(1 << n, math.inf)
     best[reached] = low
-    choice = np.zeros(1 << n, dtype=blocks.dtype)
-    choice[reached] = blocks[first]
+    choice = np.zeros(1 << n, dtype=np.min_scalar_type((1 << n) - 1))
+    choice[reached] = layout.block.take(first)
     return best, choice
 
 

@@ -144,11 +144,16 @@ def predict_gap_graph(m: int, k: int, objective: str, delta: float) -> GapPredic
 
     median: yes m - k/2 vs no-lower m - k/2 + delta*k
     means:  yes m - k   vs no-lower m - k   + delta*k
+
+    k may be at most m: with more centers than points the thresholds would
+    go negative.
     """
     if objective not in OBJECTIVES:
         raise ValueError(f"objective must be one of {OBJECTIVES}")
     if m < 1 or k < 1:
         raise ValueError("m and k must be >= 1")
+    if k > m:
+        raise ValueError(f"k = {k} exceeds the m = {m} edges")
     check_delta(delta)
     yes = m - k / 2 if objective == "median" else m - float(k)
     return GapPrediction(

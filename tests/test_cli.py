@@ -48,6 +48,18 @@ def test_reduce_writes_a_loadable_instance(tmp_path, capsys, p4_file):
     assert len(inst.points) == 3
 
 
+def test_reduce_refuses_more_centers_than_edges(tmp_path, capsys):
+    path = tmp_path / "p6.txt"
+    path.write_text("0 1\n1 2\n2 3\n3 4\n4 5\n")  # a path with 5 edges
+    out = tmp_path / "inst.json"
+    code, stdout, stderr = run(capsys, "reduce", "--graph", str(path), "--k", "20",
+                               "--out", str(out))
+    assert code == 1
+    assert stdout == ""
+    assert stderr == "error: k = 20 exceeds the m = 5 edges\n"
+    assert not out.exists()
+
+
 def test_median_reports_closed_form_when_it_exists(capsys, p4_file):
     code, stdout, _ = run(capsys, "median", "--graph", p4_file)
     assert code == 0

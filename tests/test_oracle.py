@@ -300,17 +300,21 @@ def test_memoised_candidates_equal_a_fresh_build():
     # earlier tests have filled the memo; none of them may have changed it
     for n in range(1, oracle.MAX_CONTINUOUS_POINTS + 1):
         for j in range(1, n + 1):
-            kept = oracle._candidates(n, j)
-            assert oracle._candidates(n, j) is kept
-            fresh = oracle._candidates.__wrapped__(n, j)
-            assert len(kept) == len(fresh) == 2
+            kept = oracle._layout(n, j)
+            assert oracle._layout(n, j) is kept
+            fresh = oracle._layout.__wrapped__(n, j)
+            assert kept._fields == fresh._fields == ("source", "block", "starts", "sizes")
             for a, b in zip(kept, fresh):
                 assert a.dtype == b.dtype and np.array_equal(a, b), (n, j)
+            assert kept.source.dtype == kept.block.dtype == np.int32
+            # the group targets are the masks _extend writes: every (1 << j)-th from (1 << j) - 1
+            targets = (kept.source ^ kept.block)[kept.starts]
+            assert np.array_equal(targets, np.arange((1 << j) - 1, 1 << n, 1 << j)), (n, j)
 
 
 @pytest.mark.parametrize("n,j", [(1, 1), (4, 1), (6, 3), (12, 2)])
 def test_memoised_candidates_are_read_only(n, j):
-    for a in oracle._candidates(n, j):
+    for a in oracle._layout(n, j):
         with pytest.raises(ValueError):
             a[0] = 0
 

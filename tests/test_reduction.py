@@ -59,6 +59,13 @@ def test_graph_gap_thresholds(objective, yes, no):
     assert pred.no_cost_lower == pytest.approx(no, abs=1e-15)
 
 
+@pytest.mark.parametrize("objective", ["median", "means"])
+def test_graph_gap_refuses_more_centers_than_edges(objective):
+    assert predict_gap_graph(5, 5, objective, delta=0.01).yes_cost >= 0
+    with pytest.raises(ValueError, match="exceeds"):
+        predict_gap_graph(5, 6, objective, delta=0.01)
+
+
 def test_auto_no_regime_boundary():
     three_p2 = graph_from_edges([(0, 1), (2, 3), (4, 5)])  # m=3, max degree 1
     assert auto_no_regime(three_p2, 1)       # 1 < 3/2

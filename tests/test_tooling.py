@@ -16,7 +16,7 @@ from pathlib import Path
 
 import medcover
 from medcover.costs import MAX_CONTINUOUS_POINTS, MedianSolution
-from medcover.oracle import MAX_DISCRETE_SUBSETS, MAX_ENUM_EDGES, MAX_VC_EDGES
+from medcover.oracle import MAX_DISCRETE_SUBSETS, MAX_ENUM_EDGES, MAX_VC_EDGES, _layout
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = Path(medcover.__file__).resolve().parent
@@ -122,6 +122,19 @@ def test_readme_scale_limits_match_the_constants():
         (MAX_VC_EDGES, "edges"),
         (MAX_ENUM_EDGES, "edges"),
     ], opening
+
+
+def test_readme_states_the_size_of_the_dp_memo():
+    # the memo holds one layout per (n, j); the README rounds their total
+    total = sum(
+        a.nbytes
+        for n in range(1, MAX_CONTINUOUS_POINTS + 1)
+        for j in range(1, n + 1)
+        for a in _layout(n, j)
+    )
+    section = (ROOT / "README.md").read_text(encoding="utf-8").split("## Scale limits", 1)[1]
+    stated = re.findall(r"([\d.]+) MB for every n\s+up to 12", section)
+    assert stated == [f"{total / 1e6:.1f}"], total
 
 
 def test_demo_pipeline_runs_and_ends_with_its_json_report():
