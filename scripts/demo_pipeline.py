@@ -13,6 +13,7 @@ from medcover.decomposition import certify_lower_bound
 from medcover.graphs import bridge_structure, format_edge_list
 from medcover.oracle import min_vertex_cover, opt_continuous, random_triangle_free
 from medcover.reduction import predict_gap_graph, reduce_graph
+from medcover.suites import median_complete
 
 
 def main() -> int:
@@ -33,7 +34,7 @@ def main() -> int:
 
     inst = reduce_graph(g, k=k, objective="median")
     rep = opt_continuous(inst)
-    verdict = "yes" if rep.optimal_cost <= pred.yes_cost + 1e-6 else "no"
+    verdict = "yes" if median_complete(rep.optimal_cost, m, k) else "no"
     print(f"optimal {k}-median cost = {rep.optimal_cost:.9f}  -> {verdict} side")
 
     blocks = _pad_blocks([list(b) for b in rep.partition], k)

@@ -3,6 +3,8 @@
 
 Runs the lemma suites at acceptance scale (7-edge catalogue, 50 completeness
 instances) and two deterministic sweeps, then prints where everything landed.
+``REPORTS`` is the one table of the committed reports: each file name under
+reports/ with the CLI arguments that write it (less ``--out``).
 """
 
 import pathlib
@@ -10,25 +12,21 @@ import sys
 
 from medcover.cli import main as cli
 
+REPORTS = (
+    ("lemmas.json", ["verify-lemmas", "--max-edges", "7", "--trials", "50"]),
+    ("sweep_n8_d3.csv", ["sweep", "--n", "8", "--d", "3", "--trials", "20", "--seed", "0"]),
+    ("sweep_n10_d2.csv", ["sweep", "--n", "10", "--d", "2", "--trials", "20", "--seed", "0"]),
+)
+
 
 def main() -> int:
     reports = pathlib.Path(__file__).resolve().parent.parent / "reports"
     reports.mkdir(exist_ok=True)
 
-    rc = cli([
-        "verify-lemmas", "--max-edges", "7", "--trials", "50",
-        "--out", str(reports / "lemmas.json"),
-    ])
-    if rc != 0:
-        print("lemma suites FAILED; see reports/lemmas.json", file=sys.stderr)
-        return rc
-
-    for name, n, d in (("sweep_n8_d3.csv", "8", "3"), ("sweep_n10_d2.csv", "10", "2")):
-        rc = cli([
-            "sweep", "--n", n, "--d", d, "--trials", "20", "--seed", "0",
-            "--out", str(reports / name),
-        ])
+    for name, argv in REPORTS:
+        rc = cli([*argv, "--out", str(reports / name)])
         if rc != 0:
+            print(f"{argv[0]} FAILED; see reports/{name}", file=sys.stderr)
             return rc
 
     for p in sorted(reports.iterdir()):

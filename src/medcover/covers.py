@@ -110,7 +110,7 @@ def _require_triangle_free(g: Graph) -> None:
 
 
 def _touches(e: Edge, f: Edge) -> bool:
-    return bool(set(e) & set(f))
+    return e[0] in f or e[1] in f
 
 
 # ---------------------------------------------------------------------------
@@ -372,6 +372,12 @@ def cover_single_edge_clusters(
     endpoint its leftover neighbours lean on. Both ledgers give
     2|M_G| - (savings), which is at most 2k - 2*delta*k when the graph's
     matching number is at most k.
+
+    Case II keeps one live edge set: G_P and the edges touching M_P, less
+    every edge that touches an edge claimed into M_G by Procedures 1-3.
+    Each pass of Procedures 2 and 3 reads the live M_P edges and the live
+    unmatched singles from it. Nothing is claimed after Procedure 3, so
+    Procedure 4 reads its blue edges (live, not in M_P) from it once.
     """
     _require_triangle_free(g)
     single_set = set(singles)
@@ -403,47 +409,27 @@ def cover_single_edge_clusters(
 
     # --- Case II -----------------------------------------------------------
     mp_verts = {v for i in mp for v in edges[i]}
-    e_i = {
-        i
-        for i in range(g.num_edges)
-        if i not in single_set and (edges[i][0] in mp_verts or edges[i][1] in mp_verts)
-    }
-    live = single_set | e_i
-    g_prime_idx = [i for i in range(g.num_edges) if i not in live]
-    up = single_set - mp
-    mp_live = set(mp)
-
-    m_g: list[int] = []
-    vc_g: set[int] = set()
-    mg_verts: set[int] = set()
+    live = single_set | {i for i, (u, v) in enumerate(edges) if u in mp_verts or v in mp_verts}
+    far = [i for i in range(g.num_edges) if i not in live]
+    claimed: list[int] = []
 
     def claim(i: int) -> None:
         """Move edge i into M_G taking both endpoints, and prune the live graph."""
-        u, v = edges[i]
-        m_g.append(i)
-        mg_verts.update((u, v))
-        vc_g.update((u, v))
-        for j in list(live):
-            if u in edges[j] or v in edges[j]:
-                live.discard(j)
-                up.discard(j)
-                mp_live.discard(j)
+        live.difference_update([j for j in live if _touches(edges[i], edges[j])])
+        claimed.append(i)
 
     # Procedure 1: clear everything not touching M_P.
-    sub = Graph(g.num_vertices, tuple(edges[i] for i in g_prime_idx))
+    sub = Graph(g.num_vertices, tuple(edges[i] for i in far))
     for j in maximal_matching_greedy(sub).indices:
-        claim(g_prime_idx[j])
-    if mp_live != mp:
+        claim(far[j])
+    if not mp <= live:
         raise Stuck("far matching touched the singles matching")
 
     # Procedure 2: matched single edges leaning on two unmatched ones.
     while True:
+        unmatched = [edges[j] for j in live & single_set - mp]
         pick = next(
-            (
-                i
-                for i in sorted(mp_live)
-                if sum(_touches(edges[i], edges[j]) for j in up) >= 2
-            ),
+            (i for i in sorted(live & mp) if sum(_touches(edges[i], e) for e in unmatched) >= 2),
             None,
         )
         if pick is None:
@@ -452,9 +438,10 @@ def cover_single_edge_clusters(
 
     # Procedure 3: unmatched single edges leaning on two matched ones.
     while True:
+        matched = sorted(live & mp)
         pick = None
-        for j in sorted(up):
-            incident = [i for i in sorted(mp_live) if _touches(edges[i], edges[j])]
+        for j in sorted(live & single_set - mp):
+            incident = [i for i in matched if _touches(edges[i], edges[j])]
             if len(incident) >= 2:
                 pick = incident[0]
                 break
@@ -462,70 +449,53 @@ def cover_single_edge_clusters(
             break
         claim(pick)
 
-    # Procedure 4: plank edges hand their two fresh neighbours to M_G.
-    blue = lambda: (j for j in sorted(live) if j not in mp_live)  # noqa: E731
+    # Procedure 4: plank edges hand their two fresh neighbours to M_G. No
+    # live edge touches a claimed one, so a blue edge is fresh when it
+    # misses the T edges taken so far.
+    blue = [edges[j] for j in sorted(live - mp)]
+    t_verts: set[int] = set()
 
-    def fresh_neighbour(vertex: int) -> Optional[int]:
-        for j in blue():
-            e = edges[j]
-            if vertex in e and not (set(e) & mg_verts):
-                return j
-        return None
+    def fresh_neighbour(vertex: int) -> Optional[Edge]:
+        return next((e for e in blue if vertex in e and t_verts.isdisjoint(e)), None)
 
     m_y: list[int] = []
-    t_edges: list[int] = []
-    m_n = sorted(mp_live)
+    m_n = sorted(live & mp)
     while True:
         plank = None
         for i in m_n:
             u, v = edges[i]
             eu = fresh_neighbour(u)
-            ev = fresh_neighbour(v)
-            if eu is not None and ev is not None:
+            ev = eu and fresh_neighbour(v)
+            if ev:
                 plank = (i, eu, ev)
                 break
         if plank is None:
             break
         i, eu, ev = plank
-        if set(edges[eu]) & set(edges[ev]):
+        if set(eu) & set(ev):
             raise Stuck("plank neighbours share a vertex: triangle-free guarantee broken")
         m_y.append(i)
         m_n.remove(i)
-        for j in (eu, ev):
-            t_edges.append(j)
-            m_g.append(j)
-            mg_verts.update(edges[j])
-    m_g.extend(m_n)
-    mg_verts.update(v for i in m_n for v in edges[i])
+        t_verts.update(eu + ev)
+    size = len(claimed) + 2 * len(m_y) + len(m_n)  # |M_G|: claimed, T and M_N
 
+    cover = {v for i in claimed for v in edges[i]}
     if len(m_y) >= delta * k:
-        cover = set(vc_g)
-        for i in list(m_y) + m_n:
-            cover.update(edges[i])
+        cover.update(v for i in m_y + m_n for v in edges[i])
         subcase = "many_planks"
-        if len(cover) != 2 * len(m_g) - len(t_edges):
+        if len(cover) != 2 * size - 2 * len(m_y):  # |T| = 2|M_Y|
             raise Stuck(f"many-planks cover has {len(cover)} != 2|M_G| - |T| vertices")
     else:
-        cover = set(vc_g)
-        for j in t_edges:
-            cover.update(edges[j])
-        t_verts = {v for j in t_edges for v in edges[j]}
-        for i in m_n:
-            a, b = edges[i]
-            leaning_a = leaning_b = False
-            for j in blue():
-                e = edges[j]
-                if set(e) & t_verts:
-                    continue  # already covered
-                if a in e:
-                    leaning_a = True
-                if b in e:
-                    leaning_b = True
+        cover |= t_verts
+        loose = [e for e in blue if t_verts.isdisjoint(e)]
+        for a, b in (edges[i] for i in m_n):
+            leaning_a = any(a in e for e in loose)
+            leaning_b = any(b in e for e in loose)
             if leaning_a and leaning_b:
                 raise Stuck("plank edge escaped Procedure 4")
             cover.add(a if leaning_a else (b if leaning_b else min(a, b)))
         subcase = "few_planks"
-        if len(cover) != 2 * len(m_g) - len(m_n):
+        if len(cover) != 2 * size - len(m_n):
             raise Stuck(f"few-planks cover has {len(cover)} != 2|M_G| - |M_N| vertices")
 
     if not is_vertex_cover(g, cover):
@@ -534,7 +504,7 @@ def cover_single_edge_clusters(
         scope="full_graph",
         cover=frozenset(cover),
         bound_value=2 * k - 2 * delta * k,
-        matching_size=len(m_g),
+        matching_size=size,
         subcase=subcase,
     )
 

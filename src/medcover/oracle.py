@@ -131,7 +131,7 @@ def _centroid_table(points: Sequence[Sequence[float]]) -> tuple[np.ndarray, np.n
     """
     pts = np.asarray(points, dtype=float)
     n, dim = pts.shape
-    biggest = float(np.abs(pts).max()) if np.isfinite(pts).all() else math.inf
+    biggest = float(np.abs(pts).max())
     if (pts == np.floor(pts)).all() and n * n * dim * biggest * biggest < 2.0**53:
         ints = pts.astype(np.int64)
         sums = np.zeros((1 << n, dim), dtype=np.int64)

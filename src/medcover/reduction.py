@@ -52,13 +52,13 @@ class ClusteringInstance:
         for x in self.points:
             if len(x) != self.dimension:
                 raise ValueError("point dimension mismatch")
-            if not all(math.isfinite(v) for v in x):
+            if not all(map(math.isfinite, x)):
                 raise ValueError(f"point {x} has a non-finite coordinate")
         if self.candidate_centers is not None:
             for c in self.candidate_centers:
                 if len(c) != self.dimension:
                     raise ValueError("center dimension mismatch")
-                if not all(math.isfinite(v) for v in c):
+                if not all(map(math.isfinite, c)):
                     raise ValueError(f"center {c} has a non-finite coordinate")
 
 

@@ -17,9 +17,10 @@ These are the checks the package must pass before any release:
 7. the predicted cost gaps are monotone in the center budget and match
    ten frozen spot values;
 8. reports are byte-identical across repeated runs with the same seed, and
-   the two committed sweep reports regenerate byte for byte.
+   every committed report regenerates byte for byte.
 """
 
+import importlib.util
 import pathlib
 
 from medcover.cli import main
@@ -42,6 +43,7 @@ from medcover.suites import (
 CATALOGUE_EDGES = 7
 NONSTAR_GRAPHS = 69  # the 76-graph catalogue minus one star per size
 COMPLETENESS_TRIALS = 50
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def catalogue():
@@ -140,21 +142,18 @@ def test_criterion_8_reports_are_byte_identical(tmp_path, capsys):
         assert first == second, f"{tag} report changed between identical runs"
 
 
-def test_criterion_8_sweeps_reproduce_the_committed_reports(tmp_path, capsys):
-    reports = pathlib.Path(__file__).resolve().parent.parent / "reports"
-    for name, n, d in (("sweep_n10_d2.csv", "10", "2"), ("sweep_n8_d3.csv", "8", "3")):
+def test_criterion_8_every_committed_report_reproduces(tmp_path, capsys):
+    # the script that writes reports/ holds the one (file name, argv) table
+    spec = importlib.util.spec_from_file_location(
+        "run_acceptance_sweep", ROOT / "scripts" / "run_acceptance_sweep.py"
+    )
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    names = [name for name, _argv in script.REPORTS]
+    assert sorted(names) == sorted(p.name for p in (ROOT / "reports").iterdir())
+    for name, argv in script.REPORTS:
         out = tmp_path / name
-        code = main(["sweep", "--n", n, "--d", d, "--trials", "20", "--seed", "0",
-                     "--out", str(out)])
+        code = main([*argv, "--out", str(out)])
         capsys.readouterr()
-        assert code == 0
-        assert out.read_bytes() == (reports / name).read_bytes(), name
-
-
-def test_criterion_8_lemmas_reproduce_the_committed_report(tmp_path, capsys):
-    reports = pathlib.Path(__file__).resolve().parent.parent / "reports"
-    out = tmp_path / "lemmas.json"
-    code = main(["verify-lemmas", "--max-edges", "7", "--trials", "50", "--out", str(out)])
-    capsys.readouterr()
-    assert code == 0
-    assert out.read_bytes() == (reports / "lemmas.json").read_bytes()
+        assert code == 0, name
+        assert out.read_bytes() == (ROOT / "reports" / name).read_bytes(), name

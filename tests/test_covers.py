@@ -5,6 +5,7 @@ Frozen covers below were cross-checked against the exact vertex-cover oracle;
 the case constants in bound_kind name which construction fired.
 """
 
+import hashlib
 import math
 import random
 from collections import Counter
@@ -363,6 +364,42 @@ def test_single_edges_random_battery():
                 if u not in vc_prime and v not in vc_prime:
                     assert u in out.cover or v in out.cover
     assert scopes == {"singles_only", "full_graph"}
+
+
+def test_single_edge_outcomes_are_pinned():
+    # the random battery's generator on seeds 0-299 with 5-12 vertices,
+    # degree 1-4 and 80% of the edges kept, each case solved at k = 1, tau
+    # and 50 and delta = 0, 0.01 and 0.5; the digest was generated by the
+    # procedures that kept the unmatched singles, the live M_P edges and the
+    # claimed endpoints as three sets beside the live one
+    records = []
+    for seed in range(300):
+        rng = random.Random(seed)
+        n, degree = rng.randint(5, 12), rng.randint(1, 4)
+        edges = [e for e in random_triangle_free(n, degree, seed=seed).edges if rng.random() < 0.8]
+        if len(edges) < 2:
+            continue
+        g = graph_from_edges(edges)
+        m = g.num_edges
+        sampled = set(rng.sample(range(m), rng.randint(1, max(1, m // 2))))
+        rest = graph_from_edges([g.edges[i] for i in range(m) if i not in sampled]) \
+            if len(sampled) < m else None
+        vc_prime = min_vertex_cover(rest) if rest is not None else set()
+        singles = [i for i in sorted(sampled) if not set(g.edges[i]) & set(vc_prime)]
+        if not singles:
+            continue
+        for k in (1, len(min_vertex_cover(g)), 50):
+            for delta in (0.0, 0.01, 0.5):
+                out = cover_single_edge_clusters(g, singles, vc_prime, k=k, delta=delta)
+                records.append(
+                    f"{out.scope} {sorted(out.cover)} {out.bound_value.hex()} "
+                    f"{out.matching_size} {out.subcase}"
+                )
+    assert len(records) == 2070
+    counts = Counter(r.split()[-1] for r in records)
+    assert counts == {"None": 938, "many_planks": 710, "few_planks": 422}
+    digest = hashlib.sha256("\n".join(records).encode()).hexdigest()
+    assert digest == "7e60a8160eadb214ec9b6d98d26759d3ad12d2ee36ad01132eb2b7774312ca53"
 
 
 # ---------------------------------------------------------------------------
