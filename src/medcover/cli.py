@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import sys
@@ -45,7 +46,6 @@ from .oracle import (
     min_vertex_cover,
     opt_continuous,
     opt_discrete,
-    oracle_report_to_dict,
     random_triangle_free,
 )
 from .reduction import (
@@ -253,7 +253,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
             raise MedcoverError("--k is required when the input is an edge list")
         g = parse_edge_list(text)
         rep = opt_continuous(reduce_graph(g, k=args.k, objective=args.objective))
-    _emit(_json(oracle_report_to_dict(rep)), args.out)
+    _emit(_json(dataclasses.asdict(rep)), args.out)
     return 0
 
 

@@ -161,21 +161,15 @@ def _require_maximum(g: Graph, m: Matching) -> None:
         raise PreconditionViolated("m is not a maximum matching")
 
 
-def _validate_matchings(g: Graph, m: Matching, l: Matching) -> None:
-    _require_maximum(g, m)
-    require_matching_of(g, l)
-    if set(m.indices) & set(l.indices):
-        raise PreconditionViolated("m and l share edges")
-    if len(second_maximum_matching(g, m)) != len(l):
-        raise PreconditionViolated("l is not a second maximum matching")
-
-
-def cover_general(g: Graph, m: Matching, l: Matching, extra: float) -> CoverResult:
+def cover_general(g: Graph, extra: float) -> CoverResult:
     """Cover of size at most |M| + |L| - 1, recorded against ``extra``, the
-    cluster's median extra cost; the construction is ``_general_cover``'s.
-    M must be a maximum matching of g and L a maximum matching of g minus
-    M's edges, else ``PreconditionViolated``."""
-    _validate_matchings(g, m, l)
+    cluster's median extra cost; the construction is ``_general_cover``'s on
+    M, g's maximum matching, and L, the maximum matching of g minus M's
+    edges, found as ``cover_case_dispatch`` finds them. A graph with a
+    triangle, a star, or a graph whose L is empty raises
+    ``PreconditionViolated``."""
+    m = maximum_matching(g)
+    l = second_maximum_matching(g, m)
     cover = _general_cover(g, m, l)
     return CoverResult(
         cover=frozenset(cover),
@@ -188,7 +182,7 @@ def cover_general(g: Graph, m: Matching, l: Matching, extra: float) -> CoverResu
 
 def _general_cover(g: Graph, m: Matching, l: Matching) -> set[int]:
     """Cover of size at most |M| + |L| - 1, for a maximum matching M and a
-    second maximum matching L that the caller has computed or validated.
+    second maximum matching L that the caller has computed.
 
     Take both endpoints of every L-edge but the last, delete what they cover,
     and look at the residue: its non-M edges must form a star (else L was not
@@ -261,9 +255,8 @@ def _cover_via_bridge_residual(g: Graph, m: Matching, f_prime: Graph) -> set[int
     if e_star is None or u is None:
         raise Stuck("bridge edge not incident on the maximum matching")
     g_rest = Graph(g.num_vertices, tuple(e for e in g.edges if u not in e))
-    rest_m_edges = [e for e in m.edges if e != e_star]
-    idx = {e: i for i, e in enumerate(g_rest.edges)}
-    m_rest = Matching(tuple(sorted(idx[e] for e in rest_m_edges)), tuple(sorted(rest_m_edges, key=lambda e: idx[e])))
+    rest = [(i, e) for i, e in enumerate(g_rest.edges) if e in m.edges]  # M less e_star
+    m_rest = Matching(tuple(i for i, _ in rest), tuple(e for _, e in rest))
     l_rest = second_maximum_matching(g_rest, m_rest)
     if len(l_rest) != 1:
         raise Stuck("bridge-case residue should have second matching of size one")
@@ -329,10 +322,8 @@ def cover_case_dispatch(g: Graph, extra: float) -> CoverResult:
     f_pp = remove_edges(g, ml_edges)
     if f_pp.num_edges == 0:
         return result(konig_cover(g), 1.6, len(m))
-    if is_star(f_pp):
-        c = common_vertex(f_pp.edges)
-        if c is None:
-            raise Stuck("star residue has no common vertex")
+    c = common_vertex(f_pp.edges)
+    if c is not None:
         survivors = Graph(g.num_vertices, tuple(e for e in ml_edges if c not in e))
         return result({c} | konig_cover(survivors), 1.68, len(m) + 1)
     bridge = bridge_structure(f_pp)
@@ -378,9 +369,15 @@ def cover_single_edge_clusters(
     Each pass of Procedures 2 and 3 reads the live M_P edges and the live
     unmatched singles from it. Nothing is claimed after Procedure 3, so
     Procedure 4 reads its blue edges (live, not in M_P) from it once.
+
+    A single that is not an edge index of g, a covered single, or an
+    uncovered edge outside the singles raises ``PreconditionViolated``.
     """
     _require_triangle_free(g)
     single_set = set(singles)
+    outside = sorted(single_set.difference(range(g.num_edges)))
+    if outside:
+        raise PreconditionViolated(f"single-edge clusters {outside} are not edges of the graph")
     vcp = set(vc_prime)
     for i, e in enumerate(g.edges):
         covered = e[0] in vcp or e[1] in vcp
@@ -637,11 +634,9 @@ def soundness_assemble(
             t1 += 1
             singles.append(block[0])
             continue
-        if is_star(sub):
+        center = common_vertex(sub.edges)
+        if center is not None:
             t2 += 1
-            center = common_vertex(sub.edges)
-            if center is None:
-                raise Stuck(f"star cluster {block} has no common vertex")
             vc_prime.add(center)
             per_cluster.append(
                 CoverResult(frozenset({center}), 1, "star_center", 1.0, 0.0)

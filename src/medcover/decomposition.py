@@ -27,9 +27,10 @@ from .graphs import (
     Edge,
     Graph,
     GraphClass,
+    bridge_from_masks,
     bridge_structure,
     classify,
-    common_vertex,
+    is_star,
     is_triangle_free,
     neighbour_masks,
     remove_edges,
@@ -68,10 +69,6 @@ def _check_mode(mode: str) -> None:
         raise ValueError(f"mode must be one of {MODES}")
 
 
-def _is_nonstar(g: Graph) -> bool:
-    return g.num_edges >= 2 and common_vertex(g.edges) is None
-
-
 def find_safe_pair(g: Graph, mode: str) -> tuple[Edge, Edge] | None:
     """Lexicographically first vertex-disjoint edge pair whose removal leaves
     a non-star graph (mode "safe") or a non-star non-bridge graph
@@ -81,11 +78,12 @@ def find_safe_pair(g: Graph, mode: str) -> tuple[Edge, Edge] | None:
     A pair is tested on degrees, without building the remainder: with m
     edges, the remainder is a non-star iff m >= 4 and no vertex keeps all
     m - 2 remaining edges, and only a vertex of degree m - 2 or more can.
-    The ultra mode's bridge test is ``bridge_structure``'s, run on the
-    degrees and neighbour masks less e and f (``_leaves_bridge``).
+    The ultra mode's bridge test is ``bridge_from_masks`` on the neighbour
+    masks with e's and f's ends cut from each other, over the candidate
+    bridges other than e and f.
     """
     _check_mode(mode)
-    if not _is_nonstar(g):
+    if is_star(g) or g.num_edges < 2:
         raise PreconditionViolated("safe pairs are defined on non-star graphs")
     if mode == "ultra_safe" and bridge_structure(g) is not None:
         raise PreconditionViolated("ultra_safe mode requires a non-bridge graph")
@@ -107,33 +105,13 @@ def find_safe_pair(g: Graph, mode: str) -> tuple[Edge, Edge] | None:
                 continue
             if any(deg[v] - (v in e) - (v in f) == m - 2 for v in hubs):
                 continue
-            if mode == "ultra_safe" and _leaves_bridge(deg, nbrs, bridges, m - 2, e, f):
-                continue
+            if mode == "ultra_safe":
+                cut = {e[0]: 1 << e[1], e[1]: 1 << e[0], f[0]: 1 << f[1], f[1]: 1 << f[0]}
+                rest = [b for b in bridges if b != e and b != f]
+                if bridge_from_masks(nbrs, rest, m - 2, cut) is not None:
+                    continue
             return (e, f)
     return None
-
-
-def _leaves_bridge(
-    deg: list[int], nbrs: list[int], bridges: list[Edge], rest: int, e: Edge, f: Edge
-) -> bool:
-    """Whether removing the disjoint edges e and f leaves a bridge graph of
-    ``rest`` edges: ``bridge_structure`` of the remainder is not None. A
-    candidate bridge (s, t) from ``bridges`` other than e and f must carry
-    every remaining edge, deg'(s) + deg'(t) - 1 = rest, and its leaf sets,
-    the neighbour masks of s and t less e's and f's other ends and less each
-    other, must both be non-empty and disjoint."""
-    cut = {e[0]: 1 << e[1], e[1]: 1 << e[0], f[0]: 1 << f[1], f[1]: 1 << f[0]}
-    for b in bridges:
-        if b == e or b == f:
-            continue
-        s, t = b
-        if deg[s] - (s in cut) + deg[t] - (t in cut) - 1 != rest:
-            continue
-        left = nbrs[s] & ~cut.get(s, 0) & ~(1 << t)
-        right = nbrs[t] & ~cut.get(t, 0) & ~(1 << s)
-        if left and right and not left & right:
-            return True
-    return False
 
 
 def decompose(g: Graph, mode: str) -> DecompositionTrace:

@@ -354,15 +354,29 @@ def bridge_structure(g: Graph) -> Optional[tuple[Edge, int, int]]:
     left = N(s) - {t} and right = N(t) - {s} are both non-empty, and they are
     disjoint (a shared leaf closes a triangle with b). No edge but b touches
     both s and t, so s and t carry |left| + |right| + 1 edges, and every edge
-    touches one of them iff that count is m. On ``neighbour_masks`` each
-    candidate is a few integer operations: O(m) in all, not O(m^2).
+    touches one of them iff that count is m. The test is
+    ``bridge_from_masks`` with nothing cut: a few integer operations per
+    candidate, O(m) in all, not O(m^2).
     """
-    m = g.num_edges
-    nbrs = neighbour_masks(g)
-    for b in g.edges:
+    return bridge_from_masks(neighbour_masks(g), g.edges, g.num_edges, {})
+
+
+def bridge_from_masks(
+    nbrs: list[int], candidates: Iterable[Edge], m: int, cut: dict[int, int]
+) -> Optional[tuple[Edge, int, int]]:
+    """``bridge_structure`` of the m-edge graph whose neighbour masks are
+    ``nbrs`` less ``cut`` (vertex -> bits to clear), tried over
+    ``candidates``, which must be edges of that graph, in the order given.
+
+    A candidate (s, t) is the bridge iff its leaf masks, s's and t's masks
+    less the cut bits and less each other, are both non-empty and disjoint
+    and p + q + 1 = m. A caller can test the graph left by removing edges
+    without building it, by cutting each removed edge's ends from each
+    other's masks."""
+    for b in candidates:
         s, t = b
-        left = nbrs[s] & ~(1 << t)
-        right = nbrs[t] & ~(1 << s)
+        left = nbrs[s] & ~cut.get(s, 0) & ~(1 << t)
+        right = nbrs[t] & ~cut.get(t, 0) & ~(1 << s)
         if left and right and not left & right:
             p, q = left.bit_count(), right.bit_count()
             if p + q + 1 == m:

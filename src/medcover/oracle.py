@@ -864,12 +864,3 @@ def random_triangle_free(n: int, target_degree: int, seed: int) -> Graph:
     if not is_triangle_free(g):
         raise Stuck(f"rejection sampler kept a triangle (seed {seed})")
     return g
-
-
-def oracle_report_to_dict(report: OracleReport) -> dict:
-    return {
-        "optimal_cost": report.optimal_cost,
-        "partition": [list(b) for b in report.partition],
-        "centers": [list(c) for c in report.centers],
-        "method": report.method,
-    }

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence
 
 from .errors import EmptyGraph
@@ -204,18 +204,6 @@ def parse_hyperedges(text: str, d: Optional[int] = None, k: int = 1) -> Hypergra
     return HypergraphInstance(d, num_vertices, tuple(hyperedges), k)
 
 
-def instance_to_dict(inst: ClusteringInstance) -> dict:
-    return {
-        "dimension": inst.dimension,
-        "k": inst.k,
-        "objective": inst.objective,
-        "points": [list(x) for x in inst.points],
-        "candidate_centers": (
-            None if inst.candidate_centers is None else [list(c) for c in inst.candidate_centers]
-        ),
-    }
-
-
 def _vectors(rows: object, name: str) -> tuple[Vector, ...]:
     """A JSON list of lists of numbers as float tuples; any other shape, or
     a number too large for a float, raises ``ValueError``."""
@@ -247,7 +235,7 @@ def instance_from_dict(obj: dict) -> ClusteringInstance:
 
 
 def instance_to_json(inst: ClusteringInstance) -> str:
-    return json.dumps(instance_to_dict(inst), sort_keys=True, indent=2) + "\n"
+    return json.dumps(asdict(inst), sort_keys=True, indent=2) + "\n"
 
 
 def instance_from_json(text: str) -> ClusteringInstance:

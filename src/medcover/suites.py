@@ -271,7 +271,7 @@ def suite_covers(max_edges: int) -> dict:
         l = second_maximum_matching(g, m)
         if len(l) >= 1:
             try:
-                res = cover_general(g, m, l, extra)
+                res = cover_general(g, extra)
                 check(is_vertex_cover(g, res.cover), "general non-cover on {}", g.edges)
                 check(res.size <= len(m) + len(l) - 1,
                       "general size bound fails on {}: {}", g.edges, res.size)

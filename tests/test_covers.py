@@ -25,16 +25,17 @@ from medcover.covers import (
     cover_single_edge_clusters,
     soundness_assemble,
 )
-from medcover.errors import InvalidPartition, PreconditionViolated, Stuck
+from medcover.errors import InvalidPartition, MedcoverError, PreconditionViolated, Stuck
 from medcover.graphs import (
     Graph,
     Matching,
     graph_from_edges,
+    is_star,
     is_vertex_cover,
     maximum_matching,
     second_maximum_matching,
 )
-from medcover.oracle import min_vertex_cover, random_triangle_free
+from medcover.oracle import enumerate_triangle_free, min_vertex_cover, random_triangle_free
 
 C5 = [(0, 1), (0, 4), (1, 2), (2, 3), (3, 4)]
 P4 = [(0, 1), (1, 2), (2, 3)]
@@ -90,38 +91,9 @@ def test_general_construction_bound_and_validity():
     g = graph_from_edges([(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 4)])
     m = maximum_matching(g)
     l = second_maximum_matching(g, m)
-    r = cover_general(g, m, l, median_extra(g))
+    r = cover_general(g, median_extra(g))
     assert is_vertex_cover(g, r.cover)
     assert r.size <= len(m) + len(l) - 1
-
-
-GENERAL = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 4)]  # M 0,2,4; L 1,3,5
-
-
-@pytest.mark.parametrize("m_idx, l_idx, message", [
-    ((0, 2), (1, 3, 5), "m is not a maximum matching"),
-    ((0, 2, 4), (1, 3), "l is not a second maximum matching"),
-    ((0, 2, 4), (0, 3, 5), "m and l share edges"),
-])
-def test_general_construction_rejects_matchings_it_is_not_given_right(m_idx, l_idx, message):
-    g = graph_from_edges(GENERAL)
-    m, l = (Matching(idx, tuple(g.edges[i] for i in idx)) for idx in (m_idx, l_idx))
-    with pytest.raises(PreconditionViolated, match=message):
-        cover_general(g, m, l, median_extra(g))
-
-
-@pytest.mark.parametrize("m_idx, l_idx", [
-    ((0, 2, 11), (1, 3, 5)),  # past the end
-    ((0, 2, -3), (1, 3, 5)),  # g.edges[-3] is M's edge 4
-    ((0, 2, 4), (1, 3, 12)),
-    ((0, 2, 4), (1, 3, -2)),  # g.edges[-2] is L's edge 5
-], ids=["m-past-the-end", "m-negative", "l-past-the-end", "l-negative"])
-def test_general_construction_rejects_an_index_outside_the_graph(m_idx, l_idx):
-    g = graph_from_edges(GENERAL)
-    m = Matching(m_idx, ((0, 1), (2, 3), (4, 5)))
-    l = Matching(l_idx, ((1, 2), (3, 4), (5, 6)))
-    with pytest.raises(PreconditionViolated, match="does not belong to this graph"):
-        cover_general(g, m, l, median_extra(g))
 
 
 @pytest.mark.parametrize("edges, kind", [
@@ -187,7 +159,7 @@ def test_constructions_charge_the_extra_cost_they_are_given():
     g = graph_from_edges([(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 4)])
     m = maximum_matching(g)
     l = second_maximum_matching(g, m)
-    r = cover_general(g, m, l, extra)
+    r = cover_general(g, extra)
     assert (r.delta_used, r.bound_value) == (extra, float(len(m) + len(l) - 1))
     r = cover_case_dispatch(graph_from_edges([(0, 1), (2, 3), (4, 5)]), extra)
     assert (r.delta_used, r.bound_value) == (extra, 0.551 + SQRT2P1 * extra)
@@ -330,6 +302,12 @@ def test_single_edges_rejects_uncovered_nonsingles():
     g = graph_from_edges([(0, 1), (1, 2), (2, 3)])
     with pytest.raises(PreconditionViolated):
         cover_single_edge_clusters(g, singles=[0], vc_prime=[], k=5, delta=0.01)
+    # a single that is not an edge index: past the end, or negative (-1
+    # would alias edge 1)
+    g = graph_from_edges([(0, 1), (2, 3)])
+    for singles in ([0, 1, 7], [0, 1, -1]):
+        with pytest.raises(PreconditionViolated, match="not edges of the graph"):
+            cover_single_edge_clusters(g, singles=singles, vc_prime=[], k=5, delta=0.01)
 
 
 def test_single_edges_random_battery():
@@ -400,6 +378,33 @@ def test_single_edge_outcomes_are_pinned():
     assert counts == {"None": 938, "many_planks": 710, "few_planks": 422}
     digest = hashlib.sha256("\n".join(records).encode()).hexdigest()
     assert digest == "7e60a8160eadb214ec9b6d98d26759d3ad12d2ee36ad01132eb2b7774312ca53"
+
+
+def test_construction_outcomes_are_pinned():
+    # the four per-cluster constructions on the 444 non-star triangle-free
+    # graphs up to 8 edges, connected or not, each charged its median extra
+    # cost: each outcome's sorted cover, bound kind and the reprs of its
+    # bound and charged delta, or the type and text of what it raised; the
+    # digest was generated when cover_general was handed its matchings
+    nonstars = [g for g in enumerate_triangle_free(8, include_disconnected=True) if not is_star(g)]
+    assert len(nonstars) == 444
+    constructions = (
+        cover_matching_two, cover_general, cover_case_dispatch,
+        lambda g, extra: cover_nonstar_means(g),
+    )
+    records = []
+    for g in nonstars:
+        extra = median_extra(g)
+        for build in constructions:
+            try:
+                r = build(g, extra)
+                records.append(f"{sorted(r.cover)} {r.bound_kind} {r.bound_value!r} {r.delta_used!r}")
+            except MedcoverError as ex:
+                records.append(f"{type(ex).__name__}: {ex}")
+    assert len(records) == 1776
+    assert sum(r.startswith("PreconditionViolated") for r in records) == 451
+    digest = hashlib.sha256("\n".join(records).encode()).hexdigest()
+    assert digest == "725b8191d0f2031a8e578254de06422e698be8503df9c8c50e45730ddab5a14f"
 
 
 # ---------------------------------------------------------------------------
@@ -569,16 +574,6 @@ def test_stuck_when_a_dispatch_case_exceeds_its_ceiling(monkeypatch):
         cover_case_dispatch(g, median_extra(g))
 
 
-def test_stuck_when_the_star_residue_has_no_center(monkeypatch):
-    # |L| = 3 and the residue after both matchings is a star
-    g = graph_from_edges([(0, 1), (0, 2), (0, 5), (1, 3), (1, 6), (2, 4), (3, 4)])
-    extra = median_extra(g)
-    assert cover_case_dispatch(g, extra).bound_kind == "1.68+(sqrt2+1)delta"
-    monkeypatch.setattr(covers, "common_vertex", _always(None))
-    with pytest.raises(Stuck, match="star residue"):
-        cover_case_dispatch(g, extra)
-
-
 def test_stuck_when_the_singles_matching_misses_a_single(monkeypatch):
     g = graph_from_edges([(0, 1)])
     monkeypatch.setattr(covers, "maximal_matching_greedy", _always(Matching((), ())))
@@ -625,8 +620,3 @@ def test_stuck_when_the_means_cover_exceeds_its_bound(monkeypatch, edges, bound)
     with pytest.raises(Stuck, match=bound):
         cover_nonstar_means(graph_from_edges(edges))
 
-
-def test_stuck_when_a_star_cluster_has_no_center(monkeypatch):
-    monkeypatch.setattr(covers, "common_vertex", _always(None))
-    with pytest.raises(Stuck, match="no common vertex"):
-        soundness_assemble(graph_from_edges([(0, 1), (0, 2)]), [[0, 1]], k=1)

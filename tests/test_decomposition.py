@@ -21,6 +21,7 @@ from medcover.errors import PreconditionViolated, Stuck
 from medcover.graphs import (
     ClassTag,
     GraphClass,
+    bridge_from_masks,
     bridge_structure,
     classify,
     graph_from_edges,
@@ -155,8 +156,10 @@ def test_leaves_bridge_agrees_with_the_built_remainder():
             if set(e) & set(f):
                 continue
             want = bridge_structure(remove_edges(g, (e, f))) is not None
+            cut = {e[0]: 1 << e[1], e[1]: 1 << e[0], f[0]: 1 << f[1], f[1]: 1 << f[0]}
             for candidates in (list(g.edges), [b for b in g.edges if deg[b[0]] + deg[b[1]] >= m - 1]):
-                assert decomposition._leaves_bridge(deg, nbrs, candidates, m - 2, e, f) == want
+                rest = [b for b in candidates if b != e and b != f]
+                assert (bridge_from_masks(nbrs, rest, m - 2, cut) is not None) == want
             checked += 1
             bridges += want
     assert checked > 8000 and bridges > 300
