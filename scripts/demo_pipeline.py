@@ -44,7 +44,7 @@ def main() -> int:
     print(f"cluster profile: singles={cover_rep.t1} stars={cover_rep.t2} "
           f"nu2={cover_rep.t3} nu3+={cover_rep.t4}")
     print(f"size ceiling {cover_rep.predicted_ceiling:.4f} -> epsilon "
-          f"{cover_rep.epsilon_delta[0]:.4f}")
+          f"{cover_rep.epsilon:.4f}")
 
     cert = certify_lower_bound(g, "safe")
     print(f"\n1-cluster lower bound (safe mode): {cert.bound:.6f}")

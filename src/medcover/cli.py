@@ -78,16 +78,18 @@ def _emit(text: str, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _json(obj: object) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
-
-
-def _num(x: object) -> object:
-    """JSON-friendly number: exact rationals become their float value (the
-    exact string is carried separately where it matters)."""
+def _jsonable(x: object) -> object:
+    """A frozenset as its sorted list; an exact rational as its float value
+    (the exact string is carried separately where it matters)."""
+    if isinstance(x, frozenset):
+        return sorted(x)
     if isinstance(x, Fraction):
         return float(x)
-    return x
+    raise TypeError(f"{type(x).__name__} is not JSON serializable")
+
+
+def _json(obj: object) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True, default=_jsonable) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -186,32 +188,6 @@ def _pad_blocks(blocks: list[list[int]], want: int) -> list[list[int]]:
     return blocks
 
 
-def _report_payload(rep: SoundnessReport) -> dict:
-    return {
-        "t1": rep.t1,
-        "t2": rep.t2,
-        "t3": rep.t3,
-        "t4": rep.t4,
-        "total_cover_size": rep.total_cover_size,
-        "cover": sorted(rep.cover),
-        "procedures_path": rep.procedures_path,
-        "epsilon": rep.epsilon_delta[0],
-        "delta": rep.epsilon_delta[1],
-        "beta": rep.beta,
-        "predicted_ceiling": rep.predicted_ceiling,
-        "per_cluster": [
-            {
-                "cover": sorted(c.cover),
-                "size": c.size,
-                "bound_kind": c.bound_kind,
-                "bound_value": _num(c.bound_value),
-                "delta_used": _num(c.delta_used),
-            }
-            for c in rep.per_cluster
-        ],
-    }
-
-
 def _round_trip(
     g: Graph, k: int, blocks_needed: int, args: argparse.Namespace
 ) -> tuple[OracleReport, SoundnessReport]:
@@ -236,7 +212,7 @@ def cmd_cover(args: argparse.Namespace) -> int:
             f"ceil(beta*k) = {blocks_needed} blocks exceed the {g.num_edges} edges"
         )
     oracle, rep = _round_trip(g, args.k, blocks_needed, args)
-    payload = _report_payload(rep)
+    payload = dataclasses.asdict(rep)
     payload["oracle_cost"] = oracle.optimal_cost
     payload["min_vertex_cover"] = len(min_vertex_cover(g))
     _emit(_json(payload), args.out)

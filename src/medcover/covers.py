@@ -88,8 +88,8 @@ class SoundnessReport:
     t1/t2 count single-edge and larger star clusters; t3/t4 count non-star
     clusters with matching number exactly two / at least three. The
     ``predicted_ceiling`` is the category-weighted bound for the supplied
-    (delta, beta); epsilon_delta reports (2 - ceiling/k, delta), i.e. the
-    soundness slack this clustering actually certifies."""
+    (delta, beta); ``epsilon`` = 2 - ceiling/k is the soundness slack this
+    clustering actually certifies at that ``delta``."""
 
     t1: int
     t2: int
@@ -98,7 +98,8 @@ class SoundnessReport:
     total_cover_size: int
     per_cluster: tuple[CoverResult, ...]
     procedures_path: str
-    epsilon_delta: tuple[float, float]
+    epsilon: float
+    delta: float
     beta: float
     cover: frozenset[int]
     predicted_ceiling: float
@@ -694,7 +695,6 @@ def soundness_assemble(
         )
     else:
         ceiling = beta * k + 2.5 * float(delta_sum)
-    epsilon = 2.0 - ceiling / k
     return SoundnessReport(
         t1=t1,
         t2=t2,
@@ -703,7 +703,8 @@ def soundness_assemble(
         total_cover_size=len(pruned),
         per_cluster=tuple(per_cluster),
         procedures_path=procedures_path,
-        epsilon_delta=(epsilon, delta),
+        epsilon=2.0 - ceiling / k,
+        delta=delta,
         beta=beta,
         cover=frozenset(pruned),
         predicted_ceiling=ceiling,

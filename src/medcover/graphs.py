@@ -39,6 +39,8 @@ class Graph:
     edges: tuple[Edge, ...]
 
     def __post_init__(self) -> None:
+        if self.num_vertices < 0:
+            raise ValueError(f"negative vertex count {self.num_vertices}")
         seen: set[Edge] = set()
         for u, v in self.edges:
             if not (0 <= u < v < self.num_vertices):
@@ -117,13 +119,15 @@ def parse_edge_list(text: str) -> Graph:
             if len(parts) != 2:
                 raise ValueError(f"line {lineno}: malformed header {raw!r}")
             num_vertices = int(parts[1])
+            if num_vertices < 0:
+                raise ValueError(f"line {lineno}: negative vertex count {raw!r}")
             continue
         if len(parts) != 2:
             raise ValueError(f"line {lineno}: expected 'u v', got {raw!r}")
         edges.append(_normalize_edge(int(parts[0]), int(parts[1])))
     if num_vertices is None:
         num_vertices = 1 + max((v for e in edges for v in e), default=-1)
-    return Graph(max(num_vertices, 0), tuple(edges))
+    return Graph(num_vertices, tuple(edges))
 
 
 def format_edge_list(g: Graph) -> str:

@@ -22,11 +22,11 @@ result is the same, bit for bit, as a
 Python loop over dicts that resolves ties first-wins within 1e-15: every
 mask takes the first candidate, in that loop's order, of its cheapest ones,
 and the few masks with two candidates closer than a 1e-14 window replay the
-loop exactly. One module-level slot holds the last instance's tables and DP
-layers, keyed on (objective, exact point tuples): asking for the same
-points at another k reuses the tables and extends the layers, a new key
-drops the slot before its own tables are built, and a build that raises
-leaves the slot empty. The discrete oracle walks its center subsets as a
+loop exactly. The last instance's tables (``_tables``) and its DP layers
+(``_layer``) are kept read-only in ``functools.lru_cache``, keyed on
+(objective, exact point tuples): asking for the same points at another k
+reuses the tables and the layers built so far, and a build that raises
+is not kept. The discrete oracle walks its center subsets as a
 combination tree in slices of at most ``DISCRETE_CHUNK``: a child extends
 its prefix's nearest-center distances by one ``np.minimum``, and each
 subset's cost takes the same float additions, in the same order, as a
@@ -60,7 +60,6 @@ import functools
 import itertools
 import math
 import random
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Optional, Sequence
@@ -273,60 +272,40 @@ def _extend(
     return best, choice
 
 
-@dataclass
-class _Solved:
-    """One instance's tables and the DP layers built on them so far.
-
-    ``best[j][mask]`` is the cheapest way to serve the points of ``mask``
-    with j blocks (``inf`` where the DP does not reach ``mask`` with j
-    blocks) and ``choice[j][mask]`` the last of those blocks, the one that
-    attains it.
-    """
-
-    key: tuple
-    block_cost: np.ndarray
-    center_table: np.ndarray
-    best: list[np.ndarray]
-    choice: list[np.ndarray]
-
-
-_last: Optional[_Solved] = None  # the slot ``opt_continuous`` reuses
-_last_lock = threading.Lock()
+@functools.lru_cache(maxsize=1)
+def _tables(objective: str, points: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Each point subset's block cost and center, indexed by bitmask (row 0
+    is unused), read-only: batched Weiszfeld for median, exact centroid sums
+    for means. A cost that overflows or is not finite raises ``DomainError``."""
+    try:
+        if objective == "median":
+            cost_table, center_table = weiszfeld_subsets(points)
+        else:
+            cost_table, center_table = _centroid_table(points)
+    except OverflowError:  # an exact cost too large for a float
+        raise DomainError("a block cost overflows float") from None
+    if not np.isfinite(cost_table[1:]).all():
+        raise DomainError("a block cost is not finite")
+    cost_table.flags.writeable = center_table.flags.writeable = False
+    return cost_table, center_table
 
 
-def _solved_up_to(inst: ClusteringInstance, kmax: int) -> _Solved:
-    """The slot for ``inst``, built if its key is new, with DP layers 0..kmax.
-
-    Layers are only appended, each one whole, so the layers and choices a
-    caller reads after the lock is released never change under it.
-    """
-    global _last
-    n = len(inst.points)
-    # -0.0 == 0.0 in the key; weiszfeld_subsets and _centroid_table give the same rows for either
-    key = (inst.objective, tuple(map(tuple, inst.points)))
-    with _last_lock:
-        solved = _last
-        if solved is None or solved.key != key:
-            _last = solved = None  # free the old tables before building new ones
-            try:
-                if inst.objective == "median":
-                    cost_table, center_table = weiszfeld_subsets(inst.points)
-                else:
-                    cost_table, center_table = _centroid_table(inst.points)
-            except OverflowError:  # an exact cost too large for a float
-                raise DomainError("a block cost overflows float") from None
-            if not np.isfinite(cost_table[1:]).all():
-                raise DomainError("a block cost is not finite")
-            empty = np.full(1 << n, math.inf)  # layer 0: only the empty mask, with no block
-            empty[0] = 0.0
-            solved = _last = _Solved(
-                key, cost_table, center_table, [empty], [np.zeros(1 << n, dtype=np.uint8)]
-            )
-        for j in range(len(solved.best), kmax + 1):
-            best, choice = _extend(n, j, solved.best[-1], solved.block_cost)
-            solved.choice.append(choice)
-            solved.best.append(best)
-        return solved
+@functools.lru_cache(maxsize=MAX_CONTINUOUS_POINTS + 1)
+def _layer(objective: str, points: tuple, j: int) -> tuple[np.ndarray, np.ndarray]:
+    """DP layer j on ``_tables``, read-only: ``best[mask]`` is the cheapest
+    way to serve the points of ``mask`` with j blocks (``inf`` where the DP
+    does not reach ``mask`` with j blocks) and ``choice[mask]`` the last of
+    those blocks, the one that attains it. Layer 0 holds only the empty mask."""
+    n = len(points)
+    if j == 0:
+        best = np.full(1 << n, math.inf)
+        best[0] = 0.0
+        choice = np.zeros(1 << n, dtype=np.uint8)
+    else:
+        prev = _layer(objective, points, j - 1)[0]
+        best, choice = _extend(n, j, prev, _tables(objective, points)[0])
+    best.flags.writeable = choice.flags.writeable = False
+    return best, choice
 
 
 def opt_continuous(inst: ClusteringInstance) -> OracleReport:
@@ -347,23 +326,28 @@ def opt_continuous(inst: ClusteringInstance) -> OracleReport:
     than ``MAX_CONTINUOUS_POINTS`` points raise ``InstanceTooLarge`` before
     anything is built.
 
-    One slot keeps the last instance's tables and DP layers, keyed on the
-    objective and the exact points (k is not in the key): at 12 points, the
-    two 4096-row tables and one 4096-entry value array and one 4096-entry
-    uint16 choice array per layer built. A call with the same key reuses
-    the tables and builds only the layers it still lacks; layer j depends
-    only on layer j - 1 and the tables, so the result is the same, bit for
-    bit, as a cold call. A call with another key drops the slot
-    before it builds new tables, and a build that raises leaves the slot
-    empty. A lock makes concurrent calls take the slot in turn.
+    The last instance's tables and up to ``MAX_CONTINUOUS_POINTS`` + 1 DP
+    layers stay cached, read-only, keyed on the objective and the exact
+    points (k is not in the key): at 12 points, the two 4096-row tables and
+    one 4096-entry value array and one 4096-entry uint16 choice array per
+    layer. A call with the same key reuses the tables and builds only the
+    layers it still lacks; layer j depends only on layer j - 1 and the
+    tables, so the result is the same, bit for bit, as a cold call. A call
+    with another key frees the old tables only after its own are built (at
+    12 points, 4096 x (dimension + 1) float64s: 0.36 MB at dimension 10),
+    and a build that raises is not cached. Concurrent first callers may
+    each build the same value; nothing cached can change, so each gets an
+    equal one.
     """
     n = len(inst.points)
     if n > MAX_CONTINUOUS_POINTS:
         raise InstanceTooLarge(f"{n} points exceeds the {MAX_CONTINUOUS_POINTS}-point oracle limit")
     if inst.k > n:
         raise PreconditionViolated("k exceeds the number of points")
-    solved = _solved_up_to(inst, inst.k)
-    best, choice = solved.best, solved.choice
+    # -0.0 == 0.0 in the key; weiszfeld_subsets and _centroid_table give the same rows for either
+    key = (inst.objective, tuple(map(tuple, inst.points)))
+    best, choice = zip(*(_layer(*key, j) for j in range(inst.k + 1)))
+    center_table = _tables(*key)[1]
     full = (1 << n) - 1
     best_j = min(range(1, inst.k + 1), key=lambda j: best[j][full])
     blocks: list[tuple[int, ...]] = []
@@ -374,7 +358,7 @@ def opt_continuous(inst: ClusteringInstance) -> OracleReport:
         mask &= ~sub
     blocks.sort()
     centers = tuple(
-        tuple(solved.center_table[sum(1 << i for i in b)].tolist()) for b in blocks
+        tuple(center_table[sum(1 << i for i in b)].tolist()) for b in blocks
     )
     method = "partition_enum_weiszfeld" if inst.objective == "median" else "partition_enum_centroid"
     return OracleReport(

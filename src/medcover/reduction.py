@@ -168,6 +168,8 @@ def predict_gap_hypergraph(d: int, n_hyperedges: int, p: float) -> GapPrediction
     p-fraction of hyperedges uncovered costs (d-1)(1-p)N + (d+1)pN = (d-1)N + 2pN."""
     if d < 2:
         raise ValueError("d must be >= 2")
+    if n_hyperedges < 1:
+        raise ValueError("n_hyperedges must be >= 1")
     if not 0 <= p <= 1:
         raise ValueError("p must be in [0, 1]")
     yes = (d - 1) * float(n_hyperedges)

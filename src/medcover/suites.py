@@ -11,19 +11,18 @@ exactly one definition of every claim.
 The three catalogue suites (decomposition, extra cost, covers) read the same
 records: one ``(graph, median cost, median extra cost)`` tuple per connected
 triangle-free non-star graph up to ``max_edges`` edges, built by
-``_nonstars``. One module-level slot holds the last records, keyed on
-``max_edges``, so a ``run_all`` or a catalogue pass enumerates the catalogue
-and solves each median once: an immutable tuple (178 records at 8 edges), a
-new key drops the slot before its own records are built, and a build that
-raises leaves the slot empty.
+``_nonstars``. The last records are kept in ``functools.lru_cache``, keyed
+on ``max_edges``, so a ``run_all`` or a catalogue pass enumerates the
+catalogue and solves each median once. They are an immutable tuple (178
+records at 8 edges); a new key frees the old records only after its own are
+built, and a build that raises is not cached.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
 from fractions import Fraction
-from typing import Optional
 
 from .costs import (
     a_n_median_cost,
@@ -131,26 +130,16 @@ def suite_closed_forms() -> dict:
     return ledger.result()
 
 
-_Records = tuple[tuple[Graph, float, float], ...]
-_records: Optional[tuple[int, _Records]] = None  # the slot ``_nonstars`` reuses: (key, records)
-_records_lock = threading.Lock()
-
-
-def _nonstars(max_edges: int) -> _Records:
+@functools.lru_cache(maxsize=1)
+def _nonstars(max_edges: int) -> tuple[tuple[Graph, float, float], ...]:
     """The connected triangle-free non-star graphs up to ``max_edges`` edges,
     each with its ``median_cost``, solved as one ``median_costs`` batch, and
-    that cost's ``median_extra_cost``; read from the slot when it holds
-    ``max_edges``."""
-    global _records
-    with _records_lock:
-        if _records is None or _records[0] != max_edges:
-            _records = None  # free the old records before building new ones
-            graphs = [g for g in enumerate_triangle_free(max_edges) if not is_star(g)]
-            _records = max_edges, tuple(
-                (g, cost, median_extra_cost(g, cost, basis).value)
-                for g, (cost, basis) in zip(graphs, median_costs(graphs))
-            )
-        return _records[1]
+    that cost's ``median_extra_cost``."""
+    graphs = [g for g in enumerate_triangle_free(max_edges) if not is_star(g)]
+    return tuple(
+        (g, cost, median_extra_cost(g, cost, basis).value)
+        for g, (cost, basis) in zip(graphs, median_costs(graphs))
+    )
 
 
 def suite_decomposition(max_edges: int) -> dict:

@@ -446,7 +446,7 @@ def test_assemble_c5_frozen():
     assert rep.total_cover_size == 3
     assert rep.procedures_path == "direct"
     assert rep.predicted_ceiling == pytest.approx(3.462163, abs=1e-5)
-    assert rep.epsilon_delta[0] == pytest.approx(2.0 - rep.predicted_ceiling / 2, abs=1e-12)
+    assert rep.epsilon == pytest.approx(2.0 - rep.predicted_ceiling / 2, abs=1e-12)
     assert is_vertex_cover(g, rep.cover)
 
 

@@ -10,6 +10,7 @@ from medcover import graphs
 from medcover.errors import EmptyGraph, NotBipartite, PreconditionViolated, Stuck
 from medcover.graphs import (
     ClassTag,
+    Graph,
     Matching,
     bridge_structure,
     classify,
@@ -83,10 +84,17 @@ def test_parse_skips_comments_and_blanks():
     assert g.edges == ((0, 1), (1, 2))
 
 
-@pytest.mark.parametrize("bad", ["0 0", "0", "0 1 2", "a b"])
+@pytest.mark.parametrize("bad", ["0 0", "0", "0 1 2", "a b", "p -5\n"])
 def test_parse_rejects_malformed_lines(bad):
     with pytest.raises(Exception):
         parse_edge_list(bad)
+
+
+def test_negative_vertex_counts_rejected():
+    with pytest.raises(ValueError, match="negative"):
+        Graph(-3, ())
+    with pytest.raises(ValueError, match="line 2: negative"):
+        parse_edge_list("# header\np -5\n")
 
 
 def test_self_loops_and_duplicates_rejected():

@@ -99,6 +99,16 @@ def _fingerprint(rep):
     )
 
 
+def _cold():
+    """Empty the continuous oracle's caches of tables and DP layers."""
+    oracle._tables.cache_clear()
+    oracle._layer.cache_clear()
+
+
+def _key(inst):
+    return inst.objective, tuple(map(tuple, inst.points))
+
+
 def _count_table_builds(monkeypatch):
     builds = []
     for name in ("weiszfeld_subsets", "_centroid_table"):
@@ -130,12 +140,12 @@ def test_continuous_reuse_matches_cold_calls(monkeypatch):
         inst = g if objective is None else reduce_graph(g, k=k, objective=objective)
         return _fingerprint(opt_continuous(inst))
 
-    monkeypatch.setattr(oracle, "_last", None)
+    _cold()
     builds = _count_table_builds(monkeypatch)
     warm = [solve(*call) for call in calls]
     assert len(builds) == 4  # one per key: a median, a means, b, zero
     for call, got in zip(calls, warm):
-        oracle._last = None
+        _cold()
         assert solve(*call) == got, call
 
 
@@ -146,7 +156,7 @@ def test_continuous_reuse_is_safe_across_threads():
     ]
     cold = []
     for inst in instances:
-        oracle._last = None
+        _cold()
         cold.append(_fingerprint(opt_continuous(inst)))
     results: dict[int, list] = {}
 
@@ -173,16 +183,15 @@ def test_continuous_failed_table_build_leaves_no_slot(monkeypatch):
     g = random_triangle_free(6, 3, seed=3)
     median = reduce_graph(g, k=2, objective="median")
     opt_continuous(reduce_graph(g, k=2, objective="means"))
-    assert oracle._last is not None
     with monkeypatch.context() as patch:
         patch.setattr(costs, "WEISZFELD_MAX_ITER", 1)
         with pytest.raises(NotConverged):
             opt_continuous(median)
-    assert oracle._last is None
+    # the failed build was not cached: the next call builds again
     builds = _count_table_builds(monkeypatch)
     got = _fingerprint(opt_continuous(median))
     assert builds == ["weiszfeld_subsets"]
-    oracle._last = None
+    _cold()
     assert _fingerprint(opt_continuous(median)) == got
 
 
@@ -238,22 +247,23 @@ def _dict_report(inst, best, choice, center_table):
 
 
 def _assert_matches_dict_loop(inst, ks):
-    """Solve ``inst`` at each k of ``ks`` in turn, on one slot, and compare
-    every report and then every DP layer with the dict loop's."""
+    """Solve ``inst`` at each k of ``ks`` in turn, on one key, and compare
+    every report and then every cached DP layer with the dict loop's."""
     n = len(inst.points)
     reports = [opt_continuous(dataclasses.replace(inst, k=k)) for k in ks]
-    solved = oracle._last
-    best, choice = _dict_layers(solved.block_cost.tolist(), n, max(ks))
+    block_cost, center_table = oracle._tables(*_key(inst))
+    best, choice = _dict_layers(block_cost.tolist(), n, max(ks))
     for k, rep in zip(ks, reports):
-        want = _dict_report(dataclasses.replace(inst, k=k), best, choice, solved.center_table)
+        want = _dict_report(dataclasses.replace(inst, k=k), best, choice, center_table)
         assert _fingerprint(rep) == _fingerprint(want), k
     for j in range(1, max(ks) + 1):
-        reached = np.flatnonzero(np.isfinite(solved.best[j])).tolist()
+        layer_best, layer_choice = oracle._layer(*_key(inst), j)
+        reached = np.flatnonzero(np.isfinite(layer_best)).tolist()
         assert reached == sorted(best[j]), j
         assert list(best[j]) == reached[::-1], j  # the loop reaches masks in decreasing order
-        got = [float(solved.best[j][m]).hex() for m in reached]
+        got = [float(layer_best[m]).hex() for m in reached]
         assert got == [best[j][m].hex() for m in reached], j
-        assert [int(solved.choice[j][m]) for m in reached] == [choice[(j, m)] for m in reached], j
+        assert [int(layer_choice[m]) for m in reached] == [choice[(j, m)] for m in reached], j
 
 
 def _tie_prone_sets():
@@ -273,7 +283,7 @@ def _differential_calls(family):
             k = len(min_vertex_cover(g))
             for objective in ("median", "means"):
                 yield reduce_graph(g, k=k, objective=objective), [k]
-    elif family == "ladder":  # k rising on one slot, as the benchmark's ladder does
+    elif family == "ladder":  # k rising on one key, as the benchmark's ladder does
         for seed in (0, 1):
             g = random_triangle_free(7, 3, seed=seed)
             for objective in ("median", "means"):
@@ -291,7 +301,7 @@ def _differential_calls(family):
 
 @pytest.mark.parametrize("family", ["completeness", "ladder", "ties", "k_equals_n"])
 def test_array_dp_matches_the_dict_loop_bit_for_bit(family):
-    oracle._last = None
+    _cold()
     for inst, ks in _differential_calls(family):
         _assert_matches_dict_loop(inst, list(ks))
 
@@ -319,14 +329,28 @@ def test_memoised_candidates_are_read_only(n, j):
             a[0] = 0
 
 
-def test_continuous_rejects_non_finite_block_costs():
+@pytest.mark.parametrize("objective", ["median", "means"])
+def test_cached_tables_and_layers_are_read_only(objective):
+    inst = reduce_graph(random_triangle_free(6, 3, seed=3), k=3, objective=objective)
+    opt_continuous(inst)
+    cached = [*oracle._tables(*_key(inst))]
+    for j in range(inst.k + 1):
+        cached += oracle._layer(*_key(inst), j)
+    for a in cached:
+        with pytest.raises(ValueError):
+            a[0] = 0
+
+
+def test_continuous_rejects_non_finite_block_costs(monkeypatch):
     # finite points whose costs overflow float: the exact means cost of the
     # pair is 2e400, and the median's distances square past the float range
+    builds = _count_table_builds(monkeypatch)
     for objective in ("median", "means"):
         inst = ClusteringInstance(2, ((1e200, 0.0), (0.5, 0.0), (-1e200, 0.0)), 2, objective)
-        with pytest.raises(DomainError):
-            opt_continuous(inst)
-        assert oracle._last is None
+        for _ in range(2):  # a build that raises is not cached: the next call builds again
+            with pytest.raises(DomainError):
+                opt_continuous(inst)
+    assert builds == ["weiszfeld_subsets"] * 2 + ["_centroid_table"] * 2
 
 
 def test_discrete_hypergraph_cover_geometry():

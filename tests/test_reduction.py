@@ -133,6 +133,13 @@ def test_hypergraph_gap_thresholds():
     assert pred.no_cost_lower == 10.0     # + 2 p N
 
 
+@pytest.mark.parametrize("n_hyperedges", [0, -4])
+def test_hypergraph_gap_refuses_fewer_than_one_hyperedge(n_hyperedges):
+    # with N < 1 the thresholds (d-1)N and (d-1)N + 2pN would go negative
+    with pytest.raises(ValueError, match="n_hyperedges"):
+        predict_gap_hypergraph(3, n_hyperedges, 0.5)
+
+
 def test_hypergraph_validation():
     with pytest.raises(ValueError):
         HypergraphInstance(d=3, num_vertices=4, hyperedges=((0, 1, 1),), k=1)

@@ -44,12 +44,12 @@ EXPECTED_NAMES = [
 
 
 @pytest.fixture(autouse=True)
-def empty_records_slot():
+def cold_records():
     # tests here patch what the catalogue records are built from (median_costs,
     # extra_cost, ...); records left warm by another test would hide the patch
-    suites._records = None
+    suites._nonstars.cache_clear()
     yield
-    suites._records = None
+    suites._nonstars.cache_clear()
 
 
 def counting(monkeypatch, name):
@@ -139,27 +139,20 @@ def test_the_catalogue_suites_build_their_records_once(monkeypatch):
     assert len(batches) == 1
     cold = []
     for suite in CATALOGUE_SUITES:
-        suites._records = None
+        suites._nonstars.cache_clear()
         cold.append(suite(6))
     assert cold == shared
     assert len(enumerations) == len(batches) == 4
 
 
 def test_records_of_another_max_edges_replace_the_slot(monkeypatch):
-    slot_at_build = []
-    real = suites.enumerate_triangle_free
-
-    def enumerate_seeing_the_slot(max_edges):
-        slot_at_build.append((max_edges, suites._records))
-        return real(max_edges)
-
-    monkeypatch.setattr(suites, "enumerate_triangle_free", enumerate_seeing_the_slot)
+    enumerations = counting(monkeypatch, "enumerate_triangle_free")
     six = suites._nonstars(6)
     five = suites._nonstars(5)
     assert suites._nonstars(5) is five
     assert suites._nonstars(6) == six
-    # the old records are dropped before the new ones are built
-    assert slot_at_build == [(6, None), (5, None), (6, None)]
+    # only the last max_edges is kept: six is built again after five
+    assert enumerations == [(6,), (5,), (6,)]
     assert isinstance(six, tuple) and len(five) < len(six)
 
 
@@ -173,14 +166,15 @@ def test_a_build_that_raises_leaves_the_slot_empty(monkeypatch):
     monkeypatch.setattr(suites, "median_costs", not_converged)
     with pytest.raises(NotConverged):
         suite_decomposition(6)
-    assert suites._records is None
     monkeypatch.undo()
-    assert suite_decomposition(6) == clean
-    assert suites._records[0] == 6
-
-
-def test_concurrent_callers_build_the_records_once(monkeypatch):
+    # the failed build was not cached: the next call builds again, and keeps it
     enumerations = counting(monkeypatch, "enumerate_triangle_free")
+    assert suite_decomposition(6) == clean
+    assert suite_decomposition(6) == clean
+    assert enumerations == [(6,)]
+
+
+def test_concurrent_callers_get_equal_records():
     start = threading.Barrier(4)
     got = []
 
@@ -192,9 +186,9 @@ def test_concurrent_callers_build_the_records_once(monkeypatch):
     for t in threads:
         t.start()
     for t in threads:
-        t.join()
-    assert enumerations == [(6,)]
-    assert len(got) == 4 and all(r is got[0] for r in got)
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads)
+    assert len(got) == 4 and all(r == got[0] for r in got)
 
 
 def test_run_all_enumerates_the_catalogue_once(monkeypatch):
@@ -417,7 +411,7 @@ def test_a_nan_median_cost_fails_the_decomposition_and_extra_cost_checks(monkeyp
 
     clean = suite_decomposition(5), suite_extra_cost(5)
     monkeypatch.setattr(suites, "median_costs", nan_on_c5)
-    suites._records = None  # the clean runs' records hold the unpatched costs
+    suites._nonstars.cache_clear()  # the clean runs' records hold the unpatched costs
     decomposition, extra = suite_decomposition(5), suite_extra_cost(5)
     safe = certify_lower_bound(Graph(5, C5), "safe").bound
     ultra = certify_lower_bound(Graph(5, C5), "ultra_safe").bound

@@ -1,7 +1,7 @@
 """Checks on the source tree itself: the names the benchmark reaches into,
-the rule that proof obligations raise typed errors instead of asserting,
-the one check ledger of the suites, the limits the README states, and the
-demo script running end to end."""
+the rule that proof obligations raise typed errors instead of asserting, the
+absence of rebound module state, the one check ledger of the suites, the
+limits the README states, and the demo script running end to end."""
 
 import ast
 import dataclasses
@@ -78,6 +78,20 @@ def test_no_assert_statements_in_the_package():
         for path in sorted(PACKAGE.glob("*.py"))
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
+def test_no_global_statements_or_threading_in_the_package():
+    # process caches are functools.lru_cache over read-only values: no
+    # rebound module state, and so no lock to guard it
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Global)
+        or isinstance(node, ast.Import) and any(a.name.split(".")[0] == "threading" for a in node.names)
+        or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "threading"
     ]
     assert found == []
 
