@@ -76,8 +76,8 @@ def find_safe_pair(g: Graph, mode: str) -> tuple[Edge, Edge] | None:
     fundamental graphs in safe mode, and {3-P2, A_n} in ultra mode.
 
     A pair is tested on degrees, without building the remainder: with m
-    edges, the remainder is a non-star iff m >= 4 and no vertex keeps all
-    m - 2 remaining edges, and only a vertex of degree m - 2 or more can.
+    edges, the remainder is a non-star iff no vertex keeps all m - 2
+    remaining edges, and only a vertex of degree m - 2 or more can.
     The ultra mode's bridge test is ``bridge_from_masks`` on the neighbour
     masks with e's and f's ends cut from each other, over the candidate
     bridges other than e and f.
@@ -88,8 +88,6 @@ def find_safe_pair(g: Graph, mode: str) -> tuple[Edge, Edge] | None:
     if mode == "ultra_safe" and bridge_structure(g) is not None:
         raise PreconditionViolated("ultra_safe mode requires a non-bridge graph")
     m = g.num_edges
-    if m < 4:
-        return None
     deg = g.degrees()
     hubs = [v for v, d in enumerate(deg) if d >= m - 2]
     if mode == "ultra_safe":

@@ -22,11 +22,11 @@ result is the same, bit for bit, as a
 Python loop over dicts that resolves ties first-wins within 1e-15: every
 mask takes the first candidate, in that loop's order, of its cheapest ones,
 and the few masks with two candidates closer than a 1e-14 window replay the
-loop exactly. The last instance's tables (``_tables``) and its DP layers
-(``_layer``) are kept read-only in ``functools.lru_cache``, keyed on
-(objective, exact point tuples): asking for the same points at another k
-reuses the tables and the layers built so far, and a build that raises
-is not kept. The discrete oracle walks its center subsets as a
+loop exactly. One instance's tables and DP layers 0..k are kept read-only
+in one ``functools.lru_cache(maxsize=1)`` entry keyed on (objective, exact
+point tuples, k) (``_tables_and_layers``): the same points at a larger k
+build only the missing layers, any other call builds afresh, and a build
+that raises is not kept. The discrete oracle walks its center subsets as a
 combination tree in slices of at most ``DISCRETE_CHUNK``: a child extends
 its prefix's nearest-center distances by one ``np.minimum``, and each
 subset's cost takes the same float additions, in the same order, as a
@@ -103,7 +103,9 @@ class OracleReport:
 
 def _centroid_cost_exact(points: Sequence[Sequence[float]]) -> tuple[float, tuple[float, ...]]:
     """Sum of squared distances to the centroid. Integer coordinates (the
-    only kind our reductions emit) are folded in exact rationals."""
+    only kind our reductions emit) are folded in exact rationals; others are
+    added onto 0.0 one at a time, points outer, as ``sum`` of floats does up
+    to Python 3.11 (3.12 compensates), so every Python gives the same bits."""
     n = len(points)
     dim = len(points[0])
     if all(float(c).is_integer() for p in points for c in p):
@@ -112,8 +114,15 @@ def _centroid_cost_exact(points: Sequence[Sequence[float]]) -> tuple[float, tupl
             (Fraction(int(p[d])) - mean[d]) ** 2 for p in points for d in range(dim)
         )
         return float(sse), tuple(float(c) for c in mean)
-    mean = [sum(p[d] for p in points) / n for d in range(dim)]
-    sse = sum((p[d] - mean[d]) ** 2 for p in points for d in range(dim))
+    sums = [0.0] * dim
+    for p in points:
+        for d in range(dim):
+            sums[d] += p[d]
+    mean = [t / n for t in sums]
+    sse = 0.0
+    for p in points:
+        for d in range(dim):
+            sse += (p[d] - mean[d]) ** 2
     return sse, tuple(mean)
 
 
@@ -273,39 +282,35 @@ def _extend(
 
 
 @functools.lru_cache(maxsize=1)
-def _tables(objective: str, points: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """Each point subset's block cost and center, indexed by bitmask (row 0
-    is unused), read-only: batched Weiszfeld for median, exact centroid sums
-    for means. A cost that overflows or is not finite raises ``DomainError``."""
-    try:
-        if objective == "median":
-            cost_table, center_table = weiszfeld_subsets(points)
-        else:
-            cost_table, center_table = _centroid_table(points)
-    except OverflowError:  # an exact cost too large for a float
-        raise DomainError("a block cost overflows float") from None
-    if not np.isfinite(cost_table[1:]).all():
-        raise DomainError("a block cost is not finite")
-    cost_table.flags.writeable = center_table.flags.writeable = False
-    return cost_table, center_table
-
-
-@functools.lru_cache(maxsize=MAX_CONTINUOUS_POINTS + 1)
-def _layer(objective: str, points: tuple, j: int) -> tuple[np.ndarray, np.ndarray]:
-    """DP layer j on ``_tables``, read-only: ``best[mask]`` is the cheapest
-    way to serve the points of ``mask`` with j blocks (``inf`` where the DP
-    does not reach ``mask`` with j blocks) and ``choice[mask]`` the last of
-    those blocks, the one that attains it. Layer 0 holds only the empty mask."""
+def _tables_and_layers(objective: str, points: tuple, k: int) -> tuple:
+    """One instance, read-only: each point subset's block cost and center by
+    bitmask (row 0 unused), then DP layers j = 0..k as (best, choice) pairs:
+    ``best[mask]`` is the least cost of serving ``mask`` with j blocks (inf
+    if unreached), ``choice[mask]`` the last of those blocks. k = 0 builds
+    the tables (batched Weiszfeld for median, exact centroid sums for means;
+    a cost that overflows or is not finite raises ``DomainError``) and layer
+    0, the empty mask; a larger k extends its own entry for k - 1 by a layer."""
     n = len(points)
-    if j == 0:
+    if k:
+        cost_table, center_table, layers = _tables_and_layers(objective, points, k - 1)
+        best, choice = _extend(n, k, layers[-1][0], cost_table)
+    else:
+        try:
+            if objective == "median":
+                cost_table, center_table = weiszfeld_subsets(points)
+            else:
+                cost_table, center_table = _centroid_table(points)
+        except OverflowError:  # an exact cost too large for a float
+            raise DomainError("a block cost overflows float") from None
+        if not np.isfinite(cost_table[1:]).all():
+            raise DomainError("a block cost is not finite")
+        cost_table.flags.writeable = center_table.flags.writeable = False
+        layers = ()
         best = np.full(1 << n, math.inf)
         best[0] = 0.0
         choice = np.zeros(1 << n, dtype=np.uint8)
-    else:
-        prev = _layer(objective, points, j - 1)[0]
-        best, choice = _extend(n, j, prev, _tables(objective, points)[0])
     best.flags.writeable = choice.flags.writeable = False
-    return best, choice
+    return cost_table, center_table, layers + ((best, choice),)
 
 
 def opt_continuous(inst: ClusteringInstance) -> OracleReport:
@@ -326,18 +331,15 @@ def opt_continuous(inst: ClusteringInstance) -> OracleReport:
     than ``MAX_CONTINUOUS_POINTS`` points raise ``InstanceTooLarge`` before
     anything is built.
 
-    The last instance's tables and up to ``MAX_CONTINUOUS_POINTS`` + 1 DP
-    layers stay cached, read-only, keyed on the objective and the exact
-    points (k is not in the key): at 12 points, the two 4096-row tables and
-    one 4096-entry value array and one 4096-entry uint16 choice array per
-    layer. A call with the same key reuses the tables and builds only the
-    layers it still lacks; layer j depends only on layer j - 1 and the
-    tables, so the result is the same, bit for bit, as a cold call. A call
-    with another key frees the old tables only after its own are built (at
-    12 points, 4096 x (dimension + 1) float64s: 0.36 MB at dimension 10),
-    and a build that raises is not cached. Concurrent first callers may
-    each build the same value; nothing cached can change, so each gets an
-    equal one.
+    One instance stays cached, read-only, keyed on the objective, the exact
+    points and k: its two tables (4096 rows at 12 points) and its layers
+    0..k (a 4096-entry value array and uint16 choice array each). The same
+    points at a larger k build only the missing layers, bit for bit as a
+    cold call would; a smaller k or other points build afresh, and the old
+    tables and layers leave together once the new tables are built (4096 x
+    (dimension + 1) float64s: 0.36 MB at dimension 10). A build that raises
+    is not cached. Concurrent callers may each build the same value;
+    nothing cached can change, so each gets an equal one.
     """
     n = len(inst.points)
     if n > MAX_CONTINUOUS_POINTS:
@@ -345,15 +347,14 @@ def opt_continuous(inst: ClusteringInstance) -> OracleReport:
     if inst.k > n:
         raise PreconditionViolated("k exceeds the number of points")
     # -0.0 == 0.0 in the key; weiszfeld_subsets and _centroid_table give the same rows for either
-    key = (inst.objective, tuple(map(tuple, inst.points)))
-    best, choice = zip(*(_layer(*key, j) for j in range(inst.k + 1)))
-    center_table = _tables(*key)[1]
+    points = tuple(map(tuple, inst.points))
+    _, center_table, layers = _tables_and_layers(inst.objective, points, inst.k)
     full = (1 << n) - 1
-    best_j = min(range(1, inst.k + 1), key=lambda j: best[j][full])
+    best_j = min(range(1, inst.k + 1), key=lambda j: layers[j][0][full])
     blocks: list[tuple[int, ...]] = []
     mask = full
     for j in range(best_j, 0, -1):
-        sub = int(choice[j][mask])
+        sub = int(layers[j][1][mask])
         blocks.append(tuple(i for i in range(n) if sub >> i & 1))
         mask &= ~sub
     blocks.sort()
@@ -362,7 +363,7 @@ def opt_continuous(inst: ClusteringInstance) -> OracleReport:
     )
     method = "partition_enum_weiszfeld" if inst.objective == "median" else "partition_enum_centroid"
     return OracleReport(
-        optimal_cost=float(best[best_j][full]),
+        optimal_cost=float(layers[best_j][0][full]),
         partition=tuple(blocks),
         centers=centers,
         method=method,

@@ -1,6 +1,7 @@
 """Exhaustive reference solvers and the triangle-free graph catalogue."""
 
 import dataclasses
+import gc
 import hashlib
 import itertools
 import math
@@ -8,6 +9,7 @@ import random
 import sys
 import threading
 import tracemalloc
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -100,9 +102,8 @@ def _fingerprint(rep):
 
 
 def _cold():
-    """Empty the continuous oracle's caches of tables and DP layers."""
-    oracle._tables.cache_clear()
-    oracle._layer.cache_clear()
+    """Empty the continuous oracle's cache of tables and DP layers."""
+    oracle._tables_and_layers.cache_clear()
 
 
 def _key(inst):
@@ -143,7 +144,9 @@ def test_continuous_reuse_matches_cold_calls(monkeypatch):
     _cold()
     builds = _count_table_builds(monkeypatch)
     warm = [solve(*call) for call in calls]
-    assert len(builds) == 4  # one per key: a median, a means, b, zero
+    # a median: the first call and each of the three falling ones (5, 3, 1);
+    # a means: the first call and the fall to 2; b; zero (signed is the same key)
+    assert len(builds) == 8
     for call, got in zip(calls, warm):
         _cold()
         assert solve(*call) == got, call
@@ -193,6 +196,50 @@ def test_continuous_failed_table_build_leaves_no_slot(monkeypatch):
     assert builds == ["weiszfeld_subsets"]
     _cold()
     assert _fingerprint(opt_continuous(median)) == got
+
+
+def test_a_larger_k_on_the_same_points_builds_only_the_missing_layers(monkeypatch):
+    inst = reduce_graph(random_triangle_free(7, 3, seed=3), k=2, objective="median")
+    _cold()
+    opt_continuous(inst)
+    extended = []
+    extend = oracle._extend
+
+    def counted(n, j, prev, block_cost):
+        extended.append(j)
+        return extend(n, j, prev, block_cost)
+
+    monkeypatch.setattr(oracle, "_extend", counted)
+    builds = _count_table_builds(monkeypatch)
+    warm = _fingerprint(opt_continuous(dataclasses.replace(inst, k=4)))
+    assert extended == [3, 4] and builds == []
+    _cold()
+    assert _fingerprint(opt_continuous(dataclasses.replace(inst, k=4))) == warm
+
+
+def test_another_instance_frees_the_previous_tables_and_layers():
+    a = reduce_graph(random_triangle_free(6, 3, seed=3), k=3, objective="median")
+    b = reduce_graph(random_triangle_free(6, 3, seed=4), k=3, objective="median")
+    assert _key(a) != _key(b)
+    opt_continuous(a)
+    entry = oracle._tables_and_layers(*_key(a), a.k)
+    refs = [weakref.ref(entry[0]), weakref.ref(entry[1]),
+            *(weakref.ref(x) for layer in entry[2] for x in layer)]
+    del entry
+    opt_continuous(b)
+    gc.collect()
+    assert [r() for r in refs] == [None] * len(refs)
+
+
+def test_a_repeated_call_is_one_cache_hit():
+    inst = reduce_graph(random_triangle_free(6, 3, seed=3), k=3, objective="means")
+    _cold()
+    first = _fingerprint(opt_continuous(inst))
+    before = oracle._tables_and_layers.cache_info()
+    assert _fingerprint(opt_continuous(inst)) == first
+    after = oracle._tables_and_layers.cache_info()
+    assert (after.hits - before.hits, after.misses - before.misses) == (1, 0)
+    assert after.currsize == 1
 
 
 def _dict_layers(block_cost, n, kmax):
@@ -251,13 +298,13 @@ def _assert_matches_dict_loop(inst, ks):
     every report and then every cached DP layer with the dict loop's."""
     n = len(inst.points)
     reports = [opt_continuous(dataclasses.replace(inst, k=k)) for k in ks]
-    block_cost, center_table = oracle._tables(*_key(inst))
+    block_cost, center_table, layers = oracle._tables_and_layers(*_key(inst), max(ks))
     best, choice = _dict_layers(block_cost.tolist(), n, max(ks))
     for k, rep in zip(ks, reports):
         want = _dict_report(dataclasses.replace(inst, k=k), best, choice, center_table)
         assert _fingerprint(rep) == _fingerprint(want), k
     for j in range(1, max(ks) + 1):
-        layer_best, layer_choice = oracle._layer(*_key(inst), j)
+        layer_best, layer_choice = layers[j]
         reached = np.flatnonzero(np.isfinite(layer_best)).tolist()
         assert reached == sorted(best[j]), j
         assert list(best[j]) == reached[::-1], j  # the loop reaches masks in decreasing order
@@ -333,9 +380,9 @@ def test_memoised_candidates_are_read_only(n, j):
 def test_cached_tables_and_layers_are_read_only(objective):
     inst = reduce_graph(random_triangle_free(6, 3, seed=3), k=3, objective=objective)
     opt_continuous(inst)
-    cached = [*oracle._tables(*_key(inst))]
-    for j in range(inst.k + 1):
-        cached += oracle._layer(*_key(inst), j)
+    block_cost, center_table, layers = oracle._tables_and_layers(*_key(inst), inst.k)
+    assert len(layers) == inst.k + 1
+    cached = [block_cost, center_table, *(a for layer in layers for a in layer)]
     for a in cached:
         with pytest.raises(ValueError):
             a[0] = 0
@@ -769,6 +816,19 @@ def test_means_table_equals_exact_centroid_on_every_subset(points):
         cost, center = _centroid_cost_exact(block)
         assert costs[mask] == cost, mask
         assert tuple(centers[mask].tolist()) == center, mask
+
+
+def test_centroid_of_non_integer_points_adds_as_sum_did_up_to_3_11():
+    # the values Python 3.11's ``sum`` gives; 3.12's compensated ``sum``
+    # gives center 0.19999999999999998 and cost 0.8993750000000001
+    cost, center = _centroid_cost_exact(((0.1,), (0.2,), (0.3,)))
+    assert (cost.hex(), [c.hex() for c in center]) == (
+        "0x1.47ae147ae147ap-6", ["0x1.999999999999bp-3"]
+    )
+    cost, center = _centroid_cost_exact(((0.1, 0.7), (0.2, 0.1), (0.3, 0.4), (1.1, 0.05)))
+    assert (cost.hex(), [c.hex() for c in center]) == (
+        "0x1.cc7ae147ae148p-1", ["0x1.b333333333334p-2", "0x1.4000000000000p-2"]
+    )
 
 
 # ---------------------------------------------------------------------------

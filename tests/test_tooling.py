@@ -1,7 +1,8 @@
 """Checks on the source tree itself: the names the benchmark reaches into,
 the rule that proof obligations raise typed errors instead of asserting, the
-absence of rebound module state, the one check ledger of the suites, the
-limits the README states, and the demo script running end to end."""
+absence of rebound module state, the process caches, the one check ledger
+of the suites, the limits the README states, and the demo script running end
+to end."""
 
 import ast
 import dataclasses
@@ -94,6 +95,25 @@ def test_no_global_statements_or_threading_in_the_package():
         or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "threading"
     ]
     assert found == []
+
+
+def test_the_process_caches_are_the_ones_the_readme_names():
+    # every functools.lru_cache in the package, so a new one is added on purpose
+    def is_lru_cache(node):
+        node = node.func if isinstance(node, ast.Call) else node
+        return getattr(node, "attr", getattr(node, "id", None)) == "lru_cache"
+
+    found = {
+        f"{path.stem}.{node.name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.FunctionDef) and any(map(is_lru_cache, node.decorator_list))
+    }
+    readme = " ".join((ROOT / "README.md").read_text(encoding="utf-8").split())
+    sentence = re.search(r"keeps five process caches, each a `functools.lru_cache`(.*?)\.(?:\s|$)", readme)
+    assert sentence, "README names no process caches"
+    named = re.findall(r"`(\w+\.\w+)`", sentence.group(1))
+    assert len(named) == 5 and set(named) == found, (named, found)
 
 
 def test_suites_count_and_record_checks_only_through_the_ledger():
