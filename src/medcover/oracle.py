@@ -289,12 +289,14 @@ def _tables_and_layers(objective: str, points: tuple, k: int) -> tuple:
     if unreached), ``choice[mask]`` the last of those blocks. k = 0 builds
     the tables (batched Weiszfeld for median, exact centroid sums for means;
     a cost that overflows or is not finite raises ``DomainError``) and layer
-    0, the empty mask; a larger k extends its own entry for k - 1 by a layer."""
+    0, the empty mask, after dropping the cached entry; a larger k extends its
+    own entry for k - 1 by a layer."""
     n = len(points)
     if k:
         cost_table, center_table, layers = _tables_and_layers(objective, points, k - 1)
         best, choice = _extend(n, k, layers[-1][0], cost_table)
     else:
+        _tables_and_layers.cache_clear()  # free the old instance before the new tables
         try:
             if objective == "median":
                 cost_table, center_table = weiszfeld_subsets(points)
@@ -336,10 +338,11 @@ def opt_continuous(inst: ClusteringInstance) -> OracleReport:
     0..k (a 4096-entry value array and uint16 choice array each). The same
     points at a larger k build only the missing layers, bit for bit as a
     cold call would; a smaller k or other points build afresh, and the old
-    tables and layers leave together once the new tables are built (4096 x
-    (dimension + 1) float64s: 0.36 MB at dimension 10). A build that raises
-    is not cached. Concurrent callers may each build the same value;
-    nothing cached can change, so each gets an equal one.
+    tables and layers are dropped before the new tables are built, so the
+    two instances are never held together. A build that raises is not
+    cached, and the entry it replaced is gone too. Concurrent callers may
+    each build the same value; nothing cached can change, so each gets an
+    equal one.
     """
     n = len(inst.points)
     if n > MAX_CONTINUOUS_POINTS:
@@ -749,14 +752,23 @@ def _single_edge_extensions(g: Graph) -> Iterator[Graph]:
     ``g``, so a skipped extension is isomorphic to one that comes earlier in
     this order, and the first extension seen of each isomorphism class is
     the same as without the pruning.
+
+    An inner edge is tried only when it touches every leaf of ``g``. If a
+    leaf l of ``g`` is neither end of the new edge, l is still a leaf of the
+    extension h, so h - l is a connected triangle-free graph of the previous
+    level with one vertex fewer than ``g``. Levels sort by vertex count
+    first, so that graph's class is extended before ``g``, and its leaf
+    extension at l's neighbour (or that vertex's lowest twin) already gave
+    h's class. The first extension seen of each class is again unchanged.
     """
     nbrs = neighbour_masks(g)
     n = g.num_vertices
+    leaves = sum([1 << v for v in range(n) if nbrs[v].bit_count() == 1])
     lowest: dict[int, int] = {}
     reps = [v for v in range(n) if lowest.setdefault(nbrs[v], v) == v]
     for i, u in enumerate(reps):
         for v in reps[i + 1:]:
-            if nbrs[u] >> v & 1 or nbrs[u] & nbrs[v]:
+            if nbrs[u] >> v & 1 or nbrs[u] & nbrs[v] or leaves & ~(1 << u | 1 << v):
                 continue
             yield Graph(n, tuple(sorted(g.edges + ((u, v),))))
     for u in reps:
@@ -773,7 +785,10 @@ def enumerate_triangle_free(
     Built level by level from the one-vertex graph: every connected graph
     with m edges arises from one with m-1 edges by adding an edge (between
     existing vertices or to a fresh leaf), so extending and deduplicating by
-    canonical form is exhaustive. A disjoint union's certificate is composed
+    canonical form is exhaustive. An inner edge that leaves a leaf of its
+    parent untouched is not tried: the same class comes from a leaf
+    extension of a smaller parent earlier in the level (see
+    ``_single_edge_extensions``). A disjoint union's certificate is composed
     from its parts' certificates, which the levels already computed, exactly
     as ``canonical_form`` composes it, so unions cost no search; the
     disconnected catalogue therefore reaches ``MAX_ENUM_EDGES`` too.

@@ -231,6 +231,27 @@ def test_another_instance_frees_the_previous_tables_and_layers():
     assert [r() for r in refs] == [None] * len(refs)
 
 
+def test_the_previous_instance_is_freed_before_the_new_tables_are_built(monkeypatch):
+    a = reduce_graph(random_triangle_free(6, 3, seed=3), k=3, objective="median")
+    b = reduce_graph(random_triangle_free(6, 3, seed=4), k=3, objective="median")
+    opt_continuous(a)
+    entry = oracle._tables_and_layers(*_key(a), a.k)
+    refs = [weakref.ref(entry[0]), weakref.ref(entry[1]),
+            *(weakref.ref(x) for layer in entry[2] for x in layer)]
+    del entry
+    alive = []
+    build = oracle.weiszfeld_subsets
+
+    def checked(points):
+        gc.collect()
+        alive.append(sum(r() is not None for r in refs))
+        return build(points)
+
+    monkeypatch.setattr(oracle, "weiszfeld_subsets", checked)
+    opt_continuous(b)
+    assert alive == [0]
+
+
 def test_a_repeated_call_is_one_cache_hit():
     inst = reduce_graph(random_triangle_free(6, 3, seed=3), k=3, objective="means")
     _cold()
@@ -890,17 +911,30 @@ def test_eight_edge_catalogue_keeps_the_search_small(monkeypatch):
     assert sum(1 for _ in enumerate_triangle_free(8)) == 186
 
 
-def _single_edge_extensions_unpruned(g):
-    """Reference: every triangle-free one-edge extension, twins included."""
+def _extensions_at(g, reps):
+    """Reference: every triangle-free one-edge extension whose new edge has
+    both ends (inner edge) or its attaching end (leaf) in ``reps``."""
     adj = [set(nb) for nb in g.adjacency()]
     n = g.num_vertices
-    for u in range(n):
-        for v in range(u + 1, n):
+    for i, u in enumerate(reps):
+        for v in reps[i + 1:]:
             if v in adj[u] or (adj[u] & adj[v]):
                 continue
             yield Graph(n, tuple(sorted(g.edges + ((u, v),))))
-    for u in range(n):
+    for u in reps:
         yield Graph(n + 1, tuple(sorted(g.edges + ((u, n),))))
+
+
+def _single_edge_extensions_unpruned(g):
+    """Reference: every triangle-free one-edge extension, twins included."""
+    return _extensions_at(g, list(range(g.num_vertices)))
+
+
+def _single_edge_extensions_twin_pruned(g):
+    """Reference: the extensions from the lowest vertex of each twin class,
+    every inner edge tried."""
+    adj = [set(nb) for nb in g.adjacency()]
+    return _extensions_at(g, [v for v in range(g.num_vertices) if adj[v] not in adj[:v]])
 
 
 def _catalogue_and_canonical_calls(monkeypatch):
@@ -920,11 +954,14 @@ def _catalogue_and_canonical_calls(monkeypatch):
 
 
 def test_twin_pruned_extensions_keep_the_catalogue_and_its_order(monkeypatch):
-    pruned, pruned_calls = _catalogue_and_canonical_calls(monkeypatch)
-    monkeypatch.setattr(oracle, "_single_edge_extensions", _single_edge_extensions_unpruned)
-    full, full_calls = _catalogue_and_canonical_calls(monkeypatch)
-    assert pruned == full
-    assert pruned_calls < full_calls
+    # the twin and leaf rules of the enumerator, twins alone, and no pruning
+    # give one labelled catalogue
+    runs = [_catalogue_and_canonical_calls(monkeypatch)]
+    for reference in (_single_edge_extensions_twin_pruned, _single_edge_extensions_unpruned):
+        monkeypatch.setattr(oracle, "_single_edge_extensions", reference)
+        runs.append(_catalogue_and_canonical_calls(monkeypatch))
+    assert all(graphs == runs[0][0] for graphs, _calls in runs)
+    assert [calls for _graphs, calls in runs] == [475, 770, 1022]
 
 
 def test_single_edge_extensions_are_triangle_free(monkeypatch):
@@ -940,7 +977,7 @@ def test_single_edge_extensions_are_triangle_free(monkeypatch):
     for args in ((8,), (5, True)):
         for _ in enumerate_triangle_free(*args):
             pass
-    assert len(seen) > 700
+    assert len(seen) == 475
     assert all(is_triangle_free(h) for h in seen)
 
 
@@ -1075,6 +1112,22 @@ def test_certificates_of_the_eight_edge_catalogue_are_pinned():
     assert digest == "62f310c1a3d604ebf428c4dd58837886f9a563461261583eabd18342017e4a83"
 
 
+def _labelled_digest(cat):
+    return hashlib.sha256("\n".join(repr((g.num_vertices, g.edges)) for g in cat).encode()).hexdigest()
+
+
+def test_labelled_catalogues_are_pinned(monkeypatch):
+    # the representatives themselves, not only their classes: digests of
+    # each graph's vertex count and edge list, in catalogue order
+    cat = list(enumerate_triangle_free(8, include_disconnected=True))
+    assert len(cat) == 452
+    assert _labelled_digest(cat) == "ad2369535a7b662ab0f1155eeb253fd8d0cc761781b2141856332fe01df3590a"
+    monkeypatch.setattr(oracle, "MAX_ENUM_EDGES", 9)
+    cat = list(enumerate_triangle_free(9))
+    assert len(cat) == 489
+    assert _labelled_digest(cat) == "00aa201c1da2956643017ee196965fa18ad57217e3507829a8b7a81ccd0a55a7"
+
+
 def _nested_refine_classes(g):
     """Frozen reference: refinement with the whole refinement history nested
     in each key, the cells sorted by their keys' tuples."""
@@ -1188,18 +1241,11 @@ def test_certificates_at_degree_ten_and_up_are_relabel_invariant():
             assert canonical_form(relabelled) == cert, g.edges
 
 
-def test_refinement_and_search_match_the_frozen_nested_key_search(monkeypatch):
-    extensions = []
-    extend = oracle._single_edge_extensions
-
-    def recorded(g):
-        for h in extend(g):
-            extensions.append(h)
-            yield h
-
-    monkeypatch.setattr(oracle, "_single_edge_extensions", recorded)
-    list(enumerate_triangle_free(8))
-    monkeypatch.undo()
+def test_refinement_and_search_match_the_frozen_nested_key_search():
+    # every twin-pruned extension of the 8-edge enumeration, inner edges
+    # that leave a leaf untouched included
+    parents = [Graph(1, ())] + list(enumerate_triangle_free(7))
+    extensions = [h for g in parents for h in _single_edge_extensions_twin_pruned(g)]
     assert len(extensions) == 741
     graphs = extensions + list(enumerate_triangle_free(6, include_disconnected=True))
     graphs += [graph_from_edges(C8), graph_from_edges(Q3)]
