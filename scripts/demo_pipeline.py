@@ -7,19 +7,19 @@ Usage: python scripts/demo_pipeline.py [seed]
 import json
 import sys
 
-from medcover.cli import _pad_blocks
-from medcover.covers import soundness_assemble
+from medcover.cli import _round_trip
+from medcover.costs import MAX_CONTINUOUS_POINTS
 from medcover.decomposition import certify_lower_bound
 from medcover.graphs import bridge_structure, format_edge_list
-from medcover.oracle import min_vertex_cover, opt_continuous, random_triangle_free
-from medcover.reduction import predict_gap_graph, reduce_graph
+from medcover.oracle import min_vertex_cover, random_triangle_free
+from medcover.reduction import predict_gap_graph
 from medcover.suites import median_complete
 
 
 def main() -> int:
     seed = int(sys.argv[1]) if len(sys.argv) > 1 else 4
     g = random_triangle_free(8, 3, seed=seed)
-    while g.num_edges > 12:  # keep the exhaustive oracle feasible
+    while g.num_edges > MAX_CONTINUOUS_POINTS:  # keep the exhaustive oracle feasible
         seed += 101
         g = random_triangle_free(8, 3, seed=seed)
     k = len(min_vertex_cover(g))
@@ -32,13 +32,10 @@ def main() -> int:
     pred = predict_gap_graph(m, k, "median", delta=0.01)
     print(f"\nmedian thresholds: yes <= {pred.yes_cost}, no > {pred.no_cost_lower}")
 
-    inst = reduce_graph(g, k=k, objective="median")
-    rep = opt_continuous(inst)
+    rep, cover_rep = _round_trip(g, k, k, "median", beta=1.0, delta=0.01)
     verdict = "yes" if median_complete(rep.optimal_cost, m, k) else "no"
     print(f"optimal {k}-median cost = {rep.optimal_cost:.9f}  -> {verdict} side")
 
-    blocks = _pad_blocks([list(b) for b in rep.partition], k)
-    cover_rep = soundness_assemble(g, blocks, k=k, objective="median")
     print(f"\nextracted cover: {sorted(cover_rep.cover)} "
           f"(size {cover_rep.total_cover_size}, path {cover_rep.procedures_path})")
     print(f"cluster profile: singles={cover_rep.t1} stars={cover_rep.t2} "

@@ -49,6 +49,7 @@ from .oracle import (
     random_triangle_free,
 )
 from .reduction import (
+    OBJECTIVES,
     auto_no_regime,
     check_delta,
     instance_from_json,
@@ -57,6 +58,7 @@ from .reduction import (
     predict_gap_graph,
     reduce_graph,
     reduce_hypergraph,
+    yes_cost,
 )
 from .suites import cover_le_2k, means_complete, median_complete, monotone_in_centers, run_all
 
@@ -189,18 +191,15 @@ def _pad_blocks(blocks: list[list[int]], want: int) -> list[list[int]]:
 
 
 def _round_trip(
-    g: Graph, k: int, blocks_needed: int, args: argparse.Namespace
+    g: Graph, k: int, blocks_needed: int, objective: str, beta: float, delta: float
 ) -> tuple[OracleReport, SoundnessReport]:
-    """The soundness round trip of ``cover`` and ``sweep``: the oracle's
-    optimal clustering at ``blocks_needed`` = ceil(beta*k) blocks, padded by
-    ``_pad_blocks`` to exactly that many, then cover extraction at budget k
-    with the command's objective, beta and delta."""
-    oracle = opt_continuous(reduce_graph(g, k=blocks_needed, objective=args.objective))
+    """The soundness round trip of ``cover``, ``sweep`` and the demo: the
+    oracle's optimal clustering at ``blocks_needed`` blocks, padded by
+    ``_pad_blocks`` to exactly that many, then ``soundness_assemble`` at
+    budget k, all with the given objective, beta and delta."""
+    oracle = opt_continuous(reduce_graph(g, k=blocks_needed, objective=objective))
     blocks = _pad_blocks([list(b) for b in oracle.partition], blocks_needed)
-    rep = soundness_assemble(
-        g, blocks, k=k, beta=args.beta, objective=args.objective, delta=args.delta
-    )
-    return oracle, rep
+    return oracle, soundness_assemble(g, blocks, k=k, beta=beta, objective=objective, delta=delta)
 
 
 def cmd_cover(args: argparse.Namespace) -> int:
@@ -211,7 +210,7 @@ def cmd_cover(args: argparse.Namespace) -> int:
         raise MedcoverError(
             f"ceil(beta*k) = {blocks_needed} blocks exceed the {g.num_edges} edges"
         )
-    oracle, rep = _round_trip(g, args.k, blocks_needed, args)
+    oracle, rep = _round_trip(g, args.k, blocks_needed, args.objective, args.beta, args.delta)
     payload = dataclasses.asdict(rep)
     payload["oracle_cost"] = oracle.optimal_cost
     payload["min_vertex_cover"] = len(min_vertex_cover(g))
@@ -303,15 +302,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             "m": m,
             "k": k,
             "blocks": blocks_needed,
-            "median_yes": repr(m - k / 2),
+            "median_yes": repr(yes_cost(m, k, "median")),
             "median_opt": repr(med.optimal_cost),
             "median_complete": str(median_complete(med.optimal_cost, m, k)).lower(),
-            "means_yes": repr(float(m - k)),
+            "means_yes": repr(yes_cost(m, k, "means")),
             "means_opt": repr(mea.optimal_cost),
             "means_complete": str(means_complete(mea.optimal_cost, m, k)).lower(),
         }
         if blocks_needed <= m:  # else the oracle and cover columns stay blank
-            ob, rep = _round_trip(g, k, blocks_needed, args)
+            ob, rep = _round_trip(g, k, blocks_needed, args.objective, args.beta, args.delta)
             row["opt_at_blocks"] = repr(ob.optimal_cost)
             row["beta_monotone"] = str(
                 monotone_in_centers(ob.optimal_cost, opt[args.objective].optimal_cost)
@@ -356,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reduce", help="embed an edge list as a clustering instance")
     p.add_argument("--graph", required=True, help="edge-list file (one 'u v' per line)")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--objective", choices=("median", "means"), default="median")
+    p.add_argument("--objective", choices=OBJECTIVES, default="median")
     p.add_argument("--delta", type=float, default=0.01)
     p.add_argument("--out", help="write the instance JSON here")
     p.set_defaults(func=cmd_reduce)
@@ -381,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cover", help="oracle clustering, then cover extraction")
     p.add_argument("--graph", required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--objective", choices=("median", "means"), default="median")
+    p.add_argument("--objective", choices=OBJECTIVES, default="median")
     p.add_argument("--beta", type=float, default=1.0)
     p.add_argument("--delta", type=float, default=0.01)
     p.add_argument("--out")
@@ -390,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="exact optimum (instance JSON or edge list)")
     p.add_argument("--graph", required=True, help="instance JSON or edge-list file")
     p.add_argument("--k", type=int, default=None)
-    p.add_argument("--objective", choices=("median", "means"), default="median")
+    p.add_argument("--objective", choices=OBJECTIVES, default="median")
     p.add_argument("--out")
     p.set_defaults(func=cmd_oracle)
 
@@ -407,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--beta", type=float, default=1.0)
     p.add_argument("--delta", type=float, default=0.01)
-    p.add_argument("--objective", choices=("median", "means"), default="median")
+    p.add_argument("--objective", choices=OBJECTIVES, default="median")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(func=cmd_sweep)
@@ -420,7 +419,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (MedcoverError, OSError, ValueError, json.JSONDecodeError) as ex:
+    except (MedcoverError, OSError, ValueError) as ex:  # ValueError covers JSONDecodeError
         sys.stderr.write(f"error: {ex}\n")
         return 1
 

@@ -30,12 +30,12 @@ import numpy as np
 
 from .errors import DomainError, InstanceTooLarge, NotConverged
 from .graphs import ClassTag, Graph, GraphClass, classify
+from .reduction import check_objective
 
 Number = Union[float, Fraction]
 
 BASIS_CLOSED = "exact_closed_form"
 BASIS_UPPER = "numerical_upper"
-BASIS_LOWER = "certified_lower"
 
 _SNAP = 1e-12  # distance under which an iterate is treated as sitting on a data point
 MAX_CONTINUOUS_POINTS = 12  # largest point set whose 2^n subsets are tabulated
@@ -61,8 +61,9 @@ class MedianSolution:
 class ExtraCost:
     """Cost of a cluster above the same-size star baseline.
 
-    basis says how the figure was obtained: an exact closed form, a numerical
-    upper estimate (Weiszfeld), or a certified lower bound.
+    basis says how the figure was obtained: ``BASIS_CLOSED`` for an exact
+    value (a median closed form as a float, or a means cost as a
+    ``Fraction``), ``BASIS_UPPER`` for a numerical upper estimate (Weiszfeld).
     """
 
     value: Number
@@ -440,11 +441,9 @@ def extra_cost(g: Graph, objective: str) -> ExtraCost:
     closed form, otherwise a numerical upper estimate.
     means:  1-means cost minus (r-1), always exact (rational arithmetic).
     """
-    r = g.num_edges
+    check_objective(objective)
     if objective == "means":
-        return ExtraCost(one_means_cost(g) - (r - 1), BASIS_CLOSED)
-    if objective != "median":
-        raise ValueError("objective must be 'median' or 'means'")
+        return ExtraCost(one_means_cost(g) - (g.num_edges - 1), BASIS_CLOSED)
     return median_extra_cost(g, *median_cost(g))
 
 

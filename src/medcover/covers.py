@@ -22,9 +22,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
-from .costs import extra_cost, one_means_cost
+from .costs import Number, extra_cost, one_means_cost
 from .errors import InvalidPartition, PreconditionViolated, Stuck
 from .graphs import (
     ClassTag,
@@ -45,11 +45,9 @@ from .graphs import (
     second_maximum_matching,
     subgraph,
 )
-from .reduction import check_delta
+from .reduction import check_delta, check_objective
 
 SQRT2P1 = math.sqrt(2.0) + 1.0
-
-Number = Union[float, Fraction]
 
 
 @dataclass(frozen=True)
@@ -205,7 +203,7 @@ def _general_cover(g: Graph, m: Matching, l: Matching) -> set[int]:
     red = [e for e in live if e in m_set]
     non_red = [e for e in live if e not in m_set]
     u = common_vertex(non_red)
-    if not non_red or u is None:
+    if u is None:
         raise Stuck("residue's non-matching edges should form a nonempty star")
 
     slack = len(m) - len(l)
@@ -232,20 +230,18 @@ def _general_cover(g: Graph, m: Matching, l: Matching) -> set[int]:
 # Case dispatch for matching number >= 3
 # ---------------------------------------------------------------------------
 
-def _cover_via_bridge_residual(g: Graph, m: Matching, f_prime: Graph) -> set[int]:
-    """|L| = 2 with the M-deleted graph a bridge: cover of size |M|.
+def _cover_via_bridge_residual(g: Graph, m: Matching, b: Edge) -> set[int]:
+    """|L| = 2 with the M-deleted graph F' a bridge graph with bridge edge
+    ``b``: cover of size |M|.
 
     One bridge endpoint u must meet a matching edge; taking u, the rest of
     the graph has maximum matching M minus that edge and a star residue, so
     the general construction finishes with |M| - 1 more vertices. The
     residue's second matching has exactly one edge: it is a maximum matching
     of F' minus the edges at u, and that is exactly the far star of the
-    bridge graph F' (p, q >= 1), which has at least one edge.
+    bridge graph F' (p, q >= 1), which has at least one edge. If b meets no
+    M-edge, or that second matching is not one edge, it raises ``Stuck``.
     """
-    bridge = bridge_structure(f_prime)
-    if bridge is None:
-        raise Stuck("M-deleted graph is not a bridge graph")
-    b, _p, _q = bridge
     e_star = None
     u = None
     for e in m.edges:
@@ -253,7 +249,7 @@ def _cover_via_bridge_residual(g: Graph, m: Matching, f_prime: Graph) -> set[int
         if shared:
             e_star, u = e, min(shared)
             break
-    if e_star is None or u is None:
+    if e_star is None:
         raise Stuck("bridge edge not incident on the maximum matching")
     g_rest = Graph(g.num_vertices, tuple(e for e in g.edges if u not in e))
     rest = [(i, e) for i, e in enumerate(g_rest.edges) if e in m.edges]  # M less e_star
@@ -314,9 +310,9 @@ def cover_case_dispatch(g: Graph, extra: float) -> CoverResult:
     if len(l) == 1:
         return result(_general_cover(g, m, l), 1.8, len(m))
     if len(l) == 2:
-        f_prime = remove_edges(g, m.edges)
-        if bridge_structure(f_prime) is not None:
-            return result(_cover_via_bridge_residual(g, m, f_prime), 1.53, len(m))
+        bridge = bridge_structure(remove_edges(g, m.edges))
+        if bridge is not None:
+            return result(_cover_via_bridge_residual(g, m, bridge[0]), 1.53, len(m))
         return result(_general_cover(g, m, l), 1.68, len(m) + 1)
 
     ml_edges = m.edges + l.edges
@@ -615,8 +611,7 @@ def soundness_assemble(
     that is negative or not finite raises ``ValueError``.
     """
     _require_triangle_free(g)
-    if objective not in ("median", "means"):
-        raise ValueError("objective must be 'median' or 'means'")
+    check_objective(objective)
     expected = block_count(beta, k)
     check_delta(delta)
     blocks = _normalize_clustering(g, clustering)

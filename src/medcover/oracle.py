@@ -567,31 +567,51 @@ def opt_discrete(inst: ClusteringInstance) -> OracleReport:
 
 
 def min_vertex_cover(g: Graph) -> set[int]:
-    """Exact minimum vertex cover by branch and bound on an uncovered edge
-    (take one endpoint or the other). Deterministic: among minimum covers
-    the lexicographically smallest is returned. More than ``MAX_VC_EDGES``
-    edges raise ``InstanceTooLarge`` before the search."""
+    """Exact minimum vertex cover by branch and bound over the sorted edges:
+    at the first uncovered edge (u, v), u < v, take u, then v. A branch
+    stops once its cover plus a greedy matching of the edges it leaves
+    uncovered (each matched edge needs its own vertex) reaches the best size
+    found, so only a strictly smaller cover ever replaces the best.
+
+    Deterministic: among minimum covers the lexicographically smallest (as a
+    sorted tuple), S, is returned, whatever the order of ``g.edges``. Every
+    cover met before S is larger, so the bound, at most |S| on S's path,
+    never cuts that path. No other minimum cover C is met first: C's path
+    would leave S's at an edge (u, v) by taking u where S's took v, so u is
+    not in S; every later pick on either path is at least u, so C and S
+    agree below u, and then C has u where S has a larger vertex, making C
+    the smaller. More than ``MAX_VC_EDGES`` edges raise ``InstanceTooLarge``
+    before the search."""
     if g.num_edges > MAX_VC_EDGES:
         raise InstanceTooLarge(f"{g.num_edges} edges exceeds the {MAX_VC_EDGES}-edge limit")
-    best: list[tuple[int, ...]] = [tuple(sorted(v for e in g.edges for v in e))]
+    edges = sorted(g.edges)
+    best = [{v for e in edges for v in e}]
 
     def search(cover: set[int], start: int) -> None:
-        if len(cover) >= len(best[0]):
+        first = None
+        bound = len(cover)
+        matched: set[int] = set()
+        for i in range(start, len(edges)):
+            u, v = edges[i]
+            if u in cover or v in cover:
+                continue
+            if first is None:
+                first = i
+            if u not in matched and v not in matched:
+                matched.update(edges[i])
+                bound += 1
+        if bound >= len(best[0]):
             return
-        for i in range(start, g.num_edges):
-            u, v = g.edges[i]
-            if u not in cover and v not in cover:
-                for pick in (u, v):
-                    search(cover | {pick}, i + 1)
-                return
-        cand = tuple(sorted(cover))
-        if (len(cand), cand) < (len(best[0]), best[0]):
-            best[0] = cand
+        if first is None:
+            best[0] = cover
+            return
+        for pick in edges[first]:
+            search(cover | {pick}, first + 1)
 
     search(set(), 0)
     if not is_vertex_cover(g, best[0]):
-        raise Stuck(f"branch and bound returned a non-cover {best[0]}")
-    return set(best[0])
+        raise Stuck(f"branch and bound returned a non-cover {sorted(best[0])}")
+    return best[0]
 
 
 # ---------------------------------------------------------------------------

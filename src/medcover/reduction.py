@@ -39,8 +39,7 @@ class ClusteringInstance:
     candidate_centers: Optional[tuple[Vector, ...]] = None
 
     def __post_init__(self) -> None:
-        if self.objective not in OBJECTIVES:
-            raise ValueError(f"objective must be one of {OBJECTIVES}")
+        check_objective(self.objective)
         for name in ("dimension", "k"):
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
@@ -132,11 +131,23 @@ def reduce_hypergraph(h: HypergraphInstance) -> ClusteringInstance:
     return ClusteringInstance(h.num_vertices, points, h.k, "means", centers)
 
 
+def check_objective(objective: str) -> None:
+    """Raise ``ValueError`` unless ``objective`` is one of ``OBJECTIVES``."""
+    if objective not in OBJECTIVES:
+        raise ValueError(f"objective must be one of {OBJECTIVES}")
+
+
 def check_delta(delta: float) -> None:
     """Raise ``ValueError`` unless the gap parameter delta is finite and
     non-negative."""
     if not (math.isfinite(delta) and delta >= 0):
         raise ValueError(f"delta must be non-negative and finite, got {delta!r}")
+
+
+def yes_cost(m: int, k: int, objective: str) -> float:
+    """The yes cost of the graph reduction: with m edges and a vertex cover of
+    size k, k centers cost at most m - k/2 (median) or m - k (means)."""
+    return m - k / 2 if objective == "median" else m - float(k)
 
 
 def predict_gap_graph(m: int, k: int, objective: str, delta: float) -> GapPrediction:
@@ -148,14 +159,13 @@ def predict_gap_graph(m: int, k: int, objective: str, delta: float) -> GapPredic
     k may be at most m: with more centers than points the thresholds would
     go negative.
     """
-    if objective not in OBJECTIVES:
-        raise ValueError(f"objective must be one of {OBJECTIVES}")
+    check_objective(objective)
     if m < 1 or k < 1:
         raise ValueError("m and k must be >= 1")
     if k > m:
         raise ValueError(f"k = {k} exceeds the m = {m} edges")
     check_delta(delta)
-    yes = m - k / 2 if objective == "median" else m - float(k)
+    yes = yes_cost(m, k, objective)
     return GapPrediction(
         yes_cost=yes,
         no_cost_lower=yes + delta * k,

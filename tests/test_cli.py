@@ -1,11 +1,13 @@
 """End-to-end command-line behavior, including byte-level determinism."""
 
 import json
+import math
 
 import pytest
 
-from medcover import cli, costs
+from medcover import cli, costs, suites
 from medcover.cli import main
+from medcover.errors import MedcoverError
 from medcover.costs import closed_form_median_cost, cluster_points, extra_cost, weiszfeld
 from medcover.graphs import parse_edge_list
 from medcover.reduction import instance_from_json
@@ -112,6 +114,16 @@ def test_decompose_skips_ultra_for_bridge_graphs(capsys, p4_file):
     assert "bridge" in payload["note"]
 
 
+def test_decompose_skips_both_modes_for_stars(tmp_path, capsys):
+    star = tmp_path / "star.txt"
+    star.write_text("0 1\n0 2\n0 3\n")
+    code, stdout, _ = run(capsys, "decompose", "--graph", str(star))
+    assert code == 0
+    payload = json.loads(stdout)
+    assert (payload["class"], payload["safe"], payload["ultra_safe"]) == ("Star", None, None)
+    assert payload["note"].startswith("stars need no decomposition")
+
+
 def test_cover_recovers_the_minimum_on_c5(capsys, c5_file):
     code, stdout, _ = run(capsys, "cover", "--graph", c5_file, "--k", "3")
     assert code == 0
@@ -122,10 +134,40 @@ def test_cover_recovers_the_minimum_on_c5(capsys, c5_file):
     assert len(payload["per_cluster"]) >= 1
 
 
+def test_cover_means_reports_exact_rationals_as_floats(capsys, c5_file):
+    # C5 at k = 2 clusters as a 3-edge path and a 2-edge star; the path's
+    # means extra cost 2/3 and its bound 1 + (5/2)(2/3) are Fractions
+    code, stdout, _ = run(capsys, "cover", "--graph", c5_file, "--k", "2", "--objective", "means")
+    assert code == 0
+    path_block = json.loads(stdout)["per_cluster"][0]
+    assert path_block["bound_kind"] == "1+(5/2)delta_means"
+    assert (path_block["bound_value"], path_block["delta_used"]) == (
+        2.6666666666666665, 0.6666666666666666)
+
+
+def test_pad_blocks_peels_the_largest_block_until_there_are_enough():
+    assert cli._pad_blocks([[2, 1, 0], [3, 4]], 4) == [[0], [3, 4], [2], [1]]
+    with pytest.raises(MedcoverError, match="all blocks are singletons"):
+        cli._pad_blocks([[0], [1]], 3)
+
+
 def test_oracle_on_edge_list_requires_k(capsys, p4_file):
     code, _, stderr = run(capsys, "oracle", "--graph", p4_file)
     assert code == 1
     assert "--k" in stderr
+
+
+def test_oracle_on_an_edge_list_solves_its_reduction(capsys, c5_file):
+    # three blocks for C5: a 3-edge path at 1 + sqrt(3) and two single edges
+    code, stdout, _ = run(capsys, "oracle", "--graph", c5_file, "--k", "3")
+    assert code == 0
+    payload = json.loads(stdout)
+    assert (payload["method"], payload["partition"]) == (
+        "partition_enum_weiszfeld", [[0, 3, 4], [1], [2]])
+    assert payload["optimal_cost"] == pytest.approx(1 + math.sqrt(3), abs=1e-9)
+    code, stdout, stderr = run(capsys, "oracle", "--graph", c5_file)
+    assert (code, stdout) == (1, "")
+    assert stderr == "error: --k is required when the input is an edge list\n"
 
 
 def test_oracle_on_instance_json(tmp_path, capsys):
@@ -342,6 +384,17 @@ def test_verify_lemmas_passes_and_is_deterministic(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
     report = json.loads(a.read_text())
     assert report["all_passed"] is True
+
+
+def test_verify_lemmas_that_fails_writes_one_line_per_failure(tmp_path, capsys, monkeypatch):
+    failed = {"name": "closed_forms", "passed": False, "checks": 3, "failures": ["a", "b"]}
+    monkeypatch.setattr(suites, "suite_closed_forms", lambda: failed)
+    out = tmp_path / "lemmas.json"
+    code, _, stderr = run(capsys, "verify-lemmas", "--max-edges", "3", "--trials", "1",
+                          "--out", str(out))
+    assert code == 1
+    assert stderr.splitlines() == ["closed_forms: a", "closed_forms: b"]
+    assert json.loads(out.read_text())["all_passed"] is False
 
 
 def test_verify_lemmas_has_no_tolerance_flag(capsys):

@@ -198,6 +198,11 @@ def test_extra_cost_means_is_exact():
     assert e2.value == Fraction(1)
 
 
+def test_extra_cost_rejects_an_unknown_objective():
+    with pytest.raises(ValueError, match=r"^objective must be one of \('median', 'means'\)$"):
+        extra_cost(graph_from_edges([(0, 1), (1, 2), (2, 3)]), "mean")
+
+
 # ---------------------------------------------------------------------------
 # Differential references for the Weiszfeld loops
 # ---------------------------------------------------------------------------

@@ -494,6 +494,11 @@ def test_assemble_rejects_beta_below_one_or_not_finite(beta, message):
         soundness_assemble(graph_from_edges(C5), [[0, 1, 2], [3, 4]], k=2, beta=beta)
 
 
+def test_assemble_rejects_an_unknown_objective():
+    with pytest.raises(ValueError, match=r"^objective must be one of \('median', 'means'\)$"):
+        soundness_assemble(graph_from_edges(C5), [[0, 1, 2], [3, 4]], k=2, objective="mean")
+
+
 @pytest.mark.parametrize("k", [0, -1])
 def test_assemble_rejects_k_below_one(k):
     with pytest.raises(ValueError, match=f"^k must be at least 1, got {k}$"):
@@ -561,10 +566,12 @@ def test_stuck_when_the_c5_alternate_vertices_are_not_a_cover(monkeypatch):
         cover_matching_two(c5, median_extra(c5))
 
 
-def test_stuck_when_bridge_residual_is_given_a_non_bridge():
-    g = graph_from_edges([(0, 1), (2, 3), (4, 5)])
-    with pytest.raises(Stuck, match="not a bridge graph"):
-        covers._cover_via_bridge_residual(g, maximum_matching(g), g)
+def test_stuck_when_the_bridge_edge_misses_the_matching():
+    # the dispatch only passes bridges of M-deleted graphs, which a maximum
+    # M always meets; an edge on two isolated vertices does not
+    g = Graph(8, ((0, 1), (2, 3), (4, 5)))
+    with pytest.raises(Stuck, match="bridge edge not incident on the maximum matching"):
+        covers._cover_via_bridge_residual(g, maximum_matching(g), (6, 7))
 
 
 def test_stuck_when_a_dispatch_case_exceeds_its_ceiling(monkeypatch):

@@ -169,6 +169,7 @@ def test_edge_components_match_union_find(seed):
 def test_common_vertex():
     assert common_vertex([(0, 1), (1, 2), (1, 3)]) == 1
     assert common_vertex([(0, 1), (2, 3)]) is None
+    assert common_vertex([]) is None
 
 
 @pytest.mark.parametrize(

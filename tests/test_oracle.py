@@ -8,6 +8,7 @@ import math
 import random
 import sys
 import threading
+import time
 import tracemalloc
 import weakref
 from collections import Counter
@@ -411,14 +412,24 @@ def test_cached_tables_and_layers_are_read_only(objective):
 
 def test_continuous_rejects_non_finite_block_costs(monkeypatch):
     # finite points whose costs overflow float: the exact means cost of the
-    # pair is 2e400, and the median's distances square past the float range
+    # pair is 2e400, and the median's distances square past the float range.
+    # Two points at 1e308 overflow no power: their means centroid sums reach
+    # inf, which the finiteness check on the cost table catches
     builds = _count_table_builds(monkeypatch)
-    for objective in ("median", "means"):
-        inst = ClusteringInstance(2, ((1e200, 0.0), (0.5, 0.0), (-1e200, 0.0)), 2, objective)
+    far = ((1e200, 0.0), (0.5, 0.0), (-1e200, 0.0))
+    twins = ((1e308, 0.5), (1e308, 0.5))
+    cases = [
+        (far, 2, "median", "a distance to the centroid is not finite"),
+        (far, 2, "means", "a block cost overflows float"),
+        (twins, 1, "median", "a distance to the centroid is not finite"),
+        (twins, 1, "means", "a block cost is not finite"),
+    ]
+    for points, k, objective, message in cases:
+        inst = ClusteringInstance(2, points, k, objective)
         for _ in range(2):  # a build that raises is not cached: the next call builds again
-            with pytest.raises(DomainError):
+            with pytest.raises(DomainError, match=message):
                 opt_continuous(inst)
-    assert builds == ["weiszfeld_subsets"] * 2 + ["_centroid_table"] * 2
+    assert builds == (["weiszfeld_subsets"] * 2 + ["_centroid_table"] * 2) * 2
 
 
 def test_discrete_hypergraph_cover_geometry():
@@ -871,10 +882,23 @@ def test_min_vertex_cover_frozen():
 
 
 def test_min_vertex_cover_is_minimum_on_catalogue():
+    # brute force tries covers by size, then in lexicographic order
     for g in enumerate_triangle_free(5):
-        got = min_vertex_cover(g)
-        assert is_vertex_cover(g, got)
-        assert len(got) == len(brute_min_cover(g))
+        assert min_vertex_cover(g) == brute_min_cover(g)
+
+
+def test_min_vertex_cover_is_the_smallest_whatever_the_edge_order():
+    # a 4-cycle listed out of order: {1, 3} is minimum too, but {0, 2} is smaller
+    assert min_vertex_cover(graph_from_edges([(1, 2), (0, 1), (2, 3), (0, 3)])) == {0, 2}
+
+
+def test_min_vertex_cover_is_fast_at_its_edge_ceiling():
+    # a perfect matching has 2^24 minimum covers; the matching bound cuts
+    # every branch once the first is found
+    g = Graph(48, tuple((2 * i, 2 * i + 1) for i in range(24)))
+    start = time.perf_counter()
+    assert min_vertex_cover(g) == set(range(0, 48, 2))
+    assert time.perf_counter() - start < 1.0
 
 
 def test_min_vertex_cover_edge_cap():

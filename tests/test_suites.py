@@ -311,7 +311,7 @@ def test_completeness_suite_reports_a_means_cost_above_the_threshold(monkeypatch
     result = suite_completeness(2, 0)
     m = g.num_edges
     assert_one_failure(
-        result, clean, f"means completeness fails on {g.edges}: {raised[0]!r} > {m - k!r}"
+        result, clean, f"means completeness fails on {g.edges}: {raised[0]!r} > {float(m - k)!r}"
     )
 
 
