@@ -8,7 +8,9 @@ Everything else is solved numerically with Weiszfeld's fixed-point iteration,
 hardened at data points via the standard subgradient test. One batched loop,
 ``_weiszfeld_batch``, does every such solve: ``weiszfeld`` runs it on one
 point set, ``weiszfeld_subsets`` on every subset of one, and ``median_costs``
-on many graphs' clusters at once.
+on many graphs' clusters at once. ``_centroid_bounds`` brackets a batch's
+1-median costs without solving them, between the cost at the centroid and
+the Fermat–Weber dual bound there.
 
 1-means costs need no solver at all: the optimal center is the centroid and
 the cost collapses to (2r^2 - sum_v deg(v)^2) / r, one exact rational.
@@ -281,6 +283,41 @@ def _weiszfeld_batch(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
     )
 
 
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
+def _centroid_bounds(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each row's centroid c and two bounds on its 1-median cost, for a
+    (batch, points, dim) array of equal-size blocks: the cost at c above,
+    and below the Fermat–Weber dual bound at c. A cost at c that is not
+    finite raises the ``DomainError`` ``_weiszfeld_batch`` raises for its
+    start, which is c too.
+
+    Any vectors u_i with |u_i| <= 1 that sum to 0 give sum |x_i - y| >=
+    sum u_i . (x_i - y) = sum u_i . (x_i - c) for every y (Kuhn 1973). Here
+    u_i is the unit vector e_i from c to x_i (0 for a point at c), less
+    their mean m, scaled down by the largest |e_i - m| when that passes 1;
+    at the median the unit vectors sum to 0 and the bound is tight. Since
+    e_i . (x_i - c) = |x_i - c|, the dual is (upper - sum m . (x_i - c)) /
+    scale. Every x_i - c is rounded relative to its own length, so the
+    float dual is off by at most a few ulps of the upper bound per point
+    and coordinate.
+    """
+    r = blocks.shape[1]
+    centers = np.einsum("bpd->bd", blocks) / r
+    diff = blocks - centers[:, None, :]
+    dist = np.sqrt(np.einsum("bpd,bpd->bp", diff, diff))
+    upper = np.add.reduce(dist, axis=1)
+    if not np.isfinite(upper).all():
+        raise DomainError("a distance to the centroid is not finite")
+    off = dist > 0.0
+    inv = np.divide(1.0, dist, out=np.zeros_like(dist), where=off)
+    mean = np.einsum("bpd,bp->bd", diff, inv) / r
+    along = np.einsum("bpd,bd->bp", diff, mean)  # m . (x_i - c)
+    # |e_i - m|^2 = |e_i|^2 - 2 e_i . m + |m|^2, and |e_i| is 1 off the centroid
+    spread = np.where(off, 1.0 - 2.0 * inv * along, 0.0).max(axis=1)
+    scale = np.sqrt(np.maximum(1.0, spread + np.einsum("bd,bd->b", mean, mean)))
+    return centers, upper, (upper - np.add.reduce(along, axis=1)) / scale
+
+
 def _weighted_sum_for(dim: int):
     """The weighted point sum of ``_weiszfeld_batch``'s step, sum_p w[b, p]
     * pts[b, p, :], for blocks of ``dim`` coordinates, with the floats of
@@ -427,6 +464,22 @@ def one_means_cost(g: Graph) -> Fraction:
     included, and the left side equals the right: one ``Fraction`` of two
     integers instead of a rational sum. A star with r edges gives r - 1, the
     minimum over all r-edge clusters.
+
+    Closed form of the extra cost. Let D be the number of vertex-disjoint
+    edge pairs. sum_v deg(v)^2 = sum_v deg(v) + sum_v deg(v)(deg(v) - 1):
+    the first sum is 2r, and the second counts each ordered pair of
+    distinct edges at a vertex they share, so once per ordered pair that
+    meets (two distinct edges share at most one vertex), 2(C(r, 2) - D) in
+    all. Hence sum_v deg(v)^2 = r(r + 1) - 2D, and the cost is
+    r - 1 + 2D/r: 2D/r above the star.
+
+    On a triangle-free graph that is not a star, 2D >= r - 1. Call an edge
+    covering when it meets every other edge. Two covering edges must meet,
+    say as uv and uw, and every further edge then holds u (vw would close a
+    triangle), which makes a star. So at most one edge covers, each of the
+    other r - 1 edges misses some edge, and D, which counts each such miss
+    from both ends, is at least (r - 1)/2. The means extra cost of a
+    non-star is thus at least (r - 1)/r.
     """
     r = g.num_edges
     if r < 1:

@@ -8,14 +8,21 @@ constructive machinery is tested against, so they share no code with it
 beyond the graph substrate (``graphs``) and the 1-median solver.
 
 The continuous oracle builds its block-cost tables in one pass before the
-DP: the 1-median of all 2^n - 1 point subsets by the batched Weiszfeld
-loop (``costs.weiszfeld_subsets``, which runs one batch per subset size and
-raises ``NotConverged`` rather than return an unconverged cost), and the
-centroid cost of every subset from exact integer subset sums; a cost that
-overflows float raises ``DomainError``. The subset DP then keeps each layer
-as a float64 array over all 2^n masks and builds it in numpy from the
-previous one, through that layer's layout (``_layout``): the candidates'
-int32 gather indices and their target groups. A layout depends only on n
+DP. For median, every one of the 2^n - 1 point subsets gets two bounds at
+its centroid: the centroid cost above and the Fermat–Weber dual bound
+below, less the margin ``_BOUND_MARGIN``. A subset DP over the upper
+bounds caps the optimum at every k, a DP over every mask of the lower
+bounds floors each partition that holds a given subset, and only the
+subsets some partition within the margin of a cap can use are solved, by
+the batched Weiszfeld loop (one batch per subset size, which raises
+``NotConverged`` rather than return an unconverged cost). The rest keep
+their centroid and its cost; no partition near an optimum uses them, so
+every optimum is the full Weiszfeld table's bit for bit (``_median_table``).
+For means every subset gets its centroid cost from exact integer subset
+sums. A cost that overflows float raises ``DomainError``. The subset DP
+then keeps each layer as a float64 array over all 2^n masks and builds it
+in numpy from the previous one, through that layer's layout (``_layout``):
+the candidates' int32 gather indices and their target groups. A layout depends only on n
 and the layer, so each process builds it once and keeps it read-only, and
 a layer costs two gathers, the group reductions and one scatter. Its
 result is the same, bit for bit, as a
@@ -66,7 +73,7 @@ from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .costs import MAX_CONTINUOUS_POINTS, weiszfeld_subsets
+from .costs import MAX_CONTINUOUS_POINTS, _centroid_bounds, _subsets_by_size, _weiszfeld_batch
 from .errors import DomainError, InstanceTooLarge, PreconditionViolated, Stuck
 from .graphs import (
     Graph,
@@ -87,6 +94,12 @@ MAX_CANON_STATES = 50_000
 # inside which another cost makes the scan replay in Python.
 _TIE_MARGIN = 1e-15
 _TIE_WINDOW = 1e-14
+# The median table's margin (``_median_table``), relative to max(1, the
+# value it pads). It must exceed everything that can move a cost or a DP
+# value: the dual bound's rounding (a few ulps), the first-wins drift of the
+# DP (under 2^11 x 1e-15 = 2e-12), the 1e-14 tie window and Weiszfeld's
+# 1e-12 stop rule. 1e-9 exceeds each by a factor of at least 500.
+_BOUND_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -281,14 +294,125 @@ def _extend(
     return best, choice
 
 
+def _slack(value):
+    """``_BOUND_MARGIN`` x max(1, value), elementwise."""
+    return _BOUND_MARGIN * np.maximum(1.0, value)
+
+
+def _block_classes(by_size) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """For each size r = n..2: the masks of r points (``_subsets_by_size``)
+    and, one row per mask, its 2^(r-1) blocks (its lowest point plus each
+    subset of the others) and their rests, mask ^ block, as uint16."""
+    out = []
+    for rows, members in reversed(by_size[1:]):
+        bits = np.left_shift(1, members).astype(np.uint16)
+        blocks = np.empty((len(rows), 1 << (bits.shape[1] - 1)), dtype=np.uint16)
+        blocks[:, 0] = bits[:, 0]
+        for t in range(1, bits.shape[1]):  # the subsets without point t, then with it
+            half = 1 << (t - 1)
+            np.add(blocks[:, :half], bits[:, t:t + 1], out=blocks[:, half:2 * half])
+        out.append((rows, blocks, rows.astype(np.uint16)[:, None] - blocks))
+    return out
+
+
+def _needed_rows(n: int, upper: np.ndarray, lower: np.ndarray, by_size) -> np.ndarray:
+    """One flag per bitmask: whether some partition into at most k blocks,
+    for some k = 1..n, holds block S at a floor within ``_slack`` of U(k).
+
+    U(k), an upper bound on the k-optimum, is the least of the prefix DP's
+    layers 1..k at the full mask, run over ``upper`` through ``_layout``
+    (minima only: a bound needs no tie-break). The floor of a partition that holds S is lower(S) plus
+    L_{k-1}(full ^ S), where L_j(R) is the least ``lower`` sum over the
+    partitions of R into at most j blocks. L_j is a DP over every mask, not
+    only those of the prefix layers: it is 0 on masks of at most j points
+    (singletons cost 0), and each larger mask takes the least, over its
+    blocks that hold its lowest point, of the block's ``lower`` plus the
+    rest's L_{j-1} (``_block_classes``, largest masks first).
+    """
+    size, full = 1 << n, (1 << n) - 1
+    exact = np.full(size, math.inf)  # prefix layer k over upper
+    exact[0] = 0.0
+    least = exact  # L_{k-1}
+    classes = _block_classes(by_size)
+    need = np.zeros(size, dtype=bool)
+    ceiling = math.inf
+    for k in range(1, n + 1):
+        layout = _layout(n, k)
+        cost = exact.take(layout.source)
+        cost += upper.take(layout.block)
+        exact = np.full(size, math.inf)
+        exact[(1 << k) - 1::1 << k] = np.minimum.reduceat(cost, layout.starts)
+        ceiling = min(ceiling, float(exact[full]))
+        need |= lower + least[::-1] <= ceiling + _slack(ceiling)  # least[full ^ S]
+        if k == 1:
+            least = lower
+        elif k < n:
+            previous, least = least, np.zeros(size)
+            for rows, blocks, rests in classes[:n - k]:
+                cost = lower.take(blocks)
+                cost += previous.take(rests)
+                least[rows] = cost.min(axis=1)
+    return need
+
+
+def _median_table(points: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """The median block table of ``_tables_and_layers``: row ``mask`` holds
+    a cost and center for the points whose indices are its set bits, and
+    every optimum read off it, at every k, is the full Weiszfeld table's
+    (``costs.weiszfeld_subsets``) bit for bit.
+
+    Every row gets its centroid, the cost there as its upper bound, and the
+    Fermat–Weber dual bound less ``_slack(upper)``, floored at 0, as its
+    lower bound (``costs._centroid_bounds``). Only the rows ``_needed_rows``
+    picks are solved, one ``_weiszfeld_batch`` per size. Rows never mix, so a solved row has the full table's bits. The
+    others keep the centroid and its cost, a feasible pair no cheaper than
+    the row's 1-median. A solved cost outside [lower, upper + slack] raises
+    ``Stuck``, and ``NotConverged`` can come only from a solved row.
+
+    Why the optima stay: a partition into at most k blocks that uses an
+    unsolved row costs more than U(k) + slack in either table, so more than
+    the k-optimum by more than the slack; a part of one that fills a mask on
+    the DP's path to an optimum, completed by the rest of that optimum, is
+    such a partition, so it too lies the slack above the optimum's part.
+    The first-wins DP (``_extend``) moves only on a gain of more than
+    1e-15, so candidates more than 2^11 x 1e-15 above a mask's least (a
+    mask has at most 2^11) cannot change where it settles, and the slack is
+    far above that: along that path, and at the full mask of every layer,
+    both tables pick the same block at the same value, and the same layer
+    wins.
+    """
+    pts = np.asarray(points, dtype=float)
+    n, dim = pts.shape
+    costs = np.zeros(1 << n)
+    centers = np.zeros((1 << n, dim))
+    lower = np.zeros(1 << n)
+    by_size = _subsets_by_size(n)
+    for rows, members in by_size:
+        centers[rows], costs[rows], lower[rows] = _centroid_bounds(pts[members])
+    lower = np.maximum(0.0, lower - _slack(costs))
+    need = _needed_rows(n, costs, lower, by_size)
+    for rows, members in by_size:
+        solve = need.take(rows)
+        if not solve.any():
+            continue
+        rows = rows[solve]
+        solved, at, _ = _weiszfeld_batch(pts[members[solve]])
+        upper = costs.take(rows)
+        if ((solved < lower.take(rows)) | (solved > upper + _slack(upper))).any():
+            raise Stuck("a 1-median cost lies outside its centroid bounds")
+        costs[rows], centers[rows] = solved, at
+    return costs, centers
+
+
 @functools.lru_cache(maxsize=1)
 def _tables_and_layers(objective: str, points: tuple, k: int) -> tuple:
     """One instance, read-only: each point subset's block cost and center by
     bitmask (row 0 unused), then DP layers j = 0..k as (best, choice) pairs:
     ``best[mask]`` is the least cost of serving ``mask`` with j blocks (inf
     if unreached), ``choice[mask]`` the last of those blocks. k = 0 builds
-    the tables (batched Weiszfeld for median, exact centroid sums for means;
-    a cost that overflows or is not finite raises ``DomainError``) and layer
+    the tables (``_median_table``, valid at every k, or exact centroid sums
+    for means; a cost that overflows or is not finite raises
+    ``DomainError``) and layer
     0, the empty mask, after dropping the cached entry; a larger k extends its
     own entry for k - 1 by a layer."""
     n = len(points)
@@ -299,7 +423,7 @@ def _tables_and_layers(objective: str, points: tuple, k: int) -> tuple:
         _tables_and_layers.cache_clear()  # free the old instance before the new tables
         try:
             if objective == "median":
-                cost_table, center_table = weiszfeld_subsets(points)
+                cost_table, center_table = _median_table(points)
             else:
                 cost_table, center_table = _centroid_table(points)
         except OverflowError:  # an exact cost too large for a float
@@ -320,12 +444,22 @@ def opt_continuous(inst: ClusteringInstance) -> OracleReport:
     blocks, each block served by its own optimal center.
 
     Optimal k-clusterings are partition-induced, and splitting a block never
-    raises cost, so searching partitions into <= k blocks is exhaustive. The
-    cost and center of every one of the 2^n - 1 point subsets are tabulated
-    up front (batched Weiszfeld at ``costs.WEISZFELD_TOLERANCE`` for median,
-    exact centroid sums for means); the search then runs as a subset DP over
-    those tables: layer j holds the best cost of serving each point subset
-    with j blocks, one float64 array over all 2^n masks. Each new block
+    raises cost, so searching partitions into <= k blocks is exhaustive. A
+    cost and center for every one of the 2^n - 1 point subsets are tabulated
+    up front. For means they are exact centroid sums. For median
+    (``_median_table``) a subset is solved by batched Weiszfeld, at
+    ``costs.WEISZFELD_TOLERANCE``, only when some partition into at most k
+    blocks that holds it, for some k = 1..n, has a certified lower bound
+    within ``_BOUND_MARGIN`` (1e-9, relative) of an upper bound on the
+    k-optimum; every other subset keeps its centroid and centroid cost. No
+    partition within the margin of an optimum uses those rows, and the
+    margin is far above the DP's 1e-15 tie-break drift, so every cost,
+    partition and center equals the full Weiszfeld table's bit for bit, at
+    every k, and ``NotConverged`` can come only from a solved subset.
+
+    The search then runs as a subset DP over those tables: layer j holds
+    the best cost of serving each point subset with j blocks, one float64
+    array over all 2^n masks. Each new block
     holds the lowest point not yet served, and among candidates within 1e-15
     of each other the first in the submask loop's order wins (see
     ``_extend``), so partitions and costs are the same, bit for bit, as that
@@ -349,7 +483,7 @@ def opt_continuous(inst: ClusteringInstance) -> OracleReport:
         raise InstanceTooLarge(f"{n} points exceeds the {MAX_CONTINUOUS_POINTS}-point oracle limit")
     if inst.k > n:
         raise PreconditionViolated("k exceeds the number of points")
-    # -0.0 == 0.0 in the key; weiszfeld_subsets and _centroid_table give the same rows for either
+    # -0.0 == 0.0 in the key; _median_table and _centroid_table give the same rows for either
     points = tuple(map(tuple, inst.points))
     _, center_table, layers = _tables_and_layers(inst.objective, points, inst.k)
     full = (1 << n) - 1

@@ -4,6 +4,7 @@ The closed forms and the iterative solver are independent implementations of
 the same quantity, so agreement between them is a real check, not a tautology.
 """
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -30,7 +31,7 @@ from medcover.costs import (
     weiszfeld_subsets,
 )
 from medcover.errors import DomainError, NotConverged
-from medcover.graphs import graph_from_edges
+from medcover.graphs import common_vertex, graph_from_edges
 from medcover.oracle import enumerate_triangle_free, random_triangle_free
 from medcover.reduction import reduce_graph
 from medcover.suites import completeness_instances
@@ -196,6 +197,29 @@ def test_extra_cost_means_is_exact():
     assert e.value == Fraction(2, 3)
     e2 = extra_cost(disjoint(2), "means")
     assert e2.value == Fraction(1)
+
+
+def _disjoint_edge_pairs(g):
+    return sum(not set(e) & set(f) for e, f in itertools.combinations(g.edges, 2))
+
+
+def test_means_extra_cost_is_twice_the_disjoint_pairs_over_r():
+    # the two facts of ``one_means_cost``'s docstring, as exact Fractions
+    graphs = [*enumerate_triangle_free(8), *enumerate_triangle_free(8, include_disconnected=True)]
+    assert len(graphs) == 638
+    rng = random.Random(31)
+    for seed in range(300):
+        graphs.append(random_triangle_free(rng.randint(2, 12), rng.randint(1, 4), seed=seed))
+    non_stars = 0
+    for g in graphs:
+        r, pairs = g.num_edges, _disjoint_edge_pairs(g)
+        assert extra_cost(g, "means").value == Fraction(2 * pairs, r), g.edges
+        if common_vertex(g.edges) is None:
+            non_stars += 1
+            assert 2 * pairs >= r - 1, g.edges
+        else:
+            assert pairs == 0, g.edges
+    assert non_stars > 800
 
 
 def test_extra_cost_rejects_an_unknown_objective():

@@ -1,6 +1,7 @@
 """Exhaustive reference solvers and the triangle-free graph catalogue."""
 
 import dataclasses
+import functools
 import gc
 import hashlib
 import itertools
@@ -48,6 +49,7 @@ from medcover.reduction import (
     reduce_hypergraph,
 )
 from medcover.suites import completeness_instances
+from test_costs import CROSS, _centroid_on_a_point
 
 C5 = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]
 P4 = [(0, 1), (1, 2), (2, 3)]
@@ -113,7 +115,7 @@ def _key(inst):
 
 def _count_table_builds(monkeypatch):
     builds = []
-    for name in ("weiszfeld_subsets", "_centroid_table"):
+    for name in ("_median_table", "_centroid_table"):
         build = getattr(oracle, name)
 
         def counted(*args, _build=build, _name=name, **kwargs):
@@ -194,7 +196,7 @@ def test_continuous_failed_table_build_leaves_no_slot(monkeypatch):
     # the failed build was not cached: the next call builds again
     builds = _count_table_builds(monkeypatch)
     got = _fingerprint(opt_continuous(median))
-    assert builds == ["weiszfeld_subsets"]
+    assert builds == ["_median_table"]
     _cold()
     assert _fingerprint(opt_continuous(median)) == got
 
@@ -241,14 +243,14 @@ def test_the_previous_instance_is_freed_before_the_new_tables_are_built(monkeypa
             *(weakref.ref(x) for layer in entry[2] for x in layer)]
     del entry
     alive = []
-    build = oracle.weiszfeld_subsets
+    build = oracle._median_table
 
     def checked(points):
         gc.collect()
         alive.append(sum(r() is not None for r in refs))
         return build(points)
 
-    monkeypatch.setattr(oracle, "weiszfeld_subsets", checked)
+    monkeypatch.setattr(oracle, "_median_table", checked)
     opt_continuous(b)
     assert alive == [0]
 
@@ -375,6 +377,85 @@ def test_array_dp_matches_the_dict_loop_bit_for_bit(family):
         _assert_matches_dict_loop(inst, list(ks))
 
 
+def _median_point_sets(family):
+    """(points, the k values they are solved at in turn) for each family of
+    the pruned median table's checks."""
+    if family == "ties":
+        for points in _tie_prone_sets():
+            yield points, range(1, len(points) + 1)
+    elif family == "completeness":  # under two relabellings each
+        for seed in (1, 2):
+            rng = random.Random(seed)
+            for g in completeness_instances(8, 0):
+                perm = rng.sample(range(g.num_vertices), g.num_vertices)
+                relabelled = make_graph(g.num_vertices, sorted(
+                    tuple(sorted((perm[u], perm[v]))) for u, v in g.edges))
+                points = reduce_graph(relabelled, k=1, objective="median").points
+                yield points, range(1, len(points) + 1)
+    elif family == "ladder":  # k rising on one cache entry, then falling
+        for seed in (0, 1):
+            points = reduce_graph(random_triangle_free(7, 3, seed=seed), k=1, objective="median").points
+            yield points, [*range(1, len(points) + 1), *range(len(points) - 1, 0, -1)]
+    else:  # 40 seeded reductions of 9-12 points: 7 vertices give 9-10 edges, 8 give 11-12
+        found = 0
+        for seed in itertools.count():
+            g = random_triangle_free(7 + seed % 2, 3, seed=seed)
+            if 9 <= g.num_edges <= 12:
+                points = reduce_graph(g, k=1, objective="median").points
+                yield points, range(1, len(points) + 1)
+                found += 1
+                if found == 40:
+                    return
+
+
+@functools.lru_cache(maxsize=None)
+def _full_median_table(points):
+    """``weiszfeld_subsets`` of every subset, kept for the two checks below."""
+    return weiszfeld_subsets(points)
+
+
+@pytest.mark.parametrize("family", ["ties", "completeness", "ladder", "seeded"])
+def test_pruned_median_table_keeps_every_optimum_bit_for_bit(family, monkeypatch):
+    # the dict loop over the full Weiszfeld table is the reference; the
+    # pruned table must give its cost, partition and centers at every k
+    builds = _count_table_builds(monkeypatch)
+    sizes = Counter()
+    for points, ks in _median_point_sets(family):
+        points = tuple(map(tuple, points))
+        n = len(points)
+        sizes[n] += 1
+        full_costs, full_centers = _full_median_table(points)
+        best, choice = _dict_layers(full_costs.tolist(), n, n)
+        _cold()
+        builds.clear()
+        for k in ks:
+            inst = ClusteringInstance(len(points[0]), points, k, "median")
+            want = _dict_report(inst, best, choice, full_centers)
+            assert _fingerprint(opt_continuous(inst)) == _fingerprint(want), (points, k)
+        # rising k extends one entry; each fall builds afresh
+        assert len(builds) == 1 + sum(b < a for a, b in zip(ks, ks[1:])), points
+    if family == "seeded":
+        assert sorted(sizes) == [9, 10, 11, 12] and sum(sizes.values()) == 40
+
+
+@pytest.mark.parametrize("family", ["ties", "completeness", "ladder", "seeded", "centroid_on_a_point"])
+def test_centroid_bounds_hold_every_median_cost(family):
+    if family == "centroid_on_a_point":
+        sets = [CROSS, CROSS + [(0.0, -1.0)], *_centroid_on_a_point(6, 8)]
+    else:
+        sets = [points for points, _ in _median_point_sets(family)]
+    for points in sets:
+        points = tuple(map(tuple, points))
+        pts = np.asarray(points, dtype=float)
+        cost, _ = _full_median_table(points)
+        upper, dual = np.zeros(len(cost)), np.zeros(len(cost))
+        for rows, members in costs._subsets_by_size(len(points)):
+            _, upper[rows], dual[rows] = costs._centroid_bounds(pts[members])
+        lower = np.maximum(0.0, dual - oracle._slack(upper))  # as _median_table takes it
+        assert (lower[1:] <= cost[1:]).all(), points
+        assert (cost[1:] <= upper[1:] * (1 + oracle._BOUND_MARGIN)).all(), points
+
+
 def test_memoised_candidates_equal_a_fresh_build():
     # earlier tests have filled the memo; none of them may have changed it
     for n in range(1, oracle.MAX_CONTINUOUS_POINTS + 1):
@@ -429,7 +510,7 @@ def test_continuous_rejects_non_finite_block_costs(monkeypatch):
         for _ in range(2):  # a build that raises is not cached: the next call builds again
             with pytest.raises(DomainError, match=message):
                 opt_continuous(inst)
-    assert builds == (["weiszfeld_subsets"] * 2 + ["_centroid_table"] * 2) * 2
+    assert builds == (["_median_table"] * 2 + ["_centroid_table"] * 2) * 2
 
 
 def test_discrete_hypergraph_cover_geometry():

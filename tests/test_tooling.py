@@ -171,6 +171,22 @@ def test_readme_states_the_size_of_the_dp_memo():
     assert stated == [f"{total / 1e6:.1f}"], total
 
 
+def test_bench_records_name_every_end_to_end_metric_of_every_workload():
+    # scripts/bench_record.py writes them; each tree it timed must carry the
+    # benchmark's end-to-end metrics for each workload
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    metrics = {m["name"] for m in benchmark["end_to_end"]}
+    records = sorted(ROOT.glob("BENCH_*.json"))
+    assert records
+    for path in records:
+        trees = json.loads(path.read_text(encoding="utf-8"))["trees"]
+        assert len(trees) >= 2, path.name  # a before and an after
+        for name, tree in trees.items():
+            for workload in benchmark["workloads"]:
+                got = tree["workloads"][workload["name"]]["metrics"]
+                assert metrics <= set(got), (path.name, name, workload["name"])
+
+
 def test_demo_pipeline_runs_and_ends_with_its_json_report():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
