@@ -11,11 +11,12 @@ interleaved with the others, this times:
 - ``scripts/run_acceptance_sweep.py`` (it rewrites the tree's ``reports/``);
 - ``bench/run.py --trace 0`` on each workload of ``BENCHMARK.json``, at the
   seed and length ``BENCHMARK.json`` gives, keeping its end-to-end metrics;
-- two layers: a cold median table build at 11 points (the 11-edge graph of
-  the ``completeness`` workload, through the oracle's own cache, so the
-  builder the tree's ``opt_continuous`` uses) and, where the tree has one,
-  a pass of the median table's row selection: the cap DP and the
-  lower-bound DP over every mask.
+- three layers, on the 11-edge graph of the ``completeness`` workload (11
+  points): a cold median table build (through the oracle's own cache, so
+  the builder the tree's ``opt_continuous`` uses); one DP layer, layer 2 of
+  that table, built by ``oracle._extend`` from the cached layer 1; and,
+  where the tree has one, a pass of the median table's row selection: the
+  cap DP and the lower-bound DP over every mask.
 
 The script itself uses only the standard library; the trees run under the
 same Python. Wall times are the median of ``REPEATS`` runs for the short
@@ -65,6 +66,9 @@ def sample(f, runs=15):
     return round(statistics.median(times) * 1e3, 3)
 
 out = {"median_table_cold_11_points_ms": sample(table), "all_mask_dp_11_points_ms": None}
+oracle._tables_and_layers.cache_clear()
+cost_table, _, layers = oracle._tables_and_layers("median", points, 1)
+out["dp_layer_2_11_points_ms"] = sample(lambda: oracle._extend(n, 2, layers[-1][0], cost_table))
 if hasattr(oracle, "_needed_rows"):
     pts = np.asarray(points, dtype=float)
     by_size = costs._subsets_by_size(n)

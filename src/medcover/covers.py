@@ -335,6 +335,13 @@ def cover_case_dispatch(g: Graph, extra: float) -> CoverResult:
 # Single-edge clusters: Procedures 1-4
 # ---------------------------------------------------------------------------
 
+def cover_budget(k: int, delta: float) -> float:
+    """2k - 2*delta*k: the size a Case II cover of ``cover_single_edge_clusters``
+    is held to, and the soundness budget of any extracted cover for a graph
+    with a vertex cover of size k."""
+    return 2 * k - 2 * delta * k
+
+
 def cover_single_edge_clusters(
     g: Graph,
     singles: Iterable[int],
@@ -497,7 +504,7 @@ def cover_single_edge_clusters(
     return SingleEdgeCoverOutcome(
         scope="full_graph",
         cover=frozenset(cover),
-        bound_value=2 * k - 2 * delta * k,
+        bound_value=cover_budget(k, delta),
         matching_size=size,
         subcase=subcase,
     )

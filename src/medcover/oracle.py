@@ -18,18 +18,21 @@ the batched Weiszfeld loop (one batch per subset size, which raises
 ``NotConverged`` rather than return an unconverged cost). The rest keep
 their centroid and its cost; no partition near an optimum uses them, so
 every optimum is the full Weiszfeld table's bit for bit (``_median_table``).
-For means every subset gets its centroid cost from exact integer subset
-sums. A cost that overflows float raises ``DomainError``. The subset DP
-then keeps each layer as a float64 array over all 2^n masks and builds it
-in numpy from the previous one, through that layer's layout (``_layout``):
-the candidates' int32 gather indices and their target groups. A layout depends only on n
-and the layer, so each process builds it once and keeps it read-only, and
-a layer costs two gathers, the group reductions and one scatter. Its
-result is the same, bit for bit, as a
+For means every subset of integer points gets its centroid cost from exact
+integer subset sums (other points go one subset at a time through
+``_centroid_cost_exact``). A cost that overflows float raises ``DomainError``. The subset DP
+then keeps layer j as a float64 array over only the 2^(n-j) masks it can
+reach, those that hold points 0..j-1, at index mask >> j. Layer 1 is every
+other row of the block-cost table, and each later layer is built in numpy
+from the previous one through one candidate table per point count
+(``_layout``): the candidates' int32 gather indices and their target
+groups, of which layer j reads a prefix. Each process builds a table once
+per n and keeps it read-only, and a layer costs two gathers and the group
+reductions. Its result is the same, bit for bit, as a
 Python loop over dicts that resolves ties first-wins within 1e-15: every
 mask takes the first candidate, in that loop's order, of its cheapest ones,
 and the few masks with two candidates closer than a 1e-14 window replay the
-loop exactly. One instance's tables and DP layers 0..k are kept read-only
+loop exactly. One instance's tables and DP layers 1..k are kept read-only
 in one ``functools.lru_cache(maxsize=1)`` entry keyed on (objective, exact
 point tuples, k) (``_tables_and_layers``): the same points at a larger k
 build only the missing layers, any other call builds afresh, and a build
@@ -176,73 +179,91 @@ def _centroid_table(points: Sequence[Sequence[float]]) -> tuple[np.ndarray, np.n
 
 
 class _Layout(NamedTuple):
-    """DP layer j's candidates at n points, grouped by target (``_layout``)."""
+    """The DP candidates at n points, grouped by local target (``_layout``)."""
 
-    source: np.ndarray  # int32: each candidate's mask of layer j - 1, target ^ block
-    block: np.ndarray  # int32: each candidate's block
+    source: np.ndarray  # int32: each candidate's local source, target ^ block
+    block: np.ndarray  # int32: each candidate's local block
     starts: np.ndarray  # each target group's first candidate
     sizes: np.ndarray  # each group's number of candidates
 
 
 @functools.lru_cache(maxsize=None)
-def _layout(n: int, j: int) -> _Layout:
-    """Everything ``_extend`` derives from (n, j) alone: DP layer j's
-    candidates, grouped by target in increasing order, each group in the
-    order the submask loop meets it. Each process builds each pair once and
-    keeps it, read-only: 78 pairs and about 1.8 MB for every n <= 12. The
-    gather indices are int32 and ``_extend`` reads them with
-    ``ndarray.take``, about twice as fast as fancy indexing through uint16
-    ones. The targets are not kept: they are the masks that hold points
-    0..j-1, every (1 << j)-th mask from (1 << j) - 1.
+def _layout(n: int) -> _Layout:
+    """Every DP layer's candidates at n points, in one table: the words over
+    the n - 1 free points of layer 2, grouped by target in increasing order,
+    each group in the order the submask loop meets it. Each process builds
+    each n once and keeps it, read-only: 12 tables and about 1.1 MB for
+    every n <= 12. The gather indices are int32 and ``_extend`` reads them
+    with ``ndarray.take``, about twice as fast as fancy indexing through
+    uint16 ones.
 
     That loop extends the masks of layer j - 1 in the order it first reached
     them, each by every block that holds the mask's lowest missing point, in
     decreasing order, and sets target = mask | block. With finite block
     costs a target's first candidate always lands, so layer j - 1 holds
-    every mask that contains points 0..j-2 (only the empty mask when
-    j = 1), first reached in decreasing order: mask T of layer j first comes
-    from T minus point j - 1, and a larger T from a larger mask. A mask
-    offers a target at most one block, so each target meets its candidates
-    in decreasing mask order, which is increasing block order.
+    every mask that contains points 0..j-2, first reached in decreasing
+    order: mask T of layer j first comes from T minus point j - 1, and a
+    larger T from a larger mask. A mask offers a target at most one block,
+    so each target meets its candidates in decreasing mask order, which is
+    increasing block order.
 
-    A candidate is a word over the points: each point lies in the previous
-    mask, in the block, or in neither. Points 0..j-2 lie in the mask, and
-    the first point outside the mask lies in the block. The words are built
-    one point at a time, upward from point j - 1, as [those with the new
-    point in neither, in the mask, then the one word with only the new point
-    in the block, then those with it in the block]. That order keeps every
-    target's blocks increasing, so a stable sort by target groups them.
+    A candidate of layer j is a word over its f = n - j + 1 free points
+    j-1..n-1: each lies in the previous mask, in the block, or in neither,
+    and the first one outside the mask lies in the block. The table keeps
+    them local, shifted down by j - 1: the source is then the mask's index
+    in layer j - 1 (mask >> (j - 1)), and the target t is odd, the mask
+    t >> 1 of layer j. The words are built one point at a time, upward, as
+    [those with the new point in neither, in the mask, then the one word
+    with only the new point in the block, then those with it in the block].
+    That order keeps every target's blocks increasing, so a stable sort by
+    target groups them, and it keeps a word over the first f points in
+    place when later points join neither part: layer j's candidates are the
+    table's first (3^f - 1)/2 entries, and its targets the first 2^(f-1)
+    groups, 1, 3, ..., 2^f - 1 (``_candidates``).
     """
-    full = (1 << n) - 1
-    small = np.min_scalar_type(full)  # uint8 or uint16, which numpy sorts by radix
-    if j == 1:
-        target = block = np.arange(1, full + 1, 2, dtype=small)
-    else:
-        total = (3 ** (n - j + 1) - 1) // 2
-        target = np.empty(total, dtype=small)
-        block = np.empty(total, dtype=small)
-        c = 0  # words so far that hold a block
-        for i in range(j - 1, n):
-            bit = 1 << i
-            np.bitwise_or(target[:c], bit, out=target[c:2 * c])
-            target[2 * c] = 2 * bit - 1
-            np.bitwise_or(target[:c], bit, out=target[2 * c + 1:3 * c + 1])
-            block[c:2 * c] = block[:c]
-            block[2 * c] = bit
-            np.bitwise_or(block[:c], bit, out=block[2 * c + 1:3 * c + 1])
-            c = 3 * c + 1
-        order = np.argsort(target, kind="stable")
-        target, block = target[order], block[order]
-    starts = np.flatnonzero(np.concatenate(([True], target[1:] != target[:-1])))
+    free = n - 1  # layer 2's
+    small = np.min_scalar_type((1 << free) - 1)  # uint8 or uint16, which numpy sorts by radix
+    total = (3 ** free - 1) // 2
+    target = np.empty(total, dtype=small)
+    block = np.empty(total, dtype=small)
+    c = 0  # words so far that hold a block
+    for i in range(free):
+        bit = 1 << i
+        np.bitwise_or(target[:c], bit, out=target[c:2 * c])
+        target[2 * c] = 2 * bit - 1
+        np.bitwise_or(target[:c], bit, out=target[2 * c + 1:3 * c + 1])
+        block[c:2 * c] = block[:c]
+        block[2 * c] = bit
+        np.bitwise_or(block[:c], bit, out=block[2 * c + 1:3 * c + 1])
+        c = 3 * c + 1
+    order = np.argsort(target, kind="stable")
+    target, block = target[order], block[order]
+    starts = np.searchsorted(target, np.arange(1, 1 << free, 2))
     layout = _Layout(
         source=(target ^ block).astype(np.int32),
         block=block.astype(np.int32),
         starts=starts,
-        sizes=np.diff(starts, append=len(target)),
+        sizes=np.diff(starts, append=total),
     )
     for a in layout:
         a.flags.writeable = False
     return layout
+
+
+def _candidates(
+    n: int, j: int, prev: np.ndarray, block_cost: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Layer j's candidate costs (j >= 2), each its source's value in
+    ``prev``, layer j - 1, plus its block's cost, and the starts and sizes
+    of their target groups: the prefix of ``_layout(n)`` with f = n - j + 1
+    free points. Local block b is mask b << (j - 1), so the block costs are
+    read through the strided view ``block_cost[::1 << (j - 1)]``."""
+    layout = _layout(n)
+    free = n - j + 1
+    count, groups = (3 ** free - 1) // 2, 1 << (free - 1)
+    cost = prev.take(layout.source[:count])
+    cost += block_cost[::1 << (j - 1)].take(layout.block[:count])
+    return cost, layout.starts[:groups], layout.sizes[:groups]
 
 
 def _first_wins(
@@ -261,7 +282,8 @@ def _first_wins(
 def _extend(
     n: int, j: int, prev: np.ndarray, block_cost: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """DP layer j's values and choices from layer j - 1's values ``prev``.
+    """DP layer j's values and choices (j >= 2) from layer j - 1's values
+    ``prev``, each by its mask >> j, the choice as its block >> (j - 1).
 
     Equal, bit for bit, to the submask loop, which walks the candidates in
     ``_layout``'s order and moves a target to a candidate only when it is
@@ -271,13 +293,10 @@ def _extend(
     1e-14 * max(1, |minimum|) (ten times 1e-15 plus any rounding of the
     comparison), that chain ends on the first candidate equal to the
     minimum. Any other target replays the chain in Python. Everything that
-    depends only on (n, j) comes from ``_layout``, so a call is two gathers
-    and an add, the group reductions, the replays and one strided scatter.
+    depends only on n comes from ``_layout``, so a call is two gathers and
+    an add (``_candidates``), the group reductions and the replays.
     """
-    layout = _layout(n, j)
-    starts, sizes = layout.starts, layout.sizes
-    cost = prev.take(layout.source)
-    cost += block_cost.take(layout.block)
+    cost, starts, sizes = _candidates(n, j, prev, block_cost)
     low = np.minimum.reduceat(cost, starts)
     at = np.flatnonzero(cost <= np.repeat(low, sizes))  # the candidates at their minimum
     first = at.take(np.searchsorted(at, starts))  # each target's first one
@@ -286,12 +305,7 @@ def _extend(
     for g in np.flatnonzero(np.logical_or.reduceat(near, starts)).tolist():
         group = np.arange(starts[g], starts[g] + sizes[g])
         low[g], first[g] = _first_wins(math.inf, first[g], group, cost)
-    reached = slice((1 << j) - 1, None, 1 << j)  # the targets, in increasing order
-    best = np.full(1 << n, math.inf)
-    best[reached] = low
-    choice = np.zeros(1 << n, dtype=np.min_scalar_type((1 << n) - 1))
-    choice[reached] = layout.block.take(first)
-    return best, choice
+    return low, _layout(n).block.take(first)
 
 
 def _slack(value):
@@ -320,7 +334,7 @@ def _needed_rows(n: int, upper: np.ndarray, lower: np.ndarray, by_size) -> np.nd
     for some k = 1..n, holds block S at a floor within ``_slack`` of U(k).
 
     U(k), an upper bound on the k-optimum, is the least of the prefix DP's
-    layers 1..k at the full mask, run over ``upper`` through ``_layout``
+    layers 1..k at the full mask, run over ``upper`` through ``_candidates``
     (minima only: a bound needs no tie-break). The floor of a partition that holds S is lower(S) plus
     L_{k-1}(full ^ S), where L_j(R) is the least ``lower`` sum over the
     partitions of R into at most j blocks. L_j is a DP over every mask, not
@@ -329,20 +343,18 @@ def _needed_rows(n: int, upper: np.ndarray, lower: np.ndarray, by_size) -> np.nd
     blocks that hold its lowest point, of the block's ``lower`` plus the
     rest's L_{j-1} (``_block_classes``, largest masks first).
     """
-    size, full = 1 << n, (1 << n) - 1
-    exact = np.full(size, math.inf)  # prefix layer k over upper
-    exact[0] = 0.0
-    least = exact  # L_{k-1}
+    size = 1 << n
+    least = np.full(size, math.inf)  # L_{k-1}: L_0 serves only the empty mask
+    least[0] = 0.0
+    exact = upper[1::2]  # prefix layer k over upper, by mask >> k
     classes = _block_classes(by_size)
     need = np.zeros(size, dtype=bool)
     ceiling = math.inf
     for k in range(1, n + 1):
-        layout = _layout(n, k)
-        cost = exact.take(layout.source)
-        cost += upper.take(layout.block)
-        exact = np.full(size, math.inf)
-        exact[(1 << k) - 1::1 << k] = np.minimum.reduceat(cost, layout.starts)
-        ceiling = min(ceiling, float(exact[full]))
+        if k > 1:
+            cost, starts, _ = _candidates(n, k, exact, upper)
+            exact = np.minimum.reduceat(cost, starts)
+        ceiling = min(ceiling, float(exact[-1]))  # the full mask
         need |= lower + least[::-1] <= ceiling + _slack(ceiling)  # least[full ^ S]
         if k == 1:
             least = lower
@@ -407,18 +419,24 @@ def _median_table(points: tuple) -> tuple[np.ndarray, np.ndarray]:
 @functools.lru_cache(maxsize=1)
 def _tables_and_layers(objective: str, points: tuple, k: int) -> tuple:
     """One instance, read-only: each point subset's block cost and center by
-    bitmask (row 0 unused), then DP layers j = 0..k as (best, choice) pairs:
-    ``best[mask]`` is the least cost of serving ``mask`` with j blocks (inf
-    if unreached), ``choice[mask]`` the last of those blocks. k = 0 builds
-    the tables (``_median_table``, valid at every k, or exact centroid sums
-    for means; a cost that overflows or is not finite raises
-    ``DomainError``) and layer
-    0, the empty mask, after dropping the cached entry; a larger k extends its
-    own entry for k - 1 by a layer."""
+    bitmask (row 0 unused), then DP layers j = 1..k as (best, choice) pairs
+    over the 2^(n-j) masks that hold points 0..j-1, each at index mask >> j:
+    ``best`` is the least cost of serving the mask with j blocks and
+    ``choice`` the last of those blocks, shifted down by j - 1. k = 0 builds
+    only the tables (``_median_table``, valid at every k, or exact centroid
+    sums for means; a cost that overflows or is not finite raises
+    ``DomainError``), after dropping the cached entry. A larger k extends
+    its own entry for k - 1 by a layer: layer 1 is ``block_cost[1::2]``,
+    each mask its own block, and a later one ``_extend``'s."""
     n = len(points)
     if k:
         cost_table, center_table, layers = _tables_and_layers(objective, points, k - 1)
-        best, choice = _extend(n, k, layers[-1][0], cost_table)
+        if k == 1:
+            best, choice = cost_table[1::2], np.arange(1, 1 << n, 2, dtype=np.int32)
+        else:
+            best, choice = _extend(n, k, layers[-1][0], cost_table)
+        best.flags.writeable = choice.flags.writeable = False
+        layers += ((best, choice),)
     else:
         _tables_and_layers.cache_clear()  # free the old instance before the new tables
         try:
@@ -432,11 +450,7 @@ def _tables_and_layers(objective: str, points: tuple, k: int) -> tuple:
             raise DomainError("a block cost is not finite")
         cost_table.flags.writeable = center_table.flags.writeable = False
         layers = ()
-        best = np.full(1 << n, math.inf)
-        best[0] = 0.0
-        choice = np.zeros(1 << n, dtype=np.uint8)
-    best.flags.writeable = choice.flags.writeable = False
-    return cost_table, center_table, layers + ((best, choice),)
+    return cost_table, center_table, layers
 
 
 def opt_continuous(inst: ClusteringInstance) -> OracleReport:
@@ -459,7 +473,8 @@ def opt_continuous(inst: ClusteringInstance) -> OracleReport:
 
     The search then runs as a subset DP over those tables: layer j holds
     the best cost of serving each point subset with j blocks, one float64
-    array over all 2^n masks. Each new block
+    array over the 2^(n-j) masks that hold points 0..j-1, the only ones it
+    reaches. Each new block
     holds the lowest point not yet served, and among candidates within 1e-15
     of each other the first in the submask loop's order wins (see
     ``_extend``), so partitions and costs are the same, bit for bit, as that
@@ -469,7 +484,8 @@ def opt_continuous(inst: ClusteringInstance) -> OracleReport:
 
     One instance stays cached, read-only, keyed on the objective, the exact
     points and k: its two tables (4096 rows at 12 points) and its layers
-    0..k (a 4096-entry value array and uint16 choice array each). The same
+    1..k (layer j a 2^(12-j)-entry value array and int32 choice array, the
+    first value array a view of the cost table). The same
     points at a larger k build only the missing layers, bit for bit as a
     cold call would; a smaller k or other points build afresh, and the old
     tables and layers are dropped before the new tables are built, so the
@@ -486,12 +502,11 @@ def opt_continuous(inst: ClusteringInstance) -> OracleReport:
     # -0.0 == 0.0 in the key; _median_table and _centroid_table give the same rows for either
     points = tuple(map(tuple, inst.points))
     _, center_table, layers = _tables_and_layers(inst.objective, points, inst.k)
-    full = (1 << n) - 1
-    best_j = min(range(1, inst.k + 1), key=lambda j: layers[j][0][full])
+    best_j = min(range(1, inst.k + 1), key=lambda j: layers[j - 1][0][-1])  # the full mask
     blocks: list[tuple[int, ...]] = []
-    mask = full
+    mask = (1 << n) - 1
     for j in range(best_j, 0, -1):
-        sub = int(layers[j][1][mask])
+        sub = int(layers[j - 1][1][mask >> j]) << (j - 1)
         blocks.append(tuple(i for i in range(n) if sub >> i & 1))
         mask &= ~sub
     blocks.sort()
@@ -500,7 +515,7 @@ def opt_continuous(inst: ClusteringInstance) -> OracleReport:
     )
     method = "partition_enum_weiszfeld" if inst.objective == "median" else "partition_enum_centroid"
     return OracleReport(
-        optimal_cost=float(layers[best_j][0][full]),
+        optimal_cost=float(layers[best_j - 1][0][-1]),
         partition=tuple(blocks),
         centers=centers,
         method=method,

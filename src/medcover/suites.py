@@ -39,6 +39,7 @@ from .costs import (
 )
 from .covers import (
     SQRT2P1,
+    cover_budget,
     cover_case_dispatch,
     cover_general,
     cover_matching_two,
@@ -215,9 +216,9 @@ def means_complete(cost: float, m: int, k: int) -> bool:
 
 def cover_le_2k(size: int, k: int, delta: float) -> bool:
     """Soundness budget: a cover extracted from a clustering for a graph with
-    a vertex cover of size k has at most 2k - 2*delta*k vertices (up to
-    1e-9)."""
-    return size <= 2 * k - 2 * delta * k + 1e-9
+    a vertex cover of size k has at most ``covers.cover_budget``,
+    2k - 2*delta*k, vertices (up to 1e-9)."""
+    return size <= cover_budget(k, delta) + 1e-9
 
 
 def monotone_in_centers(more: float, fewer: float) -> bool:
@@ -300,7 +301,7 @@ def _hypergraph_cases(seed: int) -> list[HypergraphInstance]:
             for _ in range(count):
                 edges.append(tuple(sorted(rng.sample(range(mv), d))))
             edges = tuple(dict.fromkeys(edges))
-            k = rng.randint(1, mv - 1) if mv > 1 else 1
+            k = rng.randint(1, mv - 1)
             cases.append(HypergraphInstance(d=d, num_vertices=mv, hyperedges=edges, k=k))
     return cases
 

@@ -328,13 +328,15 @@ def _assert_matches_dict_loop(inst, ks):
         want = _dict_report(dataclasses.replace(inst, k=k), best, choice, center_table)
         assert _fingerprint(rep) == _fingerprint(want), k
     for j in range(1, max(ks) + 1):
-        layer_best, layer_choice = layers[j]
-        reached = np.flatnonzero(np.isfinite(layer_best)).tolist()
+        layer_best, layer_choice = layers[j - 1]
+        # index i holds mask (i << j) | ((1 << j) - 1), its block shifted down by j - 1
+        finite = np.flatnonzero(np.isfinite(layer_best)).tolist()
+        reached = [(i << j) | ((1 << j) - 1) for i in finite]
         assert reached == sorted(best[j]), j
         assert list(best[j]) == reached[::-1], j  # the loop reaches masks in decreasing order
-        got = [float(layer_best[m]).hex() for m in reached]
+        got = [float(layer_best[i]).hex() for i in finite]
         assert got == [best[j][m].hex() for m in reached], j
-        assert [int(layer_choice[m]) for m in reached] == [choice[(j, m)] for m in reached], j
+        assert [int(layer_choice[i]) << (j - 1) for i in finite] == [choice[(j, m)] for m in reached], j
 
 
 def _tie_prone_sets():
@@ -459,22 +461,26 @@ def test_centroid_bounds_hold_every_median_cost(family):
 def test_memoised_candidates_equal_a_fresh_build():
     # earlier tests have filled the memo; none of them may have changed it
     for n in range(1, oracle.MAX_CONTINUOUS_POINTS + 1):
-        for j in range(1, n + 1):
-            kept = oracle._layout(n, j)
-            assert oracle._layout(n, j) is kept
-            fresh = oracle._layout.__wrapped__(n, j)
-            assert kept._fields == fresh._fields == ("source", "block", "starts", "sizes")
-            for a, b in zip(kept, fresh):
-                assert a.dtype == b.dtype and np.array_equal(a, b), (n, j)
-            assert kept.source.dtype == kept.block.dtype == np.int32
-            # the group targets are the masks _extend writes: every (1 << j)-th from (1 << j) - 1
-            targets = (kept.source ^ kept.block)[kept.starts]
-            assert np.array_equal(targets, np.arange((1 << j) - 1, 1 << n, 1 << j)), (n, j)
+        kept = oracle._layout(n)
+        assert oracle._layout(n) is kept
+        fresh = oracle._layout.__wrapped__(n)
+        assert kept._fields == fresh._fields == ("source", "block", "starts", "sizes")
+        for a, b in zip(kept, fresh):
+            assert a.dtype == b.dtype and np.array_equal(a, b), n
+        assert kept.source.dtype == kept.block.dtype == np.int32
+        targets = kept.source ^ kept.block
+        for j in range(2, n + 1):
+            # layer j's slice: its f free points' words, grouped by the odd local targets
+            free = n - j + 1
+            count, groups = (3 ** free - 1) // 2, 1 << (free - 1)
+            assert (targets[:count] < 1 << free).all() and (targets[count:] >= 1 << free).all(), (n, j)
+            assert kept.sizes[:groups].sum() == count, (n, j)
+            assert np.array_equal(targets[kept.starts[:groups]], np.arange(1, 1 << free, 2)), (n, j)
 
 
-@pytest.mark.parametrize("n,j", [(1, 1), (4, 1), (6, 3), (12, 2)])
-def test_memoised_candidates_are_read_only(n, j):
-    for a in oracle._layout(n, j):
+@pytest.mark.parametrize("n", [1, 4, 6, 12])
+def test_memoised_candidates_are_read_only(n):
+    for a in oracle._layout(n):
         with pytest.raises(ValueError):
             a[0] = 0
 
@@ -484,7 +490,7 @@ def test_cached_tables_and_layers_are_read_only(objective):
     inst = reduce_graph(random_triangle_free(6, 3, seed=3), k=3, objective=objective)
     opt_continuous(inst)
     block_cost, center_table, layers = oracle._tables_and_layers(*_key(inst), inst.k)
-    assert len(layers) == inst.k + 1
+    assert len(layers) == inst.k
     cached = [block_cost, center_table, *(a for layer in layers for a in layer)]
     for a in cached:
         with pytest.raises(ValueError):

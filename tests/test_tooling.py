@@ -1,8 +1,8 @@
-"""Checks on the source tree itself: the names the benchmark reaches into,
-the rule that proof obligations raise typed errors instead of asserting, the
-absence of rebound module state, the process caches, the one check ledger
-of the suites, the limits the README states, and the demo script running end
-to end."""
+"""Checks on the source tree itself: the names the benchmark and the bench
+recording script reach into, the rule that proof obligations raise typed
+errors instead of asserting, the absence of rebound module state, the
+process caches, the one check ledger of the suites, the limits the README
+states, and the demo script running end to end."""
 
 import ast
 import dataclasses
@@ -40,10 +40,9 @@ def test_every_traced_layer_exists():
     assert not missing
 
 
-def test_the_other_names_the_benchmark_reads_exist():
-    # every medcover name bench/workloads.py reaches: each ``from medcover.x
-    # import name``, and each ``x.name`` on a medcover module it imports
-    tree = ast.parse((ROOT / "bench" / "workloads.py").read_text(encoding="utf-8"))
+def _medcover_names(tree: ast.AST) -> set[tuple[str, str]]:
+    """Every medcover name a module's source reaches: each ``from medcover.x
+    import name``, and each ``x.name`` on a medcover module it imports."""
     modules = {}
     names = set()
     for node in ast.walk(tree):
@@ -53,19 +52,39 @@ def test_the_other_names_the_benchmark_reads_exist():
                     modules[alias.asname or alias.name] = f"medcover.{alias.name}"
                 else:
                     names.add((node.module, alias.name))
-    names |= {
+    return names | {
         (modules[node.value.id], node.attr)
         for node in ast.walk(tree)
         if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
         and node.value.id in modules
     }
+
+
+def _missing(names: set[tuple[str, str]]) -> list[str]:
+    return [f"{home}.{name}" for home, name in sorted(names)
+            if not hasattr(importlib.import_module(home), name)]
+
+
+def test_the_other_names_the_benchmark_reads_exist():
+    names = _medcover_names(ast.parse((ROOT / "bench" / "workloads.py").read_text(encoding="utf-8")))
     assert {("medcover.cli", "_pad_blocks"), ("medcover.graphs", "make_graph"),
             ("medcover.reduction", "HypergraphInstance")} <= names
-    missing = [f"{home}.{name}" for home, name in sorted(names)
-               if not hasattr(importlib.import_module(home), name)]
-    assert missing == []
+    assert _missing(names) == []
     fields = {f.name for f in dataclasses.fields(MedianSolution)}
     assert {"iterations", "converged"} <= fields
+
+
+def test_the_names_the_bench_record_layers_read_exist():
+    # scripts/bench_record.py runs its LAYERS snippet inside each tree it times
+    script = ast.parse((ROOT / "scripts" / "bench_record.py").read_text(encoding="utf-8"))
+    snippet = next(
+        node.value.value for node in script.body
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["LAYERS"]
+    )
+    names = _medcover_names(ast.parse(snippet))
+    assert {("medcover.oracle", "_extend"), ("medcover.oracle", "_tables_and_layers"),
+            ("medcover.oracle", "_needed_rows"), ("medcover.costs", "_centroid_bounds")} <= names
+    assert _missing(names) == []
 
 
 def test_every_exported_name_resolves():
@@ -159,13 +178,8 @@ def test_readme_scale_limits_match_the_constants():
 
 
 def test_readme_states_the_size_of_the_dp_memo():
-    # the memo holds one layout per (n, j); the README rounds their total
-    total = sum(
-        a.nbytes
-        for n in range(1, MAX_CONTINUOUS_POINTS + 1)
-        for j in range(1, n + 1)
-        for a in _layout(n, j)
-    )
+    # the memo holds one layout per n; the README rounds their total
+    total = sum(a.nbytes for n in range(1, MAX_CONTINUOUS_POINTS + 1) for a in _layout(n))
     section = (ROOT / "README.md").read_text(encoding="utf-8").split("## Scale limits", 1)[1]
     stated = re.findall(r"([\d.]+) MB for every n\s+up to 12", section)
     assert stated == [f"{total / 1e6:.1f}"], total
