@@ -380,6 +380,38 @@ def test_single_edge_outcomes_are_pinned():
     assert digest == "7e60a8160eadb214ec9b6d98d26759d3ad12d2ee36ad01132eb2b7774312ca53"
 
 
+def test_single_edge_procedures_that_pick_repeatedly_are_pinned():
+    # denser graphs whose singles are every edge a random V' misses, so
+    # Procedures 2, 3 and 4 each pick more than once in many records (2 in
+    # 549, 3 in 92, 4 in 48), which the battery above never does; the digest
+    # was generated by procedures that rescanned from their first candidate
+    # after every pick
+    records = []
+    for seed in range(300):
+        rng = random.Random(seed)
+        g = random_triangle_free(rng.randint(14, 20), rng.randint(2, 3), seed=seed)
+        vc_prime = [v for v in range(g.num_vertices) if rng.random() < 0.3]
+        singles = [i for i, (u, v) in enumerate(g.edges) if u not in vc_prime and v not in vc_prime]
+        if not singles:
+            continue
+        m = g.num_edges
+        for k in (1, m // 4 + 1, m):
+            for delta in (0.0, 0.01, 0.5):
+                try:
+                    out = cover_single_edge_clusters(g, singles, vc_prime, k=k, delta=delta)
+                    records.append(
+                        f"{out.scope} {sorted(out.cover)} {out.bound_value.hex()} "
+                        f"{out.matching_size} {out.subcase}"
+                    )
+                except MedcoverError as ex:
+                    records.append(f"{type(ex).__name__}: {ex}")
+    assert len(records) == 2700
+    counts = Counter(r.split()[-1] for r in records)
+    assert counts == {"None": 1194, "many_planks": 1035, "few_planks": 471}
+    digest = hashlib.sha256("\n".join(records).encode()).hexdigest()
+    assert digest == "9f290e27841bca6ea10c80d091b401a1dc161f707efd5134ddf9dd4bd27e5232"
+
+
 def test_construction_outcomes_are_pinned():
     # the four per-cluster constructions on the 444 non-star triangle-free
     # graphs up to 8 edges, connected or not, each charged its median extra
