@@ -370,9 +370,16 @@ def cover_single_edge_clusters(
 
     Case II keeps one live edge set: G_P and the edges touching M_P, less
     every edge that touches an edge claimed into M_G by Procedures 1-3.
-    Each pass of Procedures 2 and 3 reads the live M_P edges and the live
-    unmatched singles from it. Nothing is claimed after Procedure 3, so
-    Procedure 4 reads its blue edges (live, not in M_P) from it once.
+    Nothing is claimed after Procedure 3, so Procedure 4 reads its blue
+    edges (live, not in M_P) from it once. Procedures 2-4 each make one pass
+    over their candidates in index order, against the live set and T as
+    they stand. A pick only removes edges from the live set or adds
+    vertices to T, so each test can only go from true to false while its
+    procedure runs: two live unmatched singles at a matched edge (2), two
+    live matched edges at an unmatched single (3), a fresh blue neighbour at
+    both ends (4). An edge that fails at its turn would fail at every later
+    rescan, so the pass picks what rescanning from the first candidate
+    after every pick would, in the same order.
 
     A single that is not an edge index of g, a covered single, or an
     uncovered edge outside the singles raises ``PreconditionViolated``.
@@ -427,28 +434,17 @@ def cover_single_edge_clusters(
         raise Stuck("far matching touched the singles matching")
 
     # Procedure 2: matched single edges leaning on two unmatched ones.
-    while True:
-        unmatched = [edges[j] for j in live & single_set - mp]
-        pick = next(
-            (i for i in sorted(live & mp) if sum(_touches(edges[i], e) for e in unmatched) >= 2),
-            None,
-        )
-        if pick is None:
-            break
-        claim(pick)
+    for i in sorted(mp):
+        if i in live and sum(_touches(edges[i], edges[j]) for j in live & single_set - mp) >= 2:
+            claim(i)
 
     # Procedure 3: unmatched single edges leaning on two matched ones.
-    while True:
-        matched = sorted(live & mp)
-        pick = None
-        for j in sorted(live & single_set - mp):
-            incident = [i for i in matched if _touches(edges[i], edges[j])]
-            if len(incident) >= 2:
-                pick = incident[0]
-                break
-        if pick is None:
-            break
-        claim(pick)
+    for j in sorted(single_set - mp):
+        if j not in live:
+            continue
+        incident = [i for i in sorted(live & mp) if _touches(edges[i], edges[j])]
+        if len(incident) >= 2:
+            claim(incident[0])
 
     # Procedure 4: plank edges hand their two fresh neighbours to M_G. No
     # live edge touches a claimed one, so a blue edge is fresh when it
@@ -460,23 +456,17 @@ def cover_single_edge_clusters(
         return next((e for e in blue if vertex in e and t_verts.isdisjoint(e)), None)
 
     m_y: list[int] = []
-    m_n = sorted(live & mp)
-    while True:
-        plank = None
-        for i in m_n:
-            u, v = edges[i]
-            eu = fresh_neighbour(u)
-            ev = eu and fresh_neighbour(v)
-            if ev:
-                plank = (i, eu, ev)
-                break
-        if plank is None:
-            break
-        i, eu, ev = plank
+    m_n: list[int] = []
+    for i in sorted(live & mp):
+        u, v = edges[i]
+        eu = fresh_neighbour(u)
+        ev = eu and fresh_neighbour(v)
+        if not ev:
+            m_n.append(i)
+            continue
         if set(eu) & set(ev):
             raise Stuck("plank neighbours share a vertex: triangle-free guarantee broken")
         m_y.append(i)
-        m_n.remove(i)
         t_verts.update(eu + ev)
     size = len(claimed) + 2 * len(m_y) + len(m_n)  # |M_G|: claimed, T and M_N
 
