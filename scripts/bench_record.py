@@ -16,7 +16,11 @@ interleaved with the others, this times:
   the builder the tree's ``opt_continuous`` uses); one DP layer, layer 2 of
   that table, built by ``oracle._extend`` from the cached layer 1; and,
   where the tree has one, a pass of the median table's row selection: the
-  cap DP and the lower-bound DP over every mask.
+  cap DP and the lower-bound DP over every mask;
+- one ``covers.cover_single_edge_clusters`` call in Case II (many planks),
+  on seed 27 of the pinned repeat-pick battery in ``tests/test_covers.py``:
+  19 vertices, 28 edges and 15 single-edge clusters, at k = 8 and
+  delta = 0.01, where Procedure 2 picks twice and Procedures 3 and 4 once.
 
 The script itself uses only the standard library; the trees run under the
 same Python. Wall times are the median of ``REPEATS`` runs for the short
@@ -42,9 +46,9 @@ BENCH_SEED = 0
 
 # Runs inside a tree, with its src/ first on the path; prints one JSON line.
 LAYERS = r"""
-import json, statistics, time
+import json, random, statistics, time
 import numpy as np
-from medcover import costs, oracle
+from medcover import costs, covers, oracle
 from medcover.reduction import reduce_graph
 from medcover.suites import completeness_instances
 
@@ -77,6 +81,13 @@ if hasattr(oracle, "_needed_rows"):
         _, upper[rows], lower[rows] = costs._centroid_bounds(pts[members])
     lower = np.maximum(0.0, lower - oracle._slack(upper))
     out["all_mask_dp_11_points_ms"] = sample(lambda: oracle._needed_rows(n, upper, lower, by_size))
+
+rng = random.Random(27)
+h = oracle.random_triangle_free(rng.randint(14, 20), rng.randint(2, 3), seed=27)
+vc_prime = [v for v in range(h.num_vertices) if rng.random() < 0.3]
+singles = [i for i, (u, v) in enumerate(h.edges) if u not in vc_prime and v not in vc_prime]
+out["single_edge_cover_28_edges_ms"] = sample(
+    lambda: covers.cover_single_edge_clusters(h, singles, vc_prime, h.num_edges // 4 + 1, 0.01))
 print(json.dumps(out))
 """
 

@@ -221,13 +221,19 @@ def cmd_cover(args: argparse.Namespace) -> int:
 def cmd_oracle(args: argparse.Namespace) -> int:
     text = _read_text(args.graph)
     if text.lstrip().startswith("{"):
+        for flag, value in (("--k", args.k), ("--objective", args.objective)):
+            if value is not None:
+                raise MedcoverError(
+                    f"{flag} applies to edge lists only; an instance JSON carries its own "
+                    f"{flag[2:]}"
+                )
         inst = instance_from_json(text)
         rep = opt_discrete(inst) if inst.candidate_centers is not None else opt_continuous(inst)
     else:
         if args.k is None:
             raise MedcoverError("--k is required when the input is an edge list")
         g = parse_edge_list(text)
-        rep = opt_continuous(reduce_graph(g, k=args.k, objective=args.objective))
+        rep = opt_continuous(reduce_graph(g, k=args.k, objective=args.objective or "median"))
     _emit(_json(dataclasses.asdict(rep)), args.out)
     return 0
 
@@ -388,8 +394,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="exact optimum (instance JSON or edge list)")
     p.add_argument("--graph", required=True, help="instance JSON or edge-list file")
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--objective", choices=OBJECTIVES, default="median")
+    p.add_argument("--k", type=int, help="number of centers (edge lists only)")
+    p.add_argument("--objective", choices=OBJECTIVES,
+                   help="objective, median if omitted (edge lists only)")
     p.add_argument("--out")
     p.set_defaults(func=cmd_oracle)
 

@@ -197,11 +197,12 @@ def _weiszfeld_batch(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
 
     When an iterate lands within ``_SNAP`` of data points, the classical
     update is undefined; ``_data_point_test`` applies there instead: the
-    point is optimal iff ||R|| <= m, and otherwise the row steps away along
-    R by (||R|| - m)/L, the step that guarantees progress (L is the summed
-    inverse distance to the others). A row stops when its relative cost
-    change or its center displacement drops below ``WEISZFELD_TOLERANCE``;
-    no caller sets another. Raises ``NotConverged`` if any row reaches
+    point is optimal iff ||R|| <= m, and the row then stays put; otherwise
+    it steps away along R by (||R|| - m)/L, the step that guarantees
+    progress (L is the summed inverse distance to the others). A row stops
+    when its relative cost change or its center displacement drops below
+    ``WEISZFELD_TOLERANCE`` (no caller sets another), so a row that stays
+    put stops at once. Raises ``NotConverged`` if any row reaches
     ``WEISZFELD_MAX_ITER`` iterations, and ``DomainError`` if a starting
     cost is not finite.
 
@@ -245,13 +246,10 @@ def _weiszfeld_batch(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
     for it in range(1, max_iter + 1):
         w = 1.0 / dist
         y_next = weighted_sum(pts, w) / np.add.reduce(w, axis=1)[:, None]
-        stopped = None
         if dist.min() < _SNAP:
             h = np.flatnonzero((dist < _SNAP).any(axis=1))
             r_vec, r_norm, multiplicity, away = _data_point_test(pts[h], ya[h], dist[h])
             optimal = r_norm <= multiplicity
-            stopped = np.zeros(len(active), dtype=bool)
-            stopped[h[optimal]] = True
             y_next[h[optimal]] = ya[h[optimal]]
             move = ~optimal
             if move.any():
@@ -263,8 +261,6 @@ def _weiszfeld_batch(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
         cost = np.add.reduce(dist, axis=1)
         done = np.abs(prev_cost - cost) <= tolerance * np.maximum(1.0, cost)
         done |= _norms(y_next - ya) <= tolerance
-        if stopped is not None:
-            done |= stopped
         if done.any():
             finished = active[done]
             costs[finished], y[finished], iterations[finished] = cost[done], y_next[done], it

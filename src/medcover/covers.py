@@ -41,7 +41,6 @@ from .graphs import (
     maximal_matching_greedy,
     maximum_matching,
     remove_edges,
-    require_matching_of,
     second_maximum_matching,
     subgraph,
 )
@@ -154,12 +153,6 @@ def cover_matching_two(g: Graph, extra: float) -> CoverResult:
 # General |M| + |L| - 1 construction
 # ---------------------------------------------------------------------------
 
-def _require_maximum(g: Graph, m: Matching) -> None:
-    require_matching_of(g, m)
-    if len(maximum_matching(g)) != len(m):
-        raise PreconditionViolated("m is not a maximum matching")
-
-
 def cover_general(g: Graph, extra: float) -> CoverResult:
     """Cover of size at most |M| + |L| - 1, recorded against ``extra``, the
     cluster's median extra cost; the construction is ``_general_cover``'s on
@@ -240,7 +233,8 @@ def _cover_via_bridge_residual(g: Graph, m: Matching, b: Edge) -> set[int]:
     residue's second matching has exactly one edge: it is a maximum matching
     of F' minus the edges at u, and that is exactly the far star of the
     bridge graph F' (p, q >= 1), which has at least one edge. If b meets no
-    M-edge, or that second matching is not one edge, it raises ``Stuck``.
+    M-edge, that second matching is not one edge, or M minus that edge is
+    not a maximum matching of the rest, it raises ``Stuck``.
     """
     e_star = None
     u = None
@@ -257,7 +251,8 @@ def _cover_via_bridge_residual(g: Graph, m: Matching, b: Edge) -> set[int]:
     l_rest = second_maximum_matching(g_rest, m_rest)
     if len(l_rest) != 1:
         raise Stuck("bridge-case residue should have second matching of size one")
-    _require_maximum(g_rest, m_rest)  # built by hand above; l_rest was just computed from it
+    if len(maximum_matching(g_rest)) != len(m_rest):
+        raise Stuck("M less the bridge's matching edge is not a maximum matching of the rest")
     return {u} | _general_cover(g_rest, m_rest, l_rest)
 
 
@@ -372,14 +367,15 @@ def cover_single_edge_clusters(
     every edge that touches an edge claimed into M_G by Procedures 1-3.
     Nothing is claimed after Procedure 3, so Procedure 4 reads its blue
     edges (live, not in M_P) from it once. Procedures 2-4 each make one pass
-    over their candidates in index order, against the live set and T as
-    they stand. A pick only removes edges from the live set or adds
-    vertices to T, so each test can only go from true to false while its
-    procedure runs: two live unmatched singles at a matched edge (2), two
-    live matched edges at an unmatched single (3), a fresh blue neighbour at
-    both ends (4). An edge that fails at its turn would fail at every later
-    rescan, so the pass picks what rescanning from the first candidate
-    after every pick would, in the same order.
+    over their candidates in index order, against the live set and T (the
+    plank neighbours' vertices taken so far) as they stand. A pick only
+    removes edges from the live set or adds vertices to T, so each test can
+    only go from true to false while its procedure runs: two live unmatched
+    singles at a matched edge (2), two live matched edges at an unmatched
+    single (3), a fresh blue neighbour at both ends (4). An edge that fails
+    at its turn would fail at every later rescan, so the pass picks what
+    rescanning from the first candidate after every pick would, in the same
+    order.
 
     A single that is not an edge index of g, a covered single, or an
     uncovered edge outside the singles raises ``PreconditionViolated``.

@@ -184,6 +184,23 @@ def test_oracle_on_instance_json(tmp_path, capsys):
     assert payload["method"] == "center_subset_enum"
 
 
+def test_oracle_refuses_k_and_objective_on_instance_json(tmp_path, capsys, p4_file):
+    # the instance carries its own k and objective; a flag that would be
+    # ignored is an error, while an edge list still takes both
+    inst = tmp_path / "inst.json"
+    code, _, _ = run(capsys, "reduce", "--graph", p4_file, "--k", "2", "--out", str(inst))
+    assert code == 0
+    for flag, value in (("--k", "4"), ("--objective", "means")):
+        code, stdout, stderr = run(capsys, "oracle", "--graph", str(inst), flag, value)
+        assert (code, stdout) == (1, "")
+        assert stderr == (f"error: {flag} applies to edge lists only; an instance JSON "
+                          f"carries its own {flag[2:]}\n")
+    code, stdout, _ = run(capsys, "oracle", "--graph", str(inst))
+    assert (code, json.loads(stdout)["method"]) == (0, "partition_enum_weiszfeld")
+    code, stdout, _ = run(capsys, "oracle", "--graph", p4_file, "--k", "2", "--objective", "means")
+    assert (code, json.loads(stdout)["method"]) == (0, "partition_enum_centroid")
+
+
 def test_oracle_with_an_empty_candidate_list_is_a_clean_error(tmp_path, capsys):
     # an empty list restricts the centers to nothing; it is not the continuous case
     inst = tmp_path / "inst.json"

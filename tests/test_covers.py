@@ -147,7 +147,7 @@ def test_bridge_residual_still_rejects_a_residue_matching_that_is_not_maximum(mo
     g = graph_from_edges(BRIDGE_RESIDUE)
     m = maximum_matching(g)
     monkeypatch.setattr(covers, "maximum_matching", lambda h: m)  # |M| on the residue too
-    with pytest.raises(PreconditionViolated, match="m is not a maximum matching"):
+    with pytest.raises(Stuck, match="not a maximum matching of the rest"):
         cover_case_dispatch(g, 0.25)
 
 

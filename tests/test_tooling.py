@@ -83,7 +83,8 @@ def test_the_names_the_bench_record_layers_read_exist():
     )
     names = _medcover_names(ast.parse(snippet))
     assert {("medcover.oracle", "_extend"), ("medcover.oracle", "_tables_and_layers"),
-            ("medcover.oracle", "_needed_rows"), ("medcover.costs", "_centroid_bounds")} <= names
+            ("medcover.oracle", "_needed_rows"), ("medcover.costs", "_centroid_bounds"),
+            ("medcover.covers", "cover_single_edge_clusters")} <= names
     assert _missing(names) == []
 
 
