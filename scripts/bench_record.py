@@ -3,35 +3,42 @@
 
     python scripts/bench_record.py BENCH.json parent=../parent-checkout change=.
 
-Each NAME=PATH is the root of a source checkout. For each tree, in turn and
-interleaved with the others, this times:
+Each NAME=PATH is the root of a source checkout. Every command runs in
+every tree once per round, and one round counter serves the whole record:
+even rounds take the trees in the order given, odd rounds in reverse. In
+order, it times:
 
-- the Tier-1 suite (``python -m pytest -q -W error``, as CI runs it);
-- ``verify-lemmas --max-edges 7 --trials 50``, writing to a temporary file;
-- ``scripts/run_acceptance_sweep.py`` (it rewrites the tree's ``reports/``);
-- ``bench/run.py --trace 0`` on each workload of ``BENCHMARK.json``, at the
-  seed and length ``BENCHMARK.json`` gives, keeping its end-to-end metrics;
-- three layers, on the 11-edge graph of the ``completeness`` workload (11
-  points): a cold median table build (through the oracle's own cache, so
-  the builder the tree's ``opt_continuous`` uses); one DP layer, layer 2 of
-  that table, built by ``oracle._extend`` from the cached layer 1; and,
-  where the tree has one, a pass of the median table's row selection: the
-  cap DP and the lower-bound DP over every mask;
-- one ``covers.cover_single_edge_clusters`` call in Case II (many planks),
-  on seed 27 of the pinned repeat-pick battery in ``tests/test_covers.py``:
-  19 vertices, 28 edges and 15 single-edge clusters, at k = 8 and
-  delta = 0.01, where Procedure 2 picks twice and Procedures 3 and 4 once.
+- the Tier-1 suite (``pytest -q -W error``, as CI runs it), one round;
+- ``verify-lemmas --max-edges 7 --trials 50`` (to a temporary file) and
+  ``scripts/run_acceptance_sweep.py`` (it rewrites the tree's ``reports/``),
+  ``REPEATS`` rounds each;
+- ``bench/run.py --trace 0`` on each workload of ``BENCHMARK.json``, at
+  ``BENCH_SEED`` and the length ``BENCHMARK.json`` gives, one round each
+  (the benchmark scales its own times), keeping its end-to-end metrics;
+- the ``LAYERS`` snippet, ``REPEATS`` rounds. On the 11-edge graph of the
+  ``completeness`` workload (11 points) it times a cold median table build
+  (through the oracle's cache, so the tree's own builder), DP layer 2
+  (``oracle._extend`` from the cached layer 1) and, where the tree has
+  one, a pass of the row selection (the cap DP and the lower-bound DP over
+  every mask); and one ``covers.cover_single_edge_clusters`` call in Case
+  II (many planks) on seed 27 of the repeat-pick battery in
+  ``tests/test_covers.py`` (19 vertices, 28 edges, 15 single-edge clusters,
+  k = 8, delta = 0.01; Procedure 2 picks twice, 3 and 4 once). A layer
+  figure is the median over that tree's processes.
 
-The script itself uses only the standard library; the trees run under the
-same Python. Wall times are the median of ``REPEATS`` runs for the short
-commands and of the layer samples; the suite and the benchmark run once
-each. A command that fails is still timed, and recorded with ``ok`` false
-and its last line of output. Besides the output file and a temporary
-directory, only what those commands write in their own trees is written.
+Each command's ``wall_s`` entry holds its median, its runs, ``ok`` (every
+run passed) and a last line: the first failed run's stderr, else the last
+run's stdout. A failed run is recorded and the record goes on; the file is
+still written, and the script then exits 1. The script uses only the
+standard library, and the trees run under its Python. Besides the output
+file and a temporary directory, only what the commands write in their own
+trees is written.
 """
 
 from __future__ import annotations
 
+import importlib.metadata
+import itertools
 import json
 import os
 import platform
@@ -92,20 +99,12 @@ print(json.dumps(out))
 """
 
 
-def _env(root: str) -> dict:
-    env = dict(os.environ)
-    src = os.path.join(root, "src")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return env
-
-
-def _timed(argv: list[str], root: str, check: bool = True) -> tuple[float, subprocess.CompletedProcess]:
+def _timed(argv: list[str], root: str) -> tuple[float, subprocess.CompletedProcess]:
+    """Run ``argv`` in ``root`` with the tree's ``src/`` first on the path."""
+    path = os.pathsep.join(filter(None, [os.path.join(root, "src"), os.environ.get("PYTHONPATH")]))
     t = time.perf_counter()
-    done = subprocess.run(argv, cwd=root, env=_env(root), capture_output=True, text=True)
-    elapsed = time.perf_counter() - t
-    if check and done.returncode != 0:
-        raise SystemExit(f"{' '.join(argv)} failed in {root}:\n{done.stdout[-2000:]}{done.stderr[-2000:]}")
-    return elapsed, done
+    done = subprocess.run(argv, cwd=root, env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True)
+    return time.perf_counter() - t, done
 
 
 def _commit(root: str) -> dict:
@@ -132,74 +131,71 @@ def main(argv: list[str]) -> int:
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
         return 2
     out_path = argv[0]
-    trees = dict(a.split("=", 1) for a in argv[1:])
-    trees = {name: os.path.abspath(path) for name, path in trees.items()}
+    trees = {name: os.path.abspath(path) for name, path in (a.split("=", 1) for a in argv[1:])}
     with open(os.path.join(next(iter(trees.values())), "BENCHMARK.json"), encoding="utf-8") as fh:
         benchmark = json.load(fh)
-    seconds = str(benchmark["run_seconds"])
     py = sys.executable
     record = {name: {"commit": _commit(root), "wall_s": {}, "workloads": {}, "layers": {}}
               for name, root in trees.items()}
+    rounds = itertools.count()
 
-    def each(label: str, runs: int, argv_for) -> None:
-        # a failing command is timed and recorded as failed, not dropped
-        samples = {name: [] for name in trees}
-        passed = {name: True for name in trees}
-        last = {}
+    def each(label: str, runs: int, argv: list[str], parse=None) -> dict:
+        """Run ``argv`` in every tree for ``runs`` rounds, record
+        ``wall_s[label]`` and return each tree's parsed last stdout lines."""
+        got = {name: [] for name in trees}
         for _ in range(runs):
-            for name, root in trees.items():
-                elapsed, done = _timed(argv_for(root), root, check=False)
-                samples[name].append(elapsed)
-                passed[name] &= done.returncode == 0
-                last[name] = (done.stdout.strip().splitlines() or [""])[-1]
-        for name in trees:
+            for name in list(trees)[::-1 if next(rounds) % 2 else 1]:
+                elapsed, done = _timed(argv, trees[name])
+                ok = done.returncode == 0
+                last = ((done.stdout if ok else done.stderr).strip().splitlines() or [""])[-1]
+                got[name].append((elapsed, ok, last, parse(last) if parse and ok else None))
+        parsed = {}
+        for name, runs_ in got.items():
+            times, oks, lines, parsed[name] = zip(*runs_)
             record[name]["wall_s"][label] = {
-                "median": round(statistics.median(samples[name]), 3),
-                "runs": [round(s, 3) for s in samples[name]],
-                "ok": passed[name],
-                "last_line": last[name],
+                "median": round(statistics.median(times), 3),
+                "runs": [round(t, 3) for t in times],
+                "ok": all(oks),
+                "last_line": next((ln for ok, ln in zip(oks, lines) if not ok), lines[-1]),
             }
             print(f"{name} {label}: {record[name]['wall_s'][label]}", file=sys.stderr)
+        return parsed
 
     with tempfile.TemporaryDirectory() as tmp:
         lemmas = os.path.join(tmp, "lemmas.json")
-        each("tier1_suite", 1, lambda root: [py, "-m", "pytest", "-q", "-W", "error", "-p", "no:cacheprovider"])
-        each("verify_lemmas", REPEATS, lambda root: [
+        each("tier1_suite", 1, [py, "-m", "pytest", "-q", "-W", "error", "-p", "no:cacheprovider"])
+        each("verify_lemmas", REPEATS, [
             py, "-m", "medcover.cli", "verify-lemmas", "--max-edges", "7", "--trials", "50", "--out", lemmas])
-        each("acceptance_sweep", REPEATS, lambda root: [py, os.path.join(root, "scripts", "run_acceptance_sweep.py")])
+        each("acceptance_sweep", REPEATS, [py, "scripts/run_acceptance_sweep.py"])
 
     for workload in (w["name"] for w in benchmark["workloads"]):
-        for name, root in trees.items():
-            _, done = _timed([py, "bench/run.py", "--workload", workload, "--seed", str(BENCH_SEED),
-                              "--seconds", seconds, "--trace", "0"], root)
-            result = json.loads(done.stdout.strip().splitlines()[-1])
+        for name, (result,) in each(f"bench_{workload}", 1, [
+                py, "bench/run.py", "--workload", workload, "--seed", str(BENCH_SEED),
+                "--seconds", str(benchmark["run_seconds"]), "--trace", "0"], json.loads).items():
             record[name]["workloads"][workload] = {
                 "seed": BENCH_SEED,
-                "correct": result["correct"],
-                "metrics": {k: v["value"] for k, v in result["metrics"].items()},
+                "correct": result and result["correct"],
+                "metrics": {k: v["value"] for k, v in (result or {"metrics": {}})["metrics"].items()},
             }
-            print(f"{name} {workload}: {record[name]['workloads'][workload]['metrics']}", file=sys.stderr)
 
-    for name, root in trees.items():
-        _, done = _timed([py, "-c", LAYERS], root)
-        record[name]["layers"] = json.loads(done.stdout.strip().splitlines()[-1])
+    for name, parsed in each("layers", REPEATS, [py, "-c", LAYERS], json.loads).items():
+        samples = {}
+        for figures in filter(None, parsed):
+            for key, ms in figures.items():
+                samples.setdefault(key, []).append(ms)
+        record[name]["layers"] = {key: {"median": None if None in ms else round(statistics.median(ms), 3),
+                                        "runs": ms} for key, ms in samples.items()}
 
-    versions = subprocess.run([py, "-c", "import numpy; print(numpy.__version__)"],
-                              capture_output=True, text=True).stdout.strip()
     report = {
-        "machine": {
-            "python": platform.python_version(),
-            "numpy": versions,
-            "nproc": os.cpu_count(),
-            "cpu": _cpu(),
-        },
+        "machine": {"python": platform.python_version(), "numpy": importlib.metadata.version("numpy"),
+                    "nproc": os.cpu_count(), "cpu": _cpu()},
         "units": {"wall_s": "s", "layers": "ms", "workloads": "BENCHMARK.json units"},
         "trees": record,
     }
     with open(out_path, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2)
         fh.write("\n")
-    return 0
+    return int(any(not w["ok"] for tree in record.values() for w in tree["wall_s"].values()))
 
 
 if __name__ == "__main__":

@@ -26,7 +26,7 @@ from .costs import (
     median_extra_cost,
     weiszfeld,
 )
-from .covers import SoundnessReport, block_count, soundness_assemble
+from .covers import SoundnessReport, _require_triangle_free, block_count, soundness_assemble
 from .decomposition import (
     certificate_from_trace,
     decompose,
@@ -196,7 +196,9 @@ def _round_trip(
     """The soundness round trip of ``cover``, ``sweep`` and the demo: the
     oracle's optimal clustering at ``blocks_needed`` blocks, padded by
     ``_pad_blocks`` to exactly that many, then ``soundness_assemble`` at
-    budget k, all with the given objective, beta and delta."""
+    budget k, all with the given objective, beta and delta. A graph with a
+    triangle is refused before the reduction and the solve."""
+    _require_triangle_free(g)
     oracle = opt_continuous(reduce_graph(g, k=blocks_needed, objective=objective))
     blocks = _pad_blocks([list(b) for b in oracle.partition], blocks_needed)
     return oracle, soundness_assemble(g, blocks, k=k, beta=beta, objective=objective, delta=delta)

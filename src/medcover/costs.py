@@ -7,10 +7,12 @@ after the reduction), the star-plus-lone-edge family A_n, and the 3-edge path.
 Everything else is solved numerically with Weiszfeld's fixed-point iteration,
 hardened at data points via the standard subgradient test. One batched loop,
 ``_weiszfeld_batch``, does every such solve: ``weiszfeld`` runs it on one
-point set, ``weiszfeld_subsets`` on every subset of one, and ``median_costs``
-on many graphs' clusters at once. ``_centroid_bounds`` brackets a batch's
-1-median costs without solving them, between the cost at the centroid and
-the Fermat–Weber dual bound there.
+point set, ``weiszfeld_subsets`` on every subset of one, the oracle's pruned
+median table (``oracle._median_table``) on the subsets its bounds leave
+open, and ``median_costs`` on many graphs' clusters at once.
+``_centroid_bounds`` brackets a batch's 1-median costs without solving
+them, between the cost at the centroid and the Fermat–Weber dual bound
+there.
 
 1-means costs need no solver at all: the optimal center is the centroid and
 the cost collapses to (2r^2 - sum_v deg(v)^2) / r, one exact rational.

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import pytest
 
@@ -143,6 +144,23 @@ def test_cover_means_reports_exact_rationals_as_floats(capsys, c5_file):
     assert path_block["bound_kind"] == "1+(5/2)delta_means"
     assert (path_block["bound_value"], path_block["delta_used"]) == (
         2.6666666666666665, 0.6666666666666666)
+
+
+def test_cover_refuses_a_triangle_before_reducing_or_solving(monkeypatch, tmp_path, capsys):
+    # reduce_graph warns on a triangle and the oracle's table is exponential,
+    # so the precondition is checked before either runs
+    def no_solve(inst):
+        raise AssertionError("opt_continuous ran on a graph with a triangle")
+
+    monkeypatch.setattr(cli, "opt_continuous", no_solve)
+    graph = tmp_path / "triangle.txt"
+    graph.write_text("0 1\n1 2\n0 2\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, stdout, stderr = run(capsys, "cover", "--graph", str(graph), "--k", "1")
+    assert (code, stdout) == (1, "")
+    assert stderr == "error: cover constructions assume a triangle-free graph\n"
+    assert caught == []
 
 
 def test_pad_blocks_peels_the_largest_block_until_there_are_enough():

@@ -1,8 +1,9 @@
 """Checks on the source tree itself: the names the benchmark and the bench
-recording script reach into, the rule that proof obligations raise typed
-errors instead of asserting, the absence of rebound module state, the
-process caches, the one check ledger of the suites, the limits the README
-states, and the demo script running end to end."""
+recording script reach into, that script's measurement loop, the rule that
+proof obligations raise typed errors instead of asserting, the absence of
+rebound module state, the process caches, the one check ledger of the
+suites, the limits the README states, and the demo script running end to
+end."""
 
 import ast
 import dataclasses
@@ -11,6 +12,7 @@ import importlib.util
 import json
 import os
 import re
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -23,9 +25,10 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = Path(medcover.__file__).resolve().parent
 
 
-def _load_tracer():
-    """``bench/tracer.py`` by path; it imports only the standard library."""
-    spec = importlib.util.spec_from_file_location("bench_tracer", ROOT / "bench" / "tracer.py")
+def _load(path: str):
+    """A module of the tree that is not in the package, by path; the ones
+    loaded here import only the standard library."""
+    spec = importlib.util.spec_from_file_location(Path(path).stem, ROOT / path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -34,7 +37,7 @@ def _load_tracer():
 def test_every_traced_layer_exists():
     missing = [
         f"medcover.{home}.{name}"
-        for home, name, _span in _load_tracer().LAYERS
+        for home, name, _span in _load("bench/tracer.py").LAYERS
         if not callable(getattr(importlib.import_module(f"medcover.{home}"), name, None))
     ]
     assert not missing
@@ -86,6 +89,65 @@ def test_the_names_the_bench_record_layers_read_exist():
             ("medcover.oracle", "_needed_rows"), ("medcover.costs", "_centroid_bounds"),
             ("medcover.covers", "cover_single_edge_clusters")} <= names
     assert _missing(names) == []
+
+
+def test_bench_record_alternates_rounds_and_records_failures(tmp_path, monkeypatch):
+    # every command goes through bench_record._timed; a fake answers each one
+    # with canned output, so no subprocess starts
+    bench_record = _load("scripts/bench_record.py")
+    monkeypatch.setattr(bench_record, "_commit", lambda root: {})
+    for name in "ab":
+        (tmp_path / name).mkdir()
+    (tmp_path / "a" / "BENCHMARK.json").write_text(
+        json.dumps({"run_seconds": 1, "workloads": [{"name": "w"}]}), encoding="utf-8")
+    calls, layer_ms = [], {"a": [], "b": []}
+    failing = {("b", "bench"), ("b", "layers", 1)}
+
+    def fake_timed(argv, root):
+        tree = Path(root).name
+        kind = ("tier1" if "pytest" in argv else "lemmas" if "verify-lemmas" in argv
+                else "sweep" if argv[1].endswith("run_acceptance_sweep.py")
+                else "bench" if argv[1] == "bench/run.py" else "layers")
+        nth = sum(1 for call in calls if call == (kind, tree))
+        calls.append((kind, tree))
+        if {(tree, kind), (tree, kind, nth)} & failing:
+            return len(calls) / 8, subprocess.CompletedProcess(argv, 1, "partial\n", f"Traceback\n{kind} failed\n")
+        last = "done"
+        if kind == "bench":
+            last = json.dumps({"correct": True, "metrics": {"wall_s": {"value": 0.5}}})
+        elif kind == "layers":
+            layer_ms[tree].append(len(calls) * 1.5)
+            last = json.dumps({"table_ms": len(calls) * 1.5, "missing_ms": None})
+        return len(calls) / 8, subprocess.CompletedProcess(argv, 0, f"progress\n{last}\n", "")
+
+    monkeypatch.setattr(bench_record, "_timed", fake_timed)
+    out_path = tmp_path / "bench.json"
+    argv = [str(out_path), f"a={tmp_path / 'a'}", f"b={tmp_path / 'b'}"]
+    assert bench_record.main(argv) == 1
+
+    repeats = bench_record.REPEATS
+    kinds = ["tier1"] + ["lemmas"] * repeats + ["sweep"] * repeats + ["bench"] + ["layers"] * repeats
+    assert calls == [(kind, tree) for r, kind in enumerate(kinds) for tree in ("ab" if r % 2 == 0 else "ba")]
+    trees = json.loads(out_path.read_text(encoding="utf-8"))["trees"]
+    a, b = trees["a"], trees["b"]
+
+    def outcome(tree, label):
+        return tree["wall_s"][label]["ok"], tree["wall_s"][label]["last_line"]
+
+    assert outcome(b, "bench_w") == (False, "bench failed")
+    assert outcome(b, "layers") == (False, "layers failed")
+    assert outcome(a, "tier1_suite") == outcome(b, "acceptance_sweep") == (True, "done")
+    assert b["workloads"]["w"] == {"seed": 0, "correct": None, "metrics": {}}
+    assert a["workloads"]["w"] == {"seed": 0, "correct": True, "metrics": {"wall_s": 0.5}}
+    assert len(layer_ms["a"]) == repeats and len(layer_ms["b"]) == repeats - 1
+    for tree, ms in layer_ms.items():
+        assert trees[tree]["layers"] == {
+            "table_ms": {"median": round(statistics.median(ms), 3), "runs": ms},
+            "missing_ms": {"median": None, "runs": [None] * len(ms)},
+        }
+
+    failing.clear()
+    assert bench_record.main(argv) == 0
 
 
 def test_every_exported_name_resolves():
