@@ -101,9 +101,10 @@ print(json.dumps(out))
 
 def _timed(argv: list[str], root: str) -> tuple[float, subprocess.CompletedProcess]:
     """Run ``argv`` in ``root`` with the tree's ``src/`` first on the path."""
-    path = os.pathsep.join(filter(None, [os.path.join(root, "src"), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [os.path.join(root, "src"), env.get("PYTHONPATH")]))
     t = time.perf_counter()
-    done = subprocess.run(argv, cwd=root, env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True)
+    done = subprocess.run(argv, cwd=root, env=env, capture_output=True, text=True)
     return time.perf_counter() - t, done
 
 
@@ -172,10 +173,11 @@ def main(argv: list[str]) -> int:
         for name, (result,) in each(f"bench_{workload}", 1, [
                 py, "bench/run.py", "--workload", workload, "--seed", str(BENCH_SEED),
                 "--seconds", str(benchmark["run_seconds"]), "--trace", "0"], json.loads).items():
+            result = result or {"correct": None, "metrics": {}}  # the run failed
             record[name]["workloads"][workload] = {
                 "seed": BENCH_SEED,
-                "correct": result and result["correct"],
-                "metrics": {k: v["value"] for k, v in (result or {"metrics": {}})["metrics"].items()},
+                "correct": result["correct"],
+                "metrics": {k: v["value"] for k, v in result["metrics"].items()},
             }
 
     for name, parsed in each("layers", REPEATS, [py, "-c", LAYERS], json.loads).items():

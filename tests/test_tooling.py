@@ -111,7 +111,8 @@ def test_bench_record_alternates_rounds_and_records_failures(tmp_path, monkeypat
         nth = sum(1 for call in calls if call == (kind, tree))
         calls.append((kind, tree))
         if {(tree, kind), (tree, kind, nth)} & failing:
-            return len(calls) / 8, subprocess.CompletedProcess(argv, 1, "partial\n", f"Traceback\n{kind} failed\n")
+            failed = subprocess.CompletedProcess(argv, 1, "partial\n", f"Traceback\n{kind} failed\n")
+            return len(calls) / 8, failed
         last = "done"
         if kind == "bench":
             last = json.dumps({"correct": True, "metrics": {"wall_s": {"value": 0.5}}})
