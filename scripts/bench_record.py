@@ -18,13 +18,14 @@ order, it times:
 - the ``LAYERS`` snippet, ``REPEATS`` rounds. On the 11-edge graph of the
   ``completeness`` workload (11 points) it times a cold median table build
   (through the oracle's cache, so the tree's own builder), DP layer 2
-  (``oracle._extend`` from the cached layer 1) and, where the tree has
-  one, a pass of the row selection (the cap DP and the lower-bound DP over
-  every mask); and one ``covers.cover_single_edge_clusters`` call in Case
-  II (many planks) on seed 27 of the repeat-pick battery in
-  ``tests/test_covers.py`` (19 vertices, 28 edges, 15 single-edge clusters,
-  k = 8, delta = 0.01; Procedure 2 picks twice, 3 and 4 once). A layer
-  figure is the median over that tree's processes.
+  (``oracle._extend`` from the cached layer 1) and a pass of the median
+  table's row selection (``oracle._needed_rows``: the cap DP over the upper
+  bounds and the tree's floor over the lower ones); and one
+  ``covers.cover_single_edge_clusters`` call in Case II (many planks) on
+  seed 27 of the repeat-pick battery in ``tests/test_covers.py`` (19
+  vertices, 28 edges, 15 single-edge clusters, k = 8, delta = 0.01;
+  Procedure 2 picks twice, 3 and 4 once). A layer figure is the median
+  over that tree's processes.
 
 Each command's ``wall_s`` entry holds its median, its runs, ``ok`` (every
 run passed) and a last line: the first failed run's stderr, else the last
@@ -76,18 +77,17 @@ def sample(f, runs=15):
         times.append(time.perf_counter() - t)
     return round(statistics.median(times) * 1e3, 3)
 
-out = {"median_table_cold_11_points_ms": sample(table), "all_mask_dp_11_points_ms": None}
+out = {"median_table_cold_11_points_ms": sample(table)}
 oracle._tables_and_layers.cache_clear()
 cost_table, _, layers = oracle._tables_and_layers("median", points, 1)
 out["dp_layer_2_11_points_ms"] = sample(lambda: oracle._extend(n, 2, layers[-1][0], cost_table))
-if hasattr(oracle, "_needed_rows"):
-    pts = np.asarray(points, dtype=float)
-    by_size = costs._subsets_by_size(n)
-    upper, lower = np.zeros(1 << n), np.zeros(1 << n)
-    for rows, members in by_size:
-        _, upper[rows], lower[rows] = costs._centroid_bounds(pts[members])
-    lower = np.maximum(0.0, lower - oracle._slack(upper))
-    out["all_mask_dp_11_points_ms"] = sample(lambda: oracle._needed_rows(n, upper, lower, by_size))
+pts = np.asarray(points, dtype=float)
+by_size = costs._subsets_by_size(n)
+upper, lower = np.zeros(1 << n), np.zeros(1 << n)
+for rows, members in by_size:
+    _, upper[rows], lower[rows] = costs._centroid_bounds(pts[members])
+lower = np.maximum(0.0, lower - oracle._slack(upper))
+out["row_selection_11_points_ms"] = sample(lambda: oracle._needed_rows(n, upper, lower, by_size))
 
 rng = random.Random(27)
 h = oracle.random_triangle_free(rng.randint(14, 20), rng.randint(2, 3), seed=27)

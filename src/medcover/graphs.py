@@ -106,7 +106,9 @@ def parse_edge_list(text: str) -> Graph:
 
     Lines starting with ``#`` and blank lines are ignored; an optional header
     line ``p <num_vertices>`` fixes the vertex count (otherwise it is one more
-    than the largest id seen).
+    than the largest id seen). A malformed line, a token that is not an
+    integer, a self-loop or a second header raises ``ValueError`` naming
+    the line.
     """
     num_vertices: Optional[int] = None
     edges: list[Edge] = []
@@ -115,16 +117,21 @@ def parse_edge_list(text: str) -> Graph:
         if not line:
             continue
         parts = line.split()
-        if parts[0] == "p":
-            if len(parts) != 2:
-                raise ValueError(f"line {lineno}: malformed header {raw!r}")
-            num_vertices = int(parts[1])
-            if num_vertices < 0:
-                raise ValueError(f"line {lineno}: negative vertex count {raw!r}")
-            continue
-        if len(parts) != 2:
-            raise ValueError(f"line {lineno}: expected 'u v', got {raw!r}")
-        edges.append(_normalize_edge(int(parts[0]), int(parts[1])))
+        header = parts[0] == "p"
+        try:
+            values = [int(tok) for tok in parts[header:]]
+            if len(values) != 2 - header:
+                raise ValueError("expected 'p n'" if header else "expected 'u v'")
+            if not header:
+                edges.append(_normalize_edge(*values))
+            elif num_vertices is not None:
+                raise ValueError("a second 'p' header")
+            elif values[0] < 0:
+                raise ValueError("negative vertex count")
+            else:
+                num_vertices = values[0]
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}, in {raw!r}") from None
     if num_vertices is None:
         num_vertices = 1 + max((v for e in edges for v in e), default=-1)
     return Graph(num_vertices, tuple(edges))

@@ -10,9 +10,12 @@ beyond the graph substrate (``graphs``) and the 1-median solver.
 The continuous oracle builds its block-cost tables in one pass before the
 DP. For median, every one of the 2^n - 1 point subsets gets two bounds at
 its centroid: the centroid cost above and the Fermat–Weber dual bound
-below, less the margin ``_BOUND_MARGIN``. A subset DP over the upper
-bounds caps the optimum at every k, a DP over every mask of the lower
-bounds floors each partition that holds a given subset, and only the
+below, less the margin ``_BOUND_MARGIN``. The search's own prefix layers,
+run over the upper bounds, cap the optimum at every k. A partition that
+holds a given subset is floored by the subset's lower bound plus a floor
+on the rest: the rest's own lower bound when it is one block, else the
+cheapest split of its point count into block sizes, each at the least
+lower bound of its size (a DP over point counts, not masks). Only the
 subsets some partition within the margin of a cap can use are solved, by
 the batched Weiszfeld loop (one batch per subset size, which raises
 ``NotConverged`` rather than return an unconverged cost). The rest keep
@@ -58,8 +61,8 @@ for the least row (in the spirit of individualization-refinement): one
 loop over each state's candidates builds a candidate's row and its split
 state in one pass over the blocks. A search raises ``InstanceTooLarge``
 when its tie frontier passes ``MAX_CANON_STATES``. The enumerator composes
-a disjoint union's certificate from its parts' certificates the same way,
-without a search.
+a disjoint union's certificate from its parts' certificates the same way
+(``_union_form``), without a search.
 Every exhaustive routine has an explicit ceiling, and a broken internal
 invariant raises ``Stuck`` rather than asserting.
 """
@@ -72,7 +75,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -313,41 +316,40 @@ def _slack(value):
     return _BOUND_MARGIN * np.maximum(1.0, value)
 
 
-def _block_classes(by_size) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """For each size r = n..2: the masks of r points (``_subsets_by_size``)
-    and, one row per mask, its 2^(r-1) blocks (its lowest point plus each
-    subset of the others) and their rests, mask ^ block, as uint16."""
-    out = []
-    for rows, members in reversed(by_size[1:]):
-        bits = np.left_shift(1, members).astype(np.uint16)
-        blocks = np.empty((len(rows), 1 << (bits.shape[1] - 1)), dtype=np.uint16)
-        blocks[:, 0] = bits[:, 0]
-        for t in range(1, bits.shape[1]):  # the subsets without point t, then with it
-            half = 1 << (t - 1)
-            np.add(blocks[:, :half], bits[:, t:t + 1], out=blocks[:, half:2 * half])
-        out.append((rows, blocks, rows.astype(np.uint16)[:, None] - blocks))
-    return out
-
-
 def _needed_rows(n: int, upper: np.ndarray, lower: np.ndarray, by_size) -> np.ndarray:
     """One flag per bitmask: whether some partition into at most k blocks,
     for some k = 1..n, holds block S at a floor within ``_slack`` of U(k).
 
     U(k), an upper bound on the k-optimum, is the least of the prefix DP's
     layers 1..k at the full mask, run over ``upper`` through ``_candidates``
-    (minima only: a bound needs no tie-break). The floor of a partition that holds S is lower(S) plus
-    L_{k-1}(full ^ S), where L_j(R) is the least ``lower`` sum over the
-    partitions of R into at most j blocks. L_j is a DP over every mask, not
-    only those of the prefix layers: it is 0 on masks of at most j points
-    (singletons cost 0), and each larger mask takes the least, over its
-    blocks that hold its lowest point, of the block's ``lower`` plus the
-    rest's L_{j-1} (``_block_classes``, largest masks first).
+    (minima only: a bound needs no tie-break). The floor of a partition that
+    holds S is lower(S) plus a floor on the rest, full ^ S, split into at
+    most k - 1 blocks: at k = 1 there is no rest (S is the full mask), at
+    k = 2 it is the rest's own ``lower``, and above that it is the size
+    floor F_{k-1} of the rest's point count. F_1(m) is the least ``lower``
+    of the masks of m points, and F_j(m) is 0 for m <= j and otherwise the
+    least, over r = 1..m, of F_1(r) + F_{j-1}(m - r): a DP over the n + 1
+    point counts, which ``by_size`` gives each mask.
+
+    Why the floor is safe in floats: the exact floor of a rest R is the
+    least ``lower`` sum over the partitions of R into at most j blocks, each
+    the ``lower`` of the block that holds R's lowest point plus the exact
+    floor of what it leaves. A block of r points has ``lower`` at least
+    F_1(r), and the size floor adds those minima in the same nested order:
+    the first block, plus the rest. Rounded addition is monotone, so, by
+    induction on j, the size floor is at most the exact floor bit for bit,
+    and every subset the exact floor keeps is kept.
     """
     size = 1 << n
-    least = np.full(size, math.inf)  # L_{k-1}: L_0 serves only the empty mask
+    count = np.zeros(size, dtype=np.intp)  # each mask's point count
+    lowest = [0.0] * (n + 1)  # F_1 by point count
+    for r, (rows, _) in enumerate(by_size, 1):
+        count[rows] = r
+        lowest[r] = float(lower.take(rows).min())
+    least = np.full(size, math.inf)  # the rest's floor, by mask: at k = 1 only the empty rest
     least[0] = 0.0
+    floor = lowest  # F_{k-1} by point count
     exact = upper[1::2]  # prefix layer k over upper, by mask >> k
-    classes = _block_classes(by_size)
     need = np.zeros(size, dtype=bool)
     ceiling = math.inf
     for k in range(1, n + 1):
@@ -359,11 +361,9 @@ def _needed_rows(n: int, upper: np.ndarray, lower: np.ndarray, by_size) -> np.nd
         if k == 1:
             least = lower
         elif k < n:
-            previous, least = least, np.zeros(size)
-            for rows, blocks, rests in classes[:n - k]:
-                cost = lower.take(blocks)
-                cost += previous.take(rests)
-                least[rows] = cost.min(axis=1)
+            floor = [0.0 if m <= k else min(lowest[r] + floor[m - r] for r in range(1, m + 1))
+                     for m in range(n + 1)]
+            least = np.take(floor, count)
     return need
 
 
@@ -376,10 +376,12 @@ def _median_table(points: tuple) -> tuple[np.ndarray, np.ndarray]:
     Every row gets its centroid, the cost there as its upper bound, and the
     Fermat–Weber dual bound less ``_slack(upper)``, floored at 0, as its
     lower bound (``costs._centroid_bounds``). Only the rows ``_needed_rows``
-    picks are solved, one ``_weiszfeld_batch`` per size. Rows never mix, so a solved row has the full table's bits. The
-    others keep the centroid and its cost, a feasible pair no cheaper than
-    the row's 1-median. A solved cost outside [lower, upper + slack] raises
-    ``Stuck``, and ``NotConverged`` can come only from a solved row.
+    picks are solved, one ``_weiszfeld_batch`` per size; its floor on a
+    partition is never above the sum of the partition's lower bounds. Rows
+    never mix, so a solved row has the full table's bits. The others keep
+    the centroid and its cost, a feasible pair no cheaper than the row's
+    1-median. A solved cost outside [lower, upper + slack] raises ``Stuck``,
+    and ``NotConverged`` can come only from a solved row.
 
     Why the optima stay: a partition into at most k blocks that uses an
     unsolved row costs more than U(k) + slack in either table, so more than
@@ -465,11 +467,13 @@ def opt_continuous(inst: ClusteringInstance) -> OracleReport:
     ``costs.WEISZFELD_TOLERANCE``, only when some partition into at most k
     blocks that holds it, for some k = 1..n, has a certified lower bound
     within ``_BOUND_MARGIN`` (1e-9, relative) of an upper bound on the
-    k-optimum; every other subset keeps its centroid and centroid cost. No
-    partition within the margin of an optimum uses those rows, and the
-    margin is far above the DP's 1e-15 tie-break drift, so every cost,
-    partition and center equals the full Weiszfeld table's bit for bit, at
-    every k, and ``NotConverged`` can come only from a solved subset.
+    k-optimum: the subset's own lower bound plus a floor on the rest of the
+    partition by its block sizes (``_needed_rows``). Every other subset
+    keeps its centroid and centroid cost. No partition within the margin of
+    an optimum uses those rows, and the margin is far above the DP's 1e-15
+    tie-break drift, so every cost, partition and center equals the full
+    Weiszfeld table's bit for bit, at every k, and ``NotConverged`` can come
+    only from a solved subset.
 
     The search then runs as a subset DP over those tables: layer j holds
     the best cost of serving each point subset with j blocks, one float64
@@ -826,11 +830,12 @@ def canonical_form(g: Graph) -> str:
     least row-major upper-triangle adjacency bitstring over all vertex
     orders that list the cells of ``_refine_classes`` in their order. A
     graph with two or more components gets its components' certificates,
-    sorted and joined by ``"+"``; each component (an isolated vertex is one,
-    ``"1:"``) is relabelled in increasing vertex order first. So a union of
-    k disjoint edges costs k one-edge searches, not a search through the
-    2^k·k! orders in which vertices of different components tie, and
-    ``MAX_CANON_STATES`` bounds each component's search on its own.
+    sorted and joined by ``"+"`` (``_union_form``); each component (an
+    isolated vertex is one, ``"1:"``) is relabelled in increasing vertex
+    order first. So a union of k disjoint edges costs k one-edge searches,
+    not a search through the 2^k·k! orders in which vertices of different
+    components tie, and ``MAX_CANON_STATES`` bounds each component's search
+    on its own.
     """
     nbrs = neighbour_masks(g)
     comps = component_masks(nbrs)
@@ -842,6 +847,12 @@ def canonical_form(g: Graph) -> str:
         label = {v: i for i, v in enumerate(members)}
         part = Graph(len(label), tuple((label[u], label[v]) for u, v in g.edges if u in label))
         forms.append(_connected_form(neighbour_masks(part)))
+    return _union_form(forms)
+
+
+def _union_form(forms: Iterable[str]) -> str:
+    """A disjoint union's certificate: its parts' certificates, sorted and
+    joined by ``"+"``."""
     return "+".join(sorted(forms))
 
 
@@ -958,9 +969,10 @@ def enumerate_triangle_free(
     parent untouched is not tried: the same class comes from a leaf
     extension of a smaller parent earlier in the level (see
     ``_single_edge_extensions``). A disjoint union's certificate is composed
-    from its parts' certificates, which the levels already computed, exactly
-    as ``canonical_form`` composes it, so unions cost no search; the
-    disconnected catalogue therefore reaches ``MAX_ENUM_EDGES`` too.
+    from its parts' certificates, which the levels already computed, by
+    ``_union_form``, as ``canonical_form`` composes it, so unions cost no
+    search; the disconnected catalogue therefore reaches ``MAX_ENUM_EDGES``
+    too.
     Deterministic output order: edge count, then vertex count, then
     certificate.
     """
@@ -1002,7 +1014,7 @@ def enumerate_triangle_free(
         for _m, _cert, part in parts:
             edges.extend((u + offset, v + offset) for u, v in part.edges)
             offset += part.num_vertices
-        cert = "+".join(sorted(c for _m, c, _g in parts))
+        cert = _union_form(c for _m, c, _g in parts)
         combos.append(((len(edges), offset, cert), Graph(offset, tuple(sorted(edges)))))
     combos.sort(key=lambda combo: combo[0])
     for _key, g in combos:

@@ -198,13 +198,18 @@ def parse_hyperedges(text: str, d: Optional[int] = None, k: int = 1) -> Hypergra
     """One space-separated vertex list per line; # starts a comment.
 
     Uniformity is inferred from the first hyperedge unless given explicitly.
+    A token that is not an integer, or a line of the wrong length, raises
+    ``ValueError`` naming the line.
     """
     hyperedges: list[tuple[int, ...]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        f = tuple(sorted(int(tok) for tok in line.split()))
+        try:
+            f = tuple(sorted(int(tok) for tok in line.split()))
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}, in {raw!r}") from None
         if d is None:
             d = len(f)
         if len(f) != d:

@@ -84,9 +84,15 @@ def test_parse_skips_comments_and_blanks():
     assert g.edges == ((0, 1), (1, 2))
 
 
-@pytest.mark.parametrize("bad", ["0 0", "0", "0 1 2", "a b", "p -5\n"])
-def test_parse_rejects_malformed_lines(bad):
-    with pytest.raises(Exception):
+MALFORMED = [  # (input, the line at fault)
+    ("0 0", 1), ("0", 1), ("0 1 2", 1), ("a b", 1), ("p -5\n", 1), ("0 1\n1 x\n", 2),
+    ("p\n", 1), ("p 2\n0 1\np 5\n3 4\n", 3),
+]
+
+
+@pytest.mark.parametrize("bad, line", MALFORMED, ids=[bad for bad, _ in MALFORMED])
+def test_parse_rejects_malformed_lines(bad, line):
+    with pytest.raises(ValueError, match=f"^line {line}: "):
         parse_edge_list(bad)
 
 

@@ -448,14 +448,85 @@ def test_centroid_bounds_hold_every_median_cost(family):
         sets = [points for points, _ in _median_point_sets(family)]
     for points in sets:
         points = tuple(map(tuple, points))
-        pts = np.asarray(points, dtype=float)
         cost, _ = _full_median_table(points)
-        upper, dual = np.zeros(len(cost)), np.zeros(len(cost))
-        for rows, members in costs._subsets_by_size(len(points)):
-            _, upper[rows], dual[rows] = costs._centroid_bounds(pts[members])
-        lower = np.maximum(0.0, dual - oracle._slack(upper))  # as _median_table takes it
+        upper, lower = _median_bounds(points)
         assert (lower[1:] <= cost[1:]).all(), points
         assert (cost[1:] <= upper[1:] * (1 + oracle._BOUND_MARGIN)).all(), points
+
+
+def _median_bounds(points):
+    """Each subset's upper and lower bound, as ``_median_table`` takes them."""
+    pts = np.asarray(points, dtype=float)
+    upper, dual = np.zeros(1 << len(pts)), np.zeros(1 << len(pts))
+    for rows, members in costs._subsets_by_size(len(pts)):
+        _, upper[rows], dual[rows] = costs._centroid_bounds(pts[members])
+    return upper, np.maximum(0.0, dual - oracle._slack(upper))
+
+
+def _exact_floor_rows(points):
+    """Reference for ``_needed_rows``: the rows whose partitions, at some k,
+    reach the cap's slack under the exact floor of the rest. L_j(R), the
+    least ``lower`` sum over the partitions of R into at most j blocks, is
+    recursed over the blocks that hold R's lowest point: 0 on an empty R or
+    one of at most j >= 2 points, the rest's own ``lower`` at j = 1, and no
+    partition (inf) at j = 0."""
+    upper, lower = _median_bounds(points)
+    n, lows = len(points), lower.tolist()
+    full = (1 << n) - 1
+
+    @functools.lru_cache(maxsize=None)
+    def floor(rest, j):
+        if rest == 0 or (j >= 2 and bin(rest).count("1") <= j):
+            return 0.0
+        if j <= 1:
+            return lows[rest] if j else math.inf
+        low, others = rest & -rest, rest & (rest - 1)
+        best, sub = math.inf, others
+        while True:  # every block low | sub, sub a submask of the others
+            block = low | sub
+            best = min(best, lows[block] + floor(rest ^ block, j - 1))
+            if not sub:
+                return best
+            sub = (sub - 1) & others
+
+    flagged = np.zeros(1 << n, dtype=bool)
+    exact, ceiling = upper[1::2], math.inf  # the cap, as _needed_rows builds it
+    for k in range(1, n + 1):
+        if k > 1:
+            cost, starts, _ = oracle._candidates(n, k, exact, upper)
+            exact = np.minimum.reduceat(cost, starts)
+        ceiling = min(ceiling, float(exact[-1]))
+        bar = ceiling + float(oracle._slack(ceiling))
+        for s in range(1, full + 1):
+            flagged[s] |= lows[s] + floor(full ^ s, k - 1) <= bar
+    return flagged, upper, lower
+
+
+def _small_point_sets():
+    """The tie-prone sets and ``completeness_instances(8, 0)`` reductions
+    of at most 8 points, then 20 seeded sets of small integer points."""
+    yield from (points for points in _tie_prone_sets() if len(points) <= 8)
+    for g in completeness_instances(8, 0):
+        if g.num_edges <= 8:
+            yield reduce_graph(g, k=1, objective="median").points
+    for seed in range(20):
+        rng = random.Random(seed)
+        dim = rng.randint(1, 3)
+        yield [tuple(float(rng.randint(0, 3)) for _ in range(dim)) for _ in range(rng.randint(3, 8))]
+
+
+def test_row_selection_keeps_every_row_the_exact_floor_keeps():
+    # the size floor is never above the exact floor, so it keeps at least
+    # every row the exact rule keeps
+    sets = 0
+    for points in _small_point_sets():
+        points = tuple(map(tuple, points))
+        want, upper, lower = _exact_floor_rows(points)
+        n = len(points)
+        need = oracle._needed_rows(n, upper, lower, costs._subsets_by_size(n))
+        assert need[want].all(), (points, np.flatnonzero(want & ~need))
+        sets += 1
+    assert sets == 24
 
 
 def test_memoised_candidates_equal_a_fresh_build():

@@ -161,6 +161,11 @@ def test_parse_hyperedges_rejects_ragged_lines():
         parse_hyperedges("0 1 2\n3 4\n")
 
 
+def test_parse_hyperedges_names_the_line_of_a_token_that_is_not_an_integer():
+    with pytest.raises(ValueError, match="^line 3: .*'x'"):
+        parse_hyperedges("0 1 2\n# note\n3 x 5\n")
+
+
 def test_graph_case_is_the_two_uniform_case():
     # a 2-uniform hypergraph produces the same point set as the graph
     # reduction; only the candidate-center restriction differs

@@ -91,6 +91,25 @@ def test_the_names_the_bench_record_layers_read_exist():
     assert _missing(names) == []
 
 
+def test_the_bench_record_layers_snippet_runs_and_times_every_layer():
+    # the snippet runs inside every tree a record compares; run it once here
+    # so a changed name or signature shows before the next record is written
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _load("scripts/bench_record.py").LAYERS],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    figures = json.loads(done.stdout.strip().splitlines()[-1])
+    assert sorted(figures) == [
+        "dp_layer_2_11_points_ms", "median_table_cold_11_points_ms",
+        "row_selection_11_points_ms", "single_edge_cover_28_edges_ms",
+    ]
+    for key, ms in figures.items():
+        assert type(ms) in (int, float) and ms > 0, (key, ms)
+
+
 def test_bench_record_alternates_rounds_and_records_failures(tmp_path, monkeypatch):
     # every command goes through bench_record._timed; a fake answers each one
     # with canned output, so no subprocess starts
