@@ -12,7 +12,7 @@ from medcover.costs import MAX_CONTINUOUS_POINTS
 from medcover.decomposition import certify_lower_bound
 from medcover.graphs import bridge_structure, format_edge_list
 from medcover.oracle import min_vertex_cover, random_triangle_free
-from medcover.reduction import predict_gap_graph
+from medcover.reduction import NO_SIDE_HYPOTHESIS, predict_gap_graph
 from medcover.suites import median_complete
 
 
@@ -30,7 +30,8 @@ def main() -> int:
     print(f"edges m = {m}, minimum vertex cover k = {k}")
 
     pred = predict_gap_graph(m, k, "median", delta=0.01)
-    print(f"\nmedian thresholds: yes <= {pred.yes_cost}, no > {pred.no_cost_lower}")
+    print(f"\nmedian thresholds: yes <= {pred.yes_cost}, no > {pred.no_cost_lower}"
+          f" ({NO_SIDE_HYPOTHESIS['median']})")
 
     rep, cover_rep = _round_trip(g, k, k, "median", beta=1.0, delta=0.01)
     verdict = "yes" if median_complete(rep.optimal_cost, m, k) else "no"

@@ -49,6 +49,7 @@ from .oracle import (
     random_triangle_free,
 )
 from .reduction import (
+    NO_SIDE_HYPOTHESIS,
     OBJECTIVES,
     auto_no_regime,
     check_delta,
@@ -109,6 +110,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
         "dimension": inst.dimension,
         "yes_cost": pred.yes_cost,
         "no_cost_lower": pred.no_cost_lower,
+        "no_cost_lower_hypothesis": NO_SIDE_HYPOTHESIS[args.objective],
         "parameters": dict(pred.parameters),
         "auto_no_regime": auto_no_regime(g, args.k),
         "out": args.out,

@@ -48,6 +48,14 @@ from .reduction import check_delta, check_objective
 
 SQRT2P1 = math.sqrt(2.0) + 1.0
 
+# The soundness ledger's charges, each written once: the constructions'
+# bounds, ``soundness_assemble``'s ceiling and ``suites.suite_covers`` read
+# these names.
+MATCHING_TWO_CHARGE = 1.62  # per non-star cluster with matching number two
+DISPATCH_CHARGE = 1.8  # per non-star cluster with matching number >= 3
+MEANS_SLOPE = Fraction(5, 2)  # a means cover holds 1 + MEANS_SLOPE * delta(F)
+SINGLES_SLOPE = 8  # the singles' 8*delta*k; Case I's threshold takes half
+
 
 @dataclass(frozen=True)
 class CoverResult:
@@ -111,6 +119,12 @@ def _touches(e: Edge, f: Edge) -> bool:
     return e[0] in f or e[1] in f
 
 
+def _median_charged(cover: frozenset[int], const: float, extra: float) -> CoverResult:
+    """A cluster's cover charged const + (sqrt(2)+1) * ``extra``, its median
+    extra cost."""
+    return CoverResult(cover, len(cover), f"{const}+(sqrt2+1)delta", const + SQRT2P1 * extra, extra)
+
+
 # ---------------------------------------------------------------------------
 # Matching-number-two clusters
 # ---------------------------------------------------------------------------
@@ -140,13 +154,7 @@ def cover_matching_two(g: Graph, extra: float) -> CoverResult:
         cover = frozenset((cyc[0], cyc[2], cyc[4]))
         if not is_vertex_cover(g, cover):
             raise Stuck(f"alternate vertices {sorted(cover)} of the 5-cycle are not a cover")
-    return CoverResult(
-        cover=cover,
-        size=len(cover),
-        bound_kind="1.62+(sqrt2+1)delta",
-        bound_value=1.62 + SQRT2P1 * extra,
-        delta_used=extra,
-    )
+    return _median_charged(cover, MATCHING_TWO_CHARGE, extra)
 
 
 # ---------------------------------------------------------------------------
@@ -275,8 +283,8 @@ def cover_case_dispatch(g: Graph, extra: float) -> CoverResult:
       |L| >= 3, F'' non-star,
                 non-bridge         -> general construction, <= |M| + |L| - 1 (1.6)
 
-    Every path stays within 1.8 + (sqrt(2)+1) * delta(F), where delta(F) is
-    ``extra``, the cluster's median extra cost.
+    Every path stays within DISPATCH_CHARGE + (sqrt(2)+1) * delta(F), where
+    delta(F) is ``extra``, the cluster's median extra cost.
     """
     _require_triangle_free(g)
     if is_star(g) or g.num_edges < 2:
@@ -287,18 +295,11 @@ def cover_case_dispatch(g: Graph, extra: float) -> CoverResult:
     l = second_maximum_matching(g, m)
 
     def result(cover: set[int], const: float, ceiling: int) -> CoverResult:
-        kind = f"{const}"
         if not is_vertex_cover(g, cover):
-            raise Stuck(f"case {kind} produced a non-cover")
+            raise Stuck(f"case {const} produced a non-cover")
         if len(cover) > ceiling:
-            raise Stuck(f"case {kind} used {len(cover)} > {ceiling} vertices")
-        return CoverResult(
-            cover=frozenset(cover),
-            size=len(cover),
-            bound_kind=f"{kind}+(sqrt2+1)delta",
-            bound_value=const + SQRT2P1 * extra,
-            delta_used=extra,
-        )
+            raise Stuck(f"case {const} used {len(cover)} > {ceiling} vertices")
+        return _median_charged(frozenset(cover), const, extra)
 
     if len(l) == 0:
         return result({min(e) for e in m.edges}, 0.551, len(m))
@@ -399,14 +400,14 @@ def cover_single_edge_clusters(
     g_p = Graph(g.num_vertices, tuple(edges[i] for i in order))
     mp = {order[j] for j in maximal_matching_greedy(g_p).indices}
 
-    if len(mp) <= t1p / 3 + 4 * delta * k:
+    if len(mp) <= t1p / 3 + SINGLES_SLOPE * delta * k / 2:
         cover = frozenset(v for i in mp for v in edges[i])
         if not is_vertex_cover(g_p, cover):
             raise Stuck("endpoints of the maximal singles matching miss a single edge")
         return SingleEdgeCoverOutcome(
             scope="singles_only",
             cover=cover,
-            bound_value=2 * t1p / 3 + 8 * delta * k,
+            bound_value=2 * t1p / 3 + SINGLES_SLOPE * delta * k,
             matching_size=len(mp),
             subcase=None,
         )
@@ -524,16 +525,10 @@ def cover_nonstar_means(g: Graph) -> CoverResult:
         raise Stuck("means construction produced a non-cover")
     if len(cover) > 2 + delta:
         raise Stuck(f"means cover of {len(cover)} exceeds 2 + delta = {2 + delta}")
-    bound = 1 + Fraction(5, 2) * delta
+    bound = 1 + MEANS_SLOPE * delta
     if len(cover) > bound:
-        raise Stuck(f"means cover of {len(cover)} exceeds 1 + (5/2) delta = {bound}")
-    return CoverResult(
-        cover=frozenset(cover),
-        size=len(cover),
-        bound_kind="1+(5/2)delta_means",
-        bound_value=bound,
-        delta_used=delta,
-    )
+        raise Stuck(f"means cover of {len(cover)} exceeds 1 + ({MEANS_SLOPE}) delta = {bound}")
+    return CoverResult(frozenset(cover), len(cover), f"1+({MEANS_SLOPE})delta_means", bound, delta)
 
 
 # ---------------------------------------------------------------------------
@@ -675,14 +670,14 @@ def soundness_assemble(
     if objective == "median":
         ceiling = (
             0.67 * t1
-            + 8 * delta * k
+            + SINGLES_SLOPE * delta * k
             + t2
-            + 1.62 * t3
-            + 1.8 * t4
+            + MATCHING_TWO_CHARGE * t3
+            + DISPATCH_CHARGE * t4
             + SQRT2P1 * float(delta_sum)
         )
     else:
-        ceiling = beta * k + 2.5 * float(delta_sum)
+        ceiling = beta * k + float(MEANS_SLOPE) * float(delta_sum)
     return SoundnessReport(
         t1=t1,
         t2=t2,

@@ -38,6 +38,9 @@ from .graphs import (
 
 MODES = ("safe", "ultra_safe")
 
+# L_n (n >= 3) costs at least |edges| - L_N_SHORTFALL: the safe mode's floor
+L_N_SHORTFALL = 0.342
+
 _TERMINAL = {
     "safe": frozenset({ClassTag.THREE_P2, ClassTag.A_N, ClassTag.L_N}),
     "ultra_safe": frozenset({ClassTag.THREE_P2, ClassTag.A_N}),
@@ -155,7 +158,7 @@ def residual_class_bound(cls: GraphClass) -> tuple[str, float]:
     exact = fundamental_median_cost(cls)
     if exact is not None:
         return (cls.describe(), exact)
-    return (cls.describe(), 11 / 3 if cls.n == 2 else (cls.n + 2) - 0.342)
+    return (cls.describe(), 11 / 3 if cls.n == 2 else (cls.n + 2) - L_N_SHORTFALL)
 
 
 def certificate_from_trace(trace: DecompositionTrace) -> LowerBoundCertificate:

@@ -107,11 +107,12 @@ def parse_edge_list(text: str) -> Graph:
     Lines starting with ``#`` and blank lines are ignored; an optional header
     line ``p <num_vertices>`` fixes the vertex count (otherwise it is one more
     than the largest id seen). A malformed line, a token that is not an
-    integer, a self-loop or a second header raises ``ValueError`` naming
-    the line.
+    integer, a self-loop, a repeated edge, a second header or an edge out of
+    range raises ``ValueError`` naming the line. The header may follow the
+    edges, so the range is checked once every line is read.
     """
     num_vertices: Optional[int] = None
-    edges: list[Edge] = []
+    lines: dict[Edge, tuple[int, str]] = {}  # each edge's line number and text
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -123,7 +124,10 @@ def parse_edge_list(text: str) -> Graph:
             if len(values) != 2 - header:
                 raise ValueError("expected 'p n'" if header else "expected 'u v'")
             if not header:
-                edges.append(_normalize_edge(*values))
+                e = _normalize_edge(*values)
+                if e in lines:
+                    raise ValueError(f"duplicate edge ({e[0]},{e[1]})")
+                lines[e] = (lineno, raw)
             elif num_vertices is not None:
                 raise ValueError("a second 'p' header")
             elif values[0] < 0:
@@ -133,8 +137,13 @@ def parse_edge_list(text: str) -> Graph:
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}, in {raw!r}") from None
     if num_vertices is None:
-        num_vertices = 1 + max((v for e in edges for v in e), default=-1)
-    return Graph(num_vertices, tuple(edges))
+        num_vertices = 1 + max((v for e in lines for v in e), default=-1)
+    for (u, v), (lineno, raw) in lines.items():
+        if u < 0 or v >= num_vertices:
+            raise ValueError(
+                f"line {lineno}: edge ({u},{v}) out of range for n={num_vertices}, in {raw!r}"
+            )
+    return Graph(num_vertices, tuple(lines))
 
 
 def format_edge_list(g: Graph) -> str:

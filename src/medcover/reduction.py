@@ -26,6 +26,14 @@ Vector = tuple[float, ...]
 
 OBJECTIVES = ("median", "means")
 
+# The hypothesis each objective's graph no_cost_lower is claimed under. For
+# means, k < tau leaves some block a non-star, whose means extra cost is at
+# least 2/3, while every star block costs its yes share exactly.
+NO_SIDE_HYPOTHESIS = {
+    "median": "a conjecture: C7 at k = 3 (tau = 4) costs 2 + 2*sqrt(3) < m - k/2 = 5.5",
+    "means": "proven for triangle-free G when k < tau and delta*k <= 2/3",
+}
+
 
 @dataclass(frozen=True)
 class ClusteringInstance:
@@ -63,7 +71,9 @@ class ClusteringInstance:
 
 @dataclass(frozen=True)
 class HypergraphInstance:
-    """d-uniform hypergraph on vertices 0..num_vertices-1 plus a target k."""
+    """d-uniform hypergraph on vertices 0..num_vertices-1 plus a target k.
+    A hyperedge repeated in any vertex order raises ``ValueError``, as a
+    repeated edge does in ``Graph``."""
 
     d: int
     num_vertices: int
@@ -75,18 +85,27 @@ class HypergraphInstance:
             raise ValueError("uniformity d must be >= 2")
         if self.k < 1:
             raise ValueError("k must be >= 1")
+        seen: set[tuple[int, ...]] = set()
         for f in self.hyperedges:
             if len(set(f)) != self.d:
                 raise ValueError(f"hyperedge {f} does not have {self.d} distinct vertices")
             if any(not 0 <= u < self.num_vertices for u in f):
                 raise ValueError(f"hyperedge {f} out of range")
+            key = tuple(sorted(f))
+            if key in seen:
+                raise ValueError(f"duplicate hyperedge {f}")
+            seen.add(key)
 
 
 @dataclass(frozen=True)
 class GapPrediction:
-    """Cost thresholds a reduction promises: any cover of target size keeps the
-    clustering cost at yes_cost, and absence of such a cover forces at least
-    no_cost_lower."""
+    """Cost thresholds of a reduction. A cover of the target size keeps the
+    clustering cost at most ``yes_cost``. ``no_cost_lower`` is the cost the
+    absence of such a cover is claimed to force, and for a graph it holds
+    only under ``NO_SIDE_HYPOTHESIS[objective]``: proven for means on
+    triangle-free graphs with k < tau and delta*k <= 2/3, a conjecture for
+    the median, which C7 at k = 3 breaks. The hypergraph's no side is a
+    p-fraction of hyperedges left uncovered by every choice of k centers."""
 
     yes_cost: float
     no_cost_lower: float
@@ -156,6 +175,8 @@ def predict_gap_graph(m: int, k: int, objective: str, delta: float) -> GapPredic
     median: yes m - k/2 vs no-lower m - k/2 + delta*k
     means:  yes m - k   vs no-lower m - k   + delta*k
 
+    The no-lower holds only under ``NO_SIDE_HYPOTHESIS[objective]``.
+
     k may be at most m: with more centers than points the thresholds would
     go negative.
     """
@@ -198,8 +219,9 @@ def parse_hyperedges(text: str, d: Optional[int] = None, k: int = 1) -> Hypergra
     """One space-separated vertex list per line; # starts a comment.
 
     Uniformity is inferred from the first hyperedge unless given explicitly.
-    A token that is not an integer, or a line of the wrong length, raises
-    ``ValueError`` naming the line.
+    A token that is not an integer, a line of the wrong length, or a
+    hyperedge already read (in any vertex order) raises ``ValueError``
+    naming the line.
     """
     hyperedges: list[tuple[int, ...]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -214,6 +236,8 @@ def parse_hyperedges(text: str, d: Optional[int] = None, k: int = 1) -> Hypergra
             d = len(f)
         if len(f) != d:
             raise ValueError(f"line {lineno}: expected {d} vertices, got {len(f)}")
+        if f in hyperedges:
+            raise ValueError(f"line {lineno}: duplicate hyperedge {f}, in {raw!r}")
         hyperedges.append(f)
     if d is None:
         raise ValueError("no hyperedges found")

@@ -38,6 +38,8 @@ from .costs import (
     weiszfeld,
 )
 from .covers import (
+    DISPATCH_CHARGE,
+    MEANS_SLOPE,
     SQRT2P1,
     cover_budget,
     cover_case_dispatch,
@@ -45,7 +47,7 @@ from .covers import (
     cover_matching_two,
     cover_nonstar_means,
 )
-from .decomposition import certify_lower_bound
+from .decomposition import L_N_SHORTFALL, certify_lower_bound
 from .errors import MedcoverError, PreconditionViolated
 from .graphs import (
     ClassTag,
@@ -158,7 +160,7 @@ def suite_decomposition(max_edges: int) -> dict:
         cert = certify_lower_bound(g, "safe")
         check(cert.bound <= true_cost + 1e-6,
               "safe bound exceeds cost on {}: {!r} > {!r}", g.edges, cert.bound, true_cost)
-        check(cert.bound >= m - 0.342 - 1e-12,
+        check(cert.bound >= m - L_N_SHORTFALL - 1e-12,
               "safe bound below floor on {}: {!r}", g.edges, cert.bound)
         check(abs(cert.bound - sum(v for _, v in cert.derivation)) <= 1e-12,
               "certificate sum mismatch on {}", g.edges)
@@ -246,45 +248,58 @@ def suite_covers(max_edges: int) -> dict:
     """Constructive covers across the enumeration: always valid vertex
     covers, matching-2 covers as small as the true minimum (2, or 3 on the
     5-cycle), general covers within |M|+|L|-1, case dispatch within
-    1.8+(sqrt2+1)*delta, and means covers within 1+(5/2)*delta exactly;
-    the median delta is the extra cost from ``_nonstars``."""
+    ``covers.DISPATCH_CHARGE`` + (sqrt2+1)*delta, and means covers within
+    1 + ``covers.MEANS_SLOPE``*delta exactly; the median delta is the extra
+    cost from ``_nonstars``. Every construction is checked one way, by
+    ``construction``."""
     ledger = _Ledger("cover_extraction")
     check = ledger.check
+
+    def construction(label: str, claim, build, g: Graph, *args: object) -> None:
+        """First that ``build(g, *args)`` returns a vertex cover of g, then
+        the construction's own claim, ``claim(res)``, an (ok, template,
+        *args) for ``check``. A construction that raises fails both checks."""
+        try:
+            res = build(g, *args)
+        except MedcoverError as ex:
+            for what in ("cover", "size bound"):
+                check(False, "{} construction failed on {} ({}): {}", label, g.edges, what, ex)
+            return
+        check(is_vertex_cover(g, res.cover), "{} non-cover on {}", label, g.edges)
+        check(*claim(res))
+
     for g, _, extra in _nonstars(max_edges):
         m = maximum_matching(g)
-        nu = len(m)
-        if nu == 2:
-            res = cover_matching_two(g, extra)
-            want = len(min_vertex_cover(g))
-            check(is_vertex_cover(g, res.cover), "matching-2 non-cover on {}", g.edges)
-            expected = 3 if classify(g).tag is ClassTag.C5 else 2
-            check(res.size == expected == want,
-                  "matching-2 size on {}: got {}, construction {}, minimum {}",
-                  g.edges, res.size, expected, want)
         l = second_maximum_matching(g, m)
+
+        def least(res):
+            want = len(min_vertex_cover(g))
+            expected = 3 if classify(g).tag is ClassTag.C5 else 2
+            return (res.size == expected == want,
+                    "matching-2 size on {}: got {}, construction {}, minimum {}",
+                    g.edges, res.size, expected, want)
+
+        def general(res):
+            return (res.size <= len(m) + len(l) - 1,
+                    "general size bound fails on {}: {}", g.edges, res.size)
+
+        def dispatched(res):
+            lim = DISPATCH_CHARGE + SQRT2P1 * res.delta_used
+            return (res.size <= lim + 1e-6,
+                    "dispatch bound fails on {}: {} > {!r}", g.edges, res.size, lim)
+
+        def means(res):
+            lim = 1 + MEANS_SLOPE * res.delta_used
+            return (Fraction(res.size) <= lim,
+                    "means bound fails on {}: {} > {}", g.edges, res.size, lim)
+
+        if len(m) == 2:
+            construction("matching-2", least, cover_matching_two, g, extra)
         if len(l) >= 1:
-            try:
-                res = cover_general(g, extra)
-                check(is_vertex_cover(g, res.cover), "general non-cover on {}", g.edges)
-                check(res.size <= len(m) + len(l) - 1,
-                      "general size bound fails on {}: {}", g.edges, res.size)
-            except MedcoverError as ex:  # neither claim holds: both fail
-                for claim in ("cover", "size bound"):
-                    check(False, "general construction failed on {} ({}): {}", g.edges, claim, ex)
-        if nu >= 3:
-            try:
-                res = cover_case_dispatch(g, extra)
-                check(is_vertex_cover(g, res.cover), "dispatch non-cover on {}", g.edges)
-                lim = 1.8 + SQRT2P1 * res.delta_used
-                check(res.size <= lim + 1e-6,
-                      "dispatch bound fails on {}: {} > {!r}", g.edges, res.size, lim)
-            except MedcoverError as ex:  # neither claim holds: both fail
-                for claim in ("cover", "size bound"):
-                    check(False, "dispatch failed on {} ({}): {}", g.edges, claim, ex)
-        res = cover_nonstar_means(g)
-        check(is_vertex_cover(g, res.cover), "means non-cover on {}", g.edges)
-        check(Fraction(res.size) <= res.bound_value,
-              "means bound fails on {}: {} > {}", g.edges, res.size, res.bound_value)
+            construction("general", general, cover_general, g, extra)
+        if len(m) >= 3:
+            construction("dispatch", dispatched, cover_case_dispatch, g, extra)
+        construction("means", means, cover_nonstar_means, g)
     return ledger.result()
 
 

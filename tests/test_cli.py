@@ -11,7 +11,7 @@ from medcover.cli import main
 from medcover.errors import MedcoverError
 from medcover.costs import closed_form_median_cost, cluster_points, extra_cost, weiszfeld
 from medcover.graphs import parse_edge_list
-from medcover.reduction import instance_from_json
+from medcover.reduction import NO_SIDE_HYPOTHESIS, instance_from_json
 
 C5_TEXT = "0 1\n1 2\n2 3\n3 4\n0 4\n"
 P4_TEXT = "0 1\n1 2\n2 3\n"
@@ -46,6 +46,7 @@ def test_reduce_writes_a_loadable_instance(tmp_path, capsys, p4_file):
     payload = json.loads(stdout)
     assert payload["instance_points"] == 3
     assert payload["yes_cost"] == 2.0
+    assert payload["no_cost_lower_hypothesis"] == NO_SIDE_HYPOTHESIS["median"]
     inst = instance_from_json(out.read_text())
     assert inst.k == 2
     assert len(inst.points) == 3

@@ -86,7 +86,7 @@ def test_parse_skips_comments_and_blanks():
 
 MALFORMED = [  # (input, the line at fault)
     ("0 0", 1), ("0", 1), ("0 1 2", 1), ("a b", 1), ("p -5\n", 1), ("0 1\n1 x\n", 2),
-    ("p\n", 1), ("p 2\n0 1\np 5\n3 4\n", 3),
+    ("p\n", 1), ("p 2\n0 1\np 5\n3 4\n", 3), ("p 2\n3 4\n", 2), ("0 1\n1 0\n", 2),
 ]
 
 

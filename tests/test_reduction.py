@@ -6,8 +6,12 @@ import math
 
 import pytest
 
+from medcover.costs import disjoint_edges_median_cost, l1_median_cost, weiszfeld
+from medcover.covers import cover_budget, soundness_assemble
 from medcover.graphs import graph_from_edges
+from medcover.oracle import min_vertex_cover, opt_continuous
 from medcover.reduction import (
+    NO_SIDE_HYPOTHESIS,
     ClusteringInstance,
     HypergraphInstance,
     auto_no_regime,
@@ -19,6 +23,7 @@ from medcover.reduction import (
     predict_gap_hypergraph,
     reduce_graph,
     reduce_hypergraph,
+    yes_cost,
 )
 
 C5 = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]
@@ -57,6 +62,38 @@ def test_graph_gap_thresholds(objective, yes, no):
     pred = predict_gap_graph(10, 3, objective, delta=0.01)
     assert pred.yes_cost == pytest.approx(yes, abs=0)
     assert pred.no_cost_lower == pytest.approx(no, abs=1e-15)
+
+
+def test_c7_at_k_3_clusters_below_the_median_no_cost_lower():
+    # the witness that the median no_cost_lower is only a conjecture: C7 has
+    # no vertex cover of 3 (tau = 4), yet two 3-edge paths (L_1 each) and a
+    # single edge cluster it at 2 + 2*sqrt(3) ~ 5.4641 < m - k/2 = 5.5 < 5.53
+    c7 = graph_from_edges([(i, (i + 1) % 7) for i in range(7)])
+    assert len(min_vertex_cover(c7)) == 4
+    best = opt_continuous(reduce_graph(c7, k=3, objective="median"))
+    assert sorted(map(len, best.partition)) == [1, 3, 3]
+    assert best.optimal_cost == pytest.approx(2 * l1_median_cost(), abs=1e-9)
+    pred = predict_gap_graph(7, 3, "median", delta=0.01)
+    assert best.optimal_cost < pred.yes_cost == 5.5 < pred.no_cost_lower == 5.53
+    assert "conjecture" in NO_SIDE_HYPOTHESIS["median"]
+
+
+def test_18k2_at_k_9_clusters_cheaply_and_extracts_no_small_cover():
+    # even tau = 2k does not save the median no side: 18K2 (tau = 18) at
+    # k = 9, clustered as one 10-edge block (a regular simplex of side 2,
+    # cost sqrt(180)) and eight single edges (cost 0 each), costs
+    # sqrt(180) ~ 13.416 < m - k/2 = 13.5; soundness_assemble extracts a
+    # cover of 18, above the budget 2k - 2*delta*k = 17.82
+    g = graph_from_edges([(2 * i, 2 * i + 1) for i in range(18)])
+    assert len(min_vertex_cover(g)) == 18
+    clustering = [list(range(10))] + [[i] for i in range(10, 18)]
+    points = reduce_graph(g, k=9, objective="median").points
+    cost = weiszfeld(points[:10]).cost
+    assert cost == pytest.approx(math.sqrt(180), abs=1e-9)
+    assert disjoint_edges_median_cost(10) == pytest.approx(math.sqrt(180), abs=1e-12)
+    assert cost < yes_cost(18, 9, "median") == 13.5
+    report = soundness_assemble(g, clustering, k=9, delta=0.01)
+    assert report.total_cover_size == 18 > cover_budget(9, 0.01) == pytest.approx(17.82)
 
 
 @pytest.mark.parametrize("objective", ["median", "means"])
@@ -159,6 +196,14 @@ def test_parse_hyperedges_infers_uniformity():
 def test_parse_hyperedges_rejects_ragged_lines():
     with pytest.raises(Exception):
         parse_hyperedges("0 1 2\n3 4\n")
+
+
+def test_a_repeated_hyperedge_is_rejected_in_any_vertex_order():
+    # compared as a sorted tuple, as Graph compares a repeated edge
+    with pytest.raises(ValueError, match=r"^duplicate hyperedge \(2, 1, 0\)$"):
+        HypergraphInstance(d=3, num_vertices=3, hyperedges=((0, 1, 2), (2, 1, 0)), k=1)
+    with pytest.raises(ValueError, match=r"^line 3: duplicate hyperedge \(0, 1, 2\), in '2 1 0'$"):
+        parse_hyperedges("0 1 2\n# again\n2 1 0\n")
 
 
 def test_parse_hyperedges_names_the_line_of_a_token_that_is_not_an_integer():

@@ -331,8 +331,13 @@ def test_cover_suite_reports_a_means_cover_over_its_bound(monkeypatch):
 
 @pytest.mark.parametrize(
     "name, label",
-    [("cover_general", "general construction failed"), ("cover_case_dispatch", "dispatch failed")],
-    ids=["general", "dispatch"],
+    [
+        ("cover_general", "general construction failed"),
+        ("cover_case_dispatch", "dispatch construction failed"),
+        ("cover_matching_two", "matching-2 construction failed"),
+        ("cover_nonstar_means", "means construction failed"),
+    ],
+    ids=["general", "dispatch", "matching_two", "means"],
 )
 def test_cover_suite_counts_a_construction_that_raises_as_both_its_checks_failing(
     monkeypatch, name, label
