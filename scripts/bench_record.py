@@ -16,11 +16,13 @@ order, it times:
   ``BENCH_SEED`` and the length ``BENCHMARK.json`` gives, one round each
   (the benchmark scales its own times), keeping its end-to-end metrics;
 - the ``LAYERS`` snippet, ``REPEATS`` rounds. On the 11-edge graph of the
-  ``completeness`` workload (11 points) it times a cold median table build
-  (through the oracle's cache, so the tree's own builder), DP layer 2
-  (``oracle._extend`` from the cached layer 1) and a pass of the median
-  table's row selection (``oracle._needed_rows``: the cap DP over the upper
-  bounds and the tree's floor over the lower ones); and one
+  ``completeness`` workload (11 points) it times two cold median table
+  builds through the oracle's cache, so with the tree's own builder: at
+  k = 1, a table that serves every k, and at the graph's cover size
+  k = 4, the ``completeness`` call (each with its DP layers up to k); DP
+  layer 2 (``oracle._extend`` from the cached layer 1) and a pass of the
+  median table's row selection (``oracle._needed_rows``: the cap DP over
+  the upper bounds and the tree's floor over the lower ones); and one
   ``covers.cover_single_edge_clusters`` call in Case II (many planks) on
   seed 27 of the repeat-pick battery in ``tests/test_covers.py`` (19
   vertices, 28 edges, 15 single-edge clusters, k = 8, delta = 0.01;
@@ -29,7 +31,14 @@ order, it times:
 
 Each command's ``wall_s`` entry holds its median, its runs, ``ok`` (every
 run passed) and a last line: the first failed run's stderr, else the last
-run's stdout. A failed run is recorded and the record goes on; the file is
+run's stdout. Its ``cpu_s`` entry holds the median and runs of the user
+and system seconds of the command and the children it waited for
+(``resource.getrusage(RUSAGE_CHILDREN)``, read before and after). A claim
+on the Tier-1 suite may use only its ``cpu_s``: the suite runs one round,
+and its wall time also counts the time the box's other load kept it off a
+core (two records of one tree have read 26.7 against 33.9 s). The layer
+medians and the ``REPEATS``-round wall medians need no such care.
+A failed run is recorded and the record goes on; the file is
 still written, and the script then exits 1. The script uses only the
 standard library, and the trees run under its Python. Besides the output
 file and a temporary directory, only what the commands write in their own
@@ -43,6 +52,7 @@ import itertools
 import json
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
@@ -64,9 +74,11 @@ g = next(g for g in completeness_instances(8, 0) if g.num_edges == 11)
 points = tuple(map(tuple, reduce_graph(g, k=1, objective="median").points))
 n = len(points)
 
-def table():
+k = len(oracle.min_vertex_cover(g))  # 4, the completeness k
+
+def table(k):
     oracle._tables_and_layers.cache_clear()
-    oracle._tables_and_layers("median", points, 0)
+    oracle._tables_and_layers("median", points, k)
 
 def sample(f, runs=15):
     f()  # caches and layouts fill first
@@ -77,7 +89,8 @@ def sample(f, runs=15):
         times.append(time.perf_counter() - t)
     return round(statistics.median(times) * 1e3, 3)
 
-out = {"median_table_cold_11_points_ms": sample(table)}
+out = {"median_table_cold_11_points_ms": sample(lambda: table(1)),
+       f"median_table_cold_k{k}_11_points_ms": sample(lambda: table(k))}
 oracle._tables_and_layers.cache_clear()
 cost_table, _, layers = oracle._tables_and_layers("median", points, 1)
 out["dp_layer_2_11_points_ms"] = sample(lambda: oracle._extend(n, 2, layers[-1][0], cost_table))
@@ -99,13 +112,18 @@ print(json.dumps(out))
 """
 
 
-def _timed(argv: list[str], root: str) -> tuple[float, subprocess.CompletedProcess]:
-    """Run ``argv`` in ``root`` with the tree's ``src/`` first on the path."""
+def _timed(argv: list[str], root: str) -> tuple[float, float, subprocess.CompletedProcess]:
+    """Run ``argv`` in ``root`` with the tree's ``src/`` first on the path;
+    return its wall seconds, its CPU seconds (``cpu_s``) and the process."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [os.path.join(root, "src"), env.get("PYTHONPATH")]))
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
     t = time.perf_counter()
     done = subprocess.run(argv, cwd=root, env=env, capture_output=True, text=True)
-    return time.perf_counter() - t, done
+    wall = time.perf_counter() - t
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    cpu = after.ru_utime - before.ru_utime + after.ru_stime - before.ru_stime
+    return wall, cpu, done
 
 
 def _commit(root: str) -> dict:
@@ -136,30 +154,36 @@ def main(argv: list[str]) -> int:
     with open(os.path.join(next(iter(trees.values())), "BENCHMARK.json"), encoding="utf-8") as fh:
         benchmark = json.load(fh)
     py = sys.executable
-    record = {name: {"commit": _commit(root), "wall_s": {}, "workloads": {}, "layers": {}}
+    record = {name: {"commit": _commit(root), "wall_s": {}, "cpu_s": {}, "workloads": {}, "layers": {}}
               for name, root in trees.items()}
     rounds = itertools.count()
 
     def each(label: str, runs: int, argv: list[str], parse=None) -> dict:
         """Run ``argv`` in every tree for ``runs`` rounds, record
-        ``wall_s[label]`` and return each tree's parsed last stdout lines."""
+        ``wall_s[label]`` and ``cpu_s[label]`` and return each tree's parsed
+        last stdout lines."""
         got = {name: [] for name in trees}
         for _ in range(runs):
             for name in list(trees)[::-1 if next(rounds) % 2 else 1]:
-                elapsed, done = _timed(argv, trees[name])
+                elapsed, cpu, done = _timed(argv, trees[name])
                 ok = done.returncode == 0
                 last = ((done.stdout if ok else done.stderr).strip().splitlines() or [""])[-1]
-                got[name].append((elapsed, ok, last, parse(last) if parse and ok else None))
+                got[name].append((elapsed, cpu, ok, last, parse(last) if parse and ok else None))
         parsed = {}
         for name, runs_ in got.items():
-            times, oks, lines, parsed[name] = zip(*runs_)
+            times, cpus, oks, lines, parsed[name] = zip(*runs_)
             record[name]["wall_s"][label] = {
                 "median": round(statistics.median(times), 3),
                 "runs": [round(t, 3) for t in times],
                 "ok": all(oks),
                 "last_line": next((ln for ok, ln in zip(oks, lines) if not ok), lines[-1]),
             }
-            print(f"{name} {label}: {record[name]['wall_s'][label]}", file=sys.stderr)
+            record[name]["cpu_s"][label] = {
+                "median": round(statistics.median(cpus), 3),
+                "runs": [round(t, 3) for t in cpus],
+            }
+            print(f"{name} {label}: {record[name]['wall_s'][label]} cpu {record[name]['cpu_s'][label]}",
+                  file=sys.stderr)
         return parsed
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -191,7 +215,7 @@ def main(argv: list[str]) -> int:
     report = {
         "machine": {"python": platform.python_version(), "numpy": importlib.metadata.version("numpy"),
                     "nproc": os.cpu_count(), "cpu": _cpu()},
-        "units": {"wall_s": "s", "layers": "ms", "workloads": "BENCHMARK.json units"},
+        "units": {"wall_s": "s", "cpu_s": "s", "layers": "ms", "workloads": "BENCHMARK.json units"},
         "trees": record,
     }
     with open(out_path, "w", encoding="utf-8") as fh:

@@ -15,12 +15,16 @@ run over the upper bounds, cap the optimum at every k. A partition that
 holds a given subset is floored by the subset's lower bound plus a floor
 on the rest: the rest's own lower bound when it is one block, else the
 cheapest split of its point count into block sizes, each at the least
-lower bound of its size (a DP over point counts, not masks). Only the
-subsets some partition within the margin of a cap can use are solved, by
-the batched Weiszfeld loop (one batch per subset size, which raises
-``NotConverged`` rather than return an unconverged cost). The rest keep
-their centroid and its cost; no partition near an optimum uses them, so
-every optimum is the full Weiszfeld table's bit for bit (``_median_table``).
+lower bound of its size (a DP over point counts, not masks). A table is
+built for the k of the call that builds it and every larger k: only the
+subsets that some partition into at most k' blocks, for some k' >= k,
+within the margin of the k' cap can use are solved, by the batched
+Weiszfeld loop (one batch per subset size, which raises ``NotConverged``
+rather than return an unconverged cost). The rest keep their centroid and
+its cost; no partition near an optimum at k or above uses them, so every
+optimum from k up is the full Weiszfeld table's bit for bit
+(``_median_table``). So a table built at k leaves out the rows that only
+smaller k can use, mostly the big blocks of k = 1 and 2.
 For means every subset of integer points gets its centroid cost from exact
 integer subset sums (other points go one subset at a time through
 ``_centroid_cost_exact``). A cost that overflows float raises ``DomainError``. The subset DP
@@ -38,8 +42,10 @@ and the few masks with two candidates closer than a 1e-14 window replay the
 loop exactly. One instance's tables and DP layers 1..k are kept read-only
 in one ``functools.lru_cache(maxsize=1)`` entry keyed on (objective, exact
 point tuples, k) (``_tables_and_layers``): the same points at a larger k
-build only the missing layers, any other call builds afresh, and a build
-that raises is not kept. The discrete oracle walks its center subsets as a
+build only the missing layers, since the table serves it, any other call
+builds afresh, and a build that raises is not kept. Each step looks up the
+entry below it without building one, so no entry ever holds a layer its
+table does not serve. The discrete oracle walks its center subsets as a
 combination tree in slices of at most ``DISCRETE_CHUNK``: a child extends
 its prefix's nearest-center distances by one ``np.minimum``, and each
 subset's cost takes the same float additions, in the same order, as a
@@ -317,8 +323,10 @@ def _slack(value):
 
 
 def _needed_rows(n: int, upper: np.ndarray, lower: np.ndarray, by_size) -> np.ndarray:
-    """One flag per bitmask: whether some partition into at most k blocks,
-    for some k = 1..n, holds block S at a floor within ``_slack`` of U(k).
+    """One int per bitmask S: the largest k = 1..n at which some partition
+    into at most k blocks holds block S at a floor within ``_slack`` of
+    U(k), or 0 when no k keeps S. A table that solves the rows whose value
+    is at least k0 solves every row any k >= k0 keeps.
 
     U(k), an upper bound on the k-optimum, is the least of the prefix DP's
     layers 1..k at the full mask, run over ``upper`` through ``_candidates``
@@ -350,14 +358,14 @@ def _needed_rows(n: int, upper: np.ndarray, lower: np.ndarray, by_size) -> np.nd
     least[0] = 0.0
     floor = lowest  # F_{k-1} by point count
     exact = upper[1::2]  # prefix layer k over upper, by mask >> k
-    need = np.zeros(size, dtype=bool)
+    need = np.zeros(size, dtype=np.intp)
     ceiling = math.inf
     for k in range(1, n + 1):
         if k > 1:
             cost, starts, _ = _candidates(n, k, exact, upper)
             exact = np.minimum.reduceat(cost, starts)
         ceiling = min(ceiling, float(exact[-1]))  # the full mask
-        need |= lower + least[::-1] <= ceiling + _slack(ceiling)  # least[full ^ S]
+        np.putmask(need, lower + least[::-1] <= ceiling + _slack(ceiling), k)  # least[full ^ S]
         if k == 1:
             least = lower
         elif k < n:
@@ -367,33 +375,41 @@ def _needed_rows(n: int, upper: np.ndarray, lower: np.ndarray, by_size) -> np.nd
     return need
 
 
-def _median_table(points: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """The median block table of ``_tables_and_layers``: row ``mask`` holds
-    a cost and center for the points whose indices are its set bits, and
-    every optimum read off it, at every k, is the full Weiszfeld table's
-    (``costs.weiszfeld_subsets``) bit for bit.
+def _median_table(points: tuple, first: int) -> tuple[np.ndarray, np.ndarray]:
+    """The median block table of ``_tables_and_layers`` for k = ``first``
+    and up: row ``mask`` holds a cost and center for the points whose
+    indices are its set bits, and every optimum read off it, at every
+    k >= ``first``, is the full Weiszfeld table's (``costs.weiszfeld_subsets``)
+    bit for bit.
 
     Every row gets its centroid, the cost there as its upper bound, and the
     Fermat–Weber dual bound less ``_slack(upper)``, floored at 0, as its
-    lower bound (``costs._centroid_bounds``). Only the rows ``_needed_rows``
-    picks are solved, one ``_weiszfeld_batch`` per size; its floor on a
+    lower bound (``costs._centroid_bounds``). Only the rows whose
+    ``_needed_rows`` value is at least ``first``, those some k >= ``first``
+    keeps, are solved, one ``_weiszfeld_batch`` per size; its floor on a
     partition is never above the sum of the partition's lower bounds. Rows
     never mix, so a solved row has the full table's bits. The others keep
     the centroid and its cost, a feasible pair no cheaper than the row's
     1-median. A solved cost outside [lower, upper + slack] raises ``Stuck``,
-    and ``NotConverged`` can come only from a solved row.
+    and ``NotConverged`` can come only from a solved row. At ``first`` = 1
+    every row some k keeps is solved; a larger ``first`` skips the big
+    blocks only small k can use.
 
-    Why the optima stay: a partition into at most k blocks that uses an
-    unsolved row costs more than U(k) + slack in either table, so more than
+    Why the optima stay at every k >= ``first``: k does not keep an
+    unsolved row, so a partition into at most k blocks that uses one costs
+    more than U(k) + slack in either table, so more than
     the k-optimum by more than the slack; a part of one that fills a mask on
     the DP's path to an optimum, completed by the rest of that optimum, is
     such a partition, so it too lies the slack above the optimum's part.
-    The first-wins DP (``_extend``) moves only on a gain of more than
-    1e-15, so candidates more than 2^11 x 1e-15 above a mask's least (a
-    mask has at most 2^11) cannot change where it settles, and the slack is
-    far above that: along that path, and at the full mask of every layer,
-    both tables pick the same block at the same value, and the same layer
-    wins.
+    A partition of solved rows alone costs the same in both tables, so each
+    layer j <= k, below ``first`` too, either lies more than the slack above
+    the k-optimum at the full mask in both tables or takes its value there
+    from solved rows in both. The first-wins DP (``_extend``) moves only on
+    a gain of more than 1e-15, so candidates more than 2^11 x 1e-15 above a
+    mask's least (a mask has at most 2^11) cannot change where it settles,
+    and the slack is far above that: along that path, and at the full mask
+    of every layer within the slack of the optimum, both tables pick the
+    same block at the same value, and the same layer wins.
     """
     pts = np.asarray(points, dtype=float)
     n, dim = pts.shape
@@ -406,7 +422,7 @@ def _median_table(points: tuple) -> tuple[np.ndarray, np.ndarray]:
     lower = np.maximum(0.0, lower - _slack(costs))
     need = _needed_rows(n, costs, lower, by_size)
     for rows, members in by_size:
-        solve = need.take(rows)
+        solve = need.take(rows) >= first
         if not solve.any():
             continue
         rows = rows[solve]
@@ -418,40 +434,71 @@ def _median_table(points: tuple) -> tuple[np.ndarray, np.ndarray]:
     return costs, centers
 
 
+class _Probe(int):
+    """A k that ``_tables_and_layers`` looks up but never builds a table
+    for: it hashes and compares as its int, so the cache hands back the
+    entry for k, and a probe that misses raises ``_Cold``."""
+
+
+class _Cold(Exception):
+    """No cached entry at the probed k, or below it, on the same key."""
+
+
+def _block_tables(objective: str, points: tuple, first: int) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only cost and center tables of ``_tables_and_layers``,
+    serving every k >= ``first``: ``_median_table`` for median, exact
+    centroid sums (valid at every k) for means. A cost that overflows or is
+    not finite raises ``DomainError``."""
+    try:
+        if objective == "median":
+            cost_table, center_table = _median_table(points, first)
+        else:
+            cost_table, center_table = _centroid_table(points)
+    except OverflowError:  # an exact cost too large for a float
+        raise DomainError("a block cost overflows float") from None
+    if not np.isfinite(cost_table[1:]).all():
+        raise DomainError("a block cost is not finite")
+    cost_table.flags.writeable = center_table.flags.writeable = False
+    return cost_table, center_table
+
+
 @functools.lru_cache(maxsize=1)
 def _tables_and_layers(objective: str, points: tuple, k: int) -> tuple:
-    """One instance, read-only: each point subset's block cost and center by
-    bitmask (row 0 unused), then DP layers j = 1..k as (best, choice) pairs
-    over the 2^(n-j) masks that hold points 0..j-1, each at index mask >> j:
-    ``best`` is the least cost of serving the mask with j blocks and
-    ``choice`` the last of those blocks, shifted down by j - 1. k = 0 builds
-    only the tables (``_median_table``, valid at every k, or exact centroid
-    sums for means; a cost that overflows or is not finite raises
-    ``DomainError``), after dropping the cached entry. A larger k extends
-    its own entry for k - 1 by a layer: layer 1 is ``block_cost[1::2]``,
-    each mask its own block, and a later one ``_extend``'s."""
+    """One instance at k >= 1, read-only: each point subset's block cost and
+    center by bitmask (row 0 unused), then DP layers j = 1..k as (best,
+    choice) pairs over the 2^(n-j) masks that hold points 0..j-1, each at
+    index mask >> j: ``best`` is the least cost of serving the mask with j
+    blocks and ``choice`` the last of those blocks, shifted down by j - 1.
+    Layer 1 is ``block_cost[1::2]``, each mask its own block, and a later
+    one ``_extend``'s.
+
+    The step for k probes the entry for k - 1 (``_Probe``), which on a miss
+    probes k - 2, and so on down to 1. When a probe hits, each step adds its
+    layer on the way back, and the entry it leaves serves its k, since a
+    table serves every k from the one it was built at. When none hits, the
+    call for k itself drops the cached entry, then builds the tables for k
+    and up (``_block_tables``) and layers 1..k at once. So no entry ever
+    holds a layer over a table that does not serve it."""
     n = len(points)
-    if k:
-        cost_table, center_table, layers = _tables_and_layers(objective, points, k - 1)
-        if k == 1:
-            best, choice = cost_table[1::2], np.arange(1, 1 << n, 2, dtype=np.int32)
-        else:
-            best, choice = _extend(n, k, layers[-1][0], cost_table)
-        best.flags.writeable = choice.flags.writeable = False
-        layers += ((best, choice),)
+    try:
+        below = _tables_and_layers(objective, points, _Probe(k - 1)) if k > 1 else None
+    except _Cold:
+        below = None
+    if below is not None:
+        cost_table, center_table, layers = below
+    elif isinstance(k, _Probe):
+        raise _Cold
     else:
         _tables_and_layers.cache_clear()  # free the old instance before the new tables
-        try:
-            if objective == "median":
-                cost_table, center_table = _median_table(points)
-            else:
-                cost_table, center_table = _centroid_table(points)
-        except OverflowError:  # an exact cost too large for a float
-            raise DomainError("a block cost overflows float") from None
-        if not np.isfinite(cost_table[1:]).all():
-            raise DomainError("a block cost is not finite")
-        cost_table.flags.writeable = center_table.flags.writeable = False
+        cost_table, center_table = _block_tables(objective, points, k)
         layers = ()
+    for j in range(len(layers) + 1, k + 1):
+        if j == 1:
+            best, choice = cost_table[1::2], np.arange(1, 1 << n, 2, dtype=np.int32)
+        else:
+            best, choice = _extend(n, j, layers[-1][0], cost_table)
+        best.flags.writeable = choice.flags.writeable = False
+        layers += ((best, choice),)
     return cost_table, center_table, layers
 
 
@@ -463,17 +510,18 @@ def opt_continuous(inst: ClusteringInstance) -> OracleReport:
     raises cost, so searching partitions into <= k blocks is exhaustive. A
     cost and center for every one of the 2^n - 1 point subsets are tabulated
     up front. For means they are exact centroid sums. For median
-    (``_median_table``) a subset is solved by batched Weiszfeld, at
-    ``costs.WEISZFELD_TOLERANCE``, only when some partition into at most k
-    blocks that holds it, for some k = 1..n, has a certified lower bound
-    within ``_BOUND_MARGIN`` (1e-9, relative) of an upper bound on the
-    k-optimum: the subset's own lower bound plus a floor on the rest of the
-    partition by its block sizes (``_needed_rows``). Every other subset
-    keeps its centroid and centroid cost. No partition within the margin of
-    an optimum uses those rows, and the margin is far above the DP's 1e-15
-    tie-break drift, so every cost, partition and center equals the full
-    Weiszfeld table's bit for bit, at every k, and ``NotConverged`` can come
-    only from a solved subset.
+    (``_median_table``) a table built at k solves a subset by batched
+    Weiszfeld, at ``costs.WEISZFELD_TOLERANCE``, only when some partition
+    into at most k' blocks that holds it, for some k' = k..n, has a
+    certified lower bound within ``_BOUND_MARGIN`` (1e-9, relative) of an
+    upper bound on the k'-optimum: the subset's own lower bound plus a floor
+    on the rest of the partition by its block sizes (``_needed_rows``).
+    Every other subset keeps its centroid and centroid cost. No partition
+    within the margin of an optimum at k or above uses those rows, and the
+    margin is far above the DP's 1e-15 tie-break drift, so every cost,
+    partition and center equals the full Weiszfeld table's bit for bit, at
+    every k the table serves, and ``NotConverged`` can come only from a
+    solved subset.
 
     The search then runs as a subset DP over those tables: layer j holds
     the best cost of serving each point subset with j blocks, one float64
@@ -491,7 +539,8 @@ def opt_continuous(inst: ClusteringInstance) -> OracleReport:
     1..k (layer j a 2^(12-j)-entry value array and int32 choice array, the
     first value array a view of the cost table). The same
     points at a larger k build only the missing layers, bit for bit as a
-    cold call would; a smaller k or other points build afresh, and the old
+    cold call would, since a table serves every k from the one it was built
+    at; a smaller k or other points build afresh, and the old
     tables and layers are dropped before the new tables are built, so the
     two instances are never held together. A build that raises is not
     cached, and the entry it replaced is gone too. Concurrent callers may

@@ -219,11 +219,12 @@ def parse_hyperedges(text: str, d: Optional[int] = None, k: int = 1) -> Hypergra
     """One space-separated vertex list per line; # starts a comment.
 
     Uniformity is inferred from the first hyperedge unless given explicitly.
-    A token that is not an integer, a line of the wrong length, or a
-    hyperedge already read (in any vertex order) raises ``ValueError``
-    naming the line.
+    A token that is not an integer, a line of the wrong length, a negative
+    or repeated vertex, or a hyperedge already read (in any vertex order)
+    raises ``ValueError`` naming the line.
     """
     hyperedges: list[tuple[int, ...]] = []
+    seen: set[tuple[int, ...]] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -236,8 +237,14 @@ def parse_hyperedges(text: str, d: Optional[int] = None, k: int = 1) -> Hypergra
             d = len(f)
         if len(f) != d:
             raise ValueError(f"line {lineno}: expected {d} vertices, got {len(f)}")
-        if f in hyperedges:
+        if f[0] < 0:  # f is sorted
+            raise ValueError(f"line {lineno}: negative vertex {f[0]}, in {raw!r}")
+        repeated = [u for u, v in zip(f, f[1:]) if u == v]
+        if repeated:
+            raise ValueError(f"line {lineno}: repeated vertex {repeated[0]}, in {raw!r}")
+        if f in seen:
             raise ValueError(f"line {lineno}: duplicate hyperedge {f}, in {raw!r}")
+        seen.add(f)
         hyperedges.append(f)
     if d is None:
         raise ValueError("no hyperedges found")

@@ -245,10 +245,10 @@ def test_the_previous_instance_is_freed_before_the_new_tables_are_built(monkeypa
     alive = []
     build = oracle._median_table
 
-    def checked(points):
+    def checked(points, first):
         gc.collect()
         alive.append(sum(r() is not None for r in refs))
-        return build(points)
+        return build(points, first)
 
     monkeypatch.setattr(oracle, "_median_table", checked)
     opt_continuous(b)
@@ -440,6 +440,48 @@ def test_pruned_median_table_keeps_every_optimum_bit_for_bit(family, monkeypatch
         assert sorted(sizes) == [9, 10, 11, 12] and sum(sizes.values()) == 40
 
 
+@pytest.mark.parametrize("family", ["ties", "completeness", "ladder", "seeded"])
+def test_a_table_first_built_above_k_1_keeps_every_optimum_bit_for_bit(family, monkeypatch):
+    # each point set's table is built at k = n, n - 1, ..., 2 in turn, so it
+    # solves only the rows k and up keep: the first call is at n, and each
+    # later build is a fall from a rise of up to two above the last one,
+    # which drops the entry first as a cold call does. Last comes a fall to
+    # k = 1. Every report is the dict loop's over the full table
+    builds = _count_table_builds(monkeypatch)
+    for points, _ in _median_point_sets(family):
+        points = tuple(map(tuple, points))
+        n = len(points)
+        full_costs, full_centers = _full_median_table(points)
+        best, choice = _dict_layers(full_costs.tolist(), n, n)
+        _cold()
+        builds.clear()
+        for k in [*(k for first in range(n, 1, -1) for k in (first, min(first + 2, n))), 1]:
+            inst = ClusteringInstance(len(points[0]), points, k, "median")
+            want = _dict_report(inst, best, choice, full_centers)
+            assert _fingerprint(opt_continuous(inst)) == _fingerprint(want), (points, k)
+        assert len(builds) == n, points  # one at each k = n..1; no rise builds
+
+
+def test_a_cold_table_at_the_cover_size_solves_only_the_rows_it_can_use(monkeypatch):
+    solved = []
+    batch = oracle._weiszfeld_batch
+
+    def counted(blocks):
+        solved.append(len(blocks))
+        return batch(blocks)
+
+    monkeypatch.setattr(oracle, "_weiszfeld_batch", counted)
+    graphs = list(completeness_instances(8, 0))
+    for at_cover in (True, False):
+        solved.clear()
+        for g in graphs:
+            _cold()
+            k = len(min_vertex_cover(g)) if at_cover else 1
+            opt_continuous(reduce_graph(g, k=k, objective="median"))
+        # of 6,008 subsets; a table first built at k = 1 serves every k
+        assert sum(solved) == (832 if at_cover else 1439), at_cover
+
+
 @pytest.mark.parametrize("family", ["ties", "completeness", "ladder", "seeded", "centroid_on_a_point"])
 def test_centroid_bounds_hold_every_median_cost(family):
     if family == "centroid_on_a_point":
@@ -464,8 +506,9 @@ def _median_bounds(points):
 
 
 def _exact_floor_rows(points):
-    """Reference for ``_needed_rows``: the rows whose partitions, at some k,
-    reach the cap's slack under the exact floor of the rest. L_j(R), the
+    """Reference for ``_needed_rows``: for each k = 1..n, a flag per row,
+    whether a partition into at most k blocks that holds it reaches the
+    cap's slack under the exact floor of the rest. L_j(R), the
     least ``lower`` sum over the partitions of R into at most j blocks, is
     recursed over the blocks that hold R's lowest point: 0 on an empty R or
     one of at most j >= 2 points, the rest's own ``lower`` at j = 1, and no
@@ -489,7 +532,7 @@ def _exact_floor_rows(points):
                 return best
             sub = (sub - 1) & others
 
-    flagged = np.zeros(1 << n, dtype=bool)
+    kept = []
     exact, ceiling = upper[1::2], math.inf  # the cap, as _needed_rows builds it
     for k in range(1, n + 1):
         if k > 1:
@@ -497,9 +540,9 @@ def _exact_floor_rows(points):
             exact = np.minimum.reduceat(cost, starts)
         ceiling = min(ceiling, float(exact[-1]))
         bar = ceiling + float(oracle._slack(ceiling))
-        for s in range(1, full + 1):
-            flagged[s] |= lows[s] + floor(full ^ s, k - 1) <= bar
-    return flagged, upper, lower
+        kept.append(np.array([False] + [lows[s] + floor(full ^ s, k - 1) <= bar
+                                        for s in range(1, full + 1)]))
+    return kept, upper, lower
 
 
 def _small_point_sets():
@@ -516,15 +559,18 @@ def _small_point_sets():
 
 
 def test_row_selection_keeps_every_row_the_exact_floor_keeps():
-    # the size floor is never above the exact floor, so it keeps at least
-    # every row the exact rule keeps
+    # the size floor is never above the exact floor, so at each k it keeps
+    # at least every row the exact rule keeps, and a row's value, the
+    # largest k that keeps it, is at least k: a table first built at k
+    # solves it
     sets = 0
     for points in _small_point_sets():
         points = tuple(map(tuple, points))
-        want, upper, lower = _exact_floor_rows(points)
+        kept, upper, lower = _exact_floor_rows(points)
         n = len(points)
         need = oracle._needed_rows(n, upper, lower, costs._subsets_by_size(n))
-        assert need[want].all(), (points, np.flatnonzero(want & ~need))
+        for k, want in enumerate(kept, 1):
+            assert (need[want] >= k).all(), (points, k, np.flatnonzero(want & (need < k)))
         sets += 1
     assert sets == 24
 

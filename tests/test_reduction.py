@@ -211,6 +211,16 @@ def test_parse_hyperedges_names_the_line_of_a_token_that_is_not_an_integer():
         parse_hyperedges("0 1 2\n# note\n3 x 5\n")
 
 
+def test_parse_hyperedges_names_the_line_of_a_negative_vertex():
+    with pytest.raises(ValueError, match=r"^line 2: negative vertex -1, in '-1 0 1'$"):
+        parse_hyperedges("0 1 2\n-1 0 1\n")
+
+
+def test_parse_hyperedges_names_the_line_of_a_repeated_vertex():
+    with pytest.raises(ValueError, match=r"^line 1: repeated vertex 1, in '0 1 1'$"):
+        parse_hyperedges("0 1 1\n0 2 3\n")
+
+
 def test_graph_case_is_the_two_uniform_case():
     # a 2-uniform hypergraph produces the same point set as the graph
     # reduction; only the candidate-center restriction differs

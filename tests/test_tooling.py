@@ -104,7 +104,8 @@ def test_the_bench_record_layers_snippet_runs_and_times_every_layer():
     figures = json.loads(done.stdout.strip().splitlines()[-1])
     assert sorted(figures) == [
         "dp_layer_2_11_points_ms", "median_table_cold_11_points_ms",
-        "row_selection_11_points_ms", "single_edge_cover_28_edges_ms",
+        "median_table_cold_k4_11_points_ms", "row_selection_11_points_ms",
+        "single_edge_cover_28_edges_ms",
     ]
     for key, ms in figures.items():
         assert type(ms) in (int, float) and ms > 0, (key, ms)
@@ -131,14 +132,14 @@ def test_bench_record_alternates_rounds_and_records_failures(tmp_path, monkeypat
         calls.append((kind, tree))
         if {(tree, kind), (tree, kind, nth)} & failing:
             failed = subprocess.CompletedProcess(argv, 1, "partial\n", f"Traceback\n{kind} failed\n")
-            return len(calls) / 8, failed
+            return len(calls) / 8, len(calls) / 16, failed
         last = "done"
         if kind == "bench":
             last = json.dumps({"correct": True, "metrics": {"wall_s": {"value": 0.5}}})
         elif kind == "layers":
             layer_ms[tree].append(len(calls) * 1.5)
             last = json.dumps({"table_ms": len(calls) * 1.5, "missing_ms": None})
-        return len(calls) / 8, subprocess.CompletedProcess(argv, 0, f"progress\n{last}\n", "")
+        return len(calls) / 8, len(calls) / 16, subprocess.CompletedProcess(argv, 0, f"progress\n{last}\n", "")
 
     monkeypatch.setattr(bench_record, "_timed", fake_timed)
     out_path = tmp_path / "bench.json"
@@ -154,6 +155,11 @@ def test_bench_record_alternates_rounds_and_records_failures(tmp_path, monkeypat
     def outcome(tree, label):
         return tree["wall_s"][label]["ok"], tree["wall_s"][label]["last_line"]
 
+    # each command's CPU seconds sit next to its wall seconds, run for run
+    for tree in (a, b):
+        assert tree["cpu_s"].keys() == tree["wall_s"].keys()
+        for label, wall in tree["wall_s"].items():
+            assert tree["cpu_s"][label]["runs"] == [round(t / 2, 3) for t in wall["runs"]], label
     assert outcome(b, "bench_w") == (False, "bench failed")
     assert outcome(b, "layers") == (False, "layers failed")
     assert outcome(a, "tier1_suite") == outcome(b, "acceptance_sweep") == (True, "done")
