@@ -139,7 +139,8 @@ def test_bench_record_alternates_rounds_and_records_failures(tmp_path, monkeypat
         elif kind == "layers":
             layer_ms[tree].append(len(calls) * 1.5)
             last = json.dumps({"table_ms": len(calls) * 1.5, "missing_ms": None})
-        return len(calls) / 8, len(calls) / 16, subprocess.CompletedProcess(argv, 0, f"progress\n{last}\n", "")
+        done = subprocess.CompletedProcess(argv, 0, f"progress\n{last}\n", "")
+        return len(calls) / 8, len(calls) / 16, done
 
     monkeypatch.setattr(bench_record, "_timed", fake_timed)
     out_path = tmp_path / "bench.json"
