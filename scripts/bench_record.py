@@ -17,7 +17,7 @@ order, it times:
   (the benchmark scales its own times), keeping its end-to-end metrics;
 - the ``LAYERS`` snippet, ``REPEATS`` rounds. On the 11-edge graph of the
   ``completeness`` workload (11 points) it times two cold median table
-  builds through the oracle's cache, so with the tree's own builder: at
+  builds through the oracle's cache, so with the tree's own table code: at
   k = 1, a table that serves every k, and at the graph's cover size
   k = 4, the ``completeness`` call (each with its DP layers up to k); DP
   layer 2 (``oracle._extend`` from the cached layer 1) and a pass of the
