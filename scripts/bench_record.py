@@ -8,7 +8,8 @@ every tree once per round, and one round counter serves the whole record:
 even rounds take the trees in the order given, odd rounds in reverse. In
 order, it times:
 
-- the Tier-1 suite (``pytest -q -W error``, as CI runs it), one round;
+- the Tier-1 suite (``pytest -q -W error``, as CI runs it), ``REPEATS``
+  rounds;
 - ``verify-lemmas --max-edges 7 --trials 50`` (to a temporary file) and
   ``scripts/run_acceptance_sweep.py`` (it rewrites the tree's ``reports/``),
   ``REPEATS`` rounds each;
@@ -34,14 +35,14 @@ run passed) and a last line: the first failed run's stderr, else the last
 run's stdout. Its ``cpu_s`` entry holds the median and runs of the user
 and system seconds of the command and the children it waited for
 (``resource.getrusage(RUSAGE_CHILDREN)``, read before and after). A claim
-on the Tier-1 suite uses its ``cpu_s``, which leaves out any time the
-command waited for a core, and only for a move beyond 1.15x, what one
-tree has read against itself. The suite runs one round, and on the
-2-core Xeon box CPU time slows with the box as wall time does
-(``bench/speed.py``): two A/A records read 28.8 against 25.1 and 33.7
-against 32.7 CPU seconds (1.15x and 1.03x), as their wall times did. The
-layer medians (within 1.13x in A/A records) are the figures for a claim
-on one layer.
+on the Tier-1 suite uses the median of its ``cpu_s``, which leaves out
+any time the command waited for a core, and only for a move beyond 1.15x,
+what one tree has read against itself. The suite runs ``REPEATS`` rounds
+because one is not enough: on the 2-core Xeon box CPU time slows with the
+box as wall time does (``bench/speed.py``), and two one-round A/A records
+read 28.8 against 25.1 and 33.7 against 32.7 CPU seconds (1.15x and
+1.03x), as their wall times did. The layer medians (within 1.13x in A/A
+records) are the figures for a claim on one layer.
 A failed run is recorded and the record goes on; the file is
 still written, and the script then exits 1. The script uses only the
 standard library, and the trees run under its Python. Besides the output
@@ -191,7 +192,7 @@ def main(argv: list[str]) -> int:
 
     with tempfile.TemporaryDirectory() as tmp:
         lemmas = os.path.join(tmp, "lemmas.json")
-        each("tier1_suite", 1, [py, "-m", "pytest", "-q", "-W", "error", "-p", "no:cacheprovider"])
+        each("tier1_suite", REPEATS, [py, "-m", "pytest", "-q", "-W", "error", "-p", "no:cacheprovider"])
         each("verify_lemmas", REPEATS, [
             py, "-m", "medcover.cli", "verify-lemmas", "--max-edges", "7", "--trials", "50", "--out", lemmas])
         each("acceptance_sweep", REPEATS, [py, "scripts/run_acceptance_sweep.py"])

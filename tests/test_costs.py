@@ -4,6 +4,7 @@ The closed forms and the iterative solver are independent implementations of
 the same quantity, so agreement between them is a real check, not a tautology.
 """
 
+import hashlib
 import itertools
 import math
 import random
@@ -290,64 +291,6 @@ def _snap_reference(pts, y, cost):
     return y, cost
 
 
-def _weiszfeld_batch_reference(blocks, tolerance):
-    """Reference: ``_weiszfeld_batch`` gathering the active rows and
-    measuring their distances afresh on every iteration."""
-    max_iter = costs.WEISZFELD_MAX_ITER
-
-    def total_cost(pts, y):
-        return np.linalg.norm(pts - y[:, None, :], axis=2).sum(axis=1)
-
-    y = blocks.mean(axis=1)
-    iterations = np.zeros(len(blocks), dtype=np.int64)
-    if blocks.shape[1] == 1:
-        return np.zeros(len(blocks)), y, iterations
-    prev_cost = total_cost(blocks, y)
-    active = np.arange(len(blocks))
-    for it in range(1, max_iter + 1):
-        pts, ya = blocks[active], y[active]
-        diff = pts - ya[:, None, :]
-        dist = np.linalg.norm(diff, axis=2)
-        on_point = dist < costs._SNAP
-        hit = on_point.any(axis=1)
-        y_next = np.empty_like(ya)
-        stopped = np.zeros(len(active), dtype=bool)
-        free = ~hit
-        if free.any():
-            w = 1.0 / dist[free]
-            y_next[free] = (pts[free] * w[:, :, None]).sum(axis=1) / w.sum(axis=1)[:, None]
-        if hit.any():
-            h = np.flatnonzero(hit)
-            away = ~on_point[h]
-            d_away = np.where(away, dist[h], 1.0)
-            r_vec = np.where(away[:, :, None], diff[h] / d_away[:, :, None], 0.0).sum(axis=1)
-            r_norm = np.linalg.norm(r_vec, axis=1)
-            multiplicity = on_point[h].sum(axis=1)
-            optimal = ~away.any(axis=1) | (r_norm <= multiplicity)
-            stopped[h[optimal]] = True
-            y_next[h[optimal]] = ya[h[optimal]]
-            move = ~optimal
-            if move.any():
-                lipschitz = np.where(away[move], 1.0 / d_away[move], 0.0).sum(axis=1)
-                r_m = r_norm[move]
-                length = (r_m - multiplicity[move]) / lipschitz
-                y_next[h[move]] = ya[h[move]] + length[:, None] * (r_vec[move] / r_m[:, None])
-        cost = total_cost(pts, y_next)
-        step = np.linalg.norm(y_next - ya, axis=1)
-        done = stopped | (np.abs(prev_cost[active] - cost) <= tolerance * np.maximum(1.0, cost))
-        done |= step <= tolerance
-        y[active] = y_next
-        prev_cost[active] = cost
-        iterations[active[done]] = it
-        active = active[~done]
-        if not active.size:
-            final = total_cost(blocks, y)
-            for row, pts in enumerate(blocks):
-                y[row], final[row] = _snap_reference(pts, y[row], final[row])
-            return final, y, iterations
-    raise NotConverged(f"{active.size} subsets did not converge in {max_iter} iterations")
-
-
 def _centroid_on_a_point(seed, count):
     """Small integer point sets whose centroid is one of their points; the
     median sits there in most of them, and the solver steps off in the rest."""
@@ -420,7 +363,7 @@ def test_median_costs_equal_the_closed_form_or_the_two_norm_loop():
     assert numeric > 200  # 244 of the 266 graphs have no closed form
 
 
-@pytest.mark.parametrize("points", [
+TABLE_SETS = [
     *(reduce_graph(random_triangle_free(*g, seed=s), k=1, objective="median").points
       for g, s in (((6, 3), 3), ((7, 3), 0))),
     CROSS + [(0.0, -1.0)],
@@ -433,14 +376,26 @@ def test_median_costs_equal_the_closed_form_or_the_two_norm_loop():
     [(v,) for v in (0.0, 0.0, 1.0, 1.0, 1.0, 3.0, 3.0, 7.0, 7.0, 7.0, 10.0, 12.0)],
     *([(v,) for v in np.random.default_rng(n).normal(size=n).tolist()] for n in (9, 10, 11)),
     [(v,) for v in np.random.default_rng(12).integers(-2, 3, size=12).astype(float).tolist()],
-])
-def test_weiszfeld_subsets_equal_the_reference_batch(monkeypatch, points):
-    got = weiszfeld_subsets(points)
-    monkeypatch.setattr(costs, "_weiszfeld_batch",
-                        lambda blocks: _weiszfeld_batch_reference(blocks, costs.WEISZFELD_TOLERANCE))
-    want = weiszfeld_subsets(points)
-    assert np.array_equal(got[0], want[0])
-    assert np.array_equal(got[1], want[1])
+]
+
+# the first 16 hex digits of the sha256 of each set's table (float.hex of every
+# cost, then of every center coordinate) as the batch loop that re-gathered its
+# active rows every iteration built it, recorded on numpy 2.4.6 and Python 3.11.7
+TABLE_DIGESTS = """
+    a2acf34d5f2257ef affd7a0f9fb87fbe 8404e60e43b11bc3 25af29d100ededf5 3187192a50723948
+    14aacc95627b4081 2fbe8bbdb8863493 da4f995147216578 797d5d3684dc6bbc f369d8df05d958f8
+    69fe84ae4e2130d0 6d0fc27173df5ce7 4a42d81542b1cd9f 583d60bcb25e5534 ac60669392c8ff82
+    a2acf34d5f2257ef a1ed14ffd7ac5a27 1dfeab0c72c6913f 2caa0f726d39a883 2efb04e91c0e72b9
+    2b8dc5a750c29957 010bb9a373eaff09 db225238a1fdae83 ce2fc753b739b35d a344b2a31557037d
+    f7c8a76565edc4cb
+""".split()
+
+
+@pytest.mark.parametrize("i", range(len(TABLE_SETS)), ids=lambda i: f"points{i}")
+def test_weiszfeld_subsets_equal_the_reference_batch(i):
+    table_costs, table_centers = weiszfeld_subsets(TABLE_SETS[i])
+    text = "\n".join(" ".join(map(float.hex, a.ravel().tolist())) for a in (table_costs, table_centers))
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == TABLE_DIGESTS[i]
 
 
 @pytest.mark.parametrize("batch", [1, 7, 100, 462])

@@ -14,7 +14,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from medcover import covers, graphs
+from medcover import cli, covers, graphs
 from medcover.costs import extra_cost
 from medcover.covers import (
     SQRT2P1,
@@ -575,6 +575,30 @@ def test_assemble_random_battery():
         assert is_vertex_cover(g, rep.cover)
         assert rep.total_cover_size == len(rep.cover)
         assert rep.t1 + rep.t2 + rep.t3 + rep.t4 == k
+
+
+# The fallback fault of ROADMAP item 1, pinned as it stands: the full-graph
+# fallback replaces a union cover that met the ceiling with a larger one
+
+def test_the_means_spider_fallback_exceeds_the_ceiling_its_union_meets():
+    g = graph_from_edges([(0, 1), (0, 2), (0, 3), (1, 4), (2, 5), (3, 8), (4, 6), (5, 7)])
+    assert len(min_vertex_cover(g)) == 4
+    oracle, rep = cli._round_trip(g, 4, 4, "means", beta=1.0, delta=0.01)
+    assert oracle.partition == ((0, 1, 2), (3, 6), (4, 7), (5,))  # three stars and (3, 8)
+    assert rep.procedures_path == "procedures_fallback"
+    assert (rep.total_cover_size, rep.predicted_ceiling) == (5, 4.0)
+    union = {3}.union(*(c.cover for c in rep.per_cluster if c.bound_kind == "star_center"))
+    assert union == {0, 3, 4, 5} and is_vertex_cover(g, union)
+
+
+def test_a_seven_edge_means_fallback_exceeds_the_ceiling_its_union_meets():
+    g = graph_from_edges([(0, 1), (0, 2), (0, 4), (1, 3), (2, 3), (3, 5), (4, 5)])
+    assert len(min_vertex_cover(g)) == 3
+    # the stars at 0 and at 3, and the single edge (4, 5)
+    rep = soundness_assemble(g, [[0, 1, 2], [3, 4, 5], [6]], k=3, objective="means", delta=0.01)
+    assert rep.procedures_path == "procedures_fallback"
+    assert (rep.total_cover_size, rep.predicted_ceiling) == (4, 3.0)
+    assert is_vertex_cover(g, {0, 3, 4})
 
 
 # ---------------------------------------------------------------------------

@@ -412,54 +412,41 @@ def _median_point_sets(family):
 
 @functools.lru_cache(maxsize=None)
 def _full_median_table(points):
-    """``weiszfeld_subsets`` of every subset, kept for the two checks below."""
+    """``weiszfeld_subsets`` of every subset, kept for the checks below."""
     return weiszfeld_subsets(points)
 
 
+@functools.lru_cache(maxsize=None)
+def _full_median_dict_loop(points):
+    """The dict loop's layers over ``_full_median_table``, up to k = n."""
+    return _dict_layers(_full_median_table(points)[0].tolist(), len(points), len(points))
+
+
 @pytest.mark.parametrize("family", ["ties", "completeness", "ladder", "seeded"])
-def test_pruned_median_table_keeps_every_optimum_bit_for_bit(family, monkeypatch):
-    # the dict loop over the full Weiszfeld table is the reference; the
-    # pruned table must give its cost, partition and centers at every k
+def test_a_table_first_built_above_k_1_keeps_every_optimum_bit_for_bit(family, monkeypatch):
+    # every report is the dict loop's over the full Weiszfeld table. Each
+    # table is built at k = n, n - 1, ..., 2 in turn, so it solves only the
+    # rows k and up keep: each build after the first is a fall from a rise of
+    # up to two above the last one, which drops the entry as a cold call
+    # does. A fall to k = 1 follows, then the family's own walk: rising k
+    # extends that entry, and each later fall builds afresh
     builds = _count_table_builds(monkeypatch)
     sizes = Counter()
     for points, ks in _median_point_sets(family):
         points = tuple(map(tuple, points))
         n = len(points)
         sizes[n] += 1
-        full_costs, full_centers = _full_median_table(points)
-        best, choice = _dict_layers(full_costs.tolist(), n, n)
+        best, choice = _full_median_dict_loop(points)
         _cold()
         builds.clear()
-        for k in ks:
+        for k in [*(k for first in range(n, 1, -1) for k in (first, min(first + 2, n))), 1, *ks]:
             inst = ClusteringInstance(len(points[0]), points, k, "median")
-            want = _dict_report(inst, best, choice, full_centers)
+            want = _dict_report(inst, best, choice, _full_median_table(points)[1])
             assert _fingerprint(opt_continuous(inst)) == _fingerprint(want), (points, k)
-        # rising k extends one entry; each fall builds afresh
-        assert len(builds) == 1 + sum(b < a for a, b in zip(ks, ks[1:])), points
+        # one build at each k = n..1, and one at each fall of the family's walk
+        assert len(builds) == n + sum(b < a for a, b in zip(ks, ks[1:])), points
     if family == "seeded":
         assert sorted(sizes) == [9, 10, 11, 12] and sum(sizes.values()) == 40
-
-
-@pytest.mark.parametrize("family", ["ties", "completeness", "ladder", "seeded"])
-def test_a_table_first_built_above_k_1_keeps_every_optimum_bit_for_bit(family, monkeypatch):
-    # each point set's table is built at k = n, n - 1, ..., 2 in turn, so it
-    # solves only the rows k and up keep: the first call is at n, and each
-    # later build is a fall from a rise of up to two above the last one,
-    # which drops the entry first as a cold call does. Last comes a fall to
-    # k = 1. Every report is the dict loop's over the full table
-    builds = _count_table_builds(monkeypatch)
-    for points, _ in _median_point_sets(family):
-        points = tuple(map(tuple, points))
-        n = len(points)
-        full_costs, full_centers = _full_median_table(points)
-        best, choice = _dict_layers(full_costs.tolist(), n, n)
-        _cold()
-        builds.clear()
-        for k in [*(k for first in range(n, 1, -1) for k in (first, min(first + 2, n))), 1]:
-            inst = ClusteringInstance(len(points[0]), points, k, "median")
-            want = _dict_report(inst, best, choice, full_centers)
-            assert _fingerprint(opt_continuous(inst)) == _fingerprint(want), (points, k)
-        assert len(builds) == n, points  # one at each k = n..1; no rise builds
 
 
 def test_a_cold_table_at_the_cover_size_solves_only_the_rows_it_can_use(monkeypatch):
@@ -662,6 +649,7 @@ def test_discrete_rejects_k_above_candidate_count():
         opt_discrete(inst)
 
 
+@functools.lru_cache(maxsize=None)
 def _discrete_by_subset_loop(inst):
     """Reference: score one center subset at a time, adding floats one at a
     time left to right onto 0.0 (spelled out, since ``sum`` compensates its
@@ -1159,8 +1147,8 @@ def _single_edge_extensions_unpruned(g):
 
 
 def _single_edge_extensions_twin_pruned(g):
-    """Reference: the extensions from the lowest vertex of each twin class,
-    every inner edge tried."""
+    """The extensions from the lowest vertex of each twin class, every inner
+    edge tried: inputs of the pinned refinement and search."""
     adj = [set(nb) for nb in g.adjacency()]
     return _extensions_at(g, [v for v in range(g.num_vertices) if adj[v] not in adj[:v]])
 
@@ -1182,14 +1170,12 @@ def _catalogue_and_canonical_calls(monkeypatch):
 
 
 def test_twin_pruned_extensions_keep_the_catalogue_and_its_order(monkeypatch):
-    # the twin and leaf rules of the enumerator, twins alone, and no pruning
-    # give one labelled catalogue
-    runs = [_catalogue_and_canonical_calls(monkeypatch)]
-    for reference in (_single_edge_extensions_twin_pruned, _single_edge_extensions_unpruned):
-        monkeypatch.setattr(oracle, "_single_edge_extensions", reference)
-        runs.append(_catalogue_and_canonical_calls(monkeypatch))
-    assert all(graphs == runs[0][0] for graphs, _calls in runs)
-    assert [calls for _graphs, calls in runs] == [475, 770, 1022]
+    # the twin and leaf rules of the enumerator and no pruning give one
+    # labelled catalogue
+    graphs, calls = _catalogue_and_canonical_calls(monkeypatch)
+    monkeypatch.setattr(oracle, "_single_edge_extensions", _single_edge_extensions_unpruned)
+    assert _catalogue_and_canonical_calls(monkeypatch) == (graphs, 1022)
+    assert calls == 475
 
 
 def test_single_edge_extensions_are_triangle_free(monkeypatch):
@@ -1356,75 +1342,6 @@ def test_labelled_catalogues_are_pinned(monkeypatch):
     assert _labelled_digest(cat) == "00aa201c1da2956643017ee196965fa18ad57217e3507829a8b7a81ccd0a55a7"
 
 
-def _nested_refine_classes(g):
-    """Frozen reference: refinement with the whole refinement history nested
-    in each key, the cells sorted by their keys' tuples."""
-    n = g.num_vertices
-    adj = g.adjacency()
-    keys = [len(adj[v]) for v in range(n)]
-    while True:
-        new = [(keys[v], tuple(sorted(keys[u] for u in adj[v]))) for v in range(n)]
-        if len(set(new)) == len(set(keys)):
-            break
-        keys = new
-    cells = {}
-    for v in range(n):
-        cells.setdefault(keys[v], []).append(v)
-    return [cells[key] for key in sorted(cells)]
-
-
-def _frozen_connected_form(g):
-    """Frozen reference: the row search over the nested-key cells, every
-    state through the twin set and the comparison, each row formatted on
-    its own."""
-    nbrs = neighbour_masks(g)
-    n = g.num_vertices
-    frontier = {tuple(sum(1 << v for v in cell) for cell in _nested_refine_classes(g))}
-    rows = []
-    for width in range(n - 1, -1, -1):
-        best = 1 << width
-        nxt = set()
-        for first, *rest in frontier:
-            sizes = [block.bit_count() for block in rest]
-            tried = set()
-            todo = first
-            while todo:
-                bit = todo & -todo
-                todo ^= bit
-                hood = nbrs[bit.bit_length() - 1]
-                if hood in tried:
-                    continue
-                tried.add(hood)
-                head = first ^ bit
-                row = (1 << (head & hood).bit_count()) - 1
-                for block, size in zip(rest, sizes):
-                    row = (row << size) | ((1 << (block & hood).bit_count()) - 1)
-                if row > best:
-                    continue
-                if row < best:
-                    best, nxt = row, set()
-                state = []
-                for block in (head, *rest):
-                    near = block & hood
-                    if near != block:
-                        state.append(block ^ near)
-                    if near:
-                        state.append(near)
-                nxt.add(tuple(state))
-        if width:
-            rows.append(format(best, f"0{width}b"))
-        frontier = nxt
-    return f"{n}:{''.join(rows)}"
-
-
-def _frozen_canonical_form(g):
-    """Frozen reference: components first, each searched on its own."""
-    parts = _components_of(g)
-    if len(parts) <= 1:
-        return _frozen_connected_form(g)
-    return "+".join(sorted(_frozen_connected_form(part) for part in parts))
-
-
 # a ten-leaf star with a two-edge tail, whose cells would come in another
 # order if its keys were compared as strings, as "1" < "10" < "2"
 HUB = [(0, i) for i in range(1, 11)] + [(10, 11), (11, 12)]
@@ -1433,7 +1350,7 @@ HUB = [(0, i) for i in range(1, 11)] + [(10, 11), (11, 12)]
 def test_cells_come_in_tuple_order():
     g = graph_from_edges(HUB)
     cells = [[12], list(range(1, 10)), [11], [10], [0]]
-    assert oracle._refine_classes(neighbour_masks(g)) == cells == _nested_refine_classes(g)
+    assert oracle._refine_classes(neighbour_masks(g)) == cells
 
 
 def _hub_graph(seed):
@@ -1471,7 +1388,9 @@ def test_certificates_at_degree_ten_and_up_are_relabel_invariant():
 
 def test_refinement_and_search_match_the_frozen_nested_key_search():
     # every twin-pruned extension of the 8-edge enumeration, inner edges
-    # that leave a leaf untouched included
+    # that leave a leaf untouched included. The digest of each graph's cells
+    # and certificate was recorded from the nested-key refinement and row
+    # search that these replaced, on numpy 2.4.6 and Python 3.11.7
     parents = [Graph(1, ())] + list(enumerate_triangle_free(7))
     extensions = [h for g in parents for h in _single_edge_extensions_twin_pruned(g)]
     assert len(extensions) == 741
@@ -1480,15 +1399,17 @@ def test_refinement_and_search_match_the_frozen_nested_key_search():
     graphs += [_spider(legs) for legs in range(2, 9)] + [graph_from_edges(HUB)]
     graphs += [random_triangle_free(seed % 10 + 1, seed // 10 % 9 + 1, seed) for seed in range(300)]
     graphs += DEGREE_TEN_UP + DENSE
-    for g in graphs:
-        assert oracle._refine_classes(neighbour_masks(g)) == _nested_refine_classes(g), g.edges
-        assert canonical_form(g) == _frozen_canonical_form(g), g.edges
+    records = [f"{oracle._refine_classes(neighbour_masks(g))} {canonical_form(g)}" for g in graphs]
+    assert len(records) == 1190
+    digest = hashlib.sha256("\n".join(records).encode()).hexdigest()
+    assert digest == "9ce7420b3e6952f008ee6fde868c869acb3a5b359730c9c42a928ec6af3efaef"
 
 
 def _canonical_form_by_permutation(g):
-    """Reference: the least bitstring over every order of every cell (one
-    order for a cell of twins), tried one full order at a time."""
-    cells = _nested_refine_classes(g)
+    """Reference: the least bitstring over every order of every cell of the
+    refinement (one order for a cell of twins), tried one full order at a
+    time."""
+    cells = oracle._refine_classes(neighbour_masks(g))
     adj = [set(nb) for nb in g.adjacency()]
     edge_set = set(g.edges)
 
@@ -1514,7 +1435,7 @@ def _canonical_form_by_permutation(g):
 def _reference_orders(g):
     adj = [set(nb) for nb in g.adjacency()]
     return math.prod(
-        math.factorial(len(c)) for c in _nested_refine_classes(g)
+        math.factorial(len(c)) for c in oracle._refine_classes(neighbour_masks(g))
         if any(adj[v] != adj[c[0]] for v in c[1:])
     )
 

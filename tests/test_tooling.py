@@ -148,7 +148,7 @@ def test_bench_record_alternates_rounds_and_records_failures(tmp_path, monkeypat
     assert bench_record.main(argv) == 1
 
     repeats = bench_record.REPEATS
-    kinds = ["tier1"] + ["lemmas"] * repeats + ["sweep"] * repeats + ["bench"] + ["layers"] * repeats
+    kinds = ["tier1"] * repeats + ["lemmas"] * repeats + ["sweep"] * repeats + ["bench"] + ["layers"] * repeats
     assert calls == [(kind, tree) for r, kind in enumerate(kinds) for tree in ("ab" if r % 2 == 0 else "ba")]
     trees = json.loads(out_path.read_text(encoding="utf-8"))["trees"]
     a, b = trees["a"], trees["b"]
