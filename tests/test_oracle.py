@@ -422,31 +422,48 @@ def _full_median_dict_loop(points):
     return _dict_layers(_full_median_table(points)[0].tolist(), len(points), len(points))
 
 
+def _builds_over_walk(points, ks, builds):
+    """Solve ``points`` from a cold cache at each k of ``ks`` in turn, every
+    report the dict loop's over the full Weiszfeld table; the table builds
+    the walk made."""
+    best, choice = _full_median_dict_loop(points)
+    _cold()
+    builds.clear()
+    for k in ks:
+        inst = ClusteringInstance(len(points[0]), points, k, "median")
+        want = _dict_report(inst, best, choice, _full_median_table(points)[1])
+        assert _fingerprint(opt_continuous(inst)) == _fingerprint(want), (points, k)
+    return len(builds)
+
+
 @pytest.mark.parametrize("family", ["ties", "completeness", "ladder", "seeded"])
-def test_a_table_first_built_above_k_1_keeps_every_optimum_bit_for_bit(family, monkeypatch):
-    # every report is the dict loop's over the full Weiszfeld table. Each
-    # table is built at k = n, n - 1, ..., 2 in turn, so it solves only the
-    # rows k and up keep: each build after the first is a fall from a rise of
-    # up to two above the last one, which drops the entry as a cold call
-    # does. A fall to k = 1 follows, then the family's own walk: rising k
-    # extends that entry, and each later fall builds afresh
+def test_pruned_median_table_keeps_every_optimum_bit_for_bit(family, monkeypatch):
+    # the dict loop over the full Weiszfeld table is the reference; the
+    # pruned table must give its cost, partition and centers at every k
     builds = _count_table_builds(monkeypatch)
     sizes = Counter()
     for points, ks in _median_point_sets(family):
         points = tuple(map(tuple, points))
-        n = len(points)
-        sizes[n] += 1
-        best, choice = _full_median_dict_loop(points)
-        _cold()
-        builds.clear()
-        for k in [*(k for first in range(n, 1, -1) for k in (first, min(first + 2, n))), 1, *ks]:
-            inst = ClusteringInstance(len(points[0]), points, k, "median")
-            want = _dict_report(inst, best, choice, _full_median_table(points)[1])
-            assert _fingerprint(opt_continuous(inst)) == _fingerprint(want), (points, k)
-        # one build at each k = n..1, and one at each fall of the family's walk
-        assert len(builds) == n + sum(b < a for a, b in zip(ks, ks[1:])), points
+        sizes[len(points)] += 1
+        # rising k extends one entry; each fall builds afresh
+        assert _builds_over_walk(points, ks, builds) == 1 + sum(b < a for a, b in zip(ks, ks[1:])), points
     if family == "seeded":
         assert sorted(sizes) == [9, 10, 11, 12] and sum(sizes.values()) == 40
+
+
+@pytest.mark.parametrize("family", ["ties", "completeness", "ladder", "seeded"])
+def test_a_table_first_built_above_k_1_keeps_every_optimum_bit_for_bit(family, monkeypatch):
+    # each point set's table is built at k = n, n - 1, ..., 2 in turn, so it
+    # solves only the rows k and up keep: the first call is at n, and each
+    # later build is a fall from a rise of up to two above the last one,
+    # which drops the entry first as a cold call does. Last comes a fall to
+    # k = 1: one build at each k = n..1, and none at a rise
+    builds = _count_table_builds(monkeypatch)
+    for points, _ in _median_point_sets(family):
+        points = tuple(map(tuple, points))
+        n = len(points)
+        ks = [*(k for first in range(n, 1, -1) for k in (first, min(first + 2, n))), 1]
+        assert _builds_over_walk(points, ks, builds) == n, points
 
 
 def test_a_cold_table_at_the_cover_size_solves_only_the_rows_it_can_use(monkeypatch):
