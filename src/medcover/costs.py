@@ -10,9 +10,10 @@ hardened at data points via the standard subgradient test. One batched loop,
 point set, ``weiszfeld_subsets`` on every subset of one, the oracle's pruned
 median table (``oracle._median_table``) on the subsets its bounds leave
 open, and ``median_costs`` on many graphs' clusters at once.
-``_centroid_bounds`` brackets a batch's 1-median costs without solving
-them, between the cost at the centroid and the Fermat–Weber dual bound
-there.
+``_dual_bounds`` brackets a batch's 1-median costs without solving them,
+between the cost at any point and the Fermat–Weber dual bound there:
+``_centroid_bounds`` takes it at the centroid, and ``_stepped_dual`` one
+classical Weiszfeld step on, where the bound is tighter.
 
 1-means costs need no solver at all: the optimal center is the centroid and
 the cost collapses to (2r^2 - sum_v deg(v)^2) / r, one exact rational.
@@ -284,36 +285,56 @@ def _weiszfeld_batch(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def _centroid_bounds(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each row's centroid c and two bounds on its 1-median cost, for a
-    (batch, points, dim) array of equal-size blocks: the cost at c above,
-    and below the Fermat–Weber dual bound at c. A cost at c that is not
-    finite raises the ``DomainError`` ``_weiszfeld_batch`` raises for its
-    start, which is c too.
+    (batch, points, dim) array of equal-size blocks: ``_dual_bounds`` at c.
+    A cost at c that is not finite raises the ``DomainError``
+    ``_weiszfeld_batch`` raises for its start, which is c too."""
+    centers = np.einsum("bpd->bd", blocks) / blocks.shape[1]
+    upper, lower = _dual_bounds(blocks, centers)
+    if not np.isfinite(upper).all():
+        raise DomainError("a distance to the centroid is not finite")
+    return centers, upper, lower
 
-    Any vectors u_i with |u_i| <= 1 that sum to 0 give sum |x_i - y| >=
-    sum u_i . (x_i - y) = sum u_i . (x_i - c) for every y (Kuhn 1973). Here
-    u_i is the unit vector e_i from c to x_i (0 for a point at c), less
+
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
+def _stepped_dual(blocks: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """The Fermat–Weber dual bound of ``_dual_bounds`` at the point one
+    classical Weiszfeld step from each row's ``centers``: sum x_i / |x_i - c|
+    over sum 1 / |x_i - c|. A row with a point at its c has no such step,
+    and its bound is NaN."""
+    w = 1.0 / _distances(blocks, centers)
+    at = np.einsum("bpd,bp->bd", blocks, w) / np.add.reduce(w, axis=1)[:, None]
+    return _dual_bounds(blocks, at)[1]
+
+
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
+def _dual_bounds(blocks: np.ndarray, at: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Two bounds on each row's 1-median cost, for a (batch, points, dim)
+    array of equal-size blocks and one point y per row: the cost at y
+    above, and below the Fermat–Weber dual bound at y. A y with a NaN
+    coordinate gives NaN bounds.
+
+    Any vectors u_i with |u_i| <= 1 that sum to 0 give sum |x_i - z| >=
+    sum u_i . (x_i - z) = sum u_i . (x_i - y) for every z (Kuhn 1973). Here
+    u_i is the unit vector e_i from y to x_i (0 for a point at y), less
     their mean m, scaled down by the largest |e_i - m| when that passes 1;
     at the median the unit vectors sum to 0 and the bound is tight. Since
-    e_i . (x_i - c) = |x_i - c|, the dual is (upper - sum m . (x_i - c)) /
-    scale. Every x_i - c is rounded relative to its own length, so the
+    e_i . (x_i - y) = |x_i - y|, the dual is (upper - sum m . (x_i - y)) /
+    scale. Every x_i - y is rounded relative to its own length, so the
     float dual is off by at most a few ulps of the upper bound per point
     and coordinate.
     """
     r = blocks.shape[1]
-    centers = np.einsum("bpd->bd", blocks) / r
-    diff = blocks - centers[:, None, :]
+    diff = blocks - at[:, None, :]
     dist = np.sqrt(np.einsum("bpd,bpd->bp", diff, diff))
     upper = np.add.reduce(dist, axis=1)
-    if not np.isfinite(upper).all():
-        raise DomainError("a distance to the centroid is not finite")
     off = dist > 0.0
     inv = np.divide(1.0, dist, out=np.zeros_like(dist), where=off)
     mean = np.einsum("bpd,bp->bd", diff, inv) / r
-    along = np.einsum("bpd,bd->bp", diff, mean)  # m . (x_i - c)
-    # |e_i - m|^2 = |e_i|^2 - 2 e_i . m + |m|^2, and |e_i| is 1 off the centroid
+    along = np.einsum("bpd,bd->bp", diff, mean)  # m . (x_i - y)
+    # |e_i - m|^2 = |e_i|^2 - 2 e_i . m + |m|^2, and |e_i| is 1 off y
     spread = np.where(off, 1.0 - 2.0 * inv * along, 0.0).max(axis=1)
     scale = np.sqrt(np.maximum(1.0, spread + np.einsum("bd,bd->b", mean, mean)))
-    return centers, upper, (upper - np.add.reduce(along, axis=1)) / scale
+    return upper, (upper - np.add.reduce(along, axis=1)) / scale
 
 
 def _weighted_sum_for(dim: int):

@@ -18,9 +18,12 @@ cheapest split of its point count into block sizes, each at the least
 lower bound of its size (a DP over point counts, not masks). A table is
 built for the k of the call that builds it and every larger k: only the
 subsets that some partition into at most k' blocks, for some k' >= k,
-within the margin of the k' cap can use are solved, by the batched
-Weiszfeld loop (one batch per subset size, which raises ``NotConverged``
-rather than return an unconverged cost). The rest keep their centroid and
+within the margin of the k' cap can use are picked. A picked subset of
+three or more points then takes the dual bound one Weiszfeld step from its
+centroid, where that is higher, and the same tests again; only those still
+kept are solved, by the batched Weiszfeld loop from the centroid (one
+batch per subset size, which raises ``NotConverged`` rather than return
+an unconverged cost). The rest keep their centroid and
 its cost; no partition near an optimum at k or above uses them, so every
 optimum from k up is the full Weiszfeld table's bit for bit
 (``_median_table``). So a table built at k leaves out the rows that only
@@ -85,7 +88,13 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .costs import MAX_CONTINUOUS_POINTS, _centroid_bounds, _subsets_by_size, _weiszfeld_batch
+from .costs import (
+    MAX_CONTINUOUS_POINTS,
+    _centroid_bounds,
+    _stepped_dual,
+    _subsets_by_size,
+    _weiszfeld_batch,
+)
 from .errors import DomainError, InstanceTooLarge, PreconditionViolated, Stuck
 from .graphs import (
     Graph,
@@ -326,7 +335,17 @@ def _needed_rows(n: int, upper: np.ndarray, lower: np.ndarray, by_size) -> np.nd
     """One int per bitmask S: the largest k = 1..n at which some partition
     into at most k blocks holds block S at a floor within ``_slack`` of
     U(k), or 0 when no k keeps S. A table that solves the rows whose value
-    is at least k0 solves every row any k >= k0 keeps.
+    is at least k0 solves every row any k >= k0 keeps. The first of
+    ``_row_selection``'s results."""
+    return _row_selection(n, upper, lower, by_size)[0]
+
+
+def _row_selection(n: int, upper: np.ndarray, lower: np.ndarray, by_size) -> tuple:
+    """``_needed_rows``, and the two sides of each k's keep test: its bars,
+    U(k) + ``_slack``, by k - 1, and its floors on the rest by k - 1 and the
+    rest's point count. Block S passes at k when lower(S) plus the floor on
+    its rest is at most the bar. At k = 2 the floor is the rest's own
+    ``lower``, not a number by point count, and its row of floors is inf.
 
     U(k), an upper bound on the k-optimum, is the least of the prefix DP's
     layers 1..k at the full mask, run over ``upper`` through ``_candidates``
@@ -354,9 +373,10 @@ def _needed_rows(n: int, upper: np.ndarray, lower: np.ndarray, by_size) -> np.nd
     for r, (rows, _) in enumerate(by_size, 1):
         count[rows] = r
         lowest[r] = float(lower.take(rows).min())
-    least = np.full(size, math.inf)  # the rest's floor, by mask: at k = 1 only the empty rest
-    least[0] = 0.0
+    floors = np.full((n, n + 1), math.inf)
+    floors[0, 0] = 0.0  # at k = 1 only the empty rest
     floor = lowest  # F_{k-1} by point count
+    bars = np.empty(n)
     exact = upper[1::2]  # prefix layer k over upper, by mask >> k
     need = np.zeros(size, dtype=np.intp)
     ceiling = math.inf
@@ -365,14 +385,14 @@ def _needed_rows(n: int, upper: np.ndarray, lower: np.ndarray, by_size) -> np.nd
             cost, starts, _ = _candidates(n, k, exact, upper)
             exact = np.minimum.reduceat(cost, starts)
         ceiling = min(ceiling, float(exact[-1]))  # the full mask
-        np.putmask(need, lower + least[::-1] <= ceiling + _slack(ceiling), k)  # least[full ^ S]
-        if k == 1:
-            least = lower
-        elif k < n:
+        bars[k - 1] = ceiling + _slack(ceiling)
+        rest = lower[::-1] if k == 2 else floors[k - 1].take(count[::-1])  # the rest, full ^ S
+        np.putmask(need, lower + rest <= bars[k - 1], k)
+        if 2 <= k < n:
             floor = [0.0 if m <= k else min(lowest[r] + floor[m - r] for r in range(1, m + 1))
                      for m in range(n + 1)]
-            least = np.take(floor, count)
-    return need
+            floors[k] = floor
+    return need, bars, floors
 
 
 def _median_table(points: tuple, first: int) -> tuple[np.ndarray, np.ndarray]:
@@ -384,16 +404,29 @@ def _median_table(points: tuple, first: int) -> tuple[np.ndarray, np.ndarray]:
 
     Every row gets its centroid, the cost there as its upper bound, and the
     Fermat–Weber dual bound less ``_slack(upper)``, floored at 0, as its
-    lower bound (``costs._centroid_bounds``). Only the rows whose
+    lower bound (``costs._centroid_bounds``). The rows whose
     ``_needed_rows`` value is at least ``first``, those some k >= ``first``
-    keeps, are solved, one ``_weiszfeld_batch`` per size; its floor on a
-    partition is never above the sum of the partition's lower bounds. Rows
-    never mix, so a solved row has the full table's bits. The others keep
-    the centroid and its cost, a feasible pair no cheaper than the row's
-    1-median. A solved cost outside [lower, upper + slack] raises ``Stuck``,
-    and ``NotConverged`` can come only from a solved row. At ``first`` = 1
-    every row some k keeps is solved; a larger ``first`` skips the big
-    blocks only small k can use.
+    keeps, are picked. A picked row of 3 or more points then raises its
+    lower bound to the dual bound one classical Weiszfeld step from its
+    centroid (``costs._stepped_dual``), less the same ``_slack(upper)``, where
+    that is higher, and takes each k >= ``first``'s keep test again with it
+    (``_row_selection``), against the same bars and rest floors. Only the rows still
+    kept are solved, one ``_weiszfeld_batch`` per size, from the centroid;
+    a floor on a partition is never above the sum of the partition's lower
+    bounds. Rows never mix, so a solved row has the full table's bits. The
+    others keep the centroid and its cost, a feasible pair no cheaper than
+    the row's 1-median. A solved cost outside [lower, upper + slack], with
+    the raised lower bound, raises ``Stuck``, and ``NotConverged`` can come
+    only from a solved row. At ``first`` = 1 every row some k keeps is
+    solved; a larger ``first`` skips the big blocks only small k can use.
+
+    Why the raised bound holds: Kuhn's dual bounds the 1-median from below
+    at any point, the step's too, and its float value is off by at most a
+    few ulps of the cost there, the centroid's rounding argument
+    (``costs._dual_bounds``). A step from the centroid does not raise the
+    cost, so the slack, taken from the centroid cost, covers that rounding
+    as it does at the centroid. A row whose step is undefined, a point at
+    its centroid, gets NaN there and keeps its centroid bound (``np.fmax``).
 
     Why the optima stay at every k >= ``first``: k does not keep an
     unsolved row, so a partition into at most k blocks that uses one costs
@@ -420,16 +453,26 @@ def _median_table(points: tuple, first: int) -> tuple[np.ndarray, np.ndarray]:
     for rows, members in by_size:
         centers[rows], costs[rows], lower[rows] = _centroid_bounds(pts[members])
     lower = np.maximum(0.0, lower - _slack(costs))
-    need = _needed_rows(n, costs, lower, by_size)
-    for rows, members in by_size:
+    need, bars, floors = _row_selection(n, costs, lower, by_size)
+    full = (1 << n) - 1
+    for r, (rows, members) in enumerate(by_size, 1):
         solve = need.take(rows) >= first
         if not solve.any():
             continue
-        rows = rows[solve]
-        solved, at, _ = _weiszfeld_batch(pts[members[solve]])
-        upper = costs.take(rows)
-        if ((solved < lower.take(rows)) | (solved > upper + _slack(upper))).any():
-            raise Stuck("a 1-median cost lies outside its centroid bounds")
+        rows, blocks = rows[solve], pts[members[solve]]
+        upper, low = costs.take(rows), lower.take(rows)
+        if r >= 3:
+            low = np.fmax(low, _stepped_dual(blocks, centers[rows]) - _slack(upper))
+            # every k >= first again: by the rest's point count, n - r, then at k = 2 by its lower
+            keep = (low[:, None] + floors[first - 1:, n - r] <= bars[first - 1:]).any(axis=1)
+            if first <= 2:
+                keep |= low + lower.take(full ^ rows) <= bars[1]
+            if not keep.any():
+                continue
+            rows, blocks, upper, low = rows[keep], blocks[keep], upper[keep], low[keep]
+        solved, at, _ = _weiszfeld_batch(blocks)
+        if ((solved < low) | (solved > upper + _slack(upper))).any():
+            raise Stuck("a 1-median cost lies outside its bounds")
         costs[rows], centers[rows] = solved, at
     return costs, centers
 
@@ -515,7 +558,10 @@ def opt_continuous(inst: ClusteringInstance) -> OracleReport:
     into at most k' blocks that holds it, for some k' = k..n, has a
     certified lower bound within ``_BOUND_MARGIN`` (1e-9, relative) of an
     upper bound on the k'-optimum: the subset's own lower bound plus a floor
-    on the rest of the partition by its block sizes (``_needed_rows``).
+    on the rest of the partition by its block sizes (``_needed_rows``). The
+    subset's bound is the dual at its centroid, and for a subset that passes
+    with it, of three or more points, the dual one Weiszfeld step on where
+    that is higher.
     Every other subset keeps its centroid and centroid cost. No partition
     within the margin of an optimum at k or above uses those rows, and the
     margin is far above the DP's 1e-15 tie-break drift, so every cost,
