@@ -13,7 +13,7 @@ open, and ``median_costs`` on many graphs' clusters at once.
 ``_dual_bounds`` brackets a batch's 1-median costs without solving them,
 between the cost at any point and the Fermat–Weber dual bound there:
 ``_centroid_bounds`` takes it at the centroid, and ``_stepped_dual`` one
-classical Weiszfeld step on, where the bound is tighter.
+classical Weiszfeld step on, where the bound is mostly tighter.
 
 1-means costs need no solver at all: the optimal center is the centroid and
 the cost collapses to (2r^2 - sum_v deg(v)^2) / r, one exact rational.
