@@ -22,8 +22,8 @@ order, it times:
   k = 1, a table that serves every k, and at the graph's cover size
   k = 4, the ``completeness`` call (each with its DP layers up to k); DP
   layer 2 (``oracle._extend`` from the cached layer 1) and a pass of the
-  median table's row selection (``oracle._needed_rows``: the cap DP over
-  the upper bounds and the tree's floor over the lower ones); and one
+  median table's row selection (``oracle._row_selection``: the cap DP
+  over the upper bounds and the tree's floors over the lower ones); and one
   ``covers.cover_single_edge_clusters`` call in Case II (many planks) on
   seed 27 of the repeat-pick battery in ``tests/test_covers.py`` (19
   vertices, 28 edges, 15 single-edge clusters, k = 8, delta = 0.01;
@@ -104,7 +104,7 @@ upper, lower = np.zeros(1 << n), np.zeros(1 << n)
 for rows, members in by_size:
     _, upper[rows], lower[rows] = costs._centroid_bounds(pts[members])
 lower = np.maximum(0.0, lower - oracle._slack(upper))
-out["row_selection_11_points_ms"] = sample(lambda: oracle._needed_rows(n, upper, lower, by_size))
+out["row_selection_11_points_ms"] = sample(lambda: oracle._row_selection(n, upper, lower, by_size))
 
 rng = random.Random(27)
 h = oracle.random_triangle_free(rng.randint(14, 20), rng.randint(2, 3), seed=27)

@@ -18,15 +18,15 @@ cheapest split of its point count into block sizes, each at the least
 lower bound of its size (a DP over point counts, not masks). A table is
 built for the k of the call that builds it and every larger k: only the
 subsets that some partition into at most k' blocks, for some k' >= k,
-within the margin of the k' cap can use are picked. A picked subset of
-three or more points then takes the dual bound one Weiszfeld step from its
-centroid, where that is higher, and the same tests again; only those still
-kept are solved, by the batched Weiszfeld loop from the centroid (one
-batch per subset size, which raises ``NotConverged`` rather than return
-an unconverged cost). The rest keep their centroid and
-its cost; no partition near an optimum at k or above uses them, so every
-optimum from k up is the full Weiszfeld table's bit for bit
-(``_median_table``). So a table built at k leaves out the rows that only
+within the margin of the k' cap can use are picked, by one keep test
+(``_kept``). A picked subset of three or more points then takes the dual
+bound one Weiszfeld step from its centroid, where that is higher, and the
+same test again; only those still kept are solved, by the batched
+Weiszfeld loop from the centroid (one batch per subset size, which raises
+``NotConverged`` rather than return an unconverged cost). The rest keep
+their centroid and its cost; no partition near an optimum at k or above
+uses them, so every optimum from k up is the full Weiszfeld table's bit
+for bit (``_median_table``). So a table built at k leaves out the rows that only
 smaller k can use, mostly the big blocks of k = 1 and 2.
 For means every subset of integer points gets its centroid cost from exact
 integer subset sums (other points go one subset at a time through
@@ -331,17 +331,8 @@ def _slack(value):
     return _BOUND_MARGIN * np.maximum(1.0, value)
 
 
-def _needed_rows(n: int, upper: np.ndarray, lower: np.ndarray, by_size) -> np.ndarray:
-    """One int per bitmask S: the largest k = 1..n at which some partition
-    into at most k blocks holds block S at a floor within ``_slack`` of
-    U(k), or 0 when no k keeps S. A table that solves the rows whose value
-    is at least k0 solves every row any k >= k0 keeps. The first of
-    ``_row_selection``'s results."""
-    return _row_selection(n, upper, lower, by_size)[0]
-
-
 def _row_selection(n: int, upper: np.ndarray, lower: np.ndarray, by_size) -> tuple:
-    """``_needed_rows``, and the two sides of each k's keep test: its bars,
+    """The two sides of each k's keep test (``_kept``): its bars,
     U(k) + ``_slack``, by k - 1, and its floors on the rest by k - 1 and the
     rest's point count. Block S passes at k when lower(S) plus the floor on
     its rest is at most the bar. At k = 2 the floor is the rest's own
@@ -367,18 +358,12 @@ def _row_selection(n: int, upper: np.ndarray, lower: np.ndarray, by_size) -> tup
     induction on j, the size floor is at most the exact floor bit for bit,
     and every subset the exact floor keeps is kept.
     """
-    size = 1 << n
-    count = np.zeros(size, dtype=np.intp)  # each mask's point count
-    lowest = [0.0] * (n + 1)  # F_1 by point count
-    for r, (rows, _) in enumerate(by_size, 1):
-        count[rows] = r
-        lowest[r] = float(lower.take(rows).min())
+    lowest = [0.0] + [float(lower.take(rows).min()) for rows, _ in by_size]  # F_1 by point count
     floors = np.full((n, n + 1), math.inf)
     floors[0, 0] = 0.0  # at k = 1 only the empty rest
     floor = lowest  # F_{k-1} by point count
     bars = np.empty(n)
     exact = upper[1::2]  # prefix layer k over upper, by mask >> k
-    need = np.zeros(size, dtype=np.intp)
     ceiling = math.inf
     for k in range(1, n + 1):
         if k > 1:
@@ -386,13 +371,25 @@ def _row_selection(n: int, upper: np.ndarray, lower: np.ndarray, by_size) -> tup
             exact = np.minimum.reduceat(cost, starts)
         ceiling = min(ceiling, float(exact[-1]))  # the full mask
         bars[k - 1] = ceiling + _slack(ceiling)
-        rest = lower[::-1] if k == 2 else floors[k - 1].take(count[::-1])  # the rest, full ^ S
-        np.putmask(need, lower + rest <= bars[k - 1], k)
         if 2 <= k < n:
             floor = [0.0 if m <= k else min(lowest[r] + floor[m - r] for r in range(1, m + 1))
                      for m in range(n + 1)]
             floors[k] = floor
-    return need, bars, floors
+    return bars, floors
+
+
+def _kept(low, rows, r, first, bars, floors, lower) -> np.ndarray:
+    """Whether some k >= ``first`` keeps each of ``rows``, the masks of r
+    points, at lower bounds ``low``: ``low`` plus the floor on the row's
+    rest, full ^ S, is at most k's bar (``_row_selection``). At k = 1 and
+    k >= 3 the floor is the size floor of the rest's n - r points, and at
+    k = 2 the rest's own ``lower``; the inf row of size floors at k = 2
+    keeps nothing there."""
+    n = len(bars)
+    keep = (floors[first - 1:, n - r, None] + low <= bars[first - 1:, None]).any(axis=0)  # k by row
+    if first <= 2 <= n:
+        keep |= low + lower.take(((1 << n) - 1) ^ rows) <= bars[1]
+    return keep
 
 
 def _median_table(points: tuple, first: int) -> tuple[np.ndarray, np.ndarray]:
@@ -404,16 +401,16 @@ def _median_table(points: tuple, first: int) -> tuple[np.ndarray, np.ndarray]:
 
     Every row gets its centroid, the cost there as its upper bound, and the
     Fermat–Weber dual bound less ``_slack(upper)``, floored at 0, as its
-    lower bound (``costs._centroid_bounds``). The rows whose
-    ``_needed_rows`` value is at least ``first``, those some k >= ``first``
-    keeps, are picked. A picked row of 3 or more points then raises its
-    lower bound to the dual bound one classical Weiszfeld step from its
-    centroid (``costs._stepped_dual``), less the same ``_slack(upper)``, where
-    that is higher, and takes each k >= ``first``'s keep test again with it
-    (``_row_selection``), against the same bars and rest floors. Only the rows still
-    kept are solved, one ``_weiszfeld_batch`` per size, from the centroid;
-    a floor on a partition is never above the sum of the partition's lower
-    bounds. Rows never mix, so a solved row has the full table's bits. The
+    lower bound (``costs._centroid_bounds``). The rows some k >= ``first``
+    keeps (``_kept``, over ``_row_selection``'s bars and rest floors) are
+    picked. A picked row of 3 or more points then raises its lower bound to
+    the dual bound one classical Weiszfeld step from its centroid
+    (``costs._stepped_dual``), less the same ``_slack(upper)``, where that
+    is higher, and takes ``_kept`` again with it, against the same bars and
+    rest floors. Only the rows still kept are solved, one
+    ``_weiszfeld_batch`` per size, from the centroid; a floor on a
+    partition is never above the sum of the partition's lower bounds. Rows
+    never mix, so a solved row has the full table's bits. The
     others keep the centroid and its cost, a feasible pair no cheaper than
     the row's 1-median. A solved cost outside [lower, upper + slack], with
     the raised lower bound, raises ``Stuck``, and ``NotConverged`` can come
@@ -453,23 +450,17 @@ def _median_table(points: tuple, first: int) -> tuple[np.ndarray, np.ndarray]:
     for rows, members in by_size:
         centers[rows], costs[rows], lower[rows] = _centroid_bounds(pts[members])
     lower = np.maximum(0.0, lower - _slack(costs))
-    need, bars, floors = _row_selection(n, costs, lower, by_size)
-    full = (1 << n) - 1
+    bars, floors = _row_selection(n, costs, lower, by_size)
     for r, (rows, members) in enumerate(by_size, 1):
-        solve = need.take(rows) >= first
-        if not solve.any():
-            continue
-        rows, blocks = rows[solve], pts[members[solve]]
+        keep = _kept(lower.take(rows), rows, r, first, bars, floors, lower)
+        rows, blocks = rows[keep], pts[members[keep]]
         upper, low = costs.take(rows), lower.take(rows)
-        if r >= 3:
+        if r >= 3 and rows.size:
             low = np.fmax(low, _stepped_dual(blocks, centers[rows]) - _slack(upper))
-            # every k >= first again: by the rest's point count, n - r, then at k = 2 by its lower
-            keep = (low[:, None] + floors[first - 1:, n - r] <= bars[first - 1:]).any(axis=1)
-            if first <= 2:
-                keep |= low + lower.take(full ^ rows) <= bars[1]
-            if not keep.any():
-                continue
+            keep = _kept(low, rows, r, first, bars, floors, lower)
             rows, blocks, upper, low = rows[keep], blocks[keep], upper[keep], low[keep]
+        if not rows.size:
+            continue
         solved, at, _ = _weiszfeld_batch(blocks)
         if ((solved < low) | (solved > upper + _slack(upper))).any():
             raise Stuck("a 1-median cost lies outside its bounds")
@@ -558,7 +549,7 @@ def opt_continuous(inst: ClusteringInstance) -> OracleReport:
     into at most k' blocks that holds it, for some k' = k..n, has a
     certified lower bound within ``_BOUND_MARGIN`` (1e-9, relative) of an
     upper bound on the k'-optimum: the subset's own lower bound plus a floor
-    on the rest of the partition by its block sizes (``_needed_rows``). The
+    on the rest of the partition by its block sizes (``_kept``). The
     subset's bound is the dual at its centroid, and for a subset that passes
     with it, of three or more points, the dual one Weiszfeld step on where
     that is higher.

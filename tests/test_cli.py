@@ -8,9 +8,10 @@ import pytest
 
 from medcover import cli, costs, suites
 from medcover.cli import main
-from medcover.errors import MedcoverError
+from medcover.errors import MedcoverError, PreconditionViolated
 from medcover.costs import closed_form_median_cost, cluster_points, extra_cost, weiszfeld
 from medcover.graphs import parse_edge_list
+from medcover.oracle import opt_continuous
 from medcover.reduction import NO_SIDE_HYPOTHESIS, instance_from_json
 
 C5_TEXT = "0 1\n1 2\n2 3\n3 4\n0 4\n"
@@ -164,6 +165,15 @@ def test_cover_refuses_a_triangle_before_reducing_or_solving(monkeypatch, tmp_pa
     assert caught == []
 
 
+def test_cover_refuses_more_blocks_than_edges(capsys, p4_file):
+    # ceil(beta * k) = ceil(2 * 2) = 4 blocks cannot partition P4's 3 edges
+    argv = ["cover", "--graph", p4_file, "--k", "2", "--beta", "2"]
+    args = cli.build_parser().parse_args(argv)
+    with pytest.raises(MedcoverError, match=r"^ceil\(beta\*k\) = 4 blocks exceed the 3 edges$"):
+        args.func(args)
+    assert run(capsys, *argv) == (1, "", "error: ceil(beta*k) = 4 blocks exceed the 3 edges\n")
+
+
 def test_pad_blocks_peels_the_largest_block_until_there_are_enough():
     assert cli._pad_blocks([[2, 1, 0], [3, 4]], 4) == [[0], [3, 4], [2], [1]]
     with pytest.raises(MedcoverError, match="all blocks are singletons"):
@@ -218,6 +228,17 @@ def test_oracle_refuses_k_and_objective_on_instance_json(tmp_path, capsys, p4_fi
     assert (code, json.loads(stdout)["method"]) == (0, "partition_enum_weiszfeld")
     code, stdout, _ = run(capsys, "oracle", "--graph", p4_file, "--k", "2", "--objective", "means")
     assert (code, json.loads(stdout)["method"]) == (0, "partition_enum_centroid")
+
+
+def test_oracle_refuses_an_instance_json_with_k_above_its_points(tmp_path, capsys):
+    # opt_continuous checks k against the points before it builds a table
+    text = '{"dimension": 1, "k": 4, "objective": "median", "points": [[0.0], [1.0], [5.0]]}'
+    with pytest.raises(PreconditionViolated, match="^k exceeds the number of points$"):
+        opt_continuous(instance_from_json(text))
+    inst = tmp_path / "inst.json"
+    inst.write_text(text)
+    assert run(capsys, "oracle", "--graph", str(inst)) == (
+        1, "", "error: k exceeds the number of points\n")
 
 
 def test_oracle_with_an_empty_candidate_list_is_a_clean_error(tmp_path, capsys):

@@ -554,7 +554,7 @@ def _median_bounds(points):
 
 
 def _exact_floor_rows(points):
-    """Reference for ``_needed_rows``: for each k = 1..n, a flag per row,
+    """Reference for ``_kept``: for each k = 1..n, a flag per row,
     whether a partition into at most k blocks that holds it reaches the
     cap's slack under the exact floor of the rest. L_j(R), the
     least ``lower`` sum over the partitions of R into at most j blocks, is
@@ -581,7 +581,7 @@ def _exact_floor_rows(points):
             sub = (sub - 1) & others
 
     kept = []
-    exact, ceiling = upper[1::2], math.inf  # the cap, as _needed_rows builds it
+    exact, ceiling = upper[1::2], math.inf  # the cap, as _row_selection builds it
     for k in range(1, n + 1):
         if k > 1:
             cost, starts, _ = oracle._candidates(n, k, exact, upper)
@@ -607,18 +607,21 @@ def _small_point_sets():
 
 
 def test_row_selection_keeps_every_row_the_exact_floor_keeps():
-    # the size floor is never above the exact floor, so at each k it keeps
-    # at least every row the exact rule keeps, and a row's value, the
-    # largest k that keeps it, is at least k: a table first built at k
+    # the size floor is never above the exact floor, so each row the exact
+    # rule keeps at k passes _kept with first = k: a table first built at k
     # solves it
     sets = 0
     for points in _small_point_sets():
         points = tuple(map(tuple, points))
         kept, upper, lower = _exact_floor_rows(points)
         n = len(points)
-        need = oracle._needed_rows(n, upper, lower, costs._subsets_by_size(n))
+        by_size = costs._subsets_by_size(n)
+        bars, floors = oracle._row_selection(n, upper, lower, by_size)
         for k, want in enumerate(kept, 1):
-            assert (need[want] >= k).all(), (points, k, np.flatnonzero(want & (need < k)))
+            for r, (rows, _) in enumerate(by_size, 1):
+                keep = oracle._kept(lower.take(rows), rows, r, k, bars, floors, lower)
+                missed = want.take(rows) & ~keep
+                assert not missed.any(), (points, k, rows[missed])
         sets += 1
     assert sets == 24
 
@@ -955,6 +958,15 @@ def test_discrete_checks_its_ceiling_before_building_anything(monkeypatch):
 def test_discrete_overflowing_distance_is_a_domain_error():
     inst = ClusteringInstance(1, ((1e200,),), 1, "means", ((-1e200,), (1e200,)))
     with pytest.raises(DomainError):
+        opt_discrete(inst)
+
+
+def test_discrete_refuses_an_instance_whose_every_subset_cost_is_inf():
+    # each squared coordinate difference fits a float, but their sum does
+    # not, so each center lies at an inf distance from some point
+    far = (1e154, 1e154)
+    inst = ClusteringInstance(2, (far, (0.0, 0.0)), 1, "median", ((0.0, 0.0), far))
+    with pytest.raises(PreconditionViolated, match="^no center subset has a finite cost$"):
         opt_discrete(inst)
 
 
@@ -1369,6 +1381,17 @@ def test_disconnected_catalogue_census_and_certificates():
         relabelled = make_graph(g.num_vertices, [(perm[u], perm[v]) for u, v in g.edges])
         assert canonical_form(relabelled) == cert, g.edges
         assert canonical_form(_laid_out(_components_of(g)[::-1])) == cert, g.edges
+
+
+def test_enumeration_refuses_more_edges_than_its_ceiling():
+    # a generator: the ceiling is checked when the first graph is asked for
+    with pytest.raises(InstanceTooLarge, match=f"^enumeration capped at {oracle.MAX_ENUM_EDGES} edges$"):
+        next(enumerate_triangle_free(oracle.MAX_ENUM_EDGES + 1))
+
+
+def test_random_triangle_free_refuses_degree_zero():
+    with pytest.raises(PreconditionViolated, match="^target degree must be at least 1$"):
+        random_triangle_free(5, 0, seed=1)
 
 
 def test_nine_edge_catalogue_census(monkeypatch):

@@ -8,7 +8,8 @@ import pytest
 
 from medcover.costs import disjoint_edges_median_cost, l1_median_cost, weiszfeld
 from medcover.covers import cover_budget, soundness_assemble
-from medcover.graphs import graph_from_edges
+from medcover.errors import EmptyGraph
+from medcover.graphs import Graph, graph_from_edges
 from medcover.oracle import min_vertex_cover, opt_continuous
 from medcover.reduction import (
     NO_SIDE_HYPOTHESIS,
@@ -101,6 +102,17 @@ def test_graph_gap_refuses_more_centers_than_edges(objective):
     assert predict_gap_graph(5, 5, objective, delta=0.01).yes_cost >= 0
     with pytest.raises(ValueError, match="exceeds"):
         predict_gap_graph(5, 6, objective, delta=0.01)
+
+
+def test_reduce_graph_refuses_an_edgeless_graph():
+    with pytest.raises(EmptyGraph, match="^graph reduction needs at least one edge$"):
+        reduce_graph(Graph(3, ()), k=1, objective="median")
+
+
+def test_reduce_graph_warns_on_a_triangle_and_still_reduces():
+    with pytest.warns(UserWarning, match="^graph has triangles; cost thresholds are not guaranteed$"):
+        inst = reduce_graph(graph_from_edges([(0, 1), (1, 2), (0, 2)]), k=1, objective="median")
+    assert len(inst.points) == 3
 
 
 def test_auto_no_regime_boundary():
@@ -219,6 +231,12 @@ def test_parse_hyperedges_names_the_line_of_a_negative_vertex():
 def test_parse_hyperedges_names_the_line_of_a_repeated_vertex():
     with pytest.raises(ValueError, match=r"^line 1: repeated vertex 1, in '0 1 1'$"):
         parse_hyperedges("0 1 1\n0 2 3\n")
+
+
+@pytest.mark.parametrize("text", ["", "\n# only a comment\n\n"])
+def test_parse_hyperedges_refuses_text_without_hyperedges(text):
+    with pytest.raises(ValueError, match="^no hyperedges found$"):
+        parse_hyperedges(text)
 
 
 def test_graph_case_is_the_two_uniform_case():
