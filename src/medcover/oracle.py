@@ -386,7 +386,8 @@ def _kept(low, rows, r, first, bars, floors, lower) -> np.ndarray:
     k = 2 the rest's own ``lower``; the inf row of size floors at k = 2
     keeps nothing there."""
     n = len(bars)
-    keep = (floors[first - 1:, n - r, None] + low <= bars[first - 1:, None]).any(axis=0)  # k by row
+    # k by row, reduced over k: about twice as fast as row by k at 11 points
+    keep = (floors[first - 1:, n - r, None] + low <= bars[first - 1:, None]).any(axis=0)
     if first <= 2 <= n:
         keep |= low + lower.take(((1 << n) - 1) ^ rows) <= bars[1]
     return keep
