@@ -23,7 +23,9 @@ order, it times:
   k = 4, the ``completeness`` call (each with its DP layers up to k); DP
   layer 2 (``oracle._extend`` from the cached layer 1) and a pass of the
   median table's row selection (``oracle._row_selection``: the cap DP
-  over the upper bounds and the tree's floors over the lower ones); and one
+  over the upper bounds and the tree's floors over the lower ones), on the
+  bounds at each subset's centroid (``costs._dual_bounds``), so that the
+  same inputs reach every tree; and one
   ``covers.cover_single_edge_clusters`` call in Case II (many planks) on
   seed 27 of the repeat-pick battery in ``tests/test_covers.py`` (19
   vertices, 28 edges, 15 single-edge clusters, k = 8, delta = 0.01;
@@ -102,7 +104,8 @@ pts = np.asarray(points, dtype=float)
 by_size = costs._subsets_by_size(n)
 upper, lower = np.zeros(1 << n), np.zeros(1 << n)
 for rows, members in by_size:
-    _, upper[rows], lower[rows] = costs._centroid_bounds(pts[members])
+    b = pts[members]
+    upper[rows], lower[rows] = costs._dual_bounds(b, np.einsum("bpd->bd", b) / b.shape[1])
 lower = np.maximum(0.0, lower - oracle._slack(upper))
 out["row_selection_11_points_ms"] = sample(lambda: oracle._row_selection(n, upper, lower, by_size))
 

@@ -11,9 +11,9 @@ point set, ``weiszfeld_subsets`` on every subset of one, the oracle's pruned
 median table (``oracle._median_table``) on the subsets its bounds leave
 open, and ``median_costs`` on many graphs' clusters at once.
 ``_dual_bounds`` brackets a batch's 1-median costs without solving them,
-between the cost at any point and the Fermat–Weber dual bound there:
-``_centroid_bounds`` takes it at the centroid, and ``_stepped_dual`` one
-classical Weiszfeld step on, where the bound is mostly tighter.
+between the cost at any point and the Fermat–Weber dual bound there, and
+``_step_bounds`` takes it one classical Weiszfeld step from each row's
+centroid: the one bound per row of the pruned median table.
 
 1-means costs need no solver at all: the optimal center is the centroid and
 the cost collapses to (2r^2 - sum_v deg(v)^2) / r, one exact rational.
@@ -283,27 +283,26 @@ def _weiszfeld_batch(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
 
 
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
-def _centroid_bounds(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each row's centroid c and two bounds on its 1-median cost, for a
-    (batch, points, dim) array of equal-size blocks: ``_dual_bounds`` at c.
-    A cost at c that is not finite raises the ``DomainError``
-    ``_weiszfeld_batch`` raises for its start, which is c too."""
+def _step_bounds(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Each row's centroid c and the cost there, and two bounds on its
+    1-median cost, for a (batch, points, dim) array of equal-size blocks:
+    ``_dual_bounds`` at the point y one classical Weiszfeld step from c,
+    sum x_i / |x_i - c| over sum 1 / |x_i - c|. A row with a point on c has
+    no such step, and its y is c. A cost at c that is not finite raises the
+    ``DomainError`` ``_weiszfeld_batch`` raises for its start, which is c
+    too."""
     centers = np.einsum("bpd->bd", blocks) / blocks.shape[1]
-    upper, lower = _dual_bounds(blocks, centers)
-    if not np.isfinite(upper).all():
+    diff = blocks - centers[:, None, :]
+    dist = np.sqrt(np.einsum("bpd,bpd->bp", diff, diff))
+    del diff  # freed before ``_dual_bounds`` builds its own: a table's peak memory
+    cost = np.add.reduce(dist, axis=1)
+    if not np.isfinite(cost).all():
         raise DomainError("a distance to the centroid is not finite")
-    return centers, upper, lower
-
-
-@np.errstate(divide="ignore", over="ignore", invalid="ignore")
-def _stepped_dual(blocks: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """The Fermat–Weber dual bound of ``_dual_bounds`` at the point one
-    classical Weiszfeld step from each row's ``centers``: sum x_i / |x_i - c|
-    over sum 1 / |x_i - c|. A row with a point at its c has no such step,
-    and its bound is NaN."""
-    w = 1.0 / _distances(blocks, centers)
+    w = 1.0 / dist
     at = np.einsum("bpd,bp->bd", blocks, w) / np.add.reduce(w, axis=1)[:, None]
-    return _dual_bounds(blocks, at)[1]
+    on_point = np.isnan(at).any(axis=1)  # a point on c weighs inf, which gives NaN
+    at[on_point] = centers[on_point]
+    return (centers, cost, *_dual_bounds(blocks, at))
 
 
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")

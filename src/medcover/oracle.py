@@ -9,25 +9,24 @@ beyond the graph substrate (``graphs``) and the 1-median solver.
 
 The continuous oracle builds its block-cost tables in one pass before the
 DP. For median, every one of the 2^n - 1 point subsets gets two bounds at
-its centroid: the centroid cost above and the Fermat–Weber dual bound
-below, less the margin ``_BOUND_MARGIN``. The search's own prefix layers,
-run over the upper bounds, cap the optimum at every k. A partition that
-holds a given subset is floored by the subset's lower bound plus a floor
-on the rest: the rest's own lower bound when it is one block, else the
-cheapest split of its point count into block sizes, each at the least
-lower bound of its size (a DP over point counts, not masks). A table is
-built for the k of the call that builds it and every larger k: only the
-subsets that some partition into at most k' blocks, for some k' >= k,
-within the margin of the k' cap can use are picked, by one keep test
-(``_kept``). A picked subset of three or more points then takes the dual
-bound one Weiszfeld step from its centroid, where that is higher, and the
-same test again; only those still kept are solved, by the batched
-Weiszfeld loop from the centroid (one batch per subset size, which raises
-``NotConverged`` rather than return an unconverged cost). The rest keep
-their centroid and its cost; no partition near an optimum at k or above
-uses them, so every optimum from k up is the full Weiszfeld table's bit
-for bit (``_median_table``). So a table built at k leaves out the rows that only
-smaller k can use, mostly the big blocks of k = 1 and 2.
+the point one classical Weiszfeld step from its centroid: the cost there
+above and the Fermat–Weber dual bound there below, less the margin
+``_BOUND_MARGIN``. The search's own prefix layers, run over the upper
+bounds, cap the optimum at every k. A partition that holds a given subset
+is floored by the subset's lower bound plus a floor on the rest: the
+rest's own lower bound when it is one block, else the cheapest split of
+its point count into block sizes, each at the least lower bound of its
+size (a DP over point counts, not masks). A table is built for the k of
+the call that builds it and every larger k: only the subsets that some
+partition into at most k' blocks, for some k' >= k, within the margin of
+the k' cap can use, picked by one keep test (``_kept``), are solved, by
+the batched Weiszfeld loop from the centroid (one batch per subset size,
+which raises ``NotConverged`` rather than return an unconverged cost).
+The rest keep their centroid and its cost; no partition near an
+optimum at k or above uses them, so every optimum from k up is the full
+Weiszfeld table's bit for bit (``_median_table``). So a table built at k
+leaves out the rows that only smaller k can use, mostly the big blocks of
+k = 1 and 2.
 For means every subset of integer points gets its centroid cost from exact
 integer subset sums (other points go one subset at a time through
 ``_centroid_cost_exact``). A cost that overflows float raises ``DomainError``. The subset DP
@@ -90,8 +89,7 @@ import numpy as np
 
 from .costs import (
     MAX_CONTINUOUS_POINTS,
-    _centroid_bounds,
-    _stepped_dual,
+    _step_bounds,
     _subsets_by_size,
     _weiszfeld_batch,
 )
@@ -400,31 +398,30 @@ def _median_table(points: tuple, first: int) -> tuple[np.ndarray, np.ndarray]:
     k >= ``first``, is the full Weiszfeld table's (``costs.weiszfeld_subsets``)
     bit for bit.
 
-    Every row gets its centroid, the cost there as its upper bound, and the
-    Fermat–Weber dual bound less ``_slack(upper)``, floored at 0, as its
-    lower bound (``costs._centroid_bounds``). The rows some k >= ``first``
-    keeps (``_kept``, over ``_row_selection``'s bars and rest floors) are
-    picked. A picked row of 3 or more points then raises its lower bound to
-    the dual bound one classical Weiszfeld step from its centroid
-    (``costs._stepped_dual``), less the same ``_slack(upper)``, where that
-    is higher, and takes ``_kept`` again with it, against the same bars and
-    rest floors. Only the rows still kept are solved, one
+    Every row gets the point y one classical Weiszfeld step from its
+    centroid (the centroid itself when a point sits on it), the cost at y
+    as its upper bound, and the Fermat–Weber dual bound at y less
+    ``_slack(upper)``, floored at 0, as its lower bound
+    (``costs._step_bounds``). Kuhn's dual bounds the 1-median from below at
+    any point, and its float value is off by at most a few ulps of the cost
+    at that point (``costs._dual_bounds``), which the slack, taken from the
+    same cost, covers. Only the rows some k >= ``first`` keeps (``_kept``,
+    over ``_row_selection``'s bars and rest floors) are solved, one
     ``_weiszfeld_batch`` per size, from the centroid; a floor on a
     partition is never above the sum of the partition's lower bounds. Rows
-    never mix, so a solved row has the full table's bits. The
-    others keep the centroid and its cost, a feasible pair no cheaper than
-    the row's 1-median. A solved cost outside [lower, upper + slack], with
-    the raised lower bound, raises ``Stuck``, and ``NotConverged`` can come
+    never mix, so a solved row has the full table's bits. The others keep
+    the centroid and its cost, a feasible pair no cheaper than the row's
+    1-median. y and its cost would do as well, but the step's rounding
+    splits the equal costs of congruent blocks by a few ulps, and each mask
+    whose candidates then differ by less than the 1e-14 tie window replays
+    the DP in Python (``_extend``): over twice as many masks on the
+    ``completeness`` graphs at their cover sizes. Weiszfeld from the
+    centroid takes the same step first and does not raise the cost after
+    it, so U(k), the DP over the upper bounds, caps the k-optimum of either
+    table up to rounding the slack covers. A solved cost outside
+    [lower, upper + slack] raises ``Stuck``, and ``NotConverged`` can come
     only from a solved row. At ``first`` = 1 every row some k keeps is
     solved; a larger ``first`` skips the big blocks only small k can use.
-
-    Why the raised bound holds: Kuhn's dual bounds the 1-median from below
-    at any point, the step's too, and its float value is off by at most a
-    few ulps of the cost there, the centroid's rounding argument
-    (``costs._dual_bounds``). A step from the centroid does not raise the
-    cost, so the slack, taken from the centroid cost, covers that rounding
-    as it does at the centroid. A row whose step is undefined, a point at
-    its centroid, gets NaN there and keeps its centroid bound (``np.fmax``).
 
     Why the optima stay at every k >= ``first``: k does not keep an
     unsolved row, so a partition into at most k blocks that uses one costs
@@ -446,24 +443,21 @@ def _median_table(points: tuple, first: int) -> tuple[np.ndarray, np.ndarray]:
     n, dim = pts.shape
     costs = np.zeros(1 << n)
     centers = np.zeros((1 << n, dim))
+    upper = np.zeros(1 << n)
     lower = np.zeros(1 << n)
     by_size = _subsets_by_size(n)
     for rows, members in by_size:
-        centers[rows], costs[rows], lower[rows] = _centroid_bounds(pts[members])
-    lower = np.maximum(0.0, lower - _slack(costs))
-    bars, floors = _row_selection(n, costs, lower, by_size)
+        centers[rows], costs[rows], upper[rows], lower[rows] = _step_bounds(pts[members])
+    lower = np.maximum(0.0, lower - _slack(upper))
+    bars, floors = _row_selection(n, upper, lower, by_size)
     for r, (rows, members) in enumerate(by_size, 1):
         keep = _kept(lower.take(rows), rows, r, first, bars, floors, lower)
-        rows, blocks = rows[keep], pts[members[keep]]
-        upper, low = costs.take(rows), lower.take(rows)
-        if r >= 3 and rows.size:
-            low = np.fmax(low, _stepped_dual(blocks, centers[rows]) - _slack(upper))
-            keep = _kept(low, rows, r, first, bars, floors, lower)
-            rows, blocks, upper, low = rows[keep], blocks[keep], upper[keep], low[keep]
+        rows = rows[keep]
         if not rows.size:
             continue
-        solved, at, _ = _weiszfeld_batch(blocks)
-        if ((solved < low) | (solved > upper + _slack(upper))).any():
+        solved, at, _ = _weiszfeld_batch(pts[members[keep]])
+        high = upper.take(rows)
+        if ((solved < lower.take(rows)) | (solved > high + _slack(high))).any():
             raise Stuck("a 1-median cost lies outside its bounds")
         costs[rows], centers[rows] = solved, at
     return costs, centers
@@ -551,15 +545,13 @@ def opt_continuous(inst: ClusteringInstance) -> OracleReport:
     certified lower bound within ``_BOUND_MARGIN`` (1e-9, relative) of an
     upper bound on the k'-optimum: the subset's own lower bound plus a floor
     on the rest of the partition by its block sizes (``_kept``). The
-    subset's bound is the dual at its centroid, and for a subset that passes
-    with it, of three or more points, the dual one Weiszfeld step on where
-    that is higher.
-    Every other subset keeps its centroid and centroid cost. No partition
-    within the margin of an optimum at k or above uses those rows, and the
-    margin is far above the DP's 1e-15 tie-break drift, so every cost,
-    partition and center equals the full Weiszfeld table's bit for bit, at
-    every k the table serves, and ``NotConverged`` can come only from a
-    solved subset.
+    subset's bounds are the cost and the dual one Weiszfeld step from its
+    centroid. Every other subset keeps its centroid and centroid cost. No
+    partition within the margin of an optimum at k or above uses those
+    rows, and the margin is far above the DP's 1e-15 tie-break drift, so
+    every cost, partition and center equals the full Weiszfeld table's bit
+    for bit, at every k the table serves, and ``NotConverged`` can come
+    only from a solved subset.
 
     The search then runs as a subset DP over those tables: layer j holds
     the best cost of serving each point subset with j blocks, one float64
@@ -1061,10 +1053,16 @@ def enumerate_triangle_free(
     search; the disconnected catalogue therefore reaches ``MAX_ENUM_EDGES``
     too.
     Deterministic output order: edge count, then vertex count, then
-    certificate.
+    certificate. More than ``MAX_ENUM_EDGES`` edges raise
+    ``InstanceTooLarge`` at the call, before a generator is returned.
     """
     if max_edges > MAX_ENUM_EDGES:
         raise InstanceTooLarge(f"enumeration capped at {MAX_ENUM_EDGES} edges")
+    return _triangle_free_graphs(max_edges, include_disconnected)
+
+
+def _triangle_free_graphs(max_edges: int, include_disconnected: bool) -> Iterator[Graph]:
+    """The graphs of ``enumerate_triangle_free``, in its order."""
     # (edge count, certificate, graph) of every connected graph, level by level
     catalogue: list[tuple[int, str, Graph]] = []
     level = [Graph(1, ())]

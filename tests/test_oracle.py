@@ -186,9 +186,11 @@ def test_continuous_reuse_is_safe_across_threads():
 
 
 def test_continuous_failed_table_build_leaves_no_slot(monkeypatch):
-    g = random_triangle_free(6, 3, seed=3)
-    median = reduce_graph(g, k=2, objective="median")
-    opt_continuous(reduce_graph(g, k=2, objective="means"))
+    # the line's centroid is its data point 0, which is not its median, so
+    # the full block, which k = 1 solves, needs more than one iteration
+    line = ((-6.0, 0.0), (0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (3.0, 0.0))
+    median = ClusteringInstance(2, line, 1, "median")
+    opt_continuous(ClusteringInstance(2, line, 1, "means"))
     with monkeypatch.context() as patch:
         patch.setattr(costs, "WEISZFELD_MAX_ITER", 1)
         with pytest.raises(NotConverged):
@@ -483,65 +485,43 @@ def test_a_cold_table_at_the_cover_size_solves_only_the_rows_it_can_use(monkeypa
             k = len(min_vertex_cover(g)) if at_cover else 1
             opt_continuous(reduce_graph(g, k=k, objective="median"))
         # of 6,008 subsets; a table first built at k = 1 serves every k. The
-        # centroid bounds alone pick 832 and 1,439; the bound one Weiszfeld
-        # step from the centroid drops over half of them
-        assert sum(solved) == (314 if at_cover else 783), at_cover
+        # bounds at the centroid alone pick 832 and 1,439; those one
+        # Weiszfeld step from it keep under a third of them
+        assert sum(solved) == (264 if at_cover else 431), at_cover
 
 
 @pytest.mark.parametrize("family", ["ties", "completeness", "ladder", "seeded", "centroid_on_a_point"])
-def test_centroid_bounds_hold_every_median_cost(family):
+def test_the_bound_one_step_from_the_centroid_holds_every_median_cost(family):
+    # _median_table's one pair of bounds per row, taken one classical
+    # Weiszfeld step from the centroid, or at the centroid where a point
+    # sits on it and the step is undefined; and the centroid and its cost,
+    # which the rows it does not solve keep
     if family == "centroid_on_a_point":
         sets = [CROSS, CROSS + [(0.0, -1.0)], *_centroid_on_a_point(6, 8)]
     else:
         sets = [points for points, _ in _median_point_sets(family)]
+    on_point_rows = 0
     for points in sets:
         points = tuple(map(tuple, points))
         cost, _ = _full_median_table(points)
         upper, lower = _median_bounds(points)
         assert (lower[1:] <= cost[1:]).all(), points
         assert (cost[1:] <= upper[1:] * (1 + oracle._BOUND_MARGIN)).all(), points
-
-
-@pytest.mark.parametrize("family", ["ties", "completeness", "ladder", "seeded", "centroid_on_a_point"])
-def test_the_bound_one_step_from_the_centroid_holds_every_median_cost(family):
-    # the bound _median_table re-tests its picked rows with: the dual one
-    # classical Weiszfeld step from the centroid, less the centroid cost's
-    # slack, where that is above the centroid bound
+        pts = np.asarray(points, dtype=float)
+        for rows, members in costs._subsets_by_size(len(pts)):
+            blocks = pts[members]
+            centroid = np.einsum("bpd->bd", blocks) / blocks.shape[1]
+            on_point = (blocks == centroid[:, None, :]).all(axis=2).any(axis=1)
+            centers, centroid_cost, *bounds = costs._step_bounds(blocks)
+            at_centroid = costs._dual_bounds(blocks, centroid)
+            assert centers.tobytes() == centroid.tobytes(), points
+            assert centroid_cost.tobytes() == at_centroid[0].tobytes(), points
+            for got, want in zip(bounds, at_centroid):
+                assert got[on_point].tobytes() == want[on_point].tobytes(), points
+            if blocks.shape[1] >= 3:
+                on_point_rows += np.count_nonzero(on_point)
     if family == "centroid_on_a_point":
-        sets = [CROSS, CROSS + [(0.0, -1.0)], *_centroid_on_a_point(6, 8)]
-    else:
-        sets = [points for points, _ in _median_point_sets(family)]
-    raised_rows = undefined_rows = 0
-    for points in sets:
-        points = tuple(map(tuple, points))
-        cost, _ = _full_median_table(points)
-        _, lower = _median_bounds(points)
-        raised, undefined = _stepped_bounds(points)
-        assert (raised[1:] <= cost[1:]).all(), points
-        assert (raised >= lower).all(), points
-        # a row with a point at its centroid has no step and keeps its bound
-        assert raised[undefined].tobytes() == lower[undefined].tobytes(), points
-        raised_rows += np.count_nonzero(raised > lower)
-        sizes = np.array([bin(mask).count("1") for mask in range(len(raised))])
-        undefined_rows += np.count_nonzero(undefined & (sizes >= 3))
-    assert raised_rows > 0
-    if family == "centroid_on_a_point":
-        assert undefined_rows > 0
-
-
-def _stepped_bounds(points):
-    """Each subset's lower bound raised by the dual one step from its
-    centroid, as ``_median_table`` raises a picked row's, and the mask of
-    the subsets with a point at their centroid."""
-    pts = np.asarray(points, dtype=float)
-    raised, undefined = np.zeros(1 << len(pts)), np.zeros(1 << len(pts), dtype=bool)
-    for rows, members in costs._subsets_by_size(len(pts)):
-        centers, upper, dual = costs._centroid_bounds(pts[members])
-        lower = np.maximum(0.0, dual - oracle._slack(upper))
-        stepped = costs._stepped_dual(pts[members], centers) - oracle._slack(upper)
-        raised[rows] = np.fmax(lower, stepped)
-        undefined[rows] = (pts[members] == centers[:, None, :]).all(axis=2).any(axis=1)
-    return raised, undefined
+        assert on_point_rows > 0
 
 
 def _median_bounds(points):
@@ -549,7 +529,7 @@ def _median_bounds(points):
     pts = np.asarray(points, dtype=float)
     upper, dual = np.zeros(1 << len(pts)), np.zeros(1 << len(pts))
     for rows, members in costs._subsets_by_size(len(pts)):
-        _, upper[rows], dual[rows] = costs._centroid_bounds(pts[members])
+        _, _, upper[rows], dual[rows] = costs._step_bounds(pts[members])
     return upper, np.maximum(0.0, dual - oracle._slack(upper))
 
 
@@ -1085,7 +1065,8 @@ def test_continuous_tables_and_optima_of_the_completeness_graphs_are_pinned():
     # the first 8 gate-4 graphs (6-10 vertices, 7-11 edges): float.hex of
     # the median cost and center tables, and the cost and partition of every
     # optimum, both objectives, k = 1 up to the cover size; the digest was
-    # generated by the untrimmed Weiszfeld loop and unmemoised DP candidates
+    # generated by the untrimmed Weiszfeld loop and unmemoised DP candidates,
+    # recorded on numpy 2.4.6 and Python 3.11.7
     records = []
     for g in completeness_instances(8, 0):
         points = reduce_graph(g, k=1, objective="median").points
@@ -1117,7 +1098,8 @@ def test_means_table_equals_exact_centroid_on_every_subset(points):
 
 def test_centroid_of_non_integer_points_adds_as_sum_did_up_to_3_11():
     # the values Python 3.11's ``sum`` gives; 3.12's compensated ``sum``
-    # gives center 0.19999999999999998 and cost 0.8993750000000001
+    # gives center 0.19999999999999998 and cost 0.8993750000000001. Recorded
+    # on numpy 2.4.6 and Python 3.11.7
     cost, center = _centroid_cost_exact(((0.1,), (0.2,), (0.3,)))
     assert (cost.hex(), [c.hex() for c in center]) == (
         "0x1.47ae147ae147ap-6", ["0x1.999999999999bp-3"]
@@ -1384,9 +1366,14 @@ def test_disconnected_catalogue_census_and_certificates():
 
 
 def test_enumeration_refuses_more_edges_than_its_ceiling():
-    # a generator: the ceiling is checked when the first graph is asked for
     with pytest.raises(InstanceTooLarge, match=f"^enumeration capped at {oracle.MAX_ENUM_EDGES} edges$"):
         next(enumerate_triangle_free(oracle.MAX_ENUM_EDGES + 1))
+
+
+def test_enumeration_checks_its_ceiling_at_the_call():
+    # before any generator is returned, not at the first graph
+    with pytest.raises(InstanceTooLarge, match=f"^enumeration capped at {oracle.MAX_ENUM_EDGES} edges$"):
+        enumerate_triangle_free(oracle.MAX_ENUM_EDGES + 1)
 
 
 def test_random_triangle_free_refuses_degree_zero():

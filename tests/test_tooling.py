@@ -86,7 +86,7 @@ def test_the_names_the_bench_record_layers_read_exist():
     )
     names = _medcover_names(ast.parse(snippet))
     assert {("medcover.oracle", "_extend"), ("medcover.oracle", "_tables_and_layers"),
-            ("medcover.oracle", "_row_selection"), ("medcover.costs", "_centroid_bounds"),
+            ("medcover.oracle", "_row_selection"), ("medcover.costs", "_dual_bounds"),
             ("medcover.covers", "cover_single_edge_clusters")} <= names
     assert _missing(names) == []
 
