@@ -490,23 +490,32 @@ def test_a_cold_table_at_the_cover_size_solves_only_the_rows_it_can_use(monkeypa
         assert sum(solved) == (264 if at_cover else 431), at_cover
 
 
+def _bound_families(family):
+    if family == "centroid_on_a_point":
+        return [CROSS, CROSS + [(0.0, -1.0)], *_centroid_on_a_point(6, 8)]
+    return [points for points, _ in _median_point_sets(family)]
+
+
+@pytest.mark.parametrize("family", ["ties", "completeness", "ladder", "seeded", "centroid_on_a_point"])
+def test_centroid_bounds_hold_every_median_cost(family):
+    # the bounds _median_table takes for each row, from the centroid and one
+    # classical Weiszfeld step from it, hold the row's Weiszfeld cost
+    for points in _bound_families(family):
+        points = tuple(map(tuple, points))
+        cost, _ = _full_median_table(points)
+        upper, lower = _median_bounds(points)
+        assert (lower[1:] <= cost[1:]).all(), points
+        assert (cost[1:] <= upper[1:] * (1 + oracle._BOUND_MARGIN)).all(), points
+
+
 @pytest.mark.parametrize("family", ["ties", "completeness", "ladder", "seeded", "centroid_on_a_point"])
 def test_the_bound_one_step_from_the_centroid_holds_every_median_cost(family):
     # _median_table's one pair of bounds per row, taken one classical
     # Weiszfeld step from the centroid, or at the centroid where a point
     # sits on it and the step is undefined; and the centroid and its cost,
     # which the rows it does not solve keep
-    if family == "centroid_on_a_point":
-        sets = [CROSS, CROSS + [(0.0, -1.0)], *_centroid_on_a_point(6, 8)]
-    else:
-        sets = [points for points, _ in _median_point_sets(family)]
     on_point_rows = 0
-    for points in sets:
-        points = tuple(map(tuple, points))
-        cost, _ = _full_median_table(points)
-        upper, lower = _median_bounds(points)
-        assert (lower[1:] <= cost[1:]).all(), points
-        assert (cost[1:] <= upper[1:] * (1 + oracle._BOUND_MARGIN)).all(), points
+    for points in _bound_families(family):
         pts = np.asarray(points, dtype=float)
         for rows, members in costs._subsets_by_size(len(pts)):
             blocks = pts[members]
