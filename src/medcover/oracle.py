@@ -41,20 +41,20 @@ reductions. Its result is the same, bit for bit, as a
 Python loop over dicts that resolves ties first-wins within 1e-15: every
 mask takes the first candidate, in that loop's order, of its cheapest ones,
 and the few masks with two candidates closer than a 1e-14 window replay the
-loop exactly. One instance's tables and DP layers 1..k are kept read-only
-in one ``functools.lru_cache(maxsize=1)`` entry keyed on (objective, exact
-point tuples, k) (``_tables_and_layers``): the same points at a larger k
-build only the missing layers, since the table serves it, any other call
-builds afresh, and a build that raises is not kept. Each step looks up the
-entry below it without building one, so no entry ever holds a layer its
-table does not serve. The discrete oracle walks its center subsets as a
-combination tree in slices of at most ``DISCRETE_CHUNK``: a child extends
-its prefix's nearest-center distances by one ``np.minimum``, and each
-subset's cost takes the same float additions, in the same order, as a
-per-subset sum. The walk is a branch and bound: it skips the children of
-every prefix whose cost with all later centers added is not below the
-current best by more than the 1e-15 the scan needs to replace its best,
-so no skipped subset could have won.
+loop exactly. The process keeps one instance, read-only, in one entry
+(``_tables_and_layers``): the objective, the exact point tuples, the k its
+tables were built for, the tables and DP layers 1..K. A call on the same
+points at or above that k builds only the layers it lacks; any other call
+empties the entry, then builds afresh, and a build that raises leaves it
+empty. The entry is replaced whole, never changed in place. The discrete
+oracle walks its center subsets as a combination tree in slices of at
+most ``DISCRETE_CHUNK``: a child extends its prefix's nearest-center
+distances by one ``np.minimum``, and each subset's cost takes the same
+float additions, in the same order, as a per-subset sum. The walk is a
+branch and bound: it skips the children of every prefix whose cost with
+all later centers added is not below the current best by more than the
+1e-15 the scan needs to replace its best, so no skipped subset could have
+won.
 
 ``canonical_form`` works components first: a bitmask flood fill splits the
 graph, and a graph with two or more components gets the sorted certificates
@@ -463,16 +463,6 @@ def _median_table(points: tuple, first: int) -> tuple[np.ndarray, np.ndarray]:
     return costs, centers
 
 
-class _Probe(int):
-    """A k that ``_tables_and_layers`` looks up but never builds a table
-    for: it hashes and compares as its int, so the cache hands back the
-    entry for k, and a probe that misses raises ``_Cold``."""
-
-
-class _Cold(Exception):
-    """No cached entry at the probed k, or below it, on the same key."""
-
-
 def _block_tables(objective: str, points: tuple, first: int) -> tuple[np.ndarray, np.ndarray]:
     """The read-only cost and center tables of ``_tables_and_layers``,
     serving every k >= ``first``: ``_median_table`` for median, exact
@@ -491,7 +481,6 @@ def _block_tables(objective: str, points: tuple, first: int) -> tuple[np.ndarray
     return cost_table, center_table
 
 
-@functools.lru_cache(maxsize=1)
 def _tables_and_layers(objective: str, points: tuple, k: int) -> tuple:
     """One instance at k >= 1, read-only: each point subset's block cost and
     center by bitmask (row 0 unused), then DP layers j = 1..k as (best,
@@ -501,26 +490,24 @@ def _tables_and_layers(objective: str, points: tuple, k: int) -> tuple:
     Layer 1 is ``block_cost[1::2]``, each mask its own block, and a later
     one ``_extend``'s.
 
-    The step for k probes the entry for k - 1 (``_Probe``), which on a miss
-    probes k - 2, and so on down to 1. When a probe hits, each step adds its
-    layer on the way back, and the entry it leaves serves its k, since a
-    table serves every k from the one it was built at. When none hits, the
-    call for k itself drops the cached entry, then builds the tables for k
-    and up (``_block_tables``) and layers 1..k at once. So no entry ever
-    holds a layer over a table that does not serve it."""
-    n = len(points)
-    try:
-        below = _tables_and_layers(objective, points, _Probe(k - 1)) if k > 1 else None
-    except _Cold:
-        below = None
-    if below is not None:
-        cost_table, center_table, layers = below
-    elif isinstance(k, _Probe):
-        raise _Cold
+    The process keeps one entry, ``_tables_and_layers.entry``: (objective,
+    exact point tuples, the k the tables were built for, cost table, center
+    table, layers so far). A call reads it once. An entry on the same
+    objective and points whose tables were built at k or below serves the
+    call, since a table serves every k from the one it was built at, and
+    only the layers it lacks are built. Otherwise the entry is emptied
+    first, so the old instance is freed before the new tables are built and
+    a build that raises leaves it empty. The call stores its instance as a
+    new tuple in one assignment, so a concurrent reader always sees a whole
+    one."""
+    entry = _tables_and_layers.entry
+    if entry is not None and entry[:2] == (objective, points) and k >= entry[2]:
+        first, cost_table, center_table, layers = entry[2:]
     else:
-        _tables_and_layers.cache_clear()  # free the old instance before the new tables
+        entry = _tables_and_layers.entry = None  # free the old instance before the new tables
+        first, layers = k, ()
         cost_table, center_table = _block_tables(objective, points, k)
-        layers = ()
+    n = len(points)
     for j in range(len(layers) + 1, k + 1):
         if j == 1:
             best, choice = cost_table[1::2], np.arange(1, 1 << n, 2, dtype=np.int32)
@@ -528,7 +515,12 @@ def _tables_and_layers(objective: str, points: tuple, k: int) -> tuple:
             best, choice = _extend(n, j, layers[-1][0], cost_table)
         best.flags.writeable = choice.flags.writeable = False
         layers += ((best, choice),)
-    return cost_table, center_table, layers
+    _tables_and_layers.entry = (objective, points, first, cost_table, center_table, layers)
+    return cost_table, center_table, layers[:k]
+
+
+_tables_and_layers.entry = None
+_tables_and_layers.cache_clear = lambda: setattr(_tables_and_layers, "entry", None)
 
 
 def opt_continuous(inst: ClusteringInstance) -> OracleReport:
@@ -564,18 +556,18 @@ def opt_continuous(inst: ClusteringInstance) -> OracleReport:
     than ``MAX_CONTINUOUS_POINTS`` points raise ``InstanceTooLarge`` before
     anything is built.
 
-    One instance stays cached, read-only, keyed on the objective, the exact
-    points and k: its two tables (4096 rows at 12 points) and its layers
-    1..k (layer j a 2^(12-j)-entry value array and int32 choice array, the
-    first value array a view of the cost table). The same
-    points at a larger k build only the missing layers, bit for bit as a
-    cold call would, since a table serves every k from the one it was built
-    at; a smaller k or other points build afresh, and the old
-    tables and layers are dropped before the new tables are built, so the
-    two instances are never held together. A build that raises is not
-    cached, and the entry it replaced is gone too. Concurrent callers may
-    each build the same value; nothing cached can change, so each gets an
-    equal one.
+    One instance stays cached, read-only (``_tables_and_layers``): the
+    objective, the exact points, the k its tables were built for, its two
+    tables (4096 rows at 12 points) and its layers 1..K (layer j a
+    2^(12-j)-entry value array and int32 choice array, the first value
+    array a view of the cost table). The same points at any k at or above
+    the tables' k reuse them and build only the missing layers, bit for bit
+    as a cold call would, since a table serves every k from the one it was
+    built at; a k below it or other points build afresh, and the old
+    instance is dropped before the new tables are built, so the two are
+    never held together. A build that raises leaves nothing cached.
+    Concurrent callers may each build the same value; the entry is only
+    ever replaced whole, so each reads a whole one and gets an equal report.
     """
     n = len(inst.points)
     if n > MAX_CONTINUOUS_POINTS:

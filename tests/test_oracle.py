@@ -136,7 +136,8 @@ def test_continuous_reuse_matches_cold_calls(monkeypatch):
         [(a, "median", k) for k in (1, 2, 3, 4, 5, 6)]  # k rising
         + [(a, "median", k) for k in (5, 3, 3, 1)]  # falling, then repeated
         + [(a, "means", k) for k in (4, 6, 2)]  # another objective
-        + [(b, "median", k) for k in (2, 5)]  # another graph
+        # another graph: a fall to 3 the table built at 2 serves, then one below it
+        + [(b, "median", k) for k in (2, 5, 3, 1)]
         + [(zero, None, 2), (signed, None, 2)]
     )
 
@@ -147,9 +148,11 @@ def test_continuous_reuse_matches_cold_calls(monkeypatch):
     _cold()
     builds = _count_table_builds(monkeypatch)
     warm = [solve(*call) for call in calls]
-    # a median: the first call and each of the three falling ones (5, 3, 1);
-    # a means: the first call and the fall to 2; b; zero (signed is the same key)
-    assert len(builds) == 8
+    # a table built at k serves every k from k up, so only a new key or a
+    # fall below the table's k builds: a median at 1 (its falls reuse it);
+    # a means at 4 and the fall to 2; b at 2 and the fall to 1; zero
+    # (signed is the same key)
+    assert len(builds) == 6
     for call, got in zip(calls, warm):
         _cold()
         assert solve(*call) == got, call
@@ -257,15 +260,16 @@ def test_the_previous_instance_is_freed_before_the_new_tables_are_built(monkeypa
     assert alive == [0]
 
 
-def test_a_repeated_call_is_one_cache_hit():
+def test_a_repeated_call_is_one_cache_hit(monkeypatch):
     inst = reduce_graph(random_triangle_free(6, 3, seed=3), k=3, objective="means")
     _cold()
     first = _fingerprint(opt_continuous(inst))
-    before = oracle._tables_and_layers.cache_info()
+    extended = []
+    extend = oracle._extend
+    monkeypatch.setattr(oracle, "_extend", lambda n, j, *rest: extended.append(j) or extend(n, j, *rest))
+    builds = _count_table_builds(monkeypatch)
     assert _fingerprint(opt_continuous(inst)) == first
-    after = oracle._tables_and_layers.cache_info()
-    assert (after.hits - before.hits, after.misses - before.misses) == (1, 0)
-    assert after.currsize == 1
+    assert builds == [] and extended == []
 
 
 def _dict_layers(block_cost, n, kmax):
@@ -447,8 +451,9 @@ def test_pruned_median_table_keeps_every_optimum_bit_for_bit(family, monkeypatch
     for points, ks in _median_point_sets(family):
         points = tuple(map(tuple, points))
         sizes[len(points)] += 1
-        # rising k extends one entry; each fall builds afresh
-        assert _builds_over_walk(points, ks, builds) == 1 + sum(b < a for a, b in zip(ks, ks[1:])), points
+        # rising k extends one entry, and so does a fall the table serves;
+        # a fall below the k the table was built for builds afresh
+        assert _builds_over_walk(points, ks, builds) == len(set(itertools.accumulate(ks, min))), points
     if family == "seeded":
         assert sorted(sizes) == [9, 10, 11, 12] and sum(sizes.values()) == 40
 
@@ -457,9 +462,10 @@ def test_pruned_median_table_keeps_every_optimum_bit_for_bit(family, monkeypatch
 def test_a_table_first_built_above_k_1_keeps_every_optimum_bit_for_bit(family, monkeypatch):
     # each point set's table is built at k = n, n - 1, ..., 2 in turn, so it
     # solves only the rows k and up keep: the first call is at n, and each
-    # later build is a fall from a rise of up to two above the last one,
-    # which drops the entry first as a cold call does. Last comes a fall to
-    # k = 1: one build at each k = n..1, and none at a rise
+    # later build is a fall, from a rise of up to two, to one below the k
+    # the table was built for, which drops the entry first as a cold call
+    # does. Last comes a fall to k = 1: one build at each k = n..1, and
+    # none at a rise
     builds = _count_table_builds(monkeypatch)
     for points, _ in _median_point_sets(family):
         points = tuple(map(tuple, points))
