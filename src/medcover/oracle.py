@@ -13,20 +13,17 @@ the point one classical Weiszfeld step from its centroid: the cost there
 above and the Fermat–Weber dual bound there below, less the margin
 ``_BOUND_MARGIN``. The search's own prefix layers, run over the upper
 bounds, cap the optimum at every k. A partition that holds a given subset
-is floored by the subset's lower bound plus a floor on the rest: the
-rest's own lower bound when it is one block, else the cheapest split of
-its point count into block sizes, each at the least lower bound of its
-size (a DP over point counts, not masks). A table is built for the k of
-the call that builds it and every larger k: only the subsets that some
-partition into at most k' blocks, for some k' >= k, within the margin of
-the k' cap can use, picked by one keep test (``_kept``), are solved, by
-the batched Weiszfeld loop from the centroid (one batch per subset size,
-which raises ``NotConverged`` rather than return an unconverged cost).
-The rest keep their centroid and its cost; no partition near an
-optimum at k or above uses them, so every optimum from k up is the full
-Weiszfeld table's bit for bit (``_median_table``). So a table built at k
-leaves out the rows that only smaller k can use, mostly the big blocks of
-k = 1 and 2.
+is floored by the subset's lower bound plus a size floor on the rest
+(``_row_selection``, which states the one keep rule). A table is built
+for the k of the call that builds it and every larger k: only the subsets
+that some partition into at most k' blocks, for some k' >= k, within the
+margin of the k' cap can use are solved, by the batched Weiszfeld loop
+from the centroid (one batch per subset size, which raises
+``NotConverged`` rather than return an unconverged cost). The rest keep
+their centroid and its cost; no partition near an optimum at k or above
+uses them, so every optimum from k up is the full Weiszfeld table's bit
+for bit (``_median_table``). So a table built at k leaves out the rows
+that only smaller k can use, mostly the big blocks of k = 1 and 2.
 For means every subset of integer points gets its centroid cost from exact
 integer subset sums (other points go one subset at a time through
 ``_centroid_cost_exact``). A cost that overflows float raises ``DomainError``. The subset DP
@@ -330,36 +327,36 @@ def _slack(value):
 
 
 def _row_selection(n: int, upper: np.ndarray, lower: np.ndarray, by_size) -> tuple:
-    """The two sides of each k's keep test (``_kept``): its bars,
-    U(k) + ``_slack``, by k - 1, and its floors on the rest by k - 1 and the
-    rest's point count. Block S passes at k when lower(S) plus the floor on
-    its rest is at most the bar. At k = 2 the floor is the rest's own
-    ``lower``, not a number by point count, and its row of floors is inf.
+    """The two sides of each k's keep test: its bars, U(k) + ``_slack``, by
+    k - 1, and its floors on the rest, F_{k-1}, by k - 1 and the rest's
+    point count. Block S of r points passes at k when lower(S) + F_{k-1}(n - r)
+    is at most the bar, and a table built at ``first`` solves S when some
+    k >= ``first`` passes it (``_median_table``).
 
     U(k), an upper bound on the k-optimum, is the least of the prefix DP's
     layers 1..k at the full mask, run over ``upper`` through ``_candidates``
     (minima only: a bound needs no tie-break). The floor of a partition that
     holds S is lower(S) plus a floor on the rest, full ^ S, split into at
-    most k - 1 blocks: at k = 1 there is no rest (S is the full mask), at
-    k = 2 it is the rest's own ``lower``, and above that it is the size
-    floor F_{k-1} of the rest's point count. F_1(m) is the least ``lower``
-    of the masks of m points, and F_j(m) is 0 for m <= j and otherwise the
-    least, over r = 1..m, of F_1(r) + F_{j-1}(m - r): a DP over the n + 1
-    point counts, which ``by_size`` gives each mask.
+    most k - 1 blocks: the size floor F_{k-1} of the rest's point count.
+    F_0 is 0 on the empty rest and inf on any other. For j >= 1, F_j(m) is 0
+    for m <= j and otherwise the least, over r = 1..m, of L(r) +
+    F_{j-1}(m - r), where L(r) is the least ``lower`` of the masks of r
+    points (so F_1(m) = L(m) for m >= 2): a DP over the n + 1 point counts,
+    which ``by_size`` gives each mask.
 
     Why the floor is safe in floats: the exact floor of a rest R is the
     least ``lower`` sum over the partitions of R into at most j blocks, each
     the ``lower`` of the block that holds R's lowest point plus the exact
     floor of what it leaves. A block of r points has ``lower`` at least
-    F_1(r), and the size floor adds those minima in the same nested order:
-    the first block, plus the rest. Rounded addition is monotone, so, by
-    induction on j, the size floor is at most the exact floor bit for bit,
-    and every subset the exact floor keeps is kept.
+    L(r), every ``lower`` is at least 0, and the size floor adds those
+    minima in the same nested order: the first block, plus the rest.
+    Rounded addition is monotone, so, by induction on j, the size floor is
+    at most the exact floor bit for bit, and every subset the exact floor
+    keeps is kept.
     """
-    lowest = [0.0] + [float(lower.take(rows).min()) for rows, _ in by_size]  # F_1 by point count
+    lowest = [0.0] + [float(lower.take(rows).min()) for rows, _ in by_size]  # L by point count
     floors = np.full((n, n + 1), math.inf)
-    floors[0, 0] = 0.0  # at k = 1 only the empty rest
-    floor = lowest  # F_{k-1} by point count
+    floors[0, 0] = 0.0  # F_0: at k = 1 only the empty rest
     bars = np.empty(n)
     exact = upper[1::2]  # prefix layer k over upper, by mask >> k
     ceiling = math.inf
@@ -367,28 +364,12 @@ def _row_selection(n: int, upper: np.ndarray, lower: np.ndarray, by_size) -> tup
         if k > 1:
             cost, starts, _ = _candidates(n, k, exact, upper)
             exact = np.minimum.reduceat(cost, starts)
+            floor = floors[k - 2].tolist()  # F_{k-2}
+            floors[k - 1] = [0.0 if m < k else min(lowest[r] + floor[m - r] for r in range(1, m + 1))
+                             for m in range(n + 1)]
         ceiling = min(ceiling, float(exact[-1]))  # the full mask
         bars[k - 1] = ceiling + _slack(ceiling)
-        if 2 <= k < n:
-            floor = [0.0 if m <= k else min(lowest[r] + floor[m - r] for r in range(1, m + 1))
-                     for m in range(n + 1)]
-            floors[k] = floor
     return bars, floors
-
-
-def _kept(low, rows, r, first, bars, floors, lower) -> np.ndarray:
-    """Whether some k >= ``first`` keeps each of ``rows``, the masks of r
-    points, at lower bounds ``low``: ``low`` plus the floor on the row's
-    rest, full ^ S, is at most k's bar (``_row_selection``). At k = 1 and
-    k >= 3 the floor is the size floor of the rest's n - r points, and at
-    k = 2 the rest's own ``lower``; the inf row of size floors at k = 2
-    keeps nothing there."""
-    n = len(bars)
-    # k by row, reduced over k: about twice as fast as row by k at 11 points
-    keep = (floors[first - 1:, n - r, None] + low <= bars[first - 1:, None]).any(axis=0)
-    if first <= 2 <= n:
-        keep |= low + lower.take(((1 << n) - 1) ^ rows) <= bars[1]
-    return keep
 
 
 def _median_table(points: tuple, first: int) -> tuple[np.ndarray, np.ndarray]:
@@ -405,8 +386,8 @@ def _median_table(points: tuple, first: int) -> tuple[np.ndarray, np.ndarray]:
     (``costs._step_bounds``). Kuhn's dual bounds the 1-median from below at
     any point, and its float value is off by at most a few ulps of the cost
     at that point (``costs._dual_bounds``), which the slack, taken from the
-    same cost, covers. Only the rows some k >= ``first`` keeps (``_kept``,
-    over ``_row_selection``'s bars and rest floors) are solved, one
+    same cost, covers. Only the rows some k >= ``first`` keeps, by the keep
+    test of ``_row_selection``, are solved, one
     ``_weiszfeld_batch`` per size, from the centroid; a floor on a
     partition is never above the sum of the partition's lower bounds. Rows
     never mix, so a solved row has the full table's bits. The others keep
@@ -451,7 +432,8 @@ def _median_table(points: tuple, first: int) -> tuple[np.ndarray, np.ndarray]:
     lower = np.maximum(0.0, lower - _slack(upper))
     bars, floors = _row_selection(n, upper, lower, by_size)
     for r, (rows, members) in enumerate(by_size, 1):
-        keep = _kept(lower.take(rows), rows, r, first, bars, floors, lower)
+        # k by row, reduced over k: about twice as fast as row by k at 11 points
+        keep = (floors[first - 1:, n - r, None] + lower.take(rows) <= bars[first - 1:, None]).any(axis=0)
         rows = rows[keep]
         if not rows.size:
             continue
@@ -536,7 +518,7 @@ def opt_continuous(inst: ClusteringInstance) -> OracleReport:
     into at most k' blocks that holds it, for some k' = k..n, has a
     certified lower bound within ``_BOUND_MARGIN`` (1e-9, relative) of an
     upper bound on the k'-optimum: the subset's own lower bound plus a floor
-    on the rest of the partition by its block sizes (``_kept``). The
+    on the rest of the partition by its point count (``_row_selection``). The
     subset's bounds are the cost and the dual one Weiszfeld step from its
     centroid. Every other subset keeps its centroid and centroid cost. No
     partition within the margin of an optimum at k or above uses those

@@ -268,7 +268,14 @@ def _vectors(rows: object, name: str) -> tuple[Vector, ...]:
         raise ValueError(f"{name} has a coordinate too large for a float") from None
 
 
+_JSON_TYPE_NAMES = {list: "an array", str: "a string", bool: "a boolean", int: "a number",
+                    float: "a number", type(None): "null"}
+
+
 def instance_from_dict(obj: dict) -> ClusteringInstance:
+    if not isinstance(obj, dict):
+        got = _JSON_TYPE_NAMES.get(type(obj), type(obj).__name__)
+        raise ValueError(f"instance JSON must be an object, got {got}")
     missing = {"dimension", "points", "k", "objective"} - obj.keys()
     if missing:
         raise ValueError(f"instance JSON is missing fields: {sorted(missing)}")

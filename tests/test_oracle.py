@@ -493,7 +493,7 @@ def test_a_cold_table_at_the_cover_size_solves_only_the_rows_it_can_use(monkeypa
         # of 6,008 subsets; a table first built at k = 1 serves every k. The
         # bounds at the centroid alone pick 832 and 1,439; those one
         # Weiszfeld step from it keep under a third of them
-        assert sum(solved) == (264 if at_cover else 431), at_cover
+        assert sum(solved) == (264 if at_cover else 459), at_cover
 
 
 def _bound_families(family):
@@ -549,13 +549,13 @@ def _median_bounds(points):
 
 
 def _exact_floor_rows(points):
-    """Reference for ``_kept``: for each k = 1..n, a flag per row,
-    whether a partition into at most k blocks that holds it reaches the
-    cap's slack under the exact floor of the rest. L_j(R), the
-    least ``lower`` sum over the partitions of R into at most j blocks, is
-    recursed over the blocks that hold R's lowest point: 0 on an empty R or
-    one of at most j >= 2 points, the rest's own ``lower`` at j = 1, and no
-    partition (inf) at j = 0."""
+    """Reference for the keep test of ``_row_selection``: for each
+    k = 1..n, a flag per row, whether a partition into at most k blocks
+    that holds it reaches the cap's slack under the exact floor of the
+    rest. L_j(R), the least ``lower`` sum over the partitions of R into at
+    most j blocks, is recursed over the blocks that hold R's lowest point:
+    0 on an empty R or one of at most j >= 2 points, the rest's own
+    ``lower`` at j = 1, and no partition (inf) at j = 0."""
     upper, lower = _median_bounds(points)
     n, lows = len(points), lower.tolist()
     full = (1 << n) - 1
@@ -601,24 +601,56 @@ def _small_point_sets():
         yield [tuple(float(rng.randint(0, 3)) for _ in range(dim)) for _ in range(rng.randint(3, 8))]
 
 
-def test_row_selection_keeps_every_row_the_exact_floor_keeps():
-    # the size floor is never above the exact floor, so each row the exact
-    # rule keeps at k passes _kept with first = k: a table first built at k
-    # solves it
+def test_row_selection_keeps_every_row_the_exact_floor_keeps(monkeypatch):
+    # the size floor is never above the exact floor, so a table first built
+    # at ``first`` solves every row the exact rule keeps at some k >= first.
+    # Rows are told apart by their blocks' bytes, counted: repeated points
+    # give equal blocks
+    solved = Counter()
+    batch = oracle._weiszfeld_batch
+
+    def recorded(blocks):
+        solved.update(block.tobytes() for block in blocks)
+        return batch(blocks)
+
+    monkeypatch.setattr(oracle, "_weiszfeld_batch", recorded)
     sets = 0
     for points in _small_point_sets():
         points = tuple(map(tuple, points))
-        kept, upper, lower = _exact_floor_rows(points)
-        n = len(points)
-        by_size = costs._subsets_by_size(n)
-        bars, floors = oracle._row_selection(n, upper, lower, by_size)
-        for k, want in enumerate(kept, 1):
-            for r, (rows, _) in enumerate(by_size, 1):
-                keep = oracle._kept(lower.take(rows), rows, r, k, bars, floors, lower)
-                missed = want.take(rows) & ~keep
-                assert not missed.any(), (points, k, rows[missed])
+        kept, _, _ = _exact_floor_rows(points)
+        pts = np.asarray(points, dtype=float)
+        for first in range(1, len(points) + 1):
+            solved.clear()
+            oracle._median_table(points, first)
+            want = np.logical_or.reduce(kept[first - 1:])
+            for rows, members in costs._subsets_by_size(len(points)):
+                wanted = Counter(block.tobytes() for block in pts[members[want.take(rows)]])
+                assert not wanted - solved, (points, first)
         sets += 1
     assert sets == 24
+
+
+def test_the_size_floors_start_at_the_empty_rest_and_never_rise_with_k():
+    # F_0 holds only the empty rest, F_1 is the least lower bound of each
+    # size, F_j is 0 on at most j points, a rest may take one more block at
+    # each k, so no floor rises with it, and every F_j, j >= 1, is a finite
+    # sum of lower bounds
+    for n in range(1, oracle.MAX_CONTINUOUS_POINTS + 1):
+        for seed in range(3):
+            rng = random.Random(100 * n + seed)
+            dim = rng.randint(1, 3)
+            points = [tuple(float(rng.randint(0, 3)) for _ in range(dim)) for _ in range(n)]
+            upper, lower = _median_bounds(points)
+            by_size = costs._subsets_by_size(n)
+            _, floors = oracle._row_selection(n, upper, lower, by_size)
+            assert floors.shape == (n, n + 1)
+            assert floors[0].tolist() == [0.0] + [math.inf] * n, points
+            if n > 1:  # F_1(m) = L(m), m >= 2
+                assert floors[1, 2:].tolist() == [lower.take(rows).min() for rows, _ in by_size[1:]], points
+            for j in range(1, n):
+                assert (floors[j, :j + 1] == 0.0).all(), (points, j)
+            assert (floors[1:] <= floors[:-1]).all(), points
+            assert np.isfinite(floors[1:]).all(), points
 
 
 def test_memoised_candidates_equal_a_fresh_build():

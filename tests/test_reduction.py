@@ -144,6 +144,12 @@ def test_non_finite_coordinates_are_rejected(bad):
         instance_from_json(text)
 
 
+@pytest.mark.parametrize("text, got", [("[1]", "an array"), ("3", "a number"), ("null", "null")])
+def test_instance_json_must_be_an_object(text, got):
+    with pytest.raises(ValueError, match=f"^instance JSON must be an object, got {got}$"):
+        instance_from_json(text)
+
+
 @pytest.mark.parametrize("field", ["dimension", "k"])
 @pytest.mark.parametrize("bad", ["1", 1.5, 1.0, True])
 def test_instance_integer_fields_must_be_integers(field, bad):

@@ -2,12 +2,13 @@
 recording script reach into, that script's measurement loop, the rule that
 proof obligations raise typed errors instead of asserting, the absence of
 rebound module state, the process caches, the one check ledger of the
-suites, the limits the README states, and the demo script running end to
-end."""
+suites, the limits the README states, the package's Python floor, and the
+demo script running end to end."""
 
 import ast
 import dataclasses
 import importlib
+import importlib.metadata
 import importlib.util
 import json
 import os
@@ -15,6 +16,7 @@ import re
 import statistics
 import subprocess
 import sys
+import tomllib
 from pathlib import Path
 
 import medcover
@@ -291,6 +293,21 @@ def test_readme_states_the_size_of_the_dp_memo():
     section = (ROOT / "README.md").read_text(encoding="utf-8").split("## Scale limits", 1)[1]
     stated = re.findall(r"([\d.]+) MB for every n\s+up to 12", section)
     assert stated == [f"{total / 1e6:.1f}"], total
+
+
+def _least_python(specifier: str) -> tuple[int, ...]:
+    """The version the ">=" clause of a Requires-Python names, as a tuple."""
+    found = re.search(r">=\s*(\d+(?:\.\d+)*)", specifier)
+    assert found, specifier
+    return tuple(map(int, found[1].split(".")))
+
+
+def test_the_python_floor_is_not_below_the_installed_numpys():
+    # the test extra pins the numpy the bit-for-bit pins were made with; a
+    # floor below the Python that numpy requires promises installs that fail
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    numpy_floor = importlib.metadata.metadata("numpy")["Requires-Python"]
+    assert _least_python(project["requires-python"]) >= _least_python(numpy_floor), numpy_floor
 
 
 def test_bench_records_name_every_end_to_end_metric_of_every_workload():
