@@ -29,8 +29,12 @@ order, it times:
   ``covers.cover_single_edge_clusters`` call in Case II (many planks) on
   seed 27 of the repeat-pick battery in ``tests/test_covers.py`` (19
   vertices, 28 edges, 15 single-edge clusters, k = 8, delta = 0.01;
-  Procedure 2 picks twice, 3 and 4 once). A layer figure is the median
-  over that tree's processes.
+  Procedure 2 picks twice, 3 and 4 once); and one ``oracle.opt_discrete``
+  call on a planted instance like the ``catalogue`` workload's, through
+  public names only (d = 3, 16 vertices, 12 hyperedges that each meet a
+  6-set drawn by ``random.Random(0)``, k = 6: C(16, 6) = 8,008 center
+  subsets, optimum 24). A layer figure is the median over that tree's
+  processes.
 
 Each command's ``wall_s`` entry holds its median, its runs, ``ok`` (every
 run passed) and a last line: the first failed run's stderr, else the last
@@ -74,7 +78,7 @@ LAYERS = r"""
 import json, random, statistics, time
 import numpy as np
 from medcover import costs, covers, oracle
-from medcover.reduction import reduce_graph
+from medcover.reduction import HypergraphInstance, reduce_graph, reduce_hypergraph
 from medcover.suites import completeness_instances
 
 g = next(g for g in completeness_instances(8, 0) if g.num_edges == 11)
@@ -115,6 +119,15 @@ vc_prime = [v for v in range(h.num_vertices) if rng.random() < 0.3]
 singles = [i for i, (u, v) in enumerate(h.edges) if u not in vc_prime and v not in vc_prime]
 out["single_edge_cover_28_edges_ms"] = sample(
     lambda: covers.cover_single_edge_clusters(h, singles, vc_prime, h.num_edges // 4 + 1, 0.01))
+
+rng = random.Random(0)
+planted = rng.sample(range(16), 6)
+edges = set()
+while len(edges) < 12:
+    s = rng.choice(planted)
+    edges.add(tuple(sorted([s, *rng.sample([u for u in range(16) if u != s], 2)])))
+inst = reduce_hypergraph(HypergraphInstance(3, 16, tuple(sorted(edges)), 6))
+out["opt_discrete_planted_16_centers_ms"] = sample(lambda: oracle.opt_discrete(inst))
 print(json.dumps(out))
 """
 

@@ -77,13 +77,17 @@ class SingleEdgeCoverOutcome:
     clusters (size <= 2*t1'/3 + 8*delta*k). scope "full_graph": the
     procedures fallback fired and ``cover`` covers the entire graph (size
     <= 2k - 2*delta*k whenever the graph's matching number is <= k;
-    ``matching_size`` reports the witness matching |M_G|)."""
+    ``matching_size`` reports the witness matching |M_G|). In both scopes
+    ``singles_cover`` holds both endpoints of the singles' greedy matching
+    M_P, which cover the uncovered single-edge clusters (in scope
+    "singles_only" it is ``cover``)."""
 
     scope: str
     cover: frozenset[int]
     bound_value: float
     matching_size: int
     subcase: Optional[str]
+    singles_cover: frozenset[int]
 
 
 @dataclass(frozen=True)
@@ -400,20 +404,20 @@ def cover_single_edge_clusters(
     g_p = Graph(g.num_vertices, tuple(edges[i] for i in order))
     mp = {order[j] for j in maximal_matching_greedy(g_p).indices}
 
+    mp_verts = frozenset(v for i in mp for v in edges[i])
+    if not is_vertex_cover(g_p, mp_verts):
+        raise Stuck("endpoints of the maximal singles matching miss a single edge")
     if len(mp) <= t1p / 3 + SINGLES_SLOPE * delta * k / 2:
-        cover = frozenset(v for i in mp for v in edges[i])
-        if not is_vertex_cover(g_p, cover):
-            raise Stuck("endpoints of the maximal singles matching miss a single edge")
         return SingleEdgeCoverOutcome(
             scope="singles_only",
-            cover=cover,
+            cover=mp_verts,
             bound_value=2 * t1p / 3 + SINGLES_SLOPE * delta * k,
             matching_size=len(mp),
             subcase=None,
+            singles_cover=mp_verts,
         )
 
     # --- Case II -----------------------------------------------------------
-    mp_verts = {v for i in mp for v in edges[i]}
     live = single_set | {i for i, (u, v) in enumerate(edges) if u in mp_verts or v in mp_verts}
     far = [i for i in range(g.num_edges) if i not in live]
     claimed: list[int] = []
@@ -494,6 +498,7 @@ def cover_single_edge_clusters(
         bound_value=cover_budget(k, delta),
         matching_size=size,
         subcase=subcase,
+        singles_cover=mp_verts,
     )
 
 
@@ -592,11 +597,13 @@ def soundness_assemble(
     charged to the block's median extra cost, solved once per block (the
     means objective charges everything to exact rational extra costs
     instead). Single-edge blocks the union misses go through
-    cover_single_edge_clusters; if its full-graph fallback fires, that cover
-    replaces the union. Finally redundant vertices are pruned in ascending
-    order and the (delta, beta)-ceiling is reported next to the realized
-    size. k below 1, beta below 1, a beta * k that is not finite, or a delta
-    that is negative or not finite raises ``ValueError``.
+    cover_single_edge_clusters, and the union cover takes both endpoints of
+    its greedy matching M_P. Redundant vertices are pruned in ascending
+    order. If the full-graph fallback fires, its cover, pruned the same
+    way, replaces the union only when it is smaller. The (delta,
+    beta)-ceiling is reported next to the realized size. k below 1, beta
+    below 1, a beta * k that is not finite, or a delta that is negative or
+    not finite raises ``ValueError``.
     """
     _require_triangle_free(g)
     check_objective(objective)
@@ -655,15 +662,14 @@ def soundness_assemble(
                 float(delta),
             )
         )
+        pruned = _prune_cover(g, vc_prime | outcome.singles_cover)
         if outcome.scope == "full_graph":
             procedures_path = "procedures_fallback"
-            full_cover = set(outcome.cover)
-        else:
-            full_cover = vc_prime | set(outcome.cover)
+            fallback = _prune_cover(g, set(outcome.cover))
+            if len(fallback) < len(pruned):
+                pruned = fallback
     else:
-        full_cover = set(vc_prime)
-
-    pruned = _prune_cover(g, full_cover)
+        pruned = _prune_cover(g, vc_prime)
     if not is_vertex_cover(g, pruned):
         raise Stuck("assembled cover is invalid")
 

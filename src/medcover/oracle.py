@@ -51,7 +51,12 @@ float additions, in the same order, as a per-subset sum. The walk is a
 branch and bound: it skips the children of every prefix whose cost with
 all later centers added is not below the current best by more than the
 1e-15 the scan needs to replace its best, so no skipped subset could have
-won.
+won. The root's bound is the cost with every center, at most any subset's
+cost, so the walk stops once the best is not above it by more than 1e-15.
+Until the best is finite, each slice of prefixes is cut to max(1,
+``DISCRETE_CHUNK`` // (n - k + 1)), so the first descent holds about one
+slice of children per level and the bound acts from the first scored
+slice on.
 
 ``canonical_form`` works components first: a bitmask flood fill splits the
 graph, and a graph with two or more components gets the sorted certificates
@@ -615,9 +620,17 @@ class _TreeLevel:
     ends: np.ndarray  # each prefix's newest center
     parent: np.ndarray  # each child's prefix, as a row of ``near``
     last: np.ndarray  # each child's newest center
-    bound: Optional[np.ndarray] = None  # each prefix's bound, built once the best is finite
+    bound: Optional[np.ndarray] = None  # each prefix's bound, built at its first use
     taken: Optional[np.ndarray] = None  # the children of the slice being walked
     stop: int = 0  # the children before ``stop`` have been sliced
+
+    def bounds(self, suffix: np.ndarray) -> np.ndarray:
+        """Each prefix's cost with every later center added: its distances
+        against row ``end + 1`` of the suffix-minimum table, built once."""
+        if self.bound is None:
+            later = suffix.take(self.ends + 1, 0)
+            self.bound = _point_sums(np.minimum(later, self.near, out=later))
+        return self.bound
 
 
 def _point_sums(rows: np.ndarray) -> np.ndarray:
@@ -658,6 +671,17 @@ def _cheapest_subset(table: np.ndarray, k: int) -> tuple[float, Optional[tuple[i
     the chain of replacements, and so the result, is the unpruned scan's.
     A level's bounds are built at its first slice with a finite best.
 
+    The root's bound, built at the first new best, is the cost with every
+    center, at most every subset's cost by the same argument. After each
+    new best the walk stops when that bound is not below the best by more
+    than 1e-15: no subset left could replace it, so the stop only drops
+    work that would change nothing. And while the best is still inf (no
+    finite cost scored yet), each slice of prefixes is cut to
+    max(1, ``DISCRETE_CHUNK`` // (n - k + 1)), so their children fit one
+    slice: the first descent reaches a subset after about one slice per
+    level, not whole levels, and the bound acts from then on. Slicing only
+    regroups the scan, in the same order, so neither changes the result.
+
     Within a slice, only subsets cheaper than the best so far by more than
     1e-15 can take its place, and the chain of such replacements ends near
     the slice's least cost ``low`` (the argument of ``_extend``). When no
@@ -686,23 +710,25 @@ def _cheapest_subset(table: np.ndarray, k: int) -> tuple[float, Optional[tuple[i
             stack.pop()
             continue
         start = top.stop
-        last = top.last[start:start + DISCRETE_CHUNK]
-        if len(stack) < k and len(last) * (n - k + 1) > DISCRETE_CHUNK * m:
+        internal = len(stack) < k
+        width = DISCRETE_CHUNK
+        if internal and best_cost == math.inf:  # the first descent: one slice of children
+            width = max(1, DISCRETE_CHUNK // (n - k + 1))
+        last = top.last[start:start + width]
+        if internal and len(last) * (n - k + 1) > DISCRETE_CHUNK * m:
             children = np.cumsum(n - k + len(stack) - last)
             last = last[:max(1, int(np.searchsorted(children, DISCRETE_CHUNK * m, side="right")))]
         top.stop = start + len(last)
         top.taken = np.arange(start, top.stop)
         if best_cost < math.inf:
-            if top.bound is None:
-                later = suffix.take(top.ends + 1, 0)
-                top.bound = _point_sums(np.minimum(later, top.near, out=later))
-            top.taken = top.taken[top.bound.take(top.parent[top.taken]) < best_cost - _TIE_MARGIN]
+            bound = top.bounds(suffix).take(top.parent[top.taken])
+            top.taken = top.taken[bound < best_cost - _TIE_MARGIN]
             if not len(top.taken):
                 continue
         near = top.near.take(top.parent.take(top.taken), 0)
         last = top.last.take(top.taken)
         np.minimum(near, table.take(last, 0), out=near)
-        if len(stack) < k:
+        if internal:
             stack.append(level(len(stack), near, last))
             continue
         costs = _point_sums(near)
@@ -720,6 +746,8 @@ def _cheapest_subset(table: np.ndarray, k: int) -> tuple[float, Optional[tuple[i
             subset.append(int(frame.last[j]))
             i = int(frame.parent[j])
         best_subset = tuple(reversed(subset))
+        if not stack[0].bounds(suffix)[0] < best_cost - _TIE_MARGIN:
+            break  # no subset costs less than the root's bound
     return best_cost, best_subset
 
 
@@ -734,9 +762,11 @@ def opt_discrete(inst: ClusteringInstance) -> OracleReport:
     (``_distance_table``) and the subsets walked as a combination tree in
     slices of at most ``DISCRETE_CHUNK``, by branch and bound
     (``_cheapest_subset``): a subtree is skipped only where a lower bound
-    on all its costs shows none could replace the best. Costs, partition
-    and centers equal a one-subset-at-a-time scan of every subset bit for
-    bit.
+    on all its costs shows none could replace the best, and the walk stops
+    once the best reaches the cost with every center, which no subset can
+    beat. Until a finite cost is scored, its slices of prefixes are about
+    one slice of children wide. Costs, partition and centers equal a
+    one-subset-at-a-time scan of every subset bit for bit.
     No points, no candidate centers, or k above their count raise
     ``PreconditionViolated``, and more than ``MAX_DISCRETE_SUBSETS``
     subsets raise ``InstanceTooLarge``, before anything is built.

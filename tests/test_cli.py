@@ -477,12 +477,13 @@ def test_sweep_has_no_max_edges_flag(capsys):
 
 def test_cover_at_beta_above_one_is_frozen(capsys, c5_file):
     # five blocks for k = 3: the oracle's clustering is all single edges, so
-    # the procedures fallback covers the whole graph
+    # the procedures fallback covers the whole graph; its cover is no
+    # smaller than the union, M_P's endpoints pruned, so the union stays
     code, stdout, _ = run(capsys, "cover", "--graph", c5_file, "--k", "3", "--beta", "1.5")
     assert code == 0
     assert json.loads(stdout) == {
         "beta": 1.5,
-        "cover": [0, 1, 3],
+        "cover": [0, 2, 3],
         "delta": 0.01,
         "epsilon": 0.8033333333333335,
         "min_vertex_cover": 3,

@@ -488,7 +488,9 @@ def test_assemble_prunes_to_the_minimum_on_p4():
     g = graph_from_edges(P4)
     rep = soundness_assemble(g, [[0, 1], [2]], k=2, objective="median")
     assert (rep.t1, rep.t2) == (1, 1)
-    assert sorted(rep.cover) == [1, 2]
+    # the union {1} + {2, 3} prunes to {1, 3}; the fallback's {1, 2} is
+    # no smaller, so the union stays
+    assert sorted(rep.cover) == [1, 3]
     assert rep.total_cover_size == 2
     assert rep.procedures_path == "procedures_fallback"
 
@@ -496,7 +498,7 @@ def test_assemble_prunes_to_the_minimum_on_p4():
 def test_assemble_means_objective():
     g = graph_from_edges([(0, 1), (2, 3)])
     rep = soundness_assemble(g, [[0], [1]], k=2, objective="means")
-    assert sorted(rep.cover) == [0, 2]
+    assert sorted(rep.cover) == [1, 3]  # M_P's endpoints, pruned; the fallback's {0, 2} ties
     assert rep.predicted_ceiling == pytest.approx(2.0)
 
 
@@ -579,8 +581,14 @@ def test_assemble_random_battery():
         assert rep.t1 + rep.t2 + rep.t3 + rep.t4 == k
 
 
-# The fallback fault of ROADMAP item 1, pinned as it stands: the full-graph
-# fallback replaces a union cover that met the ceiling with a larger one
+# The fallback fault of ROADMAP item 1: the full-graph fallback's cover,
+# pruned, is larger than the union cover, which meets the ceiling, so the
+# union is kept
+
+def _pruned_fallback(g, rep):
+    (full,) = (c.cover for c in rep.per_cluster if c.bound_kind == "single_edge_full_graph")
+    return covers._prune_cover(g, set(full))
+
 
 def test_the_means_spider_fallback_exceeds_the_ceiling_its_union_meets():
     g = graph_from_edges([(0, 1), (0, 2), (0, 3), (1, 4), (2, 5), (3, 8), (4, 6), (5, 7)])
@@ -588,9 +596,10 @@ def test_the_means_spider_fallback_exceeds_the_ceiling_its_union_meets():
     oracle, rep = cli._round_trip(g, 4, 4, "means", beta=1.0, delta=0.01)
     assert oracle.partition == ((0, 1, 2), (3, 6), (4, 7), (5,))  # three stars and (3, 8)
     assert rep.procedures_path == "procedures_fallback"
-    assert (rep.total_cover_size, rep.predicted_ceiling) == (5, 4.0)
-    union = {3}.union(*(c.cover for c in rep.per_cluster if c.bound_kind == "star_center"))
-    assert union == {0, 3, 4, 5} and is_vertex_cover(g, union)
+    assert len(_pruned_fallback(g, rep)) == 5
+    # the star centers 0, 4, 5 and M_P's {3, 8}, pruned in ascending order
+    assert (rep.total_cover_size, rep.predicted_ceiling) == (4, 4.0)
+    assert rep.cover == {0, 4, 5, 8}
 
 
 def test_a_seven_edge_means_fallback_exceeds_the_ceiling_its_union_meets():
@@ -599,8 +608,9 @@ def test_a_seven_edge_means_fallback_exceeds_the_ceiling_its_union_meets():
     # the stars at 0 and at 3, and the single edge (4, 5)
     rep = soundness_assemble(g, [[0, 1, 2], [3, 4, 5], [6]], k=3, objective="means", delta=0.01)
     assert rep.procedures_path == "procedures_fallback"
-    assert (rep.total_cover_size, rep.predicted_ceiling) == (4, 3.0)
-    assert is_vertex_cover(g, {0, 3, 4})
+    assert len(_pruned_fallback(g, rep)) == 4
+    assert (rep.total_cover_size, rep.predicted_ceiling) == (3, 3.0)
+    assert rep.cover == {0, 3, 5}
 
 
 # ---------------------------------------------------------------------------

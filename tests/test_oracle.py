@@ -892,10 +892,12 @@ def _tie_at_the_bound_instances(seed, count):
         )
 
 
-@pytest.mark.parametrize("chunk", [3, oracle.DISCRETE_CHUNK])
+@pytest.mark.parametrize("chunk", [3, 16, oracle.DISCRETE_CHUNK])
 def test_discrete_matches_subset_loop_bit_for_bit(monkeypatch, chunk):
     # a 3-subset chunk makes the first-wins rule span many batches, and
-    # divides few prefixes' child counts, so slices split sibling runs
+    # divides few prefixes' child counts, so slices split sibling runs; at
+    # 16 the first descent's width, 16 // (n - k + 1) prefixes, lies between
+    # one prefix and a whole level
     monkeypatch.setattr(oracle, "DISCRETE_CHUNK", chunk)
     hyper = [
         HypergraphInstance(3, 7, ((0, 1, 2), (2, 3, 4), (4, 5, 6), (0, 3, 6), (1, 4, 6)), k)
@@ -963,6 +965,45 @@ def test_discrete_walk_stops_once_the_best_reaches_the_bound(monkeypatch):
     inst = ClusteringInstance(1, ((0.0,),), 1, "median", centers)
     assert opt_discrete(inst).centers == ((1000.0,),)
     assert rows == [4, 1, 4]  # the first slice, the root's bound, the second slice
+
+
+def test_discrete_walk_ends_where_the_best_reaches_the_roots_bound(monkeypatch):
+    # every point costs at least d - 1 = 2, so the root's bound, the cost
+    # with every center, is the optimum 24. Once a subset at 24 is scored,
+    # only the root's bound may still be added up: no subset and no other
+    # prefix bound. The first descent holds about one slice of children per
+    # level, so the walk adds up far fewer rows than the 4,286 it took
+    # building whole levels first and slicing on past the bound
+    calls = []  # (rows, least sum, whether a prefix bound)
+    bounding = []
+    real_sums, real_bounds = oracle._point_sums, oracle._TreeLevel.bounds
+
+    def sums(near):
+        out = real_sums(near)
+        calls.append((len(near), float(out.min()), bool(bounding)))
+        return out
+
+    def bounds(level, suffix):
+        bounding.append(level)
+        try:
+            return real_bounds(level, suffix)
+        finally:
+            bounding.pop()
+
+    monkeypatch.setattr(oracle, "_point_sums", sums)
+    monkeypatch.setattr(oracle._TreeLevel, "bounds", bounds)
+    inst, optimum = _planted_hypergraph_instance()
+    tracemalloc.start()
+    try:
+        rep = opt_discrete(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.optimal_cost == optimum
+    assert sum(rows for rows, _, _ in calls) < 1_000  # of C(24, 6) = 134,596 subsets
+    hit = next(i for i, (_, low, bound) in enumerate(calls) if not bound and low == optimum)
+    assert calls[hit + 1:] in ([], [(1, optimum, True)]), calls
+    assert peak < 1_500_000, peak
 
 
 def test_discrete_refuses_an_instance_without_points():
