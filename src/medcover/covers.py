@@ -13,16 +13,21 @@ pruning construction (Procedures 1-4 below) produces a cover of the *whole*
 graph of size 2k - 2*delta*k directly.
 
 ``soundness_assemble`` stitches the per-cluster covers into a whole-graph
-cover and reports the bookkeeping ledger: per-category counts, the realized
-cover size, and the predicted ceiling for the supplied (beta, delta).
+cover and reports the ledger: one entry per block and one for the
+single-edge blocks as a group, each with the cover used and the charge it
+pays, the realized cover size, and the predicted ceiling for the supplied
+(beta, delta), the sum of those charges. The charges are read from one
+table, ``CHARGES``. The ceiling is a prediction, not a certificate: the
+median one is exceeded on some catalogue runs (ROADMAP item 1).
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .costs import Number, extra_cost, one_means_cost
 from .errors import InvalidPartition, PreconditionViolated, Stuck
@@ -48,19 +53,47 @@ from .reduction import check_delta, check_objective
 
 SQRT2P1 = math.sqrt(2.0) + 1.0
 
-# The soundness ledger's charges, each written once: the constructions'
-# bounds, ``soundness_assemble``'s ceiling and ``suites.suite_covers`` read
-# these names.
+SINGLE_EDGE_CHARGE = 0.67  # per single-edge cluster; not Case I's 2t1'/3
 MATCHING_TWO_CHARGE = 1.62  # per non-star cluster with matching number two
 DISPATCH_CHARGE = 1.8  # per non-star cluster with matching number >= 3
 MEANS_SLOPE = Fraction(5, 2)  # a means cover holds 1 + MEANS_SLOPE * delta(F)
 SINGLES_SLOPE = 8  # the singles' 8*delta*k; Case I's threshold takes half
 
 
+class Charge(NamedTuple):
+    """One row of the soundness ledger: an entry pays ``constant`` plus
+    ``slope`` times its block's extra cost."""
+
+    constant: Number
+    slope: Number
+
+    def of(self, extra: Number) -> Number:
+        return self.constant + self.slope * extra
+
+
+# The soundness ledger's charges, keyed by objective and entry kind, each
+# written once: the constructions' bounds, ``soundness_assemble``'s ceiling
+# and ``suites.suite_covers`` read this table. The one "singles" entry pays
+# its constant times delta * k. The ceiling adds the kinds in this order.
+CHARGES = {
+    ("median", "single"): Charge(SINGLE_EDGE_CHARGE, 0),
+    ("median", "singles"): Charge(SINGLES_SLOPE, 0),
+    ("median", "star"): Charge(1, 0),
+    ("median", "matching_two"): Charge(MATCHING_TWO_CHARGE, SQRT2P1),
+    ("median", "dispatch"): Charge(DISPATCH_CHARGE, SQRT2P1),
+    ("means", "single"): Charge(1, 0),
+    ("means", "singles"): Charge(0, 0),
+    ("means", "star"): Charge(1, 0),
+    ("means", "means"): Charge(1, MEANS_SLOPE),
+}
+KINDS = tuple(dict.fromkeys(kind for _, kind in CHARGES))
+
+
 @dataclass(frozen=True)
 class CoverResult:
-    """A vertex cover of one cluster plus the ledger entry justifying it:
-    which bound was applied and the extra-cost budget it was charged to."""
+    """A construction's vertex cover of one cluster plus the bound justifying
+    it: which bound was applied and the extra-cost budget it was charged
+    to."""
 
     cover: frozenset[int]
     size: int
@@ -91,21 +124,58 @@ class SingleEdgeCoverOutcome:
 
 
 @dataclass(frozen=True)
+class LedgerEntry:
+    """One line of the soundness ledger.
+
+    A block's entry gives its edge indices, its ``kind`` ("single", "star",
+    "matching_two" or "dispatch" under the median objective; "single",
+    "star" or "means" under the means), its matching number, the cover used
+    for it, and the ``charge`` it pays in the ceiling: ``constant`` +
+    ``slope`` * ``extra``, its extra cost (0 for single edges and stars),
+    with ``constant`` and ``slope`` read from ``CHARGES``. A single-edge
+    block holds no cover of its own: another block's cover or the singles
+    entry covers it.
+
+    The one "singles" entry closes the ledger, with matching number 0 and
+    no extra cost; its constant is its ``CHARGES`` row's times delta * k
+    (8*delta*k under the median, 0 under the means). Its edges are the
+    single-edge blocks no other block's cover touches, and ``kept`` names
+    the cover the report used for them: "union", both endpoints of their
+    greedy matching M_P (none when there are no such edges), or
+    "fallback", the procedures' whole-graph cover, which the report then
+    prunes in place of the union. ``cover`` holds that cover. ``kept`` is
+    None on a block's entry."""
+
+    kind: str
+    edges: tuple[int, ...]
+    matching_number: int
+    cover: frozenset[int]
+    constant: Number
+    slope: Number
+    extra: Number
+    charge: Number
+    kept: Optional[str] = None
+
+
+@dataclass(frozen=True)
 class SoundnessReport:
     """Whole-graph cover ledger for one clustering.
 
-    t1/t2 count single-edge and larger star clusters; t3/t4 count non-star
-    clusters with matching number exactly two / at least three. The
-    ``predicted_ceiling`` is the category-weighted bound for the supplied
-    (delta, beta); ``epsilon`` = 2 - ceiling/k is the soundness slack this
-    clustering actually certifies at that ``delta``."""
+    ``per_cluster`` holds one ``LedgerEntry`` per block, in block order, and
+    then the singles entry. t1/t2 count the single-edge and star entries;
+    t3/t4 count the non-star entries with matching number exactly two / at
+    least three. The ``predicted_ceiling`` is the sum of the entries'
+    charges for the supplied (delta, beta), and ``epsilon`` = 2 - ceiling/k
+    the soundness slack it predicts at that ``delta``. It is not certified:
+    the median ceiling is exceeded on catalogue runs whose minimum cover
+    already exceeds it (ROADMAP item 1)."""
 
     t1: int
     t2: int
     t3: int
     t4: int
     total_cover_size: int
-    per_cluster: tuple[CoverResult, ...]
+    per_cluster: tuple[LedgerEntry, ...]
     procedures_path: str
     epsilon: float
     delta: float
@@ -123,10 +193,12 @@ def _touches(e: Edge, f: Edge) -> bool:
     return e[0] in f or e[1] in f
 
 
-def _median_charged(cover: frozenset[int], const: float, extra: float) -> CoverResult:
-    """A cluster's cover charged const + (sqrt(2)+1) * ``extra``, its median
-    extra cost."""
-    return CoverResult(cover, len(cover), f"{const}+(sqrt2+1)delta", const + SQRT2P1 * extra, extra)
+def _median_charged(cover: frozenset[int], charge: Charge, extra: float) -> CoverResult:
+    """A cluster's cover charged ``charge`` on ``extra``, its median extra
+    cost."""
+    return CoverResult(
+        cover, len(cover), f"{charge.constant}+(sqrt2+1)delta", charge.of(extra), extra
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +230,7 @@ def cover_matching_two(g: Graph, extra: float) -> CoverResult:
         cover = frozenset((cyc[0], cyc[2], cyc[4]))
         if not is_vertex_cover(g, cover):
             raise Stuck(f"alternate vertices {sorted(cover)} of the 5-cycle are not a cover")
-    return _median_charged(cover, MATCHING_TWO_CHARGE, extra)
+    return _median_charged(cover, CHARGES["median", "matching_two"], extra)
 
 
 # ---------------------------------------------------------------------------
@@ -297,13 +369,14 @@ def cover_case_dispatch(g: Graph, extra: float) -> CoverResult:
     if len(m) < 3:
         raise PreconditionViolated(f"matching number is {len(m)}, need >= 3")
     l = second_maximum_matching(g, m)
+    dispatch = CHARGES["median", "dispatch"]
 
     def result(cover: set[int], const: float, ceiling: int) -> CoverResult:
         if not is_vertex_cover(g, cover):
             raise Stuck(f"case {const} produced a non-cover")
         if len(cover) > ceiling:
             raise Stuck(f"case {const} used {len(cover)} > {ceiling} vertices")
-        return _median_charged(frozenset(cover), const, extra)
+        return _median_charged(frozenset(cover), dispatch._replace(constant=const), extra)
 
     if len(l) == 0:
         return result({min(e) for e in m.edges}, 0.551, len(m))
@@ -530,7 +603,7 @@ def cover_nonstar_means(g: Graph) -> CoverResult:
         raise Stuck("means construction produced a non-cover")
     if len(cover) > 2 + delta:
         raise Stuck(f"means cover of {len(cover)} exceeds 2 + delta = {2 + delta}")
-    bound = 1 + MEANS_SLOPE * delta
+    bound = CHARGES["means", "means"].of(delta)
     if len(cover) > bound:
         raise Stuck(f"means cover of {len(cover)} exceeds 1 + ({MEANS_SLOPE}) delta = {bound}")
     return CoverResult(frozenset(cover), len(cover), f"1+({MEANS_SLOPE})delta_means", bound, delta)
@@ -589,19 +662,19 @@ def soundness_assemble(
     delta: float = 0.01,
 ) -> SoundnessReport:
     """Extract a whole-graph vertex cover from an edge clustering and report
-    the category ledger.
+    its ledger, one ``LedgerEntry`` per block and one for the singles.
 
-    Blocks are classified as single edges (t1), stars (t2), and non-star
-    clusters with matching number two (t3) or more (t4). Stars contribute
-    their center; non-star blocks run the per-cluster constructions, each
-    charged to the block's median extra cost, solved once per block (the
-    means objective charges everything to exact rational extra costs
-    instead). Single-edge blocks the union misses go through
-    cover_single_edge_clusters, and the union cover takes both endpoints of
-    its greedy matching M_P. Redundant vertices are pruned in ascending
-    order. If the full-graph fallback fires, its cover, pruned the same
-    way, replaces the union only when it is smaller. The (delta,
-    beta)-ceiling is reported next to the realized size. k below 1, beta
+    Blocks are single edges, stars, and non-star clusters with matching
+    number two or more. Stars contribute their center; non-star blocks run
+    the per-cluster constructions, each charged to the block's median extra
+    cost, solved once per block (the means objective charges everything to
+    exact rational extra costs instead). Single-edge blocks the union
+    misses go through cover_single_edge_clusters, and the union cover takes
+    both endpoints of its greedy matching M_P. Redundant vertices are pruned
+    in ascending order. If the full-graph fallback fires, its cover, pruned
+    the same way, replaces the union only when it is smaller; the singles
+    entry names the cover kept. The (delta, beta)-ceiling, ``_ceiling`` of
+    the entries, is reported next to the realized size. k below 1, beta
     below 1, a beta * k that is not finite, or a delta that is negative or
     not finite raises ``ValueError``.
     """
@@ -613,84 +686,65 @@ def soundness_assemble(
     if len(blocks) != expected:
         raise InvalidPartition(f"expected {expected} clusters, got {len(blocks)}")
 
-    t1 = t2 = t3 = t4 = 0
-    singles: list[int] = []
-    vc_prime: set[int] = set()
-    per_cluster: list[CoverResult] = []
-    delta_sum = Fraction(0) if objective == "means" else 0.0
+    def entry(kind: str, block: tuple[int, ...], nu: int, cover: frozenset[int],
+              extra: Number = 0) -> LedgerEntry:
+        row = CHARGES[objective, kind]
+        return LedgerEntry(kind, block, nu, cover, row.constant, row.slope, extra, row.of(extra))
 
+    entries: list[LedgerEntry] = []
+    vc_prime: set[int] = set()
     for block in blocks:
         sub = subgraph(g, block)
         if sub.num_edges == 1:
-            t1 += 1
-            singles.append(block[0])
+            entries.append(entry("single", block, 1, frozenset()))
             continue
         center = common_vertex(sub.edges)
         if center is not None:
-            t2 += 1
-            vc_prime.add(center)
-            per_cluster.append(
-                CoverResult(frozenset({center}), 1, "star_center", 1.0, 0.0)
-            )
-            continue
-        nu = len(maximum_matching(sub))
-        if nu == 2:
-            t3 += 1
+            entries.append(entry("star", block, 1, frozenset({center})))
         else:
-            t4 += 1
-        if objective == "means":
-            res = cover_nonstar_means(sub)
-        else:
-            extra = float(extra_cost(sub, "median").value)
-            res = cover_matching_two(sub, extra) if nu == 2 else cover_case_dispatch(sub, extra)
-        vc_prime |= res.cover
-        per_cluster.append(res)
-        delta_sum += res.delta_used
+            nu = len(maximum_matching(sub))
+            if objective == "means":
+                kind, res = "means", cover_nonstar_means(sub)
+            else:
+                extra = float(extra_cost(sub, "median").value)
+                kind, res = (
+                    ("matching_two", cover_matching_two(sub, extra)) if nu == 2
+                    else ("dispatch", cover_case_dispatch(sub, extra))
+                )
+            entries.append(entry(kind, block, nu, res.cover, res.delta_used))
+        vc_prime |= entries[-1].cover
 
-    uncovered = [
-        i for i in singles if g.edges[i][0] not in vc_prime and g.edges[i][1] not in vc_prime
-    ]
+    uncovered = tuple(
+        i for e in entries if e.kind == "single"
+        for i in e.edges if vc_prime.isdisjoint(g.edges[i])
+    )
+    outcome = cover_single_edge_clusters(g, uncovered, vc_prime, k, delta) if uncovered else None
+    kept = "union"
+    singles_cover = outcome.singles_cover if outcome else frozenset()
+    pruned = _prune_cover(g, vc_prime | singles_cover)
     procedures_path = "direct"
-    if uncovered:
-        outcome = cover_single_edge_clusters(g, uncovered, vc_prime, k, delta)
-        per_cluster.append(
-            CoverResult(
-                outcome.cover,
-                len(outcome.cover),
-                f"single_edge_{outcome.scope}",
-                outcome.bound_value,
-                float(delta),
-            )
-        )
-        pruned = _prune_cover(g, vc_prime | outcome.singles_cover)
-        if outcome.scope == "full_graph":
-            procedures_path = "procedures_fallback"
-            fallback = _prune_cover(g, set(outcome.cover))
-            if len(fallback) < len(pruned):
-                pruned = fallback
-    else:
-        pruned = _prune_cover(g, vc_prime)
+    if outcome is not None and outcome.scope == "full_graph":
+        procedures_path = "procedures_fallback"
+        fallback = _prune_cover(g, set(outcome.cover))
+        if len(fallback) < len(pruned):
+            pruned, kept, singles_cover = fallback, "fallback", outcome.cover
     if not is_vertex_cover(g, pruned):
         raise Stuck("assembled cover is invalid")
+    singles = CHARGES[objective, "singles"].constant * delta * k
+    entries.append(
+        LedgerEntry("singles", uncovered, 0, singles_cover, singles, 0, 0, singles, kept)
+    )
 
-    if objective == "median":
-        ceiling = (
-            0.67 * t1
-            + SINGLES_SLOPE * delta * k
-            + t2
-            + MATCHING_TWO_CHARGE * t3
-            + DISPATCH_CHARGE * t4
-            + SQRT2P1 * float(delta_sum)
-        )
-    else:
-        ceiling = beta * k + float(MEANS_SLOPE) * float(delta_sum)
+    kinds = Counter(e.kind for e in entries)
+    nus = [e.matching_number for e in entries]
+    ceiling = _ceiling(entries)
     return SoundnessReport(
-        t1=t1,
-        t2=t2,
-        t3=t3,
-        t4=t4,
+        t1=kinds["single"],
+        t2=kinds["star"],
+        t3=nus.count(2),
+        t4=sum(nu >= 3 for nu in nus),
         total_cover_size=len(pruned),
-        per_cluster=tuple(per_cluster),
+        per_cluster=tuple(entries),
         procedures_path=procedures_path,
         epsilon=2.0 - ceiling / k,
         delta=delta,
@@ -698,3 +752,23 @@ def soundness_assemble(
         cover=frozenset(pruned),
         predicted_ceiling=ceiling,
     )
+
+
+def _ceiling(entries: Sequence[LedgerEntry]) -> float:
+    """The sum of the entries' charges, added as one fixed order of float
+    operations: each kind's constant times its number of entries, kinds in
+    ``KINDS`` order, then each slope times the sum of its entries' extra
+    costs, those added in block order."""
+    counts = Counter(e.kind for e in entries)
+    constants = {e.kind: e.constant for e in entries}
+    ceiling: Number = 0
+    for kind in KINDS:
+        if counts[kind]:
+            ceiling += constants[kind] * counts[kind]
+    extras: dict[Number, Number] = {}
+    for e in entries:
+        if e.slope:
+            extras[e.slope] = extras.get(e.slope, 0) + e.extra
+    for slope, total in extras.items():
+        ceiling += float(slope) * float(total)
+    return float(ceiling)

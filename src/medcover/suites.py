@@ -38,9 +38,7 @@ from .costs import (
     weiszfeld,
 )
 from .covers import (
-    DISPATCH_CHARGE,
-    MEANS_SLOPE,
-    SQRT2P1,
+    CHARGES,
     cover_budget,
     cover_case_dispatch,
     cover_general,
@@ -223,6 +221,13 @@ def cover_le_2k(size: int, k: int, delta: float) -> bool:
     return size <= cover_budget(k, delta) + 1e-9
 
 
+def cover_le_ceiling(size: int, ceiling: float) -> bool:
+    """The soundness ledger's prediction: an extracted cover has at most
+    ``ceiling``, the report's ``predicted_ceiling``, vertices (up to 1e-9,
+    as ``cover_le_2k``)."""
+    return size <= ceiling + 1e-9
+
+
 def monotone_in_centers(more: float, fewer: float) -> bool:
     """More centers never cost more: ``more``, an optimal cost with more
     centers, is at most ``fewer``, one with fewer (up to 1e-9)."""
@@ -247,11 +252,11 @@ def suite_completeness(trials: int, seed: int) -> dict:
 def suite_covers(max_edges: int) -> dict:
     """Constructive covers across the enumeration: always valid vertex
     covers, matching-2 covers as small as the true minimum (2, or 3 on the
-    5-cycle), general covers within |M|+|L|-1, case dispatch within
-    ``covers.DISPATCH_CHARGE`` + (sqrt2+1)*delta, and means covers within
-    1 + ``covers.MEANS_SLOPE``*delta exactly; the median delta is the extra
-    cost from ``_nonstars``. Every construction is checked one way, by
-    ``construction``."""
+    5-cycle), general covers within |M|+|L|-1, case dispatch within its
+    ``covers.CHARGES`` row, DISPATCH_CHARGE + (sqrt2+1)*delta, and means
+    covers within theirs, 1 + MEANS_SLOPE*delta, exactly; the median delta
+    is the extra cost from ``_nonstars``. Every construction is checked one
+    way, by ``construction``."""
     ledger = _Ledger("cover_extraction")
     check = ledger.check
 
@@ -284,12 +289,12 @@ def suite_covers(max_edges: int) -> dict:
                     "general size bound fails on {}: {}", g.edges, res.size)
 
         def dispatched(res):
-            lim = DISPATCH_CHARGE + SQRT2P1 * res.delta_used
+            lim = CHARGES["median", "dispatch"].of(res.delta_used)
             return (res.size <= lim + 1e-6,
                     "dispatch bound fails on {}: {} > {!r}", g.edges, res.size, lim)
 
         def means(res):
-            lim = 1 + MEANS_SLOPE * res.delta_used
+            lim = CHARGES["means", "means"].of(res.delta_used)
             return (Fraction(res.size) <= lim,
                     "means bound fails on {}: {} > {}", g.edges, res.size, lim)
 

@@ -17,9 +17,11 @@ These are the checks the package must pass before any release:
 7. the predicted cost gaps are monotone in the center budget and match
    ten frozen spot values;
 8. reports are byte-identical across repeated runs with the same seed, and
-   every committed report regenerates byte for byte.
+   every committed report regenerates byte for byte; the committed sweeps,
+   rerun under the means objective, meet the ledger's ceiling on every row.
 """
 
+import csv
 import importlib.util
 import pathlib
 
@@ -172,3 +174,18 @@ def test_criterion_8_sweeps_reproduce_the_committed_reports(tmp_path, capsys):
 def test_criterion_8_lemmas_reproduce_the_committed_report(tmp_path, capsys):
     entries = [e for e in committed_reports() if e[1][0] != "sweep"]
     reproduce(entries, tmp_path, capsys)
+
+
+def test_criterion_8_the_committed_sweeps_meet_the_means_ceiling(tmp_path, capsys):
+    # the committed sweeps are median sweeps, whose cover_le_ceiling column
+    # stays blank: the means rerun fills it on every row
+    entries = [e for e in committed_reports() if e[1][0] == "sweep"]
+    assert entries
+    for name, argv in entries:
+        out = tmp_path / name
+        code = main([*argv, "--objective", "means", "--out", str(out)])
+        capsys.readouterr()
+        assert code == 0, name
+        with out.open(newline="") as f:
+            cells = [row["cover_le_ceiling"] for row in csv.DictReader(f)]
+        assert cells and set(cells) == {"true"}, name

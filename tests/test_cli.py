@@ -143,8 +143,8 @@ def test_cover_means_reports_exact_rationals_as_floats(capsys, c5_file):
     code, stdout, _ = run(capsys, "cover", "--graph", c5_file, "--k", "2", "--objective", "means")
     assert code == 0
     path_block = json.loads(stdout)["per_cluster"][0]
-    assert path_block["bound_kind"] == "1+(5/2)delta_means"
-    assert (path_block["bound_value"], path_block["delta_used"]) == (
+    assert (path_block["kind"], path_block["constant"], path_block["slope"]) == ("means", 1, 2.5)
+    assert (path_block["charge"], path_block["extra"]) == (
         2.6666666666666665, 0.6666666666666666)
 
 
@@ -478,9 +478,12 @@ def test_sweep_has_no_max_edges_flag(capsys):
 def test_cover_at_beta_above_one_is_frozen(capsys, c5_file):
     # five blocks for k = 3: the oracle's clustering is all single edges, so
     # the procedures fallback covers the whole graph; its cover is no
-    # smaller than the union, M_P's endpoints pruned, so the union stays
+    # smaller than the union, M_P's endpoints pruned, so the union stays,
+    # and the singles entry names it and holds M_P's endpoints
     code, stdout, _ = run(capsys, "cover", "--graph", c5_file, "--k", "3", "--beta", "1.5")
     assert code == 0
+    single = {"constant": 0.67, "slope": 0, "extra": 0, "charge": 0.67, "kept": None,
+              "kind": "single", "matching_number": 1, "cover": []}
     assert json.loads(stdout) == {
         "beta": 1.5,
         "cover": [0, 2, 3],
@@ -488,13 +491,17 @@ def test_cover_at_beta_above_one_is_frozen(capsys, c5_file):
         "epsilon": 0.8033333333333335,
         "min_vertex_cover": 3,
         "oracle_cost": 0.0,
-        "per_cluster": [
+        "per_cluster": [{**single, "edges": [i]} for i in range(5)] + [
             {
-                "bound_kind": "single_edge_full_graph",
-                "bound_value": 5.94,
-                "cover": [0, 1, 3],
-                "delta_used": 0.01,
-                "size": 3,
+                "charge": 0.24,
+                "constant": 0.24,
+                "cover": [0, 1, 2, 3],
+                "edges": [0, 1, 2, 3, 4],
+                "extra": 0,
+                "kept": "union",
+                "kind": "singles",
+                "matching_number": 0,
+                "slope": 0,
             }
         ],
         "predicted_ceiling": 3.59,
@@ -512,10 +519,10 @@ def test_sweep_leaves_the_cover_columns_blank_when_the_blocks_exceed_the_edges(c
     code, stdout, _ = run(capsys, "sweep", "--n", "7", "--trials", "4", "--beta", "3")
     assert code == 0
     assert stdout.split("\n")[1:] == [
-        "0,0,7,10,4,12,8.0,7.348469228349534,true,6.0,6.0,true,,,,,,",
-        "1,1,7,10,4,12,8.0,7.348469228349534,true,6.0,6.0,true,,,,,,",
-        "2,2,7,9,3,9,7.5,7.348469228349534,true,6.0,6.0,true,0.0,true,3,true,true,direct",
-        "3,3,7,10,4,12,8.0,7.348469228349534,true,6.0,6.0,true,,,,,,",
+        "0,0,7,10,4,12,8.0,7.348469228349534,true,6.0,6.0,true,,,,,,,",
+        "1,1,7,10,4,12,8.0,7.348469228349534,true,6.0,6.0,true,,,,,,,",
+        "2,2,7,9,3,9,7.5,7.348469228349534,true,6.0,6.0,true,0.0,true,3,true,true,,direct",
+        "3,3,7,10,4,12,8.0,7.348469228349534,true,6.0,6.0,true,,,,,,,",
         "",
     ]
 
@@ -553,6 +560,21 @@ def test_sweep_with_a_false_verdict_writes_its_rows_and_fails(tmp_path, capsys, 
         f"sweep: trial {row['trial']} (seed {row['seed']}): median_complete is false"
         for row in rows
     ]
+
+
+def test_sweep_checks_the_ceiling_for_means_only(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "cover_le_ceiling", lambda size, ceiling: False)
+    columns = {}
+    for objective in ("median", "means"):
+        out = tmp_path / f"{objective}.csv"
+        code, _, stderr = run(capsys, "sweep", "--n", "7", "--trials", "2",
+                              "--objective", objective, "--out", str(out))
+        lines = out.read_text().strip().split("\n")
+        header = lines[0].split(",")
+        columns[objective] = (code, [dict(zip(header, l.split(",")))["cover_le_ceiling"]
+                                     for l in lines[1:]])
+        assert stderr.count("cover_le_ceiling is false") == (2 if objective == "means" else 0)
+    assert columns == {"median": (0, ["", ""]), "means": (1, ["false", "false"])}
 
 
 def test_sweep_that_falls_short_of_its_trials_is_an_error(tmp_path, capsys):

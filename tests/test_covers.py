@@ -2,7 +2,8 @@
 procedures, and report assembly.
 
 Frozen covers below were cross-checked against the exact vertex-cover oracle;
-the case constants in bound_kind name which construction fired.
+the case constants in bound_kind name which construction fired. The ledger
+tests check each report's entries against its counts, ceiling and cover.
 """
 
 import hashlib
@@ -585,9 +586,15 @@ def test_assemble_random_battery():
 # pruned, is larger than the union cover, which meets the ceiling, so the
 # union is kept
 
-def _pruned_fallback(g, rep):
-    (full,) = (c.cover for c in rep.per_cluster if c.bound_kind == "single_edge_full_graph")
-    return covers._prune_cover(g, set(full))
+def _pruned_fallback(g, rep, k):
+    """The procedures' whole-graph cover, pruned, rebuilt from a report that
+    kept the union: the singles entry's edges against the blocks' covers."""
+    *blocks, singles = rep.per_cluster
+    assert (singles.kind, singles.kept) == ("singles", "union")
+    union = set().union(*(e.cover for e in blocks))
+    out = cover_single_edge_clusters(g, singles.edges, union, k, rep.delta)
+    assert out.scope == "full_graph" and singles.cover == out.singles_cover
+    return covers._prune_cover(g, set(out.cover))
 
 
 def test_the_means_spider_fallback_exceeds_the_ceiling_its_union_meets():
@@ -596,7 +603,7 @@ def test_the_means_spider_fallback_exceeds_the_ceiling_its_union_meets():
     oracle, rep = cli._round_trip(g, 4, 4, "means", beta=1.0, delta=0.01)
     assert oracle.partition == ((0, 1, 2), (3, 6), (4, 7), (5,))  # three stars and (3, 8)
     assert rep.procedures_path == "procedures_fallback"
-    assert len(_pruned_fallback(g, rep)) == 5
+    assert len(_pruned_fallback(g, rep, 4)) == 5
     # the star centers 0, 4, 5 and M_P's {3, 8}, pruned in ascending order
     assert (rep.total_cover_size, rep.predicted_ceiling) == (4, 4.0)
     assert rep.cover == {0, 4, 5, 8}
@@ -608,9 +615,77 @@ def test_a_seven_edge_means_fallback_exceeds_the_ceiling_its_union_meets():
     # the stars at 0 and at 3, and the single edge (4, 5)
     rep = soundness_assemble(g, [[0, 1, 2], [3, 4, 5], [6]], k=3, objective="means", delta=0.01)
     assert rep.procedures_path == "procedures_fallback"
-    assert len(_pruned_fallback(g, rep)) == 4
+    assert len(_pruned_fallback(g, rep, 3)) == 4
     assert (rep.total_cover_size, rep.predicted_ceiling) == (3, 3.0)
     assert rep.cover == {0, 3, 5}
+
+
+# The ledger: one entry per block, in block order, then the singles entry
+
+def _catalogue_runs(max_edges):
+    """Every connected catalogue graph up to ``max_edges`` edges at every
+    k <= tau, median then means, each through ``cli._round_trip`` at beta 1
+    and delta 0.01."""
+    for g in enumerate_triangle_free(max_edges):
+        tau = len(min_vertex_cover(g))
+        for objective in ("median", "means"):
+            for k in range(1, tau + 1):
+                yield g, k, objective, cli._round_trip(g, k, k, objective, 1.0, 0.01)[1]
+
+
+def test_the_ledger_adds_up_on_every_catalogue_run():
+    ceilings = []
+    for g, k, objective, rep in _catalogue_runs(7):
+        *blocks, singles = rep.per_cluster
+        assert len(blocks) == k and singles.kind == "singles"
+        assert sorted(i for e in blocks for i in e.edges) == list(range(g.num_edges))
+        nonstar = {"median": {"matching_two": rep.t3, "dispatch": rep.t4},
+                   "means": {"means": rep.t3 + rep.t4}}[objective]
+        assert +Counter(e.kind for e in blocks) == +Counter(single=rep.t1, star=rep.t2, **nonstar)
+        nus = Counter(min(e.matching_number, 3) for e in blocks)
+        assert (nus[2], nus[3]) == (rep.t3, rep.t4)
+        for e in rep.per_cluster:
+            row = covers.CHARGES[objective, e.kind]
+            per = 0.01 * k if e is singles else 1
+            assert (e.constant, e.slope) == (row.constant * per, row.slope)
+            assert e.charge == e.constant + e.slope * e.extra
+        assert math.isclose(rep.predicted_ceiling, math.fsum(e.charge for e in rep.per_cluster),
+                            abs_tol=1e-12)
+        # the report's cover is the pruned union of the entries' covers, or
+        # the pruned fallback when the singles entry says it was kept
+        union = set().union(*(e.cover for e in rep.per_cluster))
+        used = singles.cover if singles.kept == "fallback" else union
+        assert singles.kept in ("union", "fallback")
+        assert rep.cover == covers._prune_cover(g, set(used))
+        assert singles.kept == "union" or rep.procedures_path == "procedures_fallback"
+        ceilings.append(rep.predicted_ceiling.hex())
+    assert len(ceilings) == 396
+    # the ceilings' floats as the per-category formulas gave them, bit for bit
+    digest = hashlib.sha256("\n".join(ceilings).encode()).hexdigest()
+    assert digest == "e0ac30bc57c623df244516d2e0ed0732ba2593fa2613993fddb184f1b25df3a1"
+
+
+def test_the_means_ceiling_charges_every_block_it_has():
+    # ceil(1.5 * 3) = 5 blocks of C5, each a single edge charged 1
+    rep = soundness_assemble(graph_from_edges(C5), [[i] for i in range(5)], k=3, beta=1.5,
+                             objective="means")
+    assert [e.charge for e in rep.per_cluster] == [1, 1, 1, 1, 1, 0.0]
+    assert (rep.predicted_ceiling, rep.epsilon) == (5.0, 2 - 5 / 3)
+
+
+def test_the_median_ceiling_reads_the_table():
+    g = graph_from_edges(C5 + [(5, 6), (6, 7), (7, 8), (8, 9), (9, 10), (10, 11),
+                               (12, 13), (12, 14), (15, 16)])
+    blocks = [[0, 1, 2, 3, 4], [5, 6, 7, 8, 9, 10], [11, 12], [13]]
+    rep = soundness_assemble(g, blocks, k=4)
+    assert [e.kind for e in rep.per_cluster] == [
+        "matching_two", "dispatch", "star", "single", "singles"]
+    two, three = rep.per_cluster[:2]
+    assert rep.predicted_ceiling == (
+        covers.SINGLE_EDGE_CHARGE + covers.SINGLES_SLOPE * 0.01 * 4 + 1
+        + covers.MATCHING_TWO_CHARGE + covers.DISPATCH_CHARGE
+        + SQRT2P1 * (0.0 + two.extra + three.extra)
+    )
 
 
 # ---------------------------------------------------------------------------

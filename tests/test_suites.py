@@ -223,6 +223,13 @@ def test_the_sweep_cover_budget_charges_two_delta_k():
     assert suites.cover_le_2k(4, 2, 0.0)
 
 
+def test_the_sweep_ceiling_check_allows_what_the_2k_check_allows():
+    assert suites.cover_le_ceiling(4, 4.0)
+    assert suites.cover_le_ceiling(4, 4.0 - 1e-10)
+    assert not suites.cover_le_ceiling(4, 3.99)
+    assert not suites.cover_le_ceiling(4, math.nan)
+
+
 def test_completeness_instances_are_reproducible_and_small():
     a = completeness_instances(10, seed=0)
     b = completeness_instances(10, seed=0)

@@ -11,12 +11,14 @@ import importlib
 import importlib.metadata
 import importlib.util
 import json
+import math
 import os
 import re
 import statistics
 import subprocess
 import sys
 import tomllib
+from fractions import Fraction
 from pathlib import Path
 
 import medcover
@@ -286,6 +288,23 @@ def test_readme_scale_limits_match_the_constants():
         (MAX_VC_EDGES, "edges"),
         (MAX_ENUM_EDGES, "edges"),
     ], opening
+
+
+def test_readme_ledger_names_each_charge_at_its_value():
+    # each row names a constant as module.NAME and gives its value; √2 + 1
+    # is the one value not written as a decimal or a fraction
+    section = (ROOT / "README.md").read_text(encoding="utf-8").split("## Soundness ledger", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(\w+)\.(\w+)` \| ([^|]+?) \|", section, re.MULTILINE)
+    named = {}
+    for module, name, text in rows:
+        value = getattr(importlib.import_module(f"medcover.{module}"), name)
+        want = Fraction(text) if text != "√2 + 1" else math.sqrt(2.0) + 1.0
+        assert value == (want if isinstance(value, Fraction) else float(want)), (name, text)
+        named[name] = value
+    # every constant and slope of the charge table but 0 and 1 has a row
+    from medcover.covers import CHARGES
+    assert {c for row in CHARGES.values() for c in row} - {0, 1} <= set(named.values()), named
 
 
 def test_readme_states_the_size_of_the_dp_memo():
