@@ -498,6 +498,36 @@ def one_means_cost(g: Graph) -> Fraction:
     other r - 1 edges misses some edge, and D, which counts each such miss
     from both ends, is at least (r - 1)/2. The means extra cost of a
     non-star is thus at least (r - 1)/r.
+
+    Per cover number. With tau the size of a minimum vertex cover,
+    3D >= r(tau - 1) on a triangle-free graph, so its extra cost is at
+    least (2/3)(tau - 1):
+    - tau = 1, a star: D = 0, and 0 >= 0.
+    - tau >= 4. The edges disjoint from an edge uv are the edges of the
+      graph less u and v. A cover of that graph plus u and v covers the
+      whole, so its cover number is at least tau - 2, and it has at least
+      that many edges. Summed over the edges this count is 2D, so
+      2D/r >= tau - 2, which is at least (2/3)(tau - 1) when tau >= 4.
+      This case does not use triangle-freeness.
+    - tau = 2, with a cover {a, b}; every edge holds a or b. If ab is an
+      edge, no vertex is adjacent to both (triangle-free), so the graph is
+      ab with p leaves at a and q at b, and p, q >= 1 since it is not a
+      star. Only a leaf edge at a and one at b are disjoint: D = pq,
+      r = p + q + 1, and 3pq >= p + q + 1 because pq is at least each of
+      p, q and 1. If ab is not an edge, let a have p neighbours and b have
+      q, c of them common, with 1 <= p <= q (p = 0 is a star). Then
+      r = p + q, and an edge at a misses one at b unless both end at the
+      same common neighbour, so D = pq - c >= p(q - 1). At p = q = 1,
+      c = 1 is the star a-x-b and c = 0 two disjoint edges, 3 >= 2.
+      Otherwise q >= 2, and 3p(q - 1) >= p + q: at p = 1 it reads
+      2q >= 4, and at p >= 2 the left side less the right is
+      p(3q - 4) - q >= 5q - 8 > 0. The three-edge path P4 is the equality
+      case of both forms (p = q = 1 with ab an edge; p = 1, q = 2, c = 1).
+    - tau = 3 is checked, not proven: the count above gives 2D/r >= 1 where
+      4/3 is needed. ``tests/test_costs.py`` checks the inequality on
+      every triangle-free graph up to 8 edges, connected or not; the least
+      2D/r among them at tau = 3 is 2, and P4 is the only non-star where
+      it is tight.
     """
     r = g.num_edges
     if r < 1:

@@ -1,12 +1,13 @@
 """Constructive vertex-cover extraction from clusterings.
 
 Each cluster of edges gets a cover whose size is charged against the
-cluster's extra cost over the star baseline, which the median constructions
-take from their caller as ``extra``: a star cluster costs one vertex
-(its center), a non-star cluster with matching number two costs two vertices
-(three for the 5-cycle), and larger non-star clusters go through a case
-analysis on the second maximum matching L (the maximum matching of the graph
-after the first matching's edges are deleted). Single-edge clusters that no
+cluster's extra cost over the star baseline. The constructions take only
+the cluster and return its cover and the case that built it; the ledger
+alone charges it. A star cluster is covered by one vertex (its center), a
+non-star cluster with matching number two by two vertices (three for the
+5-cycle), and larger non-star clusters go through a case analysis on the
+second maximum matching L (the maximum matching of the graph after the
+first matching's edges are deleted). Single-edge clusters that no
 other cluster's cover happens to touch are handled collectively: either a
 matching of their union is small and its endpoints suffice, or a four-stage
 pruning construction (Procedures 1-4 below) produces a cover of the *whole*
@@ -57,7 +58,7 @@ SINGLE_EDGE_CHARGE = 0.67  # per single-edge cluster; not Case I's 2t1'/3
 MATCHING_TWO_CHARGE = 1.62  # per non-star cluster with matching number two
 DISPATCH_CHARGE = 1.8  # per non-star cluster with matching number >= 3
 MEANS_SLOPE = Fraction(5, 2)  # a means cover holds 1 + MEANS_SLOPE * delta(F)
-SINGLES_SLOPE = 8  # the singles' 8*delta*k; Case I's threshold takes half
+SINGLES_SLOPE = 8  # Case I's 8*delta*k for uncovered singles; its threshold takes half
 
 
 class Charge(NamedTuple):
@@ -72,9 +73,10 @@ class Charge(NamedTuple):
 
 
 # The soundness ledger's charges, keyed by objective and entry kind, each
-# written once: the constructions' bounds, ``soundness_assemble``'s ceiling
-# and ``suites.suite_covers`` read this table. The one "singles" entry pays
-# its constant times delta * k. The ceiling adds the kinds in this order.
+# written once: ``soundness_assemble``'s ledger and ``suites.suite_covers``
+# read this table. The one "singles" entry pays its constant times delta * k
+# when it lists edges, and 0 when it lists none. The ceiling adds the kinds
+# in this order.
 CHARGES = {
     ("median", "single"): Charge(SINGLE_EDGE_CHARGE, 0),
     ("median", "singles"): Charge(SINGLES_SLOPE, 0),
@@ -91,15 +93,14 @@ KINDS = tuple(dict.fromkeys(kind for _, kind in CHARGES))
 
 @dataclass(frozen=True)
 class CoverResult:
-    """A construction's vertex cover of one cluster plus the bound justifying
-    it: which bound was applied and the extra-cost budget it was charged
-    to."""
+    """A construction's vertex cover of one cluster, and ``case``, what
+    built it: the construction ("matching_two", "general" or "means"), or
+    the row of ``cover_case_dispatch``'s table that fired, such as
+    "|L| = 0 (0.551)", which also names that row's constant. What the
+    cover is charged is the ledger's to say (``CHARGES``)."""
 
     cover: frozenset[int]
-    size: int
-    bound_kind: str
-    bound_value: Number
-    delta_used: Number
+    case: str
 
 
 @dataclass(frozen=True)
@@ -109,15 +110,14 @@ class SingleEdgeCoverOutcome:
     scope "singles_only": ``cover`` covers just the uncovered single-edge
     clusters (size <= 2*t1'/3 + 8*delta*k). scope "full_graph": the
     procedures fallback fired and ``cover`` covers the entire graph (size
-    <= 2k - 2*delta*k whenever the graph's matching number is <= k;
-    ``matching_size`` reports the witness matching |M_G|). In both scopes
-    ``singles_cover`` holds both endpoints of the singles' greedy matching
-    M_P, which cover the uncovered single-edge clusters (in scope
-    "singles_only" it is ``cover``)."""
+    <= ``cover_budget(k, delta)``, 2k - 2*delta*k, whenever the graph's
+    matching number is <= k; ``matching_size`` reports the witness matching
+    |M_G|). In both scopes ``singles_cover`` holds both endpoints of the
+    singles' greedy matching M_P, which cover the uncovered single-edge
+    clusters (in scope "singles_only" it is ``cover``)."""
 
     scope: str
     cover: frozenset[int]
-    bound_value: float
     matching_size: int
     subcase: Optional[str]
     singles_cover: frozenset[int]
@@ -137,11 +137,13 @@ class LedgerEntry:
     entry covers it.
 
     The one "singles" entry closes the ledger, with matching number 0 and
-    no extra cost; its constant is its ``CHARGES`` row's times delta * k
-    (8*delta*k under the median, 0 under the means). Its edges are the
-    single-edge blocks no other block's cover touches, and ``kept`` names
-    the cover the report used for them: "union", both endpoints of their
-    greedy matching M_P (none when there are no such edges), or
+    no extra cost. Its edges are the single-edge blocks no other block's
+    cover touches. When it lists any, its constant is its ``CHARGES`` row's
+    times delta * k: under the median the 8*delta*k of Case I of
+    ``cover_single_edge_clusters``, its term for those uncovered singles,
+    and 0 under the means. When it lists none it pays 0. ``kept`` names
+    the cover the report used for its edges: "union", both endpoints of
+    their greedy matching M_P (none when there are no such edges), or
     "fallback", the procedures' whole-graph cover, which the report then
     prunes in place of the union. ``cover`` holds that cover. ``kept`` is
     None on a block's entry."""
@@ -193,22 +195,13 @@ def _touches(e: Edge, f: Edge) -> bool:
     return e[0] in f or e[1] in f
 
 
-def _median_charged(cover: frozenset[int], charge: Charge, extra: float) -> CoverResult:
-    """A cluster's cover charged ``charge`` on ``extra``, its median extra
-    cost."""
-    return CoverResult(
-        cover, len(cover), f"{charge.constant}+(sqrt2+1)delta", charge.of(extra), extra
-    )
-
-
 # ---------------------------------------------------------------------------
 # Matching-number-two clusters
 # ---------------------------------------------------------------------------
 
-def cover_matching_two(g: Graph, extra: float) -> CoverResult:
+def cover_matching_two(g: Graph) -> CoverResult:
     """Cover of size two for any triangle-free cluster with matching number
-    exactly two, except the 5-cycle which genuinely needs three, charged to
-    ``extra``, the cluster's median extra cost.
+    exactly two, except the 5-cycle which genuinely needs three.
 
     A two-vertex cover must take one endpoint from each matching edge, so the
     case analysis reduces to scanning those four candidate pairs; when none
@@ -230,30 +223,21 @@ def cover_matching_two(g: Graph, extra: float) -> CoverResult:
         cover = frozenset((cyc[0], cyc[2], cyc[4]))
         if not is_vertex_cover(g, cover):
             raise Stuck(f"alternate vertices {sorted(cover)} of the 5-cycle are not a cover")
-    return _median_charged(cover, CHARGES["median", "matching_two"], extra)
+    return CoverResult(cover, "matching_two")
 
 
 # ---------------------------------------------------------------------------
 # General |M| + |L| - 1 construction
 # ---------------------------------------------------------------------------
 
-def cover_general(g: Graph, extra: float) -> CoverResult:
-    """Cover of size at most |M| + |L| - 1, recorded against ``extra``, the
-    cluster's median extra cost; the construction is ``_general_cover``'s on
-    M, g's maximum matching, and L, the maximum matching of g minus M's
+def cover_general(g: Graph) -> CoverResult:
+    """Cover of size at most |M| + |L| - 1, case "general": ``_general_cover``'s
+    on M, g's maximum matching, and L, the maximum matching of g minus M's
     edges, found as ``cover_case_dispatch`` finds them. A graph with a
     triangle, a star, or a graph whose L is empty raises
     ``PreconditionViolated``."""
     m = maximum_matching(g)
-    l = second_maximum_matching(g, m)
-    cover = _general_cover(g, m, l)
-    return CoverResult(
-        cover=frozenset(cover),
-        size=len(cover),
-        bound_kind="M+L-1",
-        bound_value=float(len(m) + len(l) - 1),
-        delta_used=extra,
-    )
+    return CoverResult(frozenset(_general_cover(g, m, second_maximum_matching(g, m))), "general")
 
 
 def _general_cover(g: Graph, m: Matching, l: Matching) -> set[int]:
@@ -340,11 +324,11 @@ def _cover_via_bridge_residual(g: Graph, m: Matching, b: Edge) -> set[int]:
     return {u} | _general_cover(g_rest, m_rest, l_rest)
 
 
-def cover_case_dispatch(g: Graph, extra: float) -> CoverResult:
+def cover_case_dispatch(g: Graph) -> CoverResult:
     """Constructive cover for a non-star triangle-free cluster with matching
-    number at least three, with the ledger constant recording which case
-    fired. Writing F' for the graph minus the maximum matching's edges and
-    F'' for F' additionally minus the second matching's edges:
+    number at least three, whose ``case`` names the row below that fired
+    and its constant. Writing F' for the graph minus the maximum matching's
+    edges and F'' for F' additionally minus the second matching's edges:
 
       |L| = 0                      -> the graph is |M| disjoint edges; one
                                       endpoint each (constant 0.551)
@@ -359,8 +343,9 @@ def cover_case_dispatch(g: Graph, extra: float) -> CoverResult:
       |L| >= 3, F'' non-star,
                 non-bridge         -> general construction, <= |M| + |L| - 1 (1.6)
 
-    Every path stays within DISPATCH_CHARGE + (sqrt(2)+1) * delta(F), where
-    delta(F) is ``extra``, the cluster's median extra cost.
+    Each row's constant is its own bound's, c + (sqrt(2)+1) * delta(F) with
+    delta(F) the cluster's median extra cost. The ledger charges every row
+    the largest, DISPATCH_CHARGE (1.8).
     """
     _require_triangle_free(g)
     if is_star(g) or g.num_edges < 2:
@@ -369,39 +354,40 @@ def cover_case_dispatch(g: Graph, extra: float) -> CoverResult:
     if len(m) < 3:
         raise PreconditionViolated(f"matching number is {len(m)}, need >= 3")
     l = second_maximum_matching(g, m)
-    dispatch = CHARGES["median", "dispatch"]
 
-    def result(cover: set[int], const: float, ceiling: int) -> CoverResult:
+    def result(cover: set[int], case: str, ceiling: int) -> CoverResult:
         if not is_vertex_cover(g, cover):
-            raise Stuck(f"case {const} produced a non-cover")
+            raise Stuck(f"case {case} produced a non-cover")
         if len(cover) > ceiling:
-            raise Stuck(f"case {const} used {len(cover)} > {ceiling} vertices")
-        return _median_charged(frozenset(cover), dispatch._replace(constant=const), extra)
+            raise Stuck(f"case {case} used {len(cover)} > {ceiling} vertices")
+        return CoverResult(frozenset(cover), case)
 
     if len(l) == 0:
-        return result({min(e) for e in m.edges}, 0.551, len(m))
+        return result({min(e) for e in m.edges}, "|L| = 0 (0.551)", len(m))
     if len(l) == 1:
-        return result(_general_cover(g, m, l), 1.8, len(m))
+        return result(_general_cover(g, m, l), "|L| = 1 (1.8)", len(m))
     if len(l) == 2:
         bridge = bridge_structure(remove_edges(g, m.edges))
         if bridge is not None:
-            return result(_cover_via_bridge_residual(g, m, bridge[0]), 1.53, len(m))
-        return result(_general_cover(g, m, l), 1.68, len(m) + 1)
+            cover = _cover_via_bridge_residual(g, m, bridge[0])
+            return result(cover, "|L| = 2, F' bridge (1.53)", len(m))
+        return result(_general_cover(g, m, l), "|L| = 2, F' non-bridge (1.68)", len(m) + 1)
 
     ml_edges = m.edges + l.edges
     f_pp = remove_edges(g, ml_edges)
     if f_pp.num_edges == 0:
-        return result(konig_cover(g), 1.6, len(m))
+        return result(konig_cover(g), "|L| >= 3, F'' empty (1.6)", len(m))
     c = common_vertex(f_pp.edges)
     if c is not None:
         survivors = Graph(g.num_vertices, tuple(e for e in ml_edges if c not in e))
-        return result({c} | konig_cover(survivors), 1.68, len(m) + 1)
+        return result({c} | konig_cover(survivors), "|L| >= 3, F'' a star (1.68)", len(m) + 1)
     bridge = bridge_structure(f_pp)
     if bridge is not None:
         (u, v), _p, _q = bridge
         survivors = Graph(g.num_vertices, tuple(e for e in ml_edges if u not in e and v not in e))
-        return result({u, v} | konig_cover(survivors), 1.4, len(m) + 1)
-    return result(_general_cover(g, m, l), 1.6, len(m) + len(l) - 1)
+        return result({u, v} | konig_cover(survivors), "|L| >= 3, F'' bridge (1.4)", len(m) + 1)
+    cover = _general_cover(g, m, l)
+    return result(cover, "|L| >= 3, F'' non-star, non-bridge (1.6)", len(m) + len(l) - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -484,7 +470,6 @@ def cover_single_edge_clusters(
         return SingleEdgeCoverOutcome(
             scope="singles_only",
             cover=mp_verts,
-            bound_value=2 * t1p / 3 + SINGLES_SLOPE * delta * k,
             matching_size=len(mp),
             subcase=None,
             singles_cover=mp_verts,
@@ -568,7 +553,6 @@ def cover_single_edge_clusters(
     return SingleEdgeCoverOutcome(
         scope="full_graph",
         cover=frozenset(cover),
-        bound_value=cover_budget(k, delta),
         matching_size=size,
         subcase=subcase,
         singles_cover=mp_verts,
@@ -580,13 +564,15 @@ def cover_single_edge_clusters(
 # ---------------------------------------------------------------------------
 
 def cover_nonstar_means(g: Graph) -> CoverResult:
-    """Cover charged against the exact 1-means extra cost.
+    """Cover of case "means", of size at most 2 + delta(F), the exact 1-means
+    extra cost.
 
     The edge maximizing deg(u) + deg(v) misses at most delta(F) edges, so
     both its endpoints plus one vertex per missed edge give size
-    <= 2 + delta(F) <= 1 + (5/2) delta(F), all checked in exact rationals.
-    (The second inequality needs delta >= 2/3, which fails on graphs with
-    triangles — a triangle has delta = 0 — hence the triangle-free gate.)
+    <= 2 + delta(F), checked in exact rationals. The ledger charges it
+    1 + (5/2) delta(F), which is at least that when delta >= 2/3. That fails
+    on graphs with triangles — a triangle has delta = 0 — hence the
+    triangle-free gate.
     """
     _require_triangle_free(g)
     if is_star(g) or g.num_edges < 2:
@@ -603,10 +589,7 @@ def cover_nonstar_means(g: Graph) -> CoverResult:
         raise Stuck("means construction produced a non-cover")
     if len(cover) > 2 + delta:
         raise Stuck(f"means cover of {len(cover)} exceeds 2 + delta = {2 + delta}")
-    bound = CHARGES["means", "means"].of(delta)
-    if len(cover) > bound:
-        raise Stuck(f"means cover of {len(cover)} exceeds 1 + ({MEANS_SLOPE}) delta = {bound}")
-    return CoverResult(frozenset(cover), len(cover), f"1+({MEANS_SLOPE})delta_means", bound, delta)
+    return CoverResult(frozenset(cover), "means")
 
 
 # ---------------------------------------------------------------------------
@@ -666,17 +649,17 @@ def soundness_assemble(
 
     Blocks are single edges, stars, and non-star clusters with matching
     number two or more. Stars contribute their center; non-star blocks run
-    the per-cluster constructions, each charged to the block's median extra
-    cost, solved once per block (the means objective charges everything to
-    exact rational extra costs instead). Single-edge blocks the union
-    misses go through cover_single_edge_clusters, and the union cover takes
-    both endpoints of its greedy matching M_P. Redundant vertices are pruned
-    in ascending order. If the full-graph fallback fires, its cover, pruned
-    the same way, replaces the union only when it is smaller; the singles
-    entry names the cover kept. The (delta, beta)-ceiling, ``_ceiling`` of
-    the entries, is reported next to the realized size. k below 1, beta
-    below 1, a beta * k that is not finite, or a delta that is negative or
-    not finite raises ``ValueError``.
+    the per-cluster constructions, and each is charged its ``CHARGES`` row
+    on its extra cost under the objective, computed once per block (a float
+    under the median, an exact ``Fraction`` under the means). Single-edge
+    blocks the union misses go through cover_single_edge_clusters, and the
+    union cover takes both endpoints of its greedy matching M_P. Redundant
+    vertices are pruned in ascending order. If the full-graph fallback
+    fires, its cover, pruned the same way, replaces the union only when it
+    is smaller; the singles entry names the cover kept. The
+    (delta, beta)-ceiling, ``_ceiling`` of the entries, is reported next to
+    the realized size. k below 1, beta below 1, a beta * k that is not
+    finite, or a delta that is negative or not finite raises ``ValueError``.
     """
     _require_triangle_free(g)
     check_objective(objective)
@@ -703,15 +686,16 @@ def soundness_assemble(
             entries.append(entry("star", block, 1, frozenset({center})))
         else:
             nu = len(maximum_matching(sub))
+            extra = extra_cost(sub, objective).value
             if objective == "means":
-                kind, res = "means", cover_nonstar_means(sub)
+                kind, build = "means", cover_nonstar_means
             else:
-                extra = float(extra_cost(sub, "median").value)
-                kind, res = (
-                    ("matching_two", cover_matching_two(sub, extra)) if nu == 2
-                    else ("dispatch", cover_case_dispatch(sub, extra))
+                extra = float(extra)
+                kind, build = (
+                    ("matching_two", cover_matching_two) if nu == 2
+                    else ("dispatch", cover_case_dispatch)
                 )
-            entries.append(entry(kind, block, nu, res.cover, res.delta_used))
+            entries.append(entry(kind, block, nu, build(sub).cover, extra))
         vc_prime |= entries[-1].cover
 
     uncovered = tuple(
@@ -730,7 +714,7 @@ def soundness_assemble(
             pruned, kept, singles_cover = fallback, "fallback", outcome.cover
     if not is_vertex_cover(g, pruned):
         raise Stuck("assembled cover is invalid")
-    singles = CHARGES[objective, "singles"].constant * delta * k
+    singles = CHARGES[objective, "singles"].constant * delta * k if uncovered else 0.0
     entries.append(
         LedgerEntry("singles", uncovered, 0, singles_cover, singles, 0, 0, singles, kept)
     )

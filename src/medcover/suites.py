@@ -254,56 +254,55 @@ def suite_covers(max_edges: int) -> dict:
     covers, matching-2 covers as small as the true minimum (2, or 3 on the
     5-cycle), general covers within |M|+|L|-1, case dispatch within its
     ``covers.CHARGES`` row, DISPATCH_CHARGE + (sqrt2+1)*delta, and means
-    covers within theirs, 1 + MEANS_SLOPE*delta, exactly; the median delta
-    is the extra cost from ``_nonstars``. Every construction is checked one
-    way, by ``construction``."""
+    covers within theirs, 1 + MEANS_SLOPE*delta, exactly. The median delta
+    is the extra cost from ``_nonstars``; the means one is computed once per
+    graph. Every construction is checked one way, by ``construction``."""
     ledger = _Ledger("cover_extraction")
     check = ledger.check
 
-    def construction(label: str, claim, build, g: Graph, *args: object) -> None:
-        """First that ``build(g, *args)`` returns a vertex cover of g, then
-        the construction's own claim, ``claim(res)``, an (ok, template,
-        *args) for ``check``. A construction that raises fails both checks."""
+    def construction(label: str, claim, build, g: Graph) -> None:
+        """First that ``build(g)`` returns a vertex cover of g, then the
+        construction's own claim on its size, ``claim(size)``, an (ok,
+        template, *args) for ``check``. A construction that raises fails
+        both checks."""
         try:
-            res = build(g, *args)
+            res = build(g)
         except MedcoverError as ex:
             for what in ("cover", "size bound"):
                 check(False, "{} construction failed on {} ({}): {}", label, g.edges, what, ex)
             return
         check(is_vertex_cover(g, res.cover), "{} non-cover on {}", label, g.edges)
-        check(*claim(res))
+        check(*claim(len(res.cover)))
 
     for g, _, extra in _nonstars(max_edges):
         m = maximum_matching(g)
         l = second_maximum_matching(g, m)
 
-        def least(res):
+        def least(size):
             want = len(min_vertex_cover(g))
             expected = 3 if classify(g).tag is ClassTag.C5 else 2
-            return (res.size == expected == want,
+            return (size == expected == want,
                     "matching-2 size on {}: got {}, construction {}, minimum {}",
-                    g.edges, res.size, expected, want)
+                    g.edges, size, expected, want)
 
-        def general(res):
-            return (res.size <= len(m) + len(l) - 1,
-                    "general size bound fails on {}: {}", g.edges, res.size)
+        def general(size):
+            return (size <= len(m) + len(l) - 1,
+                    "general size bound fails on {}: {}", g.edges, size)
 
-        def dispatched(res):
-            lim = CHARGES["median", "dispatch"].of(res.delta_used)
-            return (res.size <= lim + 1e-6,
-                    "dispatch bound fails on {}: {} > {!r}", g.edges, res.size, lim)
+        def dispatched(size):
+            lim = CHARGES["median", "dispatch"].of(extra)
+            return (size <= lim + 1e-6, "dispatch bound fails on {}: {} > {!r}", g.edges, size, lim)
 
-        def means(res):
-            lim = CHARGES["means", "means"].of(res.delta_used)
-            return (Fraction(res.size) <= lim,
-                    "means bound fails on {}: {} > {}", g.edges, res.size, lim)
+        def means(size):
+            lim = CHARGES["means", "means"].of(extra_cost(g, "means").value)
+            return (size <= lim, "means bound fails on {}: {} > {}", g.edges, size, lim)
 
         if len(m) == 2:
-            construction("matching-2", least, cover_matching_two, g, extra)
+            construction("matching-2", least, cover_matching_two, g)
         if len(l) >= 1:
-            construction("general", general, cover_general, g, extra)
+            construction("general", general, cover_general, g)
         if len(m) >= 3:
-            construction("dispatch", dispatched, cover_case_dispatch, g, extra)
+            construction("dispatch", dispatched, cover_case_dispatch, g)
         construction("means", means, cover_nonstar_means, g)
     return ledger.result()
 

@@ -33,7 +33,7 @@ from medcover.costs import (
 )
 from medcover.errors import DomainError, NotConverged
 from medcover.graphs import common_vertex, graph_from_edges
-from medcover.oracle import enumerate_triangle_free, random_triangle_free
+from medcover.oracle import enumerate_triangle_free, min_vertex_cover, random_triangle_free
 from medcover.reduction import reduce_graph
 from medcover.suites import completeness_instances
 
@@ -221,6 +221,25 @@ def test_means_extra_cost_is_twice_the_disjoint_pairs_over_r():
         else:
             assert pairs == 0, g.edges
     assert non_stars > 800
+
+
+def test_disjoint_pairs_bound_the_cover_number():
+    # 3D >= r(tau - 1) in integers, ``one_means_cost``'s bound per cover
+    # number, on every triangle-free graph up to 8 edges, connected or not;
+    # its tau = 3 case is checked here, not proven
+    graphs = list(enumerate_triangle_free(8, include_disconnected=True))
+    assert len(graphs) == 452
+    tight, least_at_three = [], None
+    for g in graphs:
+        r, pairs, tau = g.num_edges, _disjoint_edge_pairs(g), len(min_vertex_cover(g))
+        assert 3 * pairs >= r * (tau - 1), g.edges
+        if 3 * pairs == r * (tau - 1) and common_vertex(g.edges) is None:
+            tight.append(g.edges)
+        if tau == 3:
+            ratio = Fraction(2 * pairs, r)
+            least_at_three = ratio if least_at_three is None else min(least_at_three, ratio)
+    assert tight == [((0, 1), (0, 2), (1, 3))]  # P4, the only non-star at equality
+    assert least_at_three == 2
 
 
 def test_extra_cost_rejects_an_unknown_objective():

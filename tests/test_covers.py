@@ -2,7 +2,7 @@
 procedures, and report assembly.
 
 Frozen covers below were cross-checked against the exact vertex-cover oracle;
-the case constants in bound_kind name which construction fired. The ledger
+each cover's case names the construction, or the dispatch row, that built it. The ledger
 tests check each report's entries against its counts, ceiling and cover.
 """
 
@@ -42,11 +42,6 @@ C5 = [(0, 1), (0, 4), (1, 2), (2, 3), (3, 4)]
 P4 = [(0, 1), (1, 2), (2, 3)]
 
 
-def median_extra(g):
-    """The cluster's median extra cost, which the constructions are charged."""
-    return float(extra_cost(g, "median").value)
-
-
 # ---------------------------------------------------------------------------
 # Matching number two
 # ---------------------------------------------------------------------------
@@ -62,26 +57,26 @@ def median_extra(g):
 )
 def test_matching_two_frozen_covers(edges, expected):
     g = graph_from_edges(edges)
-    r = cover_matching_two(g, median_extra(g))
+    r = cover_matching_two(g)
     assert sorted(r.cover) == expected
     assert is_vertex_cover(g, r.cover)
-    assert r.bound_kind == "1.62+(sqrt2+1)delta"
+    assert r.case == "matching_two"
 
 
 def test_matching_two_is_minimum():
     # for matching number 2 the construction is not just valid but optimal
     for edges in (P4, [(0, 1), (2, 3)], C5, [(0, 1), (1, 2), (2, 3), (3, 4)]):
         g = graph_from_edges(edges)
-        assert cover_matching_two(g, median_extra(g)).size == len(min_vertex_cover(g))
+        assert len(cover_matching_two(g).cover) == len(min_vertex_cover(g))
 
 
 def test_matching_two_rejects_wrong_matching_number():
     star = graph_from_edges([(0, 1), (0, 2)])  # nu = 1
     with pytest.raises(PreconditionViolated):
-        cover_matching_two(star, median_extra(star))
+        cover_matching_two(star)
     big = graph_from_edges([(0, 1), (2, 3), (4, 5)])  # nu = 3
     with pytest.raises(PreconditionViolated):
-        cover_matching_two(big, median_extra(big))
+        cover_matching_two(big)
 
 
 # ---------------------------------------------------------------------------
@@ -92,9 +87,10 @@ def test_general_construction_bound_and_validity():
     g = graph_from_edges([(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 4)])
     m = maximum_matching(g)
     l = second_maximum_matching(g, m)
-    r = cover_general(g, median_extra(g))
+    r = cover_general(g)
     assert is_vertex_cover(g, r.cover)
-    assert r.size <= len(m) + len(l) - 1
+    assert len(r.cover) <= len(m) + len(l) - 1
+    assert r.case == "general"
 
 
 @pytest.mark.parametrize("edges, kind", [
@@ -112,8 +108,8 @@ def test_dispatch_computes_each_matching_once(monkeypatch, edges, kind):
 
     monkeypatch.setattr(graphs, "maximum_matching", counted)  # inside second_maximum_matching
     monkeypatch.setattr(covers, "maximum_matching", counted)
-    r = cover_case_dispatch(g, 0.25)
-    assert r.bound_kind == f"{kind}+(sqrt2+1)delta"
+    r = cover_case_dispatch(g)
+    assert r.case.endswith(f"({kind})")
     assert len(calls) == 2  # M on g, then L on g minus M's edges
 
 
@@ -138,8 +134,8 @@ def test_bridge_residual_computes_the_residue_matchings_once(monkeypatch):
     monkeypatch.setattr(graphs, "maximum_matching", counted_max)  # inside second_maximum_matching
     monkeypatch.setattr(covers, "maximum_matching", counted_max)
     monkeypatch.setattr(covers, "second_maximum_matching", counted_second)
-    r = cover_case_dispatch(g, 0.25)
-    assert (r.bound_kind, sorted(r.cover)) == ("1.53+(sqrt2+1)delta", [0, 1, 3])
+    r = cover_case_dispatch(g)
+    assert (r.case, sorted(r.cover)) == ("|L| = 2, F' bridge (1.53)", [0, 1, 3])
     # M and L on g; L on the residue; M checked maximum on the residue
     assert calls == {"maximum": 4, "second": 2}
 
@@ -149,74 +145,59 @@ def test_bridge_residual_still_rejects_a_residue_matching_that_is_not_maximum(mo
     m = maximum_matching(g)
     monkeypatch.setattr(covers, "maximum_matching", lambda h: m)  # |M| on the residue too
     with pytest.raises(Stuck, match="not a maximum matching of the rest"):
-        cover_case_dispatch(g, 0.25)
-
-
-def test_constructions_charge_the_extra_cost_they_are_given():
-    # the ledger entry is computed from the caller's extra cost as given
-    extra = 0.25
-    r = cover_matching_two(graph_from_edges(P4), extra)
-    assert (r.delta_used, r.bound_value) == (extra, 1.62 + SQRT2P1 * extra)
-    g = graph_from_edges([(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 4)])
-    m = maximum_matching(g)
-    l = second_maximum_matching(g, m)
-    r = cover_general(g, extra)
-    assert (r.delta_used, r.bound_value) == (extra, float(len(m) + len(l) - 1))
-    r = cover_case_dispatch(graph_from_edges([(0, 1), (2, 3), (4, 5)]), extra)
-    assert (r.delta_used, r.bound_value) == (extra, 0.551 + SQRT2P1 * extra)
+        cover_case_dispatch(g)
 
 
 DISPATCH_CASES = [
     # |L| = 0: disjoint edges, one endpoint each
-    ([(0, 1), (2, 3), (4, 5)], "0.551+(sqrt2+1)delta", [0, 2, 4]),
+    ([(0, 1), (2, 3), (4, 5)], "|L| = 0 (0.551)", [0, 2, 4]),
     # |L| = 1: general construction at size |M|
-    ([(0, 1), (1, 2), (2, 3), (4, 5)], "1.8+(sqrt2+1)delta", [1, 2, 4]),
+    ([(0, 1), (1, 2), (2, 3), (4, 5)], "|L| = 1 (1.8)", [1, 2, 4]),
     # |L| = 2 with a bridge residual: endpoint recursion
     ([(0, 5), (1, 3), (2, 3), (2, 4), (3, 5), (3, 6), (4, 6)],
-     "1.53+(sqrt2+1)delta", [0, 3, 4]),
+     "|L| = 2, F' bridge (1.53)", [0, 3, 4]),
     ([(0, 1), (1, 2), (2, 3), (2, 4), (4, 5), (4, 6)],
-     "1.53+(sqrt2+1)delta", [0, 2, 4]),
+     "|L| = 2, F' bridge (1.53)", [0, 2, 4]),
     # |L| = 2 without one: general construction, one above |M|
-    ([(0, 1), (0, 2), (1, 3), (2, 4), (3, 5)], "1.68+(sqrt2+1)delta", [0, 1, 2, 3]),
+    ([(0, 1), (0, 2), (1, 3), (2, 4), (3, 5)], "|L| = 2, F' non-bridge (1.68)", [0, 1, 2, 3]),
     # |L| >= 3, third matching empty: the graph is bipartite, Koenig cover
-    ([(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6)], "1.6+(sqrt2+1)delta", [1, 3, 5]),
+    ([(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6)], "|L| >= 3, F'' empty (1.6)", [1, 3, 5]),
     # |L| >= 3, third matching a star: its center plus Koenig on the rest
     ([(0, 1), (1, 2), (1, 7), (1, 8), (2, 3), (3, 4), (4, 5), (5, 6)],
-     "1.68+(sqrt2+1)delta", [1, 3, 5]),
+     "|L| >= 3, F'' a star (1.68)", [1, 3, 5]),
     # |L| >= 3, third matching a bridge graph: both bridge endpoints
     ([(0, 3), (0, 4), (0, 6), (0, 7), (1, 3), (1, 6), (1, 7), (2, 4), (2, 5), (2, 7)],
-     "1.4+(sqrt2+1)delta", [0, 1, 2, 7]),
+     "|L| >= 3, F'' bridge (1.4)", [0, 1, 2, 7]),
     # |L| >= 3, anything else: general construction
     ([(0, 5), (0, 8), (1, 2), (1, 4), (2, 5), (3, 5), (3, 8), (4, 7), (6, 8), (7, 8)],
-     "1.6+(sqrt2+1)delta", [0, 1, 4, 5, 8]),
+     "|L| >= 3, F'' non-star, non-bridge (1.6)", [0, 1, 4, 5, 8]),
 ]
 
 
-@pytest.mark.parametrize("edges,kind,cover", DISPATCH_CASES)
-def test_dispatch_frozen_cases(edges, kind, cover):
+# the ids keep the names these cases had when each reported its own bound,
+# c + (sqrt2+1)delta, so test records stay comparable
+@pytest.mark.parametrize("edges,case,cover", DISPATCH_CASES, ids=[
+    f"edges{i}-{case.rsplit('(', 1)[1][:-1]}+(sqrt2+1)delta-cover{i}"
+    for i, (_, case, _) in enumerate(DISPATCH_CASES)
+])
+def test_dispatch_frozen_cases(edges, case, cover):
     g = graph_from_edges(edges)
-    r = cover_case_dispatch(g, median_extra(g))
-    assert r.bound_kind == kind
+    r = cover_case_dispatch(g)
+    assert r.case == case
     assert sorted(r.cover) == cover
     assert is_vertex_cover(g, r.cover)
-
-
-def test_dispatch_bound_value_composition():
-    g = graph_from_edges([(0, 1), (2, 3), (4, 5)])
-    r = cover_case_dispatch(g, median_extra(g))
-    assert r.bound_value == pytest.approx(0.551 + SQRT2P1 * r.delta_used)
 
 
 def test_dispatch_requires_matching_three():
     c5 = graph_from_edges(C5)  # nu = 2
     with pytest.raises(PreconditionViolated):
-        cover_case_dispatch(c5, median_extra(c5))
+        cover_case_dispatch(c5)
 
 
 def test_dispatch_requires_triangle_free():
     g = graph_from_edges([(0, 1), (1, 2), (0, 2), (3, 4), (5, 6), (7, 8)])
     with pytest.raises(PreconditionViolated):
-        cover_case_dispatch(g, median_extra(g))
+        cover_case_dispatch(g)
 
 
 def test_dispatch_random_battery():
@@ -234,12 +215,12 @@ def test_dispatch_random_battery():
         m = maximum_matching(g)
         if len(m) < 3:
             continue
-        r = cover_case_dispatch(g, median_extra(g))
-        kinds.add(r.bound_kind)
+        r = cover_case_dispatch(g)
+        kinds.add(r.case)
         hit += 1
         assert is_vertex_cover(g, r.cover)
         l = second_maximum_matching(g, m)
-        assert r.size <= len(m) + max(len(l) - 1, 1)
+        assert len(r.cover) <= len(m) + max(len(l) - 1, 1)
     assert hit >= 20
     assert len(kinds) >= 3  # the battery should not be stuck in one case
 
@@ -248,6 +229,14 @@ def test_dispatch_random_battery():
 # Single-edge clusters: Procedures 1-4
 # ---------------------------------------------------------------------------
 
+def _outcome_bound(out, singles, k, delta):
+    """The size bound of an outcome's scope, as the outcome once carried it:
+    Case I's 2t1'/3 + 8*delta*k, or the whole-graph ``cover_budget``."""
+    if out.scope == "singles_only":
+        return 2 * len(singles) / 3 + covers.SINGLES_SLOPE * delta * k
+    return covers.cover_budget(k, delta)
+
+
 def test_single_edges_case_one_covers_just_the_singles():
     g = graph_from_edges([(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)])  # P6
     out = cover_single_edge_clusters(g, singles=[0], vc_prime=[2, 4], k=30, delta=0.01)
@@ -255,7 +244,7 @@ def test_single_edges_case_one_covers_just_the_singles():
     assert sorted(out.cover) == [0, 1]
     assert out.matching_size == 1
     assert out.subcase is None
-    assert len(out.cover) <= out.bound_value
+    assert len(out.cover) <= 2 * 1 / 3 + 8 * 0.01 * 30  # Case I: 2t1'/3 + 8*delta*k
 
 
 def test_single_edges_case_two_on_three_disjoint_edges():
@@ -372,7 +361,8 @@ def test_single_edge_outcomes_are_pinned():
             for delta in (0.0, 0.01, 0.5):
                 out = cover_single_edge_clusters(g, singles, vc_prime, k=k, delta=delta)
                 records.append(
-                    f"{out.scope} {sorted(out.cover)} {out.bound_value.hex()} "
+                    f"{out.scope} {sorted(out.cover)} "
+                    f"{_outcome_bound(out, singles, k, delta).hex()} "
                     f"{out.matching_size} {out.subcase}"
                 )
     assert len(records) == 2070
@@ -402,7 +392,8 @@ def test_single_edge_procedures_that_pick_repeatedly_are_pinned():
                 try:
                     out = cover_single_edge_clusters(g, singles, vc_prime, k=k, delta=delta)
                     records.append(
-                        f"{out.scope} {sorted(out.cover)} {out.bound_value.hex()} "
+                        f"{out.scope} {sorted(out.cover)} "
+                        f"{_outcome_bound(out, singles, k, delta).hex()} "
                         f"{out.matching_size} {out.subcase}"
                     )
                 except MedcoverError as ex:
@@ -416,44 +407,44 @@ def test_single_edge_procedures_that_pick_repeatedly_are_pinned():
 
 def test_construction_outcomes_are_pinned():
     # the four per-cluster constructions on the 444 non-star triangle-free
-    # graphs up to 8 edges, connected or not, each charged its median extra
-    # cost: each outcome's sorted cover, bound kind and the reprs of its
-    # bound and charged delta, or the type and text of what it raised; the
-    # digest was generated when cover_general was handed its matchings,
-    # recorded on numpy 2.4.6 and Python 3.11.7
+    # graphs up to 8 edges, connected or not: each outcome's sorted cover and
+    # case, or the type and text of what it raised; the digest was generated
+    # when each construction also reported its own bound and was handed the
+    # median extra cost (the records of that version, rebuilt from these
+    # covers and cases, gave its digest), recorded on numpy 2.4.6 and
+    # Python 3.11.7
     nonstars = [g for g in enumerate_triangle_free(8, include_disconnected=True) if not is_star(g)]
     assert len(nonstars) == 444
-    constructions = (
-        cover_matching_two, cover_general, cover_case_dispatch,
-        lambda g, extra: cover_nonstar_means(g),
-    )
     records = []
     for g in nonstars:
-        extra = median_extra(g)
-        for build in constructions:
+        for build in (cover_matching_two, cover_general, cover_case_dispatch, cover_nonstar_means):
             try:
-                r = build(g, extra)
-                records.append(f"{sorted(r.cover)} {r.bound_kind} {r.bound_value!r} {r.delta_used!r}")
+                r = build(g)
+                records.append(f"{sorted(r.cover)} {r.case}")
             except MedcoverError as ex:
                 records.append(f"{type(ex).__name__}: {ex}")
     assert len(records) == 1776
     assert sum(r.startswith("PreconditionViolated") for r in records) == 451
     digest = hashlib.sha256("\n".join(records).encode()).hexdigest()
-    assert digest == "725b8191d0f2031a8e578254de06422e698be8503df9c8c50e45730ddab5a14f"
+    assert digest == "51d6c8c5ded96e7f1b4a77bf377d7edf24151fd7584088d7dbe1c5d5ce840df7"
 
 
 # ---------------------------------------------------------------------------
 # Means-side construction
 # ---------------------------------------------------------------------------
 
+def means_extra(g):
+    return extra_cost(g, "means").value
+
+
 def test_nonstar_means_frozen_cases():
-    r = cover_nonstar_means(graph_from_edges([(0, 1), (2, 3)]))
-    assert sorted(r.cover) == [0, 1, 2]
-    assert r.bound_value == Fraction(7, 2)
-    r = cover_nonstar_means(graph_from_edges(P4))
-    assert sorted(r.cover) == [1, 2]
-    assert r.bound_value == Fraction(8, 3)
-    assert r.size <= r.bound_value
+    # within 2 + delta: 3 against delta = 1, and 2 against delta = 2/3
+    g = graph_from_edges([(0, 1), (2, 3)])
+    r = cover_nonstar_means(g)
+    assert (sorted(r.cover), r.case, means_extra(g)) == ([0, 1, 2], "means", 1)
+    g = graph_from_edges(P4)
+    r = cover_nonstar_means(g)
+    assert (sorted(r.cover), means_extra(g)) == ([1, 2], Fraction(2, 3))
 
 
 def test_nonstar_means_requires_triangle_free():
@@ -466,7 +457,7 @@ def test_nonstar_means_battery():
         g = random_triangle_free(7, 3, seed=seed)
         r = cover_nonstar_means(g)
         assert is_vertex_cover(g, r.cover)
-        assert r.size <= r.bound_value
+        assert len(r.cover) <= 2 + means_extra(g)
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +471,9 @@ def test_assemble_c5_frozen():
     assert sorted(rep.cover) == [0, 1, 3]
     assert rep.total_cover_size == 3
     assert rep.procedures_path == "direct"
-    assert rep.predicted_ceiling == pytest.approx(3.462163, abs=1e-5)
+    # no single-edge block, so the singles entry lists nothing and pays 0
+    assert rep.per_cluster[-1].edges == () and rep.per_cluster[-1].charge == 0
+    assert rep.predicted_ceiling == pytest.approx(3.302163, abs=1e-5)
     assert rep.epsilon == pytest.approx(2.0 - rep.predicted_ceiling / 2, abs=1e-12)
     assert is_vertex_cover(g, rep.cover)
 
@@ -548,7 +541,8 @@ def test_assemble_rejects_k_below_one(k):
 @pytest.mark.parametrize("objective, solves", [("median", 2), ("means", 0)])
 def test_assemble_solves_one_median_per_nonstar_block(monkeypatch, objective, solves):
     # a 5-cycle (matching number 2), a 7-vertex path (3), a star and a lone
-    # edge: only the two non-star blocks are charged a median extra cost
+    # edge: only the two non-star blocks are charged an extra cost, one each
+    # under the report's objective, so the means solves no median
     g = graph_from_edges(C5 + [(5, 6), (6, 7), (7, 8), (8, 9), (9, 10), (10, 11),
                                (12, 13), (12, 14), (15, 16)])
     blocks = [[0, 1, 2, 3, 4], [5, 6, 7, 8, 9, 10], [11, 12], [13]]
@@ -561,9 +555,9 @@ def test_assemble_solves_one_median_per_nonstar_block(monkeypatch, objective, so
     monkeypatch.setattr(covers, "extra_cost", counting)
     rep = soundness_assemble(g, blocks, k=4, objective=objective)
     assert (rep.t1, rep.t2, rep.t3, rep.t4) == (1, 1, 1, 1)
-    assert sum(counted.values()) == solves
-    assert set(counted.values()) <= {1}
-    assert all(obj == "median" for _, obj in counted)
+    assert sum(n for (_, obj), n in counted.items() if obj == "median") == solves
+    assert sorted(counted.values()) == [1, 1]
+    assert all(obj == objective for _, obj in counted)
 
 
 def test_assemble_random_battery():
@@ -646,7 +640,7 @@ def test_the_ledger_adds_up_on_every_catalogue_run():
         assert (nus[2], nus[3]) == (rep.t3, rep.t4)
         for e in rep.per_cluster:
             row = covers.CHARGES[objective, e.kind]
-            per = 0.01 * k if e is singles else 1
+            per = (0.01 * k if e.edges else 0) if e is singles else 1
             assert (e.constant, e.slope) == (row.constant * per, row.slope)
             assert e.charge == e.constant + e.slope * e.extra
         assert math.isclose(rep.predicted_ceiling, math.fsum(e.charge for e in rep.per_cluster),
@@ -660,9 +654,11 @@ def test_the_ledger_adds_up_on_every_catalogue_run():
         assert singles.kept == "union" or rep.procedures_path == "procedures_fallback"
         ceilings.append(rep.predicted_ceiling.hex())
     assert len(ceilings) == 396
-    # the ceilings' floats as the per-category formulas gave them, bit for bit
+    # the ceilings' floats, bit for bit: as the per-category formulas gave
+    # them, except that a singles entry listing no edges no longer pays
+    # 8*delta*k, which moved only those median runs' ceilings
     digest = hashlib.sha256("\n".join(ceilings).encode()).hexdigest()
-    assert digest == "e0ac30bc57c623df244516d2e0ed0732ba2593fa2613993fddb184f1b25df3a1"
+    assert digest == "bf4db89305ac4d05387f257ec8ef2433d23364afb114808582122fc66fab0628"
 
 
 def test_the_means_ceiling_charges_every_block_it_has():
@@ -688,6 +684,19 @@ def test_the_median_ceiling_reads_the_table():
     )
 
 
+def test_the_smallest_median_witness_exceeds_its_ceiling():
+    # one edge at k = 1: its single-edge block pays SINGLE_EDGE_CHARGE and
+    # the singles entry 8*delta*k, a ceiling of 0.67 + 0.08 = 0.75 under a
+    # cover of 1 = tau. The 0.67 is an amortised charge, not a bound on one
+    # block (ROADMAP item 1), so this test changes when item 1 corrects it.
+    g = graph_from_edges([(0, 1)])
+    rep = soundness_assemble(g, [[0]], k=1, objective="median", delta=0.01)
+    assert [e.kind for e in rep.per_cluster] == ["single", "singles"]
+    assert [e.charge for e in rep.per_cluster] == pytest.approx([0.67, 0.08])
+    assert rep.predicted_ceiling == pytest.approx(0.75)
+    assert rep.total_cover_size == len(min_vertex_cover(g)) == 1
+
+
 # ---------------------------------------------------------------------------
 # Proof obligations raise Stuck (they survive python -O)
 #
@@ -706,7 +715,7 @@ def test_stuck_when_the_c5_alternate_vertices_are_not_a_cover(monkeypatch):
     c5 = graph_from_edges(C5)
     monkeypatch.setattr(covers, "is_vertex_cover", _always(False))
     with pytest.raises(Stuck, match="5-cycle"):
-        cover_matching_two(c5, median_extra(c5))
+        cover_matching_two(c5)
 
 
 def test_stuck_when_the_bridge_edge_misses_the_matching():
@@ -720,8 +729,8 @@ def test_stuck_when_the_bridge_edge_misses_the_matching():
 def test_stuck_when_a_dispatch_case_exceeds_its_ceiling(monkeypatch):
     g = graph_from_edges([(0, 1), (0, 2), (0, 3), (1, 4), (2, 5)])  # |M| = 3, |L| = 1
     monkeypatch.setattr(covers, "_general_cover", _always(set(range(g.num_vertices))))
-    with pytest.raises(Stuck, match="case 1.8 used 6 > 3"):
-        cover_case_dispatch(g, median_extra(g))
+    with pytest.raises(Stuck, match=r"case \|L\| = 1 \(1.8\) used 6 > 3"):
+        cover_case_dispatch(g)
 
 
 def test_stuck_when_the_singles_matching_misses_a_single(monkeypatch):
@@ -763,7 +772,6 @@ def test_stuck_when_the_means_cover_is_not_a_cover(monkeypatch):
 
 @pytest.mark.parametrize("edges,bound", [
     ([(0, 1), (2, 3), (4, 5)], r"2 \+ delta"),  # a 3-vertex cover against delta = 0
-    (P4, r"1 \+ \(5/2\) delta"),  # a 2-vertex cover against delta = 0
 ])
 def test_stuck_when_the_means_cover_exceeds_its_bound(monkeypatch, edges, bound):
     monkeypatch.setattr(covers, "one_means_cost", lambda g: Fraction(g.num_edges - 1))

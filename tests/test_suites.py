@@ -98,8 +98,9 @@ def test_catalogue_suites_at_eight_edges():
 
 
 def test_cover_suite_solves_each_median_once(monkeypatch):
-    # one median_costs call holds every non-star graph; the constructions
-    # are handed each graph's extra cost and solve no median themselves
+    # one median_costs call holds every non-star graph; the dispatch check
+    # reads each graph's extra cost from it, and no construction solves a
+    # median
     batches = []
     inside = []
     real_batch = costs._weiszfeld_batch
@@ -327,13 +328,13 @@ def test_cover_suite_reports_a_means_cover_over_its_bound(monkeypatch):
 
     def over_on_c5(g):
         res = covers.cover_nonstar_means(g)
-        return dataclasses.replace(res, size=res.size + 10) if g.edges == C5 else res
+        more = res.cover | set(range(100, 110))  # still a cover, ten vertices larger
+        return dataclasses.replace(res, cover=more) if g.edges == C5 else res
 
     monkeypatch.setattr(suites, "cover_nonstar_means", over_on_c5)
-    res = covers.cover_nonstar_means(Graph(5, C5))
-    assert_one_failure(
-        suite_covers(5), clean, f"means bound fails on {C5}: {res.size + 10} > {res.bound_value}"
-    )
+    size = len(covers.cover_nonstar_means(Graph(5, C5)).cover) + 10
+    bound = covers.CHARGES["means", "means"].of(costs.extra_cost(Graph(5, C5), "means").value)
+    assert_one_failure(suite_covers(5), clean, f"means bound fails on {C5}: {size} > {bound}")
 
 
 @pytest.mark.parametrize(

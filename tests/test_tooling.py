@@ -2,8 +2,8 @@
 recording script reach into, that script's measurement loop, the rule that
 proof obligations raise typed errors instead of asserting, the absence of
 rebound module state, the process caches, the one check ledger of the
-suites, the limits the README states, the package's Python floor, and the
-demo script running end to end."""
+suites, the limits the README states, the package's Python floor and its
+one runtime dependency, and the demo script running end to end."""
 
 import ast
 import dataclasses
@@ -320,6 +320,25 @@ def _least_python(specifier: str) -> tuple[int, ...]:
     found = re.search(r">=\s*(\d+(?:\.\d+)*)", specifier)
     assert found, specifier
     return tuple(map(int, found[1].split(".")))
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    # the package imports the standard library, numpy and itself, and
+    # declares numpy alone
+    outside = sorted(
+        f"{path.name}: {module}"
+        for path in PACKAGE.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        for module in (
+            [alias.name for alias in node.names] if isinstance(node, ast.Import)
+            else [node.module] if isinstance(node, ast.ImportFrom) and node.level == 0
+            else []
+        )
+        if module.split(".")[0] not in sys.stdlib_module_names | {"numpy", "medcover"}
+    )
+    assert outside == []
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    assert [re.match(r"[\w.-]+", dep)[0] for dep in project["dependencies"]] == ["numpy"]
 
 
 def test_the_python_floor_is_not_below_the_installed_numpys():
