@@ -33,8 +33,11 @@ order, it times:
   call on a planted instance like the ``catalogue`` workload's, through
   public names only (d = 3, 16 vertices, 12 hyperedges that each meet a
   6-set drawn by ``random.Random(0)``, k = 6: C(16, 6) = 8,008 center
-  subsets, optimum 24). A layer figure is the median over that tree's
-  processes.
+  subsets, optimum 24); the connected catalogue up to 8 edges
+  (``list(oracle.enumerate_triangle_free(8))``, 186 graphs); and
+  ``decomposition.certify_lower_bound`` on its 178 non-stars in safe mode
+  and on the non-bridge ones among them in ultra-safe mode. A layer
+  figure is the median over that tree's processes.
 
 Each command's ``wall_s`` entry holds its median, its runs, ``ok`` (every
 run passed) and a last line: the first failed run's stderr, else the last
@@ -77,7 +80,7 @@ BENCH_SEED = 0
 LAYERS = r"""
 import json, random, statistics, time
 import numpy as np
-from medcover import costs, covers, oracle
+from medcover import costs, covers, decomposition, graphs, oracle
 from medcover.reduction import HypergraphInstance, reduce_graph, reduce_hypergraph
 from medcover.suites import completeness_instances
 
@@ -128,6 +131,18 @@ while len(edges) < 12:
     edges.add(tuple(sorted([s, *rng.sample([u for u in range(16) if u != s], 2)])))
 inst = reduce_hypergraph(HypergraphInstance(3, 16, tuple(sorted(edges)), 6))
 out["opt_discrete_planted_16_centers_ms"] = sample(lambda: oracle.opt_discrete(inst))
+
+out["enumerate_8_edges_ms"] = sample(lambda: list(oracle.enumerate_triangle_free(8)))
+nonstars = [g for g in oracle.enumerate_triangle_free(8) if not graphs.is_star(g)]
+plain = [g for g in nonstars if graphs.bridge_structure(g) is None]
+
+def certify_all():
+    for g in nonstars:
+        decomposition.certify_lower_bound(g, "safe")
+    for g in plain:
+        decomposition.certify_lower_bound(g, "ultra_safe")
+
+out["certify_lower_bound_8_edge_nonstars_ms"] = sample(certify_all)
 print(json.dumps(out))
 """
 

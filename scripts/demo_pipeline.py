@@ -41,12 +41,13 @@ def main() -> int:
           f"(size {cover_rep.total_cover_size}, path {cover_rep.procedures_path})")
     print(f"cluster profile: singles={cover_rep.t1} stars={cover_rep.t2} "
           f"nu2={cover_rep.t3} nu3+={cover_rep.t4}")
-    print("ledger (kind, edges, cover, charge = constant + slope * extra):")
+    print("ledger (kind, edges, cover, charge = constant + slope * extra, case or kept):")
     for e in cover_rep.per_cluster:
         kept = f"  kept {e.kept}" if e.kept else ""
+        case = f"  case {e.case}" if e.case else ""
         print(f"  {e.kind:<12} edges {list(e.edges)} cover {sorted(e.cover)} charge "
               f"{float(e.charge):.4f} = {float(e.constant):.4g} + {float(e.slope):.4g} * "
-              f"{float(e.extra):.4g}{kept}")
+              f"{float(e.extra):.4g}{case}{kept}")
     print(f"size ceiling {cover_rep.predicted_ceiling:.4f} -> epsilon "
           f"{cover_rep.epsilon:.4f} (predicted, not certified)")
 

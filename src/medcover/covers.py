@@ -146,7 +146,13 @@ class LedgerEntry:
     their greedy matching M_P (none when there are no such edges), or
     "fallback", the procedures' whole-graph cover, which the report then
     prunes in place of the union. ``cover`` holds that cover. ``kept`` is
-    None on a block's entry."""
+    None on a block's entry.
+
+    ``case`` is the ``CoverResult.case`` of a non-star block's cover: the
+    construction ("matching_two" or "means"), or the row of
+    ``cover_case_dispatch``'s table that fired, such as "|L| = 0 (0.551)".
+    It is None on single, star and singles entries, which no construction
+    covers."""
 
     kind: str
     edges: tuple[int, ...]
@@ -157,6 +163,7 @@ class LedgerEntry:
     extra: Number
     charge: Number
     kept: Optional[str] = None
+    case: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -649,7 +656,8 @@ def soundness_assemble(
 
     Blocks are single edges, stars, and non-star clusters with matching
     number two or more. Stars contribute their center; non-star blocks run
-    the per-cluster constructions, and each is charged its ``CHARGES`` row
+    the per-cluster constructions, whose case their entry names, and each
+    is charged its ``CHARGES`` row
     on its extra cost under the objective, computed once per block (a float
     under the median, an exact ``Fraction`` under the means). Single-edge
     blocks the union misses go through cover_single_edge_clusters, and the
@@ -670,9 +678,11 @@ def soundness_assemble(
         raise InvalidPartition(f"expected {expected} clusters, got {len(blocks)}")
 
     def entry(kind: str, block: tuple[int, ...], nu: int, cover: frozenset[int],
-              extra: Number = 0) -> LedgerEntry:
+              extra: Number = 0, case: Optional[str] = None) -> LedgerEntry:
         row = CHARGES[objective, kind]
-        return LedgerEntry(kind, block, nu, cover, row.constant, row.slope, extra, row.of(extra))
+        return LedgerEntry(
+            kind, block, nu, cover, row.constant, row.slope, extra, row.of(extra), case=case
+        )
 
     entries: list[LedgerEntry] = []
     vc_prime: set[int] = set()
@@ -695,7 +705,8 @@ def soundness_assemble(
                     ("matching_two", cover_matching_two) if nu == 2
                     else ("dispatch", cover_case_dispatch)
                 )
-            entries.append(entry(kind, block, nu, build(sub).cover, extra))
+            built = build(sub)
+            entries.append(entry(kind, block, nu, built.cover, extra, built.case))
         vc_prime |= entries[-1].cover
 
     uncovered = tuple(

@@ -33,7 +33,6 @@ from .graphs import (
     is_star,
     is_triangle_free,
     neighbour_masks,
-    remove_edges,
 )
 
 MODES = ("safe", "ultra_safe")
@@ -76,7 +75,23 @@ def find_safe_pair(g: Graph, mode: str) -> tuple[Edge, Edge] | None:
     """Lexicographically first vertex-disjoint edge pair whose removal leaves
     a non-star graph (mode "safe") or a non-star non-bridge graph
     ("ultra_safe"). Returns None when no pair qualifies — exactly the
-    fundamental graphs in safe mode, and {3-P2, A_n} in ultra mode.
+    fundamental graphs in safe mode, and {3-P2, A_n} in ultra mode. A star,
+    a graph with fewer than two edges, or (ultra mode) a bridge graph raises
+    ``PreconditionViolated``; the search itself is ``_first_safe_pair``.
+    """
+    _check_mode(mode)
+    if is_star(g) or g.num_edges < 2:
+        raise PreconditionViolated("safe pairs are defined on non-star graphs")
+    if mode == "ultra_safe" and bridge_structure(g) is not None:
+        raise PreconditionViolated("ultra_safe mode requires a non-bridge graph")
+    return _first_safe_pair(list(g.edges), g.degrees(), neighbour_masks(g), mode)
+
+
+def _first_safe_pair(
+    edges: list[Edge], deg: list[int], nbrs: list[int], mode: str
+) -> tuple[Edge, Edge] | None:
+    """``find_safe_pair`` of the non-star graph (non-bridge in ultra mode)
+    whose edges, in index order, degrees and neighbour masks are given.
 
     A pair is tested on degrees, without building the remainder: with m
     edges, the remainder is a non-star iff no vertex keeps all m - 2
@@ -85,23 +100,15 @@ def find_safe_pair(g: Graph, mode: str) -> tuple[Edge, Edge] | None:
     masks with e's and f's ends cut from each other, over the candidate
     bridges other than e and f.
     """
-    _check_mode(mode)
-    if is_star(g) or g.num_edges < 2:
-        raise PreconditionViolated("safe pairs are defined on non-star graphs")
-    if mode == "ultra_safe" and bridge_structure(g) is not None:
-        raise PreconditionViolated("ultra_safe mode requires a non-bridge graph")
-    m = g.num_edges
-    deg = g.degrees()
+    m = len(edges)
     hubs = [v for v, d in enumerate(deg) if d >= m - 2]
-    if mode == "ultra_safe":
-        # a bridge (s, t) of the remainder has deg'(s) + deg'(t) - 1 = m - 2,
-        # and removing edges lowers degrees
-        bridges = [b for b in g.edges if deg[b[0]] + deg[b[1]] >= m - 1]
-        nbrs = neighbour_masks(g)
+    # a bridge (s, t) of the remainder has deg'(s) + deg'(t) - 1 = m - 2,
+    # and removing edges lowers degrees
+    bridges = [b for b in edges if deg[b[0]] + deg[b[1]] >= m - 1] if mode == "ultra_safe" else []
     for i in range(m):
-        e = g.edges[i]
+        e = edges[i]
         for j in range(i + 1, m):
-            f = g.edges[j]
+            f = edges[j]
             if e[0] in f or e[1] in f:
                 continue
             if any(deg[v] - (v in e) - (v in f) == m - 2 for v in hubs):
@@ -116,8 +123,7 @@ def find_safe_pair(g: Graph, mode: str) -> tuple[Edge, Edge] | None:
 
 
 def decompose(g: Graph, mode: str) -> DecompositionTrace:
-    """Strip safe pairs until ``find_safe_pair`` finds none, then classify
-    the residual once.
+    """Strip safe pairs until none is left, then classify the residual once.
 
     safe mode ends in {3-P2, A_n, L_n}; ultra_safe never passes through a
     bridge graph, so it ends in {3-P2, A_n}. No terminal class has a
@@ -127,18 +133,33 @@ def decompose(g: Graph, mode: str) -> DecompositionTrace:
     raises Stuck (which would indicate a recognizer bug, not an input
     problem). A star, a graph with no edges, or (ultra mode) a bridge graph
     raises ``PreconditionViolated``.
+
+    The first pair comes from ``find_safe_pair``, which checks those
+    preconditions once: a safe pair leaves a non-star, and in ultra mode a
+    non-bridge, so every remainder meets them. The later pairs come from
+    ``_first_safe_pair`` on one edge list, with its degrees and neighbour
+    masks, from which each removed pair is taken out in place; the only
+    ``Graph`` built is the residual's.
     """
     _check_mode(mode)
     if not is_triangle_free(g):
         raise PreconditionViolated("decomposition assumes a triangle-free graph")
-    current = g
+    edges, deg, nbrs = list(g.edges), g.degrees(), neighbour_masks(g)
     pairs: list[tuple[Edge, Edge]] = []
-    while (pair := find_safe_pair(current, mode)) is not None:
+    pair = find_safe_pair(g, mode)
+    while pair is not None:
         pairs.append(pair)
-        current = remove_edges(current, pair)
-    cls = classify(current)
+        for u, v in pair:
+            edges.remove((u, v))
+            deg[u] -= 1
+            deg[v] -= 1
+            nbrs[u] ^= 1 << v
+            nbrs[v] ^= 1 << u
+        pair = _first_safe_pair(edges, deg, nbrs, mode)
+    residual = Graph(g.num_vertices, tuple(edges))
+    cls = classify(residual)
     if cls.tag not in _TERMINAL[mode]:
-        raise Stuck(f"no {mode} pair in non-terminal graph with edges {current.edges}")
+        raise Stuck(f"no {mode} pair in non-terminal graph with edges {residual.edges}")
     return DecompositionTrace(tuple(pairs), cls, mode)
 
 

@@ -404,28 +404,6 @@ def bridge_from_masks(
     return None
 
 
-def _cycle_order(g: Graph) -> Optional[list[int]]:
-    """Vertex order of a single cycle covering all edges, or None. The edges
-    must form one component: two disjoint cycles would pass the degree
-    test."""
-    verts = g.used_vertices()
-    deg = g.degrees()
-    if any(deg[v] != 2 for v in verts) or len(verts) != g.num_edges:
-        return None
-    adj = g.adjacency()
-    start = verts[0]
-    order = [start]
-    prev, cur = -1, start
-    while True:
-        nxt = [w for w in adj[cur] if w != prev]
-        step = nxt[0]
-        if step == start:
-            break
-        order.append(step)
-        prev, cur = cur, step
-    return order
-
-
 def classify(g: Graph) -> GraphClass:
     """Recognize the cluster classes the cost lemmas name.
 
@@ -433,37 +411,52 @@ def classify(g: Graph) -> GraphClass:
     A_n family (a star plus one vertex-disjoint edge; A_1 = 2-P2); every other
     disconnected graph is OtherNonStar. Behaviour on graphs with triangles is
     outside the theory; we still return OtherNonStar rather than raising.
-    """
-    if g.num_edges == 0:
-        raise EmptyGraph("cannot classify a graph with no edges")
-    if g.num_edges == 1:
-        return GraphClass(ClassTag.SINGLE_EDGE, witness={"edge": g.edges[0]})
-    center = common_vertex(g.edges)
-    if center is not None:
-        return GraphClass(ClassTag.STAR, witness={"center": center})
 
-    comps = edge_components(g)
+    Every test reads one pass's neighbour masks. With m >= 2 edges, a
+    star's center is the one vertex of degree m. The components are
+    ``component_masks``' that hold an edge; a component of two vertices is
+    a lone edge (of 2-P2's two, the one holding ``g.edges[0]``), and the
+    rest of A_n is a star, centered at its vertex of degree m - 1 (the
+    lower end of a single edge). A connected graph is C5 when m = 5 and
+    every vertex with an edge has degree two; the witness walks the cycle
+    from its least vertex to that vertex's lesser neighbour. The bridge
+    test is ``bridge_from_masks`` over the edges in index order.
+    """
+    m = g.num_edges
+    if m == 0:
+        raise EmptyGraph("cannot classify a graph with no edges")
+    if m == 1:
+        return GraphClass(ClassTag.SINGLE_EDGE, witness={"edge": g.edges[0]})
+    nbrs = neighbour_masks(g)
+    degs = [mask.bit_count() for mask in nbrs]
+    if m in degs:
+        return GraphClass(ClassTag.STAR, witness={"center": degs.index(m)})
+
+    comps = [c for c in component_masks(nbrs) if nbrs[(c & -c).bit_length() - 1]]
     if len(comps) >= 2:
-        if len(comps) == 3 and g.num_edges == 3:
+        if len(comps) == 3 and m == 3:
             return GraphClass(ClassTag.THREE_P2, witness={"edges": g.edges})
         if len(comps) == 2:
-            small, large = sorted(comps, key=len)
-            if len(small) == 1:
-                star_part = [g.edges[i] for i in large]
-                c = common_vertex(star_part)
-                if c is not None:
-                    return GraphClass(
-                        ClassTag.A_N,
-                        n=len(large),
-                        witness={"star_center": c, "lone_edge": g.edges[small[0]]},
-                    )
+            first, other = comps if comps[0] >> g.edges[0][0] & 1 else comps[::-1]
+            lone, rest = (first, other) if first.bit_count() == 2 else (other, first)
+            centers = [v for v, d in enumerate(degs) if d == m - 1 and rest >> v & 1]
+            if lone.bit_count() == 2 and centers:
+                edge = ((lone & -lone).bit_length() - 1, lone.bit_length() - 1)
+                return GraphClass(
+                    ClassTag.A_N, n=m - 1, witness={"star_center": centers[0], "lone_edge": edge}
+                )
         return GraphClass(ClassTag.OTHER_NON_STAR)
 
-    cycle = _cycle_order(g)
-    if cycle is not None and len(cycle) == 5:
+    if m == 5 and all(d in (0, 2) for d in degs):
+        start = degs.index(2)
+        cycle = [start]
+        prev, cur = start, (nbrs[start] & -nbrs[start]).bit_length() - 1
+        while cur != start:
+            cycle.append(cur)
+            prev, cur = cur, (nbrs[cur] & ~(1 << prev)).bit_length() - 1
         return GraphClass(ClassTag.C5, witness={"cycle": cycle})
 
-    bridge = bridge_structure(g)
+    bridge = bridge_from_masks(nbrs, g.edges, m, {})
     if bridge is not None:
         b, p, q = bridge
         if min(p, q) == 1:

@@ -70,9 +70,12 @@ adjacency bitstring one row at a time, branching only on vertices that tie
 for the least row (in the spirit of individualization-refinement): one
 loop over each state's candidates builds a candidate's row and its split
 state in one pass over the blocks. A search raises ``InstanceTooLarge``
-when its tie frontier passes ``MAX_CANON_STATES``. The enumerator composes
-a disjoint union's certificate from its parts' certificates the same way
-(``_union_form``), without a search.
+when its tie frontier passes ``MAX_CANON_STATES``. The enumerator extends
+each connected graph on its neighbour masks and searches each extension
+directly, building a ``Graph`` only for a new certificate; a tree gets a
+leaf once per orbit, its refinement cells. It composes a disjoint union's
+certificate from its parts' certificates the same way as
+``canonical_form`` (``_union_form``), without a search.
 Every exhaustive routine has an explicit ceiling, and a broken internal
 invariant raises ``Stuck`` rather than asserting.
 """
@@ -939,9 +942,10 @@ def _union_form(forms: Iterable[str]) -> str:
     return "+".join(sorted(forms))
 
 
-def _connected_form(nbrs: list[int]) -> str:
+def _connected_form(nbrs: list[int], cells: Optional[list[list[int]]] = None) -> str:
     """``"n:bits"`` for a graph with at most one component, whose neighbour
-    masks are ``nbrs``.
+    masks are ``nbrs``; ``cells`` are its ``_refine_classes``, computed
+    here when not given.
 
     The least string is found one row at a time. A search state is an
     ordered list of vertex blocks holding the positions still to fill; the
@@ -964,7 +968,9 @@ def _connected_form(nbrs: list[int]) -> str:
     as a bitstring once, at the end.
     """
     n = len(nbrs)
-    frontier = {tuple([sum([1 << v for v in cell]) for cell in _refine_classes(nbrs)])}
+    if cells is None:
+        cells = _refine_classes(nbrs)
+    frontier = {tuple([sum([1 << v for v in cell]) for cell in cells])}
     bits = 0
     for width in range(n - 1, -1, -1):
         best = 1 << width  # above every row of this width
@@ -1004,28 +1010,39 @@ def _connected_form(nbrs: list[int]) -> str:
     return f"{n}:{format(bits, f'0{total}b') if total else ''}"
 
 
-def _single_edge_extensions(g: Graph) -> Iterator[Graph]:
-    """Graphs one edge larger than ``g`` that stay triangle-free: an edge
-    between two non-adjacent vertices with no common neighbour, then a fresh
-    leaf on each vertex, in vertex order.
+def _single_edge_extensions(
+    nbrs: list[int], orbits: Optional[list[list[int]]]
+) -> Iterator[tuple[tuple[int, int], list[int]]]:
+    """The one-edge extensions of the connected graph whose neighbour masks
+    are ``nbrs`` that stay triangle-free, as (new edge, the extension's
+    neighbour masks): an edge between two non-adjacent vertices with no
+    common neighbour, then a fresh leaf, vertex n, on each vertex, in
+    vertex order. An extension's masks are its parent's with one bit set
+    at each end of the new edge.
 
     Twins (vertices with equal neighbourhoods) are extended from only the
     lowest-indexed vertex of each class, at both ends of an inner edge and at
     the attaching end of a leaf. Swapping two twins is an automorphism of
-    ``g``, so a skipped extension is isomorphic to one that comes earlier in
-    this order, and the first extension seen of each isomorphism class is
-    the same as without the pruning.
+    the parent, so a skipped extension is isomorphic to one that comes
+    earlier in this order, and the first extension seen of each
+    isomorphism class is the same as without the pruning. ``orbits``, when
+    given, are the parent's orbits, each in increasing vertex order, and a
+    leaf goes only on the lowest vertex of each: an automorphism maps any
+    vertex of an orbit to any other, so the same argument holds, and an
+    orbit holds the twins of its vertices, so the lowest vertex of an
+    orbit is the lowest of its twin class too. The enumerator passes them
+    for a tree, whose ``_refine_classes`` cells are its orbits.
 
-    An inner edge is tried only when it touches every leaf of ``g``. If a
-    leaf l of ``g`` is neither end of the new edge, l is still a leaf of the
-    extension h, so h - l is a connected triangle-free graph of the previous
-    level with one vertex fewer than ``g``. Levels sort by vertex count
-    first, so that graph's class is extended before ``g``, and its leaf
-    extension at l's neighbour (or that vertex's lowest twin) already gave
-    h's class. The first extension seen of each class is again unchanged.
+    An inner edge is tried only when it touches every leaf of the parent.
+    If a leaf l of the parent is neither end of the new edge, l is still a
+    leaf of the extension h, so h - l is a connected triangle-free graph
+    of the previous level with one vertex fewer than the parent. Levels
+    sort by vertex count first, so that graph's class is extended before
+    the parent, and its leaf extension at l's neighbour (or the lowest
+    vertex of that vertex's twin class or orbit) already gave h's class.
+    The first extension seen of each class is again unchanged.
     """
-    nbrs = neighbour_masks(g)
-    n = g.num_vertices
+    n = len(nbrs)
     leaves = sum([1 << v for v in range(n) if nbrs[v].bit_count() == 1])
     lowest: dict[int, int] = {}
     reps = [v for v in range(n) if lowest.setdefault(nbrs[v], v) == v]
@@ -1033,9 +1050,14 @@ def _single_edge_extensions(g: Graph) -> Iterator[Graph]:
         for v in reps[i + 1:]:
             if nbrs[u] >> v & 1 or nbrs[u] & nbrs[v] or leaves & ~(1 << u | 1 << v):
                 continue
-            yield Graph(n, tuple(sorted(g.edges + ((u, v),))))
-    for u in reps:
-        yield Graph(n + 1, tuple(sorted(g.edges + ((u, n),))))
+            child = nbrs.copy()
+            child[u] |= 1 << v
+            child[v] |= 1 << u
+            yield (u, v), child
+    for u in reps if orbits is None else sorted(orbit[0] for orbit in orbits):
+        child = nbrs + [1 << u]
+        child[u] |= 1 << n
+        yield (u, n), child
 
 
 def enumerate_triangle_free(
@@ -1048,10 +1070,18 @@ def enumerate_triangle_free(
     Built level by level from the one-vertex graph: every connected graph
     with m edges arises from one with m-1 edges by adding an edge (between
     existing vertices or to a fresh leaf), so extending and deduplicating by
-    canonical form is exhaustive. An inner edge that leaves a leaf of its
-    parent untouched is not tried: the same class comes from a leaf
-    extension of a smaller parent earlier in the level (see
-    ``_single_edge_extensions``). A disjoint union's certificate is composed
+    canonical form is exhaustive. An extension of a connected graph is
+    connected, so each is certified by ``_connected_form`` on its
+    neighbour masks, and a ``Graph`` is built only for a certificate not
+    seen before. An inner edge that leaves a leaf of its parent untouched
+    is not tried, and a tree gets a leaf only at the lowest vertex of each
+    orbit: the same class comes earlier in the level (see
+    ``_single_edge_extensions``). A tree's orbits are its
+    ``_refine_classes`` cells, kept from its own search. Two vertices that
+    refinement leaves in one cell have isomorphic universal covers rooted
+    at them (Angluin 1980), and a tree is its own universal cover, so an
+    automorphism of the tree maps one to the other; refinement never
+    splits an orbit. A disjoint union's certificate is composed
     from its parts' certificates, which the levels already computed, by
     ``_union_form``, as ``canonical_form`` composes it, so unions cost no
     search; the disconnected catalogue therefore reaches ``MAX_ENUM_EDGES``
@@ -1069,18 +1099,22 @@ def _triangle_free_graphs(max_edges: int, include_disconnected: bool) -> Iterato
     """The graphs of ``enumerate_triangle_free``, in its order."""
     # (edge count, certificate, graph) of every connected graph, level by level
     catalogue: list[tuple[int, str, Graph]] = []
-    level = [Graph(1, ())]
+    # each graph of a level with its neighbour masks, and its orbits if a tree
+    level = [(Graph(1, ()), [0], [[0]])]
     for m in range(1, max_edges + 1):
-        seen: dict[str, Graph] = {}
-        for g in level:
-            for h in _single_edge_extensions(g):
-                cert = canonical_form(h)
+        seen: dict[str, tuple[Graph, list[int], Optional[list[list[int]]]]] = {}
+        for g, nbrs, orbits in level:
+            for edge, child in _single_edge_extensions(nbrs, orbits):
+                cells = _refine_classes(child)
+                cert = _connected_form(child, cells)
                 if cert not in seen:
-                    seen[cert] = h
+                    n = len(child)
+                    graph = Graph(n, tuple(sorted(g.edges + (edge,))))
+                    seen[cert] = (graph, child, cells if n == m + 1 else None)
         certs = sorted(seen, key=lambda c: (int(c.split(":")[0]), c))
         level = [seen[c] for c in certs]
-        catalogue.extend((m, c, seen[c]) for c in certs)
-        yield from level
+        catalogue.extend((m, c, seen[c][0]) for c in certs)
+        yield from (g for g, _nbrs, _orbits in level)
     if not include_disconnected:
         return
     # Disjoint unions: multisets of >= 2 connected pieces, non-decreasing by

@@ -21,6 +21,7 @@ built, and a build that raises is not cached.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from fractions import Fraction
 
@@ -185,6 +186,26 @@ def suite_extra_cost(max_edges: int) -> dict:
     return ledger.result()
 
 
+def suite_means_cover_number(max_edges: int) -> dict:
+    """Every cluster's means extra cost pays 2/3 per cover vertex past its
+    first: 3D >= r(tau - 1) in integers, with r the edges, D the
+    vertex-disjoint edge pairs and tau the cover number (its extra cost is
+    2D/r), on every triangle-free graph up to max_edges edges, connected or
+    not. ``one_means_cost``'s docstring proves it for tau other than 3.
+    The result also lists, as ``tight_non_stars``, the edges of each
+    non-star at equality (only P4 up to 8 edges)."""
+    ledger = _Ledger("means_extra_cost_per_cover_vertex")
+    tight = []
+    for g in enumerate_triangle_free(max_edges, include_disconnected=True):
+        r, tau = g.num_edges, len(min_vertex_cover(g))
+        pairs = sum(e[0] not in f and e[1] not in f for e, f in itertools.combinations(g.edges, 2))
+        ledger.check(3 * pairs >= r * (tau - 1),
+                     "3D < r(tau - 1) on {}: D = {}, r = {}, tau = {}", g.edges, pairs, r, tau)
+        if 3 * pairs == r * (tau - 1) and not is_star(g):
+            tight.append([list(e) for e in g.edges])
+    return {**ledger.result(), "tight_non_stars": tight}
+
+
 def completeness_instances(trials: int, seed: int) -> list[Graph]:
     """Deterministic stream of desk-scale random triangle-free graphs whose
     reductions fit the continuous oracle (``MAX_CONTINUOUS_POINTS`` edges)."""
@@ -330,8 +351,6 @@ def suite_hypergraph(seed: int) -> dict:
     sits at squared distance d-1 (vertex on the hyperedge) or d+1 (off it),
     and the discrete oracle equals (d-1)(N-q) + (d+1)q with q from
     exhaustive cover search."""
-    import itertools as _it
-
     ledger = _Ledger("hypergraph_reduction")
     for h in _hypergraph_cases(seed):
         inst = reduce_hypergraph(h)
@@ -349,7 +368,7 @@ def suite_hypergraph(seed: int) -> dict:
                              d, e, v, sq, want)
         q = min(
             sum(1 for e in h.hyperedges if not (set(s) & set(e)))
-            for s in _it.combinations(range(h.num_vertices), h.k)
+            for s in itertools.combinations(range(h.num_vertices), h.k)
         )
         want_cost = (d - 1) * (len(h.hyperedges) - q) + (d + 1) * q
         cost = opt_discrete(inst).optimal_cost
@@ -404,6 +423,7 @@ def run_all(max_edges: int, seed: int, trials: int) -> dict:
         suite_closed_forms(),
         suite_decomposition(max_edges),
         suite_extra_cost(max_edges),
+        suite_means_cover_number(max_edges),
         suite_completeness(trials=trials, seed=seed),
         suite_covers(max_edges),
         suite_hypergraph(seed=seed),

@@ -483,7 +483,7 @@ def test_cover_at_beta_above_one_is_frozen(capsys, c5_file):
     code, stdout, _ = run(capsys, "cover", "--graph", c5_file, "--k", "3", "--beta", "1.5")
     assert code == 0
     single = {"constant": 0.67, "slope": 0, "extra": 0, "charge": 0.67, "kept": None,
-              "kind": "single", "matching_number": 1, "cover": []}
+              "case": None, "kind": "single", "matching_number": 1, "cover": []}
     assert json.loads(stdout) == {
         "beta": 1.5,
         "cover": [0, 2, 3],
@@ -493,6 +493,7 @@ def test_cover_at_beta_above_one_is_frozen(capsys, c5_file):
         "oracle_cost": 0.0,
         "per_cluster": [{**single, "edges": [i]} for i in range(5)] + [
             {
+                "case": None,
                 "charge": 0.24,
                 "constant": 0.24,
                 "cover": [0, 1, 2, 3],

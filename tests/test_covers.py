@@ -478,6 +478,22 @@ def test_assemble_c5_frozen():
     assert is_vertex_cover(g, rep.cover)
 
 
+@pytest.mark.parametrize("objective,cases", [
+    ("median", ["matching_two", "|L| >= 3, F'' empty (1.6)", None, None, None]),
+    ("means", ["means", "means", None, None, None]),
+])
+def test_ledger_entries_name_the_case_that_covered_the_block(objective, cases):
+    # a 5-cycle (matching number two), a 7-vertex path (dispatch under the
+    # median), a star and a single edge the union misses; only the non-star
+    # blocks' entries name a case
+    p7 = [(i, i + 1) for i in range(5, 11)]
+    g = graph_from_edges(C5 + p7 + [(12, 13), (12, 14), (15, 16)])
+    rep = soundness_assemble(g, [range(5), range(5, 11), [11, 12], [13]], k=4, objective=objective)
+    assert [e.case for e in rep.per_cluster] == cases
+    kinds = ["matching_two", "dispatch"] if objective == "median" else ["means", "means"]
+    assert [e.kind for e in rep.per_cluster] == kinds + ["star", "single", "singles"]
+
+
 def test_assemble_prunes_to_the_minimum_on_p4():
     g = graph_from_edges(P4)
     rep = soundness_assemble(g, [[0, 1], [2]], k=2, objective="median")

@@ -107,38 +107,47 @@ def test_traces_are_pinned_on_the_disconnected_catalogue():
     assert digest == "008bdb15574f32236fe38e4081bd39192de6e32ecc0d89f8f12099964e7a355f"
 
 
-def test_safe_mode_builds_one_remainder_per_removed_pair(monkeypatch):
-    # the pair search tests candidates on degrees; only decompose's own
-    # removal builds a graph
-    calls = []
-    real = decomposition.remove_edges
+def _count_graphs(monkeypatch):
+    """Record the (vertex count, edges) of every ``Graph`` that
+    ``decomposition`` builds."""
+    built = []
+    real = decomposition.Graph
     monkeypatch.setattr(
-        decomposition, "remove_edges", lambda g, drop: calls.append(1) or real(g, drop)
+        decomposition, "Graph", lambda n, edges: built.append((n, edges)) or real(n, edges)
     )
+    return built
+
+
+def _residual_edges(g, trace):
+    removed = {e for pair in trace.removed_pairs for e in pair}
+    return tuple(e for e in g.edges if e not in removed)
+
+
+def test_safe_mode_builds_one_remainder_per_removed_pair(monkeypatch):
+    # the pair search tests candidates on degrees, and the loop removes each
+    # pair from one edge list; the one graph built is the residual
+    built = _count_graphs(monkeypatch)
     for g in enumerate_triangle_free(7):
         if is_star(g):
             continue
-        calls.clear()
+        built.clear()
         trace = decompose(g, "safe")
-        assert len(calls) == len(trace.removed_pairs), g.edges
+        assert built == [(g.num_vertices, _residual_edges(g, trace))], g.edges
 
 
 def test_ultra_mode_builds_one_remainder_per_removed_pair(monkeypatch):
-    # the bridge test of a candidate's remainder reads the degrees and masks
-    calls = []
-    real = decomposition.remove_edges
-    monkeypatch.setattr(
-        decomposition, "remove_edges", lambda g, drop: calls.append(1) or real(g, drop)
-    )
-    seen = 0
+    # the bridge test of a candidate's remainder reads the degrees and masks,
+    # which the loop updates for each removed pair
+    built = _count_graphs(monkeypatch)
+    pairs = 0
     for g in enumerate_triangle_free(7):
         if is_star(g) or bridge_structure(g) is not None:
             continue
-        calls.clear()
+        built.clear()
         trace = decompose(g, "ultra_safe")
-        assert len(calls) == len(trace.removed_pairs), g.edges
-        seen += len(calls)
-    assert seen > 50
+        assert built == [(g.num_vertices, _residual_edges(g, trace))], g.edges
+        pairs += len(trace.removed_pairs)
+    assert pairs > 50
 
 
 def test_leaves_bridge_agrees_with_the_built_remainder():

@@ -1,6 +1,8 @@
 """Graph container, classification, matchings, and covers."""
 
+import hashlib
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +30,7 @@ from medcover.graphs import (
     second_maximum_matching,
     subgraph,
 )
+from medcover.oracle import enumerate_triangle_free
 
 C5 = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]
 P4 = [(0, 1), (1, 2), (2, 3)]
@@ -202,6 +205,32 @@ def test_classify_c5_witness_is_a_cycle():
     assert sorted(cyc) == [0, 1, 2, 3, 4]
     onto = {tuple(sorted((cyc[i], cyc[(i + 1) % 5]))) for i in range(5)}
     assert onto == set(graph_from_edges(C5).edges)
+
+
+def _class_digest(gs):
+    records = []
+    for g in gs:
+        c = classify(g)
+        records.append(repr((c.tag.value, c.n, c.p, c.q, sorted(c.witness.items()))))
+    return hashlib.sha256("\n".join(records).encode()).hexdigest()
+
+
+def test_classify_is_pinned_on_the_eight_edge_catalogue():
+    # tag, n, p, q and witness on the 452 triangle-free graphs up to 8
+    # edges, as enumerated and relabelled by a seeded permutation (edges in
+    # catalogue order, so not sorted). Both digests were recorded from the
+    # classifier that read edge components, degrees and adjacency lists
+    # apart, before it read one pass of neighbour masks
+    cat = list(enumerate_triangle_free(8, include_disconnected=True))
+    assert len(cat) == 452
+    assert _class_digest(cat) == "25a2e1d1737ff8e8c5f598fb8fa7713852b4caec8ea6e01354555616df326727"
+    rng = random.Random(49)
+    relabelled = []
+    for g in cat:
+        perm = list(range(g.num_vertices))
+        rng.shuffle(perm)
+        relabelled.append(make_graph(g.num_vertices, [(perm[u], perm[v]) for u, v in g.edges]))
+    assert _class_digest(relabelled) == "afb0f60ad72be84fe02dbd0dda2a3c9c817a5da04aa68c9b7720ad897760a0f2"
 
 
 def test_classify_a_n_counts_lone_edges():

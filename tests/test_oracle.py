@@ -1296,14 +1296,32 @@ def _single_edge_extensions_twin_pruned(g):
     return _extensions_at(g, [v for v in range(g.num_vertices) if adj[v] not in adj[:v]])
 
 
-def _catalogue_and_canonical_calls(monkeypatch):
+def _graph_of(nbrs):
+    """The graph whose neighbour masks are ``nbrs``, its edges sorted."""
+    n = len(nbrs)
+    return Graph(n, tuple((u, v) for u in range(n) for v in range(u + 1, n) if nbrs[u] >> v & 1))
+
+
+def _mask_extensions_unpruned(nbrs, orbits):
+    """Reference in the enumerator's seam: every triangle-free one-edge
+    extension, twins and orbits included, as (new edge, its masks)."""
+    g = _graph_of(nbrs)
+    for h in _single_edge_extensions_unpruned(g):
+        (edge,) = set(h.edges) - set(g.edges)
+        yield edge, neighbour_masks(h)
+
+
+_CONNECTED_FORM = oracle._connected_form
+
+
+def _catalogue_and_searches(monkeypatch):
     calls = []
 
-    def counting(g):
-        calls.append(g)
-        return canonical_form(g)
+    def counting(nbrs, cells=None):
+        calls.append(nbrs)
+        return _CONNECTED_FORM(nbrs, cells)
 
-    monkeypatch.setattr(oracle, "canonical_form", counting)
+    monkeypatch.setattr(oracle, "_connected_form", counting)
     graphs = [
         (g.num_vertices, g.edges)
         for args in ((8,), (5, True))
@@ -1313,29 +1331,61 @@ def _catalogue_and_canonical_calls(monkeypatch):
 
 
 def test_twin_pruned_extensions_keep_the_catalogue_and_its_order(monkeypatch):
-    # the twin and leaf rules of the enumerator and no pruning give one
-    # labelled catalogue
-    graphs, calls = _catalogue_and_canonical_calls(monkeypatch)
-    monkeypatch.setattr(oracle, "_single_edge_extensions", _single_edge_extensions_unpruned)
-    assert _catalogue_and_canonical_calls(monkeypatch) == (graphs, 1022)
-    assert calls == 475
+    # the twin, orbit and leaf rules of the enumerator and no pruning give
+    # one labelled catalogue
+    graphs, calls = _catalogue_and_searches(monkeypatch)
+    monkeypatch.setattr(oracle, "_single_edge_extensions", _mask_extensions_unpruned)
+    assert _catalogue_and_searches(monkeypatch) == (graphs, 1022)
+    assert calls == 419
 
 
 def test_single_edge_extensions_are_triangle_free(monkeypatch):
+    # each extension is its parent plus one edge, and triangle-free; a
+    # parent's orbits are given exactly when it is a tree, as the cells of
+    # its refinement
     extend = oracle._single_edge_extensions
     seen = []
 
-    def recorded(g):
-        for h in extend(g):
-            seen.append(h)
-            yield h
+    def recorded(nbrs, orbits):
+        tree = sum(mask.bit_count() for mask in nbrs) == 2 * (len(nbrs) - 1)
+        assert orbits == (oracle._refine_classes(nbrs) if tree else None)
+        for edge, child in extend(nbrs, orbits):
+            seen.append((_graph_of(nbrs), edge, child))
+            yield edge, child
 
     monkeypatch.setattr(oracle, "_single_edge_extensions", recorded)
     for args in ((8,), (5, True)):
         for _ in enumerate_triangle_free(*args):
             pass
-    assert len(seen) == 475
-    assert all(is_triangle_free(h) for h in seen)
+    assert len(seen) == 419
+    for parent, edge, child in seen:
+        h = _graph_of(child)
+        assert h.edges == tuple(sorted(parent.edges + (edge,)))
+        assert h.num_vertices == max(parent.num_vertices, edge[1] + 1)
+        assert is_triangle_free(h)
+
+
+def _rooted_codes(nbrs):
+    """Each vertex's code of the tree rooted at it: two vertices of a tree
+    get one code iff an automorphism maps one to the other."""
+
+    def code(v, parent):
+        kids = [u for u in range(len(nbrs)) if nbrs[v] >> u & 1 and u != parent]
+        return "(" + "".join(sorted(code(u, v) for u in kids)) + ")"
+
+    return [code(v, -1) for v in range(len(nbrs))]
+
+
+def test_refinement_cells_are_the_orbits_of_every_catalogue_tree():
+    # the enumerator's orbit rule: a tree's refinement cells are its orbits
+    trees = [g for g in enumerate_triangle_free(8) if g.num_vertices == g.num_edges + 1]
+    assert len(trees) == 94
+    for g in trees:
+        nbrs = neighbour_masks(g)
+        orbits: dict[str, list[int]] = {}
+        for v, code in enumerate(_rooted_codes(nbrs)):
+            orbits.setdefault(code, []).append(v)
+        assert sorted(oracle._refine_classes(nbrs)) == sorted(orbits.values()), g.edges
 
 
 def _matching(k):
@@ -1366,15 +1416,15 @@ def test_canonical_form_ceiling():
 def test_disconnected_catalogue_searches_no_union(monkeypatch):
     calls = []
 
-    def counting(g):
-        calls.append(g)
-        return canonical_form(g)
+    def counting(nbrs, cells=None):
+        calls.append(nbrs)
+        return _CONNECTED_FORM(nbrs, cells)
 
-    monkeypatch.setattr(oracle, "canonical_form", counting)
+    monkeypatch.setattr(oracle, "_connected_form", counting)
     list(enumerate_triangle_free(8))
     connected = len(calls)
     list(enumerate_triangle_free(8, include_disconnected=True))
-    assert len(calls) == 2 * connected
+    assert len(calls) == 2 * connected == 2 * 398
 
 
 def test_canonical_form_of_empty_and_isolated_vertices():
@@ -1601,12 +1651,14 @@ def _reference_orders(g):
 
 def test_canonical_form_matches_permutation_reference(monkeypatch):
     seen = []
+    extend = oracle._single_edge_extensions
 
-    def recording(g):
-        seen.append(g)
-        return canonical_form(g)
+    def recording(nbrs, orbits):
+        for edge, child in extend(nbrs, orbits):
+            seen.append(_graph_of(child))
+            yield edge, child
 
-    monkeypatch.setattr(oracle, "canonical_form", recording)
+    monkeypatch.setattr(oracle, "_single_edge_extensions", recording)
     list(enumerate_triangle_free(6))
     yielded = list(enumerate_triangle_free(5, include_disconnected=True))
     monkeypatch.undo()

@@ -30,12 +30,14 @@ from medcover.suites import (
     suite_extra_cost,
     suite_gap_arithmetic,
     suite_hypergraph,
+    suite_means_cover_number,
 )
 
 EXPECTED_NAMES = [
     "closed_forms",
     "decomposition_soundness",
     "extra_cost_floor",
+    "means_extra_cost_per_cover_vertex",
     "completeness",
     "cover_extraction",
     "hypergraph_reduction",
@@ -58,7 +60,7 @@ def counting(monkeypatch, name):
     real = getattr(suites, name)
 
     def counted(*args, **kwargs):
-        calls.append(args)
+        calls.append(args + tuple(kwargs.items()))
         return real(*args, **kwargs)
 
     monkeypatch.setattr(suites, name, counted)
@@ -193,9 +195,11 @@ def test_concurrent_callers_get_equal_records():
 
 
 def test_run_all_enumerates_the_catalogue_once(monkeypatch):
+    # the catalogue suites share one connected enumeration; the cover-number
+    # suite reads the disconnected catalogue too
     enumerations = counting(monkeypatch, "enumerate_triangle_free")
     assert run_all(max_edges=4, seed=0, trials=4)["all_passed"] is True
-    assert enumerations == [(4,)]
+    assert enumerations == [(4,), (4, ("include_disconnected", True))]
 
 
 def test_hypergraph_suite_needs_candidate_centers(monkeypatch):
@@ -299,6 +303,30 @@ def test_extra_cost_suite_reports_a_means_floor_below_two_thirds(monkeypatch):
     monkeypatch.setattr(suites, "extra_cost", low_on_c5)
     assert_one_failure(
         suite_extra_cost(5), clean, f"means extra cost below 2/3 on {C5}: Fraction(1, 2)"
+    )
+
+
+def test_means_cover_number_suite():
+    # every triangle-free graph up to 8 edges, connected or not; P4 is the
+    # only non-star at equality
+    result = suite_means_cover_number(8)
+    assert_clean(result, "means_extra_cost_per_cover_vertex")
+    assert result["checks"] == 452
+    assert result["tight_non_stars"] == [[[0, 1], [0, 2], [1, 3]]]
+
+
+def test_means_cover_number_suite_reports_a_cover_number_too_large(monkeypatch):
+    # C5 has D = 5 disjoint pairs and r = 5 edges: 15 >= 5(tau - 1) fails
+    # only at a cover number above 4
+    clean = suite_means_cover_number(5)
+
+    def larger_on_c5(g):
+        cover = min_vertex_cover(g)
+        return cover | set(range(10, 12)) if g.edges == C5 else cover
+
+    monkeypatch.setattr(suites, "min_vertex_cover", larger_on_c5)
+    assert_one_failure(
+        suite_means_cover_number(5), clean, f"3D < r(tau - 1) on {C5}: D = 5, r = 5, tau = 5"
     )
 
 

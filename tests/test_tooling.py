@@ -92,7 +92,8 @@ def test_the_names_the_bench_record_layers_read_exist():
     assert {("medcover.oracle", "_extend"), ("medcover.oracle", "_tables_and_layers"),
             ("medcover.oracle", "_row_selection"), ("medcover.costs", "_dual_bounds"),
             ("medcover.covers", "cover_single_edge_clusters"), ("medcover.oracle", "opt_discrete"),
-            ("medcover.reduction", "reduce_hypergraph")} <= names
+            ("medcover.reduction", "reduce_hypergraph"), ("medcover.oracle", "enumerate_triangle_free"),
+            ("medcover.decomposition", "certify_lower_bound")} <= names
     assert _missing(names) == []
 
 
@@ -108,7 +109,8 @@ def test_the_bench_record_layers_snippet_runs_and_times_every_layer():
     assert done.returncode == 0, done.stderr
     figures = json.loads(done.stdout.strip().splitlines()[-1])
     assert sorted(figures) == [
-        "dp_layer_2_11_points_ms", "median_table_cold_11_points_ms",
+        "certify_lower_bound_8_edge_nonstars_ms", "dp_layer_2_11_points_ms",
+        "enumerate_8_edges_ms", "median_table_cold_11_points_ms",
         "median_table_cold_k4_11_points_ms", "opt_discrete_planted_16_centers_ms",
         "row_selection_11_points_ms", "single_edge_cover_28_edges_ms",
     ]
