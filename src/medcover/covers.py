@@ -3,15 +3,19 @@
 Each cluster of edges gets a cover whose size is charged against the
 cluster's extra cost over the star baseline. The constructions take only
 the cluster and return its cover and the case that built it; the ledger
-alone charges it. A star cluster is covered by one vertex (its center), a
-non-star cluster with matching number two by two vertices (three for the
-5-cycle), and larger non-star clusters go through a case analysis on the
-second maximum matching L (the maximum matching of the graph after the
-first matching's edges are deleted). Single-edge clusters that no
-other cluster's cover happens to touch are handled collectively: either a
-matching of their union is small and its endpoints suffice, or a four-stage
-pruning construction (Procedures 1-4 below) produces a cover of the *whole*
-graph of size 2k - 2*delta*k directly.
+alone charges it. Each public construction checks the cluster
+triangle-free, finds the matchings it reads, and runs its per-cluster code
+(the same name with a leading underscore) on them; ``soundness_assemble``
+and ``suites.suite_covers``, which have already checked and matched the
+cluster, call that code directly. A star cluster is covered by one vertex
+(its center), a non-star cluster with matching number two by two vertices
+(three for the 5-cycle), and larger non-star clusters go through a case
+analysis on the second maximum matching L (the maximum matching of the
+graph after the first matching's edges are deleted). Single-edge clusters
+that no other cluster's cover happens to touch are handled collectively:
+either a matching of their union is small and its endpoints suffice, or a
+four-stage pruning construction (Procedures 1-4 below) produces a cover of
+the *whole* graph of size 2k - 2*delta*k directly.
 
 ``soundness_assemble`` stitches the per-cluster covers into a whole-graph
 cover and reports the ledger: one entry per block and one for the
@@ -213,10 +217,16 @@ def cover_matching_two(g: Graph) -> CoverResult:
     A two-vertex cover must take one endpoint from each matching edge, so the
     case analysis reduces to scanning those four candidate pairs; when none
     works the graph must be the 5-cycle and three alternating cycle vertices
-    do it.
+    do it. The construction is ``_cover_matching_two`` on g's maximum
+    matching.
     """
     _require_triangle_free(g)
-    m = maximum_matching(g)
+    return _cover_matching_two(g, maximum_matching(g))
+
+
+def _cover_matching_two(g: Graph, m: Matching) -> CoverResult:
+    """``cover_matching_two`` of the triangle-free g, whose maximum matching
+    the caller has found."""
     if len(m) != 2:
         raise PreconditionViolated(f"matching number is {len(m)}, need exactly 2")
     (a1, b1), (a2, b2) = m.edges
@@ -243,8 +253,15 @@ def cover_general(g: Graph) -> CoverResult:
     edges, found as ``cover_case_dispatch`` finds them. A graph with a
     triangle, a star, or a graph whose L is empty raises
     ``PreconditionViolated``."""
+    _require_triangle_free(g)
     m = maximum_matching(g)
-    return CoverResult(frozenset(_general_cover(g, m, second_maximum_matching(g, m))), "general")
+    return _cover_general(g, m, second_maximum_matching(g, m))
+
+
+def _cover_general(g: Graph, m: Matching, l: Matching) -> CoverResult:
+    """``cover_general`` of the triangle-free g, whose M and L the caller
+    has found."""
+    return CoverResult(frozenset(_general_cover(g, m, l)), "general")
 
 
 def _general_cover(g: Graph, m: Matching, l: Matching) -> set[int]:
@@ -257,9 +274,9 @@ def _general_cover(g: Graph, m: Matching, l: Matching) -> set[int]:
     |R| <= |M| - |L| (cover the star by its center, one vertex per R-edge) or
     |R| = |M| - |L| + 1 (each star edge leans on a distinct R-edge; pick the
     shared endpoints). |R| >= |M| - |L| + 2 would contradict M's maximality,
-    so reaching it raises instead of covering.
+    so reaching it raises instead of covering. g must be triangle-free; the
+    callers check it once per cluster.
     """
-    _require_triangle_free(g)
     if is_star(g) or g.num_edges < 2:
         raise PreconditionViolated("general cover construction needs a non-star graph")
     if len(l) < 1:
@@ -352,15 +369,21 @@ def cover_case_dispatch(g: Graph) -> CoverResult:
 
     Each row's constant is its own bound's, c + (sqrt(2)+1) * delta(F) with
     delta(F) the cluster's median extra cost. The ledger charges every row
-    the largest, DISPATCH_CHARGE (1.8).
+    the largest, DISPATCH_CHARGE (1.8). The table is ``_cover_case_dispatch``
+    on M and L.
     """
     _require_triangle_free(g)
+    m = maximum_matching(g)
+    return _cover_case_dispatch(g, m, second_maximum_matching(g, m))
+
+
+def _cover_case_dispatch(g: Graph, m: Matching, l: Matching) -> CoverResult:
+    """``cover_case_dispatch`` of the triangle-free g, whose M and L the
+    caller has found."""
     if is_star(g) or g.num_edges < 2:
         raise PreconditionViolated("dispatch needs a non-star graph")
-    m = maximum_matching(g)
     if len(m) < 3:
         raise PreconditionViolated(f"matching number is {len(m)}, need >= 3")
-    l = second_maximum_matching(g, m)
 
     def result(cover: set[int], case: str, ceiling: int) -> CoverResult:
         if not is_vertex_cover(g, cover):
@@ -579,9 +602,15 @@ def cover_nonstar_means(g: Graph) -> CoverResult:
     <= 2 + delta(F), checked in exact rationals. The ledger charges it
     1 + (5/2) delta(F), which is at least that when delta >= 2/3. That fails
     on graphs with triangles — a triangle has delta = 0 — hence the
-    triangle-free gate.
+    triangle-free gate. The construction is ``_cover_nonstar_means``.
     """
     _require_triangle_free(g)
+    return _cover_nonstar_means(g)
+
+
+def _cover_nonstar_means(g: Graph) -> CoverResult:
+    """``cover_nonstar_means`` of g, which the caller has found
+    triangle-free."""
     if is_star(g) or g.num_edges < 2:
         raise PreconditionViolated("means cover construction needs a non-star graph")
     r = g.num_edges
@@ -657,17 +686,21 @@ def soundness_assemble(
     Blocks are single edges, stars, and non-star clusters with matching
     number two or more. Stars contribute their center; non-star blocks run
     the per-cluster constructions, whose case their entry names, and each
-    is charged its ``CHARGES`` row
-    on its extra cost under the objective, computed once per block (a float
-    under the median, an exact ``Fraction`` under the means). Single-edge
-    blocks the union misses go through cover_single_edge_clusters, and the
-    union cover takes both endpoints of its greedy matching M_P. Redundant
-    vertices are pruned in ascending order. If the full-graph fallback
-    fires, its cover, pruned the same way, replaces the union only when it
-    is smaller; the singles entry names the cover kept. The
-    (delta, beta)-ceiling, ``_ceiling`` of the entries, is reported next to
-    the realized size. k below 1, beta below 1, a beta * k that is not
-    finite, or a delta that is negative or not finite raises ``ValueError``.
+    is charged its ``CHARGES`` row on its extra cost under the objective,
+    computed once per block (a float under the median, an exact
+    ``Fraction`` under the means). Each non-star block is matched once: its
+    maximum matching M gives the entry's matching number and is handed to
+    the construction, and a dispatch block also finds its second matching L
+    once. g is checked triangle-free once, and so is every block, a
+    subgraph of g. Single-edge blocks the union misses go through
+    cover_single_edge_clusters, and the union cover takes both endpoints of
+    its greedy matching M_P. Redundant vertices are pruned in ascending
+    order. If the full-graph fallback fires, its cover, pruned the same
+    way, replaces the union only when it is smaller; the singles entry
+    names the cover kept. The (delta, beta)-ceiling, ``_ceiling`` of the
+    entries, is reported next to the realized size. k below 1, beta below
+    1, a beta * k that is not finite, or a delta that is negative or not
+    finite raises ``ValueError``.
     """
     _require_triangle_free(g)
     check_objective(objective)
@@ -695,18 +728,18 @@ def soundness_assemble(
         if center is not None:
             entries.append(entry("star", block, 1, frozenset({center})))
         else:
-            nu = len(maximum_matching(sub))
+            m = maximum_matching(sub)
             extra = extra_cost(sub, objective).value
             if objective == "means":
-                kind, build = "means", cover_nonstar_means
+                kind, built = "means", _cover_nonstar_means(sub)
             else:
                 extra = float(extra)
-                kind, build = (
-                    ("matching_two", cover_matching_two) if nu == 2
-                    else ("dispatch", cover_case_dispatch)
-                )
-            built = build(sub)
-            entries.append(entry(kind, block, nu, built.cover, extra, built.case))
+                if len(m) == 2:
+                    kind, built = "matching_two", _cover_matching_two(sub, m)
+                else:
+                    l = second_maximum_matching(sub, m)
+                    kind, built = "dispatch", _cover_case_dispatch(sub, m, l)
+            entries.append(entry(kind, block, len(m), built.cover, extra, built.case))
         vc_prime |= entries[-1].cover
 
     uncovered = tuple(

@@ -31,7 +31,6 @@ from .graphs import (
     bridge_structure,
     classify,
     is_star,
-    is_triangle_free,
     neighbour_masks,
 )
 
@@ -134,19 +133,27 @@ def decompose(g: Graph, mode: str) -> DecompositionTrace:
     problem). A star, a graph with no edges, or (ultra mode) a bridge graph
     raises ``PreconditionViolated``.
 
-    The first pair comes from ``find_safe_pair``, which checks those
-    preconditions once: a safe pair leaves a non-star, and in ultra mode a
-    non-bridge, so every remainder meets them. The later pairs come from
-    ``_first_safe_pair`` on one edge list, with its degrees and neighbour
-    masks, from which each removed pair is taken out in place; the only
-    ``Graph`` built is the residual's.
+    The preconditions are checked once, as ``find_safe_pair`` checks them,
+    on the one edge list, degrees and neighbour masks the search reads: a
+    common neighbour of an edge's ends closes a triangle, a star of m >= 2
+    edges has a vertex of degree m, and the bridge test is
+    ``bridge_from_masks`` with nothing cut. A safe pair leaves a non-star,
+    and in ultra mode a non-bridge, so every remainder meets them. Every
+    pair comes from ``_first_safe_pair`` on that edge list, from which each
+    removed pair is taken out in place; the only ``Graph`` built is the
+    residual's.
     """
     _check_mode(mode)
-    if not is_triangle_free(g):
-        raise PreconditionViolated("decomposition assumes a triangle-free graph")
     edges, deg, nbrs = list(g.edges), g.degrees(), neighbour_masks(g)
+    if any(nbrs[u] & nbrs[v] for u, v in edges):
+        raise PreconditionViolated("decomposition assumes a triangle-free graph")
+    m = len(edges)
+    if m < 2 or m in deg:
+        raise PreconditionViolated("safe pairs are defined on non-star graphs")
+    if mode == "ultra_safe" and bridge_from_masks(nbrs, edges, m, {}) is not None:
+        raise PreconditionViolated("ultra_safe mode requires a non-bridge graph")
     pairs: list[tuple[Edge, Edge]] = []
-    pair = find_safe_pair(g, mode)
+    pair = _first_safe_pair(edges, deg, nbrs, mode)
     while pair is not None:
         pairs.append(pair)
         for u, v in pair:

@@ -8,14 +8,15 @@ fails it) and its failure text is formatted only when it fails. The CLI's
 verify-lemmas command and the acceptance tests both call these, so there is
 exactly one definition of every claim.
 
-The three catalogue suites (decomposition, extra cost, covers) read the same
-records: one ``(graph, median cost, median extra cost)`` tuple per connected
-triangle-free non-star graph up to ``max_edges`` edges, built by
-``_nonstars``. The last records are kept in ``functools.lru_cache``, keyed
-on ``max_edges``, so a ``run_all`` or a catalogue pass enumerates the
-catalogue and solves each median once. They are an immutable tuple (178
-records at 8 edges); a new key frees the old records only after its own are
-built, and a build that raises is not cached.
+The three catalogue suites (decomposition, extra cost, covers) read the
+same records: one ``(graph, median cost, median extra cost, means extra
+cost)`` tuple per connected triangle-free non-star graph up to
+``max_edges`` edges, built by ``_nonstars``. The last records are kept in
+``functools.lru_cache``, keyed on ``max_edges``, so a ``run_all`` or a
+catalogue pass enumerates the catalogue and solves each median once. They
+are an immutable tuple (178 records at 8 edges); a new key frees the old
+records only after its own are built, and a build that raises is not
+cached.
 """
 
 from __future__ import annotations
@@ -40,10 +41,10 @@ from .costs import (
 )
 from .covers import (
     CHARGES,
+    _cover_case_dispatch,
+    _cover_general,
+    _cover_matching_two,
     cover_budget,
-    cover_case_dispatch,
-    cover_general,
-    cover_matching_two,
     cover_nonstar_means,
 )
 from .decomposition import L_N_SHORTFALL, certify_lower_bound
@@ -51,6 +52,7 @@ from .errors import MedcoverError, PreconditionViolated
 from .graphs import (
     ClassTag,
     Graph,
+    Matching,
     bridge_structure,
     classify,
     is_star,
@@ -136,13 +138,13 @@ def suite_closed_forms() -> dict:
 
 
 @functools.lru_cache(maxsize=1)
-def _nonstars(max_edges: int) -> tuple[tuple[Graph, float, float], ...]:
+def _nonstars(max_edges: int) -> tuple[tuple[Graph, float, float, Fraction], ...]:
     """The connected triangle-free non-star graphs up to ``max_edges`` edges,
-    each with its ``median_cost``, solved as one ``median_costs`` batch, and
-    that cost's ``median_extra_cost``."""
+    each with its ``median_cost``, solved as one ``median_costs`` batch,
+    that cost's ``median_extra_cost``, and its exact means extra cost."""
     graphs = [g for g in enumerate_triangle_free(max_edges) if not is_star(g)]
     return tuple(
-        (g, cost, median_extra_cost(g, cost, basis).value)
+        (g, cost, median_extra_cost(g, cost, basis).value, extra_cost(g, "means").value)
         for g, (cost, basis) in zip(graphs, median_costs(graphs))
     )
 
@@ -154,7 +156,7 @@ def suite_decomposition(max_edges: int) -> dict:
     reach |F|. The true cost is ``median_cost``'s, from ``_nonstars``."""
     ledger = _Ledger("decomposition_soundness")
     check = ledger.check
-    for g, true_cost, _ in _nonstars(max_edges):
+    for g, true_cost, _, _ in _nonstars(max_edges):
         m = g.num_edges
         cert = certify_lower_bound(g, "safe")
         check(cert.bound <= true_cost + 1e-6,
@@ -175,12 +177,11 @@ def suite_decomposition(max_edges: int) -> dict:
 def suite_extra_cost(max_edges: int) -> dict:
     """Extra-cost floors for every enumerated connected non-star graph:
     the numerical median floor 0.158 and the exact rational means floor 2/3.
-    The median extra costs are ``_nonstars``'."""
+    Both extra costs are ``_nonstars``'."""
     ledger = _Ledger("extra_cost_floor")
-    for g, _, med in _nonstars(max_edges):
+    for g, _, med, mean in _nonstars(max_edges):
         ledger.check(med >= 0.158 - 1e-6,
                      "median extra cost below floor on {}: {!r}", g.edges, med)
-        mean = extra_cost(g, "means").value
         ledger.check(isinstance(mean, Fraction) and mean >= Fraction(2, 3),
                      "means extra cost below 2/3 on {}: {!r}", g.edges, mean)
     return ledger.result()
@@ -275,19 +276,22 @@ def suite_covers(max_edges: int) -> dict:
     covers, matching-2 covers as small as the true minimum (2, or 3 on the
     5-cycle), general covers within |M|+|L|-1, case dispatch within its
     ``covers.CHARGES`` row, DISPATCH_CHARGE + (sqrt2+1)*delta, and means
-    covers within theirs, 1 + MEANS_SLOPE*delta, exactly. The median delta
-    is the extra cost from ``_nonstars``; the means one is computed once per
-    graph. Every construction is checked one way, by ``construction``."""
+    covers within theirs, 1 + MEANS_SLOPE*delta, exactly. Both deltas are
+    the extra costs from ``_nonstars``. Each graph is matched once, and
+    every construction that applies runs on that (M, L); the means one,
+    which reads no matching, runs as ``cover_nonstar_means`` and so checks
+    the graph triangle-free. Every construction is checked one way, by
+    ``construction``."""
     ledger = _Ledger("cover_extraction")
     check = ledger.check
 
-    def construction(label: str, claim, build, g: Graph) -> None:
-        """First that ``build(g)`` returns a vertex cover of g, then the
-        construction's own claim on its size, ``claim(size)``, an (ok,
-        template, *args) for ``check``. A construction that raises fails
-        both checks."""
+    def construction(label: str, claim, build, g: Graph, *matchings: Matching) -> None:
+        """First that ``build(g, *matchings)`` returns a vertex cover of g,
+        then the construction's own claim on its size, ``claim(size)``, an
+        (ok, template, *args) for ``check``. A construction that raises
+        fails both checks."""
         try:
-            res = build(g)
+            res = build(g, *matchings)
         except MedcoverError as ex:
             for what in ("cover", "size bound"):
                 check(False, "{} construction failed on {} ({}): {}", label, g.edges, what, ex)
@@ -295,7 +299,7 @@ def suite_covers(max_edges: int) -> dict:
         check(is_vertex_cover(g, res.cover), "{} non-cover on {}", label, g.edges)
         check(*claim(len(res.cover)))
 
-    for g, _, extra in _nonstars(max_edges):
+    for g, _, extra, means_extra in _nonstars(max_edges):
         m = maximum_matching(g)
         l = second_maximum_matching(g, m)
 
@@ -315,15 +319,15 @@ def suite_covers(max_edges: int) -> dict:
             return (size <= lim + 1e-6, "dispatch bound fails on {}: {} > {!r}", g.edges, size, lim)
 
         def means(size):
-            lim = CHARGES["means", "means"].of(extra_cost(g, "means").value)
+            lim = CHARGES["means", "means"].of(means_extra)
             return (size <= lim, "means bound fails on {}: {} > {}", g.edges, size, lim)
 
         if len(m) == 2:
-            construction("matching-2", least, cover_matching_two, g)
+            construction("matching-2", least, _cover_matching_two, g, m)
         if len(l) >= 1:
-            construction("general", general, cover_general, g)
+            construction("general", general, _cover_general, g, m, l)
         if len(m) >= 3:
-            construction("dispatch", dispatched, cover_case_dispatch, g)
+            construction("dispatch", dispatched, _cover_case_dispatch, g, m, l)
         construction("means", means, cover_nonstar_means, g)
     return ledger.result()
 

@@ -93,24 +93,36 @@ def test_general_construction_bound_and_validity():
     assert r.case == "general"
 
 
+def matching_searches(monkeypatch):
+    """Record the edge list of every matching search: ``maximum_matching``
+    and ``second_maximum_matching`` each run one."""
+    searched = []
+    real = graphs._maximum_matching_indices
+
+    def counted(edges):
+        searched.append(tuple(edges))
+        return real(edges)
+
+    monkeypatch.setattr(graphs, "_maximum_matching_indices", counted)
+    return searched
+
+
+def less(g, m):
+    """g's edges less those of the matching m, in index order."""
+    return tuple(e for e in g.edges if e not in m.edges)
+
+
 @pytest.mark.parametrize("edges, kind", [
     ([(0, 1), (1, 2), (2, 3), (4, 5)], "1.8"),  # |L| = 1
     ([(0, 1), (0, 2), (1, 3), (2, 4), (3, 5)], "1.68"),  # |L| = 2, F' not a bridge
 ])
 def test_dispatch_computes_each_matching_once(monkeypatch, edges, kind):
     g = graph_from_edges(edges)
-    calls = []
-    real = graphs.maximum_matching
-
-    def counted(h):
-        calls.append(h)
-        return real(h)
-
-    monkeypatch.setattr(graphs, "maximum_matching", counted)  # inside second_maximum_matching
-    monkeypatch.setattr(covers, "maximum_matching", counted)
+    m = maximum_matching(g)
+    searched = matching_searches(monkeypatch)
     r = cover_case_dispatch(g)
     assert r.case.endswith(f"({kind})")
-    assert len(calls) == 2  # M on g, then L on g minus M's edges
+    assert searched == [g.edges, less(g, m)]  # M on g, then L on g minus M's edges
 
 
 # the first 6-edge catalogue graph whose dispatch takes the bridge case with
@@ -120,24 +132,17 @@ BRIDGE_RESIDUE = [(0, 1), (0, 2), (0, 4), (1, 3), (1, 5), (2, 3)]
 
 def test_bridge_residual_computes_the_residue_matchings_once(monkeypatch):
     g = graph_from_edges(BRIDGE_RESIDUE)
-    calls = Counter()
-    real_max, real_second = graphs.maximum_matching, graphs.second_maximum_matching
-
-    def counted_max(h):
-        calls["maximum"] += 1
-        return real_max(h)
-
-    def counted_second(h, m):
-        calls["second"] += 1
-        return real_second(h, m)
-
-    monkeypatch.setattr(graphs, "maximum_matching", counted_max)  # inside second_maximum_matching
-    monkeypatch.setattr(covers, "maximum_matching", counted_max)
-    monkeypatch.setattr(covers, "second_maximum_matching", counted_second)
+    m = maximum_matching(g)
+    searched = matching_searches(monkeypatch)
     r = cover_case_dispatch(g)
     assert (r.case, sorted(r.cover)) == ("|L| = 2, F' bridge (1.53)", [0, 1, 3])
-    # M and L on g; L on the residue; M checked maximum on the residue
-    assert calls == {"maximum": 4, "second": 2}
+    # M and L on g; L on the residue (g less the edges at bridge end 0);
+    # M checked maximum on the residue
+    residue = graph_from_edges([e for e in g.edges if 0 not in e])
+    residue_m = [e for e in m.edges if 0 not in e]
+    assert searched == [
+        g.edges, less(g, m), tuple(e for e in residue.edges if e not in residue_m), residue.edges,
+    ]
 
 
 def test_bridge_residual_still_rejects_a_residue_matching_that_is_not_maximum(monkeypatch):
@@ -574,6 +579,26 @@ def test_assemble_solves_one_median_per_nonstar_block(monkeypatch, objective, so
     assert sum(n for (_, obj), n in counted.items() if obj == "median") == solves
     assert sorted(counted.values()) == [1, 1]
     assert all(obj == objective for _, obj in counted)
+
+
+@pytest.mark.parametrize("objective", ["median", "means"])
+def test_assemble_matches_each_nonstar_block_once(monkeypatch, objective):
+    # a 5-cycle (matching number 2), a 7-vertex path (dispatch under the
+    # median), a star and a lone edge: one M search per non-star block,
+    # handed to its construction, and one L search for the dispatch block;
+    # only the whole graph is tested for triangles, never a block
+    g = graph_from_edges(C5 + [(5, 6), (6, 7), (7, 8), (8, 9), (9, 10), (10, 11),
+                               (12, 13), (12, 14), (15, 16)])
+    blocks = [[0, 1, 2, 3, 4], [5, 6, 7, 8, 9, 10], [11, 12], [13]]
+    c5, p7 = (graphs.subgraph(g, b) for b in blocks[:2])
+    l_search = [less(p7, maximum_matching(p7))] if objective == "median" else []
+    searched = matching_searches(monkeypatch)
+    tested = []
+    monkeypatch.setattr(covers, "is_triangle_free", lambda h: tested.append(h) or True)
+    rep = soundness_assemble(g, blocks, k=4, objective=objective)
+    assert [e.matching_number for e in rep.per_cluster] == [2, 3, 1, 1, 0]
+    assert searched == [c5.edges, p7.edges] + l_search
+    assert tested and all(h is g for h in tested)
 
 
 def test_assemble_random_battery():

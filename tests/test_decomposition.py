@@ -81,10 +81,32 @@ def test_decompose_classifies_once(monkeypatch, edges, mode):
 
 
 @pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("edges", [C5, P7, A_3], ids=["C5", "P7", "A_3"])
+def test_decompose_checks_its_preconditions_on_one_mask_pass(monkeypatch, edges, mode):
+    # the triangle, star and bridge tests read the masks the search reads;
+    # none of the Graph-level predicates runs
+    passes = []
+
+    def counted(g):
+        passes.append(g)
+        return neighbour_masks(g)
+
+    def refused(*args):
+        raise AssertionError("decompose ran a Graph-level precondition")
+
+    monkeypatch.setattr(decomposition, "neighbour_masks", counted)
+    for name in ("find_safe_pair", "is_star", "bridge_structure"):
+        monkeypatch.setattr(decomposition, name, refused)
+    g = graph_from_edges(edges)
+    decompose(g, mode)
+    assert passes == [g]
+
+
+@pytest.mark.parametrize("mode", MODES)
 def test_a_residual_that_is_not_terminal_is_stuck(monkeypatch, mode):
     # the existence lemmas rule this out, so only a broken pair search
     # reaches it: C5 is not a terminal class
-    monkeypatch.setattr(decomposition, "find_safe_pair", lambda g, mode: None)
+    monkeypatch.setattr(decomposition, "_first_safe_pair", lambda edges, deg, nbrs, mode: None)
     with pytest.raises(Stuck, match="non-terminal"):
         decompose(graph_from_edges(C5), mode)
 

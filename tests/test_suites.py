@@ -7,11 +7,11 @@ from fractions import Fraction
 
 import pytest
 
-from medcover import costs, covers, suites
+from medcover import costs, covers, graphs, suites
 from medcover.costs import weiszfeld
 from medcover.decomposition import certify_lower_bound
 from medcover.errors import NotConverged, PreconditionViolated, Stuck
-from medcover.graphs import Graph, is_star
+from medcover.graphs import Graph, is_star, maximum_matching
 from medcover.oracle import (
     enumerate_triangle_free,
     min_vertex_cover,
@@ -129,6 +129,29 @@ def test_cover_suite_solves_each_median_once(monkeypatch):
     monkeypatch.setattr(covers, "extra_cost", no_solve)
     assert_clean(suite_covers(max_edges=6), "cover_extraction")
     assert batches == [[g for g in enumerate_triangle_free(6) if not is_star(g)]]
+
+
+def test_cover_suite_matches_each_graph_once(monkeypatch):
+    # one M and one L search per graph, shared by every construction that
+    # applies; a dispatch that takes the F' bridge row also searches its
+    # residue twice (its L, and its M checked maximum)
+    records = suites._nonstars(6)
+    bridged = sum(
+        len(maximum_matching(g)) >= 3 and "F' bridge" in covers.cover_case_dispatch(g).case
+        for g, *_ in records
+    )
+    searched = []
+    real = graphs._maximum_matching_indices
+
+    def counted(edges):
+        searched.append(tuple(edges))
+        return real(edges)
+
+    monkeypatch.setattr(graphs, "_maximum_matching_indices", counted)
+    assert_clean(suite_covers(6), "cover_extraction")
+    assert bridged > 0
+    assert len(searched) == 2 * len(records) + 2 * bridged
+    assert {g.edges for g, *_ in records} <= set(searched)
 
 
 CATALOGUE_SUITES = (suite_decomposition, suite_extra_cost, suite_covers)
@@ -301,6 +324,7 @@ def test_extra_cost_suite_reports_a_means_floor_below_two_thirds(monkeypatch):
         return dataclasses.replace(got, value=Fraction(1, 2)) if g.edges == C5 else got
 
     monkeypatch.setattr(suites, "extra_cost", low_on_c5)
+    suites._nonstars.cache_clear()  # the clean run's records hold the unpatched costs
     assert_one_failure(
         suite_extra_cost(5), clean, f"means extra cost below 2/3 on {C5}: Fraction(1, 2)"
     )
@@ -368,9 +392,9 @@ def test_cover_suite_reports_a_means_cover_over_its_bound(monkeypatch):
 @pytest.mark.parametrize(
     "name, label",
     [
-        ("cover_general", "general construction failed"),
-        ("cover_case_dispatch", "dispatch construction failed"),
-        ("cover_matching_two", "matching-2 construction failed"),
+        ("_cover_general", "general construction failed"),
+        ("_cover_case_dispatch", "dispatch construction failed"),
+        ("_cover_matching_two", "matching-2 construction failed"),
         ("cover_nonstar_means", "means construction failed"),
     ],
     ids=["general", "dispatch", "matching_two", "means"],

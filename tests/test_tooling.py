@@ -93,7 +93,8 @@ def test_the_names_the_bench_record_layers_read_exist():
             ("medcover.oracle", "_row_selection"), ("medcover.costs", "_dual_bounds"),
             ("medcover.covers", "cover_single_edge_clusters"), ("medcover.oracle", "opt_discrete"),
             ("medcover.reduction", "reduce_hypergraph"), ("medcover.oracle", "enumerate_triangle_free"),
-            ("medcover.decomposition", "certify_lower_bound")} <= names
+            ("medcover.decomposition", "certify_lower_bound"), ("medcover.graphs", "maximum_matching"),
+            ("medcover.suites", "suite_covers")} <= names
     assert _missing(names) == []
 
 
@@ -110,9 +111,9 @@ def test_the_bench_record_layers_snippet_runs_and_times_every_layer():
     figures = json.loads(done.stdout.strip().splitlines()[-1])
     assert sorted(figures) == [
         "certify_lower_bound_8_edge_nonstars_ms", "dp_layer_2_11_points_ms",
-        "enumerate_8_edges_ms", "median_table_cold_11_points_ms",
+        "enumerate_8_edges_ms", "maximum_matching_24_edges_ms", "median_table_cold_11_points_ms",
         "median_table_cold_k4_11_points_ms", "opt_discrete_planted_16_centers_ms",
-        "row_selection_11_points_ms", "single_edge_cover_28_edges_ms",
+        "row_selection_11_points_ms", "single_edge_cover_28_edges_ms", "suite_covers_8_edges_ms",
     ]
     for key, ms in figures.items():
         assert type(ms) in (int, float) and ms > 0, (key, ms)
@@ -240,12 +241,12 @@ def test_the_process_caches_are_the_ones_the_readme_names():
         }
     readme = " ".join((ROOT / "README.md").read_text(encoding="utf-8").split())
     sentence = re.search(
-        r"keeps four process caches, each a `functools.lru_cache`(.*?)\. It keeps one more entry,(.*?)\.(?:\s|$)",
+        r"keeps three process caches, each a `functools.lru_cache`(.*?)\. It keeps one more entry,(.*?)\.(?:\s|$)",
         readme,
     )
     assert sentence, "README names no process caches"
     named = re.findall(r"`(\w+\.\w+)`", sentence.group(1))
-    assert len(named) == 4 and set(named) == caches, (named, caches)
+    assert len(named) == 3 and set(named) == caches, (named, caches)
     named = re.findall(r"`(\w+\.\w+\.\w+)`", sentence.group(2))
     assert len(named) == 1 and set(named) == entries, (named, entries)
 
