@@ -334,21 +334,21 @@ def test_matchings_beyond_brute_force_reach_are_pinned():
     # M and L of 60 seeded triangle-free graphs of 13-24 edges, 30 of them
     # with their edges shuffled, then K_{4,6} and C24, hashed; the digest
     # was recorded before the search gained its unmatched-vertex bound
-    graphs_ = []
+    pinned = []
     seed = 0
-    while len(graphs_) < 60:
+    while len(pinned) < 60:
         rng = random.Random(seed)
         g = random_triangle_free(rng.randint(9, 16), rng.randint(2, 4), seed=seed)
         seed += 1
         if 13 <= g.num_edges <= 24:
             edges = list(g.edges)
             rng.shuffle(edges)
-            graphs_ += [g, make_graph(g.num_vertices, edges)]
-    graphs_.append(make_graph(10, [(u, v) for u in range(4) for v in range(4, 10)]))
-    graphs_.append(make_graph(24, [(i, (i + 1) % 24) for i in range(24)]))
-    assert {g.num_edges for g in graphs_} >= {13, 20, 24}
+            pinned += [g, make_graph(g.num_vertices, edges)]
+    pinned.append(make_graph(10, [(u, v) for u in range(4) for v in range(4, 10)]))
+    pinned.append(make_graph(24, [(i, (i + 1) % 24) for i in range(24)]))
+    assert {g.num_edges for g in pinned} >= {13, 20, 24}
     records = []
-    for g in graphs_:
+    for g in pinned:
         m = maximum_matching(g)
         records.append(f"{m.indices} {second_maximum_matching(g, m).indices}")
     digest = hashlib.sha256("\n".join(records).encode()).hexdigest()
@@ -474,7 +474,7 @@ def _pinned_inputs():
     with triangles), each with its edges sorted and then shuffled."""
     import random
 
-    from medcover.oracle import enumerate_triangle_free, random_triangle_free
+    from medcover.oracle import enumerate_triangle_free
 
     out = list(enumerate_triangle_free(8, include_disconnected=True))
     rng = random.Random(2020)
