@@ -3,19 +3,19 @@
 Each cluster of edges gets a cover whose size is charged against the
 cluster's extra cost over the star baseline. The constructions take only
 the cluster and return its cover and the case that built it; the ledger
-alone charges it. Each public construction checks the cluster
-triangle-free, finds the matchings it reads, and runs its per-cluster code
-(the same name with a leading underscore) on them; ``soundness_assemble``
-and ``suites.suite_covers``, which have already checked and matched the
-cluster, call that code directly. A star cluster is covered by one vertex
-(its center), a non-star cluster with matching number two by two vertices
-(three for the 5-cycle), and larger non-star clusters go through a case
-analysis on the second maximum matching L (the maximum matching of the
-graph after the first matching's edges are deleted). Single-edge clusters
-that no other cluster's cover happens to touch are handled collectively:
-either a matching of their union is small and its endpoints suffice, or a
-four-stage pruning construction (Procedures 1-4 below) produces a cover of
-the *whole* graph of size 2k - 2*delta*k directly.
+alone charges it. Each construction checks the cluster triangle-free and
+finds the matchings it reads, unless its caller, which has matched the
+cluster already, hands them over: ``soundness_assemble`` and
+``suites.suite_covers`` match each cluster once. A star cluster is covered
+by one vertex (its center), a non-star cluster with matching number two by
+two vertices (three for the 5-cycle), and larger non-star clusters go
+through a case analysis on the second maximum matching L (the maximum
+matching of the graph after the first matching's edges are deleted).
+Single-edge clusters that no other cluster's cover happens to touch are
+handled collectively: either a matching of their union is small and its
+endpoints suffice, or a four-stage pruning construction (Procedures 1-4
+below) produces a cover of the *whole* graph of size 2k - 2*delta*k
+directly.
 
 ``soundness_assemble`` stitches the per-cluster covers into a whole-graph
 cover and reports the ledger: one entry per block and one for the
@@ -210,23 +210,19 @@ def _touches(e: Edge, f: Edge) -> bool:
 # Matching-number-two clusters
 # ---------------------------------------------------------------------------
 
-def cover_matching_two(g: Graph) -> CoverResult:
+def cover_matching_two(g: Graph, m: Optional[Matching] = None) -> CoverResult:
     """Cover of size two for any triangle-free cluster with matching number
     exactly two, except the 5-cycle which genuinely needs three.
 
     A two-vertex cover must take one endpoint from each matching edge, so the
     case analysis reduces to scanning those four candidate pairs; when none
     works the graph must be the 5-cycle and three alternating cycle vertices
-    do it. The construction is ``_cover_matching_two`` on g's maximum
-    matching.
+    do it. m is g's maximum matching, found here unless the caller passes
+    it.
     """
     _require_triangle_free(g)
-    return _cover_matching_two(g, maximum_matching(g))
-
-
-def _cover_matching_two(g: Graph, m: Matching) -> CoverResult:
-    """``cover_matching_two`` of the triangle-free g, whose maximum matching
-    the caller has found."""
+    if m is None:
+        m = maximum_matching(g)
     if len(m) != 2:
         raise PreconditionViolated(f"matching number is {len(m)}, need exactly 2")
     (a1, b1), (a2, b2) = m.edges
@@ -247,20 +243,19 @@ def _cover_matching_two(g: Graph, m: Matching) -> CoverResult:
 # General |M| + |L| - 1 construction
 # ---------------------------------------------------------------------------
 
-def cover_general(g: Graph) -> CoverResult:
+def cover_general(
+    g: Graph, m: Optional[Matching] = None, l: Optional[Matching] = None
+) -> CoverResult:
     """Cover of size at most |M| + |L| - 1, case "general": ``_general_cover``'s
     on M, g's maximum matching, and L, the maximum matching of g minus M's
-    edges, found as ``cover_case_dispatch`` finds them. A graph with a
-    triangle, a star, or a graph whose L is empty raises
-    ``PreconditionViolated``."""
+    edges, each found here, as ``cover_case_dispatch`` finds them, unless
+    the caller passes it. A graph with a triangle, a star, or a graph whose
+    L is empty raises ``PreconditionViolated``."""
     _require_triangle_free(g)
-    m = maximum_matching(g)
-    return _cover_general(g, m, second_maximum_matching(g, m))
-
-
-def _cover_general(g: Graph, m: Matching, l: Matching) -> CoverResult:
-    """``cover_general`` of the triangle-free g, whose M and L the caller
-    has found."""
+    if m is None:
+        m = maximum_matching(g)
+    if l is None:
+        l = second_maximum_matching(g, m)
     return CoverResult(frozenset(_general_cover(g, m, l)), "general")
 
 
@@ -274,8 +269,8 @@ def _general_cover(g: Graph, m: Matching, l: Matching) -> set[int]:
     |R| <= |M| - |L| (cover the star by its center, one vertex per R-edge) or
     |R| = |M| - |L| + 1 (each star edge leans on a distinct R-edge; pick the
     shared endpoints). |R| >= |M| - |L| + 2 would contradict M's maximality,
-    so reaching it raises instead of covering. g must be triangle-free; the
-    callers check it once per cluster.
+    so reaching it raises instead of covering. g must be triangle-free; its
+    callers check it.
     """
     if is_star(g) or g.num_edges < 2:
         raise PreconditionViolated("general cover construction needs a non-star graph")
@@ -348,7 +343,9 @@ def _cover_via_bridge_residual(g: Graph, m: Matching, b: Edge) -> set[int]:
     return {u} | _general_cover(g_rest, m_rest, l_rest)
 
 
-def cover_case_dispatch(g: Graph) -> CoverResult:
+def cover_case_dispatch(
+    g: Graph, m: Optional[Matching] = None, l: Optional[Matching] = None
+) -> CoverResult:
     """Constructive cover for a non-star triangle-free cluster with matching
     number at least three, whose ``case`` names the row below that fired
     and its constant. Writing F' for the graph minus the maximum matching's
@@ -369,21 +366,18 @@ def cover_case_dispatch(g: Graph) -> CoverResult:
 
     Each row's constant is its own bound's, c + (sqrt(2)+1) * delta(F) with
     delta(F) the cluster's median extra cost. The ledger charges every row
-    the largest, DISPATCH_CHARGE (1.8). The table is ``_cover_case_dispatch``
-    on M and L.
+    the largest, DISPATCH_CHARGE (1.8). M and L are found here unless the
+    caller, having found them, passes them.
     """
     _require_triangle_free(g)
-    m = maximum_matching(g)
-    return _cover_case_dispatch(g, m, second_maximum_matching(g, m))
-
-
-def _cover_case_dispatch(g: Graph, m: Matching, l: Matching) -> CoverResult:
-    """``cover_case_dispatch`` of the triangle-free g, whose M and L the
-    caller has found."""
     if is_star(g) or g.num_edges < 2:
         raise PreconditionViolated("dispatch needs a non-star graph")
+    if m is None:
+        m = maximum_matching(g)
     if len(m) < 3:
         raise PreconditionViolated(f"matching number is {len(m)}, need >= 3")
+    if l is None:
+        l = second_maximum_matching(g, m)
 
     def result(cover: set[int], case: str, ceiling: int) -> CoverResult:
         if not is_vertex_cover(g, cover):
@@ -602,15 +596,9 @@ def cover_nonstar_means(g: Graph) -> CoverResult:
     <= 2 + delta(F), checked in exact rationals. The ledger charges it
     1 + (5/2) delta(F), which is at least that when delta >= 2/3. That fails
     on graphs with triangles — a triangle has delta = 0 — hence the
-    triangle-free gate. The construction is ``_cover_nonstar_means``.
+    triangle-free gate.
     """
     _require_triangle_free(g)
-    return _cover_nonstar_means(g)
-
-
-def _cover_nonstar_means(g: Graph) -> CoverResult:
-    """``cover_nonstar_means`` of g, which the caller has found
-    triangle-free."""
     if is_star(g) or g.num_edges < 2:
         raise PreconditionViolated("means cover construction needs a non-star graph")
     r = g.num_edges
@@ -690,9 +678,8 @@ def soundness_assemble(
     computed once per block (a float under the median, an exact
     ``Fraction`` under the means). Each non-star block is matched once: its
     maximum matching M gives the entry's matching number and is handed to
-    the construction, and a dispatch block also finds its second matching L
-    once. g is checked triangle-free once, and so is every block, a
-    subgraph of g. Single-edge blocks the union misses go through
+    the median construction, and a dispatch block finds its second
+    matching L once. Single-edge blocks the union misses go through
     cover_single_edge_clusters, and the union cover takes both endpoints of
     its greedy matching M_P. Redundant vertices are pruned in ascending
     order. If the full-graph fallback fires, its cover, pruned the same
@@ -731,14 +718,14 @@ def soundness_assemble(
             m = maximum_matching(sub)
             extra = extra_cost(sub, objective).value
             if objective == "means":
-                kind, built = "means", _cover_nonstar_means(sub)
+                kind, built = "means", cover_nonstar_means(sub)
             else:
                 extra = float(extra)
-                if len(m) == 2:
-                    kind, built = "matching_two", _cover_matching_two(sub, m)
-                else:
-                    l = second_maximum_matching(sub, m)
-                    kind, built = "dispatch", _cover_case_dispatch(sub, m, l)
+                kind, build = (
+                    ("matching_two", cover_matching_two) if len(m) == 2
+                    else ("dispatch", cover_case_dispatch)
+                )
+                built = build(sub, m)
             entries.append(entry(kind, block, len(m), built.cover, extra, built.case))
         vc_prime |= entries[-1].cover
 

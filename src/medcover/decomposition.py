@@ -28,10 +28,9 @@ from .graphs import (
     Graph,
     GraphClass,
     bridge_from_masks,
-    bridge_structure,
     classify,
-    is_star,
     neighbour_masks,
+    triangle_free_from_masks,
 )
 
 MODES = ("safe", "ultra_safe")
@@ -76,14 +75,27 @@ def find_safe_pair(g: Graph, mode: str) -> tuple[Edge, Edge] | None:
     ("ultra_safe"). Returns None when no pair qualifies — exactly the
     fundamental graphs in safe mode, and {3-P2, A_n} in ultra mode. A star,
     a graph with fewer than two edges, or (ultra mode) a bridge graph raises
-    ``PreconditionViolated``; the search itself is ``_first_safe_pair``.
+    ``PreconditionViolated``, as ``_require_safe_pair_preconditions``
+    checks; the search itself is ``_first_safe_pair``.
     """
     _check_mode(mode)
-    if is_star(g) or g.num_edges < 2:
+    edges, deg, nbrs = list(g.edges), g.degrees(), neighbour_masks(g)
+    _require_safe_pair_preconditions(edges, deg, nbrs, mode)
+    return _first_safe_pair(edges, deg, nbrs, mode)
+
+
+def _require_safe_pair_preconditions(
+    edges: list[Edge], deg: list[int], nbrs: list[int], mode: str
+) -> None:
+    """Raise ``PreconditionViolated`` unless the graph whose edges, degrees
+    and neighbour masks are given is a non-star with two or more edges (a
+    star of m >= 2 edges has a vertex of degree m) and, in ultra mode, not
+    a bridge graph (``bridge_from_masks`` with nothing cut)."""
+    m = len(edges)
+    if m < 2 or m in deg:
         raise PreconditionViolated("safe pairs are defined on non-star graphs")
-    if mode == "ultra_safe" and bridge_structure(g) is not None:
+    if mode == "ultra_safe" and bridge_from_masks(nbrs, edges, m, {}) is not None:
         raise PreconditionViolated("ultra_safe mode requires a non-bridge graph")
-    return _first_safe_pair(list(g.edges), g.degrees(), neighbour_masks(g), mode)
 
 
 def _first_safe_pair(
@@ -133,25 +145,19 @@ def decompose(g: Graph, mode: str) -> DecompositionTrace:
     problem). A star, a graph with no edges, or (ultra mode) a bridge graph
     raises ``PreconditionViolated``.
 
-    The preconditions are checked once, as ``find_safe_pair`` checks them,
-    on the one edge list, degrees and neighbour masks the search reads: a
-    common neighbour of an edge's ends closes a triangle, a star of m >= 2
-    edges has a vertex of degree m, and the bridge test is
-    ``bridge_from_masks`` with nothing cut. A safe pair leaves a non-star,
-    and in ultra mode a non-bridge, so every remainder meets them. Every
-    pair comes from ``_first_safe_pair`` on that edge list, from which each
-    removed pair is taken out in place; the only ``Graph`` built is the
-    residual's.
+    The preconditions are checked once, on the one edge list, degrees and
+    neighbour masks the search reads: ``triangle_free_from_masks``, then
+    ``_require_safe_pair_preconditions``, as ``find_safe_pair`` checks them.
+    A safe pair leaves a non-star, and in ultra mode a non-bridge, so every
+    remainder meets them. Every pair comes from ``_first_safe_pair`` on that
+    edge list, from which each removed pair is taken out in place; the only
+    ``Graph`` built is the residual's.
     """
     _check_mode(mode)
     edges, deg, nbrs = list(g.edges), g.degrees(), neighbour_masks(g)
-    if any(nbrs[u] & nbrs[v] for u, v in edges):
+    if not triangle_free_from_masks(nbrs, edges):
         raise PreconditionViolated("decomposition assumes a triangle-free graph")
-    m = len(edges)
-    if m < 2 or m in deg:
-        raise PreconditionViolated("safe pairs are defined on non-star graphs")
-    if mode == "ultra_safe" and bridge_from_masks(nbrs, edges, m, {}) is not None:
-        raise PreconditionViolated("ultra_safe mode requires a non-bridge graph")
+    _require_safe_pair_preconditions(edges, deg, nbrs, mode)
     pairs: list[tuple[Edge, Edge]] = []
     pair = _first_safe_pair(edges, deg, nbrs, mode)
     while pair is not None:

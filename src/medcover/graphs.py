@@ -156,10 +156,16 @@ def format_edge_list(g: Graph) -> str:
 # ---------------------------------------------------------------------------
 
 def is_triangle_free(g: Graph) -> bool:
-    """True iff no three vertices are pairwise adjacent."""
-    nbrs = neighbour_masks(g)
+    """True iff no three vertices are pairwise adjacent: ``triangle_free_from_masks``
+    on g's neighbour masks."""
+    return triangle_free_from_masks(neighbour_masks(g), g.edges)
+
+
+def triangle_free_from_masks(nbrs: list[int], edges: Iterable[Edge]) -> bool:
+    """``is_triangle_free`` of the graph whose neighbour masks and edges are
+    given, for a caller that has built the masks already."""
     # A common neighbour of an edge's endpoints closes a triangle.
-    return not any(nbrs[u] & nbrs[v] for u, v in g.edges)
+    return not any(nbrs[u] & nbrs[v] for u, v in edges)
 
 
 def max_degree(g: Graph) -> int:
@@ -270,52 +276,32 @@ def maximum_matching(g: Graph) -> Matching:
     Edges are branched in ascending index order with the include branch first,
     so the first matching of maximum cardinality encountered is the
     lexicographically smallest sorted index tuple — the documented tie-break.
-    The matched vertices are a bitmask. A branch at edge i is cut when even
-    its best completion cannot beat the longest matching found so far: the
-    edges from i on add at most half the unmatched vertices they touch,
-    since each edge added takes two of them, and so never more than the
-    number of edges left (j edges touch at most 2j vertices). That is an
-    upper bound, so a cut branch holds no matching longer than the best
-    one, and the best is replaced only by a longer one: the first maximum
-    matching in include-first order is still the one returned. An edge at
-    a matched vertex has only the exclude branch, and the search steps over
-    it without a call; the bound only shrinks as i grows, so testing it at
-    the next free edge cuts what testing it at each step would. The half
-    bound ends a search at its first perfect matching, which keeps long
-    cycles cheap.
-
-    More than ``MAX_MATCHING_EDGES`` edges raise ``InstanceTooLarge`` before
-    the search, ``_maximum_matching_indices``.
+    The matched vertices are a bitmask. More than ``MAX_MATCHING_EDGES``
+    edges raise ``InstanceTooLarge`` before the search. Nothing is kept
+    between calls: each call is one search, and a caller that needs a
+    cluster's matching again holds on to it.
     """
-    return _matching_from_indices(g, _maximum_matching_indices(g.edges))
-
-
-def _maximum_matching_indices(edges: Sequence[Edge]) -> list[int]:
-    """``maximum_matching``'s search over an edge sequence: its matching as
-    ascending positions in ``edges``."""
-    m = len(edges)
+    m = g.num_edges
     if m > MAX_MATCHING_EDGES:
         raise InstanceTooLarge(f"{m} edges exceeds matching ceiling {MAX_MATCHING_EDGES}")
-    masks = [(1 << u) | (1 << v) for u, v in edges]
-    reach = [0] * (m + 1)  # reach[i]: the vertices that edges i.. touch
-    for i in range(m - 1, -1, -1):
-        reach[i] = reach[i + 1] | masks[i]
-    best, most = 0, 0  # the best matching as a bitmask of positions, and its size
+    masks = [(1 << u) | (1 << v) for u, v in g.edges]
+    best: list[int] = []
 
-    def search(i: int, used: int, size: int, chosen: int) -> None:
-        nonlocal best, most
-        while i < m and used & masks[i]:
-            i += 1  # an edge at a matched vertex has only the exclude branch
-        if size + ((reach[i] & ~used).bit_count() >> 1) <= most:
+    def search(i: int, used: int, current: list[int]) -> None:
+        nonlocal best
+        if len(current) + (m - i) <= len(best):
             return
         if i == m:
-            best, most = chosen, size  # the bound above leaves only longer ones
+            best = list(current)  # the bound above leaves only longer ones
             return
-        search(i + 1, used | masks[i], size + 1, chosen | 1 << i)
-        search(i + 1, used, size, chosen)
+        if not used & masks[i]:
+            current.append(i)
+            search(i + 1, used | masks[i], current)
+            current.pop()
+        search(i + 1, used, current)
 
-    search(0, 0, 0, 0)
-    return [i for i in range(m) if best >> i & 1]
+    search(0, 0, [])
+    return _matching_from_indices(g, best)
 
 
 def require_matching_of(g: Graph, m: Matching) -> None:
@@ -329,18 +315,13 @@ def require_matching_of(g: Graph, m: Matching) -> None:
 
 
 def second_maximum_matching(g: Graph, m: Matching) -> Matching:
-    """Maximum matching of g minus the edges of m (the host indices are kept).
-
-    It is ``maximum_matching``'s search, with its bound and tie-break, run
-    on g's edge list less m's edges, without building that graph. The
-    positions in that list ascend with the host indices, so the answer is
-    the lexicographically least maximum matching of the rest by host index.
-    """
+    """Maximum matching of g minus the edges of m (the host indices are kept)."""
     require_matching_of(g, m)
     taken = set(m.indices)
     remaining = [i for i in range(g.num_edges) if i not in taken]
-    inner = _maximum_matching_indices([g.edges[i] for i in remaining])
-    return _matching_from_indices(g, (remaining[i] for i in inner))
+    sub = Graph(g.num_vertices, tuple(g.edges[i] for i in remaining))
+    inner = maximum_matching(sub)
+    return _matching_from_indices(g, (remaining[i] for i in inner.indices))
 
 
 # ---------------------------------------------------------------------------

@@ -41,10 +41,10 @@ from .costs import (
 )
 from .covers import (
     CHARGES,
-    _cover_case_dispatch,
-    _cover_general,
-    _cover_matching_two,
     cover_budget,
+    cover_case_dispatch,
+    cover_general,
+    cover_matching_two,
     cover_nonstar_means,
 )
 from .decomposition import L_N_SHORTFALL, certify_lower_bound
@@ -278,10 +278,8 @@ def suite_covers(max_edges: int) -> dict:
     ``covers.CHARGES`` row, DISPATCH_CHARGE + (sqrt2+1)*delta, and means
     covers within theirs, 1 + MEANS_SLOPE*delta, exactly. Both deltas are
     the extra costs from ``_nonstars``. Each graph is matched once, and
-    every construction that applies runs on that (M, L); the means one,
-    which reads no matching, runs as ``cover_nonstar_means`` and so checks
-    the graph triangle-free. Every construction is checked one way, by
-    ``construction``."""
+    every construction that applies is handed that (M, L). Every
+    construction is checked one way, by ``construction``."""
     ledger = _Ledger("cover_extraction")
     check = ledger.check
 
@@ -323,11 +321,11 @@ def suite_covers(max_edges: int) -> dict:
             return (size <= lim, "means bound fails on {}: {} > {}", g.edges, size, lim)
 
         if len(m) == 2:
-            construction("matching-2", least, _cover_matching_two, g, m)
+            construction("matching-2", least, cover_matching_two, g, m)
         if len(l) >= 1:
-            construction("general", general, _cover_general, g, m, l)
+            construction("general", general, cover_general, g, m, l)
         if len(m) >= 3:
-            construction("dispatch", dispatched, _cover_case_dispatch, g, m, l)
+            construction("dispatch", dispatched, cover_case_dispatch, g, m, l)
         construction("means", means, cover_nonstar_means, g)
     return ledger.result()
 

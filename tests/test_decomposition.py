@@ -83,8 +83,8 @@ def test_decompose_classifies_once(monkeypatch, edges, mode):
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("edges", [C5, P7, A_3], ids=["C5", "P7", "A_3"])
 def test_decompose_checks_its_preconditions_on_one_mask_pass(monkeypatch, edges, mode):
-    # the triangle, star and bridge tests read the masks the search reads;
-    # none of the Graph-level predicates runs
+    # the triangle, star and bridge tests read the masks the search reads,
+    # and find_safe_pair, which would build them again, does not run
     passes = []
 
     def counted(g):
@@ -92,11 +92,10 @@ def test_decompose_checks_its_preconditions_on_one_mask_pass(monkeypatch, edges,
         return neighbour_masks(g)
 
     def refused(*args):
-        raise AssertionError("decompose ran a Graph-level precondition")
+        raise AssertionError("decompose called find_safe_pair")
 
     monkeypatch.setattr(decomposition, "neighbour_masks", counted)
-    for name in ("find_safe_pair", "is_star", "bridge_structure"):
-        monkeypatch.setattr(decomposition, name, refused)
+    monkeypatch.setattr(decomposition, "find_safe_pair", refused)
     g = graph_from_edges(edges)
     decompose(g, mode)
     assert passes == [g]

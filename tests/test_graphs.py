@@ -332,8 +332,8 @@ def test_maximum_matching_is_the_lexicographically_least_maximum_one():
 
 def test_matchings_beyond_brute_force_reach_are_pinned():
     # M and L of 60 seeded triangle-free graphs of 13-24 edges, 30 of them
-    # with their edges shuffled, then K_{4,6} and C24, hashed; the digest
-    # was recorded before the search gained its unmatched-vertex bound
+    # with their edges shuffled, then K_{4,6} and C24, hashed: a change to
+    # the search's pruning or branch order must leave every answer as it is
     pinned = []
     seed = 0
     while len(pinned) < 60:

@@ -141,13 +141,14 @@ def test_cover_suite_matches_each_graph_once(monkeypatch):
         for g, *_ in records
     )
     searched = []
-    real = graphs._maximum_matching_indices
+    real = graphs.maximum_matching
 
-    def counted(edges):
-        searched.append(tuple(edges))
-        return real(edges)
+    def counted(h):
+        searched.append(h.edges)
+        return real(h)
 
-    monkeypatch.setattr(graphs, "_maximum_matching_indices", counted)
+    for module in (graphs, covers, suites):
+        monkeypatch.setattr(module, "maximum_matching", counted)
     assert_clean(suite_covers(6), "cover_extraction")
     assert bridged > 0
     assert len(searched) == 2 * len(records) + 2 * bridged
@@ -392,9 +393,9 @@ def test_cover_suite_reports_a_means_cover_over_its_bound(monkeypatch):
 @pytest.mark.parametrize(
     "name, label",
     [
-        ("_cover_general", "general construction failed"),
-        ("_cover_case_dispatch", "dispatch construction failed"),
-        ("_cover_matching_two", "matching-2 construction failed"),
+        ("cover_general", "general construction failed"),
+        ("cover_case_dispatch", "dispatch construction failed"),
+        ("cover_matching_two", "matching-2 construction failed"),
         ("cover_nonstar_means", "means construction failed"),
     ],
     ids=["general", "dispatch", "matching_two", "means"],
