@@ -40,9 +40,13 @@ order, it times:
   ``graphs.maximum_matching`` on six distinct 23- and 24-edge graphs
   (``oracle.random_triangle_free(16, 3, seed)`` for the first seeds from 0
   that give 20-24 edges; six, so that a four-entry cache of answers would
-  never hit); and ``suites.suite_covers(8)`` once its catalogue records
-  are built (the first, untimed call builds them). A layer figure is the
-  median over that tree's processes.
+  never hit) and ``oracle.min_vertex_cover`` on the same six;
+  ``suites.suite_covers(8)`` once its catalogue records are built (the
+  first, untimed call builds them); and ``covers.soundness_assemble`` on
+  each connected catalogue graph up to 7 edges (76) at k = its cover
+  number, once per objective: 152 calls on the ``opt_continuous``
+  partitions at that k, padded as ``sweep`` pads them, all built before
+  the timing. A layer figure is the median over that tree's processes.
 
 Each command's ``wall_s`` entry holds its median, its runs, ``ok`` (every
 run passed) and a last line: the first failed run's stderr, else the last
@@ -156,7 +160,24 @@ while len(big) < 6:
     if 20 <= h.num_edges <= 24 and h not in big:
         big.append(h)
 out["maximum_matching_24_edges_ms"] = sample(lambda: [graphs.maximum_matching(h) for h in big])
+out["min_vertex_cover_24_edges_ms"] = sample(lambda: [oracle.min_vertex_cover(h) for h in big])
 out["suite_covers_8_edges_ms"] = sample(lambda: suites.suite_covers(8))
+
+def padded(blocks, want):
+    # the padding `sweep` applies: peel the last edge off the largest block
+    blocks = [sorted(b) for b in blocks]
+    while len(blocks) < want:
+        blocks.append([blocks[max(range(len(blocks)), key=lambda i: (len(blocks[i]), -i))].pop()])
+    return blocks
+
+trips = []
+for g in oracle.enumerate_triangle_free(7):
+    k = len(oracle.min_vertex_cover(g))
+    for objective in ("median", "means"):
+        partition = oracle.opt_continuous(reduce_graph(g, k=k, objective=objective)).partition
+        trips.append((g, padded(partition, k), k, objective))
+out["soundness_assemble_ms"] = sample(
+    lambda: [covers.soundness_assemble(g, blocks, k=k, objective=o) for g, blocks, k, o in trips])
 print(json.dumps(out))
 """
 

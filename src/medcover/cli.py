@@ -21,12 +21,13 @@ from .costs import (
     BASIS_CLOSED,
     BASIS_UPPER,
     MAX_CONTINUOUS_POINTS,
+    Block,
     closed_form_median_cost,
     cluster_points,
     median_extra_cost,
     weiszfeld,
 )
-from .covers import SoundnessReport, _require_triangle_free, block_count, soundness_assemble
+from .covers import SoundnessReport, block_count, require_triangle_free, soundness_assemble
 from .decomposition import (
     certificate_from_trace,
     decompose,
@@ -206,11 +207,13 @@ def _round_trip(
     oracle's optimal clustering at ``blocks_needed`` blocks, padded by
     ``_pad_blocks`` to exactly that many, then ``soundness_assemble`` at
     budget k, all with the given objective, beta and delta. A graph with a
-    triangle is refused before the reduction and the solve."""
-    _require_triangle_free(g)
+    triangle is refused before the reduction and the solve, by the triangle
+    test of the ``Block`` that ``soundness_assemble`` then reads."""
+    whole = Block(g)
+    require_triangle_free(whole)
     oracle = opt_continuous(reduce_graph(g, k=blocks_needed, objective=objective))
     blocks = _pad_blocks([list(b) for b in oracle.partition], blocks_needed)
-    return oracle, soundness_assemble(g, blocks, k=k, beta=beta, objective=objective, delta=delta)
+    return oracle, soundness_assemble(whole, blocks, k=k, beta=beta, objective=objective, delta=delta)
 
 
 def cmd_cover(args: argparse.Namespace) -> int:

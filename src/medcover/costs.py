@@ -21,6 +21,13 @@ the cost collapses to (2r^2 - sum_v deg(v)^2) / r, one exact rational.
 ``extra_cost`` measures how far a cluster's 1-center cost sits above the best
 possible (star) cost of the same size — the quantity the soundness bounds
 charge per non-star cluster.
+
+A ``Block`` is one cluster's ``Graph`` with the facts about it that the
+cover constructions, the decomposition and the soundness ledger read: its
+neighbour masks and degrees, triangle test, star center, bridge witness,
+class, maximum matching M, second matching L and exact means extra cost.
+Each is computed the first time it is read and kept on that ``Block``, so
+readers of one ``Block`` share it, and it goes when the ``Block`` does.
 """
 
 from __future__ import annotations
@@ -34,7 +41,19 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .errors import DomainError, InstanceTooLarge, NotConverged
-from .graphs import ClassTag, Graph, GraphClass, classify
+from .graphs import (
+    ClassTag,
+    Edge,
+    Graph,
+    GraphClass,
+    Matching,
+    bridge_from_masks,
+    classify,
+    maximum_matching,
+    neighbour_masks,
+    second_maximum_matching,
+    triangle_free_from_masks,
+)
 from .reduction import check_objective
 
 Number = Union[float, Fraction]
@@ -407,6 +426,79 @@ def _snap_to_optimal_point(
 # Graph clusters
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class Block:
+    """One cluster's graph, and each fact about it found once: computed
+    the first time it is read, kept on this value and nowhere else. Blocks
+    of equal graphs compare equal, whatever each has computed. M, L and
+    the class are one call each of ``maximum_matching``,
+    ``second_maximum_matching`` and ``classify``."""
+
+    graph: Graph
+
+    @property
+    def edges(self) -> tuple[Edge, ...]:
+        return self.graph.edges
+
+    @property
+    def num_edges(self) -> int:
+        return self.graph.num_edges
+
+    @functools.cached_property
+    def nbrs(self) -> tuple[int, ...]:
+        """Each vertex's neighbours as a bitmask (``neighbour_masks``)."""
+        return tuple(neighbour_masks(self.graph))
+
+    @functools.cached_property
+    def degrees(self) -> tuple[int, ...]:
+        return tuple(map(int.bit_count, self.nbrs))
+
+    @functools.cached_property
+    def triangle_free(self) -> bool:
+        return triangle_free_from_masks(self.nbrs, self.edges)
+
+    @functools.cached_property
+    def center(self) -> Optional[int]:
+        """The vertex every edge holds, the least one for a single edge
+        (``graphs.common_vertex``), or None: with m >= 1 edges, the first
+        vertex of degree m."""
+        m = self.num_edges
+        return self.degrees.index(m) if m and m in self.degrees else None
+
+    @functools.cached_property
+    def bridge(self) -> Optional[tuple[Edge, int, int]]:
+        """``graphs.bridge_structure``'s witness, on these masks."""
+        return bridge_from_masks(self.nbrs, self.edges, self.num_edges, {})
+
+    @functools.cached_property
+    def cls(self) -> GraphClass:
+        return classify(self.graph)
+
+    @functools.cached_property
+    def matching(self) -> Matching:
+        """M, the maximum matching."""
+        return maximum_matching(self.graph)
+
+    @functools.cached_property
+    def second_matching(self) -> Matching:
+        """L, the maximum matching of the graph less M's edges."""
+        return second_maximum_matching(self.graph, self.matching)
+
+    @functools.cached_property
+    def means_extra(self) -> Fraction:
+        """The exact 1-means cost above the star's, r - 1."""
+        return one_means_cost(self.graph) - (self.num_edges - 1)
+
+
+Cluster = Union[Graph, Block]
+
+
+def as_block(g: Cluster) -> Block:
+    """g if it is a ``Block``, else a new ``Block`` of g: how every public
+    function that reads a cluster's facts takes a ``Graph`` or a ``Block``."""
+    return g if isinstance(g, Block) else Block(g)
+
+
 def cluster_points(g: Graph) -> np.ndarray:
     """Edge-indicator embedding of a cluster: one {0,1}^n point per edge."""
     pts = np.zeros((g.num_edges, g.num_vertices))
@@ -523,11 +615,30 @@ def one_means_cost(g: Graph) -> Fraction:
       2q >= 4, and at p >= 2 the left side less the right is
       p(3q - 4) - q >= 5q - 8 > 0. The three-edge path P4 is the equality
       case of both forms (p = q = 1 with ab an edge; p = 1, q = 2, c = 1).
-    - tau = 3 is checked, not proven: the count above gives 2D/r >= 1 where
-      4/3 is needed. ``tests/test_costs.py`` checks the inequality on
-      every triangle-free graph up to 8 edges, connected or not; the least
-      2D/r among them at tau = 3 is 2, and P4 is the only non-star where
-      it is tight.
+    - tau = 3. The count above gives only 2D/r >= 1 where 4/3 is needed,
+      so the proof grows the graph from a small base instead.
+      - Adding an edge keeps the inequality when tau >= 3. Let H and H + e
+        both have cover number t, with e = uv. The pairs H + e gains are e
+        with each edge of H less u and v. A cover of that graph plus u and
+        v covers H + e, so that graph has cover number at least t - 2, and
+        so at least t - 2 edges. The left side grows by at least 3(t - 2)
+        and the right by t - 1, and 3(t - 2) >= t - 1 once t >= 3. This
+        step does not use triangle-freeness.
+      - Every triangle-free graph with tau = 3 contains 3K2 or C5. If it
+        has three disjoint edges they are a 3K2. Otherwise its matching
+        number is at most 2 < tau, so it is not bipartite (Koenig) and has
+        an odd cycle. The shortest one is at least 5 long, as there is no
+        triangle, and a cycle of length 2l + 1 holds l disjoint edges, so
+        l <= 2: the cycle is a C5.
+      - Both bases meet it: C5 has r = D = 5 (15 >= 10), and 3K2 has
+        r = D = 3 (9 >= 6).
+      - Add the graph's other edges to that base one at a time. Every
+        graph on the way has cover number 3, between the base's and the
+        whole graph's, so each step keeps the inequality.
+      The base needs triangle-freeness: K4 has tau = 3 and 3D = 9 < 12.
+      ``tests/test_costs.py`` checks both bases and, on every catalogue
+      graph up to 8 edges with tau = 3, the base and the step's disjoint
+      edge.
     """
     r = g.num_edges
     if r < 1:
@@ -535,17 +646,19 @@ def one_means_cost(g: Graph) -> Fraction:
     return Fraction(2 * r * r - sum(d * d for d in g.degrees()), r)
 
 
-def extra_cost(g: Graph, objective: str) -> ExtraCost:
+def extra_cost(g: Cluster, objective: str) -> ExtraCost:
     """Cluster cost above the same-size star baseline.
 
     median: 1-median cost minus sqrt(r(r-1)); exact when the class has a
     closed form, otherwise a numerical upper estimate.
-    means:  1-means cost minus (r-1), always exact (rational arithmetic).
+    means:  1-means cost minus (r-1), always exact (rational arithmetic):
+    the block's ``means_extra``, so a ``Block`` computes it once.
     """
     check_objective(objective)
+    b = as_block(g)
     if objective == "means":
-        return ExtraCost(one_means_cost(g) - (g.num_edges - 1), BASIS_CLOSED)
-    return median_extra_cost(g, *median_cost(g))
+        return ExtraCost(b.means_extra, BASIS_CLOSED)
+    return median_extra_cost(b.graph, *median_cost(b.graph))
 
 
 def median_extra_cost(g: Graph, cost: float, basis: str) -> ExtraCost:

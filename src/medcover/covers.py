@@ -3,14 +3,16 @@
 Each cluster of edges gets a cover whose size is charged against the
 cluster's extra cost over the star baseline. The constructions take only
 the cluster and return its cover and the case that built it; the ledger
-alone charges it. Each construction checks the cluster triangle-free and
-finds the matchings it reads, unless its caller, which has matched the
-cluster already, hands them over: ``soundness_assemble`` and
-``suites.suite_covers`` match each cluster once. A star cluster is covered
-by one vertex (its center), a non-star cluster with matching number two by
-two vertices (three for the 5-cycle), and larger non-star clusters go
-through a case analysis on the second maximum matching L (the maximum
-matching of the graph after the first matching's edges are deleted).
+alone charges it. Each takes a ``Graph`` or a ``costs.Block`` and reads the
+cluster's facts (the triangle test, the star center, the matchings M and
+L, the class, the means extra cost) from its ``Block``, so a caller that
+holds the ``Block``, as ``soundness_assemble`` and ``suites.suite_covers``
+do, finds each fact once however many constructions read it. A star
+cluster is covered by one vertex (its center), a non-star cluster with
+matching number two by two vertices (three for the 5-cycle), and larger
+non-star clusters go through a case analysis on the second maximum
+matching L (the maximum matching of the graph after the first matching's
+edges are deleted).
 Single-edge clusters that no other cluster's cover happens to touch are
 handled collectively: either a matching of their union is small and its
 endpoints suffice, or a four-stage pruning construction (Procedures 1-4
@@ -29,12 +31,13 @@ median one is exceeded on some catalogue runs (ROADMAP item 1).
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .costs import Number, extra_cost, one_means_cost
+from .costs import Block, Cluster, Number, as_block, extra_cost
 from .errors import InvalidPartition, PreconditionViolated, Stuck
 from .graphs import (
     ClassTag,
@@ -42,10 +45,7 @@ from .graphs import (
     Graph,
     Matching,
     bridge_structure,
-    classify,
     common_vertex,
-    is_star,
-    is_triangle_free,
     is_vertex_cover,
     konig_cover,
     maximal_matching_greedy,
@@ -197,9 +197,16 @@ class SoundnessReport:
     predicted_ceiling: float
 
 
-def _require_triangle_free(g: Graph) -> None:
-    if not is_triangle_free(g):
+def require_triangle_free(g: Cluster) -> None:
+    """Raise ``PreconditionViolated`` unless g, a ``Graph`` or a ``Block``,
+    is triangle-free: the precondition of every construction here."""
+    if not as_block(g).triangle_free:
         raise PreconditionViolated("cover constructions assume a triangle-free graph")
+
+
+def _require_non_star(b: Block, what: str) -> None:
+    if b.center is not None or b.num_edges < 2:
+        raise PreconditionViolated(f"{what} needs a non-star graph")
 
 
 def _touches(e: Edge, f: Edge) -> bool:
@@ -210,26 +217,26 @@ def _touches(e: Edge, f: Edge) -> bool:
 # Matching-number-two clusters
 # ---------------------------------------------------------------------------
 
-def cover_matching_two(g: Graph, m: Optional[Matching] = None) -> CoverResult:
+def cover_matching_two(g: Cluster) -> CoverResult:
     """Cover of size two for any triangle-free cluster with matching number
     exactly two, except the 5-cycle which genuinely needs three.
 
     A two-vertex cover must take one endpoint from each matching edge, so the
     case analysis reduces to scanning those four candidate pairs; when none
     works the graph must be the 5-cycle and three alternating cycle vertices
-    do it. m is g's maximum matching, found here unless the caller passes
-    it.
+    do it. The matching is the block's M.
     """
-    _require_triangle_free(g)
-    if m is None:
-        m = maximum_matching(g)
+    b = as_block(g)
+    require_triangle_free(b)
+    m = b.matching
     if len(m) != 2:
         raise PreconditionViolated(f"matching number is {len(m)}, need exactly 2")
+    g = b.graph
     (a1, b1), (a2, b2) = m.edges
     pairs = ((a1, a2), (a1, b2), (b1, a2), (b1, b2))
     cover = next((frozenset(c) for c in pairs if is_vertex_cover(g, c)), None)
     if cover is None:
-        cls = classify(g)
+        cls = b.cls
         if cls.tag is not ClassTag.C5:
             raise Stuck("triangle-free matching-2 graph with no 2-cover that is not a 5-cycle")
         cyc = cls.witness["cycle"]
@@ -243,25 +250,24 @@ def cover_matching_two(g: Graph, m: Optional[Matching] = None) -> CoverResult:
 # General |M| + |L| - 1 construction
 # ---------------------------------------------------------------------------
 
-def cover_general(
-    g: Graph, m: Optional[Matching] = None, l: Optional[Matching] = None
-) -> CoverResult:
+def cover_general(g: Cluster) -> CoverResult:
     """Cover of size at most |M| + |L| - 1, case "general": ``_general_cover``'s
-    on M, g's maximum matching, and L, the maximum matching of g minus M's
-    edges, each found here, as ``cover_case_dispatch`` finds them, unless
-    the caller passes it. A graph with a triangle, a star, or a graph whose
-    L is empty raises ``PreconditionViolated``."""
-    _require_triangle_free(g)
-    if m is None:
-        m = maximum_matching(g)
-    if l is None:
-        l = second_maximum_matching(g, m)
-    return CoverResult(frozenset(_general_cover(g, m, l)), "general")
+    on the block's M, its maximum matching, and L, the maximum matching of
+    g minus M's edges. A graph with a triangle, a star, or a graph whose L
+    is empty raises ``PreconditionViolated``."""
+    b = as_block(g)
+    require_triangle_free(b)
+    m, l = b.matching, b.second_matching
+    _require_non_star(b, "general cover construction")
+    if len(l) < 1:
+        raise PreconditionViolated("needs a second matching with at least one edge")
+    return CoverResult(frozenset(_general_cover(b.graph, m, l)), "general")
 
 
 def _general_cover(g: Graph, m: Matching, l: Matching) -> set[int]:
     """Cover of size at most |M| + |L| - 1, for a maximum matching M and a
-    second maximum matching L that the caller has computed.
+    second maximum matching L with at least one edge, of a non-star graph
+    (its callers check these).
 
     Take both endpoints of every L-edge but the last, delete what they cover,
     and look at the residue: its non-M edges must form a star (else L was not
@@ -272,11 +278,6 @@ def _general_cover(g: Graph, m: Matching, l: Matching) -> set[int]:
     so reaching it raises instead of covering. g must be triangle-free; its
     callers check it.
     """
-    if is_star(g) or g.num_edges < 2:
-        raise PreconditionViolated("general cover construction needs a non-star graph")
-    if len(l) < 1:
-        raise PreconditionViolated("needs a second matching with at least one edge")
-
     s: set[int] = {v for e in l.edges[:-1] for v in e}
     live = [e for e in g.edges if e[0] not in s and e[1] not in s]
     m_set = set(m.edges)
@@ -343,9 +344,7 @@ def _cover_via_bridge_residual(g: Graph, m: Matching, b: Edge) -> set[int]:
     return {u} | _general_cover(g_rest, m_rest, l_rest)
 
 
-def cover_case_dispatch(
-    g: Graph, m: Optional[Matching] = None, l: Optional[Matching] = None
-) -> CoverResult:
+def cover_case_dispatch(g: Cluster) -> CoverResult:
     """Constructive cover for a non-star triangle-free cluster with matching
     number at least three, whose ``case`` names the row below that fired
     and its constant. Writing F' for the graph minus the maximum matching's
@@ -366,18 +365,16 @@ def cover_case_dispatch(
 
     Each row's constant is its own bound's, c + (sqrt(2)+1) * delta(F) with
     delta(F) the cluster's median extra cost. The ledger charges every row
-    the largest, DISPATCH_CHARGE (1.8). M and L are found here unless the
-    caller, having found them, passes them.
+    the largest, DISPATCH_CHARGE (1.8). M and L are the block's.
     """
-    _require_triangle_free(g)
-    if is_star(g) or g.num_edges < 2:
-        raise PreconditionViolated("dispatch needs a non-star graph")
-    if m is None:
-        m = maximum_matching(g)
+    b = as_block(g)
+    require_triangle_free(b)
+    _require_non_star(b, "dispatch")
+    m = b.matching
     if len(m) < 3:
         raise PreconditionViolated(f"matching number is {len(m)}, need >= 3")
-    if l is None:
-        l = second_maximum_matching(g, m)
+    l = b.second_matching
+    g = b.graph
 
     def result(cover: set[int], case: str, ceiling: int) -> CoverResult:
         if not is_vertex_cover(g, cover):
@@ -426,7 +423,7 @@ def cover_budget(k: int, delta: float) -> float:
 
 
 def cover_single_edge_clusters(
-    g: Graph,
+    g: Cluster,
     singles: Iterable[int],
     vc_prime: Iterable[int],
     k: int,
@@ -466,9 +463,12 @@ def cover_single_edge_clusters(
     order.
 
     A single that is not an edge index of g, a covered single, or an
-    uncovered edge outside the singles raises ``PreconditionViolated``.
+    uncovered edge outside the singles raises ``PreconditionViolated``. g
+    may be a ``Block``, whose triangle test is then read, not run again.
     """
-    _require_triangle_free(g)
+    b = as_block(g)
+    require_triangle_free(b)
+    g = b.graph
     single_set = set(singles)
     outside = sorted(single_set.difference(range(g.num_edges)))
     if outside:
@@ -587,7 +587,7 @@ def cover_single_edge_clusters(
 # Means-side cover
 # ---------------------------------------------------------------------------
 
-def cover_nonstar_means(g: Graph) -> CoverResult:
+def cover_nonstar_means(g: Cluster) -> CoverResult:
     """Cover of case "means", of size at most 2 + delta(F), the exact 1-means
     extra cost.
 
@@ -596,14 +596,12 @@ def cover_nonstar_means(g: Graph) -> CoverResult:
     <= 2 + delta(F), checked in exact rationals. The ledger charges it
     1 + (5/2) delta(F), which is at least that when delta >= 2/3. That fails
     on graphs with triangles — a triangle has delta = 0 — hence the
-    triangle-free gate.
+    triangle-free gate. delta(F) is the block's ``means_extra``.
     """
-    _require_triangle_free(g)
-    if is_star(g) or g.num_edges < 2:
-        raise PreconditionViolated("means cover construction needs a non-star graph")
-    r = g.num_edges
-    delta = one_means_cost(g) - (r - 1)
-    deg = g.degrees()
+    b = as_block(g)
+    require_triangle_free(b)
+    _require_non_star(b, "means cover construction")
+    g, delta, deg = b.graph, b.means_extra, b.degrees
     best = max(g.edges, key=lambda e: deg[e[0]] + deg[e[1]])
     cover = {best[0], best[1]}
     for e in g.edges:
@@ -621,7 +619,7 @@ def cover_nonstar_means(g: Graph) -> CoverResult:
 # ---------------------------------------------------------------------------
 
 def _normalize_clustering(g: Graph, clustering: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
-    blocks = [tuple(sorted(int(i) for i in block)) for block in clustering]
+    blocks = [tuple(sorted(_edge_index(i) for i in block)) for block in clustering]
     seen: set[int] = set()
     for block in blocks:
         if not block:
@@ -635,6 +633,16 @@ def _normalize_clustering(g: Graph, clustering: Sequence[Sequence[int]]) -> list
     if len(seen) != g.num_edges:
         raise InvalidPartition("clustering does not cover every edge")
     return blocks
+
+
+def _edge_index(i: object) -> int:
+    """i as an int, if ``operator.index`` takes it (an int or a numpy
+    integer); anything else, such as 1.7 or "1", raises ``InvalidPartition``
+    naming it rather than being truncated or parsed."""
+    try:
+        return operator.index(i)
+    except TypeError:
+        raise InvalidPartition(f"edge index {i!r} is not an integer") from None
 
 
 def _prune_cover(g: Graph, cover: set[int]) -> set[int]:
@@ -661,7 +669,7 @@ def block_count(beta: float, k: int) -> int:
 
 
 def soundness_assemble(
-    g: Graph,
+    g: Cluster,
     clustering: Sequence[Sequence[int]],
     k: int,
     beta: float = 1.0,
@@ -671,25 +679,27 @@ def soundness_assemble(
     """Extract a whole-graph vertex cover from an edge clustering and report
     its ledger, one ``LedgerEntry`` per block and one for the singles.
 
-    Blocks are single edges, stars, and non-star clusters with matching
-    number two or more. Stars contribute their center; non-star blocks run
-    the per-cluster constructions, whose case their entry names, and each
-    is charged its ``CHARGES`` row on its extra cost under the objective,
-    computed once per block (a float under the median, an exact
-    ``Fraction`` under the means). Each non-star block is matched once: its
-    maximum matching M gives the entry's matching number and is handed to
-    the median construction, and a dispatch block finds its second
-    matching L once. Single-edge blocks the union misses go through
-    cover_single_edge_clusters, and the union cover takes both endpoints of
-    its greedy matching M_P. Redundant vertices are pruned in ascending
-    order. If the full-graph fallback fires, its cover, pruned the same
+    Each block is read through one ``Block``: a star contributes its
+    center; a non-star block runs the per-cluster constructions on it,
+    whose case its entry names, and is charged its ``CHARGES`` row on its
+    extra cost under the objective (a float under the median, an exact
+    ``Fraction`` under the means, which the means construction reads from
+    the same ``Block``). So each non-star block is tested for triangles,
+    matched (its M gives the entry's matching number) and costed once, and
+    a dispatch block finds its second matching L once. g is tested for
+    triangles once too: single-edge blocks the union misses go through
+    cover_single_edge_clusters on g's ``Block``, and the union cover takes
+    both endpoints of its greedy matching M_P. Redundant vertices are
+    pruned in ascending order. If the full-graph fallback fires, its cover, pruned the same
     way, replaces the union only when it is smaller; the singles entry
     names the cover kept. The (delta, beta)-ceiling, ``_ceiling`` of the
     entries, is reported next to the realized size. k below 1, beta below
     1, a beta * k that is not finite, or a delta that is negative or not
     finite raises ``ValueError``.
     """
-    _require_triangle_free(g)
+    whole = as_block(g)
+    require_triangle_free(whole)
+    g = whole.graph
     check_objective(objective)
     expected = block_count(beta, k)
     check_delta(delta)
@@ -707,33 +717,32 @@ def soundness_assemble(
     entries: list[LedgerEntry] = []
     vc_prime: set[int] = set()
     for block in blocks:
-        sub = subgraph(g, block)
+        sub = Block(subgraph(g, block))
         if sub.num_edges == 1:
             entries.append(entry("single", block, 1, frozenset()))
             continue
-        center = common_vertex(sub.edges)
-        if center is not None:
-            entries.append(entry("star", block, 1, frozenset({center})))
+        if sub.center is not None:
+            entries.append(entry("star", block, 1, frozenset({sub.center})))
         else:
-            m = maximum_matching(sub)
+            nu = len(sub.matching)
             extra = extra_cost(sub, objective).value
             if objective == "means":
                 kind, built = "means", cover_nonstar_means(sub)
             else:
                 extra = float(extra)
                 kind, build = (
-                    ("matching_two", cover_matching_two) if len(m) == 2
+                    ("matching_two", cover_matching_two) if nu == 2
                     else ("dispatch", cover_case_dispatch)
                 )
-                built = build(sub, m)
-            entries.append(entry(kind, block, len(m), built.cover, extra, built.case))
+                built = build(sub)
+            entries.append(entry(kind, block, nu, built.cover, extra, built.case))
         vc_prime |= entries[-1].cover
 
     uncovered = tuple(
         i for e in entries if e.kind == "single"
         for i in e.edges if vc_prime.isdisjoint(g.edges[i])
     )
-    outcome = cover_single_edge_clusters(g, uncovered, vc_prime, k, delta) if uncovered else None
+    outcome = cover_single_edge_clusters(whole, uncovered, vc_prime, k, delta) if uncovered else None
     kept = "union"
     singles_cover = outcome.singles_cover if outcome else frozenset()
     pruned = _prune_cover(g, vc_prime | singles_cover)

@@ -19,8 +19,9 @@ cost(G) >= |G|.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
-from .costs import fundamental_median_cost
+from .costs import Block, Cluster, as_block, fundamental_median_cost
 from .errors import PreconditionViolated, Stuck
 from .graphs import (
     ClassTag,
@@ -29,8 +30,6 @@ from .graphs import (
     GraphClass,
     bridge_from_masks,
     classify,
-    neighbour_masks,
-    triangle_free_from_masks,
 )
 
 MODES = ("safe", "ultra_safe")
@@ -69,37 +68,33 @@ def _check_mode(mode: str) -> None:
         raise ValueError(f"mode must be one of {MODES}")
 
 
-def find_safe_pair(g: Graph, mode: str) -> tuple[Edge, Edge] | None:
+def find_safe_pair(g: Cluster, mode: str) -> tuple[Edge, Edge] | None:
     """Lexicographically first vertex-disjoint edge pair whose removal leaves
     a non-star graph (mode "safe") or a non-star non-bridge graph
     ("ultra_safe"). Returns None when no pair qualifies — exactly the
     fundamental graphs in safe mode, and {3-P2, A_n} in ultra mode. A star,
     a graph with fewer than two edges, or (ultra mode) a bridge graph raises
     ``PreconditionViolated``, as ``_require_safe_pair_preconditions``
-    checks; the search itself is ``_first_safe_pair``.
+    checks; the search itself is ``_first_safe_pair``, on the block's edges,
+    degrees and masks.
     """
     _check_mode(mode)
-    edges, deg, nbrs = list(g.edges), g.degrees(), neighbour_masks(g)
-    _require_safe_pair_preconditions(edges, deg, nbrs, mode)
-    return _first_safe_pair(edges, deg, nbrs, mode)
+    b = as_block(g)
+    _require_safe_pair_preconditions(b, mode)
+    return _first_safe_pair(b.edges, b.degrees, b.nbrs, mode)
 
 
-def _require_safe_pair_preconditions(
-    edges: list[Edge], deg: list[int], nbrs: list[int], mode: str
-) -> None:
-    """Raise ``PreconditionViolated`` unless the graph whose edges, degrees
-    and neighbour masks are given is a non-star with two or more edges (a
-    star of m >= 2 edges has a vertex of degree m) and, in ultra mode, not
-    a bridge graph (``bridge_from_masks`` with nothing cut)."""
-    m = len(edges)
-    if m < 2 or m in deg:
+def _require_safe_pair_preconditions(b: Block, mode: str) -> None:
+    """Raise ``PreconditionViolated`` unless b is a non-star with two or
+    more edges and, in ultra mode, not a bridge graph."""
+    if b.num_edges < 2 or b.center is not None:
         raise PreconditionViolated("safe pairs are defined on non-star graphs")
-    if mode == "ultra_safe" and bridge_from_masks(nbrs, edges, m, {}) is not None:
+    if mode == "ultra_safe" and b.bridge is not None:
         raise PreconditionViolated("ultra_safe mode requires a non-bridge graph")
 
 
 def _first_safe_pair(
-    edges: list[Edge], deg: list[int], nbrs: list[int], mode: str
+    edges: Sequence[Edge], deg: Sequence[int], nbrs: Sequence[int], mode: str
 ) -> tuple[Edge, Edge] | None:
     """``find_safe_pair`` of the non-star graph (non-bridge in ultra mode)
     whose edges, in index order, degrees and neighbour masks are given.
@@ -133,7 +128,7 @@ def _first_safe_pair(
     return None
 
 
-def decompose(g: Graph, mode: str) -> DecompositionTrace:
+def decompose(g: Cluster, mode: str) -> DecompositionTrace:
     """Strip safe pairs until none is left, then classify the residual once.
 
     safe mode ends in {3-P2, A_n, L_n}; ultra_safe never passes through a
@@ -145,19 +140,20 @@ def decompose(g: Graph, mode: str) -> DecompositionTrace:
     problem). A star, a graph with no edges, or (ultra mode) a bridge graph
     raises ``PreconditionViolated``.
 
-    The preconditions are checked once, on the one edge list, degrees and
-    neighbour masks the search reads: ``triangle_free_from_masks``, then
-    ``_require_safe_pair_preconditions``, as ``find_safe_pair`` checks them.
-    A safe pair leaves a non-star, and in ultra mode a non-bridge, so every
-    remainder meets them. Every pair comes from ``_first_safe_pair`` on that
-    edge list, from which each removed pair is taken out in place; the only
-    ``Graph`` built is the residual's.
+    The preconditions are checked once, on g's ``Block``: its triangle
+    test, then ``_require_safe_pair_preconditions``, as ``find_safe_pair``
+    checks them. A safe pair leaves a non-star, and in ultra mode a
+    non-bridge, so every remainder meets them. Every pair comes from
+    ``_first_safe_pair`` on a copy of the block's edges, degrees and masks,
+    from which each removed pair is taken out in place; the only ``Graph``
+    built is the residual's.
     """
     _check_mode(mode)
-    edges, deg, nbrs = list(g.edges), g.degrees(), neighbour_masks(g)
-    if not triangle_free_from_masks(nbrs, edges):
+    b = as_block(g)
+    if not b.triangle_free:
         raise PreconditionViolated("decomposition assumes a triangle-free graph")
-    _require_safe_pair_preconditions(edges, deg, nbrs, mode)
+    _require_safe_pair_preconditions(b, mode)
+    edges, deg, nbrs = list(b.edges), list(b.degrees), list(b.nbrs)
     pairs: list[tuple[Edge, Edge]] = []
     pair = _first_safe_pair(edges, deg, nbrs, mode)
     while pair is not None:
@@ -169,7 +165,7 @@ def decompose(g: Graph, mode: str) -> DecompositionTrace:
             nbrs[u] ^= 1 << v
             nbrs[v] ^= 1 << u
         pair = _first_safe_pair(edges, deg, nbrs, mode)
-    residual = Graph(g.num_vertices, tuple(edges))
+    residual = Graph(b.graph.num_vertices, tuple(edges))
     cls = classify(residual)
     if cls.tag not in _TERMINAL[mode]:
         raise Stuck(f"no {mode} pair in non-terminal graph with edges {residual.edges}")
@@ -204,7 +200,7 @@ def certificate_from_trace(trace: DecompositionTrace) -> LowerBoundCertificate:
     )
 
 
-def certify_lower_bound(g: Graph, mode: str) -> LowerBoundCertificate:
+def certify_lower_bound(g: Cluster, mode: str) -> LowerBoundCertificate:
     """Certified 1-median lower bound via decomposition.
 
     safe mode guarantees bound >= |g| - 0.342; ultra_safe (on non-bridge

@@ -16,7 +16,10 @@ cost)`` tuple per connected triangle-free non-star graph up to
 catalogue pass enumerates the catalogue and solves each median once. They
 are an immutable tuple (178 records at 8 edges); a new key frees the old
 records only after its own are built, and a build that raises is not
-cached.
+cached. The records hold numbers only: a suite that reads more facts about
+a graph wraps it in a ``costs.Block`` for its own pass, so every check on
+the graph shares one mask pass and one pair of matchings, and none of them
+is kept past the pass.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from fractions import Fraction
 
 from .costs import (
     MAX_CONTINUOUS_POINTS,
+    Block,
     a_n_median_cost,
     cluster_points,
     disjoint_edges_median_cost,
@@ -49,17 +53,7 @@ from .covers import (
 )
 from .decomposition import L_N_SHORTFALL, certify_lower_bound
 from .errors import MedcoverError, PreconditionViolated
-from .graphs import (
-    ClassTag,
-    Graph,
-    Matching,
-    bridge_structure,
-    classify,
-    is_star,
-    is_vertex_cover,
-    maximum_matching,
-    second_maximum_matching,
-)
+from .graphs import ClassTag, Graph, is_star, is_vertex_cover
 from .oracle import (
     enumerate_triangle_free,
     min_vertex_cover,
@@ -153,20 +147,23 @@ def suite_decomposition(max_edges: int) -> dict:
     """Certified lower bounds bracket the true cost on every connected
     triangle-free non-star graph up to max_edges edges: safe certificates
     sit in [|F|-0.342, true cost]; ultra certificates (non-bridge graphs)
-    reach |F|. The true cost is ``median_cost``'s, from ``_nonstars``."""
+    reach |F|. The true cost is ``median_cost``'s, from ``_nonstars``. The
+    bridge test and both modes read one ``Block`` of the graph, so one
+    neighbour-mask pass."""
     ledger = _Ledger("decomposition_soundness")
     check = ledger.check
     for g, true_cost, _, _ in _nonstars(max_edges):
         m = g.num_edges
-        cert = certify_lower_bound(g, "safe")
+        b = Block(g)
+        cert = certify_lower_bound(b, "safe")
         check(cert.bound <= true_cost + 1e-6,
               "safe bound exceeds cost on {}: {!r} > {!r}", g.edges, cert.bound, true_cost)
         check(cert.bound >= m - L_N_SHORTFALL - 1e-12,
               "safe bound below floor on {}: {!r}", g.edges, cert.bound)
         check(abs(cert.bound - sum(v for _, v in cert.derivation)) <= 1e-12,
               "certificate sum mismatch on {}", g.edges)
-        if bridge_structure(g) is None:
-            ultra = certify_lower_bound(g, "ultra_safe")
+        if b.bridge is None:
+            ultra = certify_lower_bound(b, "ultra_safe")
             check(ultra.bound >= m - 1e-12,
                   "ultra bound below |F| on {}: {!r}", g.edges, ultra.bound)
             check(ultra.bound <= true_cost + 1e-6,
@@ -192,7 +189,7 @@ def suite_means_cover_number(max_edges: int) -> dict:
     first: 3D >= r(tau - 1) in integers, with r the edges, D the
     vertex-disjoint edge pairs and tau the cover number (its extra cost is
     2D/r), on every triangle-free graph up to max_edges edges, connected or
-    not. ``one_means_cost``'s docstring proves it for tau other than 3.
+    not. ``one_means_cost``'s docstring proves it for every tau.
     The result also lists, as ``tight_non_stars``, the edges of each
     non-star at equality (only P4 up to 8 edges)."""
     ledger = _Ledger("means_extra_cost_per_cover_vertex")
@@ -277,33 +274,33 @@ def suite_covers(max_edges: int) -> dict:
     5-cycle), general covers within |M|+|L|-1, case dispatch within its
     ``covers.CHARGES`` row, DISPATCH_CHARGE + (sqrt2+1)*delta, and means
     covers within theirs, 1 + MEANS_SLOPE*delta, exactly. Both deltas are
-    the extra costs from ``_nonstars``. Each graph is matched once, and
-    every construction that applies is handed that (M, L). Every
-    construction is checked one way, by ``construction``."""
+    the extra costs from ``_nonstars``. Every construction and claim on a
+    graph reads one ``Block`` of it, so each graph is matched, M and L,
+    once. Every construction is checked one way, by ``construction``."""
     ledger = _Ledger("cover_extraction")
     check = ledger.check
 
-    def construction(label: str, claim, build, g: Graph, *matchings: Matching) -> None:
-        """First that ``build(g, *matchings)`` returns a vertex cover of g,
-        then the construction's own claim on its size, ``claim(size)``, an
-        (ok, template, *args) for ``check``. A construction that raises
-        fails both checks."""
+    def construction(label: str, claim, build, b: Block) -> None:
+        """First that ``build(b)`` returns a vertex cover of b's graph, then
+        the construction's own claim on its size, ``claim(size)``, an (ok,
+        template, *args) for ``check``. A construction that raises fails
+        both checks."""
         try:
-            res = build(g, *matchings)
+            res = build(b)
         except MedcoverError as ex:
             for what in ("cover", "size bound"):
-                check(False, "{} construction failed on {} ({}): {}", label, g.edges, what, ex)
+                check(False, "{} construction failed on {} ({}): {}", label, b.edges, what, ex)
             return
-        check(is_vertex_cover(g, res.cover), "{} non-cover on {}", label, g.edges)
+        check(is_vertex_cover(b.graph, res.cover), "{} non-cover on {}", label, b.edges)
         check(*claim(len(res.cover)))
 
     for g, _, extra, means_extra in _nonstars(max_edges):
-        m = maximum_matching(g)
-        l = second_maximum_matching(g, m)
+        b = Block(g)
+        m, l = b.matching, b.second_matching
 
         def least(size):
             want = len(min_vertex_cover(g))
-            expected = 3 if classify(g).tag is ClassTag.C5 else 2
+            expected = 3 if b.cls.tag is ClassTag.C5 else 2
             return (size == expected == want,
                     "matching-2 size on {}: got {}, construction {}, minimum {}",
                     g.edges, size, expected, want)
@@ -321,12 +318,12 @@ def suite_covers(max_edges: int) -> dict:
             return (size <= lim, "means bound fails on {}: {} > {}", g.edges, size, lim)
 
         if len(m) == 2:
-            construction("matching-2", least, cover_matching_two, g, m)
+            construction("matching-2", least, cover_matching_two, b)
         if len(l) >= 1:
-            construction("general", general, cover_general, g, m, l)
+            construction("general", general, cover_general, b)
         if len(m) >= 3:
-            construction("dispatch", dispatched, cover_case_dispatch, g, m, l)
-        construction("means", means, cover_nonstar_means, g)
+            construction("dispatch", dispatched, cover_case_dispatch, b)
+        construction("means", means, cover_nonstar_means, b)
     return ledger.result()
 
 

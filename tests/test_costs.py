@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from medcover import costs
+from medcover import costs, covers, decomposition, graphs
 from medcover.costs import (
     a_n_median_cost,
     closed_form_median_cost,
@@ -31,8 +31,8 @@ from medcover.costs import (
     weiszfeld,
     weiszfeld_subsets,
 )
-from medcover.errors import DomainError, NotConverged
-from medcover.graphs import common_vertex, graph_from_edges
+from medcover.errors import DomainError, NotConverged, PreconditionViolated
+from medcover.graphs import common_vertex, graph_from_edges, maximum_matching, remove_edges
 from medcover.oracle import enumerate_triangle_free, min_vertex_cover, random_triangle_free
 from medcover.reduction import reduce_graph
 from medcover.suites import completeness_instances
@@ -226,7 +226,7 @@ def test_means_extra_cost_is_twice_the_disjoint_pairs_over_r():
 def test_disjoint_pairs_bound_the_cover_number():
     # 3D >= r(tau - 1) in integers, ``one_means_cost``'s bound per cover
     # number, on every triangle-free graph up to 8 edges, connected or not;
-    # its tau = 3 case is checked here, not proven
+    # the two steps of its tau = 3 proof are checked below
     graphs = list(enumerate_triangle_free(8, include_disconnected=True))
     assert len(graphs) == 452
     tight, least_at_three = [], None
@@ -242,9 +242,102 @@ def test_disjoint_pairs_bound_the_cover_number():
     assert least_at_three == 2
 
 
+def _holds_c5(g):
+    # five edges on five vertices, each of degree two, are a 5-cycle: two
+    # vertex-disjoint cycles would need a cycle of at most two vertices
+    for five in itertools.combinations(g.edges, 5):
+        ends = [v for e in five for v in e]
+        if len(set(ends)) == 5 and all(ends.count(v) == 2 for v in ends):
+            return True
+    return False
+
+
+def test_the_cover_number_three_proof_on_its_bases_and_the_catalogue():
+    # ``one_means_cost``'s tau = 3 case: the bases C5 and 3K2 meet
+    # 3D >= r(tau - 1); every triangle-free graph with tau = 3 holds one of
+    # them; and an edge whose deletion keeps tau = 3, the edge the step
+    # adds, misses at least tau - 2 = 1 other edge
+    for edges, want in ((C5, (5, 5, 3)), ([(0, 1), (2, 3), (4, 5)], (3, 3, 3))):
+        g = graph_from_edges(edges)
+        r, pairs, tau = g.num_edges, _disjoint_edge_pairs(g), len(min_vertex_cover(g))
+        assert (r, pairs, tau) == want
+        assert 3 * pairs >= r * (tau - 1)
+    at_three = steps = 0
+    for g in enumerate_triangle_free(8, include_disconnected=True):
+        if len(min_vertex_cover(g)) != 3:
+            continue
+        at_three += 1
+        assert len(maximum_matching(g)) >= 3 or _holds_c5(g), g.edges
+        for e in g.edges:
+            if len(min_vertex_cover(remove_edges(g, [e]))) == 3:
+                steps += 1
+                assert any(not set(e) & set(f) for f in g.edges), (g.edges, e)
+    assert (at_three, steps) == (160, 1020)
+
+
 def test_extra_cost_rejects_an_unknown_objective():
     with pytest.raises(ValueError, match=r"^objective must be one of \('median', 'means'\)$"):
         extra_cost(graph_from_edges([(0, 1), (1, 2), (2, 3)]), "mean")
+
+
+# ---------------------------------------------------------------------------
+# Blocks: each fact about a cluster found once
+# ---------------------------------------------------------------------------
+
+P7 = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6)]
+
+
+def _calls(monkeypatch, name, modules):
+    """Record the argument of every call of the graphs function ``name``,
+    as bound in each of ``modules``."""
+    seen = []
+    real = getattr(graphs, name)
+
+    def counted(g):
+        seen.append(g)
+        return real(g)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, counted)
+    return seen
+
+
+def test_a_block_finds_each_fact_once_however_many_read_it(monkeypatch):
+    # P7: |M| = 3 and |L| = 3, so the dispatch takes a Koenig row and
+    # searches no residue; every construction, both decompositions and the
+    # means extra cost read one Block, each twice
+    g = graph_from_edges(P7)
+    b = costs.Block(g)
+    searched = _calls(monkeypatch, "maximum_matching", (graphs, costs, covers))
+    masked = _calls(monkeypatch, "neighbour_masks", (graphs, costs))
+    classified = _calls(monkeypatch, "classify", (costs,))
+    for _ in range(2):
+        with pytest.raises(PreconditionViolated, match="need exactly 2"):
+            covers.cover_matching_two(b)
+        covers.cover_general(b)
+        covers.cover_case_dispatch(b)
+        covers.cover_nonstar_means(b)
+        decomposition.decompose(b, "safe")
+        decomposition.decompose(b, "ultra_safe")
+        decomposition.find_safe_pair(b, "safe")
+        extra_cost(b, "means")
+        facts = (b.nbrs, b.degrees, b.triangle_free, b.center, b.bridge, b.cls,
+                 b.matching, b.second_matching, b.means_extra)
+    assert [h.edges for h in searched] == [g.edges, g.edges[1::2]]  # M, then L on g less M
+    assert classified == [g]
+    # the Block's one pass, and the one classify makes for its class
+    assert [h for h in masked if h == g] == [g, g]
+    assert facts[3:5] == (None, None) and facts[2] is True
+    assert facts[-1] == extra_cost(g, "means").value == Fraction(2 * 10, 6)
+
+
+def test_blocks_of_equal_graphs_compare_equal():
+    g = graph_from_edges(C5)
+    used, fresh = costs.Block(g), costs.Block(graph_from_edges(C5))
+    assert used.matching and used.means_extra  # facts kept on one side only
+    assert used == fresh and hash(used) == hash(fresh)
+    assert used != costs.Block(graph_from_edges(P7))
+    assert costs.as_block(used) is used and costs.as_block(g) == used
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,10 @@ from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
-from medcover import cli, covers, graphs
+from medcover import cli, costs, covers, graphs
 from medcover.costs import extra_cost
 from medcover.covers import (
     SQRT2P1,
@@ -95,8 +96,9 @@ def test_general_construction_bound_and_validity():
 
 def matching_searches(monkeypatch):
     """Record the edges of every graph ``maximum_matching`` searches, as
-    bound in graphs (where ``second_maximum_matching`` calls it) and in
-    covers; each call is one search, since nothing is cached."""
+    bound in graphs (where ``second_maximum_matching`` calls it), in costs
+    (where a ``Block`` finds its M) and in covers; each call is one search,
+    since nothing is cached."""
     searched = []
     real = graphs.maximum_matching
 
@@ -104,7 +106,7 @@ def matching_searches(monkeypatch):
         searched.append(h.edges)
         return real(h)
 
-    for module in (graphs, covers):
+    for module in (graphs, costs, covers):
         monkeypatch.setattr(module, "maximum_matching", counted)
     return searched
 
@@ -535,6 +537,23 @@ def test_assemble_rejects_bad_partitions(blocks):
         soundness_assemble(g, blocks, k=2, objective="median")
 
 
+@pytest.mark.parametrize("index", [1.7, "1"])
+def test_assemble_rejects_an_edge_index_that_is_not_an_integer(index):
+    # int() would truncate 1.7 to 1 and parse "1"; either way the report
+    # would describe a partition the caller never gave
+    g = graph_from_edges(C5)
+    with pytest.raises(InvalidPartition, match=f"^edge index {index!r} is not an integer$"):
+        soundness_assemble(g, [[0, index, 2], [3, 4]], k=2)
+
+
+def test_assemble_takes_numpy_integer_edge_indices():
+    g = graph_from_edges(C5)
+    blocks = [[np.int64(0), np.int32(1), np.intp(2)], [np.uint8(3), 4]]
+    rep = soundness_assemble(g, blocks, k=2)
+    assert rep == soundness_assemble(g, [[0, 1, 2], [3, 4]], k=2)
+    assert [type(i) for e in rep.per_cluster for i in e.edges] == [int] * 5
+
+
 @pytest.mark.parametrize("beta, message", [
     (0.5, "beta must be at least 1"),
     (math.nan, "beta \\* k must be finite"),
@@ -587,8 +606,9 @@ def test_assemble_solves_one_median_per_nonstar_block(monkeypatch, objective, so
 def test_assemble_matches_each_nonstar_block_once(monkeypatch, objective):
     # a 5-cycle (matching number 2), a 7-vertex path (dispatch under the
     # median), a star and a lone edge: one M search per non-star block,
-    # handed to its construction, and one L search for the dispatch block;
-    # each non-star block is tested for triangles once, by its construction
+    # read by its construction, and one L search for the dispatch block;
+    # each non-star block is tested for triangles once, by its construction,
+    # and g once, though the lone edge sends it to the singles procedures
     g = graph_from_edges(C5 + [(5, 6), (6, 7), (7, 8), (8, 9), (9, 10), (10, 11),
                                (12, 13), (12, 14), (15, 16)])
     blocks = [[0, 1, 2, 3, 4], [5, 6, 7, 8, 9, 10], [11, 12], [13]]
@@ -596,11 +616,13 @@ def test_assemble_matches_each_nonstar_block_once(monkeypatch, objective):
     l_search = [less(p7, maximum_matching(p7))] if objective == "median" else []
     searched = matching_searches(monkeypatch)
     tested = []
-    monkeypatch.setattr(covers, "is_triangle_free", lambda h: tested.append(h) or True)
+    monkeypatch.setattr(costs, "triangle_free_from_masks",
+                        lambda nbrs, edges: tested.append(edges) or True)
     rep = soundness_assemble(g, blocks, k=4, objective=objective)
     assert [e.matching_number for e in rep.per_cluster] == [2, 3, 1, 1, 0]
+    assert rep.per_cluster[-1].edges == (13,)
     assert searched == [c5.edges, p7.edges] + l_search
-    assert [h for h in tested if h != g] == [c5, p7]
+    assert tested == [g.edges, c5.edges, p7.edges]
 
 
 def test_assemble_random_battery():
@@ -785,7 +807,7 @@ def test_stuck_when_the_singles_matching_misses_a_single(monkeypatch):
 
 def test_stuck_when_plank_neighbours_share_a_vertex(monkeypatch):
     # only a triangle lets the two fresh neighbours of a plank meet
-    monkeypatch.setattr(covers, "is_triangle_free", _always(True))
+    monkeypatch.setattr(costs, "triangle_free_from_masks", _always(True))
     g = graph_from_edges([(0, 1), (0, 2), (1, 2)])
     with pytest.raises(Stuck, match="plank neighbours"):
         cover_single_edge_clusters(g, [0], [2], k=1, delta=0.0)
@@ -817,7 +839,7 @@ def test_stuck_when_the_means_cover_is_not_a_cover(monkeypatch):
     ([(0, 1), (2, 3), (4, 5)], r"2 \+ delta"),  # a 3-vertex cover against delta = 0
 ])
 def test_stuck_when_the_means_cover_exceeds_its_bound(monkeypatch, edges, bound):
-    monkeypatch.setattr(covers, "one_means_cost", lambda g: Fraction(g.num_edges - 1))
+    monkeypatch.setattr(costs, "one_means_cost", lambda g: Fraction(g.num_edges - 1))
     with pytest.raises(Stuck, match=bound):
         cover_nonstar_means(graph_from_edges(edges))
 

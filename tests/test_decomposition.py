@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from medcover import decomposition
+from medcover import costs, decomposition
 from medcover.costs import a_n_median_cost, median_cost
 from medcover.decomposition import (
     MODES,
@@ -84,7 +84,8 @@ def test_decompose_classifies_once(monkeypatch, edges, mode):
 @pytest.mark.parametrize("edges", [C5, P7, A_3], ids=["C5", "P7", "A_3"])
 def test_decompose_checks_its_preconditions_on_one_mask_pass(monkeypatch, edges, mode):
     # the triangle, star and bridge tests read the masks the search reads,
-    # and find_safe_pair, which would build them again, does not run
+    # those of g's Block, and find_safe_pair, which would wrap g again,
+    # does not run
     passes = []
 
     def counted(g):
@@ -94,7 +95,7 @@ def test_decompose_checks_its_preconditions_on_one_mask_pass(monkeypatch, edges,
     def refused(*args):
         raise AssertionError("decompose called find_safe_pair")
 
-    monkeypatch.setattr(decomposition, "neighbour_masks", counted)
+    monkeypatch.setattr(costs, "neighbour_masks", counted)
     monkeypatch.setattr(decomposition, "find_safe_pair", refused)
     g = graph_from_edges(edges)
     decompose(g, mode)

@@ -147,12 +147,35 @@ def test_cover_suite_matches_each_graph_once(monkeypatch):
         searched.append(h.edges)
         return real(h)
 
-    for module in (graphs, covers, suites):
+    for module in (graphs, costs, covers):
         monkeypatch.setattr(module, "maximum_matching", counted)
     assert_clean(suite_covers(6), "cover_extraction")
     assert bridged > 0
     assert len(searched) == 2 * len(records) + 2 * bridged
     assert {g.edges for g, *_ in records} <= set(searched)
+
+
+def test_decomposition_suite_makes_one_mask_pass_per_record_and_residual(monkeypatch):
+    # each record's Block serves both modes and the bridge test, so its
+    # masks are built once (178 at 8 edges); classify builds its own for
+    # each of the 344 residuals. Three passes a record and one a residual
+    # made 866.
+    records = suites._nonstars(8)
+    residuals = sum(1 + (graphs.bridge_structure(g) is None) for g, *_ in records)
+    passes = []
+    real = graphs.neighbour_masks
+
+    def counted(g):
+        passes.append(g)
+        return real(g)
+
+    for module in (graphs, costs):
+        monkeypatch.setattr(module, "neighbour_masks", counted)
+    result = suite_decomposition(8)
+    assert_clean(result, "decomposition_soundness")
+    assert (len(records), residuals) == (178, 344)
+    assert len(passes) == len(records) + residuals == 522
+    assert passes[0] == records[0][0]
 
 
 CATALOGUE_SUITES = (suite_decomposition, suite_extra_cost, suite_covers)

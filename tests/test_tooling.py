@@ -94,7 +94,8 @@ def test_the_names_the_bench_record_layers_read_exist():
             ("medcover.covers", "cover_single_edge_clusters"), ("medcover.oracle", "opt_discrete"),
             ("medcover.reduction", "reduce_hypergraph"), ("medcover.oracle", "enumerate_triangle_free"),
             ("medcover.decomposition", "certify_lower_bound"), ("medcover.graphs", "maximum_matching"),
-            ("medcover.suites", "suite_covers")} <= names
+            ("medcover.suites", "suite_covers"), ("medcover.oracle", "min_vertex_cover"),
+            ("medcover.covers", "soundness_assemble"), ("medcover.oracle", "opt_continuous")} <= names
     assert _missing(names) == []
 
 
@@ -112,8 +113,9 @@ def test_the_bench_record_layers_snippet_runs_and_times_every_layer():
     assert sorted(figures) == [
         "certify_lower_bound_8_edge_nonstars_ms", "dp_layer_2_11_points_ms",
         "enumerate_8_edges_ms", "maximum_matching_24_edges_ms", "median_table_cold_11_points_ms",
-        "median_table_cold_k4_11_points_ms", "opt_discrete_planted_16_centers_ms",
-        "row_selection_11_points_ms", "single_edge_cover_28_edges_ms", "suite_covers_8_edges_ms",
+        "median_table_cold_k4_11_points_ms", "min_vertex_cover_24_edges_ms",
+        "opt_discrete_planted_16_centers_ms", "row_selection_11_points_ms",
+        "single_edge_cover_28_edges_ms", "soundness_assemble_ms", "suite_covers_8_edges_ms",
     ]
     for key, ms in figures.items():
         assert type(ms) in (int, float) and ms > 0, (key, ms)
