@@ -49,6 +49,7 @@ from .graphs import (
     Matching,
     bridge_from_masks,
     classify,
+    common_vertex,
     maximum_matching,
     neighbour_masks,
     second_maximum_matching,
@@ -459,11 +460,9 @@ class Block:
 
     @functools.cached_property
     def center(self) -> Optional[int]:
-        """The vertex every edge holds, the least one for a single edge
-        (``graphs.common_vertex``), or None: with m >= 1 edges, the first
-        vertex of degree m."""
-        m = self.num_edges
-        return self.degrees.index(m) if m and m in self.degrees else None
+        """The vertex every edge holds, the least one for a single edge, or
+        None (``common_vertex``, on the edges, so a star needs no masks)."""
+        return common_vertex(self.edges)
 
     @functools.cached_property
     def bridge(self) -> Optional[tuple[Edge, int, int]]:
