@@ -25,7 +25,11 @@ single-edge blocks as a group, each with the cover used and the charge it
 pays, the realized cover size, and the predicted ceiling for the supplied
 (beta, delta), the sum of those charges. The charges are read from one
 table, ``CHARGES``. The ceiling is a prediction, not a certificate: the
-median one is exceeded on some catalogue runs (ROADMAP item 1).
+median one is exceeded on some catalogue runs (ROADMAP item 1). Only a
+non-star block is wrapped in a ``Block`` there: single edges and stars are
+read off g's edge list. Every test that a vertex set covers the whole
+graph, in the prune, the final check and ``cover_single_edge_clusters``,
+reads the neighbour masks of g's one ``Block`` (``is_cover_from_masks``).
 """
 
 from __future__ import annotations
@@ -46,9 +50,10 @@ from .graphs import (
     Matching,
     bridge_structure,
     common_vertex,
+    greedy_matching_indices,
+    is_cover_from_masks,
     is_vertex_cover,
     konig_cover,
-    maximal_matching_greedy,
     maximum_matching,
     remove_edges,
     second_maximum_matching,
@@ -464,7 +469,13 @@ def cover_single_edge_clusters(
 
     A single that is not an edge index of g, a covered single, or an
     uncovered edge outside the singles raises ``PreconditionViolated``. g
-    may be a ``Block``, whose triangle test is then read, not run again.
+    may be a ``Block``, whose triangle test and neighbour masks are then
+    read, not found again. Both cover checks are whole-graph tests on those
+    masks: vc_prime covers every edge but the singles and none of them, so
+    M_P's endpoints cover G_P exactly when, with vc_prime, they cover g.
+    M_P and Procedure 1's matching are ``greedy_matching_indices``, the
+    scan of ``maximal_matching_greedy``, on edge lists, so no ``Graph`` of
+    G_P or of the far part is built.
     """
     b = as_block(g)
     require_triangle_free(b)
@@ -474,6 +485,7 @@ def cover_single_edge_clusters(
     if outside:
         raise PreconditionViolated(f"single-edge clusters {outside} are not edges of the graph")
     vcp = set(vc_prime)
+    vcp_mask = _mask(vcp.intersection(range(g.num_vertices)))
     for i, e in enumerate(g.edges):
         covered = e[0] in vcp or e[1] in vcp
         if i in single_set and covered:
@@ -484,11 +496,10 @@ def cover_single_edge_clusters(
     edges = g.edges
     t1p = len(single_set)
     order = sorted(single_set)
-    g_p = Graph(g.num_vertices, tuple(edges[i] for i in order))
-    mp = {order[j] for j in maximal_matching_greedy(g_p).indices}
+    mp = {order[j] for j in greedy_matching_indices([edges[i] for i in order])}
 
     mp_verts = frozenset(v for i in mp for v in edges[i])
-    if not is_vertex_cover(g_p, mp_verts):
+    if not is_cover_from_masks(b.nbrs, vcp_mask | _mask(mp_verts)):
         raise Stuck("endpoints of the maximal singles matching miss a single edge")
     if len(mp) <= t1p / 3 + SINGLES_SLOPE * delta * k / 2:
         return SingleEdgeCoverOutcome(
@@ -510,8 +521,7 @@ def cover_single_edge_clusters(
         claimed.append(i)
 
     # Procedure 1: clear everything not touching M_P.
-    sub = Graph(g.num_vertices, tuple(edges[i] for i in far))
-    for j in maximal_matching_greedy(sub).indices:
+    for j in greedy_matching_indices([edges[i] for i in far]):
         claim(far[j])
     if not mp <= live:
         raise Stuck("far matching touched the singles matching")
@@ -562,17 +572,17 @@ def cover_single_edge_clusters(
     else:
         cover |= t_verts
         loose = [e for e in blue if t_verts.isdisjoint(e)]
-        for a, b in (edges[i] for i in m_n):
-            leaning_a = any(a in e for e in loose)
-            leaning_b = any(b in e for e in loose)
-            if leaning_a and leaning_b:
+        for u, v in (edges[i] for i in m_n):
+            leaning_u = any(u in e for e in loose)
+            leaning_v = any(v in e for e in loose)
+            if leaning_u and leaning_v:
                 raise Stuck("plank edge escaped Procedure 4")
-            cover.add(a if leaning_a else (b if leaning_b else min(a, b)))
+            cover.add(u if leaning_u else (v if leaning_v else min(u, v)))
         subcase = "few_planks"
         if len(cover) != 2 * size - len(m_n):
             raise Stuck(f"few-planks cover has {len(cover)} != 2|M_G| - |M_N| vertices")
 
-    if not is_vertex_cover(g, cover):
+    if not is_cover_from_masks(b.nbrs, _mask(cover)):
         raise Stuck("procedures produced a non-cover of the full graph")
     return SingleEdgeCoverOutcome(
         scope="full_graph",
@@ -645,14 +655,26 @@ def _edge_index(i: object) -> int:
         raise InvalidPartition(f"edge index {i!r} is not an integer") from None
 
 
-def _prune_cover(g: Graph, cover: set[int]) -> set[int]:
+def _mask(vertices: Iterable[int]) -> int:
+    mask = 0
+    for v in vertices:
+        mask |= 1 << v
+    return mask
+
+
+def _prune_cover(whole: Block, cover: Iterable[int]) -> frozenset[int]:
     """Drop redundant vertices in ascending id order (keeps covers honest:
-    per-cluster unions routinely double-cover shared edges)."""
-    pruned = set(cover)
-    for v in sorted(cover):
-        if is_vertex_cover(g, pruned - {v}):
-            pruned.discard(v)
-    return pruned
+    per-cluster unions routinely double-cover shared edges), on the
+    neighbour masks of g's ``Block``. The cover is tested once; while it
+    covers g, dropping v keeps it a cover exactly when every neighbour of v
+    is in it. A set that does not cover g comes back whole, as no vertex
+    can be dropped from it, for the caller's final test to refuse."""
+    nbrs, kept = whole.nbrs, _mask(cover)
+    if is_cover_from_masks(nbrs, kept):
+        for v in sorted(cover):
+            if not nbrs[v] & ~kept:
+                kept ^= 1 << v
+    return frozenset(v for v in cover if kept >> v & 1)
 
 
 def block_count(beta: float, k: int) -> int:
@@ -679,23 +701,28 @@ def soundness_assemble(
     """Extract a whole-graph vertex cover from an edge clustering and report
     its ledger, one ``LedgerEntry`` per block and one for the singles.
 
-    Each block is read through one ``Block``: a star contributes its
-    center; a non-star block runs the per-cluster constructions on it,
-    whose case its entry names, and is charged its ``CHARGES`` row on its
-    extra cost under the objective (a float under the median, an exact
-    ``Fraction`` under the means, which the means construction reads from
-    the same ``Block``). So each non-star block is tested for triangles,
-    matched (its M gives the entry's matching number) and costed once, and
-    a dispatch block finds its second matching L once. g is tested for
-    triangles once too: single-edge blocks the union misses go through
-    cover_single_edge_clusters on g's ``Block``, and the union cover takes
+    A block of one edge is a single, and a block whose edges share a
+    vertex (``common_vertex`` of its edges in g) a star that contributes
+    that center; neither builds a ``Graph`` or a ``Block``. Each other
+    block is read through one ``Block``: it runs the per-cluster
+    constructions on it, whose case its entry names, and is charged its
+    ``CHARGES`` row on its extra cost under the objective (a float under
+    the median, an exact ``Fraction`` under the means, which the means
+    construction reads from the same ``Block``). So each non-star block is
+    tested for triangles, matched (its M gives the entry's matching number)
+    and costed once, and a dispatch block finds its second matching L once.
+    g is wrapped in one ``Block`` and tested for triangles once too:
+    single-edge blocks the union misses go through
+    cover_single_edge_clusters on that ``Block``, and the union cover takes
     both endpoints of its greedy matching M_P. Redundant vertices are
-    pruned in ascending order. If the full-graph fallback fires, its cover, pruned the same
-    way, replaces the union only when it is smaller; the singles entry
-    names the cover kept. The (delta, beta)-ceiling, ``_ceiling`` of the
-    entries, is reported next to the realized size. k below 1, beta below
-    1, a beta * k that is not finite, or a delta that is negative or not
-    finite raises ``ValueError``.
+    pruned in ascending order (``_prune_cover``). If the full-graph
+    fallback fires, its cover, pruned the same way, replaces the union only
+    when it is smaller; the singles entry names the cover kept. The prune
+    and the final check that the kept cover covers g read g's neighbour
+    masks. The (delta, beta)-ceiling, ``_ceiling`` of the entries, is
+    reported next to the realized size. k below 1, beta below 1, a beta * k
+    that is not finite, or a delta that is negative or not finite raises
+    ``ValueError``.
     """
     whole = as_block(g)
     require_triangle_free(whole)
@@ -717,13 +744,14 @@ def soundness_assemble(
     entries: list[LedgerEntry] = []
     vc_prime: set[int] = set()
     for block in blocks:
-        sub = Block(subgraph(g, block))
-        if sub.num_edges == 1:
+        if len(block) == 1:
             entries.append(entry("single", block, 1, frozenset()))
             continue
-        if sub.center is not None:
-            entries.append(entry("star", block, 1, frozenset({sub.center})))
+        center = common_vertex([g.edges[i] for i in block])
+        if center is not None:
+            entries.append(entry("star", block, 1, frozenset({center})))
         else:
+            sub = Block(subgraph(g, block))
             nu = len(sub.matching)
             extra = extra_cost(sub, objective).value
             if objective == "means":
@@ -745,14 +773,14 @@ def soundness_assemble(
     outcome = cover_single_edge_clusters(whole, uncovered, vc_prime, k, delta) if uncovered else None
     kept = "union"
     singles_cover = outcome.singles_cover if outcome else frozenset()
-    pruned = _prune_cover(g, vc_prime | singles_cover)
+    pruned = _prune_cover(whole, vc_prime | singles_cover)
     procedures_path = "direct"
     if outcome is not None and outcome.scope == "full_graph":
         procedures_path = "procedures_fallback"
-        fallback = _prune_cover(g, set(outcome.cover))
+        fallback = _prune_cover(whole, outcome.cover)
         if len(fallback) < len(pruned):
             pruned, kept, singles_cover = fallback, "fallback", outcome.cover
-    if not is_vertex_cover(g, pruned):
+    if not is_cover_from_masks(whole.nbrs, _mask(pruned)):
         raise Stuck("assembled cover is invalid")
     singles = CHARGES[objective, "singles"].constant * delta * k if uncovered else 0.0
     entries.append(
@@ -773,7 +801,7 @@ def soundness_assemble(
         epsilon=2.0 - ceiling / k,
         delta=delta,
         beta=beta,
-        cover=frozenset(pruned),
+        cover=pruned,
         predicted_ceiling=ceiling,
     )
 

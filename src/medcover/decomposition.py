@@ -26,10 +26,9 @@ from .errors import PreconditionViolated, Stuck
 from .graphs import (
     ClassTag,
     Edge,
-    Graph,
     GraphClass,
     bridge_from_masks,
-    classify,
+    classify_from_masks,
 )
 
 MODES = ("safe", "ultra_safe")
@@ -145,8 +144,9 @@ def decompose(g: Cluster, mode: str) -> DecompositionTrace:
     checks them. A safe pair leaves a non-star, and in ultra mode a
     non-bridge, so every remainder meets them. Every pair comes from
     ``_first_safe_pair`` on a copy of the block's edges, degrees and masks,
-    from which each removed pair is taken out in place; the only ``Graph``
-    built is the residual's.
+    from which each removed pair is taken out in place, and the residual is
+    classified from what is left of them (``classify_from_masks``), so no
+    ``Graph`` is built and no mask pass is made after the block's.
     """
     _check_mode(mode)
     b = as_block(g)
@@ -165,10 +165,9 @@ def decompose(g: Cluster, mode: str) -> DecompositionTrace:
             nbrs[u] ^= 1 << v
             nbrs[v] ^= 1 << u
         pair = _first_safe_pair(edges, deg, nbrs, mode)
-    residual = Graph(b.graph.num_vertices, tuple(edges))
-    cls = classify(residual)
+    cls = classify_from_masks(nbrs, edges)
     if cls.tag not in _TERMINAL[mode]:
-        raise Stuck(f"no {mode} pair in non-terminal graph with edges {residual.edges}")
+        raise Stuck(f"no {mode} pair in non-terminal graph with edges {tuple(edges)}")
     return DecompositionTrace(tuple(pairs), cls, mode)
 
 

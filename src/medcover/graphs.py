@@ -260,14 +260,24 @@ def _matching_from_indices(g: Graph, indices: Iterable[int]) -> Matching:
 
 
 def maximal_matching_greedy(g: Graph) -> Matching:
-    """Greedy maximal matching scanning edges in index order."""
-    used: set[int] = set()
+    """Greedy maximal matching scanning edges in index order
+    (``greedy_matching_indices`` of g's edges)."""
+    return _matching_from_indices(g, greedy_matching_indices(g.edges))
+
+
+def greedy_matching_indices(edges: Sequence[Edge]) -> list[int]:
+    """Positions, ascending, of the greedy maximal matching that scans
+    ``edges`` in order and takes each edge that misses the ones taken, for
+    a caller that holds an edge list and no ``Graph``. The matched vertices
+    are a bitmask."""
+    used = 0
     picked: list[int] = []
-    for i, (u, v) in enumerate(g.edges):
-        if u not in used and v not in used:
+    for i, (u, v) in enumerate(edges):
+        ends = 1 << u | 1 << v
+        if not used & ends:
             picked.append(i)
-            used.update((u, v))
-    return _matching_from_indices(g, picked)
+            used |= ends
+    return picked
 
 
 def maximum_matching(g: Graph) -> Matching:
@@ -413,22 +423,34 @@ def classify(g: Graph) -> GraphClass:
     disconnected graph is OtherNonStar. Behaviour on graphs with triangles is
     outside the theory; we still return OtherNonStar rather than raising.
 
-    Every test reads one pass's neighbour masks. With m >= 2 edges, a
-    star's center is the one vertex of degree m. The components are
-    ``component_masks``' that hold an edge; a component of two vertices is
-    a lone edge (of 2-P2's two, the one holding ``g.edges[0]``), and the
-    rest of A_n is a star, centered at its vertex of degree m - 1 (the
-    lower end of a single edge). A connected graph is C5 when m = 5 and
-    every vertex with an edge has degree two; the witness walks the cycle
-    from its least vertex to that vertex's lesser neighbour. The bridge
-    test is ``bridge_from_masks`` over the edges in index order.
+    A graph of one edge needs no masks; any other is ``classify_from_masks``
+    on one pass's neighbour masks.
     """
-    m = g.num_edges
+    if g.num_edges < 2:
+        return classify_from_masks([], g.edges)
+    return classify_from_masks(neighbour_masks(g), g.edges)
+
+
+def classify_from_masks(nbrs: Sequence[int], edges: Sequence[Edge]) -> GraphClass:
+    """``classify`` of the graph whose neighbour masks and edges, in index
+    order, are given, for a caller that holds the masks already (one edge
+    needs none).
+
+    With m >= 2 edges, a star's center is the one vertex of degree m. The
+    components are ``component_masks``' that hold an edge; a component of
+    two vertices is a lone edge (of 2-P2's two, the one holding
+    ``edges[0]``), and the rest of A_n is a star, centered at its vertex of
+    degree m - 1 (the lower end of a single edge). A connected graph is C5
+    when m = 5 and every vertex with an edge has degree two; the witness
+    walks the cycle from its least vertex to that vertex's lesser
+    neighbour. The bridge test is ``bridge_from_masks`` over the edges in
+    index order.
+    """
+    m = len(edges)
     if m == 0:
         raise EmptyGraph("cannot classify a graph with no edges")
     if m == 1:
-        return GraphClass(ClassTag.SINGLE_EDGE, witness={"edge": g.edges[0]})
-    nbrs = neighbour_masks(g)
+        return GraphClass(ClassTag.SINGLE_EDGE, witness={"edge": edges[0]})
     degs = [mask.bit_count() for mask in nbrs]
     if m in degs:
         return GraphClass(ClassTag.STAR, witness={"center": degs.index(m)})
@@ -436,9 +458,9 @@ def classify(g: Graph) -> GraphClass:
     comps = [c for c in component_masks(nbrs) if nbrs[(c & -c).bit_length() - 1]]
     if len(comps) >= 2:
         if len(comps) == 3 and m == 3:
-            return GraphClass(ClassTag.THREE_P2, witness={"edges": g.edges})
+            return GraphClass(ClassTag.THREE_P2, witness={"edges": tuple(edges)})
         if len(comps) == 2:
-            first, other = comps if comps[0] >> g.edges[0][0] & 1 else comps[::-1]
+            first, other = comps if comps[0] >> edges[0][0] & 1 else comps[::-1]
             lone, rest = (first, other) if first.bit_count() == 2 else (other, first)
             centers = [v for v, d in enumerate(degs) if d == m - 1 and rest >> v & 1]
             if lone.bit_count() == 2 and centers:
@@ -457,7 +479,7 @@ def classify(g: Graph) -> GraphClass:
             prev, cur = cur, (nbrs[cur] & ~(1 << prev)).bit_length() - 1
         return GraphClass(ClassTag.C5, witness={"cycle": cycle})
 
-    bridge = bridge_from_masks(nbrs, g.edges, m, {})
+    bridge = bridge_from_masks(nbrs, edges, m, {})
     if bridge is not None:
         b, p, q = bridge
         if min(p, q) == 1:
@@ -478,6 +500,20 @@ def classify(g: Graph) -> GraphClass:
 def is_vertex_cover(g: Graph, s: Iterable[int]) -> bool:
     cover = set(s)
     return all(u in cover or v in cover for u, v in g.edges)
+
+
+def is_cover_from_masks(nbrs: Sequence[int], cover: int) -> bool:
+    """``is_vertex_cover`` of the graph whose neighbour masks are given, for
+    the vertex set whose bitmask is ``cover``, for a caller that holds the
+    masks already: no vertex outside the set has a neighbour outside it."""
+    outside = ~cover
+    left = outside & ((1 << len(nbrs)) - 1)
+    while left:
+        low = left & -left
+        if nbrs[low.bit_length() - 1] & outside:
+            return False
+        left ^= low
+    return True
 
 
 def _two_color(g: Graph) -> list[int]:

@@ -11,7 +11,6 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -30,7 +29,6 @@ from medcover.covers import (
 from medcover.errors import InvalidPartition, MedcoverError, PreconditionViolated, Stuck
 from medcover.graphs import (
     Graph,
-    Matching,
     graph_from_edges,
     is_star,
     is_vertex_cover,
@@ -645,6 +643,16 @@ def test_assemble_random_battery():
 # pruned, is larger than the union cover, which meets the ceiling, so the
 # union is kept
 
+def _reference_prune(g, cover):
+    """The report's prune, done the plain way: drop each vertex in ascending
+    order when the rest still covers every edge of g."""
+    pruned = set(cover)
+    for v in sorted(cover):
+        if is_vertex_cover(g, pruned - {v}):
+            pruned.discard(v)
+    return pruned
+
+
 def _pruned_fallback(g, rep, k):
     """The procedures' whole-graph cover, pruned, rebuilt from a report that
     kept the union: the singles entry's edges against the blocks' covers."""
@@ -653,7 +661,7 @@ def _pruned_fallback(g, rep, k):
     union = set().union(*(e.cover for e in blocks))
     out = cover_single_edge_clusters(g, singles.edges, union, k, rep.delta)
     assert out.scope == "full_graph" and singles.cover == out.singles_cover
-    return covers._prune_cover(g, set(out.cover))
+    return _reference_prune(g, out.cover)
 
 
 def test_the_means_spider_fallback_exceeds_the_ceiling_its_union_meets():
@@ -715,7 +723,7 @@ def test_the_ledger_adds_up_on_every_catalogue_run():
         union = set().union(*(e.cover for e in rep.per_cluster))
         used = singles.cover if singles.kept == "fallback" else union
         assert singles.kept in ("union", "fallback")
-        assert rep.cover == covers._prune_cover(g, set(used))
+        assert rep.cover == _reference_prune(g, used)
         assert singles.kept == "union" or rep.procedures_path == "procedures_fallback"
         ceilings.append(rep.predicted_ceiling.hex())
     assert len(ceilings) == 396
@@ -724,6 +732,34 @@ def test_the_ledger_adds_up_on_every_catalogue_run():
     # 8*delta*k, which moved only those median runs' ceilings
     digest = hashlib.sha256("\n".join(ceilings).encode()).hexdigest()
     assert digest == "bf4db89305ac4d05387f257ec8ef2433d23364afb114808582122fc66fab0628"
+
+
+def _round_trip_record(g, k, objective, beta, rep):
+    head = (g.edges, k, objective, beta.hex(), sorted(rep.cover), rep.procedures_path,
+            rep.t1, rep.t2, rep.t3, rep.t4, rep.predicted_ceiling.hex())
+    ledger = [(e.kind, e.edges, sorted(e.cover), e.case, e.kept) for e in rep.per_cluster]
+    return repr((head, ledger))
+
+
+def test_the_round_trip_is_pinned_on_every_catalogue_run():
+    # every connected catalogue graph up to 7 edges at every k <= tau, both
+    # objectives, beta 1 and 1.5 where ceil(beta * k) blocks fit in the
+    # edges, delta 0.01: each run's cover, path, counts, ceiling and ledger,
+    # bit for bit, as the per-block assembly that built a Block for every
+    # block gave them
+    records = []
+    for g in enumerate_triangle_free(7):
+        tau = len(min_vertex_cover(g))
+        for objective in ("median", "means"):
+            for beta in (1.0, 1.5):
+                for k in range(1, tau + 1):
+                    blocks = covers.block_count(beta, k)
+                    if blocks <= g.num_edges:
+                        rep = cli._round_trip(g, k, blocks, objective, beta, 0.01)[1]
+                        records.append(_round_trip_record(g, k, objective, beta, rep))
+    digest = hashlib.sha256("\n".join(records).encode()).hexdigest()
+    assert (len(records), digest) == (
+        790, "ce0553e88d680a1662b0e9961c336bbec3f3eb5d3d67a96e98e55836e586fac7")
 
 
 def test_the_means_ceiling_charges_every_block_it_has():
@@ -800,7 +836,7 @@ def test_stuck_when_a_dispatch_case_exceeds_its_ceiling(monkeypatch):
 
 def test_stuck_when_the_singles_matching_misses_a_single(monkeypatch):
     g = graph_from_edges([(0, 1)])
-    monkeypatch.setattr(covers, "maximal_matching_greedy", _always(Matching((), ())))
+    monkeypatch.setattr(covers, "greedy_matching_indices", _always([]))
     with pytest.raises(Stuck, match="miss a single edge"):
         cover_single_edge_clusters(g, [0], [], k=1, delta=1.0)
 
@@ -817,14 +853,14 @@ def test_stuck_when_plank_neighbours_share_a_vertex(monkeypatch):
 def test_stuck_when_the_procedures_ledger_breaks(monkeypatch, delta, subcase):
     # a far "matching" whose two edges share vertex 3 breaks 2|M_G| - savings
     g = graph_from_edges([(0, 1), (2, 3), (3, 4)])
-    real = covers.maximal_matching_greedy
+    real = covers.greedy_matching_indices
     calls = []
 
-    def greedy(h):
-        calls.append(h)
-        return real(h) if len(calls) == 1 else SimpleNamespace(indices=(0, 1))
+    def greedy(edges):
+        calls.append(edges)
+        return real(edges) if len(calls) == 1 else [0, 1]
 
-    monkeypatch.setattr(covers, "maximal_matching_greedy", greedy)
+    monkeypatch.setattr(covers, "greedy_matching_indices", greedy)
     with pytest.raises(Stuck, match=subcase):
         cover_single_edge_clusters(g, [0], [3], k=1, delta=delta)
 

@@ -20,10 +20,12 @@ from medcover.decomposition import (
 from medcover.errors import PreconditionViolated, Stuck
 from medcover.graphs import (
     ClassTag,
+    Graph,
     GraphClass,
     bridge_from_masks,
     bridge_structure,
     classify,
+    classify_from_masks,
     graph_from_edges,
     is_star,
     neighbour_masks,
@@ -66,18 +68,18 @@ def test_terminal_classes_stop_immediately(edges, mode, tag):
 @pytest.mark.parametrize("edges", [C5, P7, A_3], ids=["C5", "P7", "A_3"])
 def test_decompose_classifies_once(monkeypatch, edges, mode):
     # the search loop stops on find_safe_pair alone; only the residual is
-    # classified
+    # classified, from the loop's masks and edges
     calls = []
 
-    def counted(g):
-        calls.append(g)
-        return classify(g)
+    def counted(nbrs, edges):
+        calls.append(edges)
+        return classify_from_masks(nbrs, edges)
 
-    monkeypatch.setattr(decomposition, "classify", counted)
+    monkeypatch.setattr(decomposition, "classify_from_masks", counted)
     g = graph_from_edges(edges)
     trace = decompose(g, mode)
     assert len(calls) == 1
-    assert calls[0].num_edges == g.num_edges - 2 * len(trace.removed_pairs)
+    assert len(calls[0]) == g.num_edges - 2 * len(trace.removed_pairs)
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -130,34 +132,34 @@ def test_traces_are_pinned_on_the_disconnected_catalogue():
 
 
 def _count_graphs(monkeypatch):
-    """Record the (vertex count, edges) of every ``Graph`` that
-    ``decomposition`` builds."""
+    """Record the edges of every ``Graph`` built."""
     built = []
-    real = decomposition.Graph
-    monkeypatch.setattr(
-        decomposition, "Graph", lambda n, edges: built.append((n, edges)) or real(n, edges)
-    )
+    real = Graph.__post_init__
+    monkeypatch.setattr(Graph, "__post_init__", lambda h: built.append(h.edges) or real(h))
     return built
 
 
-def _residual_edges(g, trace):
+def _residual_class(g, trace):
+    """``classify`` of the residual, built from g less the removed pairs."""
     removed = {e for pair in trace.removed_pairs for e in pair}
-    return tuple(e for e in g.edges if e not in removed)
+    return classify(Graph(g.num_vertices, tuple(e for e in g.edges if e not in removed)))
 
 
-def test_safe_mode_builds_one_remainder_per_removed_pair(monkeypatch):
-    # the pair search tests candidates on degrees, and the loop removes each
-    # pair from one edge list; the one graph built is the residual
+def test_safe_mode_builds_no_graph(monkeypatch):
+    # the pair search tests candidates on degrees, the loop removes each
+    # pair from one edge list, and the residual is classified from the
+    # masks the loop keeps, as classify finds it on the residual's graph
     built = _count_graphs(monkeypatch)
     for g in enumerate_triangle_free(7):
         if is_star(g):
             continue
         built.clear()
         trace = decompose(g, "safe")
-        assert built == [(g.num_vertices, _residual_edges(g, trace))], g.edges
+        assert built == [], g.edges
+        assert trace.residual == _residual_class(g, trace), g.edges
 
 
-def test_ultra_mode_builds_one_remainder_per_removed_pair(monkeypatch):
+def test_ultra_mode_builds_no_graph(monkeypatch):
     # the bridge test of a candidate's remainder reads the degrees and masks,
     # which the loop updates for each removed pair
     built = _count_graphs(monkeypatch)
@@ -167,7 +169,8 @@ def test_ultra_mode_builds_one_remainder_per_removed_pair(monkeypatch):
             continue
         built.clear()
         trace = decompose(g, "ultra_safe")
-        assert built == [(g.num_vertices, _residual_edges(g, trace))], g.edges
+        assert built == [], g.edges
+        assert trace.residual == _residual_class(g, trace), g.edges
         pairs += len(trace.removed_pairs)
     assert pairs > 50
 

@@ -157,9 +157,10 @@ def test_cover_suite_matches_each_graph_once(monkeypatch):
 
 def test_decomposition_suite_makes_one_mask_pass_per_record_and_residual(monkeypatch):
     # each record's Block serves both modes and the bridge test, so its
-    # masks are built once (178 at 8 edges); classify builds its own for
-    # each of the 344 residuals. Three passes a record and one a residual
-    # made 866.
+    # masks are built once (178 at 8 edges), and each of the 344 residuals
+    # is classified from the masks its decomposition keeps. Three passes a
+    # record and one a residual made 866, and one a record and one a
+    # residual 522.
     records = suites._nonstars(8)
     residuals = sum(1 + (graphs.bridge_structure(g) is None) for g, *_ in records)
     passes = []
@@ -174,7 +175,7 @@ def test_decomposition_suite_makes_one_mask_pass_per_record_and_residual(monkeyp
     result = suite_decomposition(8)
     assert_clean(result, "decomposition_soundness")
     assert (len(records), residuals) == (178, 344)
-    assert len(passes) == len(records) + residuals == 522
+    assert len(passes) == len(records) == 178
     assert passes[0] == records[0][0]
 
 
