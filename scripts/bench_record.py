@@ -45,7 +45,7 @@ order, it times:
   first, untimed call builds them); and ``covers.soundness_assemble`` on
   each connected catalogue graph up to 7 edges (76) at k = its cover
   number, once per objective: 152 calls on the ``opt_continuous``
-  partitions at that k, padded as ``sweep`` pads them, all built before
+  partitions at that k, padded by ``cli._pad_blocks``, all built before
   the timing. A layer figure is the median over that tree's processes.
 
 Each command's ``wall_s`` entry holds its median, its runs, ``ok`` (every
@@ -89,7 +89,7 @@ BENCH_SEED = 0
 LAYERS = r"""
 import json, random, statistics, time
 import numpy as np
-from medcover import costs, covers, decomposition, graphs, oracle, suites
+from medcover import cli, costs, covers, decomposition, graphs, oracle, suites
 from medcover.reduction import HypergraphInstance, reduce_graph, reduce_hypergraph
 from medcover.suites import completeness_instances
 
@@ -163,19 +163,12 @@ out["maximum_matching_24_edges_ms"] = sample(lambda: [graphs.maximum_matching(h)
 out["min_vertex_cover_24_edges_ms"] = sample(lambda: [oracle.min_vertex_cover(h) for h in big])
 out["suite_covers_8_edges_ms"] = sample(lambda: suites.suite_covers(8))
 
-def padded(blocks, want):
-    # the padding `sweep` applies: peel the last edge off the largest block
-    blocks = [sorted(b) for b in blocks]
-    while len(blocks) < want:
-        blocks.append([blocks[max(range(len(blocks)), key=lambda i: (len(blocks[i]), -i))].pop()])
-    return blocks
-
 trips = []
 for g in oracle.enumerate_triangle_free(7):
     k = len(oracle.min_vertex_cover(g))
     for objective in ("median", "means"):
         partition = oracle.opt_continuous(reduce_graph(g, k=k, objective=objective)).partition
-        trips.append((g, padded(partition, k), k, objective))
+        trips.append((g, cli._pad_blocks(partition, k), k, objective))
 out["soundness_assemble_ms"] = sample(
     lambda: [covers.soundness_assemble(g, blocks, k=k, objective=o) for g, blocks, k, o in trips])
 print(json.dumps(out))

@@ -7,13 +7,12 @@ Usage: python scripts/demo_pipeline.py [seed]
 import json
 import sys
 
-from medcover.cli import _round_trip
 from medcover.costs import MAX_CONTINUOUS_POINTS
 from medcover.decomposition import certify_lower_bound
 from medcover.graphs import bridge_structure, format_edge_list
 from medcover.oracle import min_vertex_cover, random_triangle_free
 from medcover.reduction import NO_SIDE_HYPOTHESIS, predict_gap_graph
-from medcover.suites import median_complete
+from medcover.suites import median_complete, round_trip
 
 
 def main() -> int:
@@ -33,7 +32,7 @@ def main() -> int:
     print(f"\nmedian thresholds: yes <= {pred.yes_cost}, no > {pred.no_cost_lower}"
           f" ({NO_SIDE_HYPOTHESIS['median']})")
 
-    rep, cover_rep = _round_trip(g, k, k, "median", beta=1.0, delta=0.01)
+    rep, cover_rep = round_trip(g, k, k, "median", beta=1.0, delta=0.01)
     verdict = "yes" if median_complete(rep.optimal_cost, m, k) else "no"
     print(f"optimal {k}-median cost = {rep.optimal_cost:.9f}  -> {verdict} side")
 

@@ -1,6 +1,11 @@
 """Command-line pipeline: reduce graphs, solve medians, certify bounds,
 extract covers, and sweep the whole chain against the oracles.
 
+The commands parse, call the library and print. ``cover`` and ``sweep``
+run the soundness round trip, ``suites.round_trip``, which pads with
+``suites.pad_blocks``; ``_pad_blocks`` here is that function, under the
+name ``bench/workloads.py`` imports.
+
 Outputs are JSON for single runs and CSV for sweeps; both are deterministic
 for a fixed seed and options (dict keys sorted, floats via repr, fixed row
 order), so repeated runs are byte-identical and diffable.
@@ -27,23 +32,15 @@ from .costs import (
     median_extra_cost,
     weiszfeld,
 )
-from .covers import SoundnessReport, block_count, require_triangle_free, soundness_assemble
+from .covers import block_count
 from .decomposition import (
     certificate_from_trace,
     decompose,
     trace_to_dict,
 )
 from .errors import MedcoverError
-from .graphs import (
-    Graph,
-    bridge_structure,
-    classify,
-    is_star,
-    is_vertex_cover,
-    parse_edge_list,
-)
+from .graphs import Graph, is_vertex_cover, parse_edge_list
 from .oracle import (
-    OracleReport,
     min_vertex_cover,
     opt_continuous,
     opt_discrete,
@@ -68,6 +65,8 @@ from .suites import (
     means_complete,
     median_complete,
     monotone_in_centers,
+    pad_blocks as _pad_blocks,  # the name bench/workloads.py imports
+    round_trip,
     run_all,
 )
 
@@ -154,7 +153,7 @@ def cmd_median(args: argparse.Namespace) -> int:
         "converged": sol.converged,
         "closed_form": closed,
     }
-    if not is_star(g):
+    if Block(g).center is None:  # not a star
         # extra_cost(g, "median") without solving again: the closed form if
         # there is one, else the cost of the solve above
         cost, basis = (sol.cost, BASIS_UPPER) if closed is None else (closed, BASIS_CLOSED)
@@ -165,18 +164,17 @@ def cmd_median(args: argparse.Namespace) -> int:
 
 
 def cmd_decompose(args: argparse.Namespace) -> int:
-    g = _load_graph(args.graph)
-    cls = classify(g)
-    payload: dict = {"class": cls.describe(), "edges": g.num_edges, "safe": None, "ultra_safe": None}
+    b = Block(_load_graph(args.graph))
+    payload: dict = {"class": b.cls.describe(), "edges": b.num_edges, "safe": None, "ultra_safe": None}
     modes: tuple[str, ...] = ("safe", "ultra_safe")
-    if is_star(g):
+    if b.center is not None:
         payload["note"] = "stars need no decomposition; their cost is the closed form"
         modes = ()
-    elif bridge_structure(g) is not None:
+    elif b.bridge is not None:
         payload["note"] = "bridge graph: ultra-safe mode not applicable"
         modes = ("safe",)
     for mode in modes:
-        trace = decompose(g, mode)
+        trace = decompose(b, mode)
         cert = certificate_from_trace(trace)
         payload[mode] = {
             "trace": trace_to_dict(trace),
@@ -187,35 +185,6 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     return 0
 
 
-def _pad_blocks(blocks: list[list[int]], want: int) -> list[list[int]]:
-    """Split blocks (largest first, last element peeled off) until there are
-    exactly `want`; splitting never raises clustering cost, so the padded
-    partition is still optimal-or-better."""
-    blocks = [sorted(b) for b in blocks]
-    while len(blocks) < want:
-        big = max(range(len(blocks)), key=lambda i: (len(blocks[i]), -i))
-        if len(blocks[big]) < 2:
-            raise MedcoverError("cannot pad partition: all blocks are singletons")
-        blocks.append([blocks[big].pop()])
-    return blocks
-
-
-def _round_trip(
-    g: Graph, k: int, blocks_needed: int, objective: str, beta: float, delta: float
-) -> tuple[OracleReport, SoundnessReport]:
-    """The soundness round trip of ``cover``, ``sweep`` and the demo: the
-    oracle's optimal clustering at ``blocks_needed`` blocks, padded by
-    ``_pad_blocks`` to exactly that many, then ``soundness_assemble`` at
-    budget k, all with the given objective, beta and delta. A graph with a
-    triangle is refused before the reduction and the solve, by the triangle
-    test of the ``Block`` that ``soundness_assemble`` then reads."""
-    whole = Block(g)
-    require_triangle_free(whole)
-    oracle = opt_continuous(reduce_graph(g, k=blocks_needed, objective=objective))
-    blocks = _pad_blocks([list(b) for b in oracle.partition], blocks_needed)
-    return oracle, soundness_assemble(whole, blocks, k=k, beta=beta, objective=objective, delta=delta)
-
-
 def cmd_cover(args: argparse.Namespace) -> int:
     check_delta(args.delta)
     g = _load_graph(args.graph)
@@ -224,7 +193,7 @@ def cmd_cover(args: argparse.Namespace) -> int:
         raise MedcoverError(
             f"ceil(beta*k) = {blocks_needed} blocks exceed the {g.num_edges} edges"
         )
-    oracle, rep = _round_trip(g, args.k, blocks_needed, args.objective, args.beta, args.delta)
+    oracle, rep = round_trip(g, args.k, blocks_needed, args.objective, args.beta, args.delta)
     payload = dataclasses.asdict(rep)
     payload["oracle_cost"] = oracle.optimal_cost
     payload["min_vertex_cover"] = len(min_vertex_cover(g))
@@ -332,7 +301,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             "means_complete": str(means_complete(mea.optimal_cost, m, k)).lower(),
         }
         if blocks_needed <= m:  # else the oracle and cover columns stay blank
-            ob, rep = _round_trip(g, k, blocks_needed, args.objective, args.beta, args.delta)
+            ob, rep = round_trip(g, k, blocks_needed, args.objective, args.beta, args.delta)
             row["opt_at_blocks"] = repr(ob.optimal_cost)
             row["beta_monotone"] = str(
                 monotone_in_centers(ob.optimal_cost, opt[args.objective].optimal_cost)

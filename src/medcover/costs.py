@@ -49,6 +49,7 @@ from .graphs import (
     Matching,
     bridge_from_masks,
     classify,
+    classify_from_masks,
     common_vertex,
     maximum_matching,
     neighbour_masks,
@@ -433,7 +434,8 @@ class Block:
     the first time it is read, kept on this value and nowhere else. Blocks
     of equal graphs compare equal, whatever each has computed. M, L and
     the class are one call each of ``maximum_matching``,
-    ``second_maximum_matching`` and ``classify``."""
+    ``second_maximum_matching`` and ``classify_from_masks``, the last on
+    the masks in ``nbrs``."""
 
     graph: Graph
 
@@ -471,7 +473,7 @@ class Block:
 
     @functools.cached_property
     def cls(self) -> GraphClass:
-        return classify(self.graph)
+        return classify_from_masks(self.nbrs, self.edges)
 
     @functools.cached_property
     def matching(self) -> Matching:

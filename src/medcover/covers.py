@@ -630,17 +630,19 @@ def cover_nonstar_means(g: Cluster) -> CoverResult:
 
 def _normalize_clustering(g: Graph, clustering: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     blocks = [tuple(sorted(_edge_index(i) for i in block)) for block in clustering]
+    m = g.num_edges
     seen: set[int] = set()
     for block in blocks:
         if not block:
             raise InvalidPartition("empty cluster")
+        in_range = 0 <= block[0] and block[-1] < m  # a sorted block's ends bound it
         for i in block:
-            if not 0 <= i < g.num_edges:
+            if not (in_range or 0 <= i < m):
                 raise InvalidPartition(f"edge index {i} out of range")
             if i in seen:
                 raise InvalidPartition(f"edge index {i} in two clusters")
             seen.add(i)
-    if len(seen) != g.num_edges:
+    if len(seen) != m:
         raise InvalidPartition("clustering does not cover every edge")
     return blocks
 

@@ -423,18 +423,15 @@ def classify(g: Graph) -> GraphClass:
     disconnected graph is OtherNonStar. Behaviour on graphs with triangles is
     outside the theory; we still return OtherNonStar rather than raising.
 
-    A graph of one edge needs no masks; any other is ``classify_from_masks``
-    on one pass's neighbour masks.
+    ``classify_from_masks`` on one pass's neighbour masks.
     """
-    if g.num_edges < 2:
-        return classify_from_masks([], g.edges)
     return classify_from_masks(neighbour_masks(g), g.edges)
 
 
 def classify_from_masks(nbrs: Sequence[int], edges: Sequence[Edge]) -> GraphClass:
     """``classify`` of the graph whose neighbour masks and edges, in index
-    order, are given, for a caller that holds the masks already (one edge
-    needs none).
+    order, are given, for a caller that holds the masks already. No edge
+    or one edge is answered before a mask is read.
 
     With m >= 2 edges, a star's center is the one vertex of degree m. The
     components are ``component_masks``' that hold an edge; a component of

@@ -926,13 +926,14 @@ def canonical_form(g: Graph) -> str:
     nbrs = neighbour_masks(g)
     comps = component_masks(nbrs)
     if len(comps) <= 1:
-        return _connected_form(nbrs)
+        return _connected_form(nbrs, _refine_classes(nbrs))
     forms = []
     for comp in comps:
         members = [v for v in range(g.num_vertices) if comp >> v & 1]
         label = {v: i for i, v in enumerate(members)}
         part = Graph(len(label), tuple((label[u], label[v]) for u, v in g.edges if u in label))
-        forms.append(_connected_form(neighbour_masks(part)))
+        masks = neighbour_masks(part)
+        forms.append(_connected_form(masks, _refine_classes(masks)))
     return _union_form(forms)
 
 
@@ -942,10 +943,9 @@ def _union_form(forms: Iterable[str]) -> str:
     return "+".join(sorted(forms))
 
 
-def _connected_form(nbrs: list[int], cells: Optional[list[list[int]]] = None) -> str:
+def _connected_form(nbrs: list[int], cells: list[list[int]]) -> str:
     """``"n:bits"`` for a graph with at most one component, whose neighbour
-    masks are ``nbrs``; ``cells`` are its ``_refine_classes``, computed
-    here when not given.
+    masks are ``nbrs`` and whose ``_refine_classes`` are ``cells``.
 
     The least string is found one row at a time. A search state is an
     ordered list of vertex blocks holding the positions still to fill; the
@@ -968,8 +968,6 @@ def _connected_form(nbrs: list[int], cells: Optional[list[list[int]]] = None) ->
     as a bitstring once, at the end.
     """
     n = len(nbrs)
-    if cells is None:
-        cells = _refine_classes(nbrs)
     frontier = {tuple([sum([1 << v for v in cell]) for cell in cells])}
     bits = 0
     for width in range(n - 1, -1, -1):

@@ -6,7 +6,10 @@ a list of human-readable failure strings — empty on success. Every check
 goes through one ``_Ledger``: its predicate states what must hold (so a NaN
 fails it) and its failure text is formatted only when it fails. The CLI's
 verify-lemmas command and the acceptance tests both call these, so there is
-exactly one definition of every claim.
+exactly one definition of every claim. The soundness round trip that the
+CLI's ``cover`` and ``sweep``, the demo and the tests run is defined here
+too, once: ``round_trip``, the oracle's optimal clustering padded by
+``pad_blocks``, then ``covers.soundness_assemble``.
 
 The three catalogue suites (decomposition, extra cost, covers) read the
 same records: one ``(graph, median cost, median extra cost, means extra
@@ -45,16 +48,20 @@ from .costs import (
 )
 from .covers import (
     CHARGES,
+    SoundnessReport,
     cover_budget,
     cover_case_dispatch,
     cover_general,
     cover_matching_two,
     cover_nonstar_means,
+    require_triangle_free,
+    soundness_assemble,
 )
 from .decomposition import L_N_SHORTFALL, certify_lower_bound
 from .errors import MedcoverError, PreconditionViolated
 from .graphs import ClassTag, Graph, is_star, is_vertex_cover
 from .oracle import (
+    OracleReport,
     enumerate_triangle_free,
     min_vertex_cover,
     opt_continuous,
@@ -251,6 +258,35 @@ def monotone_in_centers(more: float, fewer: float) -> bool:
     """More centers never cost more: ``more``, an optimal cost with more
     centers, is at most ``fewer``, one with fewer (up to 1e-9)."""
     return more <= fewer + 1e-9
+
+
+def pad_blocks(blocks: list[list[int]], want: int) -> list[list[int]]:
+    """Split blocks (largest first, last element peeled off) until there are
+    exactly `want`; splitting never raises clustering cost, so the padded
+    partition is still optimal-or-better."""
+    blocks = [sorted(b) for b in blocks]
+    while len(blocks) < want:
+        big = max(range(len(blocks)), key=lambda i: (len(blocks[i]), -i))
+        if len(blocks[big]) < 2:
+            raise MedcoverError("cannot pad partition: all blocks are singletons")
+        blocks.append([blocks[big].pop()])
+    return blocks
+
+
+def round_trip(
+    g: Graph, k: int, blocks_needed: int, objective: str, beta: float, delta: float
+) -> tuple[OracleReport, SoundnessReport]:
+    """The soundness round trip of ``cover``, ``sweep`` and the demo: the
+    oracle's optimal clustering at ``blocks_needed`` blocks, padded by
+    ``pad_blocks`` to exactly that many, then ``soundness_assemble`` at
+    budget k, all with the given objective, beta and delta. A graph with a
+    triangle is refused before the reduction and the solve, by the triangle
+    test of the ``Block`` that ``soundness_assemble`` then reads."""
+    whole = Block(g)
+    require_triangle_free(whole)
+    oracle = opt_continuous(reduce_graph(g, k=blocks_needed, objective=objective))
+    blocks = pad_blocks([list(b) for b in oracle.partition], blocks_needed)
+    return oracle, soundness_assemble(whole, blocks, k=k, beta=beta, objective=objective, delta=delta)
 
 
 def suite_completeness(trials: int, seed: int) -> dict:

@@ -175,9 +175,15 @@ def test_cover_refuses_more_blocks_than_edges(capsys, p4_file):
 
 
 def test_pad_blocks_peels_the_largest_block_until_there_are_enough():
-    assert cli._pad_blocks([[2, 1, 0], [3, 4]], 4) == [[0], [3, 4], [2], [1]]
+    assert suites.pad_blocks([[2, 1, 0], [3, 4]], 4) == [[0], [3, 4], [2], [1]]
     with pytest.raises(MedcoverError, match="all blocks are singletons"):
-        cli._pad_blocks([[0], [1]], 3)
+        suites.pad_blocks([[0], [1]], 3)
+
+
+def test_the_benchmark_pads_with_the_library_rule():
+    # bench/workloads.py imports cli._pad_blocks; it must be the one rule
+    # that cover and sweep pad with, not a copy
+    assert cli._pad_blocks is suites.pad_blocks
 
 
 def test_oracle_on_edge_list_requires_k(capsys, p4_file):

@@ -310,7 +310,9 @@ def test_a_block_finds_each_fact_once_however_many_read_it(monkeypatch):
     b = costs.Block(g)
     searched = _calls(monkeypatch, "maximum_matching", (graphs, costs, covers))
     masked = _calls(monkeypatch, "neighbour_masks", (graphs, costs))
-    classified = _calls(monkeypatch, "classify", (costs,))
+    classified = []
+    monkeypatch.setattr(costs, "classify_from_masks",
+                        lambda nbrs, edges: classified.append(edges) or graphs.classify_from_masks(nbrs, edges))
     for _ in range(2):
         with pytest.raises(PreconditionViolated, match="need exactly 2"):
             covers.cover_matching_two(b)
@@ -324,9 +326,9 @@ def test_a_block_finds_each_fact_once_however_many_read_it(monkeypatch):
         facts = (b.nbrs, b.degrees, b.triangle_free, b.center, b.bridge, b.cls,
                  b.matching, b.second_matching, b.means_extra)
     assert [h.edges for h in searched] == [g.edges, g.edges[1::2]]  # M, then L on g less M
-    assert classified == [g]
-    # the Block's one pass, and the one classify makes for its class
-    assert [h for h in masked if h == g] == [g, g]
+    assert classified == [g.edges]  # on the Block's own masks
+    # the Block's one pass, which its class reads too
+    assert [h for h in masked if h == g] == [g]
     assert facts[3:5] == (None, None) and facts[2] is True
     assert facts[-1] == extra_cost(g, "means").value == Fraction(2 * 10, 6)
 

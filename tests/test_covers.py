@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from medcover import cli, costs, covers, graphs
+from medcover import costs, covers, graphs, suites
 from medcover.costs import extra_cost
 from medcover.covers import (
     SQRT2P1,
@@ -667,7 +667,7 @@ def _pruned_fallback(g, rep, k):
 def test_the_means_spider_fallback_exceeds_the_ceiling_its_union_meets():
     g = graph_from_edges([(0, 1), (0, 2), (0, 3), (1, 4), (2, 5), (3, 8), (4, 6), (5, 7)])
     assert len(min_vertex_cover(g)) == 4
-    oracle, rep = cli._round_trip(g, 4, 4, "means", beta=1.0, delta=0.01)
+    oracle, rep = suites.round_trip(g, 4, 4, "means", beta=1.0, delta=0.01)
     assert oracle.partition == ((0, 1, 2), (3, 6), (4, 7), (5,))  # three stars and (3, 8)
     assert rep.procedures_path == "procedures_fallback"
     assert len(_pruned_fallback(g, rep, 4)) == 5
@@ -691,13 +691,13 @@ def test_a_seven_edge_means_fallback_exceeds_the_ceiling_its_union_meets():
 
 def _catalogue_runs(max_edges):
     """Every connected catalogue graph up to ``max_edges`` edges at every
-    k <= tau, median then means, each through ``cli._round_trip`` at beta 1
+    k <= tau, median then means, each through ``suites.round_trip`` at beta 1
     and delta 0.01."""
     for g in enumerate_triangle_free(max_edges):
         tau = len(min_vertex_cover(g))
         for objective in ("median", "means"):
             for k in range(1, tau + 1):
-                yield g, k, objective, cli._round_trip(g, k, k, objective, 1.0, 0.01)[1]
+                yield g, k, objective, suites.round_trip(g, k, k, objective, 1.0, 0.01)[1]
 
 
 def test_the_ledger_adds_up_on_every_catalogue_run():
@@ -755,7 +755,7 @@ def test_the_round_trip_is_pinned_on_every_catalogue_run():
                 for k in range(1, tau + 1):
                     blocks = covers.block_count(beta, k)
                     if blocks <= g.num_edges:
-                        rep = cli._round_trip(g, k, blocks, objective, beta, 0.01)[1]
+                        rep = suites.round_trip(g, k, blocks, objective, beta, 0.01)[1]
                         records.append(_round_trip_record(g, k, objective, beta, rep))
     digest = hashlib.sha256("\n".join(records).encode()).hexdigest()
     assert (len(records), digest) == (
