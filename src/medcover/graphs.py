@@ -423,7 +423,7 @@ def classify(g: Graph) -> GraphClass:
     disconnected graph is OtherNonStar. Behaviour on graphs with triangles is
     outside the theory; we still return OtherNonStar rather than raising.
 
-    ``classify_from_masks`` on one pass's neighbour masks.
+    It is ``classify_from_masks`` on one pass of neighbour masks.
     """
     return classify_from_masks(neighbour_masks(g), g.edges)
 
