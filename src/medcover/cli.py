@@ -143,9 +143,9 @@ def cmd_hyper_reduce(args: argparse.Namespace) -> int:
 
 
 def cmd_median(args: argparse.Namespace) -> int:
-    g = _load_graph(args.graph)
-    sol = weiszfeld(cluster_points(g))
-    closed = closed_form_median_cost(g)
+    b = Block(_load_graph(args.graph))
+    sol = weiszfeld(cluster_points(b.graph))
+    closed = closed_form_median_cost(b)
     payload = {
         "cost": sol.cost,
         "center": list(sol.center),
@@ -153,11 +153,11 @@ def cmd_median(args: argparse.Namespace) -> int:
         "converged": sol.converged,
         "closed_form": closed,
     }
-    if Block(g).center is None:  # not a star
-        # extra_cost(g, "median") without solving again: the closed form if
+    if b.center is None:  # not a star
+        # extra_cost(b, "median") without solving again: the closed form if
         # there is one, else the cost of the solve above
         cost, basis = (sol.cost, BASIS_UPPER) if closed is None else (closed, BASIS_CLOSED)
-        extra = median_extra_cost(g, cost, basis)
+        extra = median_extra_cost(b, cost, basis)
         payload["extra_cost"] = {"value": extra.value, "basis": extra.basis}
     _emit(_json(payload), args.out)
     return 0

@@ -23,11 +23,12 @@ possible (star) cost of the same size — the quantity the soundness bounds
 charge per non-star cluster.
 
 A ``Block`` is one cluster's ``Graph`` with the facts about it that the
-cover constructions, the decomposition and the soundness ledger read: its
-neighbour masks and degrees, triangle test, star center, bridge witness,
-class, maximum matching M, second matching L and exact means extra cost.
-Each is computed the first time it is read and kept on that ``Block``, so
-readers of one ``Block`` share it, and it goes when the ``Block`` does.
+median costs, the cover constructions, the decomposition and the soundness
+ledger read: its neighbour masks and degrees, triangle test, star center,
+bridge witness, class (the one place a cluster is classified), maximum
+matching M, second matching L and exact means extra cost. Each is computed
+the first time it is read and kept on that ``Block``, so readers of one
+``Block`` share it, and it goes when the ``Block`` does.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ from .graphs import (
     GraphClass,
     Matching,
     bridge_from_masks,
-    classify,
     classify_from_masks,
     common_vertex,
     maximum_matching,
@@ -428,12 +428,33 @@ def _snap_to_optimal_point(
 # Graph clusters
 # ---------------------------------------------------------------------------
 
+class _fact:
+    """A ``Block`` fact: the method's value, computed on the first read and
+    written into the instance ``__dict__``, where every later read finds it
+    before this descriptor. Unlike ``functools.cached_property`` on Python
+    3.11, it takes no lock. Facts are pure, so two threads that first read
+    one fact at once may at worst both compute it, with equal results."""
+
+    def __init__(self, compute):
+        self.compute = compute
+        self.__doc__ = compute.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, block, owner=None):
+        if block is None:
+            return self
+        value = block.__dict__[self.name] = self.compute(block)
+        return value
+
+
 @dataclass(frozen=True)
 class Block:
-    """One cluster's graph, and each fact about it found once: computed
-    the first time it is read, kept on this value and nowhere else. Blocks
-    of equal graphs compare equal, whatever each has computed. M, L and
-    the class are one call each of ``maximum_matching``,
+    """One cluster's graph, and each fact about it found once (``_fact``):
+    computed the first time it is read, kept on this value and nowhere
+    else. Blocks of equal graphs compare equal, whatever each has computed.
+    M, L and the class are one call each of ``maximum_matching``,
     ``second_maximum_matching`` and ``classify_from_masks``, the last on
     the masks in ``nbrs``."""
 
@@ -447,45 +468,45 @@ class Block:
     def num_edges(self) -> int:
         return self.graph.num_edges
 
-    @functools.cached_property
+    @_fact
     def nbrs(self) -> tuple[int, ...]:
         """Each vertex's neighbours as a bitmask (``neighbour_masks``)."""
         return tuple(neighbour_masks(self.graph))
 
-    @functools.cached_property
+    @_fact
     def degrees(self) -> tuple[int, ...]:
         return tuple(map(int.bit_count, self.nbrs))
 
-    @functools.cached_property
+    @_fact
     def triangle_free(self) -> bool:
         return triangle_free_from_masks(self.nbrs, self.edges)
 
-    @functools.cached_property
+    @_fact
     def center(self) -> Optional[int]:
         """The vertex every edge holds, the least one for a single edge, or
         None (``common_vertex``, on the edges, so a star needs no masks)."""
         return common_vertex(self.edges)
 
-    @functools.cached_property
+    @_fact
     def bridge(self) -> Optional[tuple[Edge, int, int]]:
         """``graphs.bridge_structure``'s witness, on these masks."""
         return bridge_from_masks(self.nbrs, self.edges, self.num_edges, {})
 
-    @functools.cached_property
+    @_fact
     def cls(self) -> GraphClass:
         return classify_from_masks(self.nbrs, self.edges)
 
-    @functools.cached_property
+    @_fact
     def matching(self) -> Matching:
         """M, the maximum matching."""
         return maximum_matching(self.graph)
 
-    @functools.cached_property
+    @_fact
     def second_matching(self) -> Matching:
         """L, the maximum matching of the graph less M's edges."""
         return second_maximum_matching(self.graph, self.matching)
 
-    @functools.cached_property
+    @_fact
     def means_extra(self) -> Fraction:
         """The exact 1-means cost above the star's, r - 1."""
         return one_means_cost(self.graph) - (self.num_edges - 1)
@@ -522,17 +543,17 @@ def fundamental_median_cost(cls: GraphClass) -> Optional[float]:
     return None
 
 
-def closed_form_median_cost(g: Graph) -> Optional[float]:
+def closed_form_median_cost(g: Cluster) -> Optional[float]:
     """Exact 1-median cost of the embedded cluster when its class has one:
     ``star_median_cost`` for a star (a single edge is the star with r = 1),
     else ``fundamental_median_cost`` of its class (None when there is none)."""
-    cls = classify(g)
+    cls = as_block(g).cls
     if cls.tag in (ClassTag.SINGLE_EDGE, ClassTag.STAR):
         return star_median_cost(g.num_edges)
     return fundamental_median_cost(cls)
 
 
-def median_costs(graphs: Sequence[Graph]) -> list[tuple[float, str]]:
+def median_costs(graphs: Sequence[Cluster]) -> list[tuple[float, str]]:
     """``median_cost`` of every graph, in input order.
 
     A graph whose class has a closed form gets it. The rest are grouped by
@@ -541,22 +562,21 @@ def median_costs(graphs: Sequence[Graph]) -> list[tuple[float, str]]:
     so each cost is the one ``weiszfeld`` gives for that graph alone.
     """
     out: list = [None] * len(graphs)
-    shapes: dict[tuple[int, int], list[int]] = {}
-    for i, g in enumerate(graphs):
-        exact = closed_form_median_cost(g)
+    shapes: dict[tuple[int, int], list[tuple[int, Graph]]] = {}
+    for i, b in enumerate(map(as_block, graphs)):
+        exact = closed_form_median_cost(b)
         if exact is None:
-            shapes.setdefault((g.num_edges, g.num_vertices), []).append(i)
+            shapes.setdefault((b.num_edges, b.graph.num_vertices), []).append((i, b.graph))
         else:
             out[i] = (exact, BASIS_CLOSED)
     for rows in shapes.values():
-        blocks = np.stack([cluster_points(graphs[i]) for i in rows])
-        costs, _, _ = _weiszfeld_batch(blocks)
-        for i, cost in zip(rows, costs.tolist()):
+        costs, _, _ = _weiszfeld_batch(np.stack([cluster_points(h) for _, h in rows]))
+        for (i, _), cost in zip(rows, costs.tolist()):
             out[i] = (cost, BASIS_UPPER)
     return out
 
 
-def median_cost(g: Graph) -> tuple[float, str]:
+def median_cost(g: Cluster) -> tuple[float, str]:
     """1-median cost of a cluster: the closed form if its class has one,
     else Weiszfeld's numerical upper estimate. Returns (cost, basis), and
     raises ``NotConverged`` if the solve reaches ``WEISZFELD_MAX_ITER``.
@@ -659,10 +679,10 @@ def extra_cost(g: Cluster, objective: str) -> ExtraCost:
     b = as_block(g)
     if objective == "means":
         return ExtraCost(b.means_extra, BASIS_CLOSED)
-    return median_extra_cost(b.graph, *median_cost(b.graph))
+    return median_extra_cost(b, *median_cost(b))
 
 
-def median_extra_cost(g: Graph, cost: float, basis: str) -> ExtraCost:
+def median_extra_cost(g: Cluster, cost: float, basis: str) -> ExtraCost:
     """A 1-median cost of g, with its basis, above the same-size star
     baseline ``star_median_cost``."""
     return ExtraCost(cost - star_median_cost(g.num_edges), basis)

@@ -48,14 +48,13 @@ from .graphs import (
     Edge,
     Graph,
     Matching,
-    bridge_structure,
+    bridge_from_masks,
     common_vertex,
     greedy_matching_indices,
     is_cover_from_masks,
     is_vertex_cover,
     konig_cover,
     maximum_matching,
-    remove_edges,
     second_maximum_matching,
     subgraph,
 )
@@ -388,26 +387,35 @@ def cover_case_dispatch(g: Cluster) -> CoverResult:
             raise Stuck(f"case {case} used {len(cover)} > {ceiling} vertices")
         return CoverResult(frozenset(cover), case)
 
+    def less(dropped: tuple[Edge, ...]) -> tuple[list[Edge], Optional[tuple]]:
+        """g's edges less ``dropped`` (F' or F''), in index order, and their
+        ``bridge_structure``, on the block's masks with the dropped ends cut."""
+        cut: dict[int, int] = {}
+        for u, v in dropped:
+            cut[u] = cut.get(u, 0) | 1 << v
+            cut[v] = cut.get(v, 0) | 1 << u
+        rest = [e for e in g.edges if e not in dropped]
+        return rest, bridge_from_masks(b.nbrs, rest, len(rest), cut)
+
     if len(l) == 0:
         return result({min(e) for e in m.edges}, "|L| = 0 (0.551)", len(m))
     if len(l) == 1:
         return result(_general_cover(g, m, l), "|L| = 1 (1.8)", len(m))
     if len(l) == 2:
-        bridge = bridge_structure(remove_edges(g, m.edges))
+        _, bridge = less(m.edges)
         if bridge is not None:
             cover = _cover_via_bridge_residual(g, m, bridge[0])
             return result(cover, "|L| = 2, F' bridge (1.53)", len(m))
         return result(_general_cover(g, m, l), "|L| = 2, F' non-bridge (1.68)", len(m) + 1)
 
     ml_edges = m.edges + l.edges
-    f_pp = remove_edges(g, ml_edges)
-    if f_pp.num_edges == 0:
+    f_pp, bridge = less(ml_edges)
+    if not f_pp:
         return result(konig_cover(g), "|L| >= 3, F'' empty (1.6)", len(m))
-    c = common_vertex(f_pp.edges)
+    c = common_vertex(f_pp)
     if c is not None:
         survivors = Graph(g.num_vertices, tuple(e for e in ml_edges if c not in e))
         return result({c} | konig_cover(survivors), "|L| >= 3, F'' a star (1.68)", len(m) + 1)
-    bridge = bridge_structure(f_pp)
     if bridge is not None:
         (u, v), _p, _q = bridge
         survivors = Graph(g.num_vertices, tuple(e for e in ml_edges if u not in e and v not in e))
@@ -473,9 +481,8 @@ def cover_single_edge_clusters(
     read, not found again. Both cover checks are whole-graph tests on those
     masks: vc_prime covers every edge but the singles and none of them, so
     M_P's endpoints cover G_P exactly when, with vc_prime, they cover g.
-    M_P and Procedure 1's matching are ``greedy_matching_indices``, the
-    scan of ``maximal_matching_greedy``, on edge lists, so no ``Graph`` of
-    G_P or of the far part is built.
+    M_P and Procedure 1's matching are ``greedy_matching_indices`` of edge
+    lists, so no ``Graph`` of G_P or of the far part is built.
     """
     b = as_block(g)
     require_triangle_free(b)
@@ -759,7 +766,6 @@ def soundness_assemble(
             if objective == "means":
                 kind, built = "means", cover_nonstar_means(sub)
             else:
-                extra = float(extra)
                 kind, build = (
                     ("matching_two", cover_matching_two) if nu == 2
                     else ("dispatch", cover_case_dispatch)

@@ -259,17 +259,10 @@ def _matching_from_indices(g: Graph, indices: Iterable[int]) -> Matching:
     return Matching(idx, tuple(g.edges[i] for i in idx))
 
 
-def maximal_matching_greedy(g: Graph) -> Matching:
-    """Greedy maximal matching scanning edges in index order
-    (``greedy_matching_indices`` of g's edges)."""
-    return _matching_from_indices(g, greedy_matching_indices(g.edges))
-
-
 def greedy_matching_indices(edges: Sequence[Edge]) -> list[int]:
     """Positions, ascending, of the greedy maximal matching that scans
-    ``edges`` in order and takes each edge that misses the ones taken, for
-    a caller that holds an edge list and no ``Graph``. The matched vertices
-    are a bitmask."""
+    ``edges`` in order and takes each edge that misses the ones taken. The
+    matched vertices are a bitmask."""
     used = 0
     picked: list[int] = []
     for i, (u, v) in enumerate(edges):

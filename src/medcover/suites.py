@@ -12,17 +12,21 @@ too, once: ``round_trip``, the oracle's optimal clustering padded by
 ``pad_blocks``, then ``covers.soundness_assemble``.
 
 The three catalogue suites (decomposition, extra cost, covers) read the
-same records: one ``(graph, median cost, median extra cost, means extra
-cost)`` tuple per connected triangle-free non-star graph up to
-``max_edges`` edges, built by ``_nonstars``. The last records are kept in
-``functools.lru_cache``, keyed on ``max_edges``, so a ``run_all`` or a
-catalogue pass enumerates the catalogue and solves each median once. They
-are an immutable tuple (178 records at 8 edges); a new key frees the old
-records only after its own are built, and a build that raises is not
-cached. The records hold numbers only: a suite that reads more facts about
-a graph wraps it in a ``costs.Block`` for its own pass, so every check on
-the graph shares one mask pass and one pair of matchings, and none of them
-is kept past the pass.
+same records: one ``(graph, class, median cost, median extra cost, means
+extra cost)`` tuple per connected triangle-free non-star graph up to
+``max_edges`` edges, built by ``_nonstars`` from one ``costs.Block`` per
+graph, so each graph is classified once. The last records are kept in
+``functools.lru_cache``, keyed on ``max_edges``, so a catalogue pass
+enumerates the connected catalogue and solves each median once. A
+``run_all`` enumerates it once more: ``suite_means_cover_number`` reads
+``enumerate_triangle_free(max_edges, include_disconnected=True)``, which
+builds the connected catalogue again before its unions. The records are an
+immutable tuple (178 records at 8 edges); a new key frees the old records
+only after its own are built, and a build that raises is not cached. The
+records hold values only, no ``Block``: a suite that reads more facts about
+a graph wraps it in a ``Block`` of its own pass, so every check on the
+graph shares one mask pass and one pair of matchings, and none of them is
+kept past the pass.
 """
 
 from __future__ import annotations
@@ -59,7 +63,7 @@ from .covers import (
 )
 from .decomposition import L_N_SHORTFALL, certify_lower_bound
 from .errors import MedcoverError, PreconditionViolated
-from .graphs import ClassTag, Graph, is_star, is_vertex_cover
+from .graphs import ClassTag, Graph, GraphClass, is_star, is_vertex_cover
 from .oracle import (
     OracleReport,
     enumerate_triangle_free,
@@ -139,14 +143,15 @@ def suite_closed_forms() -> dict:
 
 
 @functools.lru_cache(maxsize=1)
-def _nonstars(max_edges: int) -> tuple[tuple[Graph, float, float, Fraction], ...]:
+def _nonstars(max_edges: int) -> tuple[tuple[Graph, GraphClass, float, float, Fraction], ...]:
     """The connected triangle-free non-star graphs up to ``max_edges`` edges,
-    each with its ``median_cost``, solved as one ``median_costs`` batch,
-    that cost's ``median_extra_cost``, and its exact means extra cost."""
-    graphs = [g for g in enumerate_triangle_free(max_edges) if not is_star(g)]
+    each with its class, ``median_cost`` (one ``median_costs`` batch), that
+    cost's ``median_extra_cost`` and exact means extra cost, off one ``Block``."""
+    blocks = [Block(g) for g in enumerate_triangle_free(max_edges) if not is_star(g)]
     return tuple(
-        (g, cost, median_extra_cost(g, cost, basis).value, extra_cost(g, "means").value)
-        for g, (cost, basis) in zip(graphs, median_costs(graphs))
+        (b.graph, b.cls, cost, median_extra_cost(b, cost, basis).value,
+         extra_cost(b, "means").value)
+        for b, (cost, basis) in zip(blocks, median_costs(blocks))
     )
 
 
@@ -159,7 +164,7 @@ def suite_decomposition(max_edges: int) -> dict:
     neighbour-mask pass."""
     ledger = _Ledger("decomposition_soundness")
     check = ledger.check
-    for g, true_cost, _, _ in _nonstars(max_edges):
+    for g, _, true_cost, _, _ in _nonstars(max_edges):
         m = g.num_edges
         b = Block(g)
         cert = certify_lower_bound(b, "safe")
@@ -183,7 +188,7 @@ def suite_extra_cost(max_edges: int) -> dict:
     the numerical median floor 0.158 and the exact rational means floor 2/3.
     Both extra costs are ``_nonstars``'."""
     ledger = _Ledger("extra_cost_floor")
-    for g, _, med, mean in _nonstars(max_edges):
+    for g, _, _, med, mean in _nonstars(max_edges):
         ledger.check(med >= 0.158 - 1e-6,
                      "median extra cost below floor on {}: {!r}", g.edges, med)
         ledger.check(isinstance(mean, Fraction) and mean >= Fraction(2, 3),
@@ -330,13 +335,13 @@ def suite_covers(max_edges: int) -> dict:
         check(is_vertex_cover(b.graph, res.cover), "{} non-cover on {}", label, b.edges)
         check(*claim(len(res.cover)))
 
-    for g, _, extra, means_extra in _nonstars(max_edges):
+    for g, cls, _, extra, means_extra in _nonstars(max_edges):
         b = Block(g)
         m, l = b.matching, b.second_matching
 
         def least(size):
             want = len(min_vertex_cover(g))
-            expected = 3 if b.cls.tag is ClassTag.C5 else 2
+            expected = 3 if cls.tag is ClassTag.C5 else 2
             return (size == expected == want,
                     "matching-2 size on {}: got {}, construction {}, minimum {}",
                     g.edges, size, expected, want)

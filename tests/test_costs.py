@@ -8,6 +8,8 @@ import hashlib
 import itertools
 import math
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -331,6 +333,35 @@ def test_a_block_finds_each_fact_once_however_many_read_it(monkeypatch):
     assert [h for h in masked if h == g] == [g]
     assert facts[3:5] == (None, None) and facts[2] is True
     assert facts[-1] == extra_cost(g, "means").value == Fraction(2 * 10, 6)
+
+
+def test_threads_reading_one_fresh_block_agree():
+    # a fact is kept without a lock: threads that first read it at once may
+    # each compute it, but every read is equal to a lone reader's
+    facts = [name for name, attr in vars(costs.Block).items() if isinstance(attr, costs._fact)]
+    want = [getattr(costs.Block(graph_from_edges(P7)), name) for name in facts]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            b = costs.Block(graph_from_edges(P7))
+            start = threading.Barrier(8)
+            got = []
+
+            def read():
+                start.wait()
+                got.append([getattr(b, name) for name in facts])
+
+            threads = [threading.Thread(target=read) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert got == [want] * 8
+            assert [b.__dict__[name] for name in facts] == want
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_blocks_of_equal_graphs_compare_equal():

@@ -606,21 +606,27 @@ def test_assemble_matches_each_nonstar_block_once(monkeypatch, objective):
     # median), a star and a lone edge: one M search per non-star block,
     # read by its construction, and one L search for the dispatch block;
     # each non-star block is tested for triangles once, by its construction,
-    # and g once, though the lone edge sends it to the singles procedures
+    # and g once, though the lone edge sends it to the singles procedures.
+    # Under the median each non-star block is classified once, on its
+    # Block's masks, for its extra cost and the 5-cycle's cover both
     g = graph_from_edges(C5 + [(5, 6), (6, 7), (7, 8), (8, 9), (9, 10), (10, 11),
                                (12, 13), (12, 14), (15, 16)])
     blocks = [[0, 1, 2, 3, 4], [5, 6, 7, 8, 9, 10], [11, 12], [13]]
     c5, p7 = (graphs.subgraph(g, b) for b in blocks[:2])
-    l_search = [less(p7, maximum_matching(p7))] if objective == "median" else []
+    median = objective == "median"
+    l_search = [less(p7, maximum_matching(p7))] if median else []
     searched = matching_searches(monkeypatch)
-    tested = []
+    tested, classified = [], []
     monkeypatch.setattr(costs, "triangle_free_from_masks",
                         lambda nbrs, edges: tested.append(edges) or True)
+    monkeypatch.setattr(costs, "classify_from_masks",
+                        lambda nbrs, edges: classified.append(edges) or graphs.classify_from_masks(nbrs, edges))
     rep = soundness_assemble(g, blocks, k=4, objective=objective)
     assert [e.matching_number for e in rep.per_cluster] == [2, 3, 1, 1, 0]
     assert rep.per_cluster[-1].edges == (13,)
     assert searched == [c5.edges, p7.edges] + l_search
     assert tested == [g.edges, c5.edges, p7.edges]
+    assert classified == ([c5.edges, p7.edges] if median else [])
 
 
 def test_assemble_random_battery():

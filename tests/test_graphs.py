@@ -20,11 +20,11 @@ from medcover.graphs import (
     edge_components,
     format_edge_list,
     graph_from_edges,
+    greedy_matching_indices,
     is_triangle_free,
     is_vertex_cover,
     konig_cover,
     make_graph,
-    maximal_matching_greedy,
     maximum_matching,
     parse_edge_list,
     second_maximum_matching,
@@ -284,8 +284,9 @@ def test_maximum_matching_properties(seed):
 
 def test_greedy_matching_is_maximal():
     g = graph_from_edges(C5)
-    m = maximal_matching_greedy(g)
-    matched = {v for e in m.edges for v in e}
+    picked = [g.edges[i] for i in greedy_matching_indices(g.edges)]
+    matched = {v for e in picked for v in e}
+    assert len(matched) == 2 * len(picked)  # pairwise disjoint
     for e in g.edges:
         assert e[0] in matched or e[1] in matched
 

@@ -128,7 +128,8 @@ def test_cover_suite_solves_each_median_once(monkeypatch):
     monkeypatch.setattr(costs, "_weiszfeld_batch", only_inside_median_costs)
     monkeypatch.setattr(covers, "extra_cost", no_solve)
     assert_clean(suite_covers(max_edges=6), "cover_extraction")
-    assert batches == [[g for g in enumerate_triangle_free(6) if not is_star(g)]]
+    # the records' Blocks, one per graph, which the batch classifies
+    assert batches == [[costs.Block(g) for g in enumerate_triangle_free(6) if not is_star(g)]]
 
 
 def test_cover_suite_matches_each_graph_once(monkeypatch):
@@ -177,6 +178,25 @@ def test_decomposition_suite_makes_one_mask_pass_per_record_and_residual(monkeyp
     assert (len(records), residuals) == (178, 344)
     assert len(passes) == len(records) == 178
     assert passes[0] == records[0][0]
+
+
+def test_the_records_keep_the_one_class_each_graph_is_given(monkeypatch):
+    # building the records classifies each graph once, on its Block's masks,
+    # and keeps the class as a value, with no Block; suite_covers then reads
+    # the record's class, and only cover_matching_two's 5-cycle fallback
+    # classifies again
+    classified = []
+    monkeypatch.setattr(costs, "classify_from_masks",
+                        lambda nbrs, edges: classified.append(edges) or graphs.classify_from_masks(nbrs, edges))
+    records = suites._nonstars(8)
+    assert len(records) == 178
+    assert classified == [g.edges for g, *_ in records]
+    assert [cls for _, cls, *_ in records] == [graphs.classify(g) for g, *_ in records]
+    assert not any(isinstance(value, costs.Block) for record in records for value in record)
+    classified.clear()
+    assert_clean(suite_covers(8), "cover_extraction")
+    c5 = [g.edges for g, cls, *_ in records if cls.tag is graphs.ClassTag.C5]
+    assert classified == c5 and len(c5) == 1
 
 
 CATALOGUE_SUITES = (suite_decomposition, suite_extra_cost, suite_covers)
