@@ -23,10 +23,9 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .costs import (
-    BASIS_CLOSED,
-    BASIS_UPPER,
     MAX_CONTINUOUS_POINTS,
     Block,
+    _median_basis,
     closed_form_median_cost,
     cluster_points,
     median_extra_cost,
@@ -154,10 +153,8 @@ def cmd_median(args: argparse.Namespace) -> int:
         "closed_form": closed,
     }
     if b.center is None:  # not a star
-        # extra_cost(b, "median") without solving again: the closed form if
-        # there is one, else the cost of the solve above
-        cost, basis = (sol.cost, BASIS_UPPER) if closed is None else (closed, BASIS_CLOSED)
-        extra = median_extra_cost(b, cost, basis)
+        # extra_cost(b, "median") without solving again
+        extra = median_extra_cost(b, *_median_basis(closed, sol.cost))
         payload["extra_cost"] = {"value": extra.value, "basis": extra.basis}
     _emit(_json(payload), args.out)
     return 0
@@ -381,7 +378,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_cover)
 
-    p = sub.add_parser("oracle", help="exact optimum (instance JSON or edge list)")
+    p = sub.add_parser(
+        "oracle", help="exact optimum (instance JSON or edge list)",
+        description="Exhaustive optimum of an instance, or of a graph at --k. Means and "
+        "restricted centers are exact. The continuous median is exact up to Weiszfeld's "
+        "stop rule, which is absolute below a block cost of 1: its cost is an upper "
+        "estimate, which on points scaled down can sit measurably above the optimum.",
+    )
     p.add_argument("--graph", required=True, help="instance JSON or edge-list file")
     p.add_argument("--k", type=int, help="number of centers (edge lists only)")
     p.add_argument("--objective", choices=OBJECTIVES,

@@ -7,7 +7,8 @@ after the reduction), the star-plus-lone-edge family A_n, and the 3-edge path.
 Everything else is solved numerically with Weiszfeld's fixed-point iteration,
 hardened at data points via the standard subgradient test. One batched loop,
 ``_weiszfeld_batch``, does every such solve: ``weiszfeld`` runs it on one
-point set, ``weiszfeld_subsets`` on every subset of one, the oracle's pruned
+point set, ``weiszfeld_subsets`` on every subset of one (the full table,
+kept as the reference the tests hold the pruned one to), the oracle's pruned
 median table (``oracle._median_table``) on the subsets its bounds leave
 open, and ``median_costs`` on many graphs' clusters at once.
 ``_dual_bounds`` brackets a batch's 1-median costs without solving them,
@@ -176,6 +177,10 @@ def weiszfeld_subsets(points: Sequence[Sequence[float]]) -> tuple[np.ndarray, np
     ``NotConverged`` if any subset reaches ``WEISZFELD_MAX_ITER``. More
     than ``MAX_CONTINUOUS_POINTS`` points raise ``InstanceTooLarge`` before
     any table is allocated.
+
+    No library path builds the full table, and the package does not export
+    it: it is the reference that ``oracle._median_table`` must equal bit for
+    bit, and ``tests/test_costs.py`` pins its digests (``TABLE_DIGESTS``).
     """
     if len(points) > MAX_CONTINUOUS_POINTS:
         raise InstanceTooLarge(
@@ -561,19 +566,26 @@ def median_costs(graphs: Sequence[Cluster]) -> list[tuple[float, str]]:
     as one ``_weiszfeld_batch``; a row's result does not depend on its batch,
     so each cost is the one ``weiszfeld`` gives for that graph alone.
     """
-    out: list = [None] * len(graphs)
+    blocks = [as_block(g) for g in graphs]
+    closed = [closed_form_median_cost(b) for b in blocks]
+    solved: list[Optional[float]] = [None] * len(blocks)
     shapes: dict[tuple[int, int], list[tuple[int, Graph]]] = {}
-    for i, b in enumerate(map(as_block, graphs)):
-        exact = closed_form_median_cost(b)
+    for i, (b, exact) in enumerate(zip(blocks, closed)):
         if exact is None:
             shapes.setdefault((b.num_edges, b.graph.num_vertices), []).append((i, b.graph))
-        else:
-            out[i] = (exact, BASIS_CLOSED)
     for rows in shapes.values():
         costs, _, _ = _weiszfeld_batch(np.stack([cluster_points(h) for _, h in rows]))
         for (i, _), cost in zip(rows, costs.tolist()):
-            out[i] = (cost, BASIS_UPPER)
-    return out
+            solved[i] = cost
+    return [_median_basis(exact, cost) for exact, cost in zip(closed, solved)]
+
+
+def _median_basis(closed: Optional[float], solved: Optional[float]) -> tuple[float, str]:
+    """The basis rule of a 1-median cost: the closed form ``closed`` if the
+    class has one, else the Weiszfeld cost ``solved`` as ``BASIS_UPPER``.
+    ``median_costs`` applies it, and so does ``medcover median``, which
+    holds a solve of its own."""
+    return (solved, BASIS_UPPER) if closed is None else (closed, BASIS_CLOSED)
 
 
 def median_cost(g: Cluster) -> tuple[float, str]:

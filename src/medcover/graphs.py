@@ -91,11 +91,6 @@ def subgraph(g: Graph, edge_indices: Iterable[int]) -> Graph:
     return Graph(g.num_vertices, tuple(g.edges[i] for i in sorted(set(edge_indices))))
 
 
-def remove_edges(g: Graph, drop: Iterable[Edge]) -> Graph:
-    dropped = {_normalize_edge(*e) for e in drop}
-    return Graph(g.num_vertices, tuple(e for e in g.edges if e not in dropped))
-
-
 # ---------------------------------------------------------------------------
 # Edge-list text format
 # ---------------------------------------------------------------------------
@@ -218,18 +213,6 @@ def component_masks(nbrs: list[int]) -> list[int]:
         comps.append(comp)
         left ^= comp
     return comps
-
-
-def edge_components(g: Graph) -> list[list[int]]:
-    """Connected components as lists of edge indices (isolated vertices ignored).
-
-    Components are ordered by their smallest edge index; indices ascend within.
-    """
-    parts = [
-        [i for i, (u, _v) in enumerate(g.edges) if comp >> u & 1]
-        for comp in component_masks(neighbour_masks(g))
-    ]
-    return sorted((part for part in parts if part), key=lambda part: part[0])
 
 
 # ---------------------------------------------------------------------------
@@ -495,14 +478,16 @@ def is_vertex_cover(g: Graph, s: Iterable[int]) -> bool:
 def is_cover_from_masks(nbrs: Sequence[int], cover: int) -> bool:
     """``is_vertex_cover`` of the graph whose neighbour masks are given, for
     the vertex set whose bitmask is ``cover``, for a caller that holds the
-    masks already: no vertex outside the set has a neighbour outside it."""
-    outside = ~cover
-    left = outside & ((1 << len(nbrs)) - 1)
-    while left:
-        low = left & -left
-        if nbrs[low.bit_length() - 1] & outside:
+    masks already: no vertex outside the set has a neighbour outside it.
+
+    A vertex without neighbours is skipped before any mask operation, and
+    each mask is tested against ``cover`` rather than its complement, so a
+    few edges on large vertex ids cost a few big-int operations, not one
+    per isolated id.
+    """
+    for v, mask in enumerate(nbrs):
+        if mask and mask & cover != mask and not cover >> v & 1:
             return False
-        left ^= low
     return True
 
 

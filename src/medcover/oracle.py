@@ -128,9 +128,19 @@ _BOUND_MARGIN = 1e-9
 
 @dataclass(frozen=True)
 class OracleReport:
-    """An exactly-optimal clustering: total cost, the partition of point
-    indices, one center per block, and which search produced it (so
-    consumers know whether cost carries Weiszfeld tolerance or is exact)."""
+    """The optimal clustering an exhaustive search found: total cost, the
+    partition of point indices, one center per block, and which search
+    produced it (so consumers know whether cost carries Weiszfeld tolerance
+    or is exact).
+
+    Means and restricted centers are exact. The continuous median
+    (``partition_enum_weiszfeld``) is exact only up to Weiszfeld's stop
+    rule, which is relative for block costs of 1 and more but absolute
+    below: each block's cost is that of a real center, so the total is an
+    upper estimate, and on small coordinates it can sit measurably above
+    the optimum. P4 at k = 1 reads 2.7320508075704595; with its points
+    scaled by 2^-20 and the cost scaled back it reads 2.732051485656816,
+    2.5e-7 higher, relative (ROADMAP item 2)."""
 
     optimal_cost: float
     partition: tuple[tuple[int, ...], ...]
@@ -533,7 +543,9 @@ def opt_continuous(inst: ClusteringInstance) -> OracleReport:
     rows, and the margin is far above the DP's 1e-15 tie-break drift, so
     every cost, partition and center equals the full Weiszfeld table's bit
     for bit, at every k the table serves, and ``NotConverged`` can come
-    only from a solved subset.
+    only from a solved subset. "Exact" for the median is up to Weiszfeld's
+    stop rule, which turns absolute below a cost of 1, so scaling the points
+    down can raise the reported optimum (see ``OracleReport``).
 
     The search then runs as a subset DP over those tables: layer j holds
     the best cost of serving each point subset with j blocks, one float64

@@ -73,7 +73,8 @@ class ClusteringInstance:
 class HypergraphInstance:
     """d-uniform hypergraph on vertices 0..num_vertices-1 plus a target k.
     A hyperedge repeated in any vertex order raises ``ValueError``, as a
-    repeated edge does in ``Graph``."""
+    repeated edge does in ``Graph``, and so does a k above the vertex
+    count: the reduction's candidate centers are the vertices."""
 
     d: int
     num_vertices: int
@@ -85,6 +86,8 @@ class HypergraphInstance:
             raise ValueError("uniformity d must be >= 2")
         if self.k < 1:
             raise ValueError("k must be >= 1")
+        if self.k > self.num_vertices:
+            raise ValueError(f"k = {self.k} exceeds the {self.num_vertices} vertices")
         seen: set[tuple[int, ...]] = set()
         for f in self.hyperedges:
             if len(set(f)) != self.d:

@@ -2,7 +2,11 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +21,7 @@ from medcover.reduction import NO_SIDE_HYPOTHESIS, instance_from_json
 C5_TEXT = "0 1\n1 2\n2 3\n3 4\n0 4\n"
 P4_TEXT = "0 1\n1 2\n2 3\n"
 HYPER_TEXT = "0 1 2\n1 2 3\n2 3 4\n0 3 4\n"
+SRC = Path(cli.__file__).resolve().parent.parent
 
 
 @pytest.fixture
@@ -63,6 +68,34 @@ def test_reduce_refuses_more_centers_than_edges(tmp_path, capsys):
     assert stdout == ""
     assert stderr == "error: k = 20 exceeds the m = 5 edges\n"
     assert not out.exists()
+
+
+def test_hyper_reduce_refuses_more_centers_than_vertices(tmp_path, capsys):
+    path = tmp_path / "h4.txt"
+    path.write_text("0 1 2\n1 2 3\n")  # 4 vertices, the reduction's 4 candidate centers
+    out = tmp_path / "hinst.json"
+    code, stdout, stderr = run(capsys, "hyper-reduce", "--graph", str(path), "--k", "9",
+                               "--out", str(out))
+    assert code == 1
+    assert stdout == ""
+    assert stderr == "error: k = 9 exceeds the 4 vertices\n"
+    assert not out.exists()
+
+
+def test_cover_of_one_edge_on_a_large_vertex_id_takes_seconds(tmp_path):
+    # one edge to vertex 999999: the cover test skips the isolated ids, which
+    # once cost a big-int walk each, past 120 s in all
+    path = tmp_path / "far.txt"
+    path.write_text("0 999999\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "medcover.cli", "cover", "--graph", str(path), "--k", "1"],
+        capture_output=True, text=True, env=env, timeout=40,
+    )
+    assert done.returncode == 0, done.stderr
+    payload = json.loads(done.stdout)
+    assert payload["cover"] == [999999] and payload["min_vertex_cover"] == 1
 
 
 def test_median_reports_closed_form_when_it_exists(capsys, p4_file):

@@ -17,7 +17,6 @@ from medcover.graphs import (
     bridge_structure,
     classify,
     common_vertex,
-    edge_components,
     format_edge_list,
     graph_from_edges,
     greedy_matching_indices,
@@ -136,8 +135,8 @@ def test_triangle_detection():
 
 
 def union_find_components(g):
-    """Edge components by union-find, as ``edge_components`` once computed
-    them: ordered by smallest edge index, indices ascending within."""
+    """Vertex masks of the components by union-find, ordered by least
+    vertex, isolated vertices included."""
     parent = list(range(g.num_vertices))
 
     def find(x):
@@ -147,32 +146,20 @@ def union_find_components(g):
 
     for u, v in g.edges:
         parent[find(u)] = find(v)
-    groups = {}
-    for i, (u, _v) in enumerate(g.edges):
-        groups.setdefault(find(u), []).append(i)
-    return sorted(groups.values(), key=lambda idxs: idxs[0])
-
-
-def test_edge_components_are_ordered_by_first_edge():
-    # the component of vertices 3..5 holds edge 0, so it comes first although
-    # vertex 0 is the least vertex; the isolated vertex 6 is left out
-    g = graphs.Graph(7, ((3, 4), (0, 1), (4, 5), (1, 2)))
-    assert edge_components(g) == [[0, 2], [1, 3]]
+    masks = {}
+    for v in range(g.num_vertices):
+        masks[find(v)] = masks.get(find(v), 0) | 1 << v
+    return sorted(masks.values(), key=lambda mask: mask & -mask)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10_000))
-def test_edge_components_match_union_find(seed):
-    import random
-
+def test_component_masks_match_union_find(seed):
     rng = random.Random(seed)
     g = random_graph(rng, 10, 0.15)
     if g is None:
         return
-    edges = list(g.edges)
-    rng.shuffle(edges)
-    g = graphs.Graph(g.num_vertices, tuple(edges))
-    assert edge_components(g) == union_find_components(g)
+    assert graphs.component_masks(graphs.neighbour_masks(g)) == union_find_components(g)
 
 
 def test_common_vertex():
@@ -446,6 +433,17 @@ def test_is_vertex_cover():
     assert is_vertex_cover(g, {1, 2})
     assert is_vertex_cover(g, {0, 2})
     assert not is_vertex_cover(g, {0, 3})
+
+
+def test_cover_from_masks_agrees_with_is_vertex_cover():
+    # an isolated id below the edges and two above them, which the mask
+    # test skips, and every vertex set, the isolated ids in or out
+    for g in enumerate_triangle_free(4, include_disconnected=True):
+        h = Graph(g.num_vertices + 3, tuple((u + 1, v + 1) for u, v in g.edges))
+        nbrs = graphs.neighbour_masks(h)
+        for cover in range(1 << h.num_vertices):
+            members = [v for v in range(h.num_vertices) if cover >> v & 1]
+            assert graphs.is_cover_from_masks(nbrs, cover) == is_vertex_cover(h, members)
 
 
 def test_konig_cover_matches_matching_number():

@@ -24,7 +24,7 @@ from medcover.costs import weiszfeld, weiszfeld_subsets
 from medcover.errors import DomainError, InstanceTooLarge, NotConverged, PreconditionViolated
 from medcover.graphs import (
     Graph,
-    edge_components,
+    component_masks,
     graph_from_edges,
     is_triangle_free,
     is_vertex_cover,
@@ -72,6 +72,19 @@ def test_continuous_c5_known_values():
     assert one.optimal_cost == pytest.approx(math.sqrt(30), abs=1e-9)
     three = opt_continuous(reduce_graph(g, k=3, objective="median"))
     assert three.optimal_cost == pytest.approx(1 + math.sqrt(3), abs=1e-9)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 2: Weiszfeld's stop rule is absolute below a cost of 1, so the "
+    "median optimum of points scaled by 2^-20 is 2.5e-7 (relative) above the "
+    "scaled optimum; a stop on the certified gap would make it hold"))
+def test_the_median_optimum_scales_with_the_points():
+    inst = reduce_graph(graph_from_edges(P4), k=1, objective="median")
+    scale = 2.0 ** -20
+    points = tuple(tuple(c * scale for c in p) for p in inst.points)
+    small = ClusteringInstance(inst.dimension, points, 1, "median")
+    want = opt_continuous(inst).optimal_cost
+    assert opt_continuous(small).optimal_cost / scale == pytest.approx(want, rel=1e-12, abs=0)
 
 
 def test_continuous_means_is_exact_on_partitions():
@@ -651,6 +664,18 @@ def test_the_size_floors_start_at_the_empty_rest_and_never_rise_with_k():
                 assert (floors[j, :j + 1] == 0.0).all(), (points, j)
             assert (floors[1:] <= floors[:-1]).all(), points
             assert np.isfinite(floors[1:]).all(), points
+
+
+@pytest.mark.parametrize("n", range(3, oracle.MAX_CONTINUOUS_POINTS + 1))
+def test_the_tables_at_n_points_extend_those_at_n_minus_one(n):
+    # every array of the candidate layout, and every size's (rows, members)
+    # pair of the subset index, at n - 1 points is a prefix of its match at n
+    for short, full in zip(oracle._layout(n - 1), oracle._layout(n)):
+        assert np.array_equal(short, full[:len(short)])
+    by_size = costs._subsets_by_size(n)
+    for k, (rows, members) in enumerate(costs._subsets_by_size(n - 1)):
+        assert np.array_equal(rows, by_size[k][0][:len(rows)]), k + 1
+        assert np.array_equal(members, by_size[k][1][:len(members)]), k + 1
 
 
 def test_memoised_candidates_equal_a_fresh_build():
@@ -1459,14 +1484,13 @@ def _euler_transform(a):
 
 def _components_of(g):
     """Each component (isolated vertices included) relabelled in increasing
-    vertex order, found through ``graphs.edge_components``."""
+    vertex order, by least vertex, found through ``graphs.component_masks``."""
     parts = []
-    for idxs in edge_components(g):
-        verts = sorted({v for i in idxs for v in g.edges[i]})
+    for comp in component_masks(neighbour_masks(g)):
+        verts = [v for v in range(g.num_vertices) if comp >> v & 1]
         label = {v: i for i, v in enumerate(verts)}
-        edges = (g.edges[i] for i in idxs)
+        edges = (e for e in g.edges if comp >> e[0] & 1)
         parts.append(Graph(len(verts), tuple((label[u], label[v]) for u, v in edges)))
-    parts += [Graph(1, ())] * (g.num_vertices - len(g.used_vertices()))
     return parts
 
 

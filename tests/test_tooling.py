@@ -1,9 +1,11 @@
 """Checks on the source tree itself: the names the benchmark and the bench
-recording script reach into, that script's measurement loop, the rule that
-proof obligations raise typed errors instead of asserting, the absence of
-rebound module state, the process caches, the one check ledger of the
-suites, the limits the README states, the package's Python floor and its
-one runtime dependency, and the demo script running end to end."""
+recording script reach into, that script's measurement loop, the public
+names no code in the package reaches (each must say why it stays), the
+names the README gives bare, the rule that proof obligations raise typed
+errors instead of asserting, the absence of rebound module state, the
+process caches, the one check ledger of the suites, the limits the README
+states, the package's Python floor and its one runtime dependency, and the
+demo script running end to end."""
 
 import ast
 import dataclasses
@@ -189,6 +191,71 @@ def test_bench_record_alternates_rounds_and_records_failures(tmp_path, monkeypat
 
 def test_every_exported_name_resolves():
     assert [name for name in medcover.__all__ if not hasattr(medcover, name)] == []
+
+
+# The package's public top-level names that no code elsewhere in the package
+# reaches, each with the reason it stays. ``cli._pad_blocks`` is private, so
+# it is not scanned: it stays while bench/workloads.py imports it.
+UNREACHED_IN_THE_PACKAGE = {
+    "canonical_form": "bench/tracer.py wraps it by name",
+    "classify": "bench/tracer.py wraps it by name",
+    "make_graph": "bench/workloads.py calls it",
+    "bridge_structure": "scripts/demo_pipeline.py and the LAYERS snippet of scripts/bench_record.py call it",
+    "format_edge_list": "scripts/demo_pipeline.py calls it",
+    "graph_from_edges": "the README's library example uses it",
+    "find_safe_pair": "the safe-pair lemma's entry point; ROADMAP item 11 puts the lemma's proof in its docstring",
+    "weiszfeld_subsets": "the full median table, the reference the tests hold the pruned one to (TABLE_DIGESTS)",
+}
+
+
+def _read_names(node: ast.AST):
+    """The names code under ``node`` reads, as a ``Name`` or an attribute."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+
+
+def _public_names_and_references() -> tuple[dict[str, str], set[str]]:
+    """Each public top-level name a module of the package defines, with its
+    module, and every name the package's code reads outside the top-level
+    statement that binds it. Docstrings and comments are not code.
+    ``__init__`` only re-exports, so it is left out."""
+    defined, reached = {}, set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            bound = set()
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                bound = {node.name}
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                bound = {t.id for t in targets if isinstance(t, ast.Name)}
+            defined.update((name, path.stem) for name in bound if not name.startswith("_"))
+            reached.update(set(_read_names(node)) - bound)
+    return defined, reached
+
+
+def test_every_public_name_is_reached_in_the_package_or_says_why_not():
+    defined, reached = _public_names_and_references()
+    unreached = {f"{defined[name]}.{name}" for name in defined if name not in reached}
+    listed = {f"{defined.get(name, '?')}.{name}" for name in UNREACHED_IN_THE_PACKAGE}
+    assert sorted(unreached - listed) == [], "a public name nothing in the package reaches"
+    assert sorted(listed - unreached) == [], "a listed name is gone or has gained a caller"
+
+
+def test_the_readme_names_a_library_function_bare_only_if_it_is_exported():
+    # the module list at the top and the Library section; a name the
+    # package does not export is written module.name there
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    sections = text.split("## Install and test", 1)[0] + text.split("## Library", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"`([A-Za-z_]\w*)`", sections))
+    named |= {name.strip() for line in re.findall(r"^from medcover import (.+)$", sections, re.M)
+              for name in line.split(",")}
+    defined, _ = _public_names_and_references()
+    assert sorted(name for name in named if name in defined and name not in medcover.__all__) == []
 
 
 def test_no_assert_statements_in_the_package():
